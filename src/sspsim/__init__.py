@@ -20,8 +20,6 @@ from .lp import (
     LinearProgram,
     LpSolution,
     LpStatus,
-    brute_force_verify,
-    lp_to_text,
     solve_lp,
 )
 from .matching import (
@@ -31,9 +29,7 @@ from .matching import (
     aggregate_bound,
     aggregate_surplus,
     build_matching_lp,
-    calibrate_weights,
     check_matching_feasibility,
-    commitment_to_csv,
     solve_centralized,
     solve_dist_matching,
     view_for_ssp,
@@ -57,12 +53,11 @@ from .model import (
 )
 from .protocol import (
     AuditReport,
-    Claim,
     ConvergenceError,
     LogRecord,
     MatchingResult,
-    SurplusOffer,
     audit_privacy,
+    calibrate_weights,
     messages_to_csv,
     run_engine,
     shuffle_partners,

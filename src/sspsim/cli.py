@@ -14,9 +14,15 @@ import sys
 from dataclasses import replace
 
 from .coalition import anm_from_csv, form_coalitions, map_from_coalitions, meshed_map
-from .matching import calibrate_weights
-from .model import energy_status, validate_scenario
-from .protocol import ConvergenceError, messages_to_csv, run_engine, trace_to_csv
+from .model import UTILITY_ID, energy_status, validate_scenario
+from .protocol import (
+    ConvergenceError,
+    InvalidScenarioError,
+    calibrate_weights,
+    messages_to_csv,
+    run_engine,
+    trace_to_csv,
+)
 from .scenario import (
     GeneratorSpec,
     GeneratorSpecError,
@@ -106,7 +112,7 @@ def _resolve_anm(args: argparse.Namespace, scenario) -> tuple:
         return meshed_map(scenario.ssp_ids), None
     if args.anm == "coalition":
         statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
-        coalitions = form_coalitions(statuses, args.max_group_size, seed=args.seed)
+        coalitions = form_coalitions(statuses, args.max_group_size)
         return map_from_coalitions(coalitions), coalitions
     if not args.anm_file:
         raise ScenarioFormatError("--anm file requires --anm-file")
@@ -133,7 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ScenarioFormatError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    violations = validate_scenario(scenario)
+    weights = _weight_overrides(args, scenario.weights)
+    violations = validate_scenario(replace(scenario, weights=weights))
     if violations:
         for v in violations:
             print(f"invalid scenario: {v}", file=sys.stderr)
@@ -143,7 +150,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot resolve neighborhood map: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    weights = _weight_overrides(args, scenario.weights)
 
     try:
         result = run_engine(scenario, anm, weights=weights, seed=args.seed, iteration_cap=args.iteration_cap)
@@ -179,8 +185,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _commitments_csv(result) -> str:
-    from .model import UTILITY_ID
-
     lines = ["ssp,row_id,col_id,kwh"]
     for ssp_id in sorted(result.commitments):
         cm = result.commitments[ssp_id]
@@ -203,7 +207,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     except (OSError, ScenarioFormatError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    weights = calibrate_weights(scenario, iterations=args.iterations, seed=args.seed)
+    try:
+        weights = calibrate_weights(scenario, iterations=args.iterations, seed=args.seed)
+    except InvalidScenarioError as exc:
+        # the engine's own check: w2 <= 0 stays allowed, since calibration can raise it
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(
         json.dumps(
             {"w14": weights.w14, "w2": weights.w2, "w35": weights.w35, "alpha": weights.alpha, "beta": weights.beta},

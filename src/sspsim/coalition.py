@@ -104,19 +104,18 @@ def initial_bnm(ssp_ids: tuple[str, ...] | list[str], prior: float = 0.5) -> Bel
     return BeliefNeighborhoodMap({_pair(a, b): prior for i, a in enumerate(ids) for b in ids[i + 1:]})
 
 
-def form_coalitions(statuses: dict[str, float], max_group_size: int, seed: int = 0) -> CoalitionSet:
+def form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:
     """Greedy complementary pairing of surplus and deficit groups.
 
     Repeatedly merges the two groups whose union most reduces the summed
     absolute status (only opposite-signed groups can reduce it), subject to
     ``max_group_size``. Ties break on the smallest member ids, so the result is
-    deterministic; ``seed`` is accepted for interface stability but unused.
+    deterministic.
     """
     if not statuses:
         raise ValueError("at least one SSP is required")
     if max_group_size < 1:
         raise ValueError("max_group_size must be >= 1")
-    del seed
     groups: list[tuple[frozenset[str], float]] = [
         (frozenset([ssp_id]), status) for ssp_id, status in sorted(statuses.items())
     ]

@@ -1,5 +1,5 @@
 """Self-contained linear programming: exact representation, a deterministic
-two-phase revised simplex, and a brute-force grid oracle for tests.
+two-phase revised simplex, and an independent residual check of its answers.
 
 The solver is a pure function of its input. Identical programs yield
 bit-identical solutions: entering columns follow Dantzig's rule with
@@ -32,10 +32,6 @@ _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 class LpFormatError(ValueError):
     """Structurally malformed program (bad bounds, undeclared variable, ...)."""
-
-
-class OracleSizeError(ValueError):
-    """Brute-force grid would exceed the enumeration budget."""
 
 
 class LpStatus(Enum):
@@ -402,62 +398,3 @@ def constraint_residuals(lp: LinearProgram, values: dict[str, float]) -> dict[st
 
 def max_violation(lp: LinearProgram, values: dict[str, float]) -> float:
     return max(constraint_residuals(lp, values).values())
-
-
-def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_000_000) -> float:
-    """Best objective over the regular feasibility grid; +inf when no grid point is feasible.
-
-    Every variable must have finite bounds. This is a test oracle: it never
-    consults the simplex, so `solve_lp` objectives can be asserted to be no
-    worse than the grid's best value.
-    """
-    validate_program(lp)
-    if grid_step <= 0:
-        raise OracleSizeError("grid step must be positive")
-    axes = []
-    total = 1
-    for var in lp.variables:
-        if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-            raise OracleSizeError(f"variable {var.name!r} lacks finite bounds")
-        count = int(math.floor((var.upper - var.lower) / grid_step + FEAS_TOL)) + 1
-        axes.append(var.lower + grid_step * np.arange(count))
-        total *= count
-        if total > max_points:
-            raise OracleSizeError(f"grid has more than {max_points} points")
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    points = np.stack([m.ravel() for m in mesh]) if mesh else np.zeros((0, 1))
-    npts = points.shape[1]
-    feasible = np.ones(npts, dtype=bool)
-    name_to_row = {v.name: k for k, v in enumerate(lp.variables)}
-    for row in lp.constraints:
-        lhs = np.zeros(npts)
-        for name, c in row.coeffs.items():
-            lhs += c * points[name_to_row[name]]
-        if row.relation == LESS_EQUAL:
-            feasible &= lhs <= row.rhs + FEAS_TOL
-        elif row.relation == GREATER_EQUAL:
-            feasible &= lhs >= row.rhs - FEAS_TOL
-        else:
-            feasible &= np.abs(lhs - row.rhs) <= FEAS_TOL
-    if not feasible.any():
-        return math.inf
-    obj = np.zeros(npts)
-    for name, c in lp.objective.items():
-        obj += c * points[name_to_row[name]]
-    return float(obj[feasible].min())
-
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text dump (variables, objective, rows) for external cross-checking."""
-    lines = ["minimize:"]
-    terms = [f"{c:+g}*{name}" for name, c in lp.objective.items()]
-    lines.append("  " + (" ".join(terms) if terms else "0"))
-    lines.append("subject to:")
-    for idx, row in enumerate(lp.constraints):
-        terms = [f"{c:+g}*{name}" for name, c in row.coeffs.items()]
-        label = row.name or f"row {idx}"
-        lines.append(f"  [{label}] " + " ".join(terms) + f" {row.relation} {row.rhs:g}")
-    lines.append("bounds:")
-    for var in lp.variables:
-        lines.append(f"  {var.lower:g} <= {var.name} <= {var.upper:g}")
-    return "\n".join(lines)

@@ -22,7 +22,7 @@ unbounded above, which makes every instance feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .lp import (
     EQUAL,
@@ -109,32 +109,8 @@ class _BuildInfo:
     sell_vars: dict[str, str]
     cut_vars: dict[str, str]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_vars: dict[str, str]  # production increase kWh; fx(j) = 1 + stretch/Ep
+    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
     objective_offset: float
-
-
-def _pair_set(view: SspView) -> list[tuple[Subscriber, str]]:
-    """Stable (consumer, supplier id) pairs: N=1 local pairs, then every partner."""
-    pairs: list[tuple[Subscriber, str]] = []
-    for consumer in view.consumers:
-        for producer in view.producers:
-            if view.connectivity.connected(consumer.id, producer.id):
-                pairs.append((consumer, producer.id))
-        for partner_id in sorted(view.partner_capacities):
-            pairs.append((consumer, partner_id))
-    return pairs
-
-
-def _preference_factor(rank: int, alpha: float, beta: float) -> float:
-    return 1.0 + alpha * (beta - rank)
-
-
-def _resolve_beta(view: SspView, weights: MatchingWeights) -> float:
-    if weights.beta is not None:
-        return weights.beta
-    max_rank = 1
-    for consumer, supplier_id in _pair_set(view):
-        max_rank = max(max_rank, view.preferences.rank(consumer.id, supplier_id))
-    return float(max_rank + 1)
 
 
 def _build(
@@ -145,34 +121,37 @@ def _build(
     committed_exports: float,
 ) -> tuple[LinearProgram, _BuildInfo]:
     locked_imports = locked_imports or {}
+    partner_ids = sorted(view.partner_capacities)
+    # stable (consumer, supplier) pairs: connected local producers, then every
+    # partner; zero-capacity partners get no column but still shape beta
     try:
-        beta = _resolve_beta(view, weights)
+        ranks = {
+            (consumer.id, supplier_id): view.preferences.rank(consumer.id, supplier_id)
+            for consumer in view.consumers
+            for supplier_id in [
+                p.id for p in view.producers if view.connectivity.connected(consumer.id, p.id)
+            ] + partner_ids
+        }
     except KeyError as exc:
         raise MatchingStructureError(str(exc)) from None
+    beta = weights.beta if weights.beta is not None else float(max([1, *ranks.values()]) + 1)
 
     coefficient_mode = weights.preference_mode == "coefficient"
-
-    def placement_coef(consumer: Subscriber, supplier_id: str) -> float:
-        rank = view.preferences.rank(consumer.id, supplier_id)
-        factor = _preference_factor(rank, weights.alpha, beta) if coefficient_mode else 1.0
-        return weights.w14 * consumer.priority + weights.w35 * factor
-
-    try:
-        pairs = [(c, j, placement_coef(c, j)) for c, j in _pair_set(view)]
-    except KeyError as exc:
-        raise MatchingStructureError(str(exc)) from None
-
-    max_place = max((coef for _, _, coef in pairs), default=0.0)
-    stretch_penalty = max_place + 0.01 * weights.w2
-
+    priority = {c.id: c.priority for c in view.consumers}
     offset = 0.0
-    if not coefficient_mode:
-        for consumer, supplier_id in _pair_set(view):
-            rank = view.preferences.rank(consumer.id, supplier_id)
+    reward: dict[tuple[str, str], float] = {}  # per placed kWh
+    for (consumer_id, supplier_id), rank in ranks.items():
+        if coefficient_mode:
+            factor = 1.0 + weights.alpha * (beta - rank)
+        else:
+            factor = 1.0
             offset -= weights.w35 * weights.alpha * (beta - rank)
+        reward[(consumer_id, supplier_id)] = weights.w14 * priority[consumer_id] + weights.w35 * factor
+    stretch_penalty = max(reward.values(), default=0.0) + 0.01 * weights.w2
 
     lp = LinearProgram()
-    info = _BuildInfo({}, {}, {}, {}, {}, 0.0)
+    live = [p for p in partner_ids if view.partner_capacities[p].energy > RESIDUAL_TOL]
+    info = _BuildInfo({}, {}, {}, {}, {}, live, 0.0)
 
     def line_bounds(row_id: str, col_id: str) -> tuple[float, float]:
         if lines is not None:
@@ -181,17 +160,17 @@ def _build(
                 return max(0.0, lc.min_kwh), lc.max_kwh
         return 0.0, math.inf
 
-    partner_ids = [p for p in sorted(view.partner_capacities) if view.partner_capacities[p].energy > RESIDUAL_TOL]
-    for consumer in view.consumers:
-        for producer in view.producers:
-            if view.connectivity.connected(consumer.id, producer.id):
-                lo, up = line_bounds(consumer.id, producer.id)
-                name = lp.add_variable(f"cm[{consumer.id}][{producer.id}]", lo, up)
-                info.cm_vars[(consumer.id, producer.id)] = name
-        for partner_id in partner_ids:
-            lo, up = line_bounds(consumer.id, partner_id)
-            name = lp.add_variable(f"cm[{consumer.id}][{partner_id}]", lo, up)
-            info.cm_vars[(consumer.id, partner_id)] = name
+    # supply-row and demand-row coefficients, filled as the cm columns are added
+    supplies: dict[str, dict[str, float]] = {j: {} for j in [p.id for p in view.producers] + live}
+    served_by: dict[str, dict[str, float]] = {c.id: {} for c in view.consumers}
+    for consumer_id, supplier_id in ranks:
+        if supplier_id not in supplies:
+            continue  # partner without capacity
+        lo, up = line_bounds(consumer_id, supplier_id)
+        name = lp.add_variable(f"cm[{consumer_id}][{supplier_id}]", lo, up)
+        info.cm_vars[(consumer_id, supplier_id)] = name
+        served_by[consumer_id][name] = 1.0
+        supplies[supplier_id][name] = 1.0
     for consumer in view.consumers:
         lo, up = line_bounds(consumer.id, UTILITY_ID)
         info.buy_vars[consumer.id] = lp.add_variable(f"cm[{consumer.id}][U]", lo, up, cost=weights.w2)
@@ -210,41 +189,38 @@ def _build(
             info.stretch_vars[producer.id] = lp.add_variable(
                 f"stretch[{producer.id}]", 0.0, producer.bound * producer.energy, cost=stretch_penalty
             )
-    for partner_id in partner_ids:
+    for partner_id in live:
         cap = view.partner_capacities[partner_id]
         if cap.bound > 0.0:
             info.stretch_vars[partner_id] = lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)
 
-    for consumer, supplier_id, coef in pairs:
-        name = info.cm_vars.get((consumer.id, supplier_id))
-        if name is not None and coef != 0.0:
-            lp.objective[name] = lp.objective.get(name, 0.0) - coef
+    for pair, name in info.cm_vars.items():
+        if reward[pair] != 0.0:
+            lp.objective[name] = -reward[pair]
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
     locked_in: dict[str, float] = {c.id: 0.0 for c in view.consumers}
-    coef_by_pair = {(c.id, j): coef for c, j, coef in pairs}
     for partner_id, per_consumer in sorted(locked_imports.items()):
         for consumer_id, kwh in sorted(per_consumer.items()):
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
-            offset -= coef_by_pair.get((consumer_id, partner_id), 0.0) * kwh
+            offset -= reward.get((consumer_id, partner_id), 0.0) * kwh
 
     for producer in view.producers:
-        coeffs = {info.cm_vars[(c.id, producer.id)]: 1.0 for c in view.consumers if (c.id, producer.id) in info.cm_vars}
+        coeffs = supplies[producer.id]
         coeffs[info.sell_vars[producer.id]] = 1.0
         if producer.id in info.stretch_vars:
             coeffs[info.stretch_vars[producer.id]] = -1.0
         lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
 
-    for partner_id in partner_ids:
-        cap = view.partner_capacities[partner_id]
-        coeffs = {info.cm_vars[(c.id, partner_id)]: 1.0 for c in view.consumers}
+    for partner_id in live:
+        coeffs = supplies[partner_id]
         if partner_id in info.stretch_vars:
             coeffs[info.stretch_vars[partner_id]] = -1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, cap.energy, name=f"supply[{partner_id}]")
+        lp.add_constraint(coeffs, LESS_EQUAL, view.partner_capacities[partner_id].energy, name=f"supply[{partner_id}]")
 
     for consumer in view.consumers:
-        served = {name: 1.0 for (cid, _), name in info.cm_vars.items() if cid == consumer.id}
+        served = served_by[consumer.id]
         served[info.buy_vars[consumer.id]] = 1.0
         rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
         if rhs < -RESIDUAL_TOL:
@@ -255,16 +231,11 @@ def _build(
         lp.add_constraint(served, EQUAL, rhs, name=f"demand[{consumer.id}]")
 
     if committed_exports > RESIDUAL_TOL:
-        coeffs: dict[str, float] = {}
+        # every local supply row at once: exported energy stays deliverable
+        coeffs = {}
         rhs = -committed_exports
         for producer in view.producers:
-            for c in view.consumers:
-                name = info.cm_vars.get((c.id, producer.id))
-                if name is not None:
-                    coeffs[name] = coeffs.get(name, 0.0) + 1.0
-            coeffs[info.sell_vars[producer.id]] = 1.0
-            if producer.id in info.stretch_vars:
-                coeffs[info.stretch_vars[producer.id]] = -1.0
+            coeffs.update(supplies[producer.id])
             rhs += producer.energy
         lp.add_constraint(coeffs, LESS_EQUAL, rhs, name="export-reservation")
 
@@ -307,9 +278,8 @@ def solve_dist_matching(
         raise RuntimeError(f"matching LP for {view.ssp_id!r} reported {solution.status}")
 
     locked_imports = locked_imports or {}
-    partner_cols = sorted(set(
-        [p for p in view.partner_capacities if view.partner_capacities[p].energy > RESIDUAL_TOL]
-        + [p for p, cells in locked_imports.items() if any(v > RESIDUAL_TOL for v in cells.values())]
+    partner_cols = sorted(set(info.live_partners).union(
+        p for p, cells in locked_imports.items() if any(v > RESIDUAL_TOL for v in cells.values())
     ))
     supplier_ids = tuple(p.id for p in view.producers) + tuple(partner_cols)
     cm = CommitmentMatrix([c.id for c in view.consumers], supplier_ids)
@@ -327,13 +297,7 @@ def solve_dist_matching(
         if value > RESIDUAL_TOL:
             cm.set(consumer_id, UTILITY_ID, value)
 
-    remaining_exports = committed_exports
-    for producer in view.producers:
-        residual = max(0.0, producer.energy - cm.committed_to_consumers(producer.id))
-        share = min(residual, remaining_exports)
-        remaining_exports -= share
-        if residual - share > RESIDUAL_TOL:
-            cm.set(UTILITY_ID, producer.id, residual - share)
+    attribute_sell_backs(cm, view.producers, committed_exports)
 
     def consumer_fx(sub: Subscriber) -> float:
         if sub.id not in info.cut_vars or sub.energy <= RESIDUAL_TOL:
@@ -350,6 +314,23 @@ def solve_dist_matching(
         producers={p.id: producer_fx(p) for p in view.producers},
     )
     return cm, fx, solution.objective + info.objective_offset
+
+
+def attribute_sell_backs(cm: CommitmentMatrix, producers: tuple[Subscriber, ...], exports: float) -> None:
+    """Write the Utility sell-back row of ``cm`` from its consumer rows.
+
+    Each producer sells back its unplaced base production; ``exports`` is
+    taken out of those residuals greedily in producer order. A cell at or
+    below RESIDUAL_TOL reads as 0.
+    """
+    remaining = exports
+    for producer in producers:
+        residual = max(0.0, producer.energy - cm.committed_to_consumers(producer.id))
+        share = min(residual, remaining)
+        remaining -= share
+        kwh = residual - share if residual - share > RESIDUAL_TOL else 0.0
+        if kwh or cm.get(UTILITY_ID, producer.id):  # absent cells stay absent
+            cm.set(UTILITY_ID, producer.id, kwh)
 
 
 def check_matching_feasibility(
@@ -454,59 +435,3 @@ def solve_centralized(
     """Optimality baseline: one global LP over every subscriber of every SSP."""
     weights = weights or scenario.weights
     return solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
-
-
-def calibrate_weights(
-    scenario: Scenario,
-    metric: str = "utility_interaction",
-    iterations: int = 4,
-    seed: int = 0,
-) -> MatchingWeights:
-    """Coordinate-wise hill climb on (w14, w2, w35) against the simulated metric.
-
-    Steps are multiplicative (x2 then /2); a zero coordinate proposes 1.0 since
-    doubling cannot leave zero. Only strictly improving moves are accepted, at
-    most one per coordinate per iteration. Deterministic under a fixed seed.
-    """
-    if metric != "utility_interaction":
-        raise ValueError(f"unsupported calibration metric {metric!r}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    from .coalition import meshed_map
-    from .protocol import run_engine
-
-    anm = meshed_map(scenario.ssp_ids)
-
-    def evaluate(weights: MatchingWeights) -> float:
-        return run_engine(scenario, anm, weights=weights, seed=seed).final_utility_kwh
-
-    current = scenario.weights
-    best = evaluate(current)
-    for _ in range(iterations):
-        for coord in ("w14", "w2", "w35"):
-            value = getattr(current, coord)
-            proposals = [value * 2.0, value / 2.0] if value > 0.0 else [1.0]
-            for candidate in proposals:
-                trial = replace(current, **{coord: candidate})
-                score = evaluate(trial)
-                if score < best - 1e-9:
-                    current, best = trial, score
-                    break
-    return current
-
-
-def commitment_to_csv(cm: CommitmentMatrix) -> str:
-    """Matrix-shaped CSV: one row per consumer plus the Utility sell-back row,
-    one column per supplier plus the Utility purchase column. (This transposes
-    the usual printed table whose rows are producers.)"""
-    cols = cm.col_ids()
-    lines = ["row_id," + ",".join(cols)]
-    for row_id in cm.row_ids():
-        cells = []
-        for col_id in cols:
-            if row_id == UTILITY_ID and col_id == UTILITY_ID:
-                cells.append("0.0")
-            else:
-                cells.append(repr(cm.get(row_id, col_id)))
-        lines.append(row_id + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ package use an absolute tolerance of 1e-6 kWh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -205,6 +206,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         claim_id(cfg.id, "SSP")
         for sub in cfg.consumers + cfg.producers:
             claim_id(sub.id, "subscriber")
+            for name in ("energy", "bound", "priority"):
+                value = getattr(sub, name)
+                if not math.isfinite(value):
+                    out.append(Violation(sub.id, "finite", f"{name} {value}"))
             if sub.energy < 0:
                 out.append(Violation(sub.id, "energy-nonnegative", f"energy {sub.energy}"))
             if not 0.0 <= sub.bound <= 1.0:
@@ -229,6 +234,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     out.extend(_validate_connectivity(scenario, ssp_ids))
     out.extend(_validate_preferences(scenario))
 
+    for w_name in ("w14", "w2", "w35", "alpha", "beta"):
+        value = getattr(scenario.weights, w_name)
+        if value is not None and not math.isfinite(value):
+            out.append(Violation("weights", "finite", f"{w_name} = {value}"))
     if scenario.weights.w2 <= 0:
         out.append(Violation("weights", "w2-positive", f"w2 = {scenario.weights.w2}; Utility purchases would be free"))
     for w_name in ("w14", "w2", "w35", "alpha"):

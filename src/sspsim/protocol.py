@@ -5,7 +5,7 @@ agents in id order; an agent that accepts a strictly better solution becomes an
 *iteration*, computes its residual aggregate surplus and offers it to its
 connected partners one at a time in a seeded shuffled order. Delivering an
 offer is synchronous: the receiving agent immediately re-solves with the
-offered capacity installed and answers with a Claim for what it committed, and
+offered capacity installed and answers with a claim for what it committed, and
 only then does the sender move to the next partner with the decremented
 residual. A claim is binding: the claimed cells become constants of the
 buyer's future LPs and the seller reserves the exported total, so the pair
@@ -18,24 +18,27 @@ really was the sender's aggregate surplus at emission time.
 
 Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
+
+``calibrate_weights`` tunes the objective weights against whole engine runs.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .coalition import ActualNeighborhoodMap
+from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
     FlexibilityAssignment,
     PartnerCapacity,
     SspView,
+    aggregate_bound,
     aggregate_surplus,
+    attribute_sell_backs,
     solve_dist_matching,
 )
 from .model import (
-    UTILITY_ID,
     CommitmentMatrix,
     MatchingWeights,
     Scenario,
@@ -72,27 +75,14 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SurplusOffer:
-    """Aggregated residual surplus one SSP advertises to one partner."""
-
-    src: str
-    dst: str
-    energy_kwh: float
-    bound: float
-    token: str = SEND_EXCESS
-
-
-@dataclass(frozen=True)
-class Claim:
-    """The receiver's binding answer: how much of the offer it committed."""
-
-    src: str
-    dst: str
-    amount_kwh: float
-
-
-@dataclass(frozen=True)
 class LogRecord:
+    """One wire message.
+
+    An ``offer`` carries the sender's residual surplus to one partner as
+    ``{"energy_kwh", "bound", "token"}``; a ``claim`` is the receiver's binding
+    answer ``{"amount_kwh"}``, sent back to the offering SSP.
+    """
+
     round_index: int
     kind: str
     src: str
@@ -178,28 +168,15 @@ class _Agent:
         return False
 
     def register_export(self, partner_id: str, kwh: float) -> None:
-        self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
-        self._refresh_sell_row()
-
-    def _refresh_sell_row(self) -> None:
-        """Re-attribute the Utility sell-back row after exports changed.
-
-        Unplaced base production is sold back; exported energy is consumed
-        from per-producer residuals greedily in producer order."""
         assert self.cm is not None
-        remaining = self.total_exports()
-        for producer in self.cfg.producers:
-            residual = max(0.0, producer.energy - self.cm.committed_to_consumers(producer.id))
-            share = min(residual, remaining)
-            remaining -= share
-            self.cm.set(UTILITY_ID, producer.id, residual - share)
+        self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
+        attribute_sell_backs(self.cm, self.cfg.producers, self.total_exports())
 
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
         assert self.cm is not None
-        ex_energy, total_energy = aggregate_surplus(self.cfg, self.cm)
-        bound = ex_energy / (total_energy + 1e-7) - 1.0
-        return max(0.0, ex_energy - self.total_exports()), max(0.0, bound)
+        ex_energy, _ = aggregate_surplus(self.cfg, self.cm)
+        return max(0.0, ex_energy - self.total_exports()), aggregate_bound(self.cfg, self.cm)
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
@@ -232,12 +209,12 @@ def run_engine(
     iteration_cap: int = 10000,
 ) -> MatchingResult:
     """Run every SSP agent to global quiescence under the deterministic schedule."""
+    weights = weights or scenario.weights
     # w2 <= 0 merely degenerates the objective (calibration deliberately starts
     # there); every structural violation is still a hard stop
-    violations = [v for v in validate_scenario(scenario) if v.rule != "w2-positive"]
+    violations = [v for v in validate_scenario(replace(scenario, weights=weights)) if v.rule != "w2-positive"]
     if violations:
         raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
-    weights = weights or scenario.weights
 
     ssp_ids = sorted(scenario.ssp_ids)
     agents: dict[str, _Agent] = {}
@@ -272,30 +249,25 @@ def run_engine(
             )
         trace.append(ConvergencePoint(iterations, accumulated_utility()))
 
-    def deliver(offer: SurplusOffer, round_index: int) -> float:
+    def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
         """Synchronous exchange: install capacity at the receiver, re-solve,
         lock the claim on both sides."""
-        receiver = agents[offer.dst]
-        sender = agents[offer.src]
-        base = offer.energy_kwh / (1.0 + offer.bound)
-        improved = receiver.solve_and_accept(transient=(offer.src, base, offer.bound))
+        receiver = agents[dst]
+        base = offered / (1.0 + bound)
+        improved = receiver.solve_and_accept(transient=(src, base, bound))
         claimed = 0.0
         if improved:
-            cells = receiver.claim_against(offer.src)
+            cells = receiver.claim_against(src)
             claimed = sum(cells.values())
-            if claimed > offer.energy_kwh + 1e-6:
-                raise ProtocolViolationError(
-                    f"{offer.dst} claimed {claimed} kWh from {offer.src}, offered {offer.energy_kwh}"
-                )
-            receiver.lock_imports(offer.src, cells)
+            if claimed > offered + 1e-6:
+                raise ProtocolViolationError(f"{dst} claimed {claimed} kWh from {src}, offered {offered}")
+            receiver.lock_imports(src, cells)
             if claimed > 0.0:
-                sender.register_export(offer.dst, claimed)
+                agents[src].register_export(dst, claimed)
             record_iteration()
-            pending[offer.dst] = True
-            offers_pending[offer.dst] = True
-        log.append(
-            LogRecord(round_index, CLAIM_KIND, offer.dst, offer.src, {"amount_kwh": claimed})
-        )
+            pending[dst] = True
+            offers_pending[dst] = True
+        log.append(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
         return claimed
 
     def emit_offers(ssp_id: str, round_index: int) -> None:
@@ -306,17 +278,9 @@ def run_engine(
         for partner_id in shuffle_partners(agent.partners, seed, ssp_id, round_index):
             if offerable <= SURPLUS_TOL:
                 break
-            offer = SurplusOffer(ssp_id, partner_id, offerable, bound)
-            log.append(
-                LogRecord(
-                    round_index,
-                    OFFER_KIND,
-                    ssp_id,
-                    partner_id,
-                    {"energy_kwh": offer.energy_kwh, "bound": offer.bound, "token": offer.token},
-                )
-            )
-            offerable -= deliver(offer, round_index)
+            payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
+            log.append(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
+            offerable -= deliver(ssp_id, partner_id, offerable, bound, round_index)
 
     while any(pending.values()):
         rounds += 1
@@ -346,6 +310,42 @@ def run_engine(
     )
 
 
+def calibrate_weights(
+    scenario: Scenario,
+    metric: str = "utility_interaction",
+    iterations: int = 4,
+    seed: int = 0,
+) -> MatchingWeights:
+    """Coordinate-wise hill climb on (w14, w2, w35) against the simulated metric.
+
+    Steps are multiplicative (x2 then /2); a zero coordinate proposes 1.0 since
+    doubling cannot leave zero. Only strictly improving moves are accepted, at
+    most one per coordinate per iteration. Deterministic under a fixed seed.
+    """
+    if metric != "utility_interaction":
+        raise ValueError(f"unsupported calibration metric {metric!r}")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    anm = meshed_map(scenario.ssp_ids)
+
+    def evaluate(weights: MatchingWeights) -> float:
+        return run_engine(scenario, anm, weights=weights, seed=seed).final_utility_kwh
+
+    current = scenario.weights
+    best = evaluate(current)
+    for _ in range(iterations):
+        for coord in ("w14", "w2", "w35"):
+            value = getattr(current, coord)
+            proposals = [value * 2.0, value / 2.0] if value > 0.0 else [1.0]
+            for candidate in proposals:
+                trial = replace(current, **{coord: candidate})
+                score = evaluate(trial)
+                if score < best - 1e-9:
+                    current, best = trial, score
+                    break
+    return current
+
+
 @dataclass
 class AuditReport:
     passed: bool
@@ -363,10 +363,10 @@ def audit_privacy(
 
     Two independent checks:
 
-    1. Schema: every record is a SurplusOffer or Claim whose payload holds
-       exactly the aggregate numeric fields (plus the protocol token); any
-       extra field, container value, or subscriber id in a payload is a
-       finding.
+    1. Schema: every record is an ``offer`` or a ``claim`` LogRecord whose
+       payload holds exactly the aggregate numeric fields (plus the protocol
+       token); any extra field, container value, or subscriber id in a
+       payload is a finding.
     2. Aggregation correctness by replay: the engine is re-run under the same
        (scenario, anm, weights, seed) and the audited log must match the
        regenerated one message for message, which pins every offer to the

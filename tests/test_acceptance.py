@@ -19,7 +19,7 @@ import pytest
 from sspsim.cli import EXIT_OK, main as cli_main
 from sspsim.coalition import empty_map, form_coalitions, map_from_coalitions, meshed_map, should_delegate
 from sspsim.coalition import BeliefNeighborhoodMap, CoalitionSet, update_bnm
-from sspsim.lp import brute_force_verify, max_violation, solve_lp
+from sspsim.lp import max_violation, solve_lp
 from sspsim.matching import (
     PartnerCapacity,
     SspView,
@@ -43,6 +43,7 @@ from sspsim.model import (
 )
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
+from tests.oracles import brute_force_verify
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -87,7 +88,7 @@ def study1_runs(study1_scenario):
     scenario = study1_scenario
     meshed = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=5)
     statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
-    coalitions = form_coalitions(statuses, max_group_size=4, seed=5)
+    coalitions = form_coalitions(statuses, max_group_size=4)
     grouped = run_engine(scenario, map_from_coalitions(coalitions), seed=5)
     isolated = run_engine(scenario, empty_map(scenario.ssp_ids), seed=5)
     return {"meshed": meshed, "coalition": grouped, "none": isolated, "coalitions": coalitions}

@@ -30,6 +30,17 @@ def pair_file(tmp_path, pair_scenario) -> str:
     return str(path)
 
 
+@pytest.fixture
+def nan_energy_file(tmp_path, worked_file) -> str:
+    """The worked example with a NaN demand, as `json` writes and reads it."""
+    with open(worked_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["ssps"][0]["consumers"][0]["energy_kwh"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestGen:
     def test_study1_flags_produce_valid_scenario(self, tmp_path, capsys):
         out = tmp_path / "study1.json"
@@ -72,6 +83,11 @@ class TestRun:
         assert summary["final_utility_kwh"] == pytest.approx(0.0, abs=1e-6)
         assert summary["coalitions"] == 1
         assert set(summary["per_ssp"]) == {"S1"}
+        header, *cells = (out / "commitments.csv").read_text().splitlines()
+        assert header == "ssp,row_id,col_id,kwh"
+        keys = [tuple(line.split(",")[1:3]) for line in cells]
+        assert ("U", "U") not in keys
+        assert {col for row, col in keys if row == "U"} == {"AP1", "AP2", "PP1"}
 
     def test_disconnected_pair_totals_ten(self, tmp_path, pair_file):
         anm_file = tmp_path / "anm.csv"
@@ -132,6 +148,39 @@ class TestRun:
         bad.write_text("{ not json")
         assert run_cli("run", "--scenario", str(bad), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [("--w2", "-1"), ("--w14", "-5"), ("--alpha", "nan")])
+    def test_invalid_weight_override_exits_2(self, tmp_path, worked_file, capsys, flag, value):
+        code = run_cli(
+            "run", "--scenario", worked_file, "--anm", "meshed", "--out", str(tmp_path / "o"), flag, value
+        )
+        assert code == EXIT_CONFIG
+        assert flag[2:] in capsys.readouterr().err
+
+    def test_non_finite_energy_exits_2(self, tmp_path, nan_energy_file, capsys):
+        code = run_cli("run", "--scenario", nan_energy_file, "--anm", "meshed", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "AC1: finite (energy nan)" in err
+        assert "Traceback" not in err
+
+    def test_sell_back_cells_carry_no_float_dust(self, tmp_path):
+        # sell-backs re-attributed after an export read as 0 at or below
+        # RESIDUAL_TOL, exactly like the ones the LP solve writes
+        scenario = tmp_path / "s50.json"
+        assert run_cli(
+            "gen", "--ssps", "50", "--consumers", "10", "--producers", "5", "--supply-mean", "24",
+            "--seed", "101", "--out", str(scenario),
+        ) == EXIT_OK
+        out = tmp_path / "results"
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--seed", "1", "--out", str(out)) == EXIT_OK
+        sell_backs = [
+            float(kwh)
+            for _, row_id, _, kwh in (line.split(",") for line in (out / "commitments.csv").read_text().splitlines()[1:])
+            if row_id == "U"
+        ]
+        assert sell_backs
+        assert not [kwh for kwh in sell_backs if 0.0 < kwh <= 1e-9]
+
     def test_weight_override_changes_behavior(self, tmp_path, worked_file):
         out = tmp_path / "weird"
         code = run_cli(
@@ -179,3 +228,9 @@ class TestCalibrate:
         assert run_cli("calibrate", "--scenario", worked_file, "--iterations", "1") == EXIT_OK
         weights = json.loads(capsys.readouterr().out)
         assert set(weights) == {"w14", "w2", "w35", "alpha", "beta"}
+
+    def test_invalid_scenario_exits_2(self, nan_energy_file, capsys):
+        assert run_cli("calibrate", "--scenario", nan_energy_file, "--iterations", "1") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "AC1: finite (energy nan)" in err
+        assert "Traceback" not in err

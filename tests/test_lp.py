@@ -10,14 +10,12 @@ from sspsim.lp import (
     LinearProgram,
     LpFormatError,
     LpStatus,
-    OracleSizeError,
-    brute_force_verify,
     constraint_residuals,
-    lp_to_text,
     max_violation,
     solve_lp,
     validate_program,
 )
+from tests.oracles import OracleSizeError, brute_force_verify
 
 
 def test_single_variable_minimum():
@@ -144,14 +142,6 @@ def test_optimal_solutions_pass_independent_residual_check():
     residuals = constraint_residuals(lp, solution.values)
     assert max(residuals.values()) < 1e-6
     assert residuals["bounds"] < 1e-9
-
-
-def test_dump_lists_variables_and_rows():
-    lp = LinearProgram()
-    lp.add_variable("flow", 0.0, 4.0, cost=2.5)
-    lp.add_constraint({"flow": 1.0}, ">=", 1.0, name="min-flow")
-    text = lp_to_text(lp)
-    assert "flow" in text and "min-flow" in text and ">=" in text
 
 
 @st.composite

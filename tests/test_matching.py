@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from sspsim.lp import brute_force_verify, constraint_residuals
+from sspsim.coalition import meshed_map
+from sspsim.lp import constraint_residuals, solve_lp
 from sspsim.matching import (
     MatchingStructureError,
     PartnerCapacity,
@@ -13,9 +14,7 @@ from sspsim.matching import (
     aggregate_bound,
     aggregate_surplus,
     build_matching_lp,
-    calibrate_weights,
     check_matching_feasibility,
-    commitment_to_csv,
     merged_view,
     solve_centralized,
     solve_dist_matching,
@@ -35,7 +34,9 @@ from sspsim.model import (
     SubscriberKind,
     utility_interaction,
 )
+from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
+from tests.oracles import brute_force_verify
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 PC = SubscriberKind.PASSIVE_CONSUMER
@@ -94,6 +95,39 @@ class TestBuildMatchingLp:
         for consumer in view.consumers:
             witness[f"cm[{consumer.id}][U]"] = consumer.energy
         assert max(constraint_residuals(lp, witness).values()) < 1e-9
+
+    def test_column_and_row_order_is_stable(self):
+        # cm columns consumer-major (local producers, then partners with
+        # capacity), then purchases, sell-backs, cuts, stretches; one supply
+        # row per producer and live partner, then one demand row per consumer
+        consumers = (
+            Subscriber("c1", AC, 5.0, priority=0.5),
+            Subscriber("c2", PC, 4.0, bound=0.25, priority=0.5),
+        )
+        producers = (Subscriber("p1", AP, 3.0), Subscriber("p2", PP, 2.0, bound=0.5))
+        ranks = {"p1": 1, "p2": 2, "s2": 3, "s3": 4}
+        view = SspView(
+            "s1",
+            consumers,
+            producers,
+            PreferenceTable({"c1": ranks, "c2": ranks}),
+            ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
+            partner_capacities={"s3": PartnerCapacity(4.0, 0.1), "s2": PartnerCapacity(0.0, 0.0)},
+        )
+        lp = build_matching_lp(view, MatchingWeights())
+        assert [v.name for v in lp.variables] == [
+            "cm[c1][p1]", "cm[c1][p2]", "cm[c1][s3]", "cm[c2][p2]", "cm[c2][s3]",
+            "cm[c1][U]", "cm[c2][U]", "cm[U][p1]", "cm[U][p2]",
+            "cut[c2]", "stretch[p2]", "stretch[s3]",
+        ]
+        assert list(lp.objective)[:3] == ["cm[c1][U]", "cm[c2][U]", "stretch[p2]"]
+        assert [(c.name, list(c.coeffs)) for c in lp.constraints] == [
+            ("supply[p1]", ["cm[c1][p1]", "cm[U][p1]"]),
+            ("supply[p2]", ["cm[c1][p2]", "cm[c2][p2]", "cm[U][p2]", "stretch[p2]"]),
+            ("supply[s3]", ["cm[c1][s3]", "cm[c2][s3]", "stretch[s3]"]),
+            ("demand[c1]", ["cm[c1][p1]", "cm[c1][p2]", "cm[c1][s3]", "cm[c1][U]"]),
+            ("demand[c2]", ["cm[c2][p2]", "cm[c2][s3]", "cm[c2][U]", "cut[c2]"]),
+        ]
 
     def test_line_cap_splits_flow(self):
         consumers = (Subscriber("c1", AC, 5.0, priority=1.0),)
@@ -188,8 +222,6 @@ class TestSolveDistMatching:
         for var in list(lp.variables):
             if math.isinf(var.upper):
                 lp.variables[lp.variables.index(var)] = replace(var, upper=5.0)
-        from sspsim.lp import solve_lp
-
         solution = solve_lp(lp)
         oracle = brute_force_verify(lp, 1.0)
         assert solution.objective <= oracle + 1e-6
@@ -319,9 +351,6 @@ class TestCalibration:
         # w2 = 0 the solver shops at the Utility; calibration must raise w2
         weights = MatchingWeights(w14=0.0, w2=0.0, w35=1.0, alpha=0.1, beta=0.0)
         scenario = self.tiny_scenario(weights)
-        from sspsim.coalition import meshed_map
-        from sspsim.protocol import run_engine
-
         before = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=0).final_utility_kwh
         calibrated = calibrate_weights(scenario, iterations=1, seed=0)
         after = run_engine(scenario, meshed_map(scenario.ssp_ids), weights=calibrated, seed=0).final_utility_kwh
@@ -339,14 +368,3 @@ class TestCalibration:
     def test_rejects_unknown_metric(self, worked_scenario):
         with pytest.raises(ValueError):
             calibrate_weights(worked_scenario, metric="profit")
-
-
-def test_commitment_csv_layout():
-    cm = CommitmentMatrix(["c1", "c2"], ["p1"])
-    cm.set("c1", "p1", 1.5)
-    cm.set(UTILITY_ID, "p1", 2.5)
-    text = commitment_to_csv(cm)
-    lines = text.strip().splitlines()
-    assert lines[0] == "row_id,p1,U"
-    assert lines[1].startswith("c1,1.5")
-    assert lines[-1].startswith("U,2.5")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +55,22 @@ class TestValidateScenario:
         violations = validate_scenario(scenario_of(ssp, rows))
         assert [v.rule for v in violations] == ["utility-reachable"]
         assert violations[0].entity == "c2"
+
+    @pytest.mark.parametrize("field", ["energy", "bound", "priority"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_subscriber_number_names_entity_and_field(self, field, value):
+        ssp = small_ssp()
+        c1 = replace(ssp.consumers[0], **{field: value})
+        bad = scenario_of(replace(ssp, consumers=(c1, ssp.consumers[1])))
+        finite = [v for v in validate_scenario(bad) if v.rule == "finite"]
+        assert [(v.entity, v.detail.split()[0]) for v in finite] == [("c1", field)]
+
+    @pytest.mark.parametrize("name", ["w14", "w2", "w35", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_named(self, name, value):
+        bad = replace(scenario_of(small_ssp()), weights=replace(MatchingWeights(), **{name: value}))
+        finite = [v for v in validate_scenario(bad) if v.rule == "finite"]
+        assert [(v.entity, v.detail.split()[0]) for v in finite] == [("weights", name)]
 
     def test_active_subscriber_with_bound_is_flagged(self):
         ssp = small_ssp(bounds=(0.2, 0.0))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sspsim.coalition import empty_map, meshed_map
@@ -172,6 +174,12 @@ class TestRunEngine:
         )
         with pytest.raises(InvalidScenarioError):
             run_engine(broken, meshed_map(broken.ssp_ids))
+
+    @pytest.mark.parametrize("name,value", [("w14", -5.0), ("alpha", float("nan")), ("w2", float("inf"))])
+    def test_invalid_weights_argument_rejected(self, pair_scenario, name, value):
+        weights = replace(pair_scenario.weights, **{name: value})
+        with pytest.raises(InvalidScenarioError, match=name):
+            run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), weights=weights)
 
     def test_exporter_that_also_imports_keeps_reservations(self):
         # S1's consumer cannot reach its own producer, so S1 both exports
