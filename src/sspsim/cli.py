@@ -16,6 +16,7 @@ from dataclasses import replace
 from .coalition import anm_from_csv, form_coalitions, map_from_coalitions, meshed_map
 from .model import UTILITY_ID, energy_status, validate_scenario
 from .protocol import (
+    CalibrationError,
     ConvergenceError,
     InvalidScenarioError,
     calibrate_weights,
@@ -212,6 +213,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     except InvalidScenarioError as exc:
         # the engine's own check: w2 <= 0 stays allowed, since calibration can raise it
         print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CalibrationError as exc:
+        print(f"invalid calibration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(
         json.dumps(

@@ -29,6 +29,10 @@ EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
+# how a variable maps to standard columns y >= 0: x = lower + y (shift),
+# x = upper - y (negshift), or x = y1 - y2 (free)
+_SHIFT, _NEGSHIFT, _FREE = 0, 1, 2
+
 
 class LpFormatError(ValueError):
     """Structurally malformed program (bad bounds, undeclared variable, ...)."""
@@ -40,7 +44,7 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpVariable:
     name: str
     lower: float = 0.0
@@ -129,117 +133,113 @@ class _Simplex:
 
     def _standardise(self) -> None:
         lp = self.lp
-        self.var_names = [v.name for v in lp.variables]
         index = {v.name: k for k, v in enumerate(lp.variables)}
 
-        # transforms[orig] = (kind, data): how original values are recovered
-        self.transforms: list[tuple[str, float | None, int, int]] = []
+        # transforms[orig] = (kind, data, column, second column): how original
+        # values are recovered from the standard columns
+        self.transforms: list[tuple[int, float, int, int]] = []
+        bound_cols: list[int] = []  # a finite upper bound adds a <= row
+        bound_rhs: list[float] = []
         n_std = 0
-        extra_rows: list[tuple[dict[int, float], str, float]] = []
         for var in lp.variables:
             lo, up = var.lower, var.upper
             if lo == -math.inf and up == math.inf:
-                self.transforms.append(("free", None, n_std, n_std + 1))
+                self.transforms.append((_FREE, 0.0, n_std, n_std + 1))
                 n_std += 2
             elif lo == -math.inf:
-                self.transforms.append(("negshift", up, n_std, -1))
+                self.transforms.append((_NEGSHIFT, up, n_std, -1))
                 n_std += 1
             else:
-                self.transforms.append(("shift", lo, n_std, -1))
+                self.transforms.append((_SHIFT, lo, n_std, -1))
                 if up != math.inf:
-                    extra_rows.append(({n_std: 1.0}, LESS_EQUAL, up - lo))
+                    bound_cols.append(n_std)
+                    bound_rhs.append(up - lo)
                 n_std += 1
+        kinds = np.array([t[0] for t in self.transforms], dtype=np.int8)
+        col_of = np.array([t[2] for t in self.transforms], dtype=np.intp)
+        shift_of = np.array([t[1] for t in self.transforms], dtype=float)
 
-        def std_coeffs(coeffs: dict[str, float]) -> tuple[dict[int, float], float]:
-            """Rewrite an original-variable row over standard columns.
+        # (row, column, value) triplets: rows over standard columns, then the
+        # bound rows, then one slack per inequality
+        m_rows = len(lp.constraints)
+        var_ix = np.array([index[name] for row in lp.constraints for name in row.coeffs], dtype=np.intp)
+        coef = np.array([c for row in lp.constraints for c in row.coeffs.values()], dtype=float)
+        row_ix = np.repeat(np.arange(m_rows), [len(row.coeffs) for row in lp.constraints])
+        negated = kinds[var_ix] == _NEGSHIFT
+        free = kinds[var_ix] == _FREE
+        # the rhs moves by c * shift, summed in coefficient order per row
+        shift = np.zeros(m_rows)
+        moves = coef[~free] * shift_of[var_ix[~free]]
+        if moves.any():
+            np.add.at(shift, row_ix[~free], moves)
+        b = np.concatenate([np.array([row.rhs for row in lp.constraints], dtype=float) - shift, bound_rhs])
+        m = b.size
+        relations = [row.relation for row in lp.constraints] + [LESS_EQUAL] * len(bound_cols)
+        slack_sign = np.array([0.0 if rel == EQUAL else 1.0 if rel == LESS_EQUAL else -1.0 for rel in relations])
+        slack_rows = np.flatnonzero(slack_sign)
+        n_real = n_std + slack_rows.size
+        rows = np.concatenate([row_ix, row_ix[free], m_rows + np.arange(len(bound_cols)), slack_rows])
+        cols = np.concatenate([
+            col_of[var_ix], col_of[var_ix[free]] + 1, np.array(bound_cols, dtype=np.intp),
+            n_std + np.arange(slack_rows.size),
+        ])
+        vals = np.concatenate([
+            np.where(negated, 0.0 - coef, 0.0 + coef), 0.0 - coef[free], np.ones(len(bound_cols)),
+            slack_sign[slack_rows],
+        ])
 
-            Returns (column coefficients, rhs shift to subtract)."""
-            out: dict[int, float] = {}
-            shift = 0.0
-            for name, c in coeffs.items():
-                kind, data, j, j2 = self.transforms[index[name]]
-                if kind == "shift":
-                    out[j] = out.get(j, 0.0) + c
-                    shift += c * data
-                elif kind == "negshift":
-                    out[j] = out.get(j, 0.0) - c
-                    shift += c * data
-                else:
-                    out[j] = out.get(j, 0.0) + c
-                    out[j2] = out.get(j2, 0.0) - c
-            return out, shift
-
-        rows: list[tuple[dict[int, float], str, float]] = []
-        for row in lp.constraints:
-            coeffs, shift = std_coeffs(row.coeffs)
-            rows.append((coeffs, row.relation, row.rhs - shift))
-        rows.extend(extra_rows)
-
-        m = len(rows)
-        n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
-        a = np.zeros((m, n_std + n_slack))
-        b = np.zeros(m)
-        slack_col = n_std
-        for i, (coeffs, rel, rhs) in enumerate(rows):
-            for j, c in coeffs.items():
-                a[i, j] = c
-            b[i] = rhs
-            if rel == LESS_EQUAL:
-                a[i, slack_col] = 1.0
-                slack_col += 1
-            elif rel == GREATER_EQUAL:
-                a[i, slack_col] = -1.0
-                slack_col += 1
-        neg = b < 0
-        a[neg] *= -1.0
-        b[neg] *= -1.0
+        # rows with a negative rhs are negated
+        row_sign = np.where(b < 0, -1.0, 1.0)
+        b *= row_sign
 
         # crash basis: any positive singleton column serves as a row's start
         # (its own slack, or e.g. an unbounded purchase variable), which often
-        # removes phase 1 entirely
-        self.basis = np.full(m, -1, dtype=int)
-        col_counts = (a != 0.0).sum(axis=0)
-        for i in range(m):
-            row_nonzero = np.flatnonzero(a[i])
-            singles = row_nonzero[col_counts[row_nonzero] == 1]
-            pick = singles[a[i, singles] > 0.0]
-            if pick.size == 0 and b[i] == 0.0 and singles.size:
-                a[i] *= -1.0
-                pick = singles[a[i, singles] > 0.0]
-            if pick.size:
-                j = int(pick[0])
-                scale = a[i, j]
-                if scale != 1.0:
-                    a[i] /= scale
-                    b[i] /= scale
-                self.basis[i] = j
-        n_art = int(np.sum(self.basis < 0))
-        art_cols: list[int] = []
-        full = np.zeros((m, a.shape[1] + n_art))
-        full[:, : a.shape[1]] = a
-        next_art = a.shape[1]
-        for i in range(m):
-            if self.basis[i] < 0:
-                full[i, next_art] = 1.0
-                self.basis[i] = next_art
-                art_cols.append(next_art)
-                next_art += 1
+        # removes phase 1 entirely; the first such column by index wins, and a
+        # zero-rhs row with only negative singletons is negated to use one
+        nonzero = vals != 0.0
+        single = nonzero & (np.bincount(cols[nonzero], minlength=n_real)[cols] == 1)
+        s_rows, s_cols, s_vals = rows[single], cols[single], vals[single] * row_sign[rows[single]]
+        pick = np.full(m, n_real)
+        np.minimum.at(pick, s_rows[s_vals > 0.0], s_cols[s_vals > 0.0])
+        has_single = np.zeros(m, dtype=bool)
+        has_single[s_rows] = True
+        flip = (pick == n_real) & (b == 0.0) & has_single
+        if flip.any():
+            row_sign[flip] *= -1.0
+            first_neg = np.full(m, n_real)
+            np.minimum.at(first_neg, s_rows[s_vals < 0.0], s_cols[s_vals < 0.0])
+            pick[flip] = first_neg[flip]
+        picked = pick < n_real
+        value_at = np.zeros(n_real + 1)
+        value_at[s_cols] = s_vals
+        scale = np.where(flip, -1.0, 1.0) * value_at[pick]
+        scaled = picked & (scale != 1.0)
+        b[scaled] /= scale[scaled]
 
-        self.a = full
+        art_rows = np.flatnonzero(~picked)
+        self.basis = pick
+        self.basis[art_rows] = n_real + np.arange(art_rows.size)
+        self.art_cols = self.basis[art_rows].astype(int)
+
+        # the dense matrix is written once, in the column-major layout the
+        # simplex prices with; only negated or scaled rows are touched again
+        a = np.zeros((m, n_real + art_rows.size), order="F")
+        a[rows, cols] = vals
+        divisor = np.where(scaled, row_sign * scale, row_sign)
+        for i in np.flatnonzero(divisor != 1.0):
+            a[i, :n_real] /= divisor[i]
+        a[art_rows, self.art_cols] = 1.0
+
+        self.a = a
         self.b = b
-        self.n_std = n_std
-        self.n_real = a.shape[1]
-        self.art_cols = np.array(art_cols, dtype=int)
-        self.cost = np.zeros(self.a.shape[1])
-        for name, c in lp.objective.items():
-            kind, data, j, j2 = self.transforms[index[name]]
-            if kind == "shift":
-                self.cost[j] += c
-            elif kind == "negshift":
-                self.cost[j] -= c
-            else:
-                self.cost[j] += c
-                self.cost[j2] -= c
+        self.n_real = n_real
+        self.cost = np.zeros(a.shape[1])
+        obj_ix = np.array([index[name] for name in lp.objective], dtype=np.intp)
+        obj_c = np.array(list(lp.objective.values()), dtype=float)
+        obj_kind = kinds[obj_ix]
+        self.cost[col_of[obj_ix]] = np.where(obj_kind == _NEGSHIFT, 0.0 - obj_c, 0.0 + obj_c)
+        obj_free = obj_kind == _FREE
+        self.cost[col_of[obj_ix[obj_free]] + 1] = 0.0 - obj_c[obj_free]
 
     def solve(self) -> LpSolution:
         # revised simplex: the constraint matrix stays read-only, only the
@@ -350,22 +350,30 @@ class _Simplex:
             self._refactorize()
 
     def _extract(self) -> LpSolution:
-        std = np.zeros(self.n_real)
-        for i, bi in enumerate(self.basis):
+        """Original values from the basic solution.
+
+        A value drifted outside its bounds is clamped back when the drift is
+        within FEAS_TOL; larger drift is a solver fault and raises."""
+        std = [0.0] * self.n_real
+        for bi, x in zip(self.basis.tolist(), self.xb.tolist()):
             if bi < self.n_real:
-                std[bi] = max(float(self.xb[i]), 0.0)
+                std[bi] = max(x, 0.0)
         values: dict[str, float] = {}
         for var, (kind, data, j, j2) in zip(self.lp.variables, self.transforms):
-            if kind == "shift":
+            if kind == _SHIFT:
                 x = data + std[j]
-            elif kind == "negshift":
+            elif kind == _NEGSHIFT:
                 x = data - std[j]
             else:
                 x = std[j] - std[j2]
-            if math.isfinite(var.lower):
-                x = max(x, var.lower)
-            if math.isfinite(var.upper):
-                x = min(x, var.upper)
+            if x < var.lower or x > var.upper:
+                bound = var.lower if x < var.lower else var.upper
+                if abs(x - bound) > FEAS_TOL:
+                    raise ArithmeticError(
+                        f"simplex value {x!r} of {var.name!r} lies outside its bounds "
+                        f"[{var.lower}, {var.upper}] by more than {FEAS_TOL}"
+                    )
+                x = bound
             values[var.name] = float(x)
         objective = sum(c * values[name] for name, c in self.lp.objective.items())
         return LpSolution(LpStatus.OPTIMAL, values, objective)

@@ -29,6 +29,7 @@ from .lp import (
     LESS_EQUAL,
     LinearProgram,
     LpStatus,
+    LpVariable,
     solve_lp,
 )
 from .model import (
@@ -106,11 +107,140 @@ def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
 class _BuildInfo:
     cm_vars: dict[tuple[str, str], str]
     buy_vars: dict[str, str]
-    sell_vars: dict[str, str]
     cut_vars: dict[str, str]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_vars: dict[str, str]  # production increase kWh; fx(j) = 1 + stretch/Ep
     live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
     objective_offset: float
+
+
+# one cm column: (consumer id, supplier id), its variable, its reward per placed kWh
+_Column = tuple[tuple[str, str], LpVariable, float]
+
+
+class PairTable:
+    """The part of one view's matching LP that offers do not change.
+
+    Built once per (subscribers, partner list, weights, lines); an agent keeps
+    its own and hands it to every re-solve. It holds, per consumer, the cm
+    columns of its connected local producers in producer order with their
+    rewards and line bounds; the purchase, sell-back, cut and stretch columns;
+    the local supply rows and the demand-row coefficients; and beta, the
+    additive-mode constant and the stretch penalty, which depend on the rank
+    of every partner, live or not. Partner columns are made per solve, for
+    the partners that advertise capacity: kept for every partner, they would
+    cost memory in proportion to consumers x partners.
+    """
+
+    def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
+        self._partners = frozenset(view.partner_capacities)
+        self._preferences = view.preferences
+        self._weights = weights
+        self._lines = lines
+        self._priority = {c.id: c.priority for c in view.consumers}
+        self._consumer_ids = [c.id for c in view.consumers]
+        partner_ids = sorted(self._partners)
+        # stable (consumer, supplier) pairs: connected local producers, then
+        # every partner; zero-capacity partners get no column but shape beta
+        local_ids = [[p.id for p in view.producers if view.connectivity.connected(c.id, p.id)] for c in view.consumers]
+        try:
+            ranks = [
+                [view.preferences.rank(consumer.id, supplier_id) for supplier_id in local + partner_ids]
+                for consumer, local in zip(view.consumers, local_ids)
+            ]
+        except KeyError as exc:
+            raise MatchingStructureError(str(exc)) from None
+        extremes = [(c.id, min(row), max(row)) for c, row in zip(view.consumers, ranks) if row]
+        self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
+        self.offset = 0.0  # additive-mode preference constants
+        if weights.preference_mode != "coefficient":
+            for rank in (r for row in ranks for r in row):
+                self.offset -= weights.w35 * weights.alpha * (self.beta - rank)
+        # a reward is monotone in the rank, so the largest of a consumer's
+        # rewards sits at its lowest or its highest rank
+        self.stretch_penalty = max(
+            (self._rank_reward(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
+        ) + 0.01 * weights.w2
+
+        self.local: dict[str, list[_Column]] = {c.id: [] for c in view.consumers}
+        supplies: dict[str, dict[str, float]] = {p.id: {} for p in view.producers}
+        self.served: dict[str, dict[str, float]] = {c.id: {} for c in view.consumers}
+        for consumer, local, row in zip(view.consumers, local_ids, ranks):
+            for supplier_id, rank in zip(local, row):
+                pair = (consumer.id, supplier_id)
+                reward = self._rank_reward(consumer.id, rank)
+                var = LpVariable(f"cm[{consumer.id}][{supplier_id}]", *self._line_bounds(*pair))
+                self.local[consumer.id].append((pair, var, reward))
+                self.served[consumer.id][var.name] = 1.0
+                supplies[supplier_id][var.name] = 1.0
+
+        # purchases, sell-backs, cuts and local stretches, in column order;
+        # fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
+        # (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
+        self.fixed_vars: list[LpVariable] = []
+        self.objective_prefix: dict[str, float] = {}
+
+        def add(name: str, lower: float, upper: float, cost: float = 0.0) -> str:
+            self.fixed_vars.append(LpVariable(name, lower, upper))
+            if cost != 0.0:
+                self.objective_prefix[name] = cost
+            return name
+
+        self.buy_vars = {
+            c.id: add(f"cm[{c.id}][U]", *self._line_bounds(c.id, UTILITY_ID), cost=weights.w2)
+            for c in view.consumers
+        }
+        sell_vars = {p.id: add(f"cm[U][{p.id}]", *self._line_bounds(UTILITY_ID, p.id)) for p in view.producers}
+        self.cut_vars = {
+            c.id: add(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in view.consumers if c.bound > 0.0
+        }
+        self.stretch_vars = {
+            p.id: add(f"stretch[{p.id}]", 0.0, p.bound * p.energy, cost=self.stretch_penalty)
+            for p in view.producers
+            if p.bound > 0.0
+        }
+
+        self.supply_rows: list[tuple[dict[str, float], float, str]] = []
+        for producer in view.producers:
+            coeffs = supplies[producer.id]
+            coeffs[sell_vars[producer.id]] = 1.0
+            if producer.id in self.stretch_vars:
+                coeffs[self.stretch_vars[producer.id]] = -1.0
+            self.supply_rows.append((coeffs, producer.energy, f"supply[{producer.id}]"))
+        self.demand_tail = {
+            c.id: {self.buy_vars[c.id]: 1.0, **({self.cut_vars[c.id]: 1.0} if c.id in self.cut_vars else {})}
+            for c in view.consumers
+        }
+
+    def _rank_reward(self, consumer_id: str, rank: int) -> float:
+        weights = self._weights
+        factor = 1.0 + weights.alpha * (self.beta - rank) if weights.preference_mode == "coefficient" else 1.0
+        return weights.w14 * self._priority[consumer_id] + weights.w35 * factor
+
+    def _line_bounds(self, row_id: str, col_id: str) -> tuple[float, float]:
+        if self._lines is not None:
+            lc = self._lines.lookup(row_id, col_id)
+            if lc is not None:
+                return max(0.0, lc.min_kwh), lc.max_kwh
+        return 0.0, math.inf
+
+    def partner_columns(self, partner_id: str) -> list[_Column]:
+        """The cm columns of a partner, one per consumer in consumer order."""
+        return [
+            (
+                (consumer_id, partner_id),
+                LpVariable(f"cm[{consumer_id}][{partner_id}]", *self._line_bounds(consumer_id, partner_id)),
+                self._rank_reward(consumer_id, self._preferences.rank(consumer_id, partner_id)),
+            )
+            for consumer_id in self._consumer_ids
+        ]
+
+    def reward(self, consumer_id: str, supplier_id: str) -> float:
+        """Reward per kWh of the pair; 0 for a pair the view does not have."""
+        if consumer_id not in self._priority:
+            return 0.0
+        if supplier_id in self._partners:
+            return self._rank_reward(consumer_id, self._preferences.rank(consumer_id, supplier_id))
+        return next((reward for (_, local_id), _, reward in self.local[consumer_id] if local_id == supplier_id), 0.0)
 
 
 def _build(
@@ -119,84 +249,41 @@ def _build(
     lines: LineConstraintSet | None,
     locked_imports: dict[str, dict[str, float]] | None,
     committed_exports: float,
+    table: PairTable | None = None,
 ) -> tuple[LinearProgram, _BuildInfo]:
+    """The view's matching LP; only local pairs and live partners are walked.
+
+    ``table`` must come from a view with the same subscribers and partner list
+    and from the same weights and lines; without one it is computed here. Both
+    ways give an equal LinearProgram.
+    """
+    if table is None:
+        table = PairTable(view, weights, lines)
     locked_imports = locked_imports or {}
-    partner_ids = sorted(view.partner_capacities)
-    # stable (consumer, supplier) pairs: connected local producers, then every
-    # partner; zero-capacity partners get no column but still shape beta
-    try:
-        ranks = {
-            (consumer.id, supplier_id): view.preferences.rank(consumer.id, supplier_id)
-            for consumer in view.consumers
-            for supplier_id in [
-                p.id for p in view.producers if view.connectivity.connected(consumer.id, p.id)
-            ] + partner_ids
-        }
-    except KeyError as exc:
-        raise MatchingStructureError(str(exc)) from None
-    beta = weights.beta if weights.beta is not None else float(max([1, *ranks.values()]) + 1)
+    live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
+    offered = [table.partner_columns(p) for p in live]
+    # cm columns consumer-major: local producers, then partners with capacity
+    columns: list[_Column] = []
+    for k, consumer in enumerate(view.consumers):
+        columns += table.local[consumer.id]
+        columns += [partner[k] for partner in offered]
 
-    coefficient_mode = weights.preference_mode == "coefficient"
-    priority = {c.id: c.priority for c in view.consumers}
-    offset = 0.0
-    reward: dict[tuple[str, str], float] = {}  # per placed kWh
-    for (consumer_id, supplier_id), rank in ranks.items():
-        if coefficient_mode:
-            factor = 1.0 + weights.alpha * (beta - rank)
-        else:
-            factor = 1.0
-            offset -= weights.w35 * weights.alpha * (beta - rank)
-        reward[(consumer_id, supplier_id)] = weights.w14 * priority[consumer_id] + weights.w35 * factor
-    stretch_penalty = max(reward.values(), default=0.0) + 0.01 * weights.w2
-
-    lp = LinearProgram()
-    live = [p for p in partner_ids if view.partner_capacities[p].energy > RESIDUAL_TOL]
-    info = _BuildInfo({}, {}, {}, {}, {}, live, 0.0)
-
-    def line_bounds(row_id: str, col_id: str) -> tuple[float, float]:
-        if lines is not None:
-            lc = lines.lookup(row_id, col_id)
-            if lc is not None:
-                return max(0.0, lc.min_kwh), lc.max_kwh
-        return 0.0, math.inf
-
-    # supply-row and demand-row coefficients, filled as the cm columns are added
-    supplies: dict[str, dict[str, float]] = {j: {} for j in [p.id for p in view.producers] + live}
-    served_by: dict[str, dict[str, float]] = {c.id: {} for c in view.consumers}
-    for consumer_id, supplier_id in ranks:
-        if supplier_id not in supplies:
-            continue  # partner without capacity
-        lo, up = line_bounds(consumer_id, supplier_id)
-        name = lp.add_variable(f"cm[{consumer_id}][{supplier_id}]", lo, up)
-        info.cm_vars[(consumer_id, supplier_id)] = name
-        served_by[consumer_id][name] = 1.0
-        supplies[supplier_id][name] = 1.0
-    for consumer in view.consumers:
-        lo, up = line_bounds(consumer.id, UTILITY_ID)
-        info.buy_vars[consumer.id] = lp.add_variable(f"cm[{consumer.id}][U]", lo, up, cost=weights.w2)
-    for producer in view.producers:
-        lo, up = line_bounds(UTILITY_ID, producer.id)
-        info.sell_vars[producer.id] = lp.add_variable(f"cm[U][{producer.id}]", lo, up)
-    # fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
-    # (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
-    for consumer in view.consumers:
-        if consumer.bound > 0.0:
-            info.cut_vars[consumer.id] = lp.add_variable(
-                f"cut[{consumer.id}]", 0.0, consumer.bound * consumer.energy
-            )
-    for producer in view.producers:
-        if producer.bound > 0.0:
-            info.stretch_vars[producer.id] = lp.add_variable(
-                f"stretch[{producer.id}]", 0.0, producer.bound * producer.energy, cost=stretch_penalty
-            )
+    lp = LinearProgram([var for _, var, _ in columns] + table.fixed_vars, dict(table.objective_prefix))
+    info = _BuildInfo(
+        {pair: var.name for pair, var, _ in columns},
+        table.buy_vars,
+        table.cut_vars,
+        dict(table.stretch_vars),
+        live,
+        table.offset,
+    )
     for partner_id in live:
         cap = view.partner_capacities[partner_id]
         if cap.bound > 0.0:
             info.stretch_vars[partner_id] = lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)
-
-    for pair, name in info.cm_vars.items():
-        if reward[pair] != 0.0:
-            lp.objective[name] = -reward[pair]
+    for _, var, reward in columns:
+        if reward != 0.0:
+            lp.objective[var.name] = -reward
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
@@ -204,42 +291,37 @@ def _build(
     for partner_id, per_consumer in sorted(locked_imports.items()):
         for consumer_id, kwh in sorted(per_consumer.items()):
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
-            offset -= reward.get((consumer_id, partner_id), 0.0) * kwh
+            info.objective_offset -= table.reward(consumer_id, partner_id) * kwh
 
-    for producer in view.producers:
-        coeffs = supplies[producer.id]
-        coeffs[info.sell_vars[producer.id]] = 1.0
-        if producer.id in info.stretch_vars:
-            coeffs[info.stretch_vars[producer.id]] = -1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
+    for coeffs, energy, name in table.supply_rows:
+        lp.add_constraint(coeffs, LESS_EQUAL, energy, name=name)
 
-    for partner_id in live:
-        coeffs = supplies[partner_id]
+    for partner_id, partner in zip(live, offered):
+        coeffs = {var.name: 1.0 for _, var, _ in partner}
         if partner_id in info.stretch_vars:
             coeffs[info.stretch_vars[partner_id]] = -1.0
         lp.add_constraint(coeffs, LESS_EQUAL, view.partner_capacities[partner_id].energy, name=f"supply[{partner_id}]")
 
-    for consumer in view.consumers:
-        served = served_by[consumer.id]
-        served[info.buy_vars[consumer.id]] = 1.0
+    for k, consumer in enumerate(view.consumers):
+        served = {
+            **table.served[consumer.id],
+            **{partner[k][1].name: 1.0 for partner in offered},
+            **table.demand_tail[consumer.id],
+        }
         rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
         if rhs < -RESIDUAL_TOL:
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
-        rhs = max(rhs, 0.0)
-        if consumer.id in info.cut_vars:
-            served[info.cut_vars[consumer.id]] = 1.0
-        lp.add_constraint(served, EQUAL, rhs, name=f"demand[{consumer.id}]")
+        lp.add_constraint(served, EQUAL, max(rhs, 0.0), name=f"demand[{consumer.id}]")
 
     if committed_exports > RESIDUAL_TOL:
         # every local supply row at once: exported energy stays deliverable
         coeffs = {}
         rhs = -committed_exports
-        for producer in view.producers:
-            coeffs.update(supplies[producer.id])
-            rhs += producer.energy
+        for supply, energy, _ in table.supply_rows:
+            coeffs.update(supply)
+            rhs += energy
         lp.add_constraint(coeffs, LESS_EQUAL, rhs, name="export-reservation")
 
-    info.objective_offset = offset
     return lp, info
 
 
@@ -258,6 +340,7 @@ def solve_dist_matching(
     *,
     locked_imports: dict[str, dict[str, float]] | None = None,
     committed_exports: float = 0.0,
+    table: PairTable | None = None,
 ) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
     """Solve the view's matching LP and assemble the commitment matrix.
 
@@ -266,9 +349,10 @@ def solve_dist_matching(
     producer order: day-ahead, declared production that nobody takes is sold
     back. The reported objective folds constant terms (locked imports,
     additive-mode preference constants) so values stay comparable across
-    re-solves of an evolving view.
+    re-solves of an evolving view. ``table`` is the view's PairTable when the
+    caller keeps one across re-solves (see ``_build``).
     """
-    lp, info = _build(view, weights, lines, locked_imports, committed_exports)
+    lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
     solution = solve_lp(lp)
     if solution.status is LpStatus.INFEASIBLE:
         raise MatchingInfeasibleError(

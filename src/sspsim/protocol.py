@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
     FlexibilityAssignment,
+    PairTable,
     PartnerCapacity,
     SspView,
     aggregate_bound,
@@ -56,9 +57,15 @@ SURPLUS_TOL = 1e-9
 OFFER_KIND = "offer"
 CLAIM_KIND = "claim"
 
+_NO_CAPACITY = PartnerCapacity(0.0, 0.0)
+
 
 class InvalidScenarioError(ValueError):
     """Engine input failed validate_scenario."""
+
+
+class CalibrationError(ValueError):
+    """calibrate_weights was asked for an unsupported metric or iteration count."""
 
 
 class ProtocolViolationError(RuntimeError):
@@ -122,7 +129,12 @@ def shuffle_partners(partners: list[str], seed: int, ssp_id: str, round_index: i
 
 
 class _Agent:
-    """One SSP's state: accepted solution, binding import locks, reserved exports."""
+    """One SSP's state: accepted solution, binding import locks, reserved exports.
+
+    The agent owns the PairTable of its local LP, built once over its whole
+    partner list, and the Utility interaction of its accepted matrix, kept
+    until the matrix changes (an accepted solve or a registered export).
+    """
 
     def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
         self.cfg = cfg
@@ -134,12 +146,14 @@ class _Agent:
         self.fx: FlexibilityAssignment | None = None
         self.locked: dict[str, dict[str, float]] = {}
         self.exports: dict[str, float] = {}
+        self._utility: float | None = None
+        self.table = PairTable(self._view(None), weights, scenario.line_constraints)
 
     def total_exports(self) -> float:
         return sum(self.exports.values())
 
     def _view(self, transient: tuple[str, float, float] | None) -> SspView:
-        caps = {p: PartnerCapacity(0.0, 0.0) for p in self.partners}
+        caps = dict.fromkeys(self.partners, _NO_CAPACITY)
         if transient is not None:
             src, base, bound = transient
             caps[src] = PartnerCapacity(base, bound)
@@ -160,10 +174,12 @@ class _Agent:
             self.scenario.line_constraints,
             locked_imports=self.locked,
             committed_exports=self.total_exports(),
+            table=self.table,
         )
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = objective
             self.cm, self.fx = cm, fx
+            self._utility = None
             return True
         return False
 
@@ -171,6 +187,7 @@ class _Agent:
         assert self.cm is not None
         self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
         attribute_sell_backs(self.cm, self.cfg.producers, self.total_exports())
+        self._utility = None
 
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
@@ -180,9 +197,9 @@ class _Agent:
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
-        if self.cm is None:
-            return abs(energy_status(self.cfg))
-        return utility_interaction(self.cm)
+        if self._utility is None:
+            self._utility = abs(energy_status(self.cfg)) if self.cm is None else utility_interaction(self.cm)
+        return self._utility
 
     def claim_against(self, src: str) -> dict[str, float]:
         """New per-consumer commitments against ``src`` beyond the existing locks."""
@@ -217,6 +234,7 @@ def run_engine(
         raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
 
     ssp_ids = sorted(scenario.ssp_ids)
+    configs = {cfg.id: cfg for cfg in scenario.ssps}
     agents: dict[str, _Agent] = {}
     for ssp_id in ssp_ids:
         partners = [
@@ -226,9 +244,9 @@ def run_engine(
             and anm.connected(ssp_id, other)
             and scenario.connectivity.connected(ssp_id, other)
         ]
-        agents[ssp_id] = _Agent(scenario.ssp(ssp_id), scenario, partners, weights)
+        agents[ssp_id] = _Agent(configs[ssp_id], scenario, partners, weights)
 
-    per_ssp_initial = {s: abs(energy_status(scenario.ssp(s))) for s in ssp_ids}
+    per_ssp_initial = {s: abs(energy_status(configs[s])) for s in ssp_ids}
     initial_total = sum(per_ssp_initial.values())
     trace: list[ConvergencePoint] = []
     log: list[LogRecord] = []
@@ -323,9 +341,9 @@ def calibrate_weights(
     most one per coordinate per iteration. Deterministic under a fixed seed.
     """
     if metric != "utility_interaction":
-        raise ValueError(f"unsupported calibration metric {metric!r}")
+        raise CalibrationError(f"unsupported calibration metric {metric!r}")
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise CalibrationError(f"iterations must be >= 1, got {iterations}")
     anm = meshed_map(scenario.ssp_ids)
 
     def evaluate(weights: MatchingWeights) -> float:

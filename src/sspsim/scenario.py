@@ -15,6 +15,7 @@ module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ def _check_spec(spec: GeneratorSpec) -> None:
     for name in ("passive_consumer_bound", "passive_producer_bound"):
         if not 0.0 <= getattr(spec, name) <= 1.0:
             raise GeneratorSpecError(f"{name} must be in [0, 1]")
+    for name in ("demand_mean_kwh", "supply_mean_kwh", "noise_std_kwh"):
+        if not math.isfinite(getattr(spec, name)):
+            raise GeneratorSpecError(f"{name} must be finite, got {getattr(spec, name)}")
     if spec.noise_std_kwh < 0:
         raise GeneratorSpecError("noise_std_kwh must be >= 0")
     if spec.demand_mean_kwh < 0 or spec.supply_mean_kwh < 0:

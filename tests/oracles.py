@@ -6,7 +6,17 @@ import math
 
 import numpy as np
 
-from sspsim.lp import FEAS_TOL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, validate_program
+from sspsim.lp import (
+    EQUAL,
+    FEAS_TOL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
+    LinearProgram,
+    LpSolution,
+    LpStatus,
+    _Simplex,
+    validate_program,
+)
 
 
 class OracleSizeError(ValueError):
@@ -54,3 +64,171 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
     for name, c in lp.objective.items():
         obj += c * points[name_to_row[name]]
     return float(obj[feasible].min())
+
+
+class ReferenceSimplex(_Simplex):
+    """The simplex with its standardisation and decoding written as plain loops.
+
+    One variable, one row and one crash row at a time: the straightforward
+    reading of the standard form that ``_Simplex`` builds with array
+    operations. Both must give the same matrix, rhs, cost, crash basis and
+    artificial columns, hence the same pivots and the same solution. Values
+    are clamped into their bounds without a drift check.
+    """
+
+    def _standardise(self) -> None:
+        lp = self.lp
+        self.var_names = [v.name for v in lp.variables]
+        index = {v.name: k for k, v in enumerate(lp.variables)}
+
+        # transforms[orig] = (kind, data): how original values are recovered
+        self.transforms: list[tuple[str, float | None, int, int]] = []
+        n_std = 0
+        extra_rows: list[tuple[dict[int, float], str, float]] = []
+        for var in lp.variables:
+            lo, up = var.lower, var.upper
+            if lo == -math.inf and up == math.inf:
+                self.transforms.append(("free", None, n_std, n_std + 1))
+                n_std += 2
+            elif lo == -math.inf:
+                self.transforms.append(("negshift", up, n_std, -1))
+                n_std += 1
+            else:
+                self.transforms.append(("shift", lo, n_std, -1))
+                if up != math.inf:
+                    extra_rows.append(({n_std: 1.0}, LESS_EQUAL, up - lo))
+                n_std += 1
+
+        def std_coeffs(coeffs: dict[str, float]) -> tuple[dict[int, float], float]:
+            """Rewrite an original-variable row over standard columns.
+
+            Returns (column coefficients, rhs shift to subtract)."""
+            out: dict[int, float] = {}
+            shift = 0.0
+            for name, c in coeffs.items():
+                kind, data, j, j2 = self.transforms[index[name]]
+                if kind == "shift":
+                    out[j] = out.get(j, 0.0) + c
+                    shift += c * data
+                elif kind == "negshift":
+                    out[j] = out.get(j, 0.0) - c
+                    shift += c * data
+                else:
+                    out[j] = out.get(j, 0.0) + c
+                    out[j2] = out.get(j2, 0.0) - c
+            return out, shift
+
+        rows: list[tuple[dict[int, float], str, float]] = []
+        for row in lp.constraints:
+            coeffs, shift = std_coeffs(row.coeffs)
+            rows.append((coeffs, row.relation, row.rhs - shift))
+        rows.extend(extra_rows)
+
+        m = len(rows)
+        n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
+        a = np.zeros((m, n_std + n_slack))
+        b = np.zeros(m)
+        slack_col = n_std
+        for i, (coeffs, rel, rhs) in enumerate(rows):
+            for j, c in coeffs.items():
+                a[i, j] = c
+            b[i] = rhs
+            if rel == LESS_EQUAL:
+                a[i, slack_col] = 1.0
+                slack_col += 1
+            elif rel == GREATER_EQUAL:
+                a[i, slack_col] = -1.0
+                slack_col += 1
+        neg = b < 0
+        a[neg] *= -1.0
+        b[neg] *= -1.0
+
+        # crash basis: any positive singleton column serves as a row's start
+        # (its own slack, or e.g. an unbounded purchase variable), which often
+        # removes phase 1 entirely
+        self.basis = np.full(m, -1, dtype=int)
+        col_counts = (a != 0.0).sum(axis=0)
+        for i in range(m):
+            row_nonzero = np.flatnonzero(a[i])
+            singles = row_nonzero[col_counts[row_nonzero] == 1]
+            pick = singles[a[i, singles] > 0.0]
+            if pick.size == 0 and b[i] == 0.0 and singles.size:
+                a[i] *= -1.0
+                pick = singles[a[i, singles] > 0.0]
+            if pick.size:
+                j = int(pick[0])
+                scale = a[i, j]
+                if scale != 1.0:
+                    a[i] /= scale
+                    b[i] /= scale
+                self.basis[i] = j
+        n_art = int(np.sum(self.basis < 0))
+        art_cols: list[int] = []
+        full = np.zeros((m, a.shape[1] + n_art))
+        full[:, : a.shape[1]] = a
+        next_art = a.shape[1]
+        for i in range(m):
+            if self.basis[i] < 0:
+                full[i, next_art] = 1.0
+                self.basis[i] = next_art
+                art_cols.append(next_art)
+                next_art += 1
+
+        self.a = full
+        self.b = b
+        self.n_std = n_std
+        self.n_real = a.shape[1]
+        self.art_cols = np.array(art_cols, dtype=int)
+        self.cost = np.zeros(self.a.shape[1])
+        for name, c in lp.objective.items():
+            kind, data, j, j2 = self.transforms[index[name]]
+            if kind == "shift":
+                self.cost[j] += c
+            elif kind == "negshift":
+                self.cost[j] -= c
+            else:
+                self.cost[j] += c
+                self.cost[j2] -= c
+
+    def _extract(self) -> LpSolution:
+        std = np.zeros(self.n_real)
+        for i, bi in enumerate(self.basis):
+            if bi < self.n_real:
+                std[bi] = max(float(self.xb[i]), 0.0)
+        values: dict[str, float] = {}
+        for var, (kind, data, j, j2) in zip(self.lp.variables, self.transforms):
+            if kind == "shift":
+                x = data + std[j]
+            elif kind == "negshift":
+                x = data - std[j]
+            else:
+                x = std[j] - std[j2]
+            if math.isfinite(var.lower):
+                x = max(x, var.lower)
+            if math.isfinite(var.upper):
+                x = min(x, var.upper)
+            values[var.name] = float(x)
+        objective = sum(c * values[name] for name, c in self.lp.objective.items())
+        return LpSolution(LpStatus.OPTIMAL, values, objective)
+
+
+def _outcome(simplex: _Simplex) -> LpSolution | type[Exception]:
+    try:
+        return simplex.solve()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def assert_standardised_alike(lp: LinearProgram) -> None:
+    """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and solution.
+
+    Arrays must agree in shape, dtype and bytes, so a zero that changed sign
+    counts as a difference; the solutions (or the error raised) must be equal.
+    """
+    ref, new = ReferenceSimplex(lp), _Simplex(lp)
+    for attr in ("a", "b", "cost", "basis", "art_cols"):
+        want, got = getattr(ref, attr), getattr(new, attr)
+        assert np.array_equal(want, got), attr
+        assert (want.shape, want.dtype) == (got.shape, got.dtype), attr
+        assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes(), attr
+    assert _outcome(ref) == _outcome(new)

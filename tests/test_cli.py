@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from sspsim.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from sspsim.lp import _Simplex
 from sspsim.scenario import load_scenario, save_scenario
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -63,6 +64,16 @@ class TestGen:
         )
         assert code == EXIT_CONFIG
         assert "invalid generator spec" in capsys.readouterr().err
+
+    def test_non_finite_mean_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run_cli(
+            "gen", "--ssps", "2", "--consumers", "2", "--producers", "1", "--seed", "1",
+            "--demand-mean", "nan", "--out", str(out),
+        )
+        assert code == EXIT_CONFIG
+        assert "demand_mean_kwh must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_noise_is_deterministic(self, tmp_path):
         args = ["gen", "--ssps", "2", "--consumers", "3", "--producers", "2", "--noise", "0", "--seed", "4"]
@@ -139,6 +150,20 @@ class TestRun:
         assert run_cli("run", "--scenario", worked_file, "--anm", "meshed") == EXIT_OK
         assert (target / "summary.json").is_file()
 
+    def test_solver_drift_beyond_tolerance_exits_4(self, tmp_path, worked_file, monkeypatch, capsys):
+        extract = _Simplex._extract
+
+        def drifted(simplex):
+            simplex.xb = simplex.xb + 1e3  # every basic value far past any finite bound
+            return extract(simplex)
+
+        monkeypatch.setattr(_Simplex, "_extract", drifted)
+        code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(tmp_path / "out"))
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "outside its bounds" in err
+        assert "Traceback" not in err
+
     def test_missing_output_dir_exits_2(self, worked_file, monkeypatch, capsys):
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)
         assert run_cli("run", "--scenario", worked_file, "--anm", "meshed") == EXIT_CONFIG
@@ -161,6 +186,12 @@ class TestRun:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "AC1: finite (energy nan)" in err
+        assert "Traceback" not in err
+
+    def test_zero_iterations_exits_2(self, worked_file, capsys):
+        assert run_cli("calibrate", "--scenario", worked_file, "--iterations", "0") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "iterations must be >= 1" in err
         assert "Traceback" not in err
 
     def test_sell_back_cells_carry_no_float_dust(self, tmp_path):
@@ -233,4 +264,10 @@ class TestCalibrate:
         assert run_cli("calibrate", "--scenario", nan_energy_file, "--iterations", "1") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "AC1: finite (energy nan)" in err
+        assert "Traceback" not in err
+
+    def test_zero_iterations_exits_2(self, worked_file, capsys):
+        assert run_cli("calibrate", "--scenario", worked_file, "--iterations", "0") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "iterations must be >= 1" in err
         assert "Traceback" not in err

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspsim.lp import (
+    FEAS_TOL,
     LinearProgram,
     LpFormatError,
     LpStatus,
@@ -14,8 +16,9 @@ from sspsim.lp import (
     max_violation,
     solve_lp,
     validate_program,
+    _Simplex,
 )
-from tests.oracles import OracleSizeError, brute_force_verify
+from tests.oracles import OracleSizeError, assert_standardised_alike, brute_force_verify
 
 
 def test_single_variable_minimum():
@@ -169,3 +172,63 @@ def test_solver_feasibility_and_oracle_dominance(lp):
     assert max_violation(lp, solution.values) < 1e-6
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective <= oracle + 1e-6
+
+
+def bounded_at_optimum() -> tuple[_Simplex, int]:
+    """A solved simplex whose x sits at its upper bound 2, and x's basis row."""
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 2.0, cost=-1.0)
+    simplex = _Simplex(lp)
+    assert simplex.solve().values["x"] == 2.0
+    row = int(np.flatnonzero(simplex.basis == simplex.transforms[0][2])[0])
+    return simplex, row
+
+
+def test_extract_clamps_drift_within_tolerance():
+    simplex, row = bounded_at_optimum()
+    simplex.xb[row] += FEAS_TOL / 10
+    assert simplex._extract().values["x"] == 2.0
+
+
+def test_extract_refuses_drift_beyond_tolerance():
+    simplex, row = bounded_at_optimum()
+    simplex.xb[row] += 10 * FEAS_TOL
+    with pytest.raises(ArithmeticError, match="'x'"):
+        simplex._extract()
+
+
+FINITE = st.sampled_from([-3.0, -0.5, 0.0, 1.5, 4.0])
+COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 0.1, 3.0])
+
+
+@st.composite
+def standard_form_programs(draw):
+    """Free, negative-shift, shifted and two-sided variables; rows of every
+    relation with negative, signed-zero and positive rhs and zero coefficients."""
+    n_vars = draw(st.integers(1, 6))
+    names = [f"x{k}" for k in range(n_vars)]
+    lp = LinearProgram()
+    for name in names:
+        kind = draw(st.sampled_from(["free", "negshift", "shift", "bounded"]))
+        if kind == "free":
+            lower, upper = -math.inf, math.inf
+        elif kind == "negshift":
+            lower, upper = -math.inf, draw(FINITE)
+        elif kind == "shift":
+            lower, upper = draw(FINITE), math.inf
+        else:
+            lower = draw(FINITE)
+            upper = lower + draw(st.sampled_from([0.0, 1.0, 2.5]))
+        lp.add_variable(name, lower, upper, cost=draw(COEFFICIENTS))
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n_vars, unique=True))
+        relation = draw(st.sampled_from(["<=", "=", ">="]))
+        rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
+        lp.add_constraint({name: draw(COEFFICIENTS) for name in row}, relation, rhs)
+    return lp
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_form_programs())
+def test_array_standardisation_matches_the_loop_reference(lp):
+    assert_standardised_alike(lp)

@@ -3,12 +3,17 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sspsim.matching
 from sspsim.coalition import meshed_map
-from sspsim.lp import constraint_residuals, solve_lp
+from sspsim.lp import LpStatus, constraint_residuals, max_violation, solve_lp
 from sspsim.matching import (
     MatchingStructureError,
+    PairTable,
     PartnerCapacity,
     SspView,
     aggregate_bound,
@@ -19,6 +24,7 @@ from sspsim.matching import (
     solve_centralized,
     solve_dist_matching,
     view_for_ssp,
+    _build,
 )
 from sspsim.model import (
     UTILITY_ID,
@@ -36,7 +42,8 @@ from sspsim.model import (
 )
 from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
-from tests.oracles import brute_force_verify
+from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.oracles import assert_standardised_alike, brute_force_verify
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 PC = SubscriberKind.PASSIVE_CONSUMER
@@ -368,3 +375,132 @@ class TestCalibration:
     def test_rejects_unknown_metric(self, worked_scenario):
         with pytest.raises(ValueError):
             calibrate_weights(worked_scenario, metric="profit")
+
+
+def study2_scenario(seed: int = 7, n_ssps: int = 4) -> Scenario:
+    """Small study-2 shape with passive subscribers and a line bound of every kind."""
+    scenario = generate_scenario(
+        GeneratorSpec(
+            n_ssps=n_ssps, consumers_per_ssp=6, producers_per_ssp=3,
+            passive_consumers=2, passive_consumer_bound=0.15, passive_producers=1, passive_producer_bound=0.1,
+            demand_mean_kwh=12.0, supply_mean_kwh=24.0, noise_std_kwh=6.0, seed=seed,
+        )
+    )
+    lines = LineConstraintSet((
+        LineConstraint("S01.C01", "S01.P02", 0.0, 2.0),
+        LineConstraint("S02.C03", "S01", 0.0, 1.5),
+        LineConstraint("S03.C02", UTILITY_ID, 0.5, 100.0),
+        LineConstraint(UTILITY_ID, "S04.P01", 0.0, 3.0),
+    ))
+    return replace(scenario, line_constraints=lines)
+
+
+def layout(lp, info) -> list:
+    """Everything _build returns, in order: dict equality alone ignores key order."""
+    return [
+        list(lp.variables),
+        list(lp.objective.items()),
+        [(row.name, list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
+        info,
+    ]
+
+
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "weights",
+        [MatchingWeights(), MatchingWeights(preference_mode="additive"), MatchingWeights(alpha=0.3, beta=4.5)],
+        ids=["coefficient", "additive", "explicit-beta"],
+    )
+    def test_agent_table_builds_the_stateless_program(self, weights):
+        scenario = study2_scenario()
+        base = view_for_ssp(scenario, "S02")
+        caps = dict(base.partner_capacities)
+        caps["S01"] = PartnerCapacity(7.5, 0.1)
+        caps["S03"] = PartnerCapacity(1e-12, 0.0)  # below RESIDUAL_TOL: no column
+        caps["S04"] = PartnerCapacity(3.0, 0.0)
+        offered = replace(base, partner_capacities=caps)
+        locked = {"S01": {"S02.C03": 1.25, "S02.C01": 0.5}, "S04": {"S02.C02": 2.0}}
+        table = PairTable(base, weights, scenario.line_constraints)
+        for view, imports, exports in [(base, None, 0.0), (offered, locked, 6.0), (base, locked, 2.5)]:
+            expected = _build(view, weights, scenario.line_constraints, imports, exports)
+            got = _build(view, weights, scenario.line_constraints, imports, exports, table)
+            assert layout(*got) == layout(*expected)
+
+    def test_real_matching_programs_standardise_alike(self, monkeypatch):
+        scenario = study2_scenario()
+        programs = []
+        solve = sspsim.matching.solve_lp
+        monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+        run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+        demand = {c.id: c.energy for cfg in scenario.ssps for c in cfg.consumers}
+        rows = [row for lp in programs for row in lp.constraints]
+        names = {v.name for lp in programs for v in lp.variables}
+        # the programs carry every feature the standard form has to handle
+        assert any(row.name == "export-reservation" for row in rows)
+        assert any(row.name.startswith("demand[") and row.rhs < demand[row.name[7:-1]] - 1e-9 for row in rows)
+        assert any(row.name == "supply[S01]" for row in rows)
+        assert {"cut[S01.C01]", "stretch[S01.P01]"} <= names
+        assert any(name.startswith("stretch[S") and "." not in name for name in names)  # a partner's
+        assert any(v.lower == 0.5 for lp in programs for v in lp.variables)
+        for lp in programs:
+            assert_standardised_alike(lp)
+
+
+@st.composite
+def matching_programs(draw):
+    """A generated SSP's matching LP with live partners, locked imports and exports."""
+    n_partners = draw(st.integers(0, 5))
+    consumers = draw(st.integers(3, 14))
+    producers = draw(st.integers(2, 8))
+    scenario = generate_scenario(
+        GeneratorSpec(
+            n_ssps=n_partners + 1, consumers_per_ssp=consumers, producers_per_ssp=producers,
+            passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
+            passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
+            supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
+        ),
+        MatchingWeights(preference_mode=draw(st.sampled_from(["coefficient", "additive"]))),
+    )
+    view = view_for_ssp(scenario, "S01")
+    caps = {p: PartnerCapacity(draw(st.sampled_from([0.0, 5.0, 40.0])), draw(st.sampled_from([0.0, 0.1])))
+            for p in view.partner_capacities}
+    view = replace(view, partner_capacities=caps)
+    first = view.consumers[0]
+    locked = {p: {first.id: first.energy / (2 * len(caps))} for p in caps if draw(st.booleans())}
+    exports = draw(st.sampled_from([0.0, 0.25, 0.5])) * sum(p.energy for p in view.producers)
+    lp, _ = _build(view, scenario.weights, None, locked, exports)
+    return lp
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_programs())
+def test_solve_lp_agrees_with_highs(lp):
+    optimize = pytest.importorskip("scipy.optimize")
+    assert 10 <= len(lp.variables) <= 300
+    index = {v.name: k for k, v in enumerate(lp.variables)}
+    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: >= rows are negated
+    signed = {"<=": [], "=": []}
+    for row in lp.constraints:
+        sign = -1.0 if row.relation == ">=" else 1.0
+        signed["=" if row.relation == "=" else "<="].append((row, sign))
+
+    def matrix(rows):
+        out = np.zeros((len(rows), len(index)))
+        for i, (row, sign) in enumerate(rows):
+            for name, c in row.coeffs.items():
+                out[i, index[name]] = sign * c
+        return out if rows else None
+
+    highs = optimize.linprog(
+        [lp.objective.get(v.name, 0.0) for v in lp.variables],
+        A_ub=matrix(signed["<="]),
+        b_ub=[sign * row.rhs for row, sign in signed["<="]] or None,
+        A_eq=matrix(signed["="]),
+        b_eq=[row.rhs for row, _ in signed["="]] or None,
+        bounds=[(v.lower, None if math.isinf(v.upper) else v.upper) for v in lp.variables],
+        method="highs",
+    )
+    ours = solve_lp(lp)
+    assert highs.status == 0 and ours.status is LpStatus.OPTIMAL
+    assert max_violation(lp, ours.values) < 1e-6
+    assert ours.objective == pytest.approx(highs.fun, rel=1e-7, abs=1e-6)

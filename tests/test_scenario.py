@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -82,6 +83,11 @@ class TestGenerate:
             )
         with pytest.raises(GeneratorSpecError):
             generate_scenario(GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, noise_std_kwh=-1.0))
+        for name in ("demand_mean_kwh", "supply_mean_kwh", "noise_std_kwh"):
+            for value in (math.nan, math.inf, -math.inf):
+                spec = GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, **{name: value})
+                with pytest.raises(GeneratorSpecError, match=name):
+                    generate_scenario(spec)
 
 
 class TestPersistence:
