@@ -1,6 +1,12 @@
 """Self-contained linear programming: exact representation, a deterministic
 two-phase revised simplex, and an independent residual check of its answers.
 
+A program minimises a linear cost over variables that each have a finite
+lower bound (the upper bound may be +inf), subject to ``<=``, ``=`` and
+``>=`` rows. Every quantity the matching LP decides is non-negative, so a
+variable without a finite lower bound is rejected, and each variable is one
+standard column shifted by its lower bound.
+
 The solver is a pure function of its input. Identical programs yield
 bit-identical solutions: entering columns follow Dantzig's rule with
 first-index tie-breaking, degenerate stalls switch to Bland's anti-cycling
@@ -28,10 +34,6 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
-
-# how a variable maps to standard columns y >= 0: x = lower + y (shift),
-# x = upper - y (negshift), or x = y1 - y2 (free)
-_SHIFT, _NEGSHIFT, _FREE = 0, 1, 2
 
 
 class LpFormatError(ValueError):
@@ -93,6 +95,8 @@ def validate_program(lp: LinearProgram) -> None:
         seen.add(var.name)
         if math.isnan(var.lower) or math.isnan(var.upper):
             raise LpFormatError(f"variable {var.name!r} has NaN bound")
+        if not math.isfinite(var.lower):
+            raise LpFormatError(f"variable {var.name!r} has no finite lower bound ({var.lower})")
         if var.lower > var.upper:
             raise LpFormatError(f"variable {var.name!r} has lower {var.lower} > upper {var.upper}")
     for name in lp.objective:
@@ -120,11 +124,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 class _Simplex:
     """Two-phase revised simplex over the standardised program.
 
-    Standardisation: every variable is shifted or split to y >= 0, finite
-    upper bounds become extra <= rows, and all constraints become equalities
-    with slack columns. A crash pass seats any positive singleton column as a
-    row's starting basis; only rows left without one get an artificial column
-    minimised in phase 1.
+    Standardisation: variable k becomes standard column k, y = x - lower >= 0;
+    finite upper bounds become extra <= rows, and all constraints become
+    equalities with slack columns. A crash pass seats any positive singleton
+    column as a row's starting basis; only rows left without one get an
+    artificial column minimised in phase 1.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -134,59 +138,32 @@ class _Simplex:
     def _standardise(self) -> None:
         lp = self.lp
         index = {v.name: k for k, v in enumerate(lp.variables)}
+        n_vars = len(lp.variables)
+        lower = np.array([v.lower for v in lp.variables], dtype=float)
+        upper = np.array([v.upper for v in lp.variables], dtype=float)
+        bound_cols = np.flatnonzero(upper != math.inf)  # a finite upper bound adds a <= row
 
-        # transforms[orig] = (kind, data, column, second column): how original
-        # values are recovered from the standard columns
-        self.transforms: list[tuple[int, float, int, int]] = []
-        bound_cols: list[int] = []  # a finite upper bound adds a <= row
-        bound_rhs: list[float] = []
-        n_std = 0
-        for var in lp.variables:
-            lo, up = var.lower, var.upper
-            if lo == -math.inf and up == math.inf:
-                self.transforms.append((_FREE, 0.0, n_std, n_std + 1))
-                n_std += 2
-            elif lo == -math.inf:
-                self.transforms.append((_NEGSHIFT, up, n_std, -1))
-                n_std += 1
-            else:
-                self.transforms.append((_SHIFT, lo, n_std, -1))
-                if up != math.inf:
-                    bound_cols.append(n_std)
-                    bound_rhs.append(up - lo)
-                n_std += 1
-        kinds = np.array([t[0] for t in self.transforms], dtype=np.int8)
-        col_of = np.array([t[2] for t in self.transforms], dtype=np.intp)
-        shift_of = np.array([t[1] for t in self.transforms], dtype=float)
-
-        # (row, column, value) triplets: rows over standard columns, then the
-        # bound rows, then one slack per inequality
+        # (row, column, value) triplets: the rows over standard columns, then
+        # the bound rows, then one slack per inequality
         m_rows = len(lp.constraints)
         var_ix = np.array([index[name] for row in lp.constraints for name in row.coeffs], dtype=np.intp)
         coef = np.array([c for row in lp.constraints for c in row.coeffs.values()], dtype=float)
         row_ix = np.repeat(np.arange(m_rows), [len(row.coeffs) for row in lp.constraints])
-        negated = kinds[var_ix] == _NEGSHIFT
-        free = kinds[var_ix] == _FREE
-        # the rhs moves by c * shift, summed in coefficient order per row
+        # the rhs moves by c * lower, summed in coefficient order per row
         shift = np.zeros(m_rows)
-        moves = coef[~free] * shift_of[var_ix[~free]]
+        moves = coef * lower[var_ix]
         if moves.any():
-            np.add.at(shift, row_ix[~free], moves)
-        b = np.concatenate([np.array([row.rhs for row in lp.constraints], dtype=float) - shift, bound_rhs])
+            np.add.at(shift, row_ix, moves)
+        rhs = np.array([row.rhs for row in lp.constraints], dtype=float) - shift
+        b = np.concatenate([rhs, upper[bound_cols] - lower[bound_cols]])
         m = b.size
-        relations = [row.relation for row in lp.constraints] + [LESS_EQUAL] * len(bound_cols)
+        relations = [row.relation for row in lp.constraints] + [LESS_EQUAL] * bound_cols.size
         slack_sign = np.array([0.0 if rel == EQUAL else 1.0 if rel == LESS_EQUAL else -1.0 for rel in relations])
         slack_rows = np.flatnonzero(slack_sign)
-        n_real = n_std + slack_rows.size
-        rows = np.concatenate([row_ix, row_ix[free], m_rows + np.arange(len(bound_cols)), slack_rows])
-        cols = np.concatenate([
-            col_of[var_ix], col_of[var_ix[free]] + 1, np.array(bound_cols, dtype=np.intp),
-            n_std + np.arange(slack_rows.size),
-        ])
-        vals = np.concatenate([
-            np.where(negated, 0.0 - coef, 0.0 + coef), 0.0 - coef[free], np.ones(len(bound_cols)),
-            slack_sign[slack_rows],
-        ])
+        n_real = n_vars + slack_rows.size
+        rows = np.concatenate([row_ix, m_rows + np.arange(bound_cols.size), slack_rows])
+        cols = np.concatenate([var_ix, bound_cols, n_vars + np.arange(slack_rows.size)])
+        vals = np.concatenate([0.0 + coef, np.ones(bound_cols.size), slack_sign[slack_rows]])
 
         # rows with a negative rhs are negated
         row_sign = np.where(b < 0, -1.0, 1.0)
@@ -235,18 +212,11 @@ class _Simplex:
         self.n_real = n_real
         self.cost = np.zeros(a.shape[1])
         obj_ix = np.array([index[name] for name in lp.objective], dtype=np.intp)
-        obj_c = np.array(list(lp.objective.values()), dtype=float)
-        obj_kind = kinds[obj_ix]
-        self.cost[col_of[obj_ix]] = np.where(obj_kind == _NEGSHIFT, 0.0 - obj_c, 0.0 + obj_c)
-        obj_free = obj_kind == _FREE
-        self.cost[col_of[obj_ix[obj_free]] + 1] = 0.0 - obj_c[obj_free]
+        self.cost[obj_ix] = 0.0 + np.array(list(lp.objective.values()), dtype=float)
 
     def solve(self) -> LpSolution:
         # revised simplex: the constraint matrix stays read-only, only the
         # m x m basis inverse is updated per pivot
-        self.a = np.asfortranarray(self.a)
-        m = self.a.shape[0]
-        self.binv = np.eye(m)
         self._refactorize()
 
         if self.art_cols.size:
@@ -359,13 +329,8 @@ class _Simplex:
             if bi < self.n_real:
                 std[bi] = max(x, 0.0)
         values: dict[str, float] = {}
-        for var, (kind, data, j, j2) in zip(self.lp.variables, self.transforms):
-            if kind == _SHIFT:
-                x = data + std[j]
-            elif kind == _NEGSHIFT:
-                x = data - std[j]
-            else:
-                x = std[j] - std[j2]
+        for var, y in zip(self.lp.variables, std):
+            x = var.lower + y
             if x < var.lower or x > var.upper:
                 bound = var.lower if x < var.lower else var.upper
                 if abs(x - bound) > FEAS_TOL:

@@ -249,8 +249,19 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if scenario.line_constraints is not None:
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
-            if lc.min_kwh > lc.max_kwh:
+            # max_kwh = +inf means no upper bound, but no flow can meet a NaN
+            # bound or a lower bound of +inf
+            undefined = [
+                f"{name} {value}"
+                for name, value in (("min_kwh", lc.min_kwh), ("max_kwh", lc.max_kwh))
+                if math.isnan(value) or (name == "min_kwh" and value == math.inf)
+            ]
+            if undefined:
+                out.append(Violation(pair, "line-bound-defined", ", ".join(undefined)))
+            elif lc.min_kwh > lc.max_kwh:
                 out.append(Violation(pair, "line-bounds-ordered", f"min {lc.min_kwh} > max {lc.max_kwh}"))
+            elif lc.max_kwh < 0.0:
+                out.append(Violation(pair, "line-max-nonnegative", f"max {lc.max_kwh} < 0; flows are non-negative"))
             elif not scenario.connectivity.connected(lc.row_id, lc.col_id) and not (lc.min_kwh <= 0.0 <= lc.max_kwh):
                 out.append(Violation(pair, "line-bounds-allow-unused", "disconnected pair must admit zero flow"))
 

@@ -78,51 +78,23 @@ class ReferenceSimplex(_Simplex):
 
     def _standardise(self) -> None:
         lp = self.lp
-        self.var_names = [v.name for v in lp.variables]
         index = {v.name: k for k, v in enumerate(lp.variables)}
+        n_std = len(lp.variables)
 
-        # transforms[orig] = (kind, data): how original values are recovered
-        self.transforms: list[tuple[str, float | None, int, int]] = []
-        n_std = 0
-        extra_rows: list[tuple[dict[int, float], str, float]] = []
-        for var in lp.variables:
-            lo, up = var.lower, var.upper
-            if lo == -math.inf and up == math.inf:
-                self.transforms.append(("free", None, n_std, n_std + 1))
-                n_std += 2
-            elif lo == -math.inf:
-                self.transforms.append(("negshift", up, n_std, -1))
-                n_std += 1
-            else:
-                self.transforms.append(("shift", lo, n_std, -1))
-                if up != math.inf:
-                    extra_rows.append(({n_std: 1.0}, LESS_EQUAL, up - lo))
-                n_std += 1
-
-        def std_coeffs(coeffs: dict[str, float]) -> tuple[dict[int, float], float]:
-            """Rewrite an original-variable row over standard columns.
-
-            Returns (column coefficients, rhs shift to subtract)."""
-            out: dict[int, float] = {}
-            shift = 0.0
-            for name, c in coeffs.items():
-                kind, data, j, j2 = self.transforms[index[name]]
-                if kind == "shift":
-                    out[j] = out.get(j, 0.0) + c
-                    shift += c * data
-                elif kind == "negshift":
-                    out[j] = out.get(j, 0.0) - c
-                    shift += c * data
-                else:
-                    out[j] = out.get(j, 0.0) + c
-                    out[j2] = out.get(j2, 0.0) - c
-            return out, shift
-
+        # variable k is standard column k, x = lower + y; a finite upper bound
+        # adds a <= row
         rows: list[tuple[dict[int, float], str, float]] = []
         for row in lp.constraints:
-            coeffs, shift = std_coeffs(row.coeffs)
+            coeffs: dict[int, float] = {}
+            shift = 0.0
+            for name, c in row.coeffs.items():
+                j = index[name]
+                coeffs[j] = 0.0 + c
+                shift += c * lp.variables[j].lower
             rows.append((coeffs, row.relation, row.rhs - shift))
-        rows.extend(extra_rows)
+        for j, var in enumerate(lp.variables):
+            if var.upper != math.inf:
+                rows.append(({j: 1.0}, LESS_EQUAL, var.upper - var.lower))
 
         m = len(rows)
         n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
@@ -176,19 +148,11 @@ class ReferenceSimplex(_Simplex):
 
         self.a = full
         self.b = b
-        self.n_std = n_std
         self.n_real = a.shape[1]
         self.art_cols = np.array(art_cols, dtype=int)
         self.cost = np.zeros(self.a.shape[1])
         for name, c in lp.objective.items():
-            kind, data, j, j2 = self.transforms[index[name]]
-            if kind == "shift":
-                self.cost[j] += c
-            elif kind == "negshift":
-                self.cost[j] -= c
-            else:
-                self.cost[j] += c
-                self.cost[j2] -= c
+            self.cost[index[name]] += c
 
     def _extract(self) -> LpSolution:
         std = np.zeros(self.n_real)
@@ -196,15 +160,8 @@ class ReferenceSimplex(_Simplex):
             if bi < self.n_real:
                 std[bi] = max(float(self.xb[i]), 0.0)
         values: dict[str, float] = {}
-        for var, (kind, data, j, j2) in zip(self.lp.variables, self.transforms):
-            if kind == "shift":
-                x = data + std[j]
-            elif kind == "negshift":
-                x = data - std[j]
-            else:
-                x = std[j] - std[j2]
-            if math.isfinite(var.lower):
-                x = max(x, var.lower)
+        for j, var in enumerate(self.lp.variables):
+            x = max(var.lower + std[j], var.lower)
             if math.isfinite(var.upper):
                 x = min(x, var.upper)
             values[var.name] = float(x)

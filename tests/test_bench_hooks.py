@@ -1,0 +1,63 @@
+"""The names the benchmark in ``perfbench/`` reaches into ``sspsim`` by.
+
+The bench times layers by patching functions where their callers look them
+up, and its correctness gate reads the arguments ``sspsim run`` hands to
+``run_engine``. A rename in ``src/`` would otherwise only show as every
+traced benchmark operation failing.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import sspsim.cli
+from sspsim.cli import EXIT_OK, main
+from sspsim.coalition import ActualNeighborhoodMap
+from sspsim.scenario import save_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, with ``perfbench/`` on the path as ``perfbench/run.py`` has it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("patches", ["engine_patches", "centralized_patches"])
+def test_every_patched_attribute_exists(workloads, patches):
+    entries = getattr(workloads, patches)(1e-9)
+    assert entries
+    for module, attr, *_ in entries:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_run_hands_the_engine_what_the_bench_gate_reads(tmp_path, worked_scenario, workloads, monkeypatch):
+    scenario_path = tmp_path / "worked.json"
+    save_scenario(worked_scenario, str(scenario_path))
+    capture = workloads.Capture(sspsim.cli.run_engine)
+    monkeypatch.setattr(sspsim.cli, "run_engine", capture)
+    argv = ["run", "--scenario", str(scenario_path), "--anm", "meshed", "--seed", "5", "--out", str(tmp_path / "o")]
+    code = main(argv)
+    assert code == EXIT_OK
+    [(args, kwargs, _)] = capture.calls
+    assert isinstance(args[1], ActualNeighborhoodMap)
+    assert kwargs["seed"] == 5
+    assert kwargs["weights"] == worked_scenario.weights
+    # the worked example has passive subscribers, so the gate skips the
+    # all-active |sum status| check
+    workload = replace(workloads.WORKLOADS["study2-balanced"], all_active=False)
+    assert workloads.engine_gate(workload, worked_scenario, code, capture.calls[0], audit_s=[]) == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import math
 import os
 
 import pytest
@@ -38,6 +39,16 @@ def nan_energy_file(tmp_path, worked_file) -> str:
         data = json.load(fh)
     data["ssps"][0]["consumers"][0]["energy_kwh"] = float("nan")
     path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def with_line_bound(tmp_path, worked_file, min_kwh: float, max_kwh: float) -> str:
+    """The worked example with one (AC1, AP1) line bound, as `json` writes and reads it."""
+    with open(worked_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["line_constraints"] = [{"row": "AC1", "col": "AP1", "min_kwh": min_kwh, "max_kwh": max_kwh}]
+    path = tmp_path / "lines.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -193,6 +204,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "iterations must be >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "min_kwh,max_kwh,detail",
+        [
+            (0.0, math.nan, "max_kwh nan"),
+            (math.nan, 5.0, "min_kwh nan"),
+            (math.inf, math.inf, "min_kwh inf"),
+            (-5.0, -1.0, "max -1.0 < 0"),
+        ],
+        ids=["nan-max", "nan-min", "inf-min", "negative-max"],
+    )
+    def test_unmeetable_line_bound_exits_2(self, tmp_path, worked_file, capsys, min_kwh, max_kwh, detail):
+        scenario = with_line_bound(tmp_path, worked_file, min_kwh, max_kwh)
+        code = run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(AC1, AP1)" in err and detail in err
+        assert "Traceback" not in err
+
+    def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
+        scenario = with_line_bound(tmp_path, worked_file, -math.inf, math.inf)
+        assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
 
     def test_sell_back_cells_carry_no_float_dust(self, tmp_path):
         # sell-backs re-attributed after an export read as 0 at or below

@@ -10,6 +10,8 @@ from sspsim.model import (
     UTILITY_ID,
     CommitmentMatrix,
     ConnectivityMatrix,
+    LineConstraint,
+    LineConstraintSet,
     MatchingWeights,
     PreferenceTable,
     Scenario,
@@ -71,6 +73,26 @@ class TestValidateScenario:
         bad = replace(scenario_of(small_ssp()), weights=replace(MatchingWeights(), **{name: value}))
         finite = [v for v in validate_scenario(bad) if v.rule == "finite"]
         assert [(v.entity, v.detail.split()[0]) for v in finite] == [("weights", name)]
+
+    @pytest.mark.parametrize(
+        "min_kwh,max_kwh,rule,detail",
+        [
+            (0.0, float("nan"), "line-bound-defined", "max_kwh nan"),
+            (float("nan"), 3.0, "line-bound-defined", "min_kwh nan"),
+            (float("inf"), float("inf"), "line-bound-defined", "min_kwh inf"),
+            (-2.0, -1.0, "line-max-nonnegative", "max -1.0 < 0; flows are non-negative"),
+            (4.0, 3.0, "line-bounds-ordered", "min 4.0 > max 3.0"),
+        ],
+    )
+    def test_bad_line_bound_names_pair_and_field(self, min_kwh, max_kwh, rule, detail):
+        lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))
+        bad = replace(scenario_of(small_ssp()), line_constraints=lines)
+        assert [(v.entity, v.rule, v.detail) for v in validate_scenario(bad)] == [("(c1, p1)", rule, detail)]
+
+    @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
+    def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
+        lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))
+        assert validate_scenario(replace(scenario_of(small_ssp()), line_constraints=lines)) == []
 
     def test_active_subscriber_with_bound_is_flagged(self):
         ssp = small_ssp(bounds=(0.2, 0.0))

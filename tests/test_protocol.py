@@ -3,18 +3,23 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspsim.coalition import empty_map, meshed_map
 from sspsim.matching import solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
     ConnectivityMatrix,
+    LineConstraint,
+    LineConstraintSet,
     MatchingWeights,
     PreferenceTable,
     Scenario,
     SSPConfig,
     Subscriber,
     SubscriberKind,
+    energy_status,
 )
 from sspsim.protocol import (
     CLAIM_KIND,
@@ -27,6 +32,7 @@ from sspsim.protocol import (
     run_engine,
     shuffle_partners,
 )
+from sspsim.scenario import GeneratorSpec, generate_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -181,6 +187,13 @@ class TestRunEngine:
         with pytest.raises(InvalidScenarioError, match=name):
             run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), weights=weights)
 
+    @pytest.mark.parametrize("min_kwh,max_kwh", [(0.0, float("nan")), (float("nan"), 5.0), (float("inf"), float("inf"))])
+    def test_undefined_line_bound_rejected(self, pair_scenario, min_kwh, max_kwh):
+        lines = LineConstraintSet((LineConstraint("S1.C1", "S1.P1", min_kwh, max_kwh),))
+        broken = replace(pair_scenario, line_constraints=lines)
+        with pytest.raises(InvalidScenarioError, match=r"\(S1.C1, S1.P1\): line-bound-defined"):
+            run_engine(broken, meshed_map(broken.ssp_ids))
+
     def test_exporter_that_also_imports_keeps_reservations(self):
         # S1's consumer cannot reach its own producer, so S1 both exports
         # surplus and imports for its demand; exported energy must stay
@@ -302,3 +315,30 @@ class TestAuditPrivacy:
         )
         report = audit_privacy(forged, pair_scenario, anm, seed=1)
         assert not report.passed
+
+
+@st.composite
+def all_active_specs(draw) -> GeneratorSpec:
+    """Small all-active populations, SSPs without consumers or producers and
+    zero means included."""
+    return GeneratorSpec(
+        n_ssps=draw(st.integers(1, 8)),
+        consumers_per_ssp=draw(st.integers(0, 4)),
+        producers_per_ssp=draw(st.integers(0, 3)),
+        demand_mean_kwh=draw(st.sampled_from([0.0, 6.0, 12.0])),
+        supply_mean_kwh=draw(st.sampled_from([0.0, 10.0, 24.0])),
+        noise_std_kwh=draw(st.sampled_from([0.0, 3.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(all_active_specs(), st.integers(0, 2**16))
+def test_meshed_all_active_run_ends_at_the_global_imbalance(spec, run_seed):
+    # without flexibility or line bounds no run can trade less with the
+    # Utility than |sum of statuses|, and the full mesh reaches that bound:
+    # an optimality check that needs no centralized LP
+    scenario = generate_scenario(spec)
+    result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=run_seed)
+    imbalance = abs(sum(energy_status(cfg) for cfg in scenario.ssps))
+    assert result.final_utility_kwh == pytest.approx(imbalance, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
