@@ -108,41 +108,69 @@ def form_coalitions(statuses: dict[str, float], max_group_size: int) -> Coalitio
     """Greedy complementary pairing of surplus and deficit groups.
 
     Repeatedly merges the two groups whose union most reduces the summed
-    absolute status (only opposite-signed groups can reduce it), subject to
-    ``max_group_size``. Ties break on the smallest member ids, so the result is
-    deterministic.
+    absolute status, ``|a| + |b| - |a + b|`` (only opposite-signed groups can
+    reduce it), subject to ``max_group_size``. The groups are kept in order of
+    their smallest member id and scanned pair by pair in that order, (i, k)
+    with i < k. The pick replays a running threshold that starts at 1e-9: a
+    pair becomes the best when its gain is more than 1e-12 above the current
+    best's, and the threshold moves to its gain. A later pair within 1e-12 of
+    that gain would win a tie only with a smaller (smallest id, smallest id)
+    key, and in scan order no later pair has one, so the last pair to raise
+    the threshold is merged. The result is deterministic.
+
+    Cost: the gain matrix is built once, O(N^2); each merge rewrites one row
+    and column and scans the row maxima, O(N^2) array work but only O(N)
+    Python work, and there are fewer than N merges.
     """
     if not statuses:
         raise ValueError("at least one SSP is required")
     if max_group_size < 1:
         raise ValueError("max_group_size must be >= 1")
-    groups: list[tuple[frozenset[str], float]] = [
-        (frozenset([ssp_id]), status) for ssp_id, status in sorted(statuses.items())
-    ]
+    ids = sorted(statuses)
+    members = [frozenset([ssp_id]) for ssp_id in ids]
+    sums = np.array([statuses[ssp_id] for ssp_id in ids], dtype=float)
+    sizes = np.ones(len(members), dtype=np.int64)
+    alive = np.ones(len(members), dtype=bool)
+    # gain[i, k]: the gain of merging slots i < k; -inf where no merge may happen.
+    # A merged group keeps the slot of its smallest id, so slot order is scan order.
+    gain = np.abs(sums)[:, None] + np.abs(sums)[None, :] - np.abs(sums[:, None] + sums[None, :])
+    blocked = np.tril(np.ones(gain.shape, dtype=bool)) | np.isnan(gain) | (sizes[:, None] + sizes > max_group_size)
+    gain[blocked] = -np.inf
     while True:
-        best_gain = 1e-9
-        best: tuple[int, int] | None = None
-        for i in range(len(groups)):
-            for k in range(i + 1, len(groups)):
-                (members_a, sum_a), (members_b, sum_b) = groups[i], groups[k]
-                if len(members_a) + len(members_b) > max_group_size:
-                    continue
-                gain = abs(sum_a) + abs(sum_b) - abs(sum_a + sum_b)
-                if gain > best_gain + 1e-12:
-                    best_gain, best = gain, (i, k)
-                elif best is not None and abs(gain - best_gain) <= 1e-12:
-                    current = (min(groups[best[0]][0]), min(groups[best[1]][0]))
-                    candidate = (min(members_a), min(members_b))
-                    if candidate < current:
-                        best = (i, k)
+        best = _last_threshold_raise(gain)
         if best is None:
             break
         i, k = best
-        merged = (groups[i][0] | groups[k][0], groups[i][1] + groups[k][1])
-        groups = [g for idx, g in enumerate(groups) if idx not in (i, k)]
-        groups.append(merged)
-        groups.sort(key=lambda g: min(g[0]))
-    return CoalitionSet(tuple(members for members, _ in groups))
+        members[i] = members[i] | members[k]
+        sums[i] = sums[i] + sums[k]
+        sizes[i] += sizes[k]
+        alive[k] = False
+        gain[k, :] = -np.inf
+        gain[:, k] = -np.inf
+        row = np.abs(sums[i]) + np.abs(sums) - np.abs(sums[i] + sums)
+        row[~alive | np.isnan(row) | (sizes[i] + sizes > max_group_size)] = -np.inf
+        gain[i, i + 1:] = row[i + 1:]
+        gain[:i, i] = row[:i]
+    return CoalitionSet(tuple(members[slot] for slot in np.flatnonzero(alive)))
+
+
+def _last_threshold_raise(gain: np.ndarray) -> tuple[int, int] | None:
+    """The pair the row-major scan of ``gain`` settles on, or None.
+
+    Only a pair whose gain exceeds every gain before it in the scan can raise
+    the threshold, so the replay visits just those: the rows whose maximum
+    beats every earlier row's, and inside them the running maxima.
+    """
+    row_max = gain.max(axis=1)
+    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], row_max)))[:-1]
+    threshold, best = 1e-9, None
+    for i in np.flatnonzero(row_max > np.maximum(earlier, 1e-9)):
+        row = gain[i]
+        before = np.maximum.accumulate(np.concatenate(([earlier[i]], row)))[:-1]
+        for k in np.flatnonzero(row > before):
+            if row[k] > threshold + 1e-12:
+                threshold, best = float(row[k]), (int(i), int(k))
+    return best
 
 
 def update_bnm(bnm: BeliefNeighborhoodMap, coalitions: CoalitionSet, eta: float) -> BeliefNeighborhoodMap:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
+from operator import contains
 from typing import Iterable, Mapping
 
 UTILITY_ID = "U"
@@ -112,7 +114,7 @@ class LineConstraint:
 
 @dataclass(frozen=True)
 class LineConstraintSet:
-    """Per-pair flow bounds gammaMin <= cm(i, j) <= gammaMax (identity loss)."""
+    """Per-pair flow bounds gammaMin <= cm(i, j) <= gammaMax (identity loss), at most one per pair."""
 
     constraints: tuple[LineConstraint, ...]
 
@@ -247,8 +249,13 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         out.append(Violation("weights", "preference-mode", f"unknown mode {scenario.weights.preference_mode!r}"))
 
     if scenario.line_constraints is not None:
+        bounded: set[tuple[str, str]] = set()
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
+            if (lc.row_id, lc.col_id) in bounded:
+                # LineConstraintSet.lookup would silently apply only the first
+                out.append(Violation(pair, "line-unique", "more than one line constraint for the pair"))
+            bounded.add((lc.row_id, lc.col_id))
             # max_kwh = +inf means no upper bound, but no flow can meet a NaN
             # bound or a lower bound of +inf
             undefined = [
@@ -271,6 +278,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 
 def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
+    # Each check runs first over a whole row with set and dict-view operations;
+    # only a row that fails it is walked entry by entry, so violations keep
+    # their text and order.
     out: list[Violation] = []
     n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
@@ -281,6 +291,9 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
     for row_id, cols in n.rows.items():
         if row_id not in known_rows:
             out.append(Violation(row_id, "connectivity-row-resolves", "unknown row id"))
+        values = list(cols.values())
+        if cols.keys() <= known_cols and values.count(0) + values.count(1) == len(values):
+            continue
         for col_id, value in cols.items():
             if col_id not in known_cols:
                 out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
@@ -290,25 +303,49 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
                 out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
-    for a in ssp_ids:
-        if n.connected(a, a):
-            out.append(Violation(a, "interssp-zero-diagonal", "SSP connected to itself"))
-        for b in ssp_ids:
-            if a < b and n.connected(a, b) != n.connected(b, a):
-                out.append(Violation(f"({a}, {b})", "interssp-symmetric", "asymmetric inter-SSP entry"))
+    ssp_set = set(ssp_ids)
+    partners = {a: _linked(n.rows.get(a, {}), ssp_set) for a in ssp_set}
+    # the block is symmetric with a zero diagonal iff no SSP lists itself and
+    # every partner an SSP lists lists it back
+    clean = all(
+        a not in linked and all(map(contains, map(partners.__getitem__, linked), repeat(a)))
+        for a, linked in partners.items()
+    )
+    if not clean:
+        for a in ssp_ids:
+            if n.connected(a, a):
+                out.append(Violation(a, "interssp-zero-diagonal", "SSP connected to itself"))
+            for b in ssp_ids:
+                if a < b and n.connected(a, b) != n.connected(b, a):
+                    out.append(Violation(f"({a}, {b})", "interssp-symmetric", "asymmetric inter-SSP entry"))
     return out
 
 
 def _validate_preferences(scenario: Scenario) -> list[Violation]:
+    # Row-level fast checks as in _validate_connectivity; a failing row falls
+    # back to the per-entry loop.
     out: list[Violation] = []
     n = scenario.connectivity
-    known_suppliers = set(scenario.ssp_ids)
+    ssp_ids = scenario.ssp_ids
+    known_ssps = set(ssp_ids)
+    known_suppliers = set(ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
     for cfg in scenario.ssps:
         consumer_ids = {c.id for c in cfg.consumers}
-        partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and n.connected(cfg.id, other)]
+        partner_set = _linked(n.rows.get(cfg.id, {}), known_ssps) - {cfg.id}
+        ranked_by_all = partner_set.union(p.id for p in cfg.producers)
+        # consumers whose rank row lists exactly ranked_by_all, all of them known suppliers
+        exact_rows: set[str] = set()
+        partner_ids = None
         for consumer in cfg.consumers:
+            cols = cfg.preferences.ranks.get(consumer.id, {})
+            if cols.keys() >= ranked_by_all:
+                if len(cols) == len(ranked_by_all):
+                    exact_rows.add(consumer.id)
+                continue
+            if partner_ids is None:
+                partner_ids = [other for other in ssp_ids if other in partner_set]
             for producer in cfg.producers:
                 if n.connected(consumer.id, producer.id) and not cfg.preferences.has(consumer.id, producer.id):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
@@ -318,12 +355,21 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
         for consumer_id, cols in cfg.preferences.ranks.items():
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
+            ranks = cols.values()
+            resolved = consumer_id in exact_rows or cols.keys() <= known_suppliers
+            if resolved and set(map(type, ranks)) <= {int} and min(ranks, default=1) >= 1:
+                continue
             for supplier_id, rank in cols.items():
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
                 if not isinstance(rank, int) or rank < 1:
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
+
+
+def _linked(cols: Mapping[str, int], ids: set[str]) -> set[str]:
+    """The ids in ``ids`` that a connectivity row marks connected (a truthy entry)."""
+    return ids.intersection(compress(cols.keys(), cols.values()))
 
 
 def energy_status(ssp: SSPConfig) -> float:

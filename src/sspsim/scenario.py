@@ -222,6 +222,15 @@ def _number(value: object, where: str) -> float:
     return float(value)
 
 
+def _str_to_int_row(cols: dict) -> bool:
+    """True iff every key is a ``str`` and every value an ``int`` (``bool`` excluded).
+
+    Such a row needs no per-entry conversion, so the loaders copy it whole and
+    walk a row entry by entry only to name its first bad entry.
+    """
+    return set(map(type, cols)) <= {str} and set(map(type, cols.values())) <= {int}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioFormatError("top level must be an object")
@@ -275,6 +284,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         prefs: dict[str, dict[str, int]] = {}
         for consumer_id, cols in entry["preferences"].items():
+            if _str_to_int_row(cols):
+                prefs[str(consumer_id)] = dict(cols)
+                continue
             ranks = {}
             for supplier_id, rank in cols.items():
                 if isinstance(rank, bool) or not isinstance(rank, int):
@@ -285,6 +297,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     rows: dict[str, dict[str, int]] = {}
     for row_id, cols in data["connectivity"].items():
+        if _str_to_int_row(cols) and set(cols.values()) <= {0, 1}:
+            rows[str(row_id)] = dict(cols)
+            continue
         parsed = {}
         for col_id, value in cols.items():
             if value not in (0, 1) or isinstance(value, bool):

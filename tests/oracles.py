@@ -1,4 +1,4 @@
-"""Independent oracles for the solver tests."""
+"""Independent oracles, and the loop versions of vectorised code kept as references."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from sspsim.coalition import CoalitionSet
 from sspsim.lp import (
     EQUAL,
     FEAS_TOL,
@@ -17,6 +18,7 @@ from sspsim.lp import (
     _Simplex,
     validate_program,
 )
+from sspsim.model import UTILITY_ID, Scenario, Violation
 
 
 class OracleSizeError(ValueError):
@@ -189,3 +191,96 @@ def assert_standardised_alike(lp: LinearProgram) -> None:
         assert (want.shape, want.dtype) == (got.shape, got.dtype), attr
         assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes(), attr
     assert _outcome(ref) == _outcome(new)
+
+
+def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:
+    """The pairwise-rescan loop that ``form_coalitions`` replaces; it must agree exactly."""
+    if not statuses:
+        raise ValueError("at least one SSP is required")
+    if max_group_size < 1:
+        raise ValueError("max_group_size must be >= 1")
+    groups: list[tuple[frozenset[str], float]] = [
+        (frozenset([ssp_id]), status) for ssp_id, status in sorted(statuses.items())
+    ]
+    while True:
+        best_gain = 1e-9
+        best: tuple[int, int] | None = None
+        for i in range(len(groups)):
+            for k in range(i + 1, len(groups)):
+                (members_a, sum_a), (members_b, sum_b) = groups[i], groups[k]
+                if len(members_a) + len(members_b) > max_group_size:
+                    continue
+                gain = abs(sum_a) + abs(sum_b) - abs(sum_a + sum_b)
+                if gain > best_gain + 1e-12:
+                    best_gain, best = gain, (i, k)
+                elif best is not None and abs(gain - best_gain) <= 1e-12:
+                    current = (min(groups[best[0]][0]), min(groups[best[1]][0]))
+                    candidate = (min(members_a), min(members_b))
+                    if candidate < current:
+                        best = (i, k)
+        if best is None:
+            break
+        i, k = best
+        merged = (groups[i][0] | groups[k][0], groups[i][1] + groups[k][1])
+        groups = [g for idx, g in enumerate(groups) if idx not in (i, k)]
+        groups.append(merged)
+        groups.sort(key=lambda g: min(g[0]))
+    return CoalitionSet(tuple(members for members, _ in groups))
+
+
+def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
+    """The per-entry loop of ``model._validate_connectivity``; its violations are the reference."""
+    out: list[Violation] = []
+    n = scenario.connectivity
+    known_cols = set(ssp_ids) | {UTILITY_ID}
+    known_rows = set(ssp_ids)
+    for cfg in scenario.ssps:
+        known_rows.update(s.id for s in cfg.consumers)
+        known_cols.update(s.id for s in cfg.producers)
+    for row_id, cols in n.rows.items():
+        if row_id not in known_rows:
+            out.append(Violation(row_id, "connectivity-row-resolves", "unknown row id"))
+        for col_id, value in cols.items():
+            if col_id not in known_cols:
+                out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
+            if value not in (0, 1):
+                out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
+    for cfg in scenario.ssps:
+        for sub in cfg.consumers:
+            if not n.connected(sub.id, UTILITY_ID):
+                out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
+    for a in ssp_ids:
+        if n.connected(a, a):
+            out.append(Violation(a, "interssp-zero-diagonal", "SSP connected to itself"))
+        for b in ssp_ids:
+            if a < b and n.connected(a, b) != n.connected(b, a):
+                out.append(Violation(f"({a}, {b})", "interssp-symmetric", "asymmetric inter-SSP entry"))
+    return out
+
+
+def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
+    """The per-entry loop of ``model._validate_preferences``; its violations are the reference."""
+    out: list[Violation] = []
+    n = scenario.connectivity
+    known_suppliers = set(scenario.ssp_ids)
+    for cfg in scenario.ssps:
+        known_suppliers.update(p.id for p in cfg.producers)
+    for cfg in scenario.ssps:
+        consumer_ids = {c.id for c in cfg.consumers}
+        partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and n.connected(cfg.id, other)]
+        for consumer in cfg.consumers:
+            for producer in cfg.producers:
+                if n.connected(consumer.id, producer.id) and not cfg.preferences.has(consumer.id, producer.id):
+                    out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
+            for partner in partner_ids:
+                if not cfg.preferences.has(consumer.id, partner):
+                    out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
+        for consumer_id, cols in cfg.preferences.ranks.items():
+            if consumer_id not in consumer_ids:
+                out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
+            for supplier_id, rank in cols.items():
+                if supplier_id not in known_suppliers:
+                    out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
+                if not isinstance(rank, int) or rank < 1:
+                    out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
+    return out

@@ -43,11 +43,11 @@ def nan_energy_file(tmp_path, worked_file) -> str:
     return str(path)
 
 
-def with_line_bound(tmp_path, worked_file, min_kwh: float, max_kwh: float) -> str:
-    """The worked example with one (AC1, AP1) line bound, as `json` writes and reads it."""
+def with_line_bounds(tmp_path, worked_file, *bounds: tuple[float, float]) -> str:
+    """The worked example with (AC1, AP1) line bounds, in this order, as `json` writes and reads it."""
     with open(worked_file, encoding="utf-8") as fh:
         data = json.load(fh)
-    data["line_constraints"] = [{"row": "AC1", "col": "AP1", "min_kwh": min_kwh, "max_kwh": max_kwh}]
+    data["line_constraints"] = [{"row": "AC1", "col": "AP1", "min_kwh": lo, "max_kwh": hi} for lo, hi in bounds]
     path = tmp_path / "lines.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -216,15 +216,26 @@ class TestRun:
         ids=["nan-max", "nan-min", "inf-min", "negative-max"],
     )
     def test_unmeetable_line_bound_exits_2(self, tmp_path, worked_file, capsys, min_kwh, max_kwh, detail):
-        scenario = with_line_bound(tmp_path, worked_file, min_kwh, max_kwh)
+        scenario = with_line_bounds(tmp_path, worked_file, (min_kwh, max_kwh))
         code = run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "(AC1, AP1)" in err and detail in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bounds", [[(0.0, 1.0), (5.0, 9.0)], [(5.0, 9.0), (0.0, 1.0)]], ids=["narrow-first", "wide-first"])
+    def test_duplicate_line_constraint_exits_2(self, tmp_path, worked_file, capsys, bounds):
+        # with either bound applied alone the run commits a different cm(AC1, AP1)
+        scenario = with_line_bounds(tmp_path, worked_file, *bounds)
+        code = run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(AC1, AP1): line-unique" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
-        scenario = with_line_bound(tmp_path, worked_file, -math.inf, math.inf)
+        scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
 
     def test_sell_back_cells_carry_no_float_dust(self, tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspsim.coalition import (
@@ -22,6 +22,9 @@ from sspsim.coalition import (
     snapshot_anm,
     update_bnm,
 )
+from sspsim.model import energy_status
+from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.oracles import reference_form_coalitions
 
 
 def groups_as_sets(coalitions: CoalitionSet) -> set[frozenset[str]]:
@@ -66,6 +69,39 @@ class TestFormCoalitions:
             form_coalitions({}, max_group_size=2)
         with pytest.raises(ValueError):
             form_coalitions({"a": 1.0}, max_group_size=0)
+
+
+# gains of pairs drawn from a pool 1e-13 apart differ by less than the 1e-12
+# tie margin, or by a little more, so both branches of the threshold replay run
+_NEAR_TIES = [sign * (3.0 + j * 1e-13) for sign in (-1.0, 1.0) for j in range(12)]
+# gains of 5e-10 to 2e-9 straddle the 1e-9 floor a merge must beat
+_NEAR_FLOOR = [sign * j * 2.5e-10 for sign in (-1.0, 1.0) for j in range(1, 5)]
+_STATUS_LISTS = st.one_of(
+    st.lists(st.sampled_from(_NEAR_FLOOR), min_size=1, max_size=40),
+    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.integers(-4, 4).map(float), min_size=1, max_size=40),
+    st.lists(st.sampled_from(_NEAR_TIES), min_size=1, max_size=40),
+    st.integers(1, 40).map(lambda n: [0.0] * n),
+)
+
+
+class TestFormCoalitionsMatchesTheLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(values=_STATUS_LISTS, max_group_size=st.integers(1, 6), padded=st.booleans())
+    def test_same_groups_in_the_same_order(self, values, max_group_size, padded):
+        # unpadded ids ("s10" < "s2") make id order differ from draw order
+        statuses = {(f"s{k:02d}" if padded else f"s{k}"): v for k, v in enumerate(values)}
+        assert form_coalitions(statuses, max_group_size) == reference_form_coalitions(statuses, max_group_size)
+
+    def test_two_hundred_generated_ssps(self):
+        spec = GeneratorSpec(
+            n_ssps=200, consumers_per_ssp=10, producers_per_ssp=5,
+            demand_mean_kwh=12.0, supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
+        )
+        statuses = {cfg.id: energy_status(cfg) for cfg in generate_scenario(spec).ssps}
+        result = form_coalitions(statuses, 4)
+        assert result == reference_form_coalitions(statuses, 4)
+        assert len(result) == 105
 
 
 def _partitions(items):

@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspsim.model import (
@@ -22,6 +22,8 @@ from sspsim.model import (
     utility_interaction,
     validate_scenario,
 )
+from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.oracles import reference_validate_connectivity, reference_validate_preferences
 
 
 def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
@@ -88,6 +90,13 @@ class TestValidateScenario:
         lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))
         bad = replace(scenario_of(small_ssp()), line_constraints=lines)
         assert [(v.entity, v.rule, v.detail) for v in validate_scenario(bad)] == [("(c1, p1)", rule, detail)]
+
+    def test_second_line_constraint_for_a_pair_is_named(self):
+        lines = LineConstraintSet(
+            (LineConstraint("c1", "p1", 0.0, 1.0), LineConstraint("c2", "p1", 0.0, 1.0), LineConstraint("c1", "p1", 5.0, 9.0))
+        )
+        bad = replace(scenario_of(small_ssp()), line_constraints=lines)
+        assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [("(c1, p1)", "line-unique")]
 
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
     def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
@@ -203,3 +212,79 @@ class TestUtilityInteraction:
         cm = CommitmentMatrix(["c1"], ["p1"])
         with pytest.raises(ValueError):
             cm.set(UTILITY_ID, UTILITY_ID, 1.0)
+
+
+MUTATIONS = (
+    "drop-local-rank",
+    "drop-partner-rank",
+    "bad-rank",
+    "unknown-supplier",
+    "stray-rank-row",
+    "non-binary",
+    "asymmetric",
+    "self-link",
+    "no-utility",
+    "unknown-column",
+    "unknown-row",
+)
+
+
+@st.composite
+def mutated_scenarios(draw) -> Scenario:
+    """A generated 2-6-SSP scenario, SSPs in any order, with one to four breaks in its ranks or connectivity."""
+    spec = GeneratorSpec(
+        n_ssps=draw(st.integers(2, 6)),
+        consumers_per_ssp=draw(st.integers(1, 3)),
+        producers_per_ssp=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    scenario = generate_scenario(spec)
+    ranks = {cfg.id: {c: dict(cols) for c, cols in cfg.preferences.ranks.items()} for cfg in scenario.ssps}
+    rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
+        cfg = draw(st.sampled_from(scenario.ssps))
+        consumer = draw(st.sampled_from(cfg.consumers)).id
+        row = ranks[cfg.id][consumer]
+        others = [s for s in scenario.ssp_ids if s != cfg.id]
+        other = draw(st.sampled_from(others))
+        if kind == "drop-local-rank" and cfg.producers:
+            row.pop(draw(st.sampled_from(cfg.producers)).id, None)
+        elif kind == "drop-partner-rank":
+            for partner in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
+                row.pop(partner, None)
+        elif kind == "bad-rank" and row:
+            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from([True, 0, -1, 1.5, "2"]))
+        elif kind == "unknown-supplier":
+            row["X.P99"] = draw(st.integers(1, 3))
+        elif kind == "stray-rank-row":
+            stranger = draw(st.sampled_from([p.id for p in cfg.producers] + [f"{other}.C01", "X.C99"]))
+            ranks[cfg.id][stranger] = {other: 1}
+        elif kind == "non-binary":
+            row_id = draw(st.sampled_from(sorted(rows)))
+            if rows[row_id]:
+                rows[row_id][draw(st.sampled_from(sorted(rows[row_id])))] = 2
+        elif kind == "asymmetric":
+            if draw(st.booleans()):
+                rows[cfg.id].pop(other, None)
+            else:
+                rows[cfg.id][other] = 0
+        elif kind == "self-link":
+            rows[cfg.id][cfg.id] = 1
+        elif kind == "no-utility":
+            rows[consumer].pop(UTILITY_ID, None)
+        elif kind == "unknown-column":
+            rows[draw(st.sampled_from([consumer, cfg.id]))]["X.P99"] = 1
+        elif kind == "unknown-row":
+            rows["X.C99"] = {other: 1}
+    # SSP order sets the order of the partner checks, so it is drawn too
+    ssps = tuple(replace(cfg, preferences=PreferenceTable(ranks[cfg.id])) for cfg in draw(st.permutations(scenario.ssps)))
+    return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=mutated_scenarios())
+def test_rank_and_connectivity_violations_match_the_per_entry_loop(scenario):
+    # nothing but ranks and connectivity is broken, so the loop versions of
+    # those two checks give every violation, in order
+    expected = reference_validate_connectivity(scenario, list(scenario.ssp_ids)) + reference_validate_preferences(scenario)
+    assert validate_scenario(scenario) == expected

@@ -194,6 +194,13 @@ class TestRunEngine:
         with pytest.raises(InvalidScenarioError, match=r"\(S1.C1, S1.P1\): line-bound-defined"):
             run_engine(broken, meshed_map(broken.ssp_ids))
 
+    @pytest.mark.parametrize("bounds", [[(0.0, 1.0), (5.0, 9.0)], [(5.0, 9.0), (0.0, 1.0)]], ids=["narrow-first", "wide-first"])
+    def test_duplicate_line_constraint_rejected(self, worked_scenario, bounds):
+        lines = LineConstraintSet(tuple(LineConstraint("AC1", "AP1", lo, hi) for lo, hi in bounds))
+        broken = replace(worked_scenario, line_constraints=lines)
+        with pytest.raises(InvalidScenarioError, match=r"\(AC1, AP1\): line-unique"):
+            run_engine(broken, meshed_map(broken.ssp_ids))
+
     def test_exporter_that_also_imports_keeps_reservations(self):
         # S1's consumer cannot reach its own producer, so S1 both exports
         # surplus and imports for its demand; exported energy must stay

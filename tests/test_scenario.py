@@ -13,7 +13,9 @@ from sspsim.scenario import (
     generate_scenario,
     load_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_from_json,
+    scenario_to_dict,
     scenario_to_json,
 )
 
@@ -145,3 +147,38 @@ class TestPersistence:
         prefs[consumer][supplier] = 1.5
         with pytest.raises(ScenarioFormatError, match="integer"):
             scenario_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "2", None])
+    def test_bad_rank_late_in_its_row_is_named(self, worked_scenario, bad):
+        # the row is checked as a whole first; the message must still name the entry
+        data = json.loads(scenario_to_json(worked_scenario))
+        row = data["ssps"][0]["preferences"]["AC2"]
+        assert list(row) == ["AP1", "AP2", "PP1"]
+        row["PP1"] = bad  # JSON true, 1.5, "2" and null
+        with pytest.raises(ScenarioFormatError, match=r"^preferences\[AC2\]\[PP1\]: rank must be an integer$"):
+            scenario_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("bad", [2, True, 0.5, "1"])
+    @pytest.mark.parametrize("col", ["PP1", "U"])
+    def test_bad_connectivity_late_in_its_row_is_named(self, worked_scenario, bad, col):
+        data = json.loads(scenario_to_json(worked_scenario))
+        assert list(data["connectivity"]["AC2"]) == ["AP1", "AP2", "PP1", "U"]
+        data["connectivity"]["AC2"][col] = bad
+        with pytest.raises(ScenarioFormatError, match=rf"^connectivity\[AC2\]\[{col}\]: must be 0 or 1$"):
+            scenario_from_json(json.dumps(data))
+
+    def test_integral_float_connectivity_still_loads_as_int(self, worked_scenario):
+        data = json.loads(scenario_to_json(worked_scenario))
+        data["connectivity"]["AC2"]["U"] = 1.0
+        loaded = scenario_from_json(json.dumps(data))
+        assert loaded == worked_scenario
+        assert type(loaded.connectivity.rows["AC2"]["U"]) is int
+
+    def test_non_string_keys_are_read_as_strings(self, worked_scenario):
+        # a dict built in Python, not parsed from JSON, may carry other keys
+        data = scenario_to_dict(worked_scenario)
+        data["ssps"][0]["preferences"]["AC1"] = {"AP1": 1, 7: 2}
+        data["connectivity"]["AC1"] = {"AP1": 1, 7: 0, "U": 1}
+        loaded = scenario_from_dict(data)
+        assert loaded.ssps[0].preferences.ranks["AC1"] == {"AP1": 1, "7": 2}
+        assert loaded.connectivity.rows["AC1"] == {"AP1": 1, "7": 0, "U": 1}
