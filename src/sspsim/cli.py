@@ -40,6 +40,8 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
+SUMMARY_KEYS = frozenset({"final_utility_kwh", "iterations", "coalitions", "per_ssp"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sspsim", description=__doc__)
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--w35", type=float)
     run.add_argument("--alpha", type=float)
     run.add_argument("--beta", type=float)
-    run.add_argument("--iteration-cap", type=int, default=10000)
+    run.add_argument("--iteration-cap", type=_positive_int, default=10000)
     run.add_argument("--json", action="store_true", help="print the summary to stdout")
 
     cal = sub.add_parser("calibrate", help="hill-climb the matching weights on a scenario")
@@ -82,6 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="tabulate one or more results directories")
     rep.add_argument("results", nargs="+", help="results directories from `run`")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -118,7 +127,12 @@ def _resolve_anm(args: argparse.Namespace, scenario) -> tuple:
     if not args.anm_file:
         raise ScenarioFormatError("--anm file requires --anm-file")
     with open(args.anm_file, "r", encoding="utf-8") as fh:
-        return anm_from_csv(fh.read()), None
+        anm = anm_from_csv(fh.read())
+    unknown = sorted(set(anm.ssp_ids) - set(scenario.ssp_ids))
+    if unknown:
+        raise ScenarioFormatError(f"{args.anm_file} names SSP {unknown[0]!r}, which the scenario lacks")
+    # an SSP the file leaves out stands alone
+    return replace(anm, ssp_ids=tuple(sorted(scenario.ssp_ids))), None
 
 
 def _weight_overrides(args: argparse.Namespace, weights):
@@ -160,10 +174,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  iteration {point.iteration}: {point.accumulated_utility_kwh}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write(out_dir, "commitments.csv", _commitments_csv(result))
-    _write(out_dir, "convergence.csv", trace_to_csv(result.trace))
-    _write(out_dir, "messages.csv", messages_to_csv(result.log))
     summary = {
         "initial_abs_status_kwh": result.initial_abs_status_kwh,
         "final_utility_kwh": result.final_utility_kwh,
@@ -177,7 +187,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for ssp_id in sorted(result.per_ssp_initial)
         },
     }
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write(out_dir, "commitments.csv", _commitments_csv(result))
+        _write(out_dir, "convergence.csv", trace_to_csv(result.trace))
+        _write(out_dir, "messages.csv", messages_to_csv(result.log))
+        _write(out_dir, "summary.json", json.dumps(summary, indent=2) + "\n")
+    except OSError as exc:
+        print(f"cannot write results directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -233,8 +251,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not os.path.isfile(summary_path):
             print(f"not a results directory (no summary.json): {path}", file=sys.stderr)
             return EXIT_CONFIG
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summaries.append((path, json.load(fh)))
+        try:
+            with open(summary_path, "r", encoding="utf-8") as fh:
+                summary = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"unreadable summary.json in {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        missing = sorted(SUMMARY_KEYS - set(summary)) if isinstance(summary, dict) else ["an object"]
+        if missing:
+            print(f"summary.json in {path} lacks {missing[0]}", file=sys.stderr)
+            return EXIT_CONFIG
+        summaries.append((path, summary))
 
     print("run\tfinal_utility_kwh\titerations\tcoalitions")
     for path, summary in summaries:

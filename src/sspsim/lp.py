@@ -17,10 +17,15 @@ Instances in this package are modest (tens of thousands of variables at the
 very top), so dense linear algebra with an explicit, periodically
 refactorised basis inverse is deliberate; there is no sparse factorisation
 and no MILP (binary connectivity is data, never a decision variable).
+
+A column is known by its position: ``add_variable`` returns it, the objective
+and every row are keyed by it, and a solution lists one value per column in
+column order. Variable and row names are labels, used only in messages.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,7 +42,7 @@ _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 
 class LpFormatError(ValueError):
-    """Structurally malformed program (bad bounds, undeclared variable, ...)."""
+    """Structurally malformed program (bad bounds, a key that is not a column, ...)."""
 
 
 class LpStatus(Enum):
@@ -55,7 +60,7 @@ class LpVariable:
 
 @dataclass(frozen=True)
 class LpConstraint:
-    coeffs: dict[str, float]
+    coeffs: dict[int, float]
     relation: str
     rhs: float
     name: str = ""
@@ -66,65 +71,69 @@ class LinearProgram:
     """Minimise ``objective . x`` subject to bounds and linear constraints."""
 
     variables: list[LpVariable] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
+    objective: dict[int, float] = field(default_factory=dict)
     constraints: list[LpConstraint] = field(default_factory=list)
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf, cost: float = 0.0) -> str:
+    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf, cost: float = 0.0) -> int:
+        """Append a column and return its position."""
+        col = len(self.variables)
         self.variables.append(LpVariable(name, lower, upper))
         if cost != 0.0:
-            self.objective[name] = self.objective.get(name, 0.0) + cost
-        return name
+            self.objective[col] = cost
+        return col
 
-    def add_constraint(self, coeffs: dict[str, float], relation: str, rhs: float, name: str = "") -> None:
+    def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float, name: str = "") -> None:
         self.constraints.append(LpConstraint(dict(coeffs), relation, rhs, name))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
-    values: dict[str, float]
+    values: list[float]  # one per column, in column order
     objective: float
 
 
 def validate_program(lp: LinearProgram) -> None:
-    """Raise LpFormatError naming the offending variable or row."""
-    seen: set[str] = set()
+    """Raise LpFormatError naming the offending variable, row or "objective"."""
     for var in lp.variables:
-        if var.name in seen:
-            raise LpFormatError(f"duplicate variable {var.name!r}")
-        seen.add(var.name)
+        if -math.inf < var.lower < math.inf and var.lower <= var.upper:
+            continue
         if math.isnan(var.lower) or math.isnan(var.upper):
             raise LpFormatError(f"variable {var.name!r} has NaN bound")
         if not math.isfinite(var.lower):
             raise LpFormatError(f"variable {var.name!r} has no finite lower bound ({var.lower})")
-        if var.lower > var.upper:
-            raise LpFormatError(f"variable {var.name!r} has lower {var.lower} > upper {var.upper}")
-    for name in lp.objective:
-        if name not in seen:
-            raise LpFormatError(f"objective references undeclared variable {name!r}")
-    for idx, row in enumerate(lp.constraints):
-        label = row.name or f"row {idx}"
+        raise LpFormatError(f"variable {var.name!r} has lower {var.lower} > upper {var.upper}")
+    labels = [row.name or f"row {idx}" for idx, row in enumerate(lp.constraints)]
+    for label, row in zip(labels, lp.constraints):
         if row.relation not in _RELATIONS:
             raise LpFormatError(f"{label}: unknown relation {row.relation!r}")
         if not math.isfinite(row.rhs):
             raise LpFormatError(f"{label}: non-finite rhs {row.rhs}")
-        for name in row.coeffs:
-            if name not in seen:
-                raise LpFormatError(f"{label}: references undeclared variable {name!r}")
+    # every key must be an int column position: numpy indexing would truncate
+    # 1.5 to column 1 and wrap -1 to the last column. All keys are checked at
+    # once; only a failing program is walked to name the offender.
+    n_cols = len(lp.variables)
+    keys = list(itertools.chain(lp.objective, *(row.coeffs for row in lp.constraints)))
+    if set(map(type, keys)) <= {int} and (not keys or 0 <= min(keys) and max(keys) < n_cols):
+        return
+    for label, coeffs in [("objective", lp.objective), *zip(labels, (row.coeffs for row in lp.constraints))]:
+        for col in coeffs:
+            if type(col) is not int or not 0 <= col < n_cols:
+                raise LpFormatError(f"{label}: key {col!r} is not a column position in [0, {n_cols})")
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
     if not lp.variables:
-        return LpSolution(LpStatus.OPTIMAL, {}, 0.0)
+        return LpSolution(LpStatus.OPTIMAL, [], 0.0)
     return _Simplex(lp).solve()
 
 
 class _Simplex:
     """Two-phase revised simplex over the standardised program.
 
-    Standardisation: variable k becomes standard column k, y = x - lower >= 0;
+    Standardisation: column k becomes standard column k, y = x - lower >= 0;
     finite upper bounds become extra <= rows, and all constraints become
     equalities with slack columns. A crash pass seats any positive singleton
     column as a row's starting basis; only rows left without one get an
@@ -137,7 +146,6 @@ class _Simplex:
 
     def _standardise(self) -> None:
         lp = self.lp
-        index = {v.name: k for k, v in enumerate(lp.variables)}
         n_vars = len(lp.variables)
         lower = np.array([v.lower for v in lp.variables], dtype=float)
         upper = np.array([v.upper for v in lp.variables], dtype=float)
@@ -146,9 +154,10 @@ class _Simplex:
         # (row, column, value) triplets: the rows over standard columns, then
         # the bound rows, then one slack per inequality
         m_rows = len(lp.constraints)
-        var_ix = np.array([index[name] for row in lp.constraints for name in row.coeffs], dtype=np.intp)
-        coef = np.array([c for row in lp.constraints for c in row.coeffs.values()], dtype=float)
-        row_ix = np.repeat(np.arange(m_rows), [len(row.coeffs) for row in lp.constraints])
+        lengths = [len(row.coeffs) for row in lp.constraints]
+        var_ix = np.fromiter(itertools.chain(*(row.coeffs for row in lp.constraints)), np.intp, sum(lengths))
+        coef = np.fromiter(itertools.chain(*(row.coeffs.values() for row in lp.constraints)), float, sum(lengths))
+        row_ix = np.repeat(np.arange(m_rows), lengths)
         # the rhs moves by c * lower, summed in coefficient order per row
         shift = np.zeros(m_rows)
         moves = coef * lower[var_ix]
@@ -211,7 +220,7 @@ class _Simplex:
         self.b = b
         self.n_real = n_real
         self.cost = np.zeros(a.shape[1])
-        obj_ix = np.array([index[name] for name in lp.objective], dtype=np.intp)
+        obj_ix = np.array(list(lp.objective), dtype=np.intp)
         self.cost[obj_ix] = 0.0 + np.array(list(lp.objective.values()), dtype=float)
 
     def solve(self) -> LpSolution:
@@ -226,12 +235,12 @@ class _Simplex:
             if status is LpStatus.UNBOUNDED:
                 raise ArithmeticError("phase-1 objective cannot be unbounded")
             if objective > 1e-7:
-                return LpSolution(LpStatus.INFEASIBLE, {v.name: 0.0 for v in self.lp.variables}, math.inf)
+                return LpSolution(LpStatus.INFEASIBLE, [0.0] * len(self.lp.variables), math.inf)
             self._drive_out_artificials()
 
         status, _ = self._iterate(self.cost, allowed=self.n_real)
         if status is LpStatus.UNBOUNDED:
-            return LpSolution(LpStatus.UNBOUNDED, {v.name: 0.0 for v in self.lp.variables}, -math.inf)
+            return LpSolution(LpStatus.UNBOUNDED, [0.0] * len(self.lp.variables), -math.inf)
         return self._extract()
 
     def _refactorize(self) -> None:
@@ -328,7 +337,7 @@ class _Simplex:
         for bi, x in zip(self.basis.tolist(), self.xb.tolist()):
             if bi < self.n_real:
                 std[bi] = max(x, 0.0)
-        values: dict[str, float] = {}
+        values: list[float] = []
         for var, y in zip(self.lp.variables, std):
             x = var.lower + y
             if x < var.lower or x > var.upper:
@@ -339,12 +348,12 @@ class _Simplex:
                         f"[{var.lower}, {var.upper}] by more than {FEAS_TOL}"
                     )
                 x = bound
-            values[var.name] = float(x)
-        objective = sum(c * values[name] for name, c in self.lp.objective.items())
+            values.append(float(x))
+        objective = sum(c * values[col] for col, c in self.lp.objective.items())
         return LpSolution(LpStatus.OPTIMAL, values, objective)
 
 
-def constraint_residuals(lp: LinearProgram, values: dict[str, float]) -> dict[str, float]:
+def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:
     """Independent feasibility check: worst violation per row plus variable bounds.
 
     Keys are row names (or "row K") and "bounds"; all entries are >= 0 and a
@@ -353,12 +362,11 @@ def constraint_residuals(lp: LinearProgram, values: dict[str, float]) -> dict[st
     """
     out: dict[str, float] = {}
     bound_violation = 0.0
-    for var in lp.variables:
-        x = values[var.name]
+    for var, x in zip(lp.variables, values, strict=True):
         bound_violation = max(bound_violation, var.lower - x, x - var.upper)
     out["bounds"] = max(bound_violation, 0.0)
     for idx, row in enumerate(lp.constraints):
-        lhs = sum(c * values[name] for name, c in row.coeffs.items())
+        lhs = sum(c * values[col] for col, c in row.coeffs.items())
         if row.relation == LESS_EQUAL:
             violation = lhs - row.rhs
         elif row.relation == GREATER_EQUAL:
@@ -369,5 +377,5 @@ def constraint_residuals(lp: LinearProgram, values: dict[str, float]) -> dict[st
     return out
 
 
-def max_violation(lp: LinearProgram, values: dict[str, float]) -> float:
+def max_violation(lp: LinearProgram, values: list[float]) -> float:
     return max(constraint_residuals(lp, values).values())

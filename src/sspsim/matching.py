@@ -103,32 +103,32 @@ def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
     )
 
 
-@dataclass
-class _BuildInfo:
-    cm_vars: dict[tuple[str, str], str]
-    buy_vars: dict[str, str]
-    cut_vars: dict[str, str]  # demand reduction kWh; fx(i) = 1 - cut/Dc
-    stretch_vars: dict[str, str]  # production increase kWh; fx(j) = 1 + stretch/Ep
-    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
-    objective_offset: float
-
-
 # one cm column: (consumer id, supplier id), its variable, its reward per placed kWh
 _Column = tuple[tuple[str, str], LpVariable, float]
+
+
+@dataclass
+class _BuildInfo:
+    cm_columns: list[_Column]  # the cm columns, which come first: column k is cm_columns[k]
+    purchase_cols: range  # cm(i, U) of each consumer, in consumer order
+    cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
+    stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
+    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
+    objective_offset: float
 
 
 class PairTable:
     """The part of one view's matching LP that offers do not change.
 
     Built once per (subscribers, partner list, weights, lines); an agent keeps
-    its own and hands it to every re-solve. It holds, per consumer, the cm
-    columns of its connected local producers in producer order with their
-    rewards and line bounds; the purchase, sell-back, cut and stretch columns;
-    the local supply rows and the demand-row coefficients; and beta, the
-    additive-mode constant and the stretch penalty, which depend on the rank
-    of every partner, live or not. Partner columns are made per solve, for
-    the partners that advertise capacity: kept for every partner, they would
-    cost memory in proportion to consumers x partners.
+    its own and hands it to every re-solve. It holds the local cm columns
+    (``local``: per consumer, those of its connected local producers in
+    producer order, with rewards and line bounds); the ``purchases``,
+    ``sell_backs``, ``cuts`` and ``stretches`` variables; and ``beta``, the
+    additive-mode ``offset`` and the ``stretch_penalty``, which depend on the
+    rank of every partner, live or not. Partner columns are made per solve,
+    for the partners that advertise capacity: kept for every partner, they
+    would cost memory in proportion to consumers x partners.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -161,54 +161,25 @@ class PairTable:
             (self._rank_reward(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
         ) + 0.01 * weights.w2
 
-        self.local: dict[str, list[_Column]] = {c.id: [] for c in view.consumers}
-        supplies: dict[str, dict[str, float]] = {p.id: {} for p in view.producers}
-        self.served: dict[str, dict[str, float]] = {c.id: {} for c in view.consumers}
-        for consumer, local, row in zip(view.consumers, local_ids, ranks):
-            for supplier_id, rank in zip(local, row):
-                pair = (consumer.id, supplier_id)
-                reward = self._rank_reward(consumer.id, rank)
-                var = LpVariable(f"cm[{consumer.id}][{supplier_id}]", *self._line_bounds(*pair))
-                self.local[consumer.id].append((pair, var, reward))
-                self.served[consumer.id][var.name] = 1.0
-                supplies[supplier_id][var.name] = 1.0
-
-        # purchases, sell-backs, cuts and local stretches, in column order;
+        self.local: dict[str, list[_Column]] = {
+            consumer.id: [
+                (
+                    (consumer.id, supplier_id),
+                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *self._line_bounds(consumer.id, supplier_id)),
+                    self._rank_reward(consumer.id, rank),
+                )
+                for supplier_id, rank in zip(local, row)
+            ]
+            for consumer, local, row in zip(view.consumers, local_ids, ranks)
+        }
+        self.n_local = sum(len(columns) for columns in self.local.values())
         # fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
         # (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
-        self.fixed_vars: list[LpVariable] = []
-        self.objective_prefix: dict[str, float] = {}
-
-        def add(name: str, lower: float, upper: float, cost: float = 0.0) -> str:
-            self.fixed_vars.append(LpVariable(name, lower, upper))
-            if cost != 0.0:
-                self.objective_prefix[name] = cost
-            return name
-
-        self.buy_vars = {
-            c.id: add(f"cm[{c.id}][U]", *self._line_bounds(c.id, UTILITY_ID), cost=weights.w2)
-            for c in view.consumers
-        }
-        sell_vars = {p.id: add(f"cm[U][{p.id}]", *self._line_bounds(UTILITY_ID, p.id)) for p in view.producers}
-        self.cut_vars = {
-            c.id: add(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in view.consumers if c.bound > 0.0
-        }
-        self.stretch_vars = {
-            p.id: add(f"stretch[{p.id}]", 0.0, p.bound * p.energy, cost=self.stretch_penalty)
-            for p in view.producers
-            if p.bound > 0.0
-        }
-
-        self.supply_rows: list[tuple[dict[str, float], float, str]] = []
-        for producer in view.producers:
-            coeffs = supplies[producer.id]
-            coeffs[sell_vars[producer.id]] = 1.0
-            if producer.id in self.stretch_vars:
-                coeffs[self.stretch_vars[producer.id]] = -1.0
-            self.supply_rows.append((coeffs, producer.energy, f"supply[{producer.id}]"))
-        self.demand_tail = {
-            c.id: {self.buy_vars[c.id]: 1.0, **({self.cut_vars[c.id]: 1.0} if c.id in self.cut_vars else {})}
-            for c in view.consumers
+        self.purchases = [LpVariable(f"cm[{c.id}][U]", *self._line_bounds(c.id, UTILITY_ID)) for c in view.consumers]
+        self.sell_backs = [LpVariable(f"cm[U][{p.id}]", *self._line_bounds(UTILITY_ID, p.id)) for p in view.producers]
+        self.cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in view.consumers if c.bound > 0.0}
+        self.stretches = {
+            p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in view.producers if p.bound > 0.0
         }
 
     def _rank_reward(self, consumer_id: str, rank: int) -> float:
@@ -251,7 +222,13 @@ def _build(
     committed_exports: float,
     table: PairTable | None = None,
 ) -> tuple[LinearProgram, _BuildInfo]:
-    """The view's matching LP; only local pairs and live partners are walked.
+    """The view's matching LP, built in one pass over its column positions.
+
+    Columns: the cm columns consumer-major (local producers, then live
+    partners), purchases, sell-backs, cuts, local stretches, then the stretches
+    of live partners with a bound. Rows: supply per local producer and live
+    partner, demand per consumer, then the export reservation. The pass that
+    appends the cm columns fills the supply and demand rows.
 
     ``table`` must come from a view with the same subscribers and partner list
     and from the same weights and lines; without one it is computed here. Both
@@ -262,28 +239,19 @@ def _build(
     locked_imports = locked_imports or {}
     live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
     offered = [table.partner_columns(p) for p in live]
-    # cm columns consumer-major: local producers, then partners with capacity
-    columns: list[_Column] = []
-    for k, consumer in enumerate(view.consumers):
-        columns += table.local[consumer.id]
-        columns += [partner[k] for partner in offered]
+    n_cm = table.n_local + len(view.consumers) * len(live)
+    purchase_cols = range(n_cm, n_cm + len(view.consumers))
+    sell_start = purchase_cols.stop
+    cut_start = sell_start + len(view.producers)
+    cut_cols = {consumer_id: cut_start + k for k, consumer_id in enumerate(table.cuts)}
+    stretch_cols = {producer_id: cut_start + len(cut_cols) + k for k, producer_id in enumerate(table.stretches)}
+    info = _BuildInfo([], purchase_cols, cut_cols, stretch_cols, live, table.offset)
 
-    lp = LinearProgram([var for _, var, _ in columns] + table.fixed_vars, dict(table.objective_prefix))
-    info = _BuildInfo(
-        {pair: var.name for pair, var, _ in columns},
-        table.buy_vars,
-        table.cut_vars,
-        dict(table.stretch_vars),
-        live,
-        table.offset,
-    )
-    for partner_id in live:
-        cap = view.partner_capacities[partner_id]
-        if cap.bound > 0.0:
-            info.stretch_vars[partner_id] = lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)
-    for _, var, reward in columns:
-        if reward != 0.0:
-            lp.objective[var.name] = -reward
+    lp = LinearProgram()
+    if weights.w2 != 0.0:
+        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
+    if table.stretch_penalty != 0.0:
+        lp.objective.update(dict.fromkeys(stretch_cols.values(), table.stretch_penalty))
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
@@ -293,33 +261,50 @@ def _build(
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
             info.objective_offset -= table.reward(consumer_id, partner_id) * kwh
 
-    for coeffs, energy, name in table.supply_rows:
-        lp.add_constraint(coeffs, LESS_EQUAL, energy, name=name)
-
-    for partner_id, partner in zip(live, offered):
-        coeffs = {var.name: 1.0 for _, var, _ in partner}
-        if partner_id in info.stretch_vars:
-            coeffs[info.stretch_vars[partner_id]] = -1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, view.partner_capacities[partner_id].energy, name=f"supply[{partner_id}]")
-
+    supplied: dict[str, dict[int, float]] = {supplier: {} for supplier in [*(p.id for p in view.producers), *live]}
+    demand_rows: list[tuple[dict[int, float], float, str]] = []
+    objective = lp.objective
     for k, consumer in enumerate(view.consumers):
-        served = {
-            **table.served[consumer.id],
-            **{partner[k][1].name: 1.0 for partner in offered},
-            **table.demand_tail[consumer.id],
-        }
+        block = [*table.local[consumer.id], *(partner[k] for partner in offered)]
+        start = len(info.cm_columns)
+        info.cm_columns += block
+        for col, ((_, supplier_id), _, reward) in enumerate(block, start):
+            if reward != 0.0:
+                objective[col] = -reward
+            supplied[supplier_id][col] = 1.0
+        served = dict.fromkeys(range(start, start + len(block)), 1.0)
+        served[purchase_cols[k]] = 1.0
+        if consumer.id in cut_cols:
+            served[cut_cols[consumer.id]] = 1.0
         rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
         if rhs < -RESIDUAL_TOL:
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
-        lp.add_constraint(served, EQUAL, max(rhs, 0.0), name=f"demand[{consumer.id}]")
+        demand_rows.append((served, max(rhs, 0.0), f"demand[{consumer.id}]"))
+    lp.variables += [var for _, var, _ in info.cm_columns]
+    lp.variables += [*table.purchases, *table.sell_backs, *table.cuts.values(), *table.stretches.values()]
+
+    for j, producer in enumerate(view.producers):
+        coeffs = supplied[producer.id]
+        coeffs[sell_start + j] = 1.0
+        if producer.id in stretch_cols:
+            coeffs[stretch_cols[producer.id]] = -1.0
+        lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
+    for partner_id in live:
+        cap = view.partner_capacities[partner_id]
+        coeffs = supplied[partner_id]
+        if cap.bound > 0.0:
+            coeffs[lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)] = -1.0
+        lp.add_constraint(coeffs, LESS_EQUAL, cap.energy, name=f"supply[{partner_id}]")
+    for served, rhs, name in demand_rows:
+        lp.add_constraint(served, EQUAL, rhs, name=name)
 
     if committed_exports > RESIDUAL_TOL:
         # every local supply row at once: exported energy stays deliverable
         coeffs = {}
         rhs = -committed_exports
-        for supply, energy, _ in table.supply_rows:
-            coeffs.update(supply)
-            rhs += energy
+        for supply in lp.constraints[: len(view.producers)]:
+            coeffs.update(supply.coeffs)
+            rhs += supply.rhs
         lp.add_constraint(coeffs, LESS_EQUAL, rhs, name="export-reservation")
 
     return lp, info
@@ -368,30 +353,29 @@ def solve_dist_matching(
     supplier_ids = tuple(p.id for p in view.producers) + tuple(partner_cols)
     cm = CommitmentMatrix([c.id for c in view.consumers], supplier_ids)
 
-    for (consumer_id, supplier_id), name in info.cm_vars.items():
-        value = solution.values[name]
+    values = solution.values
+    for (pair, _, _), value in zip(info.cm_columns, values):
         if value > RESIDUAL_TOL:
-            cm.set(consumer_id, supplier_id, value)
+            cm.set(*pair, value)
     for partner_id, per_consumer in locked_imports.items():
         for consumer_id, kwh in per_consumer.items():
             if kwh > RESIDUAL_TOL:
                 cm.set(consumer_id, partner_id, cm.get(consumer_id, partner_id) + kwh)
-    for consumer_id, name in info.buy_vars.items():
-        value = solution.values[name]
-        if value > RESIDUAL_TOL:
-            cm.set(consumer_id, UTILITY_ID, value)
+    for consumer, col in zip(view.consumers, info.purchase_cols):
+        if values[col] > RESIDUAL_TOL:
+            cm.set(consumer.id, UTILITY_ID, values[col])
 
     attribute_sell_backs(cm, view.producers, committed_exports)
 
     def consumer_fx(sub: Subscriber) -> float:
-        if sub.id not in info.cut_vars or sub.energy <= RESIDUAL_TOL:
+        if sub.id not in info.cut_cols or sub.energy <= RESIDUAL_TOL:
             return 1.0
-        return 1.0 - solution.values[info.cut_vars[sub.id]] / sub.energy
+        return 1.0 - values[info.cut_cols[sub.id]] / sub.energy
 
     def producer_fx(sub: Subscriber) -> float:
-        if sub.id not in info.stretch_vars or sub.energy <= RESIDUAL_TOL:
+        if sub.id not in info.stretch_cols or sub.energy <= RESIDUAL_TOL:
             return 1.0
-        return 1.0 + solution.values[info.stretch_vars[sub.id]] / sub.energy
+        return 1.0 + values[info.stretch_cols[sub.id]] / sub.energy
 
     fx = FlexibilityAssignment(
         consumers={c.id: consumer_fx(c) for c in view.consumers},
@@ -463,16 +447,21 @@ def aggregate_surplus(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> tuple[f
     ex_energy = 0.0
     total_energy = 0.0
     for producer in ssp.producers:
-        residual = producer.energy - cm.committed_to_consumers(producer.id)
+        committed = cm.committed_to_consumers(producer.id)
+        residual = producer.energy - committed
         if residual > RESIDUAL_TOL:
-            ex_energy += (1.0 + producer.bound) * producer.energy - cm.committed_to_consumers(producer.id)
+            ex_energy += (1.0 + producer.bound) * producer.energy - committed
             total_energy += residual
     return ex_energy, total_energy
 
 
 def aggregate_bound(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> float:
     """Production-weighted flexibility of the residual supply; 0 with no residual."""
-    ex_energy, total_energy = aggregate_surplus(ssp, cm)
+    return surplus_bound(*aggregate_surplus(ssp, cm))
+
+
+def surplus_bound(ex_energy: float, total_energy: float) -> float:
+    """The aggregate bound of an ``aggregate_surplus`` pair; 0 with no residual."""
     if total_energy <= 0.0:
         return 0.0
     return ex_energy / total_energy - 1.0

@@ -34,10 +34,10 @@ from .matching import (
     PairTable,
     PartnerCapacity,
     SspView,
-    aggregate_bound,
     aggregate_surplus,
     attribute_sell_backs,
     solve_dist_matching,
+    surplus_bound,
 )
 from .model import (
     CommitmentMatrix,
@@ -65,7 +65,7 @@ class InvalidScenarioError(ValueError):
 
 
 class CalibrationError(ValueError):
-    """calibrate_weights was asked for an unsupported metric or iteration count."""
+    """calibrate_weights was asked for fewer than one iteration."""
 
 
 class ProtocolViolationError(RuntimeError):
@@ -192,8 +192,8 @@ class _Agent:
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
         assert self.cm is not None
-        ex_energy, _ = aggregate_surplus(self.cfg, self.cm)
-        return max(0.0, ex_energy - self.total_exports()), aggregate_bound(self.cfg, self.cm)
+        ex_energy, total_energy = aggregate_surplus(self.cfg, self.cm)
+        return max(0.0, ex_energy - self.total_exports()), surplus_bound(ex_energy, total_energy)
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
@@ -328,20 +328,13 @@ def run_engine(
     )
 
 
-def calibrate_weights(
-    scenario: Scenario,
-    metric: str = "utility_interaction",
-    iterations: int = 4,
-    seed: int = 0,
-) -> MatchingWeights:
-    """Coordinate-wise hill climb on (w14, w2, w35) against the simulated metric.
+def calibrate_weights(scenario: Scenario, iterations: int = 4, seed: int = 0) -> MatchingWeights:
+    """Coordinate-wise hill climb on (w14, w2, w35) against the meshed run's Utility interaction.
 
     Steps are multiplicative (x2 then /2); a zero coordinate proposes 1.0 since
     doubling cannot leave zero. Only strictly improving moves are accepted, at
     most one per coordinate per iteration. Deterministic under a fixed seed.
     """
-    if metric != "utility_interaction":
-        raise CalibrationError(f"unsupported calibration metric {metric!r}")
     if iterations < 1:
         raise CalibrationError(f"iterations must be >= 1, got {iterations}")
     anm = meshed_map(scenario.ssp_ids)

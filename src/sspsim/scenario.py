@@ -82,6 +82,8 @@ def _check_spec(spec: GeneratorSpec) -> None:
         raise GeneratorSpecError("noise_std_kwh must be >= 0")
     if spec.demand_mean_kwh < 0 or spec.supply_mean_kwh < 0:
         raise GeneratorSpecError("means must be >= 0")
+    if not 0 <= spec.seed < 2**63:
+        raise GeneratorSpecError(f"seed must be in [0, 2**63), got {spec.seed}")
 
 
 def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = None) -> Scenario:
@@ -333,7 +335,8 @@ def _kind(value: object, entity: object) -> SubscriberKind:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    # compact: an indent would send json to its pure-Python encoder
+    return json.dumps(scenario_to_dict(scenario), separators=(",", ":")) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:

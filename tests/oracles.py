@@ -49,11 +49,10 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
     points = np.stack([m.ravel() for m in mesh]) if mesh else np.zeros((0, 1))
     npts = points.shape[1]
     feasible = np.ones(npts, dtype=bool)
-    name_to_row = {v.name: k for k, v in enumerate(lp.variables)}
     for row in lp.constraints:
         lhs = np.zeros(npts)
-        for name, c in row.coeffs.items():
-            lhs += c * points[name_to_row[name]]
+        for col, c in row.coeffs.items():
+            lhs += c * points[col]
         if row.relation == LESS_EQUAL:
             feasible &= lhs <= row.rhs + FEAS_TOL
         elif row.relation == GREATER_EQUAL:
@@ -63,8 +62,8 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
     if not feasible.any():
         return math.inf
     obj = np.zeros(npts)
-    for name, c in lp.objective.items():
-        obj += c * points[name_to_row[name]]
+    for col, c in lp.objective.items():
+        obj += c * points[col]
     return float(obj[feasible].min())
 
 
@@ -80,7 +79,6 @@ class ReferenceSimplex(_Simplex):
 
     def _standardise(self) -> None:
         lp = self.lp
-        index = {v.name: k for k, v in enumerate(lp.variables)}
         n_std = len(lp.variables)
 
         # variable k is standard column k, x = lower + y; a finite upper bound
@@ -89,8 +87,7 @@ class ReferenceSimplex(_Simplex):
         for row in lp.constraints:
             coeffs: dict[int, float] = {}
             shift = 0.0
-            for name, c in row.coeffs.items():
-                j = index[name]
+            for j, c in row.coeffs.items():
                 coeffs[j] = 0.0 + c
                 shift += c * lp.variables[j].lower
             rows.append((coeffs, row.relation, row.rhs - shift))
@@ -153,21 +150,21 @@ class ReferenceSimplex(_Simplex):
         self.n_real = a.shape[1]
         self.art_cols = np.array(art_cols, dtype=int)
         self.cost = np.zeros(self.a.shape[1])
-        for name, c in lp.objective.items():
-            self.cost[index[name]] += c
+        for j, c in lp.objective.items():
+            self.cost[j] += c
 
     def _extract(self) -> LpSolution:
         std = np.zeros(self.n_real)
         for i, bi in enumerate(self.basis):
             if bi < self.n_real:
                 std[bi] = max(float(self.xb[i]), 0.0)
-        values: dict[str, float] = {}
+        values: list[float] = []
         for j, var in enumerate(self.lp.variables):
             x = max(var.lower + std[j], var.lower)
             if math.isfinite(var.upper):
                 x = min(x, var.upper)
-            values[var.name] = float(x)
-        objective = sum(c * values[name] for name, c in self.lp.objective.items())
+            values.append(float(x))
+        objective = sum(c * values[j] for j, c in self.lp.objective.items())
         return LpSolution(LpStatus.OPTIMAL, values, objective)
 
 

@@ -86,6 +86,16 @@ class TestGen:
         assert "demand_mean_kwh must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_outside_the_generator_range_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.json"
+        code = run_cli("gen", "--ssps", "2", "--consumers", "2", "--producers", "1", "--seed", seed, "--out", str(out))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be in [0, 2**63)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_noise_is_deterministic(self, tmp_path):
         args = ["gen", "--ssps", "2", "--consumers", "3", "--producers", "2", "--noise", "0", "--seed", "4"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -147,6 +157,48 @@ class TestRun:
         )
         assert code == EXIT_NO_CONVERGENCE
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_iteration_cap_exits_2(self, tmp_path, pair_file, capsys, cap):
+        out = tmp_path / "capped"
+        code = run_cli("run", "--scenario", pair_file, "--anm", "meshed", "--out", str(out), "--iteration-cap", cap)
+        assert code == EXIT_CONFIG
+        assert "--iteration-cap: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, worked_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(taken))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write results directory" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_map_file_naming_an_unknown_ssp_exits_2(self, tmp_path, pair_file, capsys):
+        anm_file = tmp_path / "anm.csv"
+        anm_file.write_text("ssp_a,ssp_b,present\nS1,S99,1\n")
+        out = tmp_path / "results"
+        code = run_cli("run", "--scenario", pair_file, "--anm", "file", "--anm-file", str(anm_file), "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "'S99'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_map_file_counts_every_scenario_ssp(self, tmp_path):
+        # the map links S01 and S02 only; S03 stands alone, so two components
+        scenario = tmp_path / "s3.json"
+        assert run_cli(
+            "gen", "--ssps", "3", "--consumers", "2", "--producers", "1", "--seed", "4", "--out", str(scenario)
+        ) == EXIT_OK
+        anm_file = tmp_path / "anm.csv"
+        anm_file.write_text("ssp_a,ssp_b,present\nS01,S02,1\n")
+        out = tmp_path / "results"
+        code = run_cli("run", "--scenario", str(scenario), "--anm", "file", "--anm-file", str(anm_file), "--out", str(out))
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["coalitions"] == 2
+        assert set(summary["per_ssp"]) == {"S01", "S02", "S03"}
 
     def test_json_flag_prints_summary(self, tmp_path, worked_file, capsys):
         out = tmp_path / "results"
@@ -296,6 +348,28 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert run_cli("report", str(empty)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text,detail",
+        [("{ not json", "unreadable summary.json"), ('{"iterations": 3}', "lacks coalitions"), ("[]", "lacks an object")],
+        ids=["not-json", "missing-keys", "not-an-object"],
+    )
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, text, detail):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        assert run_cli("report", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert detail in err
+        assert "Traceback" not in err
+
+    def test_summary_without_final_utility_exits_2(self, tmp_path, pair_file, capsys):
+        out = self.make_run(tmp_path, pair_file, "r1")
+        summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
+        del summary["final_utility_kwh"]
+        (tmp_path / "r1" / "summary.json").write_text(json.dumps(summary))
+        assert run_cli("report", out) == EXIT_CONFIG
+        assert "lacks final_utility_kwh" in capsys.readouterr().err
 
 
 class TestCalibrate:

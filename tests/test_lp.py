@@ -23,27 +23,28 @@ from tests.oracles import OracleSizeError, assert_standardised_alike, brute_forc
 
 def test_single_variable_minimum():
     lp = LinearProgram()
-    lp.add_variable("x", 3.0, 10.0, cost=1.0)
+    x = lp.add_variable("x", 3.0, 10.0, cost=1.0)
     solution = solve_lp(lp)
     assert solution.status is LpStatus.OPTIMAL
-    assert solution.values["x"] == pytest.approx(3.0, abs=1e-9)
+    assert solution.values[x] == pytest.approx(3.0, abs=1e-9)
     assert solution.objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_symmetric_vertex_resolved_by_index():
     lp = LinearProgram()
-    lp.add_variable("x", cost=-1.0)
-    lp.add_variable("y", cost=-1.0)
-    lp.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0)
+    x = lp.add_variable("x", cost=-1.0)
+    y = lp.add_variable("y", cost=-1.0)
+    assert (x, y) == (0, 1)
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
     solution = solve_lp(lp)
     assert solution.objective == pytest.approx(-1.0, abs=1e-9)
-    assert (solution.values["x"], solution.values["y"]) == (1.0, 0.0)
+    assert solution.values == [1.0, 0.0]
 
 
 def test_infeasible_program_detected_by_both_routes():
     lp = LinearProgram()
-    lp.add_variable("x", 0.0, 5.0)
-    lp.add_constraint({"x": 1.0}, ">=", 7.0)
+    x = lp.add_variable("x", 0.0, 5.0)
+    lp.add_constraint({x: 1.0}, ">=", 7.0)
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
     assert brute_force_verify(lp, 0.5) == math.inf
 
@@ -57,9 +58,9 @@ def test_unbounded_objective_is_reported_not_clipped():
 @pytest.mark.parametrize("upper", [math.inf, 4.0], ids=["free", "upper-only"])
 def test_variable_without_finite_lower_bound_is_rejected(upper):
     lp = LinearProgram()
-    lp.add_variable("y", 0.0, 4.0)
-    lp.add_variable("x", -math.inf, upper, cost=1.0)
-    lp.add_constraint({"x": 1.0, "y": 1.0}, "=", 2.0)
+    y = lp.add_variable("y", 0.0, 4.0)
+    x = lp.add_variable("x", -math.inf, upper, cost=1.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
     with pytest.raises(LpFormatError, match="'x'.*lower bound"):
         solve_lp(lp)
 
@@ -67,11 +68,11 @@ def test_variable_without_finite_lower_bound_is_rejected(upper):
 def test_transport_toy_matches_oracle():
     # one supply of 5 split across demands of 2 and 3, served kWh rewarded
     lp = LinearProgram()
-    lp.add_variable("x1", 0.0, 5.0, cost=-1.0)
-    lp.add_variable("x2", 0.0, 5.0, cost=-1.0)
-    lp.add_constraint({"x1": 1.0, "x2": 1.0}, "<=", 5.0)
-    lp.add_constraint({"x1": 1.0}, "<=", 2.0)
-    lp.add_constraint({"x2": 1.0}, "<=", 3.0)
+    x1 = lp.add_variable("x1", 0.0, 5.0, cost=-1.0)
+    x2 = lp.add_variable("x2", 0.0, 5.0, cost=-1.0)
+    lp.add_constraint({x1: 1.0, x2: 1.0}, "<=", 5.0)
+    lp.add_constraint({x1: 1.0}, "<=", 2.0)
+    lp.add_constraint({x2: 1.0}, "<=", 3.0)
     solution = solve_lp(lp)
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective == pytest.approx(oracle, abs=1e-6)
@@ -79,8 +80,8 @@ def test_transport_toy_matches_oracle():
 
 def test_oracle_never_beats_solver_on_coarse_grid():
     lp = LinearProgram()
-    lp.add_variable("x", 0.0, 2.0, cost=1.0)
-    lp.add_constraint({"x": 1.0}, ">=", 0.3)
+    x = lp.add_variable("x", 0.0, 2.0, cost=1.0)
+    lp.add_constraint({x: 1.0}, ">=", 0.3)
     solution = solve_lp(lp)
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective <= oracle + 1e-6
@@ -100,12 +101,6 @@ def test_oracle_refuses_oversized_grids():
 
 
 def test_validate_program_names_offenders():
-    lp = LinearProgram()
-    lp.add_variable("x")
-    lp.add_variable("x")
-    with pytest.raises(LpFormatError, match="'x'"):
-        validate_program(lp)
-
     lp2 = LinearProgram()
     lp2.add_variable("a", 2.0, 1.0)
     with pytest.raises(LpFormatError, match="'a'"):
@@ -113,23 +108,48 @@ def test_validate_program_names_offenders():
 
     lp3 = LinearProgram()
     lp3.add_variable("a")
-    lp3.add_constraint({"ghost": 1.0}, "<=", 1.0, name="cap")
+    lp3.add_constraint({3: 1.0}, "<=", 1.0, name="cap")
     with pytest.raises(LpFormatError, match="cap"):
         validate_program(lp3)
 
     lp4 = LinearProgram()
-    lp4.add_variable("a")
-    lp4.add_constraint({"a": 1.0}, "!!", 1.0)
+    a = lp4.add_variable("a")
+    lp4.add_constraint({a: 1.0}, "!!", 1.0)
     with pytest.raises(LpFormatError, match="relation"):
         validate_program(lp4)
 
 
+def test_names_are_labels_not_identities():
+    # two columns may share a label; each is its own column
+    lp = LinearProgram()
+    first = lp.add_variable("x", 0.0, 1.0, cost=-1.0)
+    second = lp.add_variable("x", 0.0, 2.0, cost=-1.0)
+    assert solve_lp(lp).values == [1.0, 2.0]
+    assert (first, second) == (0, 1)
+
+
+@pytest.mark.parametrize("key", [1.5, -1, 2, "y", True], ids=["float", "negative", "len-variables", "name", "bool"])
+@pytest.mark.parametrize("where", ["objective", "cap"])
+def test_validate_program_rejects_a_key_that_is_not_a_column(key, where):
+    # numpy indexing would truncate 1.5 to column 1 and wrap -1 to the last column
+    lp = LinearProgram()
+    x = lp.add_variable("x")
+    y = lp.add_variable("y")
+    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0, name="ok")
+    target = lp.objective if where == "objective" else {}
+    target.update({x: 1.0, key: 1.0})
+    if where == "cap":
+        lp.add_constraint(target, "<=", 1.0, name="cap")
+    with pytest.raises(LpFormatError, match=rf"^{where}: key {key!r} is not a column"):
+        validate_program(lp)
+
+
 def test_repeated_solves_are_bit_identical():
     lp = LinearProgram()
-    lp.add_variable("x", 0.0, 9.0, cost=-2.0)
-    lp.add_variable("y", 0.0, 9.0, cost=-3.0)
-    lp.add_constraint({"x": 2.0, "y": 1.0}, "<=", 10.0)
-    lp.add_constraint({"x": 1.0, "y": 3.0}, "<=", 15.0)
+    x = lp.add_variable("x", 0.0, 9.0, cost=-2.0)
+    y = lp.add_variable("y", 0.0, 9.0, cost=-3.0)
+    lp.add_constraint({x: 2.0, y: 1.0}, "<=", 10.0)
+    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
     first = solve_lp(lp)
     second = solve_lp(lp)
     assert first == second
@@ -137,10 +157,10 @@ def test_repeated_solves_are_bit_identical():
 
 def test_optimal_solutions_pass_independent_residual_check():
     lp = LinearProgram()
-    lp.add_variable("x", 0.0, 9.0, cost=1.0)
-    lp.add_variable("y", -3.0, 9.0, cost=1.0)
-    lp.add_constraint({"x": 1.0, "y": 2.0}, ">=", 4.0, name="floor")
-    lp.add_constraint({"x": 1.0, "y": -1.0}, "<=", 6.0)
+    x = lp.add_variable("x", 0.0, 9.0, cost=1.0)
+    y = lp.add_variable("y", -3.0, 9.0, cost=1.0)
+    lp.add_constraint({x: 1.0, y: 2.0}, ">=", 4.0, name="floor")
+    lp.add_constraint({x: 1.0, y: -1.0}, "<=", 6.0)
     solution = solve_lp(lp)
     residuals = constraint_residuals(lp, solution.values)
     assert max(residuals.values()) < 1e-6
@@ -154,7 +174,7 @@ def tiny_programs(draw):
     for k in range(n_vars):
         lp.add_variable(f"v{k}", 0.0, 2.0, cost=float(draw(st.integers(-3, 3))))
     for _ in range(draw(st.integers(1, 3))):
-        coeffs = {f"v{k}": float(draw(st.integers(-2, 2))) for k in range(n_vars)}
+        coeffs = {k: float(draw(st.integers(-2, 2))) for k in range(n_vars)}
         relation = draw(st.sampled_from(["<=", ">=", "="]))
         rhs = float(draw(st.integers(0, 4)))
         lp.add_constraint(coeffs, relation, rhs)
@@ -177,17 +197,17 @@ def test_solver_feasibility_and_oracle_dominance(lp):
 def bounded_at_optimum() -> tuple[_Simplex, int]:
     """A solved simplex whose x sits at its upper bound 2, and x's basis row."""
     lp = LinearProgram()
-    lp.add_variable("x", 0.0, 2.0, cost=-1.0)
+    x = lp.add_variable("x", 0.0, 2.0, cost=-1.0)
     simplex = _Simplex(lp)
-    assert simplex.solve().values["x"] == 2.0
-    row = int(np.flatnonzero(simplex.basis == 0)[0])  # x is standard column 0
+    assert simplex.solve().values[x] == 2.0
+    row = int(np.flatnonzero(simplex.basis == x)[0])  # column k is standard column k
     return simplex, row
 
 
 def test_extract_clamps_drift_within_tolerance():
     simplex, row = bounded_at_optimum()
     simplex.xb[row] += FEAS_TOL / 10
-    assert simplex._extract().values["x"] == 2.0
+    assert simplex._extract().values == [2.0]
 
 
 def test_extract_refuses_drift_beyond_tolerance():
@@ -207,19 +227,18 @@ def standard_form_programs(draw):
     without an upper bound; rows of every relation with negative, signed-zero
     and positive rhs and zero coefficients."""
     n_vars = draw(st.integers(1, 6))
-    names = [f"x{k}" for k in range(n_vars)]
     lp = LinearProgram()
-    for name in names:
+    for k in range(n_vars):
         lower = draw(FINITE)
         upper = lower + draw(st.sampled_from([0.0, 1.0, 2.5, math.inf]))
-        lp.add_variable(name, lower, upper)
+        col = lp.add_variable(f"x{k}", lower, upper)
         if draw(st.booleans()):
-            lp.objective[name] = draw(COEFFICIENTS)  # signed zeros too, which add_variable drops
+            lp.objective[col] = draw(COEFFICIENTS)  # signed zeros too, which add_variable drops
     for _ in range(draw(st.integers(0, 5))):
-        row = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n_vars, unique=True))
+        row = draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=n_vars, unique=True))
         relation = draw(st.sampled_from(["<=", "=", ">="]))
         rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
-        lp.add_constraint({name: draw(COEFFICIENTS) for name in row}, relation, rhs)
+        lp.add_constraint({col: draw(COEFFICIENTS) for col in row}, relation, rhs)
     return lp
 
 

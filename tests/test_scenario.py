@@ -90,6 +90,10 @@ class TestGenerate:
                 spec = GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, **{name: value})
                 with pytest.raises(GeneratorSpecError, match=name):
                     generate_scenario(spec)
+        for seed in (-1, 2**63):
+            with pytest.raises(GeneratorSpecError, match="seed"):
+                generate_scenario(GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, seed=seed))
+        generate_scenario(GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, seed=2**63 - 1))
 
 
 class TestPersistence:
@@ -97,6 +101,12 @@ class TestPersistence:
         first = scenario_to_json(generate_scenario(STUDY1))
         second = scenario_to_json(generate_scenario(STUDY1))
         assert first == second
+
+    def test_file_is_compact_json(self):
+        # an indent would send json to its pure-Python encoder
+        text = scenario_to_json(generate_scenario(STUDY1))
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert ", " not in text and ": " not in text
 
     def test_round_trip_identity(self, tmp_path):
         scenario = generate_scenario(STUDY2)
