@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .coalition import anm_from_csv, form_coalitions, map_from_coalitions, meshed_map
+from .coalition import ActualNeighborhoodMap, anm_from_csv, form_coalitions, map_from_coalitions, meshed_map
 from .model import UTILITY_ID, energy_status, validate_scenario
 from .protocol import (
     CalibrationError,
@@ -117,13 +117,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_anm(args: argparse.Namespace, scenario) -> tuple:
+def _resolve_anm(args: argparse.Namespace, scenario) -> ActualNeighborhoodMap:
     if args.anm == "meshed":
-        return meshed_map(scenario.ssp_ids), None
+        return meshed_map(scenario.ssp_ids)
     if args.anm == "coalition":
         statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
-        coalitions = form_coalitions(statuses, args.max_group_size)
-        return map_from_coalitions(coalitions), coalitions
+        return map_from_coalitions(form_coalitions(statuses, args.max_group_size))
     if not args.anm_file:
         raise ScenarioFormatError("--anm file requires --anm-file")
     with open(args.anm_file, "r", encoding="utf-8") as fh:
@@ -132,7 +131,7 @@ def _resolve_anm(args: argparse.Namespace, scenario) -> tuple:
     if unknown:
         raise ScenarioFormatError(f"{args.anm_file} names SSP {unknown[0]!r}, which the scenario lacks")
     # an SSP the file leaves out stands alone
-    return replace(anm, ssp_ids=tuple(sorted(scenario.ssp_ids))), None
+    return replace(anm, ssp_ids=tuple(sorted(scenario.ssp_ids)))
 
 
 def _weight_overrides(args: argparse.Namespace, weights):
@@ -161,9 +160,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"invalid scenario: {v}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        anm, coalitions = _resolve_anm(args, scenario)
+        anm = _resolve_anm(args, scenario)
     except (OSError, ValueError) as exc:
         print(f"cannot resolve neighborhood map: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write results directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
@@ -178,7 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "initial_abs_status_kwh": result.initial_abs_status_kwh,
         "final_utility_kwh": result.final_utility_kwh,
         "iterations": result.iterations,
-        "coalitions": len(coalitions.groups) if coalitions is not None else anm.component_count(),
+        "coalitions": anm.component_count(),
         "per_ssp": {
             ssp_id: {
                 "initial_abs_status_kwh": result.per_ssp_initial[ssp_id],
@@ -188,7 +192,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     }
     try:
-        os.makedirs(out_dir, exist_ok=True)
         _write(out_dir, "commitments.csv", _commitments_csv(result))
         _write(out_dir, "convergence.csv", trace_to_csv(result.trace))
         _write(out_dir, "messages.csv", messages_to_csv(result.log))
@@ -244,6 +247,24 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _summary_problem(summary: object) -> str | None:
+    """Why ``report`` cannot tabulate a loaded summary.json, or None when it can."""
+    if not isinstance(summary, dict):
+        return "lacks an object"
+    missing = sorted(SUMMARY_KEYS - set(summary))
+    if missing:
+        return f"lacks {missing[0]}"
+    for key in ("final_utility_kwh", "iterations", "coalitions"):
+        if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
+            return f"has {key} = {summary[key]!r}, not a number"
+    if not isinstance(summary["per_ssp"], dict):
+        return f"has per_ssp = {summary['per_ssp']!r}, not an object"
+    for ssp_id, per in summary["per_ssp"].items():
+        if not isinstance(per, dict):
+            return f"has per_ssp.{ssp_id} = {per!r}, not an object"
+    return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     summaries = []
     for path in args.results:
@@ -257,9 +278,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"unreadable summary.json in {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        missing = sorted(SUMMARY_KEYS - set(summary)) if isinstance(summary, dict) else ["an object"]
-        if missing:
-            print(f"summary.json in {path} lacks {missing[0]}", file=sys.stderr)
+        problem = _summary_problem(summary)
+        if problem:
+            print(f"summary.json in {path} {problem}", file=sys.stderr)
             return EXIT_CONFIG
         summaries.append((path, summary))
 

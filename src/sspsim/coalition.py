@@ -62,17 +62,17 @@ class ActualNeighborhoodMap:
         return _pair(a, b) in self.edges
 
     def component_count(self) -> int:
-        remaining = set(self.ssp_ids)
-        count = 0
-        while remaining:
+        neighbours: dict[str, list[str]] = {}
+        for a, b in (*self.edges, *(edge[::-1] for edge in self.edges)):
+            neighbours.setdefault(a, []).append(b)
+        unseen, count = set(self.ssp_ids), 0
+        while unseen:
             count += 1
-            stack = [sorted(remaining)[0]]
+            stack = [unseen.pop()]
             while stack:
-                node = stack.pop()
-                if node not in remaining:
-                    continue
-                remaining.remove(node)
-                stack.extend(n for n in remaining if self.connected(node, n))
+                reached = unseen.intersection(neighbours.get(stack.pop(), ()))
+                unseen -= reached
+                stack.extend(reached)
         return count
 
 

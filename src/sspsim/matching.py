@@ -1,9 +1,9 @@
 """Build and solve one SSP's matching LP, plus aggregates and the centralized baseline.
 
 The LP decides cm(i, j) placements from local producers and partner SSPs to
-local consumers, per-consumer Utility purchases cm(i, U), sell-back slots
-cm(U, j) and the flexibility factors of passive subscribers. Minimised
-objective, per chosen weights:
+local consumers, per-consumer Utility purchases cm(i, U) and the flexibility
+factors of passive subscribers; sell-backs cm(U, j), the production nobody
+takes, are derived after the solve. Minimised objective, per chosen weights:
 
 * reward every placed kWh by w14 * Pr(i) plus w35 times a preference factor
   that decreases with the consumer's rank of the supplier,
@@ -12,11 +12,11 @@ objective, per chosen weights:
   just above the largest placement reward, so flexibility is activated only
   when it avoids Utility interaction, never to overfill flexible demand.
 
-Constraints: per-producer supply caps (sell-backs share the budget), the
-per-consumer demand window fx(i)*Dc(i) <= served <= Dc(i), flexibility bounds,
-optional per-pair line bounds and, inside the protocol, a reservation row that
-keeps already-exported energy deliverable. Utility purchase columns are
-unbounded above, which makes every instance feasible.
+Constraints: per-producer supply caps, the per-consumer demand window
+fx(i)*Dc(i) <= served <= Dc(i), flexibility bounds, optional per-pair line
+bounds and, inside the protocol, a reservation row that keeps already-exported
+energy deliverable. Utility purchase columns are unbounded above, which makes
+every instance feasible.
 """
 
 from __future__ import annotations
@@ -123,12 +123,13 @@ class PairTable:
     Built once per (subscribers, partner list, weights, lines); an agent keeps
     its own and hands it to every re-solve. It holds the local cm columns
     (``local``: per consumer, those of its connected local producers in
-    producer order, with rewards and line bounds); the ``purchases``,
-    ``sell_backs``, ``cuts`` and ``stretches`` variables; and ``beta``, the
-    additive-mode ``offset`` and the ``stretch_penalty``, which depend on the
-    rank of every partner, live or not. Partner columns are made per solve,
-    for the partners that advertise capacity: kept for every partner, they
-    would cost memory in proportion to consumers x partners.
+    producer order, with rewards and line bounds); the ``purchases``, ``cuts``
+    and ``stretches`` variables (sell-backs have none: they are derived from
+    the solution); and ``beta``, the additive-mode ``offset`` and the
+    ``stretch_penalty``, which depend on the rank of every partner, live or
+    not. Partner columns are made per solve, for the partners that advertise
+    capacity: kept for every partner, they would cost memory in proportion to
+    consumers x partners.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -176,7 +177,6 @@ class PairTable:
         # fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
         # (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
         self.purchases = [LpVariable(f"cm[{c.id}][U]", *self._line_bounds(c.id, UTILITY_ID)) for c in view.consumers]
-        self.sell_backs = [LpVariable(f"cm[U][{p.id}]", *self._line_bounds(UTILITY_ID, p.id)) for p in view.producers]
         self.cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in view.consumers if c.bound > 0.0}
         self.stretches = {
             p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in view.producers if p.bound > 0.0
@@ -225,10 +225,11 @@ def _build(
     """The view's matching LP, built in one pass over its column positions.
 
     Columns: the cm columns consumer-major (local producers, then live
-    partners), purchases, sell-backs, cuts, local stretches, then the stretches
-    of live partners with a bound. Rows: supply per local producer and live
-    partner, demand per consumer, then the export reservation. The pass that
-    appends the cm columns fills the supply and demand rows.
+    partners), purchases, cuts, local stretches, then the stretches of live
+    partners with a bound. Rows: supply per local producer and live partner,
+    demand per consumer, then the export reservation. The pass that appends
+    the cm columns fills the supply and demand rows. Sell-backs get no
+    column: ``solve_dist_matching`` derives them from the placements.
 
     ``table`` must come from a view with the same subscribers and partner list
     and from the same weights and lines; without one it is computed here. Both
@@ -241,8 +242,7 @@ def _build(
     offered = [table.partner_columns(p) for p in live]
     n_cm = table.n_local + len(view.consumers) * len(live)
     purchase_cols = range(n_cm, n_cm + len(view.consumers))
-    sell_start = purchase_cols.stop
-    cut_start = sell_start + len(view.producers)
+    cut_start = purchase_cols.stop
     cut_cols = {consumer_id: cut_start + k for k, consumer_id in enumerate(table.cuts)}
     stretch_cols = {producer_id: cut_start + len(cut_cols) + k for k, producer_id in enumerate(table.stretches)}
     info = _BuildInfo([], purchase_cols, cut_cols, stretch_cols, live, table.offset)
@@ -281,11 +281,10 @@ def _build(
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
         demand_rows.append((served, max(rhs, 0.0), f"demand[{consumer.id}]"))
     lp.variables += [var for _, var, _ in info.cm_columns]
-    lp.variables += [*table.purchases, *table.sell_backs, *table.cuts.values(), *table.stretches.values()]
+    lp.variables += [*table.purchases, *table.cuts.values(), *table.stretches.values()]
 
-    for j, producer in enumerate(view.producers):
+    for producer in view.producers:
         coeffs = supplied[producer.id]
-        coeffs[sell_start + j] = 1.0
         if producer.id in stretch_cols:
             coeffs[stretch_cols[producer.id]] = -1.0
         lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")

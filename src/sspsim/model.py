@@ -263,7 +263,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 for name, value in (("min_kwh", lc.min_kwh), ("max_kwh", lc.max_kwh))
                 if math.isnan(value) or (name == "min_kwh" and value == math.inf)
             ]
-            if undefined:
+            if lc.row_id == UTILITY_ID:
+                # a sell-back is the production nobody takes, not a decision
+                out.append(Violation(pair, "line-not-sell-back", "sell-backs cm(U, j) are derived and take no bound"))
+            elif undefined:
                 out.append(Violation(pair, "line-bound-defined", ", ".join(undefined)))
             elif lc.min_kwh > lc.max_kwh:
                 out.append(Violation(pair, "line-bounds-ordered", f"min {lc.min_kwh} > max {lc.max_kwh}"))

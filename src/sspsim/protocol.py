@@ -253,7 +253,6 @@ def run_engine(
     iterations = 0
     rounds = 0
     pending = {s: True for s in ssp_ids}
-    offers_pending = {s: False for s in ssp_ids}
 
     def accumulated_utility() -> float:
         return sum(agents[s].utility_kwh() for s in ssp_ids)
@@ -284,7 +283,6 @@ def run_engine(
                 agents[src].register_export(dst, claimed)
             record_iteration()
             pending[dst] = True
-            offers_pending[dst] = True
         log.append(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
         return claimed
 
@@ -306,12 +304,12 @@ def run_engine(
             if not pending[ssp_id]:
                 continue
             pending[ssp_id] = False
-            improved = agents[ssp_id].solve_and_accept()
-            if improved:
+            # a pending agent has a newly accepted solution to offer from:
+            # this solve is its first (best_solution starts at +inf), or
+            # deliver accepted one since the agent last offered
+            if agents[ssp_id].solve_and_accept():
                 record_iteration()
-            if improved or offers_pending[ssp_id]:
-                offers_pending[ssp_id] = False
-                emit_offers(ssp_id, rounds)
+            emit_offers(ssp_id, rounds)
 
     per_ssp_final = {s: agents[s].utility_kwh() for s in ssp_ids}
     return MatchingResult(

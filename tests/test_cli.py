@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import sspsim.cli
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from sspsim.lp import _Simplex
 from sspsim.scenario import load_scenario, save_scenario
@@ -176,6 +177,17 @@ class TestRun:
         assert "Traceback" not in err
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("below", ["", "results"], ids=["a-file", "under-a-file"])
+    def test_unusable_output_path_exits_2_before_the_engine_runs(self, tmp_path, worked_file, monkeypatch, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        calls = []
+        monkeypatch.setattr(sspsim.cli, "run_engine", lambda *args, **kwargs: calls.append(args))
+        code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(taken / below))
+        assert code == EXIT_CONFIG
+        assert "cannot write results directory" in capsys.readouterr().err
+        assert calls == []
+
     def test_map_file_naming_an_unknown_ssp_exits_2(self, tmp_path, pair_file, capsys):
         anm_file = tmp_path / "anm.csv"
         anm_file.write_text("ssp_a,ssp_b,present\nS1,S99,1\n")
@@ -286,6 +298,19 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_sell_back_line_bound_exits_2(self, tmp_path, worked_file, capsys):
+        with open(worked_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["line_constraints"] = [{"row": "U", "col": "AP1", "min_kwh": 0.0, "max_kwh": 2.0}]
+        scenario = tmp_path / "sell-back.json"
+        scenario.write_text(json.dumps(data))
+        code = run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(U, AP1): line-not-sell-back" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
         scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
@@ -362,6 +387,29 @@ class TestReport:
         err = capsys.readouterr().err
         assert detail in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field,value,detail",
+        [
+            ("per_ssp", {"S1": 5}, "has per_ssp.S1 = 5, not an object"),
+            ("per_ssp", 5, "has per_ssp = 5, not an object"),
+            ("final_utility_kwh", "1.5", "has final_utility_kwh = '1.5', not a number"),
+        ],
+        ids=["per-ssp-entry", "per-ssp", "final-utility"],
+    )
+    def test_mistyped_summary_exits_2_before_printing(self, tmp_path, pair_file, capsys, field, value, detail):
+        # the mistyped run comes second, beside a good one it would be compared with
+        good = self.make_run(tmp_path, pair_file, "good")
+        bad = self.make_run(tmp_path, pair_file, "bad")
+        summary = json.loads((tmp_path / "bad" / "summary.json").read_text())
+        summary[field] = value
+        (tmp_path / "bad" / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run_cli("report", good, bad) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"summary.json in {bad} {detail}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_summary_without_final_utility_exits_2(self, tmp_path, pair_file, capsys):
         out = self.make_run(tmp_path, pair_file, "r1")

@@ -224,6 +224,15 @@ class TestMaps:
         assert meshed_map(ids).component_count() == 1
         assert empty_map(ids).component_count() == 4
 
+    def test_component_count_is_the_group_count_of_a_coalition_map(self):
+        spec = GeneratorSpec(
+            n_ssps=200, consumers_per_ssp=10, producers_per_ssp=5,
+            demand_mean_kwh=12.0, supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
+        )
+        statuses = {cfg.id: energy_status(cfg) for cfg in generate_scenario(spec).ssps}
+        coalitions = form_coalitions(statuses, 4)
+        assert map_from_coalitions(coalitions).component_count() == len(coalitions.groups) == 105
+
     def test_map_from_coalitions_is_blockwise_mesh(self):
         coalitions = CoalitionSet((frozenset({"a", "b", "c"}), frozenset({"d"})))
         anm = map_from_coalitions(coalitions)

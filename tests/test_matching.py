@@ -106,7 +106,7 @@ class TestBuildMatchingLp:
 
     def test_column_and_row_order_is_stable(self):
         # cm columns consumer-major (local producers, then partners with
-        # capacity), then purchases, sell-backs, cuts, stretches; one supply
+        # capacity), then purchases, cuts, stretches; one supply
         # row per producer and live partner, one demand row per consumer, then
         # the export reservation; shown here with every position read as its label
         consumers = (
@@ -132,7 +132,7 @@ class TestBuildMatchingLp:
         assert [(v.name, v.lower, v.upper) for v in lp.variables] == [
             ("cm[c1][p1]", 0.0, inf), ("cm[c1][p2]", 0.0, inf), ("cm[c1][s3]", 0.0, inf),
             ("cm[c2][p2]", 0.0, inf), ("cm[c2][s3]", 0.0, inf),
-            ("cm[c1][U]", 0.5, 100.0), ("cm[c2][U]", 0.0, inf), ("cm[U][p1]", 0.0, inf), ("cm[U][p2]", 0.0, inf),
+            ("cm[c1][U]", 0.5, 100.0), ("cm[c2][U]", 0.0, inf),
             ("cut[c2]", 0.0, 1.0), ("stretch[p2]", 0.0, 1.0), ("stretch[s3]", 0.0, 0.4),
         ]
         assert [names[k] for k in lp.objective] == [
@@ -140,14 +140,14 @@ class TestBuildMatchingLp:
             "cm[c1][p1]", "cm[c1][p2]", "cm[c1][s3]", "cm[c2][p2]", "cm[c2][s3]",
         ]
         assert [(c.name, [names[k] for k in c.coeffs], c.relation, c.rhs) for c in lp.constraints] == [
-            ("supply[p1]", ["cm[c1][p1]", "cm[U][p1]"], "<=", 3.0),
-            ("supply[p2]", ["cm[c1][p2]", "cm[c2][p2]", "cm[U][p2]", "stretch[p2]"], "<=", 2.0),
+            ("supply[p1]", ["cm[c1][p1]"], "<=", 3.0),
+            ("supply[p2]", ["cm[c1][p2]", "cm[c2][p2]", "stretch[p2]"], "<=", 2.0),
             ("supply[s3]", ["cm[c1][s3]", "cm[c2][s3]", "stretch[s3]"], "<=", 4.0),
             ("demand[c1]", ["cm[c1][p1]", "cm[c1][p2]", "cm[c1][s3]", "cm[c1][U]"], "=", 5.0),
             ("demand[c2]", ["cm[c2][p2]", "cm[c2][s3]", "cm[c2][U]", "cut[c2]"], "=", 2.5),
             (
                 "export-reservation",
-                ["cm[c1][p1]", "cm[U][p1]", "cm[c1][p2]", "cm[c2][p2]", "cm[U][p2]", "stretch[p2]"],
+                ["cm[c1][p1]", "cm[c1][p2]", "cm[c2][p2]", "stretch[p2]"],
                 "<=",
                 4.0,
             ),
@@ -158,7 +158,7 @@ class TestBuildMatchingLp:
         assert [pair for pair, _, _ in info.cm_columns] == [
             ("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3"),
         ]
-        assert (list(info.purchase_cols), info.cut_cols, info.stretch_cols) == ([5, 6], {"c2": 9}, {"p2": 10})
+        assert (list(info.purchase_cols), info.cut_cols, info.stretch_cols) == ([5, 6], {"c2": 7}, {"p2": 8})
 
     def test_line_cap_splits_flow(self):
         consumers = (Subscriber("c1", AC, 5.0, priority=1.0),)
@@ -398,7 +398,7 @@ class TestCalibration:
 
 
 def study2_scenario(seed: int = 7, n_ssps: int = 4) -> Scenario:
-    """Small study-2 shape with passive subscribers and a line bound of every kind."""
+    """Small study-2 shape with passive subscribers and a line bound of every valid kind."""
     scenario = generate_scenario(
         GeneratorSpec(
             n_ssps=n_ssps, consumers_per_ssp=6, producers_per_ssp=3,
@@ -410,7 +410,6 @@ def study2_scenario(seed: int = 7, n_ssps: int = 4) -> Scenario:
         LineConstraint("S01.C01", "S01.P02", 0.0, 2.0),
         LineConstraint("S02.C03", "S01", 0.0, 1.5),
         LineConstraint("S03.C02", UTILITY_ID, 0.5, 100.0),
-        LineConstraint(UTILITY_ID, "S04.P01", 0.0, 3.0),
     ))
     return replace(scenario, line_constraints=lines)
 
@@ -465,12 +464,24 @@ class TestPairTable:
         for lp in programs:
             assert_standardised_alike(lp)
 
+    def test_no_program_has_a_sell_back_column(self, monkeypatch):
+        # a sell-back is the production nobody takes: derived, never decided
+        scenario = study2_scenario()
+        programs = []
+        solve = sspsim.matching.solve_lp
+        monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+        result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+        solve_centralized(scenario)
+        assert len(programs) > len(scenario.ssps)
+        assert not [v.name for lp in programs for v in lp.variables if v.name.startswith(f"cm[{UTILITY_ID}]")]
+        assert sum(cm.sell_backs() for cm in result.commitments.values()) > 0.0
+
 
 @st.composite
 def matching_programs(draw):
     """A generated SSP's matching LP with live partners, locked imports and exports."""
     n_partners = draw(st.integers(0, 5))
-    consumers = draw(st.integers(3, 14))
+    consumers = draw(st.integers(4, 14))
     producers = draw(st.integers(2, 8))
     scenario = generate_scenario(
         GeneratorSpec(

@@ -98,6 +98,13 @@ class TestValidateScenario:
         bad = replace(scenario_of(small_ssp()), line_constraints=lines)
         assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [("(c1, p1)", "line-unique")]
 
+    @pytest.mark.parametrize("min_kwh,max_kwh", [(0.0, 2.0), (0.0, float("inf"))])
+    def test_sell_back_line_bound_is_named(self, min_kwh, max_kwh):
+        # nothing decides a sell-back, so no bound on one could be kept
+        lines = LineConstraintSet((LineConstraint(UTILITY_ID, "p1", min_kwh, max_kwh),))
+        bad = replace(scenario_of(small_ssp()), line_constraints=lines)
+        assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [("(U, p1)", "line-not-sell-back")]
+
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
     def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
         lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))

@@ -201,6 +201,21 @@ class TestRunEngine:
         with pytest.raises(InvalidScenarioError, match=r"\(AC1, AP1\): line-unique"):
             run_engine(broken, meshed_map(broken.ssp_ids))
 
+    def test_sell_back_line_bound_rejected(self):
+        # with P1 at 10 kWh and C1 at 4 kWh, 6 kWh go back to the Utility
+        # whatever bound cm(U, S1.P1) names
+        s1 = SSPConfig(
+            "S1",
+            (Subscriber("S1.C1", AC, 4.0, priority=1.0),),
+            (Subscriber("S1.P1", AP, 10.0),),
+            PreferenceTable({"S1.C1": {"S1.P1": 1}}),
+        )
+        rows = {"S1.C1": {"S1.P1": 1, UTILITY_ID: 1}}
+        lines = LineConstraintSet((LineConstraint(UTILITY_ID, "S1.P1", 0.0, 2.0),))
+        broken = Scenario((s1,), ConnectivityMatrix(rows), MatchingWeights(), lines, 0)
+        with pytest.raises(InvalidScenarioError, match=r"\(U, S1.P1\): line-not-sell-back"):
+            run_engine(broken, meshed_map(broken.ssp_ids))
+
     def test_exporter_that_also_imports_keeps_reservations(self):
         # S1's consumer cannot reach its own producer, so S1 both exports
         # surplus and imports for its demand; exported energy must stay
