@@ -292,7 +292,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path, _ in summaries:
         header.extend([f"{path}:initial", f"{path}:final"])
     print("\t".join(header))
-    ssp_ids = sorted(summaries[0][1]["per_ssp"])
+    # every SSP of every run; a run without it leaves its cells blank
+    ssp_ids = sorted(set().union(*(summary["per_ssp"] for _, summary in summaries)))
     for ssp_id in ssp_ids:
         row = [ssp_id]
         for _, summary in summaries:

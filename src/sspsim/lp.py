@@ -21,6 +21,16 @@ and no MILP (binary connectivity is data, never a decision variable).
 A column is known by its position: ``add_variable`` returns it, the objective
 and every row are keyed by it, and a solution lists one value per column in
 column order. Variable and row names are labels, used only in messages.
+
+An optimal solution also carries ``duals``, one per row of ``constraints`` in
+row order: y = c_B B^-1 at the phase-2 optimum, mapped back through the row
+negations and crash scalings of the standard form. They keep the sign
+convention of a minimisation (at most 0 on a ``<=`` row, at least 0 on a
+``>=`` row), and a row dropped as redundant gets 0. With reduced costs
+rc_j = c_j - sum_r y_r a_rj over these rows alone, the objective equals
+sum_r y_r b_r + sum_j (l_j max(rc_j, 0) + u_j min(rc_j, 0)); an upper bound
+acts as the bound-row dual min(rc_j, 0), so a column with u_j = +inf has
+rc_j >= 0.
 """
 
 from __future__ import annotations
@@ -91,6 +101,7 @@ class LpSolution:
     status: LpStatus
     values: list[float]  # one per column, in column order
     objective: float
+    duals: list[float]  # one per row of ``constraints``, in row order; all 0 unless optimal
 
 
 def validate_program(lp: LinearProgram) -> None:
@@ -126,7 +137,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
     if not lp.variables:
-        return LpSolution(LpStatus.OPTIMAL, [], 0.0)
+        return LpSolution(LpStatus.OPTIMAL, [], 0.0, [0.0] * len(lp.constraints))
     return _Simplex(lp).solve()
 
 
@@ -138,11 +149,16 @@ class _Simplex:
     equalities with slack columns. A crash pass seats any positive singleton
     column as a row's starting basis; only rows left without one get an
     artificial column minimised in phase 1.
+
+    Standard row i is original row i (constraints, then bound rows) divided
+    by ``row_divisor[i]``; ``row_ids`` names the original row of each row
+    still in the matrix, as phase 1 may drop redundant ones.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._standardise()
+        self.row_ids = np.arange(self.a.shape[0])
 
     def _standardise(self) -> None:
         lp = self.lp
@@ -215,6 +231,7 @@ class _Simplex:
         for i in np.flatnonzero(divisor != 1.0):
             a[i, :n_real] /= divisor[i]
         a[art_rows, self.art_cols] = 1.0
+        self.row_divisor = divisor
 
         self.a = a
         self.b = b
@@ -235,13 +252,16 @@ class _Simplex:
             if status is LpStatus.UNBOUNDED:
                 raise ArithmeticError("phase-1 objective cannot be unbounded")
             if objective > 1e-7:
-                return LpSolution(LpStatus.INFEASIBLE, [0.0] * len(self.lp.variables), math.inf)
+                return self._failed(LpStatus.INFEASIBLE, math.inf)
             self._drive_out_artificials()
 
         status, _ = self._iterate(self.cost, allowed=self.n_real)
         if status is LpStatus.UNBOUNDED:
-            return LpSolution(LpStatus.UNBOUNDED, [0.0] * len(self.lp.variables), -math.inf)
+            return self._failed(LpStatus.UNBOUNDED, -math.inf)
         return self._extract()
+
+    def _failed(self, status: LpStatus, objective: float) -> LpSolution:
+        return LpSolution(status, [0.0] * len(self.lp.variables), objective, [0.0] * len(self.lp.constraints))
 
     def _refactorize(self) -> None:
         self.binv = np.linalg.inv(self.a[:, self.basis])
@@ -326,6 +346,7 @@ class _Simplex:
             self.a = np.asfortranarray(self.a[keep])
             self.b = self.b[keep]
             self.basis = self.basis[keep]
+            self.row_ids = self.row_ids[keep]
             self._refactorize()
 
     def _extract(self) -> LpSolution:
@@ -350,7 +371,14 @@ class _Simplex:
                 x = bound
             values.append(float(x))
         objective = sum(c * values[col] for col, c in self.lp.objective.items())
-        return LpSolution(LpStatus.OPTIMAL, values, objective)
+        return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals())
+
+    def _duals(self) -> list[float]:
+        """y = c_B B^-1 per row of ``constraints``, undoing each row's divisor; 0 on a dropped row."""
+        y = self.cost[self.basis] @ self.binv
+        duals = np.zeros(self.row_divisor.size)
+        duals[self.row_ids] = y / self.row_divisor[self.row_ids]
+        return duals[: len(self.lp.constraints)].tolist()
 
 
 def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:

@@ -17,6 +17,12 @@ fx(i)*Dc(i) <= served <= Dc(i), flexibility bounds, optional per-pair line
 bounds and, inside the protocol, a reservation row that keeps already-exported
 energy deliverable. Utility purchase columns are unbounded above, which makes
 every instance feasible.
+
+Besides the matrix, a solve returns the consumers' prices: minus the dual of
+each demand row, i.e. the reward the consumer's marginal kWh earns now (minus
+w2 when the Utility serves it). Only a supplier whose reward beats a price can
+improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
+way (the pricing step of column generation) without building the LP.
 """
 
 from __future__ import annotations
@@ -111,6 +117,7 @@ _Column = tuple[tuple[str, str], LpVariable, float]
 class _BuildInfo:
     cm_columns: list[_Column]  # the cm columns, which come first: column k is cm_columns[k]
     purchase_cols: range  # cm(i, U) of each consumer, in consumer order
+    demand_rows: range  # the demand row of each consumer, in consumer order
     cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
     live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
@@ -205,6 +212,33 @@ class PairTable:
             for consumer_id in self._consumer_ids
         ]
 
+    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
+        """Whether an offer can lower the optimum of the LP whose prices are given by more than ``tol``.
+
+        ``prices`` come from an optimal solve of this view's LP; ``offer`` is
+        (partner id, offered kWh including its flexibility), or None for no
+        new capacity, which cannot lower it. Adding the partner's block (its
+        cm columns, each in its consumer's demand row, and a supply row whose
+        dual is taken as 0) keeps the solve's duals feasible except for the
+        new columns, whose reduced cost is prices[i] - reward(i, q). Weak
+        duality then bounds the new optimum below by the old one minus
+        max_i (reward(i, q) - prices[i])+ times the offered kWh, as the
+        block's columns carry at most that many kWh. The bound holds for
+        every feasible point, but a line with a positive minimum on a
+        (consumer, partner) pair can make the LP infeasible, which only a
+        solve reports: such an offer always needs one.
+        """
+        if offer is None:
+            return False
+        partner_id, kwh = offer
+        gain = 0.0
+        for consumer_id in self._consumer_ids:
+            if self._line_bounds(consumer_id, partner_id)[0] > 0.0:
+                return True
+            reward = self._rank_reward(consumer_id, self._preferences.rank(consumer_id, partner_id))
+            gain = max(gain, reward - prices[consumer_id])
+        return gain * kwh > tol
+
     def reward(self, consumer_id: str, supplier_id: str) -> float:
         """Reward per kWh of the pair; 0 for a pair the view does not have."""
         if consumer_id not in self._priority:
@@ -245,7 +279,9 @@ def _build(
     cut_start = purchase_cols.stop
     cut_cols = {consumer_id: cut_start + k for k, consumer_id in enumerate(table.cuts)}
     stretch_cols = {producer_id: cut_start + len(cut_cols) + k for k, producer_id in enumerate(table.stretches)}
-    info = _BuildInfo([], purchase_cols, cut_cols, stretch_cols, live, table.offset)
+    n_supply = len(view.producers) + len(live)
+    demand_rows = range(n_supply, n_supply + len(view.consumers))
+    info = _BuildInfo([], purchase_cols, demand_rows, cut_cols, stretch_cols, live, table.offset)
 
     lp = LinearProgram()
     if weights.w2 != 0.0:
@@ -325,16 +361,18 @@ def solve_dist_matching(
     locked_imports: dict[str, dict[str, float]] | None = None,
     committed_exports: float = 0.0,
     table: PairTable | None = None,
-) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
-    """Solve the view's matching LP and assemble the commitment matrix.
+) -> tuple[CommitmentMatrix, FlexibilityAssignment, float, dict[str, float]]:
+    """Solve the view's matching LP: (matrix, flexibility, objective, prices).
 
     The Utility row of the returned matrix is the unplaced base production of
     each local producer, net of ``committed_exports`` attributed greedily in
     producer order: day-ahead, declared production that nobody takes is sold
     back. The reported objective folds constant terms (locked imports,
     additive-mode preference constants) so values stay comparable across
-    re-solves of an evolving view. ``table`` is the view's PairTable when the
-    caller keeps one across re-solves (see ``_build``).
+    re-solves of an evolving view. ``prices`` maps each consumer to minus the
+    dual of its demand row: the reward its marginal kWh earns in this
+    solution. ``table`` is the view's PairTable when the caller keeps one
+    across re-solves (see ``_build``).
     """
     lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
     solution = solve_lp(lp)
@@ -380,7 +418,8 @@ def solve_dist_matching(
         consumers={c.id: consumer_fx(c) for c in view.consumers},
         producers={p.id: producer_fx(p) for p in view.producers},
     )
-    return cm, fx, solution.objective + info.objective_offset
+    prices = {c.id: -solution.duals[row] for c, row in zip(view.consumers, info.demand_rows)}
+    return cm, fx, solution.objective + info.objective_offset, prices
 
 
 def attribute_sell_backs(cm: CommitmentMatrix, producers: tuple[Subscriber, ...], exports: float) -> None:
@@ -506,4 +545,5 @@ def solve_centralized(
 ) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
     """Optimality baseline: one global LP over every subscriber of every SSP."""
     weights = weights or scenario.weights
-    return solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
+    cm, fx, objective, _ = solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
+    return cm, fx, objective

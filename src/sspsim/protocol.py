@@ -19,6 +19,31 @@ really was the sender's aggregate surplus at emission time.
 Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
 
+A re-solve that cannot be accepted is skipped; the run is the same as if it
+had been made. An agent keeps the consumer prices (minus the demand-row duals)
+of its last accepted solve, and ``_Agent.solve_and_accept`` returns False
+without building an LP in two cases:
+
+1. No offer, and the agent already holds an accepted solution. Since that
+   acceptance its LP has only lost feasible points: the claimed cells are
+   locked at their accepted values and exports only tighten the reservation
+   row. Its optimum cannot fall below ``best_solution``.
+2. An offer (q, base, bound) that ``PairTable.offer_can_improve`` prices out:
+   no (consumer, q) line has a positive minimum (such a line can make the LP
+   infeasible, and the solve must report that), and
+   max_i (reward(i, q) - prices[i])+ * base * (1 + bound) <= IMPROVE_TOL / 2.
+   The accepted LP plus q's block has the accepted duals, with 0 on q's
+   supply row, as a dual solution that is feasible except for q's columns,
+   whose reduced costs are prices[i] - reward(i, q); so its optimum is at
+   least ``best_solution`` minus that product. The current LP embeds in it
+   (locked cells sit in the columns they were claimed from, and a tighter or
+   new reservation row only removes points), so its exact optimum cannot
+   beat ``best_solution`` by IMPROVE_TOL, the acceptance margin; the other
+   half of the margin absorbs the solver's rounding.
+
+``MatchingResult`` counts the solves made (``lp_solves``) and the offers
+priced out (``offers_priced_out``); neither enters an artifact.
+
 ``calibrate_weights`` tunes the objective weights against whole engine runs.
 """
 
@@ -115,6 +140,8 @@ class MatchingResult:
     final_utility_kwh: float
     per_ssp_initial: dict[str, float]
     per_ssp_final: dict[str, float]
+    lp_solves: int  # matching LPs solved, over all agents
+    offers_priced_out: int  # offers answered without a solve
 
 
 def shuffle_partners(partners: list[str], seed: int, ssp_id: str, round_index: int) -> list[str]:
@@ -132,8 +159,9 @@ class _Agent:
     """One SSP's state: accepted solution, binding import locks, reserved exports.
 
     The agent owns the PairTable of its local LP, built once over its whole
-    partner list, and the Utility interaction of its accepted matrix, kept
-    until the matrix changes (an accepted solve or a registered export).
+    partner list, the consumer prices of its accepted solve, and the Utility
+    interaction of its accepted matrix, kept until the matrix changes (an
+    accepted solve or a registered export).
     """
 
     def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
@@ -144,6 +172,9 @@ class _Agent:
         self.best_solution = float("inf")
         self.cm: CommitmentMatrix | None = None
         self.fx: FlexibilityAssignment | None = None
+        self.prices: dict[str, float] | None = None
+        self.lp_solves = 0
+        self.offers_priced_out = 0
         self.locked: dict[str, dict[str, float]] = {}
         self.exports: dict[str, float] = {}
         self._utility: float | None = None
@@ -167,8 +198,17 @@ class _Agent:
         )
 
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
-        """Re-solve the local LP; adopt the result only on strict improvement."""
-        cm, fx, objective = solve_dist_matching(
+        """Re-solve the local LP; adopt the result only on strict improvement.
+
+        A solve that cannot improve is skipped (see the module docstring)."""
+        if self.prices is not None:
+            offer = None if transient is None else (transient[0], transient[1] * (1.0 + transient[2]))
+            if not self.table.offer_can_improve(self.prices, offer, IMPROVE_TOL / 2):
+                if transient is not None:
+                    self.offers_priced_out += 1
+                return False
+        self.lp_solves += 1
+        cm, fx, objective, prices = solve_dist_matching(
             self._view(transient),
             self.weights,
             self.scenario.line_constraints,
@@ -178,7 +218,7 @@ class _Agent:
         )
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = objective
-            self.cm, self.fx = cm, fx
+            self.cm, self.fx, self.prices = cm, fx, prices
             self._utility = None
             return True
         return False
@@ -306,7 +346,8 @@ def run_engine(
             pending[ssp_id] = False
             # a pending agent has a newly accepted solution to offer from:
             # this solve is its first (best_solution starts at +inf), or
-            # deliver accepted one since the agent last offered
+            # deliver accepted one since the agent last offered and this
+            # call returns False without a solve
             if agents[ssp_id].solve_and_accept():
                 record_iteration()
             emit_offers(ssp_id, rounds)
@@ -323,6 +364,8 @@ def run_engine(
         final_utility_kwh=trace[-1].accumulated_utility_kwh if trace else initial_total,
         per_ssp_initial=per_ssp_initial,
         per_ssp_final=per_ssp_final,
+        lp_solves=sum(agent.lp_solves for agent in agents.values()),
+        offers_priced_out=sum(agent.offers_priced_out for agent in agents.values()),
     )
 
 

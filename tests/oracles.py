@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from sspsim.coalition import CoalitionSet
 from sspsim.lp import (
@@ -72,9 +73,9 @@ class ReferenceSimplex(_Simplex):
 
     One variable, one row and one crash row at a time: the straightforward
     reading of the standard form that ``_Simplex`` builds with array
-    operations. Both must give the same matrix, rhs, cost, crash basis and
-    artificial columns, hence the same pivots and the same solution. Values
-    are clamped into their bounds without a drift check.
+    operations. Both must give the same matrix, rhs, cost, crash basis,
+    artificial columns and row divisors, hence the same pivots, solution and
+    duals. Values are clamped into their bounds without a drift check.
     """
 
     def _standardise(self) -> None:
@@ -113,6 +114,8 @@ class ReferenceSimplex(_Simplex):
         neg = b < 0
         a[neg] *= -1.0
         b[neg] *= -1.0
+        # what each row ends up divided by, for the duals
+        self.row_divisor = np.where(neg, -1.0, 1.0)
 
         # crash basis: any positive singleton column serves as a row's start
         # (its own slack, or e.g. an unbounded purchase variable), which often
@@ -125,6 +128,7 @@ class ReferenceSimplex(_Simplex):
             pick = singles[a[i, singles] > 0.0]
             if pick.size == 0 and b[i] == 0.0 and singles.size:
                 a[i] *= -1.0
+                self.row_divisor[i] *= -1.0
                 pick = singles[a[i, singles] > 0.0]
             if pick.size:
                 j = int(pick[0])
@@ -132,6 +136,7 @@ class ReferenceSimplex(_Simplex):
                 if scale != 1.0:
                     a[i] /= scale
                     b[i] /= scale
+                    self.row_divisor[i] *= scale
                 self.basis[i] = j
         n_art = int(np.sum(self.basis < 0))
         art_cols: list[int] = []
@@ -165,7 +170,13 @@ class ReferenceSimplex(_Simplex):
                 x = min(x, var.upper)
             values.append(float(x))
         objective = sum(c * values[j] for j, c in self.lp.objective.items())
-        return LpSolution(LpStatus.OPTIMAL, values, objective)
+        # y = c_B B^-1, one row at a time back to its original row and scale
+        y = self.cost[self.basis] @ self.binv
+        duals = [0.0] * len(self.lp.constraints)
+        for pos, row in enumerate(self.row_ids.tolist()):
+            if row < len(duals):
+                duals[row] = float(y[pos] / self.row_divisor[row])
+        return LpSolution(LpStatus.OPTIMAL, values, objective, duals)
 
 
 def _outcome(simplex: _Simplex) -> LpSolution | type[Exception]:
@@ -179,15 +190,51 @@ def assert_standardised_alike(lp: LinearProgram) -> None:
     """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and solution.
 
     Arrays must agree in shape, dtype and bytes, so a zero that changed sign
-    counts as a difference; the solutions (or the error raised) must be equal.
+    counts as a difference; the solutions (or the error raised) must be
+    equal, duals included.
     """
     ref, new = ReferenceSimplex(lp), _Simplex(lp)
-    for attr in ("a", "b", "cost", "basis", "art_cols"):
+    for attr in ("a", "b", "cost", "basis", "art_cols", "row_divisor"):
         want, got = getattr(ref, attr), getattr(new, attr)
         assert np.array_equal(want, got), attr
         assert (want.shape, want.dtype) == (got.shape, got.dtype), attr
         assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes(), attr
     assert _outcome(ref) == _outcome(new)
+
+
+def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float = 1e-7) -> None:
+    """The duals of an optimal solution have the right signs and prove its objective.
+
+    Recomputed from the raw program, never from solver internals: y_r <= 0 on
+    a ``<=`` row and y_r >= 0 on a ``>=`` row; with reduced costs
+    rc_j = c_j - sum_r y_r a_rj, a column without an upper bound has
+    rc_j >= 0; and strong duality in bounded form,
+    sum_r y_r b_r + sum_j (l_j max(rc_j, 0) + u_j min(rc_j, 0)) = objective.
+    Tolerances are relative to the size of the terms.
+    """
+    assert solution.status is LpStatus.OPTIMAL
+    duals = solution.duals
+    assert len(duals) == len(lp.constraints)
+    scale = 1.0 + max((abs(y) for y in duals), default=0.0)
+    for row, y in zip(lp.constraints, duals):
+        if row.relation == LESS_EQUAL:
+            assert y <= tol * scale, (row.name, y)
+        elif row.relation == GREATER_EQUAL:
+            assert y >= -tol * scale, (row.name, y)
+    reduced = [lp.objective.get(col, 0.0) for col in range(len(lp.variables))]
+    terms = []
+    for row, y in zip(lp.constraints, duals):
+        terms.append(y * row.rhs)
+        for col, c in row.coeffs.items():
+            reduced[col] -= y * c
+    for var, rc in zip(lp.variables, reduced):
+        if math.isinf(var.upper):
+            assert rc >= -tol * scale, (var.name, rc)
+            terms.append(var.lower * rc)
+        else:
+            terms.append(var.lower * max(rc, 0.0) + var.upper * min(rc, 0.0))
+    bound = math.fsum(terms)
+    assert bound == pytest.approx(solution.objective, rel=tol, abs=tol * (1.0 + sum(map(abs, terms))))
 
 
 def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:

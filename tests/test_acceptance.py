@@ -101,7 +101,7 @@ def worked_view(scenario) -> SspView:
 def test_c01_worked_example_zeroes_the_utility(worked_scenario):
     started = time.perf_counter()
     view = worked_view(worked_scenario)
-    cm, fx, _ = solve_dist_matching(view, worked_scenario.weights)
+    cm, fx, _, _ = solve_dist_matching(view, worked_scenario.weights)
     elapsed = time.perf_counter() - started
 
     assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)

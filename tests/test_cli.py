@@ -369,6 +369,29 @@ class TestReport:
         assert "comparison" in output
         assert f"{run_a} <= {out_b}:\tyes" in output
 
+    def test_every_ssp_of_every_run_gets_a_row(self, tmp_path, capsys):
+        runs = {"a": {"S1": (3.0, 1.0)}, "b": {"S1": (3.0, 0.5), "S2": (2.0, 0.0)}}
+        for name, per_ssp in runs.items():
+            (tmp_path / name).mkdir()
+            summary = {
+                "final_utility_kwh": sum(final for _, final in per_ssp.values()),
+                "iterations": 1,
+                "coalitions": 1,
+                "per_ssp": {
+                    ssp_id: {"initial_abs_status_kwh": initial, "final_utility_kwh": final}
+                    for ssp_id, (initial, final) in per_ssp.items()
+                },
+            }
+            (tmp_path / name / "summary.json").write_text(json.dumps(summary))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        for order in ([a, b], [b, a]):
+            assert run_cli("report", *order) == EXIT_OK
+            rows = {line.split("\t")[0]: line.split("\t")[1:] for line in capsys.readouterr().out.splitlines()}
+            cells = {a: ["3.0", "1.0"], b: ["3.0", "0.5"]}
+            assert rows["S1"] == cells[order[0]] + cells[order[1]]
+            s2 = {a: ["", ""], b: ["2.0", "0.0"]}
+            assert rows["S2"] == s2[order[0]] + s2[order[1]]
+
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

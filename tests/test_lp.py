@@ -18,7 +18,7 @@ from sspsim.lp import (
     validate_program,
     _Simplex,
 )
-from tests.oracles import OracleSizeError, assert_standardised_alike, brute_force_verify
+from tests.oracles import OracleSizeError, assert_dual_certificate, assert_standardised_alike, brute_force_verify
 
 
 def test_single_variable_minimum():
@@ -47,6 +47,44 @@ def test_infeasible_program_detected_by_both_routes():
     lp.add_constraint({x: 1.0}, ">=", 7.0)
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
     assert brute_force_verify(lp, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("relation", ["<=", ">="])
+def test_duals_of_a_textbook_program(relation):
+    # min -2x - 3y over 2x + y <= 10, x + 3y <= 15: optimum (3, 4) at -18,
+    # duals (-3/5, -4/5); written as -2x - y >= -10 (a negated row in the
+    # standard form), the first dual flips sign
+    sign = 1.0 if relation == "<=" else -1.0
+    lp = LinearProgram()
+    x = lp.add_variable("x", cost=-2.0)
+    y = lp.add_variable("y", cost=-3.0)
+    lp.add_constraint({x: 2.0 * sign, y: 1.0 * sign}, relation, 10.0 * sign)
+    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
+    solution = solve_lp(lp)
+    assert solution.values == pytest.approx([3.0, 4.0])
+    assert solution.duals == pytest.approx([-0.6 * sign, -0.8])
+    assert_dual_certificate(lp, solution)
+
+
+def test_redundant_row_dropped_in_phase_one_gets_dual_zero():
+    lp = LinearProgram()
+    x = lp.add_variable("x", cost=1.0)
+    y = lp.add_variable("y", cost=2.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    simplex = _Simplex(lp)
+    solution = simplex.solve()
+    assert len(simplex.row_ids) == 1  # one copy is redundant
+    assert sorted(solution.duals) == [0.0, 1.0]
+    assert_dual_certificate(lp, solution)
+
+
+def test_non_optimal_solutions_carry_zero_duals():
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 5.0)
+    lp.add_constraint({x: 1.0}, ">=", 7.0)
+    lp.add_constraint({x: 1.0}, "<=", 9.0)
+    assert solve_lp(lp).duals == [0.0, 0.0]
 
 
 def test_unbounded_objective_is_reported_not_clipped():
@@ -246,3 +284,11 @@ def standard_form_programs(draw):
 @given(standard_form_programs())
 def test_array_standardisation_matches_the_loop_reference(lp):
     assert_standardised_alike(lp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_form_programs())
+def test_duals_certify_the_optimum(lp):
+    solution = solve_lp(lp)
+    if solution.status is LpStatus.OPTIMAL:
+        assert_dual_certificate(lp, solution)

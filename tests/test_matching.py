@@ -43,7 +43,7 @@ from sspsim.model import (
 from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.oracles import assert_standardised_alike, brute_force_verify
+from tests.oracles import assert_dual_certificate, assert_standardised_alike, brute_force_verify
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 PC = SubscriberKind.PASSIVE_CONSUMER
@@ -75,7 +75,7 @@ def worked_view(demands=(13.5, 18.0, 13.5)) -> SspView:
 
 class TestBuildMatchingLp:
     def test_exact_supply_demand_match(self):
-        cm, fx, _ = solve_dist_matching(simple_view(), MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(simple_view(), MatchingWeights())
         assert cm.get("c1", "p1") == pytest.approx(5.0, abs=1e-9)
         assert cm.get("c1", UTILITY_ID) == pytest.approx(0.0, abs=1e-9)
 
@@ -84,7 +84,7 @@ class TestBuildMatchingLp:
         view = SspView(
             "s1", consumers, (), PreferenceTable({}), ConnectivityMatrix({"c1": {UTILITY_ID: 1}})
         )
-        cm, fx, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert cm.get("c1", UTILITY_ID) == pytest.approx(4.0, abs=1e-9)
         assert fx.consumers["c1"] == 1.0
 
@@ -159,6 +159,7 @@ class TestBuildMatchingLp:
             ("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3"),
         ]
         assert (list(info.purchase_cols), info.cut_cols, info.stretch_cols) == ([5, 6], {"c2": 7}, {"p2": 8})
+        assert [lp.constraints[row].name for row in info.demand_rows] == ["demand[c1]", "demand[c2]"]
 
     def test_line_cap_splits_flow(self):
         consumers = (Subscriber("c1", AC, 5.0, priority=1.0),)
@@ -171,21 +172,21 @@ class TestBuildMatchingLp:
             ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
         )
         lines = LineConstraintSet((LineConstraint("c1", "p1", 0.0, 3.0),))
-        cm, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
+        cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
         assert cm.get("c1", "p1") == pytest.approx(3.0, abs=1e-6)
         assert cm.get("c1", "p2") == pytest.approx(2.0, abs=1e-6)
 
     def test_line_floor_forces_flow(self):
         view = simple_view()
         lines = LineConstraintSet((LineConstraint("c1", UTILITY_ID, 2.0, 9.0),))
-        cm, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
+        cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
         assert cm.get("c1", UTILITY_ID) >= 2.0 - 1e-9
 
 
 class TestWorkedExample:
     def test_zero_utility_and_reduced_demand(self):
         view = worked_view()
-        cm, fx, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
         served = sum(cm.get(c.id, p.id) for c in view.consumers for p in view.producers)
         assert served == pytest.approx(54.6, abs=1e-6)
@@ -197,14 +198,14 @@ class TestWorkedExample:
     def test_split_of_active_demand_preserves_aggregates(self, demands):
         # the 27 kWh not pinned by the narrative can be split any way
         view = worked_view(demands)
-        cm, fx, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
         served = sum(cm.get(c.id, p.id) for c in view.consumers for p in view.producers)
         assert served == pytest.approx(54.6, abs=1e-6)
 
     def test_commitments_balance_flexed_totals(self):
         view = worked_view()
-        cm, fx, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         demand_side = sum(fx.consumers[c.id] * c.energy for c in view.consumers)
         supply_side = sum(fx.producers[p.id] * p.energy for p in view.producers)
         assert demand_side == pytest.approx(supply_side, abs=1e-6)
@@ -214,10 +215,27 @@ class TestSolveDistMatching:
     def test_surplus_only_ssp_sells_back(self):
         producers = (Subscriber("p1", AP, 10.0),)
         view = SspView("s1", (), producers, PreferenceTable({}), ConnectivityMatrix({}))
-        cm, fx, objective = solve_dist_matching(view, MatchingWeights())
+        cm, fx, objective, _ = solve_dist_matching(view, MatchingWeights())
         assert 0.0 <= cm.get(UTILITY_ID, "p1") <= 10.0 + 1e-9
         assert aggregate_surplus(view, cm) == (10.0, 10.0)
         assert objective == pytest.approx(0.0, abs=1e-9)
+
+    def test_prices_are_minus_the_demand_row_duals(self):
+        # c1 buys from the Utility: a kWh met from outside saves w2; c2 is
+        # served by p1, which has spare supply: a kWh met from outside loses
+        # p1's reward
+        consumers = (Subscriber("c1", AC, 4.0, priority=1.0), Subscriber("c2", AC, 2.0, priority=0.5))
+        view = SspView(
+            "s1",
+            consumers,
+            (Subscriber("p1", AP, 3.0),),
+            PreferenceTable({"c2": {"p1": 1}}),
+            ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
+        )
+        weights = MatchingWeights()
+        table = PairTable(view, weights, None)
+        *_, prices = solve_dist_matching(view, weights, table=table)
+        assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(table.reward("c2", "p1"))}
 
     def test_partner_covers_deficit(self):
         consumers = (
@@ -232,7 +250,7 @@ class TestSolveDistMatching:
             ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
             partner_capacities={"s2": PartnerCapacity(51.0, 0.0)},
         )
-        cm, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, _, _, _ = solve_dist_matching(view, MatchingWeights())
         assert cm.get("c1", "s2") + cm.get("c2", "s2") == pytest.approx(51.0, abs=1e-6)
         assert cm.purchases() == pytest.approx(0.0, abs=1e-6)
 
@@ -259,17 +277,17 @@ class TestSolveDistMatching:
 
     def test_argmin_invariant_under_weight_scaling(self):
         view = worked_view()
-        base_cm, base_fx, _ = solve_dist_matching(view, MatchingWeights())
+        base_cm, base_fx, _, _ = solve_dist_matching(view, MatchingWeights())
         w = MatchingWeights()
         scaled = replace(w, w14=w.w14 * 4.0, w2=w.w2 * 4.0, w35=w.w35 * 4.0)
-        scaled_cm, scaled_fx, _ = solve_dist_matching(view, scaled)
+        scaled_cm, scaled_fx, _, _ = solve_dist_matching(view, scaled)
         assert scaled_cm == base_cm
         assert scaled_fx == base_fx
 
     def test_additive_preference_mode_is_inert_but_runs(self):
         view = worked_view()
         weights = MatchingWeights(preference_mode="additive")
-        cm, fx, _ = solve_dist_matching(view, weights)
+        cm, fx, _, _ = solve_dist_matching(view, weights)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -447,10 +465,7 @@ class TestPairTable:
 
     def test_real_matching_programs_standardise_alike(self, monkeypatch):
         scenario = study2_scenario()
-        programs = []
-        solve = sspsim.matching.solve_lp
-        monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
-        run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+        programs = engine_programs(monkeypatch, scenario)
         demand = {c.id: c.energy for cfg in scenario.ssps for c in cfg.consumers}
         rows = [row for lp in programs for row in lp.constraints]
         names = {v.name for lp in programs for v in lp.variables}
@@ -463,6 +478,29 @@ class TestPairTable:
         assert any(v.lower == 0.5 for lp in programs for v in lp.variables)
         for lp in programs:
             assert_standardised_alike(lp)
+
+    def test_real_matching_programs_have_certifying_duals(self, monkeypatch):
+        for lp in engine_programs(monkeypatch, study2_scenario()):
+            assert_dual_certificate(lp, solve_lp(lp))
+
+    def test_offer_pricing(self, pair_scenario):
+        weights = pair_scenario.weights
+        # S1 buys its 5 kWh deficit from the Utility: S2's offer can replace it
+        short = view_for_ssp(pair_scenario, "S1")
+        table = PairTable(short, weights, None)
+        *_, prices = solve_dist_matching(short, weights, table=table)
+        assert table.offer_can_improve(prices, ("S2", 5.0), 1e-9)
+        assert not table.offer_can_improve(prices, ("S2", 0.0), 1e-9)
+        assert not table.offer_can_improve(prices, None, 1e-9)
+        # a line with a positive minimum can make the LP infeasible: always solve
+        lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 0.5, 9.0),))
+        assert PairTable(short, weights, lines).offer_can_improve(prices, ("S2", 0.0), 1e-9)
+        # S2's consumer is served by its first-ranked producer, which has
+        # supply to spare: an offer from S1, ranked second, cannot beat it
+        spare = view_for_ssp(pair_scenario, "S2")
+        table = PairTable(spare, weights, None)
+        *_, prices = solve_dist_matching(spare, weights, table=table)
+        assert not table.offer_can_improve(prices, ("S1", 100.0), 1e-9)
 
     def test_no_program_has_a_sell_back_column(self, monkeypatch):
         # a sell-back is the production nobody takes: derived, never decided
@@ -477,9 +515,19 @@ class TestPairTable:
         assert sum(cm.sell_backs() for cm in result.commitments.values()) > 0.0
 
 
+def engine_programs(monkeypatch, scenario: Scenario) -> list:
+    """Every matching LP of a meshed engine run at run seed 1, those the engine prices out included."""
+    programs = []
+    solve = sspsim.matching.solve_lp
+    monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+    monkeypatch.setattr(PairTable, "offer_can_improve", lambda *_: True)
+    run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+    return programs
+
+
 @st.composite
-def matching_programs(draw):
-    """A generated SSP's matching LP with live partners, locked imports and exports."""
+def matching_inputs(draw):
+    """A generated SSP's view with partner offers, locked imports and exports, and its weights."""
     n_partners = draw(st.integers(0, 5))
     consumers = draw(st.integers(4, 14))
     producers = draw(st.integers(2, 8))
@@ -499,8 +547,39 @@ def matching_programs(draw):
     first = view.consumers[0]
     locked = {p: {first.id: first.energy / (2 * len(caps))} for p in caps if draw(st.booleans())}
     exports = draw(st.sampled_from([0.0, 0.25, 0.5])) * sum(p.energy for p in view.producers)
-    lp, _ = _build(view, scenario.weights, None, locked, exports)
+    return view, scenario.weights, locked, exports
+
+
+@st.composite
+def matching_programs(draw):
+    """A generated SSP's matching LP with live partners, locked imports and exports."""
+    view, weights, locked, exports = draw(matching_inputs())
+    lp, _ = _build(view, weights, None, locked, exports)
     return lp
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_programs())
+def test_matching_duals_certify_the_optimum(lp):
+    assert_dual_certificate(lp, solve_lp(lp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matching_inputs())
+def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
+    # an offer that lowers the optimum by d is never priced out at a
+    # tolerance below d: the pricing is a lower bound, never a guess
+    view, weights, locked, exports = inputs
+    idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
+    table = PairTable(idle, weights, None)
+    kwargs = dict(locked_imports=locked, committed_exports=exports, table=table)
+    _, _, best, prices = solve_dist_matching(idle, weights, **kwargs)
+    for partner_id, cap in view.partner_capacities.items():
+        offered = replace(idle, partner_capacities={**idle.partner_capacities, partner_id: cap})
+        _, _, objective, _ = solve_dist_matching(offered, weights, **kwargs)
+        drop = best - objective
+        if drop > 1e-7:
+            assert table.offer_can_improve(prices, (partner_id, cap.energy * (1.0 + cap.bound)), drop - 1e-7)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspsim.coalition import empty_map, meshed_map
-from sspsim.matching import solve_dist_matching, view_for_ssp
+import sspsim.protocol
+from sspsim.coalition import empty_map, form_coalitions, map_from_coalitions, meshed_map
+from sspsim.matching import MatchingInfeasibleError, PairTable, solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
     ConnectivityMatrix,
@@ -33,9 +34,14 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.test_matching import study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
+
+# the study-1 population: 20 SSPs x (10 AC + 5 AP)
+STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
+                       supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101)
 
 
 def triangle_scenario() -> Scenario:
@@ -69,7 +75,7 @@ class TestRunEngine:
     def test_single_ssp_collapses_to_local_solve(self, worked_scenario):
         result = run_engine(worked_scenario, meshed_map(worked_scenario.ssp_ids), seed=1)
         assert result.iterations == 1
-        local_cm, local_fx, _ = solve_dist_matching(
+        local_cm, local_fx, _, _ = solve_dist_matching(
             view_for_ssp(worked_scenario, "S1"), worked_scenario.weights
         )
         assert result.commitments["S1"] == local_cm
@@ -251,6 +257,16 @@ class TestRunEngine:
             sold_back = result.commitments["S1"].sell_backs()
             assert exported + sold_back == pytest.approx(10.0, abs=1e-6)
 
+    def test_a_tiny_offer_worth_more_than_the_acceptance_margin_is_taken(self, pair_scenario):
+        # S2 has 1e-6 kWh spare: worth about 1e-6 to S1, far above IMPROVE_TOL,
+        # so pricing must not answer it without a solve
+        s1, s2 = pair_scenario.ssps
+        s2 = replace(s2, producers=(replace(s2.producers[0], energy=5.000001),))
+        scenario = replace(pair_scenario, ssps=(s1, s2))
+        result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+        assert result.commitments["S1"].get("S1.C1", "S2") == pytest.approx(1e-6, rel=1e-6)
+        assert result.offers_priced_out == 0
+
     def test_forged_claim_is_a_protocol_violation(self, pair_scenario, monkeypatch):
         from sspsim import protocol as protocol_module
 
@@ -364,3 +380,97 @@ def test_meshed_all_active_run_ends_at_the_global_imbalance(spec, run_seed):
     result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=run_seed)
     imbalance = abs(sum(energy_status(cfg) for cfg in scenario.ssps))
     assert result.final_utility_kwh == pytest.approx(imbalance, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
+
+
+@settings(max_examples=60, deadline=None)
+@given(all_active_specs(), st.integers(1, 8), st.integers(0, 2**16))
+def test_coalition_all_active_run_ends_at_the_sum_of_group_imbalances(spec, max_group_size, run_seed):
+    # inside a coalition the run reaches the group's own imbalance, as the
+    # full mesh reaches the global one; nothing crosses between coalitions
+    scenario = generate_scenario(spec)
+    statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+    coalitions = form_coalitions(statuses, max_group_size)
+    result = run_engine(scenario, map_from_coalitions(coalitions), seed=run_seed)
+    expected = sum(abs(sum(statuses[ssp_id] for ssp_id in group)) for group in coalitions.groups)
+    assert result.final_utility_kwh == pytest.approx(expected, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
+
+
+def test_coalition_maps_send_fewer_messages_than_the_mesh():
+    # the paper's trade-off on study-1 at run seed 5: smaller coalitions cost
+    # fewer messages and more Utility interaction
+    scenario = generate_scenario(STUDY1)
+    statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+    meshed = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=5)
+    runs = [
+        run_engine(scenario, map_from_coalitions(form_coalitions(statuses, size)), seed=5) for size in (2, 4, 8)
+    ]
+    messages = [len(run.log) for run in [*runs, meshed]]
+    assert messages == sorted(messages) and len(set(messages)) == len(messages)
+    finals = [run.final_utility_kwh for run in [*runs, meshed]]
+    assert all(later <= earlier + 1e-6 for earlier, later in zip(finals, finals[1:]))
+
+
+def floored_study2(min_kwh: float) -> Scenario:
+    """Six study-2 SSPs where S01.C02 is linked to S03 with a line floor; S03's
+    offers to S01 are priced out without it."""
+    study2 = study2_scenario(n_ssps=6)
+    rows = {row_id: dict(cols) for row_id, cols in study2.connectivity.rows.items()}
+    rows["S01.C02"]["S03"] = 1
+    return replace(
+        study2,
+        connectivity=ConnectivityMatrix(rows),
+        line_constraints=LineConstraintSet(
+            (*study2.line_constraints.constraints, LineConstraint("S01.C02", "S03", min_kwh, 50.0))
+        ),
+    )
+
+
+def test_offer_below_a_line_floor_is_solved_and_reported():
+    # S03 offers S01 about 17 kWh, below the 40 kWh floor: the LP with the
+    # offer is infeasible, and pricing must not hide that
+    scenario = floored_study2(40.0)
+    with pytest.raises(MatchingInfeasibleError, match="'S01'"):
+        run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
+
+
+def differential_cases():
+    """Engine inputs with every kind of offer the pricing has to judge."""
+    study1 = generate_scenario(STUDY1)
+    statuses = {cfg.id: energy_status(cfg) for cfg in study1.ssps}
+    floored = floored_study2(0.25)  # every offer from S03 to S01 is solved
+    additive = replace(study1, weights=MatchingWeights(preference_mode="additive"))
+    return {
+        "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
+        "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
+        "study2-line-floor": (floored, meshed_map(floored.ssp_ids)),
+        "study1-additive": (additive, meshed_map(additive.ssp_ids)),
+    }
+
+
+@pytest.mark.parametrize("case", ["study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive"])
+def test_priced_out_solves_change_no_result(case, monkeypatch):
+    scenario, anm = differential_cases()[case]
+    skipped = priced_out = 0
+    for seed in (1, 2, 3):
+        priced = run_engine(scenario, anm, seed=seed)
+        with monkeypatch.context() as always_solve:
+            always_solve.setattr(PairTable, "offer_can_improve", lambda *_: True)
+            full = run_engine(scenario, anm, seed=seed)
+        assert full.offers_priced_out == 0
+        assert replace(priced, lp_solves=full.lp_solves, offers_priced_out=0) == full
+        skipped += full.lp_solves - priced.lp_solves
+        priced_out += priced.offers_priced_out
+    assert skipped > priced_out > 0
+
+
+def test_lp_solves_counts_every_matching_solve(monkeypatch):
+    calls = []
+    solve = sspsim.protocol.solve_dist_matching
+    monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", lambda *a, **k: calls.append(a[0]) or solve(*a, **k))
+    scenario = study2_scenario(n_ssps=6)
+    result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=2)
+    assert result.lp_solves == len(calls) > len(scenario.ssps)
+    offers = sum(1 for record in result.log if record.kind == OFFER_KIND)
+    # every offer is solved or priced out; the other solves are the agents'
+    # first ones made in their own sweep turn (S01's at least)
+    assert 1 <= len(calls) - (offers - result.offers_priced_out) <= len(scenario.ssps)
