@@ -31,6 +31,9 @@ rc_j = c_j - sum_r y_r a_rj over these rows alone, the objective equals
 sum_r y_r b_r + sum_j (l_j max(rc_j, 0) + u_j min(rc_j, 0)); an upper bound
 acts as the bound-row dual min(rc_j, 0), so a column with u_j = +inf has
 rc_j >= 0.
+
+Every solution counts its ``pivots``: the basis changes of phase 1 and phase
+2 together (driving a leftover artificial out of the basis is not counted).
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ class LpSolution:
     values: list[float]  # one per column, in column order
     objective: float
     duals: list[float]  # one per row of ``constraints``, in row order; all 0 unless optimal
+    pivots: int  # simplex pivots of phase 1 and phase 2 together
 
 
 def validate_program(lp: LinearProgram) -> None:
@@ -137,7 +141,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
     if not lp.variables:
-        return LpSolution(LpStatus.OPTIMAL, [], 0.0, [0.0] * len(lp.constraints))
+        return LpSolution(LpStatus.OPTIMAL, [], 0.0, [0.0] * len(lp.constraints), 0)
     return _Simplex(lp).solve()
 
 
@@ -159,6 +163,7 @@ class _Simplex:
         self.lp = lp
         self._standardise()
         self.row_ids = np.arange(self.a.shape[0])
+        self.pivots = 0
 
     def _standardise(self) -> None:
         lp = self.lp
@@ -261,7 +266,8 @@ class _Simplex:
         return self._extract()
 
     def _failed(self, status: LpStatus, objective: float) -> LpSolution:
-        return LpSolution(status, [0.0] * len(self.lp.variables), objective, [0.0] * len(self.lp.constraints))
+        zeros = [0.0] * len(self.lp.constraints)
+        return LpSolution(status, [0.0] * len(self.lp.variables), objective, zeros, self.pivots)
 
     def _refactorize(self) -> None:
         self.binv = np.linalg.inv(self.a[:, self.basis])
@@ -309,6 +315,7 @@ class _Simplex:
             self.basis[leave] = j
 
             pivots += 1
+            self.pivots += 1
             if pivots % 150 == 0:
                 self._refactorize()
             new_objective = float(cost[self.basis] @ self.xb)
@@ -371,7 +378,7 @@ class _Simplex:
                 x = bound
             values.append(float(x))
         objective = sum(c * values[col] for col, c in self.lp.objective.items())
-        return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals())
+        return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:
         """y = c_B B^-1 per row of ``constraints``, undoing each row's divisor; 0 on a dropped row."""

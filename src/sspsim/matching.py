@@ -23,12 +23,39 @@ each demand row, i.e. the reward the consumer's marginal kWh earns now (minus
 w2 when the Utility serves it). Only a supplier whose reward beats a price can
 improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
 way (the pricing step of column generation) without building the LP.
+
+The centralized baseline (``solve_centralized``) is one LP over every
+subscriber of every SSP, in transshipment form (Ahuja, Magnanti & Orlin,
+*Network Flows*, ch. 9). Every producer of a partner SSP t carries t's rank,
+so a consumer's columns from t's producers would all have the same reward.
+Instead, each consumer has one import column per connected partner SSP with
+producers, drawn from t's pool; each producer of a pooled SSP has an export
+column (cost 0) in its supply row, and one pool row per SSP keeps the imports
+from t within the exports of t's producers. By flow decomposition this LP has
+the optimum of the per-pair one (``merged_view``'s): a per-pair solution sums
+to a feasible import and export plan, and ``_split_pool`` splits a pool's
+flows back into per-producer cells by the north-west corner rule, which
+keeps every cell within both its consumer's import and its producer's export.
+The pool row is ``<=`` rather than ``=`` (production exported to a pool that
+nobody draws on is simply not placed), so its slack starts the simplex and
+the LP needs no phase 1 for it.
+
+A line on a (consumer, remote producer) pair bounds one producer's cell, and
+the decomposition could break it. Such a consumer therefore gets one column
+per producer of that SSP, as in the per-pair form, and no import from its
+pool. A line on a (consumer, SSP) pair is not applied: the per-pair form has
+no column it could bound, so the baseline stays a relaxation of the
+distributed runs in that respect.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lp import (
     EQUAL,
@@ -111,6 +138,8 @@ def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
 
 # one cm column: (consumer id, supplier id), its variable, its reward per placed kWh
 _Column = tuple[tuple[str, str], LpVariable, float]
+# one equality row: its coefficients by column, its rhs and its name
+_Row = tuple[dict[int, float], float, str]
 
 
 @dataclass
@@ -120,8 +149,70 @@ class _BuildInfo:
     demand_rows: range  # the demand row of each consumer, in consumer order
     cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
-    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted
+    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
     objective_offset: float
+    export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
+
+
+def _line_bounds(lines: LineConstraintSet | None, row_id: str, col_id: str) -> tuple[float, float]:
+    if lines is not None:
+        lc = lines.lookup(row_id, col_id)
+        if lc is not None:
+            return max(0.0, lc.min_kwh), lc.max_kwh
+    return 0.0, math.inf
+
+
+def _flex_variables(
+    consumers: Sequence[Subscriber], producers: Sequence[Subscriber], lines: LineConstraintSet | None
+) -> tuple[list[LpVariable], dict[str, LpVariable], dict[str, LpVariable]]:
+    """The purchase of each consumer, the cut of each passive consumer and the stretch of each passive producer.
+
+    fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
+    (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
+    """
+    purchases = [LpVariable(f"cm[{c.id}][U]", *_line_bounds(lines, c.id, UTILITY_ID)) for c in consumers]
+    cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in consumers if c.bound > 0.0}
+    stretches = {p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in producers if p.bound > 0.0}
+    return purchases, cuts, stretches
+
+
+class _Rewards:
+    """The reward per placed kWh, and the objective constants that depend on every rank of one LP.
+
+    ``ranks`` maps each consumer to the supplier ranks of its cm columns;
+    ``counts``, when given, says how many columns of the per-pair form each
+    rank stands for (1 otherwise). Unless the weights fix it, ``beta`` is the
+    largest rank plus 1. ``offset`` is the additive-mode preference constant
+    summed over those columns, and ``stretch_penalty`` lies 0.01 * w2 above
+    the largest reward.
+    """
+
+    def __init__(
+        self,
+        weights: MatchingWeights,
+        priority: dict[str, float],
+        ranks: dict[str, list[int]],
+        counts: dict[str, list[int]] | None = None,
+    ):
+        self._weights = weights
+        self._priority = priority
+        extremes = [(consumer_id, min(row), max(row)) for consumer_id, row in ranks.items() if row]
+        self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
+        self.offset = 0.0
+        if weights.preference_mode != "coefficient":
+            for consumer_id, row in ranks.items():
+                for rank, count in zip(row, counts[consumer_id] if counts else [1] * len(row)):
+                    self.offset -= count * weights.w35 * weights.alpha * (self.beta - rank)
+        # a reward is monotone in the rank, so the largest of a consumer's
+        # rewards sits at its lowest or its highest rank
+        self.stretch_penalty = max(
+            (self(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
+        ) + 0.01 * weights.w2
+
+    def __call__(self, consumer_id: str, rank: int) -> float:
+        weights = self._weights
+        factor = 1.0 + weights.alpha * (self.beta - rank) if weights.preference_mode == "coefficient" else 1.0
+        return weights.w14 * self._priority[consumer_id] + weights.w35 * factor
 
 
 class PairTable:
@@ -132,19 +223,17 @@ class PairTable:
     (``local``: per consumer, those of its connected local producers in
     producer order, with rewards and line bounds); the ``purchases``, ``cuts``
     and ``stretches`` variables (sell-backs have none: they are derived from
-    the solution); and ``beta``, the additive-mode ``offset`` and the
-    ``stretch_penalty``, which depend on the rank of every partner, live or
-    not. Partner columns are made per solve, for the partners that advertise
-    capacity: kept for every partner, they would cost memory in proportion to
+    the solution); and ``rewards``, whose beta, additive-mode offset and
+    stretch penalty depend on the rank of every partner, live or not. Partner
+    columns are made per solve, for the partners that advertise capacity:
+    kept for every partner, they would cost memory in proportion to
     consumers x partners.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
         self._partners = frozenset(view.partner_capacities)
         self._preferences = view.preferences
-        self._weights = weights
         self._lines = lines
-        self._priority = {c.id: c.priority for c in view.consumers}
         self._consumer_ids = [c.id for c in view.consumers]
         partner_ids = sorted(self._partners)
         # stable (consumer, supplier) pairs: connected local producers, then
@@ -157,57 +246,28 @@ class PairTable:
             ]
         except KeyError as exc:
             raise MatchingStructureError(str(exc)) from None
-        extremes = [(c.id, min(row), max(row)) for c, row in zip(view.consumers, ranks) if row]
-        self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
-        self.offset = 0.0  # additive-mode preference constants
-        if weights.preference_mode != "coefficient":
-            for rank in (r for row in ranks for r in row):
-                self.offset -= weights.w35 * weights.alpha * (self.beta - rank)
-        # a reward is monotone in the rank, so the largest of a consumer's
-        # rewards sits at its lowest or its highest rank
-        self.stretch_penalty = max(
-            (self._rank_reward(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
-        ) + 0.01 * weights.w2
-
+        self.rewards = _Rewards(weights, {c.id: c.priority for c in view.consumers}, dict(zip(self._consumer_ids, ranks)))
         self.local: dict[str, list[_Column]] = {
             consumer.id: [
                 (
                     (consumer.id, supplier_id),
-                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *self._line_bounds(consumer.id, supplier_id)),
-                    self._rank_reward(consumer.id, rank),
+                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *_line_bounds(lines, consumer.id, supplier_id)),
+                    self.rewards(consumer.id, rank),
                 )
                 for supplier_id, rank in zip(local, row)
             ]
             for consumer, local, row in zip(view.consumers, local_ids, ranks)
         }
         self.n_local = sum(len(columns) for columns in self.local.values())
-        # fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
-        # (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
-        self.purchases = [LpVariable(f"cm[{c.id}][U]", *self._line_bounds(c.id, UTILITY_ID)) for c in view.consumers]
-        self.cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in view.consumers if c.bound > 0.0}
-        self.stretches = {
-            p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in view.producers if p.bound > 0.0
-        }
-
-    def _rank_reward(self, consumer_id: str, rank: int) -> float:
-        weights = self._weights
-        factor = 1.0 + weights.alpha * (self.beta - rank) if weights.preference_mode == "coefficient" else 1.0
-        return weights.w14 * self._priority[consumer_id] + weights.w35 * factor
-
-    def _line_bounds(self, row_id: str, col_id: str) -> tuple[float, float]:
-        if self._lines is not None:
-            lc = self._lines.lookup(row_id, col_id)
-            if lc is not None:
-                return max(0.0, lc.min_kwh), lc.max_kwh
-        return 0.0, math.inf
+        self.purchases, self.cuts, self.stretches = _flex_variables(view.consumers, view.producers, lines)
 
     def partner_columns(self, partner_id: str) -> list[_Column]:
         """The cm columns of a partner, one per consumer in consumer order."""
         return [
             (
                 (consumer_id, partner_id),
-                LpVariable(f"cm[{consumer_id}][{partner_id}]", *self._line_bounds(consumer_id, partner_id)),
-                self._rank_reward(consumer_id, self._preferences.rank(consumer_id, partner_id)),
+                LpVariable(f"cm[{consumer_id}][{partner_id}]", *_line_bounds(self._lines, consumer_id, partner_id)),
+                self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id)),
             )
             for consumer_id in self._consumer_ids
         ]
@@ -233,19 +293,54 @@ class PairTable:
         partner_id, kwh = offer
         gain = 0.0
         for consumer_id in self._consumer_ids:
-            if self._line_bounds(consumer_id, partner_id)[0] > 0.0:
+            if _line_bounds(self._lines, consumer_id, partner_id)[0] > 0.0:
                 return True
-            reward = self._rank_reward(consumer_id, self._preferences.rank(consumer_id, partner_id))
+            reward = self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
             gain = max(gain, reward - prices[consumer_id])
         return gain * kwh > tol
 
     def reward(self, consumer_id: str, supplier_id: str) -> float:
         """Reward per kWh of the pair; 0 for a pair the view does not have."""
-        if consumer_id not in self._priority:
+        if consumer_id not in self.local:
             return 0.0
         if supplier_id in self._partners:
-            return self._rank_reward(consumer_id, self._preferences.rank(consumer_id, supplier_id))
+            return self.rewards(consumer_id, self._preferences.rank(consumer_id, supplier_id))
         return next((reward for (_, local_id), _, reward in self.local[consumer_id] if local_id == supplier_id), 0.0)
+
+
+def _place(
+    lp: LinearProgram,
+    consumers: Sequence[Subscriber],
+    blocks: list[list[_Column]],
+    demand: list[float],
+    purchase_cols: range,
+    cut_cols: dict[str, int],
+) -> tuple[list[_Column], dict[str, dict[int, float]], list[_Row]]:
+    """Append each consumer's block of cm columns, consumer-major, with their costs.
+
+    Returns the cm columns in column order, each supplier's supply-row
+    coefficients (+1 on every cm column it supplies) and each consumer's
+    demand row (its cm columns, purchase and cut = ``demand``), for the
+    caller to add after its supply rows.
+    """
+    cm_columns: list[_Column] = []
+    supplied: dict[str, dict[int, float]] = defaultdict(dict)
+    demand_rows: list[_Row] = []
+    objective = lp.objective
+    for k, (consumer, block) in enumerate(zip(consumers, blocks)):
+        start = len(cm_columns)
+        cm_columns += block
+        for col, ((_, supplier_id), _, reward) in enumerate(block, start):
+            if reward != 0.0:
+                objective[col] = -reward
+            supplied[supplier_id][col] = 1.0
+        served = dict.fromkeys(range(start, start + len(block)), 1.0)
+        served[purchase_cols[k]] = 1.0
+        if consumer.id in cut_cols:
+            served[cut_cols[consumer.id]] = 1.0
+        demand_rows.append((served, demand[k], f"demand[{consumer.id}]"))
+    lp.variables += [var for _, var, _ in cm_columns]
+    return cm_columns, supplied, demand_rows
 
 
 def _build(
@@ -281,13 +376,13 @@ def _build(
     stretch_cols = {producer_id: cut_start + len(cut_cols) + k for k, producer_id in enumerate(table.stretches)}
     n_supply = len(view.producers) + len(live)
     demand_rows = range(n_supply, n_supply + len(view.consumers))
-    info = _BuildInfo([], purchase_cols, demand_rows, cut_cols, stretch_cols, live, table.offset)
+    info = _BuildInfo([], purchase_cols, demand_rows, cut_cols, stretch_cols, live, table.rewards.offset)
 
     lp = LinearProgram()
     if weights.w2 != 0.0:
         lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
-    if table.stretch_penalty != 0.0:
-        lp.objective.update(dict.fromkeys(stretch_cols.values(), table.stretch_penalty))
+    if table.rewards.stretch_penalty != 0.0:
+        lp.objective.update(dict.fromkeys(stretch_cols.values(), table.rewards.stretch_penalty))
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
@@ -296,27 +391,15 @@ def _build(
         for consumer_id, kwh in sorted(per_consumer.items()):
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
             info.objective_offset -= table.reward(consumer_id, partner_id) * kwh
-
-    supplied: dict[str, dict[int, float]] = {supplier: {} for supplier in [*(p.id for p in view.producers), *live]}
-    demand_rows: list[tuple[dict[int, float], float, str]] = []
-    objective = lp.objective
-    for k, consumer in enumerate(view.consumers):
-        block = [*table.local[consumer.id], *(partner[k] for partner in offered)]
-        start = len(info.cm_columns)
-        info.cm_columns += block
-        for col, ((_, supplier_id), _, reward) in enumerate(block, start):
-            if reward != 0.0:
-                objective[col] = -reward
-            supplied[supplier_id][col] = 1.0
-        served = dict.fromkeys(range(start, start + len(block)), 1.0)
-        served[purchase_cols[k]] = 1.0
-        if consumer.id in cut_cols:
-            served[cut_cols[consumer.id]] = 1.0
+    demand = []
+    for consumer in view.consumers:
         rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
         if rhs < -RESIDUAL_TOL:
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
-        demand_rows.append((served, max(rhs, 0.0), f"demand[{consumer.id}]"))
-    lp.variables += [var for _, var, _ in info.cm_columns]
+        demand.append(max(rhs, 0.0))
+
+    blocks = [[*table.local[consumer.id], *(partner[k] for partner in offered)] for k, consumer in enumerate(view.consumers)]
+    info.cm_columns, supplied, demand_rows = _place(lp, view.consumers, blocks, demand, purchase_cols, cut_cols)
     lp.variables += [*table.purchases, *table.cuts.values(), *table.stretches.values()]
 
     for producer in view.producers:
@@ -404,6 +487,16 @@ def solve_dist_matching(
 
     attribute_sell_backs(cm, view.producers, committed_exports)
 
+    fx = _flexibility(info, values, view.consumers, view.producers)
+    prices = {c.id: -solution.duals[row] for c, row in zip(view.consumers, info.demand_rows)}
+    return cm, fx, solution.objective + info.objective_offset, prices
+
+
+def _flexibility(
+    info: _BuildInfo, values: list[float], consumers: Sequence[Subscriber], producers: Sequence[Subscriber]
+) -> FlexibilityAssignment:
+    """The fx factors of a solution: 1 - cut/Dc per consumer, 1 + stretch/Ep per producer."""
+
     def consumer_fx(sub: Subscriber) -> float:
         if sub.id not in info.cut_cols or sub.energy <= RESIDUAL_TOL:
             return 1.0
@@ -414,12 +507,10 @@ def solve_dist_matching(
             return 1.0
         return 1.0 + values[info.stretch_cols[sub.id]] / sub.energy
 
-    fx = FlexibilityAssignment(
-        consumers={c.id: consumer_fx(c) for c in view.consumers},
-        producers={p.id: producer_fx(p) for p in view.producers},
+    return FlexibilityAssignment(
+        consumers={c.id: consumer_fx(c) for c in consumers},
+        producers={p.id: producer_fx(p) for p in producers},
     )
-    prices = {c.id: -solution.duals[row] for c, row in zip(view.consumers, info.demand_rows)}
-    return cm, fx, solution.objective + info.objective_offset, prices
 
 
 def attribute_sell_backs(cm: CommitmentMatrix, producers: tuple[Subscriber, ...], exports: float) -> None:
@@ -506,7 +597,13 @@ def surplus_bound(ex_energy: float, total_energy: float) -> float:
 
 
 def merged_view(scenario: Scenario) -> SspView:
-    """All subscribers as one SSP; cross-SSP pairs inherit the partner-SSP rank."""
+    """All subscribers as one SSP; cross-SSP pairs inherit the partner-SSP rank.
+
+    This is the feasibility view of a centralized solution: every (consumer,
+    producer) pair the global LP may use, for ``check_matching_feasibility``.
+    ``solve_centralized`` does not build its LP from it, which would take one
+    column per (consumer, remote producer) pair.
+    """
     consumers: list[Subscriber] = []
     producers: list[Subscriber] = []
     ranks: dict[str, dict[str, int]] = {}
@@ -540,10 +637,147 @@ def merged_view(scenario: Scenario) -> SspView:
     )
 
 
+def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, _BuildInfo]:
+    """The centralized LP in transshipment form (see the module docstring).
+
+    Columns: the cm columns consumer-major (every SSP's consumers in scenario
+    order): connected local producers, then per connected partner SSP with
+    producers one import column from its pool, or one column per producer
+    where a line blocks the pool; then purchases, cuts, stretches, and the
+    export of every producer of a pooled SSP. Rows: supply per producer,
+    demand per consumer, then one pool row per pooled SSP. With a single SSP
+    this is ``_build``'s LP of its view.
+    """
+    connectivity = scenario.connectivity
+    lines = scenario.line_constraints
+    ssp_of = {p.id: cfg.id for cfg in scenario.ssps for p in cfg.producers}
+    blocked = {(lc.row_id, ssp_of[lc.col_id]) for lc in (lines.constraints if lines else ()) if lc.col_id in ssp_of}
+    consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
+    producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
+    ranks: dict[str, list[int]] = {}
+    counts: dict[str, list[int]] = {}
+    suppliers: list[list[tuple[str, int]]] = []  # per consumer: (supplier id, rank) of each cm column
+    for cfg in scenario.ssps:
+        partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
+        for consumer in cfg.consumers:
+            local = [p for p in cfg.producers if connectivity.connected(consumer.id, p.id)]
+            try:
+                row = [cfg.preferences.rank(consumer.id, supplier.id) for supplier in [*local, *partners]]
+            except KeyError as exc:
+                raise MatchingStructureError(str(exc)) from None
+            ranks[consumer.id] = row
+            counts[consumer.id] = [1] * len(local) + [len(t.producers) for t in partners]
+            columns = [(p.id, rank) for p, rank in zip(local, row)]
+            for partner, rank in zip(partners, row[len(local):]):
+                if (consumer.id, partner.id) in blocked:
+                    columns += [(p.id, rank) for p in partner.producers]
+                else:
+                    columns.append((partner.id, rank))
+            suppliers.append(columns)
+    rewards = _Rewards(weights, {c.id: c.priority for c in consumers}, ranks, counts)
+    # a (consumer, SSP) line bounds no column: an import is unbounded
+    blocks = [
+        [
+            (
+                (consumer.id, supplier_id),
+                LpVariable(
+                    f"cm[{consumer.id}][{supplier_id}]",
+                    *(_line_bounds(lines, consumer.id, supplier_id) if supplier_id in ssp_of else (0.0, math.inf)),
+                ),
+                rewards(consumer.id, rank),
+            )
+            for supplier_id, rank in columns
+        ]
+        for consumer, columns in zip(consumers, suppliers)
+    ]
+
+    purchases, cuts, stretches = _flex_variables(consumers, producers, lines)
+    n_cm = sum(map(len, blocks))
+    purchase_cols = range(n_cm, n_cm + len(consumers))
+    cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
+    stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
+    demand_rows = range(len(producers), len(producers) + len(consumers))
+    lp = LinearProgram()
+    if weights.w2 != 0.0:
+        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
+    if rewards.stretch_penalty != 0.0:
+        lp.objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
+    cm_columns, supplied, demand = _place(lp, consumers, blocks, [c.energy for c in consumers], purchase_cols, cut_cols)
+    lp.variables += [*purchases, *cuts.values(), *stretches.values()]
+
+    pooled = [cfg for cfg in scenario.ssps if cfg.id in supplied]
+    info = _BuildInfo(cm_columns, purchase_cols, demand_rows, cut_cols, stretch_cols, [cfg.id for cfg in pooled], rewards.offset)
+    for cfg in pooled:
+        for producer in cfg.producers:
+            info.export_cols[producer.id] = lp.add_variable(f"export[{producer.id}]")
+    for producer in producers:
+        coeffs = supplied[producer.id]
+        if producer.id in stretch_cols:
+            coeffs[stretch_cols[producer.id]] = -1.0
+        if producer.id in info.export_cols:
+            coeffs[info.export_cols[producer.id]] = 1.0
+        lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
+    for served, rhs, name in demand:
+        lp.add_constraint(served, EQUAL, rhs, name=name)
+    for cfg in pooled:
+        coeffs = supplied[cfg.id]
+        coeffs.update((info.export_cols[p.id], -1.0) for p in cfg.producers)
+        lp.add_constraint(coeffs, LESS_EQUAL, 0.0, name=f"pool[{cfg.id}]")
+    return lp, info
+
+
+def _split_pool(cm: CommitmentMatrix, imports: list[tuple[str, float]], exports: list[tuple[str, float]]) -> None:
+    """Write one pool's flows into per-producer cells of ``cm`` by the north-west corner rule.
+
+    Consumers draw on the pool in consumer order and producers fill it in
+    producer order: a consumer's cell of a producer is the overlap of their
+    intervals on the cumulated flows, so no cell exceeds what either side
+    carries.
+    """
+    consumer_ids, taken = zip(*imports)
+    producer_ids, given = zip(*exports)
+    taken_to = np.cumsum(taken)
+    given_to = np.cumsum(given)
+    taken_from = np.concatenate([[0.0], taken_to[:-1]])
+    given_from = np.concatenate([[0.0], given_to[:-1]])
+    overlap = np.minimum.outer(taken_to, given_to) - np.maximum.outer(taken_from, given_from)
+    for k, j in zip(*np.nonzero(overlap > RESIDUAL_TOL)):
+        cm.set(consumer_ids[k], producer_ids[j], float(overlap[k, j]))
+
+
 def solve_centralized(
     scenario: Scenario, weights: MatchingWeights | None = None
 ) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
-    """Optimality baseline: one global LP over every subscriber of every SSP."""
+    """Optimality baseline: one global LP over every subscriber of every SSP.
+
+    Solved in transshipment form and decomposed into per-producer cells (see
+    the module docstring); the matrix has one column per producer and is
+    feasible against ``merged_view``. The objective folds the additive-mode
+    preference constants, as ``solve_dist_matching`` does.
+    """
     weights = weights or scenario.weights
-    cm, fx, objective, _ = solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
-    return cm, fx, objective
+    lp, info = _build_centralized(scenario, weights)
+    solution = solve_lp(lp)
+    if solution.status is LpStatus.INFEASIBLE:
+        raise MatchingInfeasibleError("centralized matching LP infeasible; only line constraints can cause this")
+    if solution.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"centralized matching LP reported {solution.status}")
+
+    consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
+    producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
+    cm = CommitmentMatrix([c.id for c in consumers], [p.id for p in producers])
+    values = solution.values
+    imports: dict[str, list[tuple[str, float]]] = {ssp_id: [] for ssp_id in info.live_partners}
+    for ((consumer_id, supplier_id), _, _), value in zip(info.cm_columns, values):
+        if supplier_id in imports:
+            imports[supplier_id].append((consumer_id, value))
+        elif value > RESIDUAL_TOL:
+            cm.set(consumer_id, supplier_id, value)
+    for cfg in scenario.ssps:
+        if cfg.id in imports:
+            _split_pool(cm, imports[cfg.id], [(p.id, values[info.export_cols[p.id]]) for p in cfg.producers])
+    for consumer, col in zip(consumers, info.purchase_cols):
+        if values[col] > RESIDUAL_TOL:
+            cm.set(consumer.id, UTILITY_ID, values[col])
+    attribute_sell_backs(cm, producers, 0.0)
+    return cm, _flexibility(info, values, consumers, producers), solution.objective + info.objective_offset

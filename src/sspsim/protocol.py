@@ -41,6 +41,13 @@ without building an LP in two cases:
    beat ``best_solution`` by IMPROVE_TOL, the acceptance margin; the other
    half of the margin absorbs the solver's rounding.
 
+An offer can also make the receiver's LP infeasible: a line with a positive
+minimum on a (consumer, sender) pair asks for more than the offer holds. The
+receiver then declines it with a 0 claim, as it declines an offer that does
+not improve its solution; the solve still counts. Without an offer the LP
+always has the all-Utility point unless the lines themselves conflict, and an
+infeasible solve there still raises ``MatchingInfeasibleError``.
+
 ``MatchingResult`` counts the solves made (``lp_solves``) and the offers
 priced out (``offers_priced_out``); neither enters an artifact.
 
@@ -56,6 +63,7 @@ from dataclasses import dataclass, field, replace
 from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
     FlexibilityAssignment,
+    MatchingInfeasibleError,
     PairTable,
     PartnerCapacity,
     SspView,
@@ -200,7 +208,9 @@ class _Agent:
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
         """Re-solve the local LP; adopt the result only on strict improvement.
 
-        A solve that cannot improve is skipped (see the module docstring)."""
+        A solve that cannot improve is skipped (see the module docstring). An
+        offer that leaves the LP infeasible is declined; without an offer an
+        infeasible LP is a fault and raises ``MatchingInfeasibleError``."""
         if self.prices is not None:
             offer = None if transient is None else (transient[0], transient[1] * (1.0 + transient[2]))
             if not self.table.offer_can_improve(self.prices, offer, IMPROVE_TOL / 2):
@@ -208,14 +218,19 @@ class _Agent:
                     self.offers_priced_out += 1
                 return False
         self.lp_solves += 1
-        cm, fx, objective, prices = solve_dist_matching(
-            self._view(transient),
-            self.weights,
-            self.scenario.line_constraints,
-            locked_imports=self.locked,
-            committed_exports=self.total_exports(),
-            table=self.table,
-        )
+        try:
+            cm, fx, objective, prices = solve_dist_matching(
+                self._view(transient),
+                self.weights,
+                self.scenario.line_constraints,
+                locked_imports=self.locked,
+                committed_exports=self.total_exports(),
+                table=self.table,
+            )
+        except MatchingInfeasibleError:
+            if transient is None:
+                raise
+            return False
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = objective
             self.cm, self.fx, self.prices = cm, fx, prices

@@ -19,7 +19,8 @@ from sspsim.lp import (
     _Simplex,
     validate_program,
 )
-from sspsim.model import UTILITY_ID, Scenario, Violation
+from sspsim.matching import FlexibilityAssignment, merged_view, solve_dist_matching
+from sspsim.model import UTILITY_ID, CommitmentMatrix, MatchingWeights, Scenario, Violation
 
 
 class OracleSizeError(ValueError):
@@ -176,7 +177,7 @@ class ReferenceSimplex(_Simplex):
         for pos, row in enumerate(self.row_ids.tolist()):
             if row < len(duals):
                 duals[row] = float(y[pos] / self.row_divisor[row])
-        return LpSolution(LpStatus.OPTIMAL, values, objective, duals)
+        return LpSolution(LpStatus.OPTIMAL, values, objective, duals, self.pivots)
 
 
 def _outcome(simplex: _Simplex) -> LpSolution | type[Exception]:
@@ -235,6 +236,19 @@ def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float 
             terms.append(var.lower * max(rc, 0.0) + var.upper * min(rc, 0.0))
     bound = math.fsum(terms)
     assert bound == pytest.approx(solution.objective, rel=tol, abs=tol * (1.0 + sum(map(abs, terms))))
+
+
+def reference_solve_centralized(
+    scenario: Scenario, weights: MatchingWeights | None = None
+) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
+    """The per-pair expansion that ``solve_centralized`` replaces: ``merged_view``'s own matching LP.
+
+    One column per (consumer, remote producer) pair, each at the partner
+    SSP's rank; its optimum is the reference for the transshipment form's.
+    """
+    weights = weights or scenario.weights
+    cm, fx, objective, _ = solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
+    return cm, fx, objective
 
 
 def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:

@@ -11,6 +11,7 @@ import sspsim.cli
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from sspsim.lp import _Simplex
 from sspsim.scenario import load_scenario, save_scenario
+from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
 
@@ -314,6 +315,14 @@ class TestRun:
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
         scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
+
+    def test_offer_below_a_line_floor_is_declined_not_fatal(self, tmp_path):
+        # S01 cannot take S03's offer under its 40 kWh line floor: a 0 claim, not exit 4
+        scenario = tmp_path / "floored.json"
+        save_scenario(floored_study2(40.0), str(scenario))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert "1,claim,S01,S03,0.0,," in (out / "messages.csv").read_text().splitlines()
 
     def test_sell_back_cells_carry_no_float_dust(self, tmp_path):
         # sell-backs re-attributed after an export read as 0 at or below

@@ -66,6 +66,29 @@ def test_duals_of_a_textbook_program(relation):
     assert_dual_certificate(lp, solution)
 
 
+def test_pivots_count_phase_one_and_phase_two():
+    # the textbook program starts at its all-slack crash basis: y enters,
+    # then x, and the vertex (3, 4) is optimal
+    lp = LinearProgram()
+    x = lp.add_variable("x", cost=-2.0)
+    y = lp.add_variable("y", cost=-3.0)
+    lp.add_constraint({x: 2.0, y: 1.0}, "<=", 10.0)
+    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
+    assert solve_lp(lp).pivots == 2
+    # x >= 7 has no crash column: one phase-1 pivot seats x, and phase 2
+    # has nothing to improve; with x <= 5 phase 1 stops infeasible after it
+    for upper, status in ((9.0, LpStatus.OPTIMAL), (5.0, LpStatus.INFEASIBLE)):
+        lp = LinearProgram()
+        x = lp.add_variable("x", 0.0, upper, cost=1.0)
+        lp.add_constraint({x: 1.0}, ">=", 7.0)
+        assert (solve_lp(lp).status, solve_lp(lp).pivots) == (status, 1)
+    # the crash basis seats x at its bound 5, which is optimal: no pivot
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 5.0, cost=-1.0)
+    assert solve_lp(lp).pivots == 0
+    assert solve_lp(LinearProgram()).pivots == 0
+
+
 def test_redundant_row_dropped_in_phase_one_gets_dual_zero():
     lp = LinearProgram()
     x = lp.add_variable("x", cost=1.0)

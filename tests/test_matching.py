@@ -12,6 +12,7 @@ import sspsim.matching
 from sspsim.coalition import meshed_map
 from sspsim.lp import LpStatus, constraint_residuals, max_violation, solve_lp
 from sspsim.matching import (
+    MatchingInfeasibleError,
     MatchingStructureError,
     PairTable,
     PartnerCapacity,
@@ -25,6 +26,7 @@ from sspsim.matching import (
     solve_dist_matching,
     view_for_ssp,
     _build,
+    _build_centralized,
 )
 from sspsim.model import (
     UTILITY_ID,
@@ -39,11 +41,17 @@ from sspsim.model import (
     Subscriber,
     SubscriberKind,
     utility_interaction,
+    validate_scenario,
 )
 from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.oracles import assert_dual_certificate, assert_standardised_alike, brute_force_verify
+from tests.oracles import (
+    assert_dual_certificate,
+    assert_standardised_alike,
+    brute_force_verify,
+    reference_solve_centralized,
+)
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 PC = SubscriberKind.PASSIVE_CONSUMER
@@ -363,7 +371,9 @@ class TestAggregates:
 
 class TestCentralized:
     def test_single_ssp_equals_local_solve(self, worked_scenario):
-        local = solve_dist_matching(view_for_ssp(worked_scenario, "S1"), worked_scenario.weights)
+        view, weights = view_for_ssp(worked_scenario, "S1"), worked_scenario.weights
+        assert layout(*_build_centralized(worked_scenario, weights)) == layout(*_build(view, weights, None, None, 0.0))
+        local = solve_dist_matching(view, weights)
         central = solve_centralized(worked_scenario)
         assert central[0] == local[0]
         assert central[1] == local[1]
@@ -372,6 +382,37 @@ class TestCentralized:
     def test_complementary_pair_nets_to_zero(self, pair_scenario):
         cm, _, _ = solve_centralized(pair_scenario)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
+
+    def test_transshipment_layout(self, pair_scenario):
+        # per consumer its local producers, then one import per partner SSP;
+        # purchases; one export per producer of a pooled SSP; supply rows,
+        # demand rows, then one pool row per pooled SSP
+        lp, info = _build_centralized(pair_scenario, pair_scenario.weights)
+        names = [v.name for v in lp.variables]
+        assert names == [
+            "cm[S1.C1][S1.P1]", "cm[S1.C1][S2]", "cm[S2.C1][S2.P1]", "cm[S2.C1][S1]",
+            "cm[S1.C1][U]", "cm[S2.C1][U]", "export[S1.P1]", "export[S2.P1]",
+        ]
+        assert [(c.name, {names[k]: v for k, v in c.coeffs.items()}, c.relation, c.rhs) for c in lp.constraints] == [
+            ("supply[S1.P1]", {"cm[S1.C1][S1.P1]": 1.0, "export[S1.P1]": 1.0}, "<=", 5.0),
+            ("supply[S2.P1]", {"cm[S2.C1][S2.P1]": 1.0, "export[S2.P1]": 1.0}, "<=", 10.0),
+            ("demand[S1.C1]", {"cm[S1.C1][S1.P1]": 1.0, "cm[S1.C1][S2]": 1.0, "cm[S1.C1][U]": 1.0}, "=", 10.0),
+            ("demand[S2.C1]", {"cm[S2.C1][S2.P1]": 1.0, "cm[S2.C1][S1]": 1.0, "cm[S2.C1][U]": 1.0}, "=", 5.0),
+            ("pool[S1]", {"cm[S2.C1][S1]": 1.0, "export[S1.P1]": -1.0}, "<=", 0.0),
+            ("pool[S2]", {"cm[S1.C1][S2]": 1.0, "export[S2.P1]": -1.0}, "<=", 0.0),
+        ]
+        assert info.live_partners == ["S1", "S2"]
+        # a line on (S1.C1, S2.P1) gives S1.C1 a column per producer of S2
+        # instead of S2's pool, and the pool has no consumer left
+        lined = replace(pair_scenario, line_constraints=LineConstraintSet((LineConstraint("S1.C1", "S2.P1", 1.0, 4.0),)))
+        lp, info = _build_centralized(lined, lined.weights)
+        assert [(v.name, v.lower, v.upper) for v in lp.variables[:2]] == [
+            ("cm[S1.C1][S1.P1]", 0.0, math.inf), ("cm[S1.C1][S2.P1]", 1.0, 4.0),
+        ]
+        assert info.live_partners == ["S1"]
+        assert [c.name for c in lp.constraints][-1] == "pool[S1]"
+        cm, _, _ = solve_centralized(lined)
+        assert cm.get("S1.C1", "S2.P1") == pytest.approx(4.0, abs=1e-9)
 
     def test_merged_view_respects_interssp_connectivity(self, pair_scenario):
         view = merged_view(pair_scenario)
@@ -582,11 +623,9 @@ def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
             assert table.offer_can_improve(prices, (partner_id, cap.energy * (1.0 + cap.bound)), drop - 1e-7)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matching_programs())
-def test_solve_lp_agrees_with_highs(lp):
+def highs(lp):
+    """``scipy.optimize.linprog(method="highs")`` on a LinearProgram, as an independent oracle."""
     optimize = pytest.importorskip("scipy.optimize")
-    assert 10 <= len(lp.variables) <= 300
     n_cols = len(lp.variables)
     # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: >= rows are negated
     signed = {"<=": [], "=": []}
@@ -601,7 +640,7 @@ def test_solve_lp_agrees_with_highs(lp):
                 out[i, col] = sign * c
         return out if rows else None
 
-    highs = optimize.linprog(
+    return optimize.linprog(
         [lp.objective.get(col, 0.0) for col in range(n_cols)],
         A_ub=matrix(signed["<="]),
         b_ub=[sign * row.rhs for row, sign in signed["<="]] or None,
@@ -610,7 +649,95 @@ def test_solve_lp_agrees_with_highs(lp):
         bounds=[(v.lower, None if math.isinf(v.upper) else v.upper) for v in lp.variables],
         method="highs",
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_programs())
+def test_solve_lp_agrees_with_highs(lp):
+    assert 10 <= len(lp.variables) <= 300
+    result = highs(lp)
     ours = solve_lp(lp)
-    assert highs.status == 0 and ours.status is LpStatus.OPTIMAL
+    assert result.status == 0 and ours.status is LpStatus.OPTIMAL
     assert max_violation(lp, ours.values) < 1e-6
-    assert ours.objective == pytest.approx(highs.fun, rel=1e-7, abs=1e-6)
+    assert ours.objective == pytest.approx(result.fun, rel=1e-7, abs=1e-6)
+
+
+def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
+    """The scenario with every producer of one SSP removed, from the connectivity and ranks too."""
+    cfg = scenario.ssp(ssp_id)
+    gone = {p.id for p in cfg.producers}
+    rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in scenario.connectivity.rows.items()}
+    ranks = {c: {s: r for s, r in row.items() if s not in gone} for c, row in cfg.preferences.ranks.items()}
+    ssps = tuple(
+        replace(other, producers=(), preferences=PreferenceTable(ranks)) if other.id == ssp_id else other
+        for other in scenario.ssps
+    )
+    return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))
+
+
+@st.composite
+def centralized_scenarios(draw) -> Scenario:
+    """2-5 SSPs with passive flexibility, missing inter-SSP links, maybe one SSP
+    without producers, either preference mode, and lines on (consumer, U),
+    (consumer, local producer), (consumer, remote producer) and (consumer, SSP)
+    pairs, minimums included."""
+    consumers = draw(st.integers(1, 5))
+    producers = draw(st.integers(1, 3))
+    scenario = generate_scenario(
+        GeneratorSpec(
+            n_ssps=draw(st.integers(2, 5)), consumers_per_ssp=consumers, producers_per_ssp=producers,
+            passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
+            passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
+            supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
+        ),
+        MatchingWeights(preference_mode=draw(st.sampled_from(["coefficient", "additive"]))),
+    )
+    ids = scenario.ssp_ids
+    if draw(st.booleans()):
+        scenario = without_producers(scenario, draw(st.sampled_from(ids)))
+    rows = {row_id: dict(cols) for row_id, cols in scenario.connectivity.rows.items()}
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)):
+        if a != b:
+            rows[a][b] = rows[b][a] = 0
+    consumer_ids = [c.id for cfg in scenario.ssps for c in cfg.consumers]
+    supplier_ids = [UTILITY_ID, *ids, *(p.id for cfg in scenario.ssps for p in cfg.producers)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(consumer_ids), st.sampled_from(supplier_ids)), max_size=6, unique=True))
+    lines = []
+    for row_id, col_id in pairs:
+        rows[row_id][col_id] = 1  # a line with a minimum must be on a connected pair
+        low = draw(st.sampled_from([0.0, 0.0, 1.0, 6.0, 40.0]))
+        lines.append(LineConstraint(row_id, col_id, low, draw(st.sampled_from([2.0, 8.0, 50.0]).filter(lambda high: high >= low))))
+    scenario = replace(
+        scenario, connectivity=ConnectivityMatrix(rows), line_constraints=LineConstraintSet(tuple(lines)) if lines else None
+    )
+    assert validate_scenario(scenario) == []
+    return scenario
+
+
+def centralized_outcome(solve, scenario):
+    try:
+        return solve(scenario)
+    except MatchingInfeasibleError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(centralized_scenarios())
+def test_centralized_equals_the_per_pair_expansion(scenario):
+    expected = centralized_outcome(reference_solve_centralized, scenario)
+    got = centralized_outcome(solve_centralized, scenario)
+    lp, _ = _build_centralized(scenario, scenario.weights)
+    oracle = highs(lp)
+    assert (got is None) == (expected is None) == (oracle.status == 2)
+    if got is None:
+        return
+    cm, fx, objective = got
+    assert objective == pytest.approx(expected[2], rel=1e-9, abs=1e-9)
+    assert oracle.status == 0
+    assert solve_lp(lp).objective == pytest.approx(oracle.fun, rel=1e-7, abs=1e-6)
+    view = merged_view(scenario)
+    assert check_matching_feasibility(view, cm, fx) == []
+    # lines on the pairs the merged view has hold for every cell
+    for lc in scenario.line_constraints.constraints if scenario.line_constraints else ():
+        if lc.col_id == UTILITY_ID or view.connectivity.connected(lc.row_id, lc.col_id):
+            assert lc.min_kwh - 1e-6 <= cm.get(lc.row_id, lc.col_id) <= lc.max_kwh + 1e-6, lc

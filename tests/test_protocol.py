@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sspsim.protocol
 from sspsim.coalition import empty_map, form_coalitions, map_from_coalitions, meshed_map
-from sspsim.matching import MatchingInfeasibleError, PairTable, solve_dist_matching, view_for_ssp
+from sspsim.matching import MatchingInfeasibleError, PairTable, solve_centralized, solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
     ConnectivityMatrix,
@@ -21,6 +21,7 @@ from sspsim.model import (
     Subscriber,
     SubscriberKind,
     energy_status,
+    utility_interaction,
 )
 from sspsim.protocol import (
     CLAIM_KIND,
@@ -382,6 +383,18 @@ def test_meshed_all_active_run_ends_at_the_global_imbalance(spec, run_seed):
     assert result.final_utility_kwh == pytest.approx(imbalance, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
 
 
+@settings(max_examples=100, deadline=None)
+@given(all_active_specs())
+def test_centralized_all_active_baseline_ends_at_the_global_imbalance(spec):
+    # the same bound for the global LP: over the full mesh it places
+    # min(supply, demand), and the Utility takes or gives only the rest
+    scenario = generate_scenario(spec)
+    cm, _, _ = solve_centralized(scenario)
+    statuses = [energy_status(cfg) for cfg in scenario.ssps]
+    expected = abs(sum(statuses))
+    assert utility_interaction(cm) == pytest.approx(expected, rel=0, abs=1e-9 * max(1.0, sum(map(abs, statuses))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(all_active_specs(), st.integers(1, 8), st.integers(0, 2**16))
 def test_coalition_all_active_run_ends_at_the_sum_of_group_imbalances(spec, max_group_size, run_seed):
@@ -425,9 +438,39 @@ def floored_study2(min_kwh: float) -> Scenario:
     )
 
 
-def test_offer_below_a_line_floor_is_solved_and_reported():
+def test_offer_below_a_line_floor_is_solved_and_declined(monkeypatch):
     # S03 offers S01 about 17 kWh, below the 40 kWh floor: the LP with the
-    # offer is infeasible, and pricing must not hide that
+    # offer is infeasible, so S01 solves it and declines with a 0 claim
+    infeasible = []
+    solve = sspsim.protocol.solve_dist_matching
+
+    def spy(view, *args, **kwargs):
+        try:
+            return solve(view, *args, **kwargs)
+        except MatchingInfeasibleError:
+            infeasible.append(view.ssp_id)
+            raise
+
+    monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", spy)
+    scenario = floored_study2(40.0)
+    anm = meshed_map(scenario.ssp_ids)
+    result = run_engine(scenario, anm, seed=1)
+    assert infeasible == ["S01"]
+    answers = [
+        (offer.payload["energy_kwh"], claim)
+        for offer, claim in zip(result.log, result.log[1:])
+        if (offer.kind, offer.src, offer.dst) == (OFFER_KIND, "S03", "S01")
+    ]
+    assert [claim for _, claim in answers] == [LogRecord(1, CLAIM_KIND, "S01", "S03", {"amount_kwh": 0.0})]
+    assert answers[0][0] < 40.0
+    assert audit_privacy(result.log, scenario, anm, seed=1).passed
+
+
+def test_infeasible_solve_without_an_offer_still_raises(monkeypatch):
+    def infeasible(view, *_, **__):
+        raise MatchingInfeasibleError(f"matching LP for {view.ssp_id!r} infeasible")
+
+    monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", infeasible)
     scenario = floored_study2(40.0)
     with pytest.raises(MatchingInfeasibleError, match="'S01'"):
         run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
