@@ -284,41 +284,45 @@ class _Simplex:
         bland = False
         stall = 0
         pivots = 0
-        objective = float(cost[self.basis] @ self.xb)
+        a, c = self.a[:, :allowed], cost[:allowed]
+        basis, binv, xb = self.basis, self.binv, self.xb
+        cb = cost[basis]  # kept in step with the basis
+        objective = float(cb @ xb)
         while pivots < max_pivots:
-            reduced = cost[:allowed] - (cost[self.basis] @ self.binv) @ self.a[:, :allowed]
+            reduced = c - (cb @ binv) @ a
             if bland:
-                candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+                candidates = (reduced < -PIVOT_TOL).nonzero()[0]
                 if candidates.size == 0:
                     return LpStatus.OPTIMAL, objective
                 j = int(candidates[0])
             else:
-                j = int(np.argmin(reduced))
+                j = int(reduced.argmin())
                 if reduced[j] >= -PIVOT_TOL:
                     return LpStatus.OPTIMAL, objective
-            direction = self.binv @ self.a[:, j]
-            pos = np.flatnonzero(direction > PIVOT_TOL)
+            direction = binv @ a[:, j]
+            pos = (direction > PIVOT_TOL).nonzero()[0]
             if pos.size == 0:
                 return LpStatus.UNBOUNDED, -math.inf
-            ratios = self.xb[pos] / direction[pos]
-            best = ratios.min()
-            tied = pos[np.flatnonzero(ratios <= best + PIVOT_TOL)]
-            leave = int(tied[np.argmin(self.basis[tied])])
-            theta = max(self.xb[leave] / direction[leave], 0.0)
+            ratios = xb[pos] / direction[pos]
+            tied = pos[(ratios <= ratios.min() + PIVOT_TOL).nonzero()[0]]
+            leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
+            theta = max(xb[leave] / direction[leave], 0.0)
 
-            pivot_row = self.binv[leave] / direction[leave]
-            self.binv -= np.outer(direction, pivot_row)
-            self.binv[leave] = pivot_row
-            self.xb -= theta * direction
-            self.xb[leave] = theta
-            np.maximum(self.xb, 0.0, out=self.xb)
-            self.basis[leave] = j
+            pivot_row = binv[leave] / direction[leave]
+            binv -= direction[:, None] * pivot_row
+            binv[leave] = pivot_row
+            xb -= theta * direction
+            xb[leave] = theta
+            np.maximum(xb, 0.0, out=xb)
+            basis[leave] = j
+            cb[leave] = cost[j]
 
             pivots += 1
             self.pivots += 1
             if pivots % 150 == 0:
                 self._refactorize()
-            new_objective = float(cost[self.basis] @ self.xb)
+                binv, xb = self.binv, self.xb
+            new_objective = float(cb @ xb)
             if bland:
                 if new_objective < objective - 1e-12:
                     bland = False

@@ -259,6 +259,14 @@ class PairTable:
             for consumer, local, row in zip(view.consumers, local_ids, ranks)
         }
         self.n_local = sum(len(columns) for columns in self.local.values())
+        # partners that a line with a positive minimum ties to some consumer
+        consumer_set = set(self._consumer_ids)
+        self.floored = frozenset(
+            lc.col_id
+            for lc in (lines.constraints if lines is not None else ())
+            if lc.row_id in consumer_set and lc.col_id in self._partners
+            and _line_bounds(lines, lc.row_id, lc.col_id)[0] > 0.0
+        )
         self.purchases, self.cuts, self.stretches = _flex_variables(view.consumers, view.producers, lines)
 
     def partner_columns(self, partner_id: str) -> list[_Column]:
@@ -273,9 +281,10 @@ class PairTable:
         ]
 
     def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
-        """Whether an offer can lower the optimum of the LP whose prices are given by more than ``tol``.
+        """Whether an offer can lower the optimum of the LP that ``prices`` come from by more than ``tol``.
 
-        ``prices`` come from an optimal solve of this view's LP; ``offer`` is
+        ``prices`` come from an optimal solve of this view's LP, with or
+        without another partner's offer installed; ``offer`` is
         (partner id, offered kWh including its flexibility), or None for no
         new capacity, which cannot lower it. Adding the partner's block (its
         cm columns, each in its consumer's demand row, and a supply row whose
@@ -286,15 +295,16 @@ class PairTable:
         block's columns carry at most that many kWh. The bound holds for
         every feasible point, but a line with a positive minimum on a
         (consumer, partner) pair can make the LP infeasible, which only a
-        solve reports: such an offer always needs one.
+        solve reports: such an offer (its partner is in ``floored``) always
+        needs one.
         """
         if offer is None:
             return False
         partner_id, kwh = offer
+        if partner_id in self.floored:
+            return True
         gain = 0.0
         for consumer_id in self._consumer_ids:
-            if _line_bounds(self._lines, consumer_id, partner_id)[0] > 0.0:
-                return True
             reward = self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
             gain = max(gain, reward - prices[consumer_id])
         return gain * kwh > tol
@@ -521,8 +531,9 @@ def attribute_sell_backs(cm: CommitmentMatrix, producers: tuple[Subscriber, ...]
     below RESIDUAL_TOL reads as 0.
     """
     remaining = exports
+    committed = cm.committed_by_column()
     for producer in producers:
-        residual = max(0.0, producer.energy - cm.committed_to_consumers(producer.id))
+        residual = max(0.0, producer.energy - committed.get(producer.id, 0.0))
         share = min(residual, remaining)
         remaining -= share
         kwh = residual - share if residual - share > RESIDUAL_TOL else 0.0
@@ -575,8 +586,9 @@ def aggregate_surplus(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> tuple[f
     """
     ex_energy = 0.0
     total_energy = 0.0
+    committed_by = cm.committed_by_column()
     for producer in ssp.producers:
-        committed = cm.committed_to_consumers(producer.id)
+        committed = committed_by.get(producer.id, 0.0)
         residual = producer.energy - committed
         if residual > RESIDUAL_TOL:
             ex_energy += (1.0 + producer.bound) * producer.energy - committed

@@ -411,6 +411,22 @@ class CommitmentMatrix:
         """Total kWh column ``col_id`` delivers to consumers (Utility row excluded)."""
         return sum(self.get(i, col_id) for i in self.consumer_ids)
 
+    def committed_by_column(self) -> dict[str, float]:
+        """``committed_to_consumers`` of every column with a consumer cell, in one pass over the cells.
+
+        Each column is summed in consumer order, so every total is the same
+        float; a column without a consumer cell is absent and reads as 0.
+        """
+        order = {row_id: k for k, row_id in enumerate(self.consumer_ids)}
+        consumer_cells = sorted(
+            ((order[row_id], col_id, kwh) for (row_id, col_id), kwh in self._cells.items() if row_id in order),
+            key=lambda cell: cell[0],
+        )
+        totals: dict[str, float] = {}
+        for _, col_id, kwh in consumer_cells:
+            totals[col_id] = totals.get(col_id, 0.0) + kwh
+        return totals
+
     def purchases(self) -> float:
         return sum(self.get(i, UTILITY_ID) for i in self.consumer_ids)
 

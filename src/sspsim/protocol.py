@@ -20,9 +20,12 @@ Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
-had been made. An agent keeps the consumer prices (minus the demand-row duals)
-of its last accepted solve, and ``_Agent.solve_and_accept`` returns False
-without building an LP in two cases:
+had been made. An agent holds one pricing certificate (floor, prices): a
+lower bound ``floor`` on the optimum of its current LP, and consumer prices
+(minus the demand-row duals) of a solve whose optimum was ``floor``. An
+accepted solve sets both (floor = its objective = ``best_solution``).
+``_Agent.solve_and_accept`` returns False without building an LP in two
+cases:
 
 1. No offer, and the agent already holds an accepted solution. Since that
    acceptance its LP has only lost feasible points: the claimed cells are
@@ -31,15 +34,29 @@ without building an LP in two cases:
 2. An offer (q, base, bound) that ``PairTable.offer_can_improve`` prices out:
    no (consumer, q) line has a positive minimum (such a line can make the LP
    infeasible, and the solve must report that), and
-   max_i (reward(i, q) - prices[i])+ * base * (1 + bound) <= IMPROVE_TOL / 2.
-   The accepted LP plus q's block has the accepted duals, with 0 on q's
-   supply row, as a dual solution that is feasible except for q's columns,
-   whose reduced costs are prices[i] - reward(i, q); so its optimum is at
-   least ``best_solution`` minus that product. The current LP embeds in it
+   floor - max_i (reward(i, q) - prices[i])+ * base * (1 + bound)
+   >= best_solution - IMPROVE_TOL / 2.
+   The certificate's LP plus q's block has the certificate's duals, with 0
+   on q's supply row, as a dual solution that is feasible except for q's
+   columns, whose reduced costs are prices[i] - reward(i, q); so its optimum
+   is at least ``floor`` minus that product. The current LP embeds in it
    (locked cells sit in the columns they were claimed from, and a tighter or
    new reservation row only removes points), so its exact optimum cannot
    beat ``best_solution`` by IMPROVE_TOL, the acceptance margin; the other
    half of the margin absorbs the solver's rounding.
+
+A solve of an offer from p that is feasible but not accepted hands its
+objective and prices over as the new certificate when its objective is at
+least ``best_solution - IMPROVE_TOL / 2`` (a lower floor could price out
+nothing) and no (consumer, p) line has a positive minimum. The current LP is
+that LP with p's columns (and p's stretch) fixed at 0, which their lower
+bounds of 0 allow; so the current optimum is at least its objective, and the
+embedding above carries over. Equivalently, its duals restricted to the
+current LP's rows stay dual feasible, and dropping p's supply row (dual <= 0
+against a non-negative offer) only raises their value. This matters because
+an accepted LP is often primal degenerate: its duals are one of many optimal
+ones, and the prices of a later, non-improving solve can price out offers
+that the accepted ones let through.
 
 An offer can also make the receiver's LP infeasible: a line with a positive
 minimum on a (consumer, sender) pair asks for more than the offer holds. The
@@ -167,9 +184,9 @@ class _Agent:
     """One SSP's state: accepted solution, binding import locks, reserved exports.
 
     The agent owns the PairTable of its local LP, built once over its whole
-    partner list, the consumer prices of its accepted solve, and the Utility
-    interaction of its accepted matrix, kept until the matrix changes (an
-    accepted solve or a registered export).
+    partner list, its pricing certificate (``floor``, ``prices``; see the
+    module docstring), and the Utility interaction of its accepted matrix,
+    kept until the matrix changes (an accepted solve or a registered export).
     """
 
     def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
@@ -180,6 +197,7 @@ class _Agent:
         self.best_solution = float("inf")
         self.cm: CommitmentMatrix | None = None
         self.fx: FlexibilityAssignment | None = None
+        self.floor = float("inf")
         self.prices: dict[str, float] | None = None
         self.lp_solves = 0
         self.offers_priced_out = 0
@@ -213,7 +231,7 @@ class _Agent:
         infeasible LP is a fault and raises ``MatchingInfeasibleError``."""
         if self.prices is not None:
             offer = None if transient is None else (transient[0], transient[1] * (1.0 + transient[2]))
-            if not self.table.offer_can_improve(self.prices, offer, IMPROVE_TOL / 2):
+            if not self.table.offer_can_improve(self.prices, offer, self.floor - self.best_solution + IMPROVE_TOL / 2):
                 if transient is not None:
                     self.offers_priced_out += 1
                 return False
@@ -232,10 +250,14 @@ class _Agent:
                 raise
             return False
         if objective < self.best_solution - IMPROVE_TOL:
-            self.best_solution = objective
+            self.best_solution = self.floor = objective
             self.cm, self.fx, self.prices = cm, fx, prices
             self._utility = None
             return True
+        # a certificate, unless a line floor keeps the offer's columns off 0
+        floored = transient is not None and transient[0] in self.table.floored
+        if objective >= self.best_solution - IMPROVE_TOL / 2 and not floored:
+            self.floor, self.prices = objective, prices
         return False
 
     def register_export(self, partner_id: str, kwh: float) -> None:

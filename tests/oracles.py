@@ -13,6 +13,7 @@ from sspsim.lp import (
     FEAS_TOL,
     GREATER_EQUAL,
     LESS_EQUAL,
+    PIVOT_TOL,
     LinearProgram,
     LpSolution,
     LpStatus,
@@ -76,7 +77,8 @@ class ReferenceSimplex(_Simplex):
     reading of the standard form that ``_Simplex`` builds with array
     operations. Both must give the same matrix, rhs, cost, crash basis,
     artificial columns and row divisors, hence the same pivots, solution and
-    duals. Values are clamped into their bounds without a drift check.
+    duals. The pivot loop is the plain one that ``_Simplex._iterate`` was
+    tuned from. Values are clamped into their bounds without a drift check.
     """
 
     def _standardise(self) -> None:
@@ -159,6 +161,62 @@ class ReferenceSimplex(_Simplex):
         for j, c in lp.objective.items():
             self.cost[j] += c
 
+    def _iterate(self, cost: np.ndarray, allowed: int) -> tuple[LpStatus, float]:
+        """The pivot loop as first written: the basis costs gathered and the
+        matrix sliced on every pivot, numpy's function wrappers, and a
+        basis-index argmin over the ratio ties even when only one row ties.
+        ``_Simplex._iterate`` must take the same pivots, bit for bit."""
+        m = self.a.shape[0]
+        max_pivots = 20000 + 200 * (m + allowed)
+        bland = False
+        stall = 0
+        pivots = 0
+        objective = float(cost[self.basis] @ self.xb)
+        while pivots < max_pivots:
+            reduced = cost[:allowed] - (cost[self.basis] @ self.binv) @ self.a[:, :allowed]
+            if bland:
+                candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+                if candidates.size == 0:
+                    return LpStatus.OPTIMAL, objective
+                j = int(candidates[0])
+            else:
+                j = int(np.argmin(reduced))
+                if reduced[j] >= -PIVOT_TOL:
+                    return LpStatus.OPTIMAL, objective
+            direction = self.binv @ self.a[:, j]
+            pos = np.flatnonzero(direction > PIVOT_TOL)
+            if pos.size == 0:
+                return LpStatus.UNBOUNDED, -math.inf
+            ratios = self.xb[pos] / direction[pos]
+            best = ratios.min()
+            tied = pos[np.flatnonzero(ratios <= best + PIVOT_TOL)]
+            leave = int(tied[np.argmin(self.basis[tied])])
+            theta = max(self.xb[leave] / direction[leave], 0.0)
+
+            pivot_row = self.binv[leave] / direction[leave]
+            self.binv -= np.outer(direction, pivot_row)
+            self.binv[leave] = pivot_row
+            self.xb -= theta * direction
+            self.xb[leave] = theta
+            np.maximum(self.xb, 0.0, out=self.xb)
+            self.basis[leave] = j
+
+            pivots += 1
+            self.pivots += 1
+            if pivots % 150 == 0:
+                self._refactorize()
+            new_objective = float(cost[self.basis] @ self.xb)
+            if bland:
+                if new_objective < objective - 1e-12:
+                    bland = False
+                    stall = 0
+            else:
+                stall = stall + 1 if new_objective >= objective - 1e-12 else 0
+                if stall > 40 + m:
+                    bland = True
+            objective = new_objective
+        raise ArithmeticError("simplex pivot limit exceeded")
+
     def _extract(self) -> LpSolution:
         std = np.zeros(self.n_real)
         for i, bi in enumerate(self.basis):
@@ -187,20 +245,27 @@ def _outcome(simplex: _Simplex) -> LpSolution | type[Exception]:
         return type(exc)
 
 
-def assert_standardised_alike(lp: LinearProgram) -> None:
-    """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and solution.
-
-    Arrays must agree in shape, dtype and bytes, so a zero that changed sign
-    counts as a difference; the solutions (or the error raised) must be
-    equal, duals included.
-    """
-    ref, new = ReferenceSimplex(lp), _Simplex(lp)
-    for attr in ("a", "b", "cost", "basis", "art_cols", "row_divisor"):
+def _assert_arrays_alike(ref: _Simplex, new: _Simplex, attrs: tuple[str, ...]) -> None:
+    for attr in attrs:
         want, got = getattr(ref, attr), getattr(new, attr)
         assert np.array_equal(want, got), attr
         assert (want.shape, want.dtype) == (got.shape, got.dtype), attr
         assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes(), attr
+
+
+def assert_standardised_alike(lp: LinearProgram) -> None:
+    """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and take the same pivots.
+
+    Arrays must agree in shape, dtype and bytes, so a zero that changed sign
+    counts as a difference; the solutions (or the error raised) must be
+    equal, duals and pivot counts included, and so must the final basis, its
+    inverse and the basic values, which any step off the reference pivot
+    path would change.
+    """
+    ref, new = ReferenceSimplex(lp), _Simplex(lp)
+    _assert_arrays_alike(ref, new, ("a", "b", "cost", "basis", "art_cols", "row_divisor"))
     assert _outcome(ref) == _outcome(new)
+    _assert_arrays_alike(ref, new, ("basis", "binv", "xb", "row_ids"))
 
 
 def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float = 1e-7) -> None:

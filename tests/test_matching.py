@@ -379,6 +379,18 @@ class TestCentralized:
         assert central[1] == local[1]
         assert central[2] == pytest.approx(local[2], abs=1e-9)
 
+    def test_a_solve_past_a_refactorization_follows_the_reference_pivots(self):
+        # the basis is refactorized every 150 pivots: the 10-SSP study-1
+        # baseline takes more, so the pivot loop must carry on from the fresh
+        # inverse exactly as the reference loop does
+        scenario = generate_scenario(GeneratorSpec(
+            n_ssps=10, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
+            supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
+        ))
+        lp, _ = _build_centralized(scenario, scenario.weights)
+        assert solve_lp(lp).pivots > 150
+        assert_standardised_alike(lp)
+
     def test_complementary_pair_nets_to_zero(self, pair_scenario):
         cm, _, _ = solve_centralized(pair_scenario)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
@@ -456,13 +468,13 @@ class TestCalibration:
         assert calibrated.w35 in (0.5, 1.0, 2.0)
 
 
-def study2_scenario(seed: int = 7, n_ssps: int = 4) -> Scenario:
+def study2_scenario(seed: int = 7, n_ssps: int = 4, supply_mean_kwh: float = 24.0) -> Scenario:
     """Small study-2 shape with passive subscribers and a line bound of every valid kind."""
     scenario = generate_scenario(
         GeneratorSpec(
             n_ssps=n_ssps, consumers_per_ssp=6, producers_per_ssp=3,
             passive_consumers=2, passive_consumer_bound=0.15, passive_producers=1, passive_producer_bound=0.1,
-            demand_mean_kwh=12.0, supply_mean_kwh=24.0, noise_std_kwh=6.0, seed=seed,
+            demand_mean_kwh=12.0, supply_mean_kwh=supply_mean_kwh, noise_std_kwh=6.0, seed=seed,
         )
     )
     lines = LineConstraintSet((

@@ -221,6 +221,30 @@ class TestUtilityInteraction:
             cm.set(UTILITY_ID, UTILITY_ID, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(["c1", "c2", "c3", "c4", UTILITY_ID]),
+            st.sampled_from(["p1", "p2", "S2", UTILITY_ID]),
+            st.floats(1e-12, 1e16, allow_nan=False),
+        ),
+        max_size=25,
+    )
+)
+def test_column_totals_in_one_pass_equal_the_per_column_sums(cells):
+    # cells arrive in any order, overwrites included; addition order matters
+    # at these magnitudes, so only a sum in consumer order is the same float
+    cm = CommitmentMatrix(["c1", "c2", "c3", "c4"], ["p1", "p2", "S2"])
+    for row_id, col_id, kwh in cells:
+        if (row_id, col_id) != (UTILITY_ID, UTILITY_ID):
+            cm.set(row_id, col_id, kwh)
+    totals = cm.committed_by_column()
+    for col_id in cm.col_ids():
+        assert totals.get(col_id, 0.0) == cm.committed_to_consumers(col_id)
+    assert set(totals) == {col for (row, col) in cm.cells() if row != UTILITY_ID}
+
+
 MUTATIONS = (
     "drop-local-rank",
     "drop-partner-rank",

@@ -25,11 +25,13 @@ from sspsim.model import (
 )
 from sspsim.protocol import (
     CLAIM_KIND,
+    IMPROVE_TOL,
     OFFER_KIND,
     ConvergenceError,
     InvalidScenarioError,
     LogRecord,
     ProtocolViolationError,
+    _Agent,
     audit_privacy,
     run_engine,
     shuffle_partners,
@@ -476,21 +478,33 @@ def test_infeasible_solve_without_an_offer_still_raises(monkeypatch):
         run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
 
 
+def passive_study2() -> Scenario:
+    """Twelve study-2 SSPs with supply a little above demand (3 x 27 against
+    6 x 12 kWh per SSP, before noise): offers flow on the mesh, and many
+    re-solves of an offer return exactly ``best_solution`` from a degenerate
+    LP, whose prices then replace the accepted ones."""
+    return study2_scenario(n_ssps=12, supply_mean_kwh=27.0)
+
+
 def differential_cases():
     """Engine inputs with every kind of offer the pricing has to judge."""
     study1 = generate_scenario(STUDY1)
     statuses = {cfg.id: energy_status(cfg) for cfg in study1.ssps}
     floored = floored_study2(0.25)  # every offer from S03 to S01 is solved
     additive = replace(study1, weights=MatchingWeights(preference_mode="additive"))
+    passive = passive_study2()
     return {
         "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
         "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
         "study2-line-floor": (floored, meshed_map(floored.ssp_ids)),
         "study1-additive": (additive, meshed_map(additive.ssp_ids)),
+        "study2-passive-meshed": (passive, meshed_map(passive.ssp_ids)),
     }
 
 
-@pytest.mark.parametrize("case", ["study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive"])
+@pytest.mark.parametrize(
+    "case", ["study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive", "study2-passive-meshed"]
+)
 def test_priced_out_solves_change_no_result(case, monkeypatch):
     scenario, anm = differential_cases()[case]
     skipped = priced_out = 0
@@ -517,3 +531,89 @@ def test_lp_solves_counts_every_matching_solve(monkeypatch):
     # every offer is solved or priced out; the other solves are the agents'
     # first ones made in their own sweep turn (S01's at least)
     assert 1 <= len(calls) - (offers - result.offers_priced_out) <= len(scenario.ssps)
+
+
+def test_a_non_improving_solve_prices_out_what_the_accepted_prices_let_through(monkeypatch):
+    # spy on every agent: an offer priced out by the prices of a solve that
+    # was not accepted, which the prices of the accepted solve would have
+    # sent to the solver, is a solve the certificate saved
+    scenario = passive_study2()
+    anm = meshed_map(scenario.ssp_ids)
+    accepted: dict[str, dict[str, float]] = {}
+    saved = []
+    solve_and_accept = _Agent.solve_and_accept
+
+    def spy(agent, transient=None):
+        priced_out = agent.offers_priced_out
+        certificate = (agent.floor, agent.prices)
+        improved = solve_and_accept(agent, transient)
+        if improved:
+            accepted[agent.cfg.id] = agent.prices
+        elif agent.offers_priced_out > priced_out and agent.prices is not accepted[agent.cfg.id]:
+            assert (agent.floor, agent.prices) == certificate
+            offer = (transient[0], transient[1] * (1.0 + transient[2]))
+            if agent.table.offer_can_improve(accepted[agent.cfg.id], offer, IMPROVE_TOL / 2):
+                saved.append((agent.cfg.id, transient[0]))
+        return improved
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Agent, "solve_and_accept", spy)
+        priced = run_engine(scenario, anm, seed=1)
+    assert len(saved) >= 5
+    with monkeypatch.context() as always_solve:
+        always_solve.setattr(PairTable, "offer_can_improve", lambda *_: True)
+        full = run_engine(scenario, anm, seed=1)
+    assert replace(priced, lp_solves=full.lp_solves, offers_priced_out=0) == full
+
+
+def stubbed_agent(monkeypatch, objective_below_best: float) -> tuple[_Agent, tuple]:
+    """S01 of ``floored_study2`` after its first solve, and its certificate;
+    its later solves are stubbed to return the accepted solution at
+    ``best_solution - objective_below_best`` with other prices."""
+    scenario = floored_study2(0.25)
+    partners = [s for s in scenario.ssp_ids if s != "S01"]
+    agent = _Agent(scenario.ssp("S01"), scenario, partners, scenario.weights)
+    assert agent.solve_and_accept()
+    certificate = (agent.floor, agent.prices)
+    assert agent.floor == agent.best_solution
+    stub = (agent.cm, agent.fx, agent.best_solution - objective_below_best, dict.fromkeys(agent.prices, 0.0))
+    monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", lambda *_, **__: stub)
+    return agent, certificate
+
+
+def solve_anyway(agent: _Agent, transient: tuple[str, float, float], monkeypatch) -> bool:
+    with monkeypatch.context() as always_solve:
+        always_solve.setattr(PairTable, "offer_can_improve", lambda *_: True)
+        return agent.solve_and_accept(transient)
+
+
+def test_a_solve_below_half_the_margin_leaves_the_certificate(monkeypatch):
+    agent, certificate = stubbed_agent(monkeypatch, 0.75 * IMPROVE_TOL)
+    assert not solve_anyway(agent, ("S02", 5.0, 0.0), monkeypatch)
+    assert (agent.floor, agent.prices) == certificate
+    assert agent.prices is certificate[1]
+
+
+def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
+    agent, certificate = stubbed_agent(monkeypatch, 0.25 * IMPROVE_TOL)
+    assert not solve_anyway(agent, ("S02", 5.0, 0.0), monkeypatch)
+    assert agent.floor == certificate[0] - 0.25 * IMPROVE_TOL
+    assert set(agent.prices.values()) == {0.0}
+    # at prices 0 an offer gains up to its best reward per kWh; the floor
+    # sits a quarter of the margin below best_solution, so only a gain below
+    # a quarter of the margin is priced out
+    gain = max(agent.table.reward(c.id, "S04") for c in agent.cfg.consumers)
+    solves = agent.lp_solves
+    assert not agent.solve_and_accept(("S04", 0.2 * IMPROVE_TOL / gain, 0.0))
+    assert (agent.lp_solves, agent.offers_priced_out) == (solves, 1)
+    assert not agent.solve_and_accept(("S04", 0.3 * IMPROVE_TOL / gain, 0.0))
+    assert (agent.lp_solves, agent.offers_priced_out) == (solves + 1, 1)
+
+
+def test_a_solve_of_an_offer_under_a_line_floor_leaves_the_certificate(monkeypatch):
+    # S03's columns have a positive minimum in S01's LP, so the LP without
+    # S03's offer does not embed in it: its objective bounds nothing
+    agent, certificate = stubbed_agent(monkeypatch, 0.25 * IMPROVE_TOL)
+    assert agent.table.floored == {"S03"}
+    assert not solve_anyway(agent, ("S03", 5.0, 0.0), monkeypatch)
+    assert agent.prices is certificate[1]
