@@ -11,12 +11,29 @@ The solver is a pure function of its input. Identical programs yield
 bit-identical solutions: entering columns follow Dantzig's rule with
 first-index tie-breaking, degenerate stalls switch to Bland's anti-cycling
 rule, leaving rows break ratio ties on the smallest basis variable index, and
-all arithmetic is plain float64 on dense arrays.
+all arithmetic is plain float64.
 
-Instances in this package are modest (tens of thousands of variables at the
-very top), so dense linear algebra with an explicit, periodically
-refactorised basis inverse is deliberate; there is no sparse factorisation
-and no MILP (binary connectivity is data, never a decision variable).
+The standard form is kept column by column (compressed sparse columns) and
+is never written out as a dense matrix: at the size of the centralized
+baseline (1,220 rows x 22,020 columns) it is 99.8% zeros. The basis inverse
+is a dense m x m array, updated per pivot and refactorised from the basis
+columns every 150 pivots (the revised simplex of Chvatal, *Linear
+Programming*, ch. 7). FTRAN multiplies B^-1 by the entering column
+scattered into a dense vector: that is the product the dense reference in
+``tests/oracles.py`` computes, so B^-1 and x_B follow it bit for bit. (A
+product over the column's entries alone sums in another order, and on
+columns with inexact entries it differs in the last bit.) Pricing sums each
+column's terms y_r a_rj in row order, where the dense product y A leaves
+the order to BLAS. Most columns of the matching LPs have one or two
+entries, each +-1: every product is then exact, and a sum of at most two
+exact terms is the same float in any order, fused multiply-add included. A
+local producer's column also has an entry in the export-reservation row;
+there, and on a general program, a reduced cost may differ from the dense
+one in the last bit, which changes the entering column only where two
+reduced costs tie to the last bit. The reference tests and the benchmark's
+digests check that the pivots stay the same. There is no sparse
+factorisation and no MILP (binary connectivity is data, never a decision
+variable).
 
 A column is known by its position: ``add_variable`` returns it, the objective
 and every row are keyed by it, and a solution lists one value per column in
@@ -156,13 +173,19 @@ class _Simplex:
 
     Standard row i is original row i (constraints, then bound rows) divided
     by ``row_divisor[i]``; ``row_ids`` names the original row of each row
-    still in the matrix, as phase 1 may drop redundant ones.
+    still in the store, as phase 1 may drop redundant ones.
+
+    The standard form is a column store: column j holds the entries
+    ``data[indptr[j]:indptr[j + 1]]`` in rows ``row_ix[...]``, in row order,
+    and ``col_ix`` repeats j for each of them. The real columns (variables,
+    then slacks; ``n_real`` of them) come first, the artificials last as unit
+    columns. Pricing, FTRAN and the basis matrix read only these entries.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._standardise()
-        self.row_ids = np.arange(self.a.shape[0])
+        self.row_ids = np.arange(self.b.size)
         self.pivots = 0
 
     def _standardise(self) -> None:
@@ -227,33 +250,36 @@ class _Simplex:
         self.basis = pick
         self.basis[art_rows] = n_real + np.arange(art_rows.size)
         self.art_cols = self.basis[art_rows].astype(int)
-
-        # the dense matrix is written once, in the column-major layout the
-        # simplex prices with; only negated or scaled rows are touched again
-        a = np.zeros((m, n_real + art_rows.size), order="F")
-        a[rows, cols] = vals
         divisor = np.where(scaled, row_sign * scale, row_sign)
-        for i in np.flatnonzero(divisor != 1.0):
-            a[i, :n_real] /= divisor[i]
-        a[art_rows, self.art_cols] = 1.0
         self.row_divisor = divisor
 
-        self.a = a
+        # the column store: each real entry divided by its row's divisor, the
+        # artificials' unit entries appended; within a column the triplets
+        # are already in row order, so a stable sort by column is enough
+        rows = np.concatenate([rows, art_rows])
+        cols = np.concatenate([cols, self.art_cols])
+        vals = np.concatenate([vals / divisor[rows[: vals.size]], np.ones(art_rows.size)])
+        order = np.argsort(cols, kind="stable")
+        self.row_ix, self.col_ix, self.data = rows[order], cols[order], vals[order]
+        n_cols = n_real + art_rows.size
+        self.indptr = _column_starts(self.col_ix, n_cols)
+
         self.b = b
         self.n_real = n_real
-        self.cost = np.zeros(a.shape[1])
+        self.lower, self.upper = lower, upper
+        self.cost = np.zeros(n_cols)
         obj_ix = np.array(list(lp.objective), dtype=np.intp)
         self.cost[obj_ix] = 0.0 + np.array(list(lp.objective.values()), dtype=float)
 
     def solve(self) -> LpSolution:
-        # revised simplex: the constraint matrix stays read-only, only the
-        # m x m basis inverse is updated per pivot
+        # revised simplex: the column store stays read-only, only the m x m
+        # basis inverse is updated per pivot
         self._refactorize()
 
         if self.art_cols.size:
-            phase1 = np.zeros(self.a.shape[1])
+            phase1 = np.zeros(self.cost.size)
             phase1[self.art_cols] = 1.0
-            status, objective = self._iterate(phase1, allowed=self.a.shape[1])
+            status, objective = self._iterate(phase1, allowed=self.cost.size)
             if status is LpStatus.UNBOUNDED:
                 raise ArithmeticError("phase-1 objective cannot be unbounded")
             if objective > 1e-7:
@@ -270,8 +296,26 @@ class _Simplex:
         return LpSolution(status, [0.0] * len(self.lp.variables), objective, zeros, self.pivots)
 
     def _refactorize(self) -> None:
-        self.binv = np.linalg.inv(self.a[:, self.basis])
+        """B^-1 and x_B from the basis columns, scattered through their basis slots."""
+        m = self.b.size
+        slot = np.full(self.cost.size, m)  # column m collects the entries of nonbasic columns
+        slot[self.basis] = np.arange(m)
+        basis_matrix = np.zeros((m, m + 1))
+        basis_matrix[self.row_ix, slot[self.col_ix]] = self.data
+        self.binv = np.linalg.inv(basis_matrix[:, :m])
         self.xb = self.binv @ self.b
+
+    def _entries(self, allowed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row_ix, data, col_ix) of the entries of the first ``allowed`` columns."""
+        end = self.indptr[allowed]
+        return self.row_ix[:end], self.data[:end], self.col_ix[:end]
+
+    def _column(self, j: int) -> np.ndarray:
+        """Column j as a dense vector: B^-1 times it is the dense reference's FTRAN, bit for bit."""
+        column = np.zeros(self.b.size)
+        start, stop = self.indptr[j], self.indptr[j + 1]
+        column[self.row_ix[start:stop]] = self.data[start:stop]
+        return column
 
     def _iterate(self, cost: np.ndarray, allowed: int) -> tuple[LpStatus, float]:
         """Deterministic pivoting: Dantzig's most-negative reduced cost (first
@@ -279,17 +323,18 @@ class _Simplex:
         Bland's anti-cycling rule until the objective strictly improves again.
         Leaving row by minimum ratio, ties broken on the smallest basis
         variable index."""
-        m = self.a.shape[0]
+        m = self.b.size
         max_pivots = 20000 + 200 * (m + allowed)
         bland = False
         stall = 0
         pivots = 0
-        a, c = self.a[:, :allowed], cost[:allowed]
+        priced = self._entries(allowed)
+        c = cost[:allowed]
         basis, binv, xb = self.basis, self.binv, self.xb
         cb = cost[basis]  # kept in step with the basis
         objective = float(cb @ xb)
         while pivots < max_pivots:
-            reduced = c - (cb @ binv) @ a
+            reduced = c - _times_columns(cb.dot(binv), *priced, allowed)
             if bland:
                 candidates = (reduced < -PIVOT_TOL).nonzero()[0]
                 if candidates.size == 0:
@@ -299,7 +344,7 @@ class _Simplex:
                 j = int(reduced.argmin())
                 if reduced[j] >= -PIVOT_TOL:
                     return LpStatus.OPTIMAL, objective
-            direction = binv @ a[:, j]
+            direction = binv.dot(self._column(j))
             pos = (direction > PIVOT_TOL).nonzero()[0]
             if pos.size == 0:
                 return LpStatus.UNBOUNDED, -math.inf
@@ -337,24 +382,29 @@ class _Simplex:
     def _drive_out_artificials(self) -> None:
         art = set(self.art_cols.tolist())
         drop_rows: list[int] = []
-        for i in range(self.a.shape[0]):
+        priced = self._entries(self.n_real)
+        for i in range(self.b.size):
             if self.basis[i] not in art:
                 continue
-            row = self.binv[i] @ self.a[:, : self.n_real]
+            row = _times_columns(self.binv[i], *priced, self.n_real)
             nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
             if nonzero.size == 0:
                 drop_rows.append(i)  # redundant constraint
                 continue
             j = int(nonzero[0])
-            direction = self.binv @ self.a[:, j]
+            direction = self.binv.dot(self._column(j))
             pivot_row = self.binv[i] / direction[i]
             self.binv -= np.outer(direction, pivot_row)
             self.binv[i] = pivot_row
             self.basis[i] = j
             self.xb = self.binv @ self.b
         if drop_rows:
-            keep = np.array([i for i in range(self.a.shape[0]) if i not in set(drop_rows)], dtype=int)
-            self.a = np.asfortranarray(self.a[keep])
+            keep = np.ones(self.b.size, dtype=bool)
+            keep[drop_rows] = False
+            live = keep[self.row_ix]
+            self.row_ix = (np.cumsum(keep) - 1)[self.row_ix[live]]
+            self.col_ix, self.data = self.col_ix[live], self.data[live]
+            self.indptr = _column_starts(self.col_ix, self.cost.size)
             self.b = self.b[keep]
             self.basis = self.basis[keep]
             self.row_ids = self.row_ids[keep]
@@ -363,24 +413,24 @@ class _Simplex:
     def _extract(self) -> LpSolution:
         """Original values from the basic solution.
 
-        A value drifted outside its bounds is clamped back when the drift is
-        within FEAS_TOL; larger drift is a solver fault and raises."""
-        std = [0.0] * self.n_real
-        for bi, x in zip(self.basis.tolist(), self.xb.tolist()):
-            if bi < self.n_real:
-                std[bi] = max(x, 0.0)
-        values: list[float] = []
-        for var, y in zip(self.lp.variables, std):
-            x = var.lower + y
-            if x < var.lower or x > var.upper:
-                bound = var.lower if x < var.lower else var.upper
-                if abs(x - bound) > FEAS_TOL:
-                    raise ArithmeticError(
-                        f"simplex value {x!r} of {var.name!r} lies outside its bounds "
-                        f"[{var.lower}, {var.upper}] by more than {FEAS_TOL}"
-                    )
-                x = bound
-            values.append(float(x))
+        A value drifted past its upper bound is clamped back when the drift is
+        within FEAS_TOL; larger drift is a solver fault and raises, naming the
+        first such column. (A value is never below its lower bound: basic
+        values are clamped at 0 before the lower bound is added.)"""
+        n_vars = len(self.lp.variables)
+        std = np.zeros(self.n_real)
+        real = self.basis < self.n_real
+        std[self.basis[real]] = np.maximum(self.xb[real], 0.0)
+        x = self.lower + std[:n_vars]
+        for k in np.flatnonzero(x > self.upper).tolist():
+            if x[k] - self.upper[k] > FEAS_TOL:
+                var = self.lp.variables[k]
+                raise ArithmeticError(
+                    f"simplex value {float(x[k])!r} of {var.name!r} lies outside its bounds "
+                    f"[{var.lower}, {var.upper}] by more than {FEAS_TOL}"
+                )
+            x[k] = self.upper[k]
+        values = x.tolist()
         objective = sum(c * values[col] for col, c in self.lp.objective.items())
         return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals(), self.pivots)
 
@@ -390,6 +440,16 @@ class _Simplex:
         duals = np.zeros(self.row_divisor.size)
         duals[self.row_ids] = y / self.row_divisor[self.row_ids]
         return duals[: len(self.lp.constraints)].tolist()
+
+
+def _column_starts(col_ix: np.ndarray, n_cols: int) -> np.ndarray:
+    """``indptr`` of a column store sorted by column: column j's entries sit at [indptr[j], indptr[j + 1])."""
+    return np.searchsorted(col_ix, np.arange(n_cols + 1))
+
+
+def _times_columns(y: np.ndarray, rows: np.ndarray, data: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """y A over n columns stored as (row, value, column) entries; each column sums its terms in entry order."""
+    return np.bincount(cols, weights=y.take(rows) * data, minlength=n)
 
 
 def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:

@@ -114,15 +114,23 @@ class LineConstraint:
 
 @dataclass(frozen=True)
 class LineConstraintSet:
-    """Per-pair flow bounds gammaMin <= cm(i, j) <= gammaMax (identity loss), at most one per pair."""
+    """Per-pair flow bounds gammaMin <= cm(i, j) <= gammaMax (identity loss), at most one per pair.
+
+    The set is indexed by (row, col) once, when it is made. Validation
+    rejects a second line for a pair (``line-unique``); until then the first
+    one in ``constraints`` is the pair's line.
+    """
 
     constraints: tuple[LineConstraint, ...]
 
-    def lookup(self, row_id: str, col_id: str) -> LineConstraint | None:
+    def __post_init__(self) -> None:
+        by_pair: dict[tuple[str, str], LineConstraint] = {}
         for c in self.constraints:
-            if c.row_id == row_id and c.col_id == col_id:
-                return c
-        return None
+            by_pair.setdefault((c.row_id, c.col_id), c)
+        object.__setattr__(self, "_by_pair", by_pair)
+
+    def lookup(self, row_id: str, col_id: str) -> LineConstraint | None:
+        return self._by_pair.get((row_id, col_id))
 
 
 @dataclass(frozen=True)

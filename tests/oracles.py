@@ -77,8 +77,11 @@ class ReferenceSimplex(_Simplex):
     reading of the standard form that ``_Simplex`` builds with array
     operations. Both must give the same matrix, rhs, cost, crash basis,
     artificial columns and row divisors, hence the same pivots, solution and
-    duals. The pivot loop is the plain one that ``_Simplex._iterate`` was
-    tuned from. Values are clamped into their bounds without a drift check.
+    duals. The standard form is the dense matrix ``a`` that ``_Simplex``
+    keeps as a column store, and the basis matrix, FTRAN and the drive-out
+    of artificials read it whole. The pivot loop is the plain one that
+    ``_Simplex._iterate`` was tuned from. Values are clamped into their
+    bounds without a drift check.
     """
 
     def _standardise(self) -> None:
@@ -217,6 +220,36 @@ class ReferenceSimplex(_Simplex):
             objective = new_objective
         raise ArithmeticError("simplex pivot limit exceeded")
 
+    def _refactorize(self) -> None:
+        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.xb = self.binv @ self.b
+
+    def _drive_out_artificials(self) -> None:
+        art = set(self.art_cols.tolist())
+        drop_rows: list[int] = []
+        for i in range(self.a.shape[0]):
+            if self.basis[i] not in art:
+                continue
+            row = self.binv[i] @ self.a[:, : self.n_real]
+            nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+            if nonzero.size == 0:
+                drop_rows.append(i)  # redundant constraint
+                continue
+            j = int(nonzero[0])
+            direction = self.binv @ self.a[:, j]
+            pivot_row = self.binv[i] / direction[i]
+            self.binv -= np.outer(direction, pivot_row)
+            self.binv[i] = pivot_row
+            self.basis[i] = j
+            self.xb = self.binv @ self.b
+        if drop_rows:
+            keep = np.array([i for i in range(self.a.shape[0]) if i not in set(drop_rows)], dtype=int)
+            self.a = self.a[keep]
+            self.b = self.b[keep]
+            self.basis = self.basis[keep]
+            self.row_ids = self.row_ids[keep]
+            self._refactorize()
+
     def _extract(self) -> LpSolution:
         std = np.zeros(self.n_real)
         for i, bi in enumerate(self.basis):
@@ -253,19 +286,42 @@ def _assert_arrays_alike(ref: _Simplex, new: _Simplex, attrs: tuple[str, ...]) -
         assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes(), attr
 
 
+def assert_store_holds(ref: ReferenceSimplex, new: _Simplex) -> None:
+    """``new``'s column store is ``ref.a``: the same entries, and zeros everywhere else.
+
+    The store lists its entries by column, then row, and ``indptr`` bounds
+    each column's run. A stored entry must be ``ref.a``'s bit for bit, so a
+    stored zero must keep its sign; a zero that is not stored has no sign
+    to keep.
+    """
+    m, n = ref.a.shape
+    assert (new.b.size, new.cost.size, new.indptr.size) == (m, n, n + 1)
+    assert np.array_equal(new.col_ix, np.repeat(np.arange(n), np.diff(new.indptr)))
+    assert np.array_equal(np.lexsort((new.row_ix, new.col_ix)), np.arange(new.row_ix.size))
+    assert new.data.dtype == ref.a.dtype
+    assert ref.a[new.row_ix, new.col_ix].tobytes() == new.data.tobytes()
+    off_pattern = np.ones((m, n), dtype=bool)
+    off_pattern[new.row_ix, new.col_ix] = False
+    assert not ref.a[off_pattern].any()
+
+
 def assert_standardised_alike(lp: LinearProgram) -> None:
     """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and take the same pivots.
 
     Arrays must agree in shape, dtype and bytes, so a zero that changed sign
-    counts as a difference; the solutions (or the error raised) must be
-    equal, duals and pivot counts included, and so must the final basis, its
-    inverse and the basic values, which any step off the reference pivot
+    counts as a difference; the column store must hold the reference's dense
+    matrix (``assert_store_holds``), before the solve and after it, when
+    phase 1 may have dropped rows. The solutions (or the error raised) must
+    be equal, duals and pivot counts included, and so must the final basis,
+    its inverse and the basic values, which any step off the reference pivot
     path would change.
     """
     ref, new = ReferenceSimplex(lp), _Simplex(lp)
-    _assert_arrays_alike(ref, new, ("a", "b", "cost", "basis", "art_cols", "row_divisor"))
+    _assert_arrays_alike(ref, new, ("b", "cost", "basis", "art_cols", "row_divisor"))
+    assert_store_holds(ref, new)
     assert _outcome(ref) == _outcome(new)
     _assert_arrays_alike(ref, new, ("basis", "binv", "xb", "row_ids"))
+    assert_store_holds(ref, new)
 
 
 def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float = 1e-7) -> None:

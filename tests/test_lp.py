@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from sspsim.lp import (
     validate_program,
     _Simplex,
 )
+from sspsim.matching import _build_centralized
+from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.oracles import OracleSizeError, assert_dual_certificate, assert_standardised_alike, brute_force_verify
 
 
@@ -100,6 +103,61 @@ def test_redundant_row_dropped_in_phase_one_gets_dual_zero():
     assert len(simplex.row_ids) == 1  # one copy is redundant
     assert sorted(solution.duals) == [0.0, 1.0]
     assert_dual_certificate(lp, solution)
+
+
+def test_a_row_dropped_in_phase_one_is_cut_out_of_the_column_store():
+    # x + y = 2 twice: phase 1 seats x in row 0 and drops row 1 as redundant;
+    # phase 2 pivots y in for x, then z (not a crash column: z <= 10 is the
+    # bound row 3) for the slack of row 2, now row 1 of the store
+    lp = LinearProgram()
+    x = lp.add_variable("x")
+    y = lp.add_variable("y", cost=-1.0)
+    z = lp.add_variable("z", 0.0, 10.0, cost=-1.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    lp.add_constraint({y: 1.0, z: 1.0}, "<=", 3.0)
+    simplex = _Simplex(lp)
+    solution = simplex.solve()
+    assert simplex.row_ids.tolist() == [0, 2, 3]
+    # x; y; z; the slacks of rows 2 and 3; the artificial of row 0 (row 1's is empty)
+    assert simplex.row_ix.tolist() == [0, 0, 1, 1, 2, 1, 2, 0]
+    assert simplex.indptr.tolist() == [0, 1, 3, 5, 6, 7, 8, 8]
+    assert (solution.values, solution.pivots) == ([0.0, 2.0, 1.0], 3)
+    assert_standardised_alike(lp)
+
+
+def test_ftran_follows_the_dense_reference_on_a_column_of_inexact_entries():
+    # phase 1 pivots x0 and x1 in through columns with entries 0.1 and 1:
+    # B^-1 times only a column's entries rounds B^-1[2, 4] one bit away from
+    # the dense product, so FTRAN multiplies the column as a dense vector
+    lp = LinearProgram()
+    x0 = lp.add_variable("x0", -3.0, -0.5)
+    x1, x2 = (lp.add_variable(name, -3.0, -3.0) for name in ("x1", "x2"))
+    lp.add_variable("x3", -3.0, -3.0)
+    lp.add_constraint({x0: 0.0}, "<=", -4.0)
+    lp.add_constraint({x0: 1.0, x2: 1.0, x1: 0.1}, "<=", -4.0)
+    lp.add_constraint({x2: 0.0, x0: 0.1, x1: 0.1}, "=", -0.0)
+    assert_standardised_alike(lp)
+
+
+def test_the_study2_baseline_is_standardised_without_a_dense_matrix():
+    # the dense standard form of this LP (1,220 x 22,020) alone takes 215 MB
+    scenario = generate_scenario(GeneratorSpec(
+        n_ssps=20, consumers_per_ssp=35, producers_per_ssp=10,
+        passive_consumers=10, passive_consumer_bound=0.15, passive_producers=5, passive_producer_bound=0.10,
+        demand_mean_kwh=12.0, supply_mean_kwh=15.0, noise_std_kwh=3.0, seed=0,
+    ))
+    lp, _ = _build_centralized(scenario, scenario.weights)
+    assert (len(lp.variables), len(lp.constraints)) == (21_500, 920)
+    tracemalloc.start()
+    try:
+        simplex = _Simplex(lp)
+        simplex._refactorize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (simplex.b.size, simplex.cost.size) == (1_220, 22_020)
+    assert peak < 40e6
 
 
 def test_non_optimal_solutions_carry_zero_duals():
@@ -275,6 +333,20 @@ def test_extract_refuses_drift_beyond_tolerance():
     simplex, row = bounded_at_optimum()
     simplex.xb[row] += 10 * FEAS_TOL
     with pytest.raises(ArithmeticError, match="'x'"):
+        simplex._extract()
+
+
+def test_extract_names_the_first_column_drifted_beyond_tolerance():
+    # x drifts within tolerance and is clamped; y and z drift beyond it, and
+    # y, the first in column order, is named with its value as a plain float
+    lp = LinearProgram()
+    for name, upper in (("x", 2.0), ("y", 3.0), ("z", 4.0)):
+        lp.add_variable(name, 0.0, upper, cost=-1.0)
+    simplex = _Simplex(lp)
+    assert simplex.solve().values == [2.0, 3.0, 4.0]
+    rows = [int(np.flatnonzero(simplex.basis == k)[0]) for k in range(3)]
+    simplex.xb[rows] += [FEAS_TOL / 10, 10 * FEAS_TOL, 20 * FEAS_TOL]
+    with pytest.raises(ArithmeticError, match=r"^simplex value 3\.00001 of 'y' lies outside its bounds \[0\.0, 3\.0\]"):
         simplex._extract()
 
 

@@ -245,6 +245,22 @@ def test_column_totals_in_one_pass_equal_the_per_column_sums(cells):
     assert set(totals) == {col for (row, col) in cm.cells() if row != UTILITY_ID}
 
 
+IDS = st.sampled_from(["c1", "c2", "p1", "S2", UTILITY_ID])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(st.builds(LineConstraint, IDS, IDS, st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 2.0])), max_size=12),
+    row_id=IDS,
+    col_id=IDS,
+)
+def test_line_lookup_equals_the_linear_scan(lines, row_id, col_id):
+    # duplicated pairs included: until validation rejects them, the first
+    # line of a pair is its line
+    expected = next((lc for lc in lines if (lc.row_id, lc.col_id) == (row_id, col_id)), None)
+    assert LineConstraintSet(tuple(lines)).lookup(row_id, col_id) is expected
+
+
 MUTATIONS = (
     "drop-local-rank",
     "drop-partner-rank",
