@@ -26,9 +26,7 @@ from .matching import (
     FlexibilityAssignment,
     PartnerCapacity,
     SspView,
-    aggregate_bound,
     aggregate_surplus,
-    build_matching_lp,
     check_matching_feasibility,
     solve_centralized,
     solve_dist_matching,

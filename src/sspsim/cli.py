@@ -112,7 +112,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except GeneratorSpecError as exc:
         print(f"invalid generator spec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    save_scenario(scenario, args.out)
+    try:
+        save_scenario(scenario, args.out)
+    except OSError as exc:
+        print(f"cannot write scenario: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
-"""Self-contained linear programming: exact representation, a deterministic
-two-phase revised simplex, and an independent residual check of its answers.
+"""Self-contained linear programming: exact representation and a deterministic
+two-phase revised simplex.
 
 A program minimises a linear cost over variables that each have a finite
 lower bound (the upper bound may be +inf), subject to ``<=``, ``=`` and
@@ -450,31 +450,3 @@ def _column_starts(col_ix: np.ndarray, n_cols: int) -> np.ndarray:
 def _times_columns(y: np.ndarray, rows: np.ndarray, data: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """y A over n columns stored as (row, value, column) entries; each column sums its terms in entry order."""
     return np.bincount(cols, weights=y.take(rows) * data, minlength=n)
-
-
-def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:
-    """Independent feasibility check: worst violation per row plus variable bounds.
-
-    Keys are row names (or "row K") and "bounds"; all entries are >= 0 and a
-    feasible point keeps them below FEAS_TOL. Deliberately recomputed from the
-    raw program, never from solver internals.
-    """
-    out: dict[str, float] = {}
-    bound_violation = 0.0
-    for var, x in zip(lp.variables, values, strict=True):
-        bound_violation = max(bound_violation, var.lower - x, x - var.upper)
-    out["bounds"] = max(bound_violation, 0.0)
-    for idx, row in enumerate(lp.constraints):
-        lhs = sum(c * values[col] for col, c in row.coeffs.items())
-        if row.relation == LESS_EQUAL:
-            violation = lhs - row.rhs
-        elif row.relation == GREATER_EQUAL:
-            violation = row.rhs - lhs
-        else:
-            violation = abs(lhs - row.rhs)
-        out[row.name or f"row {idx}"] = max(violation, 0.0)
-    return out
-
-
-def max_violation(lp: LinearProgram, values: list[float]) -> float:
-    return max(constraint_residuals(lp, values).values())

@@ -40,12 +40,9 @@ The pool row is ``<=`` rather than ``=`` (production exported to a pool that
 nobody draws on is simply not placed), so its slack starts the simplex and
 the LP needs no phase 1 for it.
 
-A line on a (consumer, remote producer) pair bounds one producer's cell, and
-the decomposition could break it. Such a consumer therefore gets one column
-per producer of that SSP, as in the per-pair form, and no import from its
-pool. A line on a (consumer, SSP) pair is not applied: the per-pair form has
-no column it could bound, so the baseline stays a relaxation of the
-distributed runs in that respect.
+A line bounds a local cell or a purchase (``line-decided-flow`` rejects one
+on a remote producer), and an import takes no (consumer, SSP) line: the
+per-pair form has no column for it, so there the baseline relaxes the runs.
 """
 
 from __future__ import annotations
@@ -438,14 +435,6 @@ def _build(
     return lp, info
 
 
-def build_matching_lp(
-    view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None = None
-) -> LinearProgram:
-    """The matching LP for one view; structural errors name the missing data."""
-    lp, _ = _build(view, weights, lines, None, 0.0)
-    return lp
-
-
 def solve_dist_matching(
     view: SspView,
     weights: MatchingWeights,
@@ -555,7 +544,7 @@ def check_matching_feasibility(
     problems: list[str] = []
     for producer in view.producers:
         fx_j = fx.producers.get(producer.id, 1.0)
-        total = cm.committed_to_consumers(producer.id) + cm.get(UTILITY_ID, producer.id)
+        total = sum(cm.get(row_id, producer.id) for row_id in cm.row_ids())
         if total > fx_j * producer.energy + tol:
             problems.append(f"supply cap of {producer.id}: {total} > {fx_j * producer.energy}")
         if not 1.0 - tol <= fx_j <= 1.0 + producer.bound + tol:
@@ -594,11 +583,6 @@ def aggregate_surplus(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> tuple[f
             ex_energy += (1.0 + producer.bound) * producer.energy - committed
             total_energy += residual
     return ex_energy, total_energy
-
-
-def aggregate_bound(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> float:
-    """Production-weighted flexibility of the residual supply; 0 with no residual."""
-    return surplus_bound(*aggregate_surplus(ssp, cm))
 
 
 def surplus_bound(ex_energy: float, total_energy: float) -> float:
@@ -653,22 +637,19 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     """The centralized LP in transshipment form (see the module docstring).
 
     Columns: the cm columns consumer-major (every SSP's consumers in scenario
-    order): connected local producers, then per connected partner SSP with
-    producers one import column from its pool, or one column per producer
-    where a line blocks the pool; then purchases, cuts, stretches, and the
-    export of every producer of a pooled SSP. Rows: supply per producer,
-    demand per consumer, then one pool row per pooled SSP. With a single SSP
-    this is ``_build``'s LP of its view.
+    order): connected local producers, then one import column from the pool
+    of each connected partner SSP with producers; then purchases, cuts,
+    stretches, and the export of every producer of a pooled SSP. Rows:
+    supply per producer, demand per consumer, then one pool row per pooled
+    SSP. With a single SSP this is ``_build``'s LP of its view.
     """
     connectivity = scenario.connectivity
     lines = scenario.line_constraints
-    ssp_of = {p.id: cfg.id for cfg in scenario.ssps for p in cfg.producers}
-    blocked = {(lc.row_id, ssp_of[lc.col_id]) for lc in (lines.constraints if lines else ()) if lc.col_id in ssp_of}
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
     ranks: dict[str, list[int]] = {}
     counts: dict[str, list[int]] = {}
-    suppliers: list[list[tuple[str, int]]] = []  # per consumer: (supplier id, rank) of each cm column
+    suppliers: list[list[tuple[str, int, tuple[float, float]]]] = []  # per consumer: (supplier id, rank, bounds) of each cm column
     for cfg in scenario.ssps:
         partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
         for consumer in cfg.consumers:
@@ -679,26 +660,16 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
                 raise MatchingStructureError(str(exc)) from None
             ranks[consumer.id] = row
             counts[consumer.id] = [1] * len(local) + [len(t.producers) for t in partners]
-            columns = [(p.id, rank) for p, rank in zip(local, row)]
-            for partner, rank in zip(partners, row[len(local):]):
-                if (consumer.id, partner.id) in blocked:
-                    columns += [(p.id, rank) for p in partner.producers]
-                else:
-                    columns.append((partner.id, rank))
-            suppliers.append(columns)
+            # a (consumer, SSP) line bounds no column: an import is unbounded
+            suppliers.append([
+                *((p.id, rank, _line_bounds(lines, consumer.id, p.id)) for p, rank in zip(local, row)),
+                *((t.id, rank, (0.0, math.inf)) for t, rank in zip(partners, row[len(local):])),
+            ])
     rewards = _Rewards(weights, {c.id: c.priority for c in consumers}, ranks, counts)
-    # a (consumer, SSP) line bounds no column: an import is unbounded
     blocks = [
         [
-            (
-                (consumer.id, supplier_id),
-                LpVariable(
-                    f"cm[{consumer.id}][{supplier_id}]",
-                    *(_line_bounds(lines, consumer.id, supplier_id) if supplier_id in ssp_of else (0.0, math.inf)),
-                ),
-                rewards(consumer.id, rank),
-            )
-            for supplier_id, rank in columns
+            ((consumer.id, supplier_id), LpVariable(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
+            for supplier_id, rank, bounds in columns
         ]
         for consumer, columns in zip(consumers, suppliers)
     ]

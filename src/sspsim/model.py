@@ -257,9 +257,15 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         out.append(Violation("weights", "preference-mode", f"unknown mode {scenario.weights.preference_mode!r}"))
 
     if scenario.line_constraints is not None:
+        # a run decides a consumer's flows from the Utility, from the producers
+        # of its SSP and from other SSPs, and no other flow
+        consumer_ssp = {c.id: cfg.id for cfg in scenario.ssps for c in cfg.consumers}
+        producer_ssp = {p.id: cfg.id for cfg in scenario.ssps for p in cfg.producers}
+        ssp_set = set(ssp_ids)
         bounded: set[tuple[str, str]] = set()
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
+            home = consumer_ssp.get(lc.row_id)
             if (lc.row_id, lc.col_id) in bounded:
                 # LineConstraintSet.lookup would silently apply only the first
                 out.append(Violation(pair, "line-unique", "more than one line constraint for the pair"))
@@ -274,6 +280,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             if lc.row_id == UTILITY_ID:
                 # a sell-back is the production nobody takes, not a decision
                 out.append(Violation(pair, "line-not-sell-back", "sell-backs cm(U, j) are derived and take no bound"))
+            elif home is None or not (
+                lc.col_id == UTILITY_ID or producer_ssp.get(lc.col_id) == home or (lc.col_id in ssp_set and lc.col_id != home)
+            ):
+                out.append(Violation(pair, "line-decided-flow", "not a consumer's flow from U, its SSP's producer or another SSP"))
             elif undefined:
                 out.append(Violation(pair, "line-bound-defined", ", ".join(undefined)))
             elif lc.min_kwh > lc.max_kwh:
@@ -415,12 +425,8 @@ class CommitmentMatrix:
     def col_ids(self) -> tuple[str, ...]:
         return self.supplier_ids + (UTILITY_ID,)
 
-    def committed_to_consumers(self, col_id: str) -> float:
-        """Total kWh column ``col_id`` delivers to consumers (Utility row excluded)."""
-        return sum(self.get(i, col_id) for i in self.consumer_ids)
-
     def committed_by_column(self) -> dict[str, float]:
-        """``committed_to_consumers`` of every column with a consumer cell, in one pass over the cells.
+        """The kWh each column with a consumer cell delivers to consumers, in one pass over the cells.
 
         Each column is summed in consumer order, so every total is the same
         float; a column without a consumer cell is absent and reads as 0.

@@ -209,6 +209,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _object(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _objects(items: object, where: str) -> list[dict]:
+    """``items`` when it is a list of objects; otherwise an error naming it or its first other entry."""
+    if not isinstance(items, list):
+        raise ScenarioFormatError(f"{where}: expected a list, got {type(items).__name__}")
+    bad = next((k for k, item in enumerate(items) if not isinstance(item, dict)), None)
+    if bad is not None:
+        raise ScenarioFormatError(f"{where}[{bad}]: expected an object, got {type(items[bad]).__name__}")
+    return items
+
+
 def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
@@ -224,13 +240,13 @@ def _number(value: object, where: str) -> float:
     return float(value)
 
 
-def _str_to_int_row(cols: dict) -> bool:
-    """True iff every key is a ``str`` and every value an ``int`` (``bool`` excluded).
+def _str_to_int_row(cols: object) -> bool:
+    """True iff ``cols`` is an object whose every key is a ``str`` and every value an ``int`` (``bool`` excluded).
 
     Such a row needs no per-entry conversion, so the loaders copy it whole and
     walk a row entry by entry only to name its first bad entry.
     """
-    return set(map(type, cols)) <= {str} and set(map(type, cols.values())) <= {int}
+    return isinstance(cols, dict) and set(map(type, cols)) <= {str} and set(map(type, cols.values())) <= {int}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -246,7 +262,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if data["generator"] != GENERATOR_NAME:
         raise ScenarioFormatError(f"unsupported generator {data['generator']!r}")
 
-    w = data["weights"]
+    w = _object(data["weights"], "weights")
     _require_keys(w, _WEIGHT_FIELDS, "weights")
     beta = w["beta"]
     weights = MatchingWeights(
@@ -259,10 +275,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
     ssps: list[SSPConfig] = []
-    for entry in data["ssps"]:
+    for k, entry in enumerate(_objects(data["ssps"], "ssps")):
         _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
         consumers = []
-        for sub in entry["consumers"]:
+        for sub in _objects(entry["consumers"], f"ssps[{k}].consumers"):
             _require_keys(sub, _CONSUMER_FIELDS, f"consumer {sub.get('id')!r}")
             consumers.append(
                 Subscriber(
@@ -274,7 +290,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 )
             )
         producers = []
-        for sub in entry["producers"]:
+        for sub in _objects(entry["producers"], f"ssps[{k}].producers"):
             _require_keys(sub, _PRODUCER_FIELDS, f"producer {sub.get('id')!r}")
             producers.append(
                 Subscriber(
@@ -285,12 +301,12 @@ def scenario_from_dict(data: dict) -> Scenario:
                 )
             )
         prefs: dict[str, dict[str, int]] = {}
-        for consumer_id, cols in entry["preferences"].items():
+        for consumer_id, cols in _object(entry["preferences"], f"ssps[{k}].preferences").items():
             if _str_to_int_row(cols):
                 prefs[str(consumer_id)] = dict(cols)
                 continue
             ranks = {}
-            for supplier_id, rank in cols.items():
+            for supplier_id, rank in _object(cols, f"preferences[{consumer_id}]").items():
                 if isinstance(rank, bool) or not isinstance(rank, int):
                     raise ScenarioFormatError(f"preferences[{consumer_id}][{supplier_id}]: rank must be an integer")
                 ranks[str(supplier_id)] = rank
@@ -298,12 +314,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         ssps.append(SSPConfig(str(entry["id"]), tuple(consumers), tuple(producers), PreferenceTable(prefs)))
 
     rows: dict[str, dict[str, int]] = {}
-    for row_id, cols in data["connectivity"].items():
+    for row_id, cols in _object(data["connectivity"], "connectivity").items():
         if _str_to_int_row(cols) and set(cols.values()) <= {0, 1}:
             rows[str(row_id)] = dict(cols)
             continue
         parsed = {}
-        for col_id, value in cols.items():
+        for col_id, value in _object(cols, f"connectivity[{row_id}]").items():
             if value not in (0, 1) or isinstance(value, bool):
                 raise ScenarioFormatError(f"connectivity[{row_id}][{col_id}]: must be 0 or 1")
             parsed[str(col_id)] = int(value)
@@ -312,7 +328,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     lines = None
     if data["line_constraints"] is not None:
         constraints = []
-        for lc in data["line_constraints"]:
+        for lc in _objects(data["line_constraints"], "line_constraints"):
             _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), "line_constraints entry")
             constraints.append(
                 LineConstraint(
@@ -354,4 +370,8 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"not UTF-8 at byte offset {exc.start}") from None
+    return scenario_from_json(text)

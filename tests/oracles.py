@@ -70,6 +70,30 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
     return float(obj[feasible].min())
 
 
+def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:
+    """Independent feasibility check: worst violation per row plus variable bounds.
+
+    Keys are row names (or "row K") and "bounds"; all entries are >= 0 and a
+    feasible point keeps them below FEAS_TOL. Deliberately recomputed from the
+    raw program, never from solver internals.
+    """
+    out: dict[str, float] = {}
+    bound_violation = 0.0
+    for var, x in zip(lp.variables, values, strict=True):
+        bound_violation = max(bound_violation, var.lower - x, x - var.upper)
+    out["bounds"] = max(bound_violation, 0.0)
+    for idx, row in enumerate(lp.constraints):
+        lhs = sum(c * values[col] for col, c in row.coeffs.items())
+        if row.relation == LESS_EQUAL:
+            violation = lhs - row.rhs
+        elif row.relation == GREATER_EQUAL:
+            violation = row.rhs - lhs
+        else:
+            violation = abs(lhs - row.rhs)
+        out[row.name or f"row {idx}"] = max(violation, 0.0)
+    return out
+
+
 class ReferenceSimplex(_Simplex):
     """The simplex with its standardisation and decoding written as plain loops.
 

@@ -4,13 +4,15 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 import sspsim.cli
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from sspsim.lp import _Simplex
-from sspsim.scenario import load_scenario, save_scenario
+from sspsim.model import LineConstraint, LineConstraintSet
+from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
 from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -97,6 +99,13 @@ class TestGen:
         assert "seed must be in [0, 2**63)" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = run_cli("gen", "--ssps", "2", "--consumers", "1", "--producers", "1", "--seed", "1", "--out", str(out))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot write scenario" in err and "Traceback" not in err
 
     def test_zero_noise_is_deterministic(self, tmp_path):
         args = ["gen", "--ssps", "2", "--consumers", "3", "--producers", "2", "--noise", "0", "--seed", "4"]
@@ -244,6 +253,41 @@ class TestRun:
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)
         assert run_cli("run", "--scenario", worked_file, "--anm", "meshed") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "path,value,detail",
+        [
+            (("ssps",), {"S1": None}, "ssps: expected a list"),
+            (("ssps", 0), "S1", "ssps[0]: expected an object"),
+            (("ssps", 0, "consumers", 0), 13.5, "ssps[0].consumers[0]: expected an object"),
+            (("line_constraints",), [["AC1", "AP1", 0.0, 1.0]], "line_constraints[0]: expected an object"),
+            (("weights",), [1.0, 10.0], "weights: expected an object"),
+            (("connectivity",), [], "connectivity: expected an object"),
+            (("connectivity", "AC1"), ["AP1", "U"], "connectivity[AC1]: expected an object"),
+            (("ssps", 0, "preferences", "AC1"), ["AP1"], "preferences[AC1]: expected an object"),
+        ],
+        ids=["ssps", "ssp-entry", "consumer", "line-entry", "weights", "connectivity", "connectivity-row", "preference-row"],
+    )
+    def test_misshapen_scenario_exits_2_naming_the_field(self, tmp_path, worked_file, capsys, path, value, detail):
+        with open(worked_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        scenario = tmp_path / "misshapen.json"
+        scenario.write_text(json.dumps(data))
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert detail in err and "Traceback" not in err
+
+    def test_scenario_not_in_utf8_exits_2(self, tmp_path, worked_file, capsys):
+        scenario = tmp_path / "latin1.json"
+        with open(worked_file, "rb") as fh:
+            scenario.write_bytes(b"\xff" + fh.read())
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not UTF-8 at byte offset 0" in err and "Traceback" not in err
+
     def test_unreadable_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -310,6 +354,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert "(U, AP1): line-not-sell-back" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_line_on_a_remote_producer_exits_2(self, tmp_path, capsys):
+        # no run decides a consumer's flow from another SSP's producer: a
+        # baseline that applied these [0, 0] lines needed more Utility than
+        # the meshed runs
+        scenario = generate_scenario(
+            GeneratorSpec(n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, supply_mean_kwh=24.0, noise_std_kwh=8.0, seed=0)
+        )
+        lines = [
+            LineConstraint(c.id, p.id, 0.0, 0.0)
+            for cfg in scenario.ssps
+            for c in cfg.consumers
+            for other in scenario.ssps
+            if other is not cfg
+            for p in other.producers
+        ]
+        path = tmp_path / "remote.json"
+        save_scenario(replace(scenario, line_constraints=LineConstraintSet(tuple(lines))), str(path))
+        code = run_cli("run", "--scenario", str(path), "--anm", "meshed", "--seed", "1", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(S01.C01, S02.P01): line-decided-flow" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):

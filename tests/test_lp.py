@@ -13,15 +13,19 @@ from sspsim.lp import (
     LinearProgram,
     LpFormatError,
     LpStatus,
-    constraint_residuals,
-    max_violation,
     solve_lp,
     validate_program,
     _Simplex,
 )
 from sspsim.matching import _build_centralized
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.oracles import OracleSizeError, assert_dual_certificate, assert_standardised_alike, brute_force_verify
+from tests.oracles import (
+    OracleSizeError,
+    assert_dual_certificate,
+    assert_standardised_alike,
+    brute_force_verify,
+    constraint_residuals,
+)
 
 
 def test_single_variable_minimum():
@@ -308,7 +312,7 @@ def test_solver_feasibility_and_oracle_dominance(lp):
         if solution.status is LpStatus.INFEASIBLE:
             assert brute_force_verify(lp, 0.5) == math.inf
         return
-    assert max_violation(lp, solution.values) < 1e-6
+    assert max(constraint_residuals(lp, solution.values).values()) < 1e-6
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective <= oracle + 1e-6
 

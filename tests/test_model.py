@@ -105,6 +105,29 @@ class TestValidateScenario:
         bad = replace(scenario_of(small_ssp()), line_constraints=lines)
         assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [("(U, p1)", "line-not-sell-back")]
 
+    @pytest.mark.parametrize(
+        "row_id,col_id",
+        [
+            ("X", "S1.P1"),
+            ("S1.C1", "X"),
+            ("S1", "S2"),
+            ("S1.P1", UTILITY_ID),
+            ("S1.C1", "S2.P1"),
+            ("S1.C1", "S1"),
+            ("S1.C1", "S2.C1"),
+        ],
+        ids=["unknown-row", "unknown-col", "ssp-row", "producer-row", "remote-producer", "own-ssp", "other-consumer"],
+    )
+    def test_line_on_a_flow_no_run_decides_is_named(self, pair_scenario, row_id, col_id):
+        lines = LineConstraintSet((LineConstraint(row_id, col_id, 0.0, 0.0),))
+        bad = replace(pair_scenario, line_constraints=lines)
+        assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [(f"({row_id}, {col_id})", "line-decided-flow")]
+
+    @pytest.mark.parametrize("col_id", [UTILITY_ID, "S1.P1", "S2"], ids=["utility", "own-producer", "other-ssp"])
+    def test_line_on_a_decided_flow_is_valid(self, pair_scenario, col_id):
+        lines = LineConstraintSet((LineConstraint("S1.C1", col_id, 0.0, 2.0),))
+        assert validate_scenario(replace(pair_scenario, line_constraints=lines)) == []
+
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
     def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
         lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))
@@ -241,7 +264,7 @@ def test_column_totals_in_one_pass_equal_the_per_column_sums(cells):
             cm.set(row_id, col_id, kwh)
     totals = cm.committed_by_column()
     for col_id in cm.col_ids():
-        assert totals.get(col_id, 0.0) == cm.committed_to_consumers(col_id)
+        assert totals.get(col_id, 0.0) == sum(cm.get(i, col_id) for i in cm.consumer_ids)
     assert set(totals) == {col for (row, col) in cm.cells() if row != UTILITY_ID}
 
 
