@@ -266,6 +266,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
             home = consumer_ssp.get(lc.row_id)
+            # a consumer reaches another SSP by its own SSP's link, N(home, SSP),
+            # the entry the engine reads; its own entry N(consumer, SSP) carries nothing
+            link_row = home if lc.col_id in ssp_set else lc.row_id
             if (lc.row_id, lc.col_id) in bounded:
                 # LineConstraintSet.lookup would silently apply only the first
                 out.append(Violation(pair, "line-unique", "more than one line constraint for the pair"))
@@ -290,7 +293,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 out.append(Violation(pair, "line-bounds-ordered", f"min {lc.min_kwh} > max {lc.max_kwh}"))
             elif lc.max_kwh < 0.0:
                 out.append(Violation(pair, "line-max-nonnegative", f"max {lc.max_kwh} < 0; flows are non-negative"))
-            elif not scenario.connectivity.connected(lc.row_id, lc.col_id) and not (lc.min_kwh <= 0.0 <= lc.max_kwh):
+            elif not scenario.connectivity.connected(link_row, lc.col_id) and not (lc.min_kwh <= 0.0 <= lc.max_kwh):
                 out.append(Violation(pair, "line-bounds-allow-unused", "disconnected pair must admit zero flow"))
 
     if not -(2**63) <= scenario.seed < 2**63:

@@ -245,7 +245,7 @@ class ReferenceSimplex(_Simplex):
         raise ArithmeticError("simplex pivot limit exceeded")
 
     def _refactorize(self) -> None:
-        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.binv = np.linalg.inv(self.a[:, self.basis]) + 0.0
         self.xb = self.binv @ self.b
 
     def _drive_out_artificials(self) -> None:
@@ -261,7 +261,7 @@ class ReferenceSimplex(_Simplex):
                 continue
             j = int(nonzero[0])
             direction = self.binv @ self.a[:, j]
-            pivot_row = self.binv[i] / direction[i]
+            pivot_row = self.binv[i] / direction[i] + 0.0  # a negative pivot would store -0.0
             self.binv -= np.outer(direction, pivot_row)
             self.binv[i] = pivot_row
             self.basis[i] = j

@@ -391,3 +391,102 @@ def test_duals_certify_the_optimum(lp):
     solution = solve_lp(lp)
     if solution.status is LpStatus.OPTIMAL:
         assert_dual_certificate(lp, solution)
+
+
+@st.composite
+def wide_programs(draw):
+    """20-60 rows over sparse columns of 1-3 entries, as the matching LPs
+    have: enough rows that most pivots move only a few rows of B^-1.
+    Inexact coefficients, signed-zero rhs values and finite upper bounds.
+    Most draws ask for a feasible program: each row's rhs is then offset
+    from its value at the lower bounds in the direction its relation allows,
+    and an equality row at 0 keeps the sign of the drawn zero."""
+    n_rows = draw(st.integers(20, 60))
+    n_vars = draw(st.integers(n_rows // 2, n_rows + 10))
+    lp = LinearProgram()
+    coeffs: list[dict[int, float]] = [{} for _ in range(n_rows)]
+    for k in range(n_vars):
+        lower = draw(FINITE)
+        col = lp.add_variable(f"x{k}", lower, lower + draw(st.sampled_from([1.0, 2.5, 4.0, math.inf])))
+        lp.objective[col] = draw(COEFFICIENTS)
+        for row in draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=3, unique=True)):
+            coeffs[row][col] = draw(COEFFICIENTS)
+    feasible = draw(st.integers(0, 3)) > 0
+    for row in coeffs:
+        relation = draw(st.sampled_from(["<=", "=", ">="]))
+        rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
+        if feasible:
+            at_lower = sum(c * lp.variables[col].lower for col, c in row.items())
+            offset = 0.0 * rhs if relation == "=" else abs(rhs) if relation == "<=" else -abs(rhs)
+            rhs = offset if at_lower == 0.0 else at_lower + offset
+        lp.add_constraint(dict(sorted(row.items())), relation, rhs)
+    return lp
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_programs())
+def test_wide_sparse_programs_follow_the_reference_pivots(lp):
+    assert_standardised_alike(lp)
+
+
+def negative_zeros(a: np.ndarray) -> int:
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+def assert_identity_start_and_positive_zeros(lp: LinearProgram) -> None:
+    """The crash basis is I, so ``solve`` starts from B^-1 = I and x_B = b + 0.0
+    without an inverse; B^-1 holds no -0.0 after a solve, nor after a
+    refactorization (the restricted update skips the rows where a dense one
+    could flip a -0.0)."""
+    simplex = _Simplex(lp)
+    simplex._refactorize()
+    assert simplex.binv.tobytes() == np.eye(simplex.b.size).tobytes()
+    assert simplex.xb.tobytes() == (simplex.b + 0.0).tobytes()
+    try:
+        simplex.solve()
+    except ArithmeticError:
+        return
+    assert negative_zeros(simplex.binv) == 0
+    simplex._refactorize()
+    assert negative_zeros(simplex.binv) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(standard_form_programs(), wide_programs()))
+def test_every_solve_starts_from_the_identity_and_keeps_positive_zeros(lp):
+    assert_identity_start_and_positive_zeros(lp)
+
+
+def study1_centralized_lp(n_ssps: int) -> LinearProgram:
+    """The baseline LP of the study-1 shape at scenario seed 101, as the ``centralized-10`` bench workload builds it."""
+    scenario = generate_scenario(GeneratorSpec(
+        n_ssps=n_ssps, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
+        supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
+    ))
+    return _build_centralized(scenario, scenario.weights)[0]
+
+
+def test_the_centralized_solve_starts_from_the_identity_and_keeps_positive_zeros():
+    assert_identity_start_and_positive_zeros(study1_centralized_lp(10))
+
+
+def test_a_solve_inverts_a_basis_only_to_refactorize(monkeypatch):
+    # below 150 pivots no refactorization is due, and the start needs none;
+    # the 10-SSP baseline refactorizes once, at pivot 150
+    inverses = []
+    inverse = np.linalg.inv
+
+    def counted(a):
+        inverses.append(a.shape)
+        return inverse(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 9.0, cost=1.0)
+    lp.add_constraint({x: 1.0}, ">=", 7.0)
+    for program in (lp, study1_centralized_lp(3)):
+        solution = solve_lp(program)
+        assert 0 < solution.pivots < 150
+    assert inverses == []
+    assert solve_lp(study1_centralized_lp(10)).pivots > 150
+    assert inverses == [(160, 160)]

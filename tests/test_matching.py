@@ -723,10 +723,16 @@ def centralized_scenarios(draw) -> Scenario:
         for c in cfg.consumers
         for supplier_id in [UTILITY_ID, *(p.id for p in cfg.producers), *(t for t in ids if t != cfg.id)]
     ]
+    home = {c.id: cfg.id for cfg in scenario.ssps for c in cfg.consumers}
     pairs = draw(st.lists(st.sampled_from(decided), max_size=6, unique=True))
     lines = []
     for row_id, col_id in pairs:
-        rows[row_id][col_id] = 1  # a line with a minimum must be on a connected pair
+        # a line with a minimum must be on a connected pair; a consumer
+        # reaches another SSP by its own SSP's link
+        if col_id in ids:
+            rows[home[row_id]][col_id] = rows[col_id][home[row_id]] = 1
+        else:
+            rows[row_id][col_id] = 1
         low = draw(st.sampled_from([0.0, 0.0, 1.0, 6.0, 40.0]))
         lines.append(LineConstraint(row_id, col_id, low, draw(st.sampled_from([2.0, 8.0, 50.0]).filter(lambda high: high >= low))))
     scenario = replace(

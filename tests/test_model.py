@@ -128,6 +128,20 @@ class TestValidateScenario:
         lines = LineConstraintSet((LineConstraint("S1.C1", col_id, 0.0, 2.0),))
         assert validate_scenario(replace(pair_scenario, line_constraints=lines)) == []
 
+    @pytest.mark.parametrize("linked", [False, True], ids=["ssps-unlinked", "ssps-linked"])
+    def test_line_to_another_ssp_reads_the_link_between_the_ssps(self, pair_scenario, linked):
+        # the engine offers across SSPs only where N(home SSP, SSP) is set, so
+        # a consumer's own row entry for S2 decides nothing: it is set here
+        # exactly when the SSPs are unlinked
+        rows = {row: dict(cols) for row, cols in pair_scenario.connectivity.rows.items()}
+        if not linked:
+            rows["S1.C1"]["S2"] = 1
+            del rows["S1"], rows["S2"]
+        lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 3.0, 9.0),))
+        scenario = replace(pair_scenario, connectivity=ConnectivityMatrix(rows), line_constraints=lines)
+        named = [] if linked else [("(S1.C1, S2)", "line-bounds-allow-unused")]
+        assert [(v.entity, v.rule) for v in validate_scenario(scenario)] == named
+
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
     def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
         lines = LineConstraintSet((LineConstraint("c1", "p1", min_kwh, max_kwh),))
