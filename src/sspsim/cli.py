@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from .coalition import ActualNeighborhoodMap, anm_from_csv, form_coalitions, map_from_coalitions, meshed_map
+from .matching import MatchingInfeasibleError
 from .model import UTILITY_ID, energy_status, validate_scenario
 from .protocol import (
     CalibrationError,
@@ -181,6 +182,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for point in exc.trace[-5:]:
             print(f"  iteration {point.iteration}: {point.accumulated_utility_kwh}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except MatchingInfeasibleError as exc:
+        print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     summary = {
         "initial_abs_status_kwh": result.initial_abs_status_kwh,
@@ -241,6 +245,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     except CalibrationError as exc:
         print(f"invalid calibration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MatchingInfeasibleError as exc:
+        print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(
         json.dumps(

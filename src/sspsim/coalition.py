@@ -240,17 +240,23 @@ def anm_to_csv(anm: ActualNeighborhoodMap) -> str:
 
 
 def anm_from_csv(text: str) -> ActualNeighborhoodMap:
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != "ssp_a,ssp_b,present":
+    """Read ``anm_to_csv``'s format; an error names its line in ``text``, blank lines counted."""
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines or lines[0][1] != "ssp_a,ssp_b,present":
         raise ValueError("neighborhood CSV must start with header 'ssp_a,ssp_b,present'")
     ids: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    listed: dict[tuple[str, str], int] = {}  # the line that lists each pair
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: expected 'ssp_a,ssp_b,0|1', got {line!r}")
+        if len(parts) != 3 or parts[2] not in ("0", "1") or parts[0] == parts[1]:
+            raise ValueError(f"line {lineno}: expected 'ssp_a,ssp_b,0|1' with two distinct SSPs, got {line!r}")
         a, b, present = parts
+        pair = _pair(a, b)
+        if pair in listed:
+            raise ValueError(f"lines {listed[pair]} and {lineno} both list the pair ({pair[0]}, {pair[1]})")
+        listed[pair] = lineno
         ids.update((a, b))
         if present == "1":
-            edges.add(_pair(a, b))
+            edges.add(pair)
     return ActualNeighborhoodMap(tuple(sorted(ids)), frozenset(edges))

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -177,7 +177,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
     if not lp.variables:
-        return LpSolution(LpStatus.OPTIMAL, [], 0.0, [0.0] * len(lp.constraints), 0)
+        # every row reads 0 <relation> rhs: phase 1 over one unused column judges them
+        padded = LinearProgram([LpVariable("unused")], {}, lp.constraints)
+        return replace(_Simplex(padded).solve(), values=[])
     return _Simplex(lp).solve()
 
 
@@ -447,7 +449,7 @@ class _Simplex:
                 )
             x[k] = self.upper[k]
         values = x.tolist()
-        objective = sum(c * values[col] for col, c in self.lp.objective.items())
+        objective = sum((c * values[col] for col, c in self.lp.objective.items()), 0.0)
         return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:

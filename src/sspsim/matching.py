@@ -24,6 +24,12 @@ w2 when the Utility serves it). Only a supplier whose reward beats a price can
 improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
 way (the pricing step of column generation) without building the LP.
 
+Both LPs share one layout, built by ``_place``: the cm columns consumer-major,
+then purchases, cuts and stretches, their costs and the demand rows.
+``_build`` and ``_build_centralized`` add only their own columns and rows, and
+``_solve`` maps the solver status to an error for both. A partner's reward
+per kWh comes from ``PairTable.partner_reward`` alone.
+
 The centralized baseline (``solve_centralized``) is one LP over every
 subscriber of every SSP, in transshipment form (Ahuja, Magnanti & Orlin,
 *Network Flows*, ch. 9). Every producer of a partner SSP t carries t's rank,
@@ -58,6 +64,7 @@ from .lp import (
     EQUAL,
     LESS_EQUAL,
     LinearProgram,
+    LpSolution,
     LpStatus,
     LpVariable,
     solve_lp,
@@ -143,11 +150,11 @@ _Row = tuple[dict[int, float], float, str]
 class _BuildInfo:
     cm_columns: list[_Column]  # the cm columns, which come first: column k is cm_columns[k]
     purchase_cols: range  # cm(i, U) of each consumer, in consumer order
-    demand_rows: range  # the demand row of each consumer, in consumer order
     cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
-    live_partners: list[str]  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
     objective_offset: float
+    demand_rows: range = range(0)  # the demand row of each consumer, in consumer order; set by _add_demand_rows
+    live_partners: list[str] = field(default_factory=list)  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
     export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
 
 
@@ -218,8 +225,8 @@ class PairTable:
     Built once per (subscribers, partner list, weights, lines); an agent keeps
     its own and hands it to every re-solve. It holds the local cm columns
     (``local``: per consumer, those of its connected local producers in
-    producer order, with rewards and line bounds); the ``purchases``, ``cuts``
-    and ``stretches`` variables (sell-backs have none: they are derived from
+    producer order, with rewards and line bounds); the purchase, cut and
+    stretch variables (``flex``; sell-backs have none: they are derived from
     the solution); and ``rewards``, whose beta, additive-mode offset and
     stretch penalty depend on the rank of every partner, live or not. Partner
     columns are made per solve, for the partners that advertise capacity:
@@ -255,7 +262,6 @@ class PairTable:
             ]
             for consumer, local, row in zip(view.consumers, local_ids, ranks)
         }
-        self.n_local = sum(len(columns) for columns in self.local.values())
         # partners that a line with a positive minimum ties to some consumer
         consumer_set = set(self._consumer_ids)
         self.floored = frozenset(
@@ -264,7 +270,11 @@ class PairTable:
             if lc.row_id in consumer_set and lc.col_id in self._partners
             and _line_bounds(lines, lc.row_id, lc.col_id)[0] > 0.0
         )
-        self.purchases, self.cuts, self.stretches = _flex_variables(view.consumers, view.producers, lines)
+        self.flex = _flex_variables(view.consumers, view.producers, lines)
+
+    def partner_reward(self, consumer_id: str, partner_id: str) -> float:
+        """Reward per kWh a consumer of the view earns from a partner SSP."""
+        return self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
 
     def partner_columns(self, partner_id: str) -> list[_Column]:
         """The cm columns of a partner, one per consumer in consumer order."""
@@ -272,7 +282,7 @@ class PairTable:
             (
                 (consumer_id, partner_id),
                 LpVariable(f"cm[{consumer_id}][{partner_id}]", *_line_bounds(self._lines, consumer_id, partner_id)),
-                self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id)),
+                self.partner_reward(consumer_id, partner_id),
             )
             for consumer_id in self._consumer_ids
         ]
@@ -302,52 +312,63 @@ class PairTable:
             return True
         gain = 0.0
         for consumer_id in self._consumer_ids:
-            reward = self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
-            gain = max(gain, reward - prices[consumer_id])
+            gain = max(gain, self.partner_reward(consumer_id, partner_id) - prices[consumer_id])
         return gain * kwh > tol
-
-    def reward(self, consumer_id: str, supplier_id: str) -> float:
-        """Reward per kWh of the pair; 0 for a pair the view does not have."""
-        if consumer_id not in self.local:
-            return 0.0
-        if supplier_id in self._partners:
-            return self.rewards(consumer_id, self._preferences.rank(consumer_id, supplier_id))
-        return next((reward for (_, local_id), _, reward in self.local[consumer_id] if local_id == supplier_id), 0.0)
 
 
 def _place(
-    lp: LinearProgram,
     consumers: Sequence[Subscriber],
     blocks: list[list[_Column]],
     demand: list[float],
-    purchase_cols: range,
-    cut_cols: dict[str, int],
-) -> tuple[list[_Column], dict[str, dict[int, float]], list[_Row]]:
-    """Append each consumer's block of cm columns, consumer-major, with their costs.
+    flex: tuple[list[LpVariable], dict[str, LpVariable], dict[str, LpVariable]],
+    weights: MatchingWeights,
+    rewards: _Rewards,
+) -> tuple[LinearProgram, _BuildInfo, dict[str, dict[int, float]], list[_Row]]:
+    """The columns and costs both matching LPs share, with their demand rows.
 
-    Returns the cm columns in column order, each supplier's supply-row
-    coefficients (+1 on every cm column it supplies) and each consumer's
-    demand row (its cm columns, purchase and cut = ``demand``), for the
-    caller to add after its supply rows.
+    Columns: each consumer's block of cm columns, consumer-major, then the
+    ``flex`` purchases, cuts and stretches. Returns the LP without rows, its
+    layout, each supplier's supply-row coefficients (+1 on the cm columns it
+    supplies, -1 on its stretch) and each consumer's demand row (its cm
+    columns, purchase and cut = ``demand``) for ``_add_demand_rows``.
     """
-    cm_columns: list[_Column] = []
+    purchases, cuts, stretches = flex
+    cm_columns = [column for block in blocks for column in block]
+    purchase_cols = range(len(cm_columns), len(cm_columns) + len(consumers))
+    cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
+    stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
+    info = _BuildInfo(cm_columns, purchase_cols, cut_cols, stretch_cols, rewards.offset)
+    lp = LinearProgram([var for _, var, _ in cm_columns] + [*purchases, *cuts.values(), *stretches.values()])
+    if weights.w2 != 0.0:
+        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
+    if rewards.stretch_penalty != 0.0:
+        lp.objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
+
     supplied: dict[str, dict[int, float]] = defaultdict(dict)
     demand_rows: list[_Row] = []
-    objective = lp.objective
-    for k, (consumer, block) in enumerate(zip(consumers, blocks)):
-        start = len(cm_columns)
-        cm_columns += block
+    start = 0
+    for consumer, block, rhs, purchase_col in zip(consumers, blocks, demand, purchase_cols):
         for col, ((_, supplier_id), _, reward) in enumerate(block, start):
             if reward != 0.0:
-                objective[col] = -reward
+                lp.objective[col] = -reward
             supplied[supplier_id][col] = 1.0
         served = dict.fromkeys(range(start, start + len(block)), 1.0)
-        served[purchase_cols[k]] = 1.0
+        served[purchase_col] = 1.0
         if consumer.id in cut_cols:
             served[cut_cols[consumer.id]] = 1.0
-        demand_rows.append((served, demand[k], f"demand[{consumer.id}]"))
-    lp.variables += [var for _, var, _ in cm_columns]
-    return cm_columns, supplied, demand_rows
+        demand_rows.append((served, rhs, f"demand[{consumer.id}]"))
+        start += len(block)
+    for producer_id, col in stretch_cols.items():
+        supplied[producer_id][col] = -1.0
+    return lp, info, supplied, demand_rows
+
+
+def _add_demand_rows(lp: LinearProgram, info: _BuildInfo, rows: list[_Row]) -> None:
+    """Add ``_place``'s demand rows as the LP's next rows and record where they went."""
+    start = len(lp.constraints)
+    for served, rhs, name in rows:
+        lp.add_constraint(served, EQUAL, rhs, name=name)
+    info.demand_rows = range(start, len(lp.constraints))
 
 
 def _build(
@@ -358,13 +379,12 @@ def _build(
     committed_exports: float,
     table: PairTable | None = None,
 ) -> tuple[LinearProgram, _BuildInfo]:
-    """The view's matching LP, built in one pass over its column positions.
+    """The view's matching LP: ``_place``'s columns, then its rows.
 
     Columns: the cm columns consumer-major (local producers, then live
     partners), purchases, cuts, local stretches, then the stretches of live
     partners with a bound. Rows: supply per local producer and live partner,
-    demand per consumer, then the export reservation. The pass that appends
-    the cm columns fills the supply and demand rows. Sell-backs get no
+    demand per consumer, then the export reservation. Sell-backs get no
     column: ``solve_dist_matching`` derives them from the placements.
 
     ``table`` must come from a view with the same subscribers and partner list
@@ -376,28 +396,15 @@ def _build(
     locked_imports = locked_imports or {}
     live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
     offered = [table.partner_columns(p) for p in live]
-    n_cm = table.n_local + len(view.consumers) * len(live)
-    purchase_cols = range(n_cm, n_cm + len(view.consumers))
-    cut_start = purchase_cols.stop
-    cut_cols = {consumer_id: cut_start + k for k, consumer_id in enumerate(table.cuts)}
-    stretch_cols = {producer_id: cut_start + len(cut_cols) + k for k, producer_id in enumerate(table.stretches)}
-    n_supply = len(view.producers) + len(live)
-    demand_rows = range(n_supply, n_supply + len(view.consumers))
-    info = _BuildInfo([], purchase_cols, demand_rows, cut_cols, stretch_cols, live, table.rewards.offset)
-
-    lp = LinearProgram()
-    if weights.w2 != 0.0:
-        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
-    if table.rewards.stretch_penalty != 0.0:
-        lp.objective.update(dict.fromkeys(stretch_cols.values(), table.rewards.stretch_penalty))
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
     locked_in: dict[str, float] = {c.id: 0.0 for c in view.consumers}
+    offset = table.rewards.offset
     for partner_id, per_consumer in sorted(locked_imports.items()):
         for consumer_id, kwh in sorted(per_consumer.items()):
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
-            info.objective_offset -= table.reward(consumer_id, partner_id) * kwh
+            offset -= table.partner_reward(consumer_id, partner_id) * kwh
     demand = []
     for consumer in view.consumers:
         rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
@@ -406,22 +413,18 @@ def _build(
         demand.append(max(rhs, 0.0))
 
     blocks = [[*table.local[consumer.id], *(partner[k] for partner in offered)] for k, consumer in enumerate(view.consumers)]
-    info.cm_columns, supplied, demand_rows = _place(lp, view.consumers, blocks, demand, purchase_cols, cut_cols)
-    lp.variables += [*table.purchases, *table.cuts.values(), *table.stretches.values()]
-
+    lp, info, supplied, demand_rows = _place(view.consumers, blocks, demand, table.flex, weights, table.rewards)
+    info.live_partners = live
+    info.objective_offset = offset
     for producer in view.producers:
-        coeffs = supplied[producer.id]
-        if producer.id in stretch_cols:
-            coeffs[stretch_cols[producer.id]] = -1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
+        lp.add_constraint(supplied[producer.id], LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
     for partner_id in live:
         cap = view.partner_capacities[partner_id]
         coeffs = supplied[partner_id]
         if cap.bound > 0.0:
             coeffs[lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)] = -1.0
         lp.add_constraint(coeffs, LESS_EQUAL, cap.energy, name=f"supply[{partner_id}]")
-    for served, rhs, name in demand_rows:
-        lp.add_constraint(served, EQUAL, rhs, name=name)
+    _add_demand_rows(lp, info, demand_rows)
 
     if committed_exports > RESIDUAL_TOL:
         # every local supply row at once: exported energy stays deliverable
@@ -433,6 +436,16 @@ def _build(
         lp.add_constraint(coeffs, LESS_EQUAL, rhs, name="export-reservation")
 
     return lp, info
+
+
+def _solve(lp: LinearProgram, label: str) -> LpSolution:
+    """Solve a matching LP; only line constraints can make one infeasible."""
+    solution = solve_lp(lp)
+    if solution.status is LpStatus.INFEASIBLE:
+        raise MatchingInfeasibleError(f"{label} infeasible; only line constraints can cause this")
+    if solution.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"{label} reported {solution.status}")
+    return solution
 
 
 def solve_dist_matching(
@@ -457,13 +470,7 @@ def solve_dist_matching(
     across re-solves (see ``_build``).
     """
     lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
-    solution = solve_lp(lp)
-    if solution.status is LpStatus.INFEASIBLE:
-        raise MatchingInfeasibleError(
-            f"matching LP for {view.ssp_id!r} infeasible; only line constraints can cause this"
-        )
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"matching LP for {view.ssp_id!r} reported {solution.status}")
+    solution = _solve(lp, f"matching LP for {view.ssp_id!r}")
 
     locked_imports = locked_imports or {}
     partner_cols = sorted(set(info.live_partners).union(
@@ -673,35 +680,20 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
         ]
         for consumer, columns in zip(consumers, suppliers)
     ]
-
-    purchases, cuts, stretches = _flex_variables(consumers, producers, lines)
-    n_cm = sum(map(len, blocks))
-    purchase_cols = range(n_cm, n_cm + len(consumers))
-    cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
-    stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
-    demand_rows = range(len(producers), len(producers) + len(consumers))
-    lp = LinearProgram()
-    if weights.w2 != 0.0:
-        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
-    if rewards.stretch_penalty != 0.0:
-        lp.objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
-    cm_columns, supplied, demand = _place(lp, consumers, blocks, [c.energy for c in consumers], purchase_cols, cut_cols)
-    lp.variables += [*purchases, *cuts.values(), *stretches.values()]
+    flex = _flex_variables(consumers, producers, lines)
+    lp, info, supplied, demand_rows = _place(consumers, blocks, [c.energy for c in consumers], flex, weights, rewards)
 
     pooled = [cfg for cfg in scenario.ssps if cfg.id in supplied]
-    info = _BuildInfo(cm_columns, purchase_cols, demand_rows, cut_cols, stretch_cols, [cfg.id for cfg in pooled], rewards.offset)
+    info.live_partners = [cfg.id for cfg in pooled]
     for cfg in pooled:
         for producer in cfg.producers:
             info.export_cols[producer.id] = lp.add_variable(f"export[{producer.id}]")
     for producer in producers:
         coeffs = supplied[producer.id]
-        if producer.id in stretch_cols:
-            coeffs[stretch_cols[producer.id]] = -1.0
         if producer.id in info.export_cols:
             coeffs[info.export_cols[producer.id]] = 1.0
         lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
-    for served, rhs, name in demand:
-        lp.add_constraint(served, EQUAL, rhs, name=name)
+    _add_demand_rows(lp, info, demand_rows)
     for cfg in pooled:
         coeffs = supplied[cfg.id]
         coeffs.update((info.export_cols[p.id], -1.0) for p in cfg.producers)
@@ -740,11 +732,7 @@ def solve_centralized(
     """
     weights = weights or scenario.weights
     lp, info = _build_centralized(scenario, weights)
-    solution = solve_lp(lp)
-    if solution.status is LpStatus.INFEASIBLE:
-        raise MatchingInfeasibleError("centralized matching LP infeasible; only line constraints can cause this")
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"centralized matching LP reported {solution.status}")
+    solution = _solve(lp, "centralized matching LP")
 
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)

@@ -183,10 +183,12 @@ def shuffle_partners(partners: list[str], seed: int, ssp_id: str, round_index: i
 class _Agent:
     """One SSP's state: accepted solution, binding import locks, reserved exports.
 
-    The agent owns the PairTable of its local LP, built once over its whole
-    partner list, its pricing certificate (``floor``, ``prices``; see the
-    module docstring), and the Utility interaction of its accepted matrix,
-    kept until the matrix changes (an accepted solve or a registered export).
+    The agent owns its view, with every partner at zero capacity (an offer's
+    solve replaces only the capacities), the PairTable of its local LP, built
+    once over its whole partner list, its pricing certificate (``floor``,
+    ``prices``; see the module docstring), and the Utility interaction of
+    its accepted matrix, kept until the matrix changes (an accepted solve or
+    a registered export).
     """
 
     def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
@@ -204,24 +206,13 @@ class _Agent:
         self.locked: dict[str, dict[str, float]] = {}
         self.exports: dict[str, float] = {}
         self._utility: float | None = None
-        self.table = PairTable(self._view(None), weights, scenario.line_constraints)
+        self.view = SspView(
+            cfg.id, cfg.consumers, cfg.producers, cfg.preferences, scenario.connectivity, dict.fromkeys(partners, _NO_CAPACITY)
+        )
+        self.table = PairTable(self.view, weights, scenario.line_constraints)
 
     def total_exports(self) -> float:
         return sum(self.exports.values())
-
-    def _view(self, transient: tuple[str, float, float] | None) -> SspView:
-        caps = dict.fromkeys(self.partners, _NO_CAPACITY)
-        if transient is not None:
-            src, base, bound = transient
-            caps[src] = PartnerCapacity(base, bound)
-        return SspView(
-            ssp_id=self.cfg.id,
-            consumers=self.cfg.consumers,
-            producers=self.cfg.producers,
-            preferences=self.cfg.preferences,
-            connectivity=self.scenario.connectivity,
-            partner_capacities=caps,
-        )
 
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
         """Re-solve the local LP; adopt the result only on strict improvement.
@@ -235,10 +226,14 @@ class _Agent:
                 if transient is not None:
                     self.offers_priced_out += 1
                 return False
+        view = self.view
+        if transient is not None:
+            src, base, bound = transient
+            view = replace(view, partner_capacities={**view.partner_capacities, src: PartnerCapacity(base, bound)})
         self.lp_solves += 1
         try:
             cm, fx, objective, prices = solve_dist_matching(
-                self._view(transient),
+                view,
                 self.weights,
                 self.scenario.line_constraints,
                 locked_imports=self.locked,

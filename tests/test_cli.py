@@ -49,12 +49,30 @@ def nan_energy_file(tmp_path, worked_file) -> str:
 
 def with_line_bounds(tmp_path, worked_file, *bounds: tuple[float, float]) -> str:
     """The worked example with (AC1, AP1) line bounds, in this order, as `json` writes and reads it."""
+    return with_lines(tmp_path, worked_file, *(("AC1", "AP1", lo, hi) for lo, hi in bounds))
+
+
+def with_lines(tmp_path, worked_file, *lines: tuple[str, str, float, float]) -> str:
+    """The worked example with (row, col, min, max) line bounds, as `json` writes and reads them."""
     with open(worked_file, encoding="utf-8") as fh:
         data = json.load(fh)
-    data["line_constraints"] = [{"row": "AC1", "col": "AP1", "min_kwh": lo, "max_kwh": hi} for lo, hi in bounds]
+    data["line_constraints"] = [{"row": r, "col": c, "min_kwh": lo, "max_kwh": hi} for r, c, lo, hi in lines]
     path = tmp_path / "lines.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# line minimums that no matching meets, though each line alone is valid
+UNMEETABLE_MINIMUMS = pytest.mark.parametrize(
+    "lines",
+    [
+        # AC1 wants 13.5 kWh, but its Utility and AP1 lines ask for 16
+        [("AC1", "U", 8.0, 20.0), ("AC1", "AP1", 8.0, 20.0)],
+        # AP2 produces 12 kWh, but its lines to AC1 and AC2 ask for 14
+        [("AC1", "AP2", 7.0, 20.0), ("AC2", "AP2", 7.0, 20.0)],
+    ],
+    ids=["consumer-minimums-above-demand", "producer-minimums-above-output"],
+)
 
 
 class TestGen:
@@ -205,6 +223,16 @@ class TestRun:
         code = run_cli("run", "--scenario", pair_file, "--anm", "file", "--anm-file", str(anm_file), "--out", str(out))
         assert code == EXIT_CONFIG
         assert "'S99'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_map_file_listing_a_pair_twice_exits_2(self, tmp_path, pair_file, capsys):
+        anm_file = tmp_path / "anm.csv"
+        anm_file.write_text("ssp_a,ssp_b,present\nS1,S2,1\nS2,S1,0\n")
+        out = tmp_path / "results"
+        code = run_cli("run", "--scenario", pair_file, "--anm", "file", "--anm-file", str(anm_file), "--out", str(out))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "lines 2 and 3 both list the pair (S1, S2)" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_map_file_counts_every_scenario_ssp(self, tmp_path):
@@ -379,6 +407,15 @@ class TestRun:
         assert "(S01.C01, S02.P01): line-decided-flow" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @UNMEETABLE_MINIMUMS
+    def test_line_minimums_no_matching_meets_exit_2(self, tmp_path, worked_file, capsys, lines):
+        scenario = with_lines(tmp_path, worked_file, *lines)
+        code = run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line constraints no matching can meet" in err and "'S1'" in err
+        assert "Traceback" not in err
+
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
         scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
@@ -529,6 +566,14 @@ class TestCalibrate:
         assert run_cli("calibrate", "--scenario", nan_energy_file, "--iterations", "1") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "AC1: finite (energy nan)" in err
+        assert "Traceback" not in err
+
+    @UNMEETABLE_MINIMUMS
+    def test_line_minimums_no_matching_meets_exit_2(self, tmp_path, worked_file, capsys, lines):
+        scenario = with_lines(tmp_path, worked_file, *lines)
+        assert run_cli("calibrate", "--scenario", scenario, "--iterations", "1") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line constraints no matching can meet" in err and "'S1'" in err
         assert "Traceback" not in err
 
     def test_zero_iterations_exits_2(self, worked_file, capsys):

@@ -250,6 +250,20 @@ class TestMaps:
         with pytest.raises(ValueError):
             anm_from_csv("wrong,header,here\n")
 
+    @pytest.mark.parametrize("second", ["S02,S01,0", "S01,S02,1", "S02,S01,1"])
+    def test_anm_csv_rejects_a_pair_listed_twice(self, second):
+        # read row by row, S01,S02,1 then S02,S01,0 would connect the pair
+        with pytest.raises(ValueError, match=r"^lines 2 and 4 both list the pair \(S01, S02\)$"):
+            anm_from_csv(f"ssp_a,ssp_b,present\nS01,S02,1\nS01,S03,0\n{second}\n")
+        # a blank line still counts
+        with pytest.raises(ValueError, match=r"^lines 3 and 5 both list the pair \(S01, S02\)$"):
+            anm_from_csv(f"ssp_a,ssp_b,present\n\nS01,S02,1\nS01,S03,0\n{second}\n")
+
+    @pytest.mark.parametrize("present", ["0", "1"])
+    def test_anm_csv_rejects_a_self_pair_by_line(self, present):
+        with pytest.raises(ValueError, match=r"^line 3: expected .* two distinct SSPs, got 'S02,S02,"):
+            anm_from_csv(f"ssp_a,ssp_b,present\nS01,S02,1\nS02,S02,{present}\n")
+
     def test_bnm_csv_lists_pairs(self):
         text = bnm_to_csv(initial_bnm(["a", "b"]))
         assert text.splitlines()[0] == "ssp_a,ssp_b,p"

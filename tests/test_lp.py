@@ -37,6 +37,33 @@ def test_single_variable_minimum():
     assert solution.objective == pytest.approx(3.0, abs=1e-9)
 
 
+OPT, INF = LpStatus.OPTIMAL, LpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "rows, status",
+    [
+        ([], OPT),
+        ([(">=", 1.0)], INF),
+        ([("<=", -1.0)], INF),
+        ([("=", 1.0)], INF),
+        ([("=", -1.0)], INF),
+        ([("<=", 1.0), (">=", -1.0), ("=", 0.0), ("<=", 0.0), (">=", 0.0)], OPT),
+        ([("<=", 2.0), (">=", 0.5)], INF),
+    ],
+)
+def test_a_program_without_columns_is_judged_like_one_with_an_unused_column(rows, status):
+    # every row reads 0 <relation> rhs: it holds at 0 or the program is infeasible
+    bare, padded = LinearProgram(), LinearProgram()
+    padded.add_variable("unused")
+    for lp in (bare, padded):
+        for relation, rhs in rows:
+            lp.add_constraint({}, relation, rhs)
+    got, want = solve_lp(bare), solve_lp(padded)
+    assert (got.status, want.status) == (status, status)
+    assert (got.values, got.objective, got.duals, got.pivots) == ([], want.objective, want.duals, want.pivots)
+
+
 def test_symmetric_vertex_resolved_by_index():
     lp = LinearProgram()
     x = lp.add_variable("x", cost=-1.0)

@@ -243,7 +243,7 @@ class TestSolveDistMatching:
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
         *_, prices = solve_dist_matching(view, weights, table=table)
-        assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(table.reward("c2", "p1"))}
+        assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(table.local["c2"][0][2])}
 
     def test_partner_covers_deficit(self):
         consumers = (

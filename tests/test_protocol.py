@@ -602,7 +602,7 @@ def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
     # at prices 0 an offer gains up to its best reward per kWh; the floor
     # sits a quarter of the margin below best_solution, so only a gain below
     # a quarter of the margin is priced out
-    gain = max(agent.table.reward(c.id, "S04") for c in agent.cfg.consumers)
+    gain = max(agent.table.partner_reward(c.id, "S04") for c in agent.cfg.consumers)
     solves = agent.lp_solves
     assert not agent.solve_and_accept(("S04", 0.2 * IMPROVE_TOL / gain, 0.0))
     assert (agent.lp_solves, agent.offers_priced_out) == (solves, 1)

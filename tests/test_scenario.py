@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from dataclasses import replace
 
 import pytest
 
-from sspsim.model import SubscriberKind, energy_status, validate_scenario
+import sspsim.scenario
+from sspsim.model import LineConstraint, LineConstraintSet, SubscriberKind, energy_status, validate_scenario
 from sspsim.scenario import (
     GeneratorSpec,
     GeneratorSpecError,
@@ -192,3 +195,22 @@ class TestPersistence:
         loaded = scenario_from_dict(data)
         assert loaded.ssps[0].preferences.ranks["AC1"] == {"AP1": 1, "7": 2}
         assert loaded.connectivity.rows["AC1"] == {"AP1": 1, "7": 0, "U": 1}
+
+
+def test_schema_matches_what_the_writer_emits(worked_scenario):
+    # the schema lists every object's fields in the order scenario_to_dict writes them
+    with open(os.path.join(os.path.dirname(sspsim.scenario.__file__), "scenario.schema.json"), encoding="utf-8") as fh:
+        schema = json.load(fh)
+    lines = LineConstraintSet((LineConstraint("AC1", "AP1", 0.0, 5.0),))
+    data = scenario_to_dict(replace(worked_scenario, line_constraints=lines))
+    ssp = schema["properties"]["ssps"]["items"]
+    consumer = ssp["properties"]["consumers"]["items"]
+    producer = ssp["properties"]["producers"]["items"]
+    assert schema["required"] == list(data)
+    assert schema["properties"]["weights"]["required"] == list(data["weights"])
+    assert ssp["required"] == list(data["ssps"][0])
+    assert consumer["required"] == list(data["ssps"][0]["consumers"][0])
+    assert producer["required"] == list(data["ssps"][0]["producers"][0])
+    assert schema["properties"]["line_constraints"]["items"]["required"] == list(data["line_constraints"][0])
+    assert consumer["properties"]["kind"]["enum"] == [k.value for k in SubscriberKind if not k.is_producer]
+    assert producer["properties"]["kind"]["enum"] == [k.value for k in SubscriberKind if k.is_producer]
