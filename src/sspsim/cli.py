@@ -169,6 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot resolve neighborhood map: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    created = _missing_dirs(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -178,11 +179,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_engine(scenario, anm, weights=weights, seed=args.seed, iteration_cap=args.iteration_cap)
     except ConvergenceError as exc:
+        _remove_dirs(created)
         print(f"engine did not converge: {exc}", file=sys.stderr)
         for point in exc.trace[-5:]:
             print(f"  iteration {point.iteration}: {point.accumulated_utility_kwh}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except MatchingInfeasibleError as exc:
+        _remove_dirs(created)
         print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -212,6 +215,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print(f"wrote {out_dir} (final utility {result.final_utility_kwh} kWh, {result.iterations} iterations)")
     return EXIT_OK
+
+
+def _missing_dirs(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _remove_dirs(paths: list[str]) -> None:
+    """Remove the directories in ``paths``, deepest first, that are still empty."""
+    for path in paths:
+        try:
+            os.rmdir(path)
+        except OSError:
+            return  # not empty: someone else wrote into it, so its parents stay too
 
 
 def _commitments_csv(result) -> str:

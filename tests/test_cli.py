@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+import itertools
 import json
 import math
 import os
@@ -10,8 +11,9 @@ import pytest
 
 import sspsim.cli
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
-from sspsim.model import LineConstraint, LineConstraintSet
+from sspsim.model import LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
 from tests.test_protocol import floored_study2
 
@@ -162,6 +164,36 @@ class TestRun:
         assert summary["final_utility_kwh"] == pytest.approx(10.0, abs=1e-6)
         assert summary["coalitions"] == 2
 
+    @pytest.mark.parametrize(
+        "spec, max_group_size",
+        [
+            (GeneratorSpec(n_ssps=8, consumers_per_ssp=4, producers_per_ssp=3, supply_mean_kwh=17.0, seed=4), 2),
+            (GeneratorSpec(n_ssps=10, consumers_per_ssp=4, producers_per_ssp=2, supply_mean_kwh=24.0, seed=3), 3),
+            (GeneratorSpec(n_ssps=10, consumers_per_ssp=4, producers_per_ssp=3, supply_mean_kwh=16.0, seed=1), 3),
+        ],
+        ids=["8-ssps-pairs", "10-ssps-triples", "10-ssps-mixed"],
+    )
+    def test_file_map_of_the_coalitions_ends_at_the_sum_of_group_imbalances(self, tmp_path, spec, max_group_size):
+        # the coalitions written as a map file, every pair inside a group
+        # present: each group reaches its own imbalance, as on a coalition map
+        scenario = generate_scenario(spec)
+        statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+        groups = form_coalitions(statuses, max_group_size).groups
+        pairs = [f"{a},{b},1" for group in groups for a, b in itertools.combinations(sorted(group), 2)]
+        anm_file = tmp_path / "anm.csv"
+        anm_file.write_text("\n".join(["ssp_a,ssp_b,present", *pairs]) + "\n")
+        scenario_file = tmp_path / "scenario.json"
+        save_scenario(scenario, str(scenario_file))
+        out = tmp_path / "results"
+        argv = ("run", "--scenario", str(scenario_file), "--anm", "file", "--anm-file", str(anm_file))
+        assert run_cli(*argv, "--seed", "1", "--out", str(out)) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["coalitions"] == len(groups) > 1
+        expected = sum(abs(sum(statuses[ssp_id] for ssp_id in group)) for group in groups)
+        assert expected > abs(sum(statuses.values())) + 1.0  # the grouping costs something the mesh would not
+        tol = 1e-9 * max(1.0, summary["initial_abs_status_kwh"])
+        assert summary["final_utility_kwh"] == pytest.approx(expected, rel=0, abs=tol)
+
     def test_identical_config_gives_byte_identical_results(self, tmp_path, pair_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -186,6 +218,27 @@ class TestRun:
         )
         assert code == EXIT_NO_CONVERGENCE
         assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_run_removes_the_directories_it_created(self, tmp_path, worked_file):
+        scenario = with_lines(tmp_path, worked_file, ("AC1", "U", 8.0, 20.0), ("AC1", "AP1", 8.0, 20.0))
+        out = tmp_path / "new" / "results"
+        assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(out)) == EXIT_CONFIG
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("contents", [(), ("notes.txt",)], ids=["empty", "with-a-file"])
+    def test_failed_run_keeps_an_existing_output_directory(self, tmp_path, worked_file, pair_file, contents):
+        out = tmp_path / "kept"
+        out.mkdir()
+        for name in contents:
+            (out / name).write_text("kept\n")
+        # AC1 with (AC1, U) and (AC1, AP1) minimums of 8 kWh, then an iteration cap of 1
+        lines = with_lines(tmp_path, worked_file, ("AC1", "U", 8.0, 20.0), ("AC1", "AP1", 8.0, 20.0))
+        assert run_cli("run", "--scenario", lines, "--anm", "meshed", "--out", str(out)) == EXIT_CONFIG
+        cap = ("--iteration-cap", "1")
+        assert run_cli("run", "--scenario", pair_file, "--anm", "meshed", "--out", str(out), *cap) == EXIT_NO_CONVERGENCE
+        assert sorted(os.listdir(out)) == sorted(contents)
+        assert all((out / name).read_text() == "kept\n" for name in contents)
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_non_positive_iteration_cap_exits_2(self, tmp_path, pair_file, capsys, cap):
@@ -415,6 +468,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line constraints no matching can meet" in err and "'S1'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
         scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))

@@ -493,17 +493,31 @@ def differential_cases():
     floored = floored_study2(0.25)  # every offer from S03 to S01 is solved
     additive = replace(study1, weights=MatchingWeights(preference_mode="additive"))
     passive = passive_study2()
+    study2 = study2_scenario(n_ssps=6)
+    # a [0, 1000] kWh (consumer, U) line bounds every purchase column, so no
+    # demand row starts on its purchase and every solve runs phase 1
+    utility_lines = replace(
+        study2,
+        line_constraints=LineConstraintSet(
+            tuple(LineConstraint(c.id, UTILITY_ID, 0.0, 1000.0) for cfg in study2.ssps for c in cfg.consumers)
+        ),
+    )
     return {
         "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
         "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
         "study2-line-floor": (floored, meshed_map(floored.ssp_ids)),
         "study1-additive": (additive, meshed_map(additive.ssp_ids)),
         "study2-passive-meshed": (passive, meshed_map(passive.ssp_ids)),
+        "study2-utility-lines": (utility_lines, meshed_map(utility_lines.ssp_ids)),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive", "study2-passive-meshed"]
+    "case",
+    [
+        "study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive", "study2-passive-meshed",
+        "study2-utility-lines",
+    ],
 )
 def test_priced_out_solves_change_no_result(case, monkeypatch):
     scenario, anm = differential_cases()[case]

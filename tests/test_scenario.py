@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from sspsim.scenario import (
 )
 
 STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, seed=7)
+# the study-1 shape of the benchmark workloads
+STUDY1_SHAPE = dict(consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0, supply_mean_kwh=24.0, noise_std_kwh=3.0)
 STUDY2 = GeneratorSpec(
     n_ssps=20,
     consumers_per_ssp=35,
@@ -104,6 +107,43 @@ class TestPersistence:
         first = scenario_to_json(generate_scenario(STUDY1))
         second = scenario_to_json(generate_scenario(STUDY1))
         assert first == second
+
+    @pytest.mark.parametrize(
+        "spec, digest, size",
+        [
+            pytest.param(
+                GeneratorSpec(n_ssps=50, **STUDY1_SHAPE, seed=101),
+                "bb02a13f7e92293aee384f90b9c748237bef2149f64e262f77592dea998192aa", 378_493,
+                id="meshed-50",
+            ),
+            pytest.param(
+                # its SSP ids cross the S99/S100 sort boundary
+                GeneratorSpec(n_ssps=200, **STUDY1_SHAPE, seed=101),
+                "3477e2c8146f6a1dbf486ff08cbc3c5ff4899e23cbb76398baf583f5d4462d8e", 4_898_224,
+                id="coalition-200",
+            ),
+            pytest.param(
+                GeneratorSpec(
+                    n_ssps=20, consumers_per_ssp=35, producers_per_ssp=10,
+                    passive_consumers=10, passive_consumer_bound=0.15,
+                    passive_producers=5, passive_producer_bound=0.10,
+                    demand_mean_kwh=12.0, supply_mean_kwh=42.0, noise_std_kwh=3.0, seed=7,
+                ),
+                "d0d83861ac85c2e076551e3a7691a0f553c78dfff2cadfe04869db556582cfd0", 401_045,
+                id="study2-balanced",
+            ),
+            pytest.param(
+                GeneratorSpec(n_ssps=10, **STUDY1_SHAPE, seed=101),
+                "b46c4a49730539a1b5361cea472bf838fcc03795d5d6493878359f27ad764a2b", 36_669,
+                id="centralized-10",
+            ),
+        ],
+    )
+    def test_generator_bytes_are_pinned(self, spec, digest, size):
+        # the same spec must give the same file in every version of the
+        # generator, not only twice in one process
+        text = scenario_to_json(generate_scenario(spec)).encode("utf-8")
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
 
     def test_file_is_compact_json(self):
         # an indent would send json to its pure-Python encoder
