@@ -296,8 +296,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             elif not scenario.connectivity.connected(link_row, lc.col_id) and not (lc.min_kwh <= 0.0 <= lc.max_kwh):
                 out.append(Violation(pair, "line-bounds-allow-unused", "disconnected pair must admit zero flow"))
 
-    if not -(2**63) <= scenario.seed < 2**63:
-        out.append(Violation("seed", "seed-64bit", f"seed {scenario.seed} outside 64-bit range"))
+    seed = scenario.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or not -(2**63) <= seed < 2**63:
+        out.append(Violation("seed", "seed-64bit", f"seed {seed!r} outside 64-bit range"))
     return out
 
 
@@ -316,12 +317,13 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
         if row_id not in known_rows:
             out.append(Violation(row_id, "connectivity-row-resolves", "unknown row id"))
         values = list(cols.values())
-        if cols.keys() <= known_cols and values.count(0) + values.count(1) == len(values):
+        binary = values.count(0) + values.count(1) == len(values) and bool not in set(map(type, values))
+        if binary and cols.keys() <= known_cols:
             continue
         for col_id, value in cols.items():
             if col_id not in known_cols:
                 out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-            if value not in (0, 1):
+            if isinstance(value, bool) or value not in (0, 1):
                 out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
@@ -381,14 +383,25 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
             ranks = cols.values()
             resolved = consumer_id in exact_rows or cols.keys() <= known_suppliers
-            if resolved and set(map(type, ranks)) <= {int} and min(ranks, default=1) >= 1:
+            positive = set(map(type, ranks)) <= {int} and min(ranks, default=1) >= 1
+            # the sum of positive ranks bounds each of them
+            if resolved and positive and _fits_float(sum(ranks)):
                 continue
             for supplier_id, rank in cols.items():
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if not isinstance(rank, int) or rank < 1:
+                if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
+
+
+def _fits_float(value: int) -> bool:
+    """Whether ``float(value)`` holds ``value``; a rank becomes a float in the preference factor."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _linked(cols: Mapping[str, int], ids: set[str]) -> set[str]:

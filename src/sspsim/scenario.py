@@ -19,6 +19,11 @@ its keys.
 The JSON schema is strict: unknown fields are rejected by name, canonical
 field order is documented in ``scenario.schema.json`` shipped next to this
 module.
+
+The loader checks only what it needs to build a ``Scenario``: the JSON shape,
+numbers it converts to ``float`` (naming the field), kinds and ids. It stores
+ranks, connectivity entries and the seed as read, one ``dict`` copy per row,
+and ``model.validate_scenario`` alone judges them, as every other value.
 """
 
 from __future__ import annotations
@@ -251,16 +256,10 @@ def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _str_to_int_row(cols: object) -> bool:
-    """True iff ``cols`` is an object whose every key is a ``str`` and every value an ``int`` (``bool`` excluded).
-
-    Such a row needs no per-entry conversion, so the loaders copy it whole and
-    walk a row entry by entry only to name its first bad entry.
-    """
-    return isinstance(cols, dict) and set(map(type, cols)) <= {str} and set(map(type, cols.values())) <= {int}
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}: integer too large for a float") from None
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -291,70 +290,41 @@ def scenario_from_dict(data: dict) -> Scenario:
     ssps: list[SSPConfig] = []
     for k, entry in enumerate(_objects(data["ssps"], "ssps")):
         _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
-        consumers = []
-        for sub in _objects(entry["consumers"], f"ssps[{k}].consumers"):
-            _require_keys(sub, _CONSUMER_FIELDS, f"consumer {sub.get('id')!r}")
-            consumers.append(
-                Subscriber(
-                    id=str(sub["id"]),
-                    kind=_kind(sub["kind"], sub["id"]),
-                    energy=_number(sub["energy_kwh"], f"consumer {sub['id']}"),
-                    bound=_number(sub["bound"], f"consumer {sub['id']}"),
-                    priority=_number(sub["priority"], f"consumer {sub['id']}"),
-                )
-            )
-        producers = []
-        for sub in _objects(entry["producers"], f"ssps[{k}].producers"):
-            _require_keys(sub, _PRODUCER_FIELDS, f"producer {sub.get('id')!r}")
-            producers.append(
-                Subscriber(
-                    id=str(sub["id"]),
-                    kind=_kind(sub["kind"], sub["id"]),
-                    energy=_number(sub["energy_kwh"], f"producer {sub['id']}"),
-                    bound=_number(sub["bound"], f"producer {sub['id']}"),
-                )
-            )
-        prefs: dict[str, dict[str, int]] = {}
-        for consumer_id, cols in _object(entry["preferences"], f"ssps[{k}].preferences").items():
-            if _str_to_int_row(cols):
-                prefs[str(consumer_id)] = dict(cols)
-                continue
-            ranks = {}
-            for supplier_id, rank in _object(cols, f"preferences[{consumer_id}]").items():
-                if isinstance(rank, bool) or not isinstance(rank, int):
-                    raise ScenarioFormatError(f"preferences[{consumer_id}][{supplier_id}]: rank must be an integer")
-                ranks[str(supplier_id)] = rank
-            prefs[str(consumer_id)] = ranks
-        ssps.append(SSPConfig(str(entry["id"]), tuple(consumers), tuple(producers), PreferenceTable(prefs)))
+        consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
+        producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
+        prefs = {
+            str(consumer_id): dict(_object(cols, f"preferences[{consumer_id}]"))
+            for consumer_id, cols in _object(entry["preferences"], f"ssps[{k}].preferences").items()
+        }
+        ssps.append(SSPConfig(str(entry["id"]), consumers, producers, PreferenceTable(prefs)))
 
-    rows: dict[str, dict[str, int]] = {}
-    for row_id, cols in _object(data["connectivity"], "connectivity").items():
-        if _str_to_int_row(cols) and set(cols.values()) <= {0, 1}:
-            rows[str(row_id)] = dict(cols)
-            continue
-        parsed = {}
-        for col_id, value in _object(cols, f"connectivity[{row_id}]").items():
-            if value not in (0, 1) or isinstance(value, bool):
-                raise ScenarioFormatError(f"connectivity[{row_id}][{col_id}]: must be 0 or 1")
-            parsed[str(col_id)] = int(value)
-        rows[str(row_id)] = parsed
+    rows = {
+        str(row_id): dict(_object(cols, f"connectivity[{row_id}]"))
+        for row_id, cols in _object(data["connectivity"], "connectivity").items()
+    }
 
     lines = None
     if data["line_constraints"] is not None:
         constraints = []
-        for lc in _objects(data["line_constraints"], "line_constraints"):
-            _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), "line_constraints entry")
-            constraints.append(
-                LineConstraint(
-                    str(lc["row"]), str(lc["col"]), _number(lc["min_kwh"], "line min"), _number(lc["max_kwh"], "line max")
-                )
-            )
+        for k, lc in enumerate(_objects(data["line_constraints"], "line_constraints")):
+            where = f"line_constraints[{k}]"
+            _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), where)
+            bounds = [_number(lc[name], f"{where}.{name}") for name in ("min_kwh", "max_kwh")]
+            constraints.append(LineConstraint(str(lc["row"]), str(lc["col"]), *bounds))
         lines = LineConstraintSet(tuple(constraints))
 
-    seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioFormatError("seed must be an integer")
-    return Scenario(tuple(ssps), ConnectivityMatrix(rows), weights, lines, seed)
+    return Scenario(tuple(ssps), ConnectivityMatrix(rows), weights, lines, data["seed"])
+
+
+def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) -> tuple[Subscriber, ...]:
+    """The consumers or producers of one SSP entry; the ``fields`` after id and kind are numbers."""
+    subscribers = []
+    for sub in _objects(items, where):
+        _require_keys(sub, fields, f"{role} {sub.get('id')!r}")
+        kind = _kind(sub["kind"], sub["id"])
+        numbers = [_number(sub[name], f"{role} {sub['id']}.{name}") for name in fields[2:]]
+        subscribers.append(Subscriber(str(sub["id"]), kind, *numbers))
+    return tuple(subscribers)
 
 
 def _kind(value: object, entity: object) -> SubscriberKind:
@@ -375,6 +345,8 @@ def scenario_from_json(text: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    except ValueError as exc:  # an integer with more digits than int() reads
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from None
     return scenario_from_dict(data)
 
 

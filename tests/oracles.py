@@ -21,7 +21,7 @@ from sspsim.lp import (
     validate_program,
 )
 from sspsim.matching import FlexibilityAssignment, merged_view, solve_dist_matching
-from sspsim.model import UTILITY_ID, CommitmentMatrix, MatchingWeights, Scenario, Violation
+from sspsim.model import UTILITY_ID, CommitmentMatrix, MatchingWeights, Scenario, Violation, _fits_float
 
 
 class OracleSizeError(ValueError):
@@ -446,7 +446,7 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
         for col_id, value in cols.items():
             if col_id not in known_cols:
                 out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-            if value not in (0, 1):
+            if isinstance(value, bool) or value not in (0, 1):
                 out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
@@ -484,6 +484,6 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
             for supplier_id, rank in cols.items():
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if not isinstance(rank, int) or rank < 1:
+                if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out

@@ -15,6 +15,7 @@ from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
 from sspsim.model import LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
+from tests.test_model import STORED_AS_READ, stored_as_read
 from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -345,8 +346,43 @@ class TestRun:
             (("connectivity",), [], "connectivity: expected an object"),
             (("connectivity", "AC1"), ["AP1", "U"], "connectivity[AC1]: expected an object"),
             (("ssps", 0, "preferences", "AC1"), ["AP1"], "preferences[AC1]: expected an object"),
+            (("ssps", 0, "consumers", 1, "bound"), "0", "consumer AC2.bound: expected a number, got '0'"),
+            (("ssps", 0, "producers", 2, "bound"), None, "producer PP1.bound: expected a number, got None"),
+            (
+                ("ssps", 0, "consumers", 0, "energy_kwh"),
+                10**400,
+                "consumer AC1.energy_kwh: integer too large for a float",
+            ),
+            (("weights", "w2"), 10**400, "weights.w2: integer too large for a float"),
+            (
+                ("line_constraints",),
+                [{"row": "AC1", "col": "AP1", "min_kwh": 10**400, "max_kwh": 1.0}],
+                "line_constraints[0].min_kwh: integer too large for a float",
+            ),
+            (
+                ("line_constraints",),
+                [{"row": "AC1", "col": "AP1", "min_kwh": 0.0, "max_kwh": True}],
+                "line_constraints[0].max_kwh: expected a number, got True",
+            ),
+            (("ssps", 0, "preferences", "AC1", "AP2"), 10**400, f"AC1: rank-positive-int (rank {10**400} for AP2)"),
         ],
-        ids=["ssps", "ssp-entry", "consumer", "line-entry", "weights", "connectivity", "connectivity-row", "preference-row"],
+        ids=[
+            "ssps",
+            "ssp-entry",
+            "consumer",
+            "line-entry",
+            "weights",
+            "connectivity",
+            "connectivity-row",
+            "preference-row",
+            "consumer-bound",
+            "producer-bound",
+            "energy-too-large",
+            "w2-too-large",
+            "line-min-too-large",
+            "line-max",
+            "rank-too-large",
+        ],
     )
     def test_misshapen_scenario_exits_2_naming_the_field(self, tmp_path, worked_file, capsys, path, value, detail):
         with open(worked_file, encoding="utf-8") as fh:
@@ -360,6 +396,40 @@ class TestRun:
         assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert detail in err and "Traceback" not in err
+
+    def test_integer_with_more_digits_than_int_reads_exits_2(self, tmp_path, worked_file, capsys):
+        with open(worked_file, encoding="utf-8") as fh:
+            text = fh.read()
+        scenario = tmp_path / "digits.json"
+        scenario.write_text(text.replace('"energy_kwh":13.5', '"energy_kwh":1' + "0" * 5000, 1))
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load scenario" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ)
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_rank_link_or_seed_of_the_wrong_type_exits_2_naming_the_entry(
+        self, tmp_path, worked_scenario, capsys, command, fact, value, violation
+    ):
+        # the file holds JSON true, 1.5, "2", null and so on where the value belongs
+        scenario = tmp_path / "stored.json"
+        save_scenario(stored_as_read(worked_scenario, fact, value), str(scenario))
+        out = tmp_path / "o"
+        options = ("--anm", "meshed", "--out", str(out)) if command == "run" else ("--iterations", "1")
+        assert run_cli(command, "--scenario", str(scenario), *options) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert violation in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_float_link_gives_the_same_artifacts(self, tmp_path, worked_file, worked_scenario):
+        # 1.0 is in the schema's enum [0, 1]; it is read as it is and works as 1
+        linked = tmp_path / "float-link.json"
+        save_scenario(stored_as_read(worked_scenario, "link", 1.0), str(linked))
+        assert '"PP1":1.0' in linked.read_text()
+        for name, scenario in (("a", worked_file), ("b", str(linked))):
+            assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / name)) == EXIT_OK
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", RESULT_FILES, shallow=False)
+        assert sorted(match) == sorted(RESULT_FILES)
 
     def test_scenario_not_in_utf8_exits_2(self, tmp_path, worked_file, capsys):
         scenario = tmp_path / "latin1.json"

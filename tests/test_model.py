@@ -26,6 +26,39 @@ from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.oracles import reference_validate_connectivity, reference_validate_preferences
 
 
+# what a scenario file may hold where a rank, a link or the seed belongs, and
+# the one violation validate_scenario gives for it on the worked example
+STORED_AS_READ = [
+    pytest.param(fact, value, violation, id=f"{fact}-{value!r}")
+    for fact, value, violation in [
+        ("rank", True, "AC2: rank-positive-int (rank True for PP1)"),
+        ("rank", 1.5, "AC2: rank-positive-int (rank 1.5 for PP1)"),
+        ("rank", "2", "AC2: rank-positive-int (rank '2' for PP1)"),
+        ("rank", None, "AC2: rank-positive-int (rank None for PP1)"),
+        ("link", 2, "AC2: connectivity-binary (N(AC2, PP1) = 2)"),
+        ("link", True, "AC2: connectivity-binary (N(AC2, PP1) = True)"),
+        ("link", 0.5, "AC2: connectivity-binary (N(AC2, PP1) = 0.5)"),
+        ("link", "1", "AC2: connectivity-binary (N(AC2, PP1) = 1)"),
+        ("seed", "1", "seed: seed-64bit (seed '1' outside 64-bit range)"),
+        ("seed", True, "seed: seed-64bit (seed True outside 64-bit range)"),
+    ]
+]
+
+
+def stored_as_read(scenario: Scenario, fact: str, value: object) -> Scenario:
+    """The worked example with ``value`` as its (AC2, PP1) rank, its (AC2, PP1) link or its seed."""
+    if fact == "seed":
+        return replace(scenario, seed=value)
+    if fact == "rank":
+        cfg = scenario.ssps[0]
+        ranks = {c: dict(cols) for c, cols in cfg.preferences.ranks.items()}
+        ranks["AC2"]["PP1"] = value
+        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable(ranks)),))
+    rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
+    rows["AC2"]["PP1"] = value
+    return replace(scenario, connectivity=ConnectivityMatrix(rows))
+
+
 def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
     consumers = (
         Subscriber("c1", SubscriberKind.ACTIVE_CONSUMER, 4.0, bound=bounds[0], priority=priorities[0]),
@@ -198,6 +231,11 @@ class TestValidateScenario:
         sc = Scenario((ssp_a, ssp_b), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
         assert any(v.rule == "interssp-symmetric" for v in validate_scenario(sc))
 
+    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ)
+    def test_rank_link_or_seed_of_the_wrong_type_is_a_violation(self, worked_scenario, fact, value, violation):
+        # violations are data: no value makes the check raise
+        assert [str(v) for v in validate_scenario(stored_as_read(worked_scenario, fact, value))] == [violation]
+
     def test_validation_is_idempotent(self):
         sc = scenario_of(small_ssp(priorities=(0.1, 0.2)))
         assert validate_scenario(sc) == validate_scenario(sc)
@@ -337,7 +375,7 @@ def mutated_scenarios(draw) -> Scenario:
             for partner in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
                 row.pop(partner, None)
         elif kind == "bad-rank" and row:
-            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from([True, 0, -1, 1.5, "2"]))
+            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from([True, 0, -1, 1.5, "2", 10**400]))
         elif kind == "unknown-supplier":
             row["X.P99"] = draw(st.integers(1, 3))
         elif kind == "stray-rank-row":
@@ -346,7 +384,7 @@ def mutated_scenarios(draw) -> Scenario:
         elif kind == "non-binary":
             row_id = draw(st.sampled_from(sorted(rows)))
             if rows[row_id]:
-                rows[row_id][draw(st.sampled_from(sorted(rows[row_id])))] = 2
+                rows[row_id][draw(st.sampled_from(sorted(rows[row_id])))] = draw(st.sampled_from([2, True, None, "1"]))
         elif kind == "asymmetric":
             if draw(st.booleans()):
                 rows[cfg.id].pop(other, None)

@@ -7,9 +7,11 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sspsim.scenario
-from sspsim.model import LineConstraint, LineConstraintSet, SubscriberKind, energy_status, validate_scenario
+from sspsim.model import LineConstraint, LineConstraintSet, SubscriberKind, _fits_float, energy_status, validate_scenario
 from sspsim.scenario import (
     GeneratorSpec,
     GeneratorSpecError,
@@ -22,6 +24,7 @@ from sspsim.scenario import (
     scenario_to_dict,
     scenario_to_json,
 )
+from tests.test_model import stored_as_read
 
 STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, seed=7)
 # the study-1 shape of the benchmark workloads
@@ -177,64 +180,56 @@ class TestPersistence:
         with pytest.raises(ScenarioFormatError, match="alpha"):
             scenario_from_json(json.dumps(data))
 
-    def test_bad_kind_and_non_binary_connectivity(self):
+    def test_unknown_kind_rejected_by_name(self):
         scenario = generate_scenario(GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, seed=2))
         data = json.loads(scenario_to_json(scenario))
         data["ssps"][0]["consumers"][0]["kind"] = "XX"
         with pytest.raises(ScenarioFormatError, match="kind"):
             scenario_from_json(json.dumps(data))
 
-        data = json.loads(scenario_to_json(scenario))
-        row = next(r for r, cols in data["connectivity"].items() if cols)
-        col = next(iter(data["connectivity"][row]))
-        data["connectivity"][row][col] = 2
-        with pytest.raises(ScenarioFormatError, match="0 or 1"):
-            scenario_from_json(json.dumps(data))
-
-    def test_non_integer_rank_rejected(self):
-        scenario = generate_scenario(GeneratorSpec(n_ssps=1, consumers_per_ssp=1, producers_per_ssp=1, seed=2))
-        data = json.loads(scenario_to_json(scenario))
-        prefs = data["ssps"][0]["preferences"]
-        consumer = next(iter(prefs))
-        supplier = next(iter(prefs[consumer]))
-        prefs[consumer][supplier] = 1.5
-        with pytest.raises(ScenarioFormatError, match="integer"):
-            scenario_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("bad", [True, 1.5, "2", None])
-    def test_bad_rank_late_in_its_row_is_named(self, worked_scenario, bad):
-        # the row is checked as a whole first; the message must still name the entry
-        data = json.loads(scenario_to_json(worked_scenario))
-        row = data["ssps"][0]["preferences"]["AC2"]
-        assert list(row) == ["AP1", "AP2", "PP1"]
-        row["PP1"] = bad  # JSON true, 1.5, "2" and null
-        with pytest.raises(ScenarioFormatError, match=r"^preferences\[AC2\]\[PP1\]: rank must be an integer$"):
-            scenario_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("bad", [2, True, 0.5, "1"])
-    @pytest.mark.parametrize("col", ["PP1", "U"])
-    def test_bad_connectivity_late_in_its_row_is_named(self, worked_scenario, bad, col):
-        data = json.loads(scenario_to_json(worked_scenario))
-        assert list(data["connectivity"]["AC2"]) == ["AP1", "AP2", "PP1", "U"]
-        data["connectivity"]["AC2"][col] = bad
-        with pytest.raises(ScenarioFormatError, match=rf"^connectivity\[AC2\]\[{col}\]: must be 0 or 1$"):
-            scenario_from_json(json.dumps(data))
-
-    def test_integral_float_connectivity_still_loads_as_int(self, worked_scenario):
-        data = json.loads(scenario_to_json(worked_scenario))
-        data["connectivity"]["AC2"]["U"] = 1.0
-        loaded = scenario_from_json(json.dumps(data))
-        assert loaded == worked_scenario
-        assert type(loaded.connectivity.rows["AC2"]["U"]) is int
-
-    def test_non_string_keys_are_read_as_strings(self, worked_scenario):
-        # a dict built in Python, not parsed from JSON, may carry other keys
+    def test_non_string_keys_are_named_by_validation(self, worked_scenario):
+        # a dict built in Python, not parsed from JSON, may carry other keys;
+        # the rows are copied as they are, and validation names the key
         data = scenario_to_dict(worked_scenario)
-        data["ssps"][0]["preferences"]["AC1"] = {"AP1": 1, 7: 2}
-        data["connectivity"]["AC1"] = {"AP1": 1, 7: 0, "U": 1}
-        loaded = scenario_from_dict(data)
-        assert loaded.ssps[0].preferences.ranks["AC1"] == {"AP1": 1, "7": 2}
-        assert loaded.connectivity.rows["AC1"] == {"AP1": 1, "7": 0, "U": 1}
+        data["ssps"][0]["preferences"]["AC1"] = {"AP1": 1, "AP2": 2, "PP1": 3, 7: 2}
+        data["connectivity"]["AC1"] = {"AP1": 1, "AP2": 1, "PP1": 1, 7: 0, "U": 1}
+        violations = validate_scenario(scenario_from_dict(data))
+        assert [str(v) for v in violations] == [
+            "7: connectivity-col-resolves (unknown column id in row AC1)",
+            "AC1: preference-col-resolves (unknown supplier 7)",
+        ]
+
+
+# what JSON (or a dict built in Python) may hold where a rank, a link or the seed belongs
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**1023, max_value=2**1100),
+    st.floats(),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fact=st.sampled_from(["rank", "link", "seed"]), value=SCALARS)
+def test_any_rank_link_or_seed_loads_as_read_and_validation_judges_it(worked_scenario, fact, value):
+    # the fixture is only read, so one instance can serve every example
+    loaded = scenario_from_dict(scenario_to_dict(stored_as_read(worked_scenario, fact, value)))
+    stored = {
+        "rank": loaded.ssps[0].preferences.ranks["AC2"]["PP1"],
+        "link": loaded.connectivity.rows["AC2"]["PP1"],
+        "seed": loaded.seed,
+    }[fact]
+    assert stored is value
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    valid = {
+        "rank": integer and value >= 1 and _fits_float(value),
+        "link": not isinstance(value, bool) and value in (0, 1),
+        "seed": integer and -(2**63) <= value < 2**63,
+    }[fact]
+    rule = {"rank": ("AC2", "rank-positive-int"), "link": ("AC2", "connectivity-binary"), "seed": ("seed", "seed-64bit")}
+    assert [(v.entity, v.rule) for v in validate_scenario(loaded)] == ([] if valid else [rule[fact]])
 
 
 def test_schema_matches_what_the_writer_emits(worked_scenario):
