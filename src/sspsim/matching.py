@@ -152,7 +152,7 @@ class _BuildInfo:
     purchase_cols: range  # cm(i, U) of each consumer, in consumer order
     cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
     stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
-    objective_offset: float
+    objective_offset: float = 0.0  # minus the reward of the locked imports; set by _build
     demand_rows: range = range(0)  # the demand row of each consumer, in consumer order; set by _add_demand_rows
     live_partners: list[str] = field(default_factory=list)  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
     export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
@@ -181,32 +181,18 @@ def _flex_variables(
 
 
 class _Rewards:
-    """The reward per placed kWh, and the objective constants that depend on every rank of one LP.
+    """The reward per placed kWh, and the constants that depend on every rank of one LP.
 
-    ``ranks`` maps each consumer to the supplier ranks of its cm columns;
-    ``counts``, when given, says how many columns of the per-pair form each
-    rank stands for (1 otherwise). Unless the weights fix it, ``beta`` is the
-    largest rank plus 1. ``offset`` is the additive-mode preference constant
-    summed over those columns, and ``stretch_penalty`` lies 0.01 * w2 above
-    the largest reward.
+    ``ranks`` maps each consumer to the supplier ranks of its cm columns.
+    Unless the weights fix it, ``beta`` is the largest rank plus 1, and
+    ``stretch_penalty`` lies 0.01 * w2 above the largest reward.
     """
 
-    def __init__(
-        self,
-        weights: MatchingWeights,
-        priority: dict[str, float],
-        ranks: dict[str, list[int]],
-        counts: dict[str, list[int]] | None = None,
-    ):
+    def __init__(self, weights: MatchingWeights, priority: dict[str, float], ranks: dict[str, list[int]]):
         self._weights = weights
         self._priority = priority
         extremes = [(consumer_id, min(row), max(row)) for consumer_id, row in ranks.items() if row]
         self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
-        self.offset = 0.0
-        if weights.preference_mode != "coefficient":
-            for consumer_id, row in ranks.items():
-                for rank, count in zip(row, counts[consumer_id] if counts else [1] * len(row)):
-                    self.offset -= count * weights.w35 * weights.alpha * (self.beta - rank)
         # a reward is monotone in the rank, so the largest of a consumer's
         # rewards sits at its lowest or its highest rank
         self.stretch_penalty = max(
@@ -215,8 +201,7 @@ class _Rewards:
 
     def __call__(self, consumer_id: str, rank: int) -> float:
         weights = self._weights
-        factor = 1.0 + weights.alpha * (self.beta - rank) if weights.preference_mode == "coefficient" else 1.0
-        return weights.w14 * self._priority[consumer_id] + weights.w35 * factor
+        return weights.w14 * self._priority[consumer_id] + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
 
 
 class PairTable:
@@ -227,11 +212,10 @@ class PairTable:
     (``local``: per consumer, those of its connected local producers in
     producer order, with rewards and line bounds); the purchase, cut and
     stretch variables (``flex``; sell-backs have none: they are derived from
-    the solution); and ``rewards``, whose beta, additive-mode offset and
-    stretch penalty depend on the rank of every partner, live or not. Partner
-    columns are made per solve, for the partners that advertise capacity:
-    kept for every partner, they would cost memory in proportion to
-    consumers x partners.
+    the solution); and ``rewards``, whose beta and stretch penalty depend on
+    the rank of every partner, live or not. Partner columns are made per
+    solve, for the partners that advertise capacity: kept for every partner,
+    they would cost memory in proportion to consumers x partners.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -337,7 +321,7 @@ def _place(
     purchase_cols = range(len(cm_columns), len(cm_columns) + len(consumers))
     cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
     stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
-    info = _BuildInfo(cm_columns, purchase_cols, cut_cols, stretch_cols, rewards.offset)
+    info = _BuildInfo(cm_columns, purchase_cols, cut_cols, stretch_cols)
     lp = LinearProgram([var for _, var, _ in cm_columns] + [*purchases, *cuts.values(), *stretches.values()])
     if weights.w2 != 0.0:
         lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
@@ -400,7 +384,7 @@ def _build(
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
     locked_in: dict[str, float] = {c.id: 0.0 for c in view.consumers}
-    offset = table.rewards.offset
+    offset = 0.0
     for partner_id, per_consumer in sorted(locked_imports.items()):
         for consumer_id, kwh in sorted(per_consumer.items()):
             locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
@@ -462,12 +446,11 @@ def solve_dist_matching(
     The Utility row of the returned matrix is the unplaced base production of
     each local producer, net of ``committed_exports`` attributed greedily in
     producer order: day-ahead, declared production that nobody takes is sold
-    back. The reported objective folds constant terms (locked imports,
-    additive-mode preference constants) so values stay comparable across
-    re-solves of an evolving view. ``prices`` maps each consumer to minus the
-    dual of its demand row: the reward its marginal kWh earns in this
-    solution. ``table`` is the view's PairTable when the caller keeps one
-    across re-solves (see ``_build``).
+    back. The reported objective folds in the reward of the locked imports,
+    so values stay comparable across re-solves of an evolving view.
+    ``prices`` maps each consumer to minus the dual of its demand row: the
+    reward its marginal kWh earns in this solution. ``table`` is the view's
+    PairTable when the caller keeps one across re-solves (see ``_build``).
     """
     lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
     solution = _solve(lp, f"matching LP for {view.ssp_id!r}")
@@ -655,7 +638,6 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
     ranks: dict[str, list[int]] = {}
-    counts: dict[str, list[int]] = {}
     suppliers: list[list[tuple[str, int, tuple[float, float]]]] = []  # per consumer: (supplier id, rank, bounds) of each cm column
     for cfg in scenario.ssps:
         partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
@@ -666,13 +648,12 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
             except KeyError as exc:
                 raise MatchingStructureError(str(exc)) from None
             ranks[consumer.id] = row
-            counts[consumer.id] = [1] * len(local) + [len(t.producers) for t in partners]
             # a (consumer, SSP) line bounds no column: an import is unbounded
             suppliers.append([
                 *((p.id, rank, _line_bounds(lines, consumer.id, p.id)) for p, rank in zip(local, row)),
                 *((t.id, rank, (0.0, math.inf)) for t, rank in zip(partners, row[len(local):])),
             ])
-    rewards = _Rewards(weights, {c.id: c.priority for c in consumers}, ranks, counts)
+    rewards = _Rewards(weights, {c.id: c.priority for c in consumers}, ranks)
     blocks = [
         [
             ((consumer.id, supplier_id), LpVariable(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
@@ -727,8 +708,7 @@ def solve_centralized(
 
     Solved in transshipment form and decomposed into per-producer cells (see
     the module docstring); the matrix has one column per producer and is
-    feasible against ``merged_view``. The objective folds the additive-mode
-    preference constants, as ``solve_dist_matching`` does.
+    feasible against ``merged_view``.
     """
     weights = weights or scenario.weights
     lp, info = _build_centralized(scenario, weights)
@@ -751,4 +731,4 @@ def solve_centralized(
         if values[col] > RESIDUAL_TOL:
             cm.set(consumer.id, UTILITY_ID, values[col])
     attribute_sell_backs(cm, producers, 0.0)
-    return cm, _flexibility(info, values, consumers, producers), solution.objective + info.objective_offset
+    return cm, _flexibility(info, values, consumers, producers), solution.objective

@@ -13,8 +13,11 @@ Vocabulary used throughout the package:
   SSP, or Utility) to consumer i; the extra row ``U`` holds sell-backs.
 
 All quantities are kWh per scheduling slot. Slot duration is metadata only and
-never enters a formula. Values are python floats; comparisons elsewhere in the
-package use an absolute tolerance of 1e-6 kWh.
+never enters a formula. Values are python floats, compared with four named
+tolerances: ``matching.RESIDUAL_TOL`` (1e-9 kWh), at or below which an amount
+reads as 0; ``protocol.IMPROVE_TOL`` (1e-9), the margin a re-solve must beat;
+``lp.FEAS_TOL`` (1e-6), the solver drift past a bound that is clamped; and
+``KWH_TOL`` (1e-6), the slack of the priority-sum check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterable, Mapping
 
 UTILITY_ID = "U"
 
-#: absolute kWh tolerance used for comparisons across the package
+#: absolute slack of the consumer priority-sum check
 KWH_TOL = 1e-6
 
 
@@ -141,9 +144,8 @@ class MatchingWeights:
     purchase penalty, ``w35`` the preference reward. ``alpha`` and ``beta``
     shape the per-pair preference factor 1 + alpha*(beta - rank); ``beta=None``
     resolves to (max rank in view) + 1 at build time so the factor stays >= 1.
-    ``preference_mode`` selects the steering form: "coefficient" multiplies the
-    factor into each cm coefficient, "additive" keeps the literal constant term
-    (inert for the argmin, kept for fidelity comparisons).
+    The factor multiplies w35 in each cm coefficient; ``alpha = 0`` turns the
+    preference steering off.
     """
 
     w14: float = 1.0
@@ -151,7 +153,6 @@ class MatchingWeights:
     w35: float = 0.5
     alpha: float = 0.1
     beta: float | None = None
-    preference_mode: str = "coefficient"
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     for w_name in ("w14", "w2", "w35", "alpha"):
         if getattr(scenario.weights, w_name) < 0:
             out.append(Violation("weights", "weight-nonnegative", f"{w_name} < 0"))
-    if scenario.weights.preference_mode not in ("coefficient", "additive"):
-        out.append(Violation("weights", "preference-mode", f"unknown mode {scenario.weights.preference_mode!r}"))
 
     if scenario.line_constraints is not None:
         # a run decides a consumer's flows from the Utility, from the producers

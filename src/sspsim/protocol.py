@@ -79,6 +79,7 @@ from dataclasses import dataclass, field, replace
 
 from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
+    RESIDUAL_TOL,
     FlexibilityAssignment,
     MatchingInfeasibleError,
     PairTable,
@@ -102,7 +103,6 @@ from .model import (
 SEND_EXCESS = "SEND_EXCESS"
 
 IMPROVE_TOL = 1e-9
-SURPLUS_TOL = 1e-9
 
 OFFER_KIND = "offer"
 CLAIM_KIND = "claim"
@@ -280,7 +280,7 @@ class _Agent:
         out: dict[str, float] = {}
         for consumer in self.cfg.consumers:
             extra = self.cm.get(consumer.id, src) - held.get(consumer.id, 0.0)
-            if extra > SURPLUS_TOL:
+            if extra > RESIDUAL_TOL:
                 out[consumer.id] = extra
         return out
 
@@ -361,10 +361,10 @@ def run_engine(
     def emit_offers(ssp_id: str, round_index: int) -> None:
         agent = agents[ssp_id]
         offerable, bound = agent.surplus_offer_terms()
-        if offerable <= SURPLUS_TOL:
+        if offerable <= RESIDUAL_TOL:
             return
         for partner_id in shuffle_partners(agent.partners, seed, ssp_id, round_index):
-            if offerable <= SURPLUS_TOL:
+            if offerable <= RESIDUAL_TOL:
                 break
             payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
             log.append(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))

@@ -51,6 +51,8 @@ from .model import (
 
 SCHEMA_VERSION = 1
 GENERATOR_NAME = "numpy-pcg64"
+#: the one preference form: the factor 1 + alpha*(beta - rank) scales w35 in each cm coefficient
+PREFERENCE_MODE = "coefficient"
 
 
 class ScenarioFormatError(ValueError):
@@ -185,7 +187,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "w35": scenario.weights.w35,
             "alpha": scenario.weights.alpha,
             "beta": scenario.weights.beta,
-            "preference_mode": scenario.weights.preference_mode,
+            "preference_mode": PREFERENCE_MODE,
         },
         "ssps": [
             {
@@ -277,6 +279,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     w = _object(data["weights"], "weights")
     _require_keys(w, _WEIGHT_FIELDS, "weights")
+    if w["preference_mode"] != PREFERENCE_MODE:
+        raise ScenarioFormatError(
+            f"weights.preference_mode: unsupported value {w['preference_mode']!r}, expected {PREFERENCE_MODE!r};"
+            " set alpha: 0 to turn the preference steering off"
+        )
     beta = w["beta"]
     weights = MatchingWeights(
         w14=_number(w["w14"], "weights.w14"),
@@ -284,7 +291,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         w35=_number(w["w35"], "weights.w35"),
         alpha=_number(w["alpha"], "weights.alpha"),
         beta=None if beta is None else _number(beta, "weights.beta"),
-        preference_mode=str(w["preference_mode"]),
     )
 
     ssps: list[SSPConfig] = []

@@ -15,7 +15,7 @@ from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
 from sspsim.model import LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
-from tests.test_model import STORED_AS_READ, stored_as_read
+from tests.test_model import MISPLACED_KINDS, STORED_AS_READ, stored_as_read
 from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -406,12 +406,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cannot load scenario" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ)
+    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ + MISPLACED_KINDS)
     @pytest.mark.parametrize("command", ["run", "calibrate"])
     def test_rank_link_or_seed_of_the_wrong_type_exits_2_naming_the_entry(
         self, tmp_path, worked_scenario, capsys, command, fact, value, violation
     ):
-        # the file holds JSON true, 1.5, "2", null and so on where the value belongs
+        # the file holds JSON true, 1.5, "2", null and so on where the value
+        # belongs, or a producer's kind under consumers and the other way round
         scenario = tmp_path / "stored.json"
         save_scenario(stored_as_read(worked_scenario, fact, value), str(scenario))
         out = tmp_path / "o"
@@ -420,6 +421,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert violation in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["additive", "Coefficient", None])
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_preference_mode_other_than_coefficient_exits_2(self, tmp_path, worked_file, capsys, command, mode):
+        # the writer always emits "coefficient"; a file turns the preference steering off with alpha: 0
+        with open(worked_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["weights"]["preference_mode"] = mode
+        scenario = tmp_path / "mode.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        options = ("--anm", "meshed", "--out", str(out)) if command == "run" else ("--iterations", "1")
+        assert run_cli(command, "--scenario", str(scenario), *options) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"weights.preference_mode: unsupported value {mode!r}" in err and "alpha: 0" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_integral_float_link_gives_the_same_artifacts(self, tmp_path, worked_file, worked_scenario):
         # 1.0 is in the schema's enum [0, 1]; it is read as it is and works as 1

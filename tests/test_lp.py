@@ -12,6 +12,7 @@ from sspsim.lp import (
     FEAS_TOL,
     LinearProgram,
     LpFormatError,
+    LpSolution,
     LpStatus,
     solve_lp,
     validate_program,
@@ -26,6 +27,7 @@ from tests.oracles import (
     brute_force_verify,
     constraint_residuals,
 )
+from tests.test_matching import highs
 
 
 def test_single_variable_minimum():
@@ -121,6 +123,35 @@ def test_pivots_count_phase_one_and_phase_two():
     lp.add_variable("x", 0.0, 5.0, cost=-1.0)
     assert solve_lp(lp).pivots == 0
     assert solve_lp(LinearProgram()).pivots == 0
+
+
+def test_a_degenerate_cycle_switches_to_blands_rule(monkeypatch):
+    # Chvatal's cycling example (*Linear Programming*, ch. 3), x1 <= 1 as a row
+    lp = LinearProgram()
+    for cost in (-10.0, 57.0, 9.0, 24.0):
+        lp.add_variable(f"x{len(lp.variables) + 1}", cost=cost)
+    lp.add_constraint({0: 0.5, 1: -5.5, 2: -2.5, 3: 9.0}, "<=", 0.0)
+    lp.add_constraint({0: 0.5, 1: -1.5, 2: -0.5, 3: 1.0}, "<=", 0.0)
+    lp.add_constraint({0: 1.0}, "<=", 1.0)
+    entered: list[int] = []
+    with monkeypatch.context() as spy:
+        column = _Simplex._column  # called once per pivot, on the entering column
+        spy.setattr(_Simplex, "_column", lambda self, j: entered.append(j) or column(self, j))
+        solution = solve_lp(lp)
+    # Dantzig's rule, ties to the smallest basis index, cycles: x1..x4 and the
+    # slacks of the first two rows (columns 4, 5) enter in turn, and every 6
+    # pivots bring back the start basis at objective 0. After 44 stalled
+    # pivots (more than 40 + m, m = 3) Bland's rule takes over and leaves the
+    # cycle in 5 pivots
+    assert entered == [0, 1, 2, 3, 4, 5] * 7 + [0, 1] + [2, 3, 4, 0, 2]
+    assert solution == LpSolution(LpStatus.OPTIMAL, [1.0, 0.0, 1.0, 0.0], -1.0, [0.0, -18.0, -1.0], 49)
+    assert_standardised_alike(lp)
+    assert_dual_certificate(lp, solution)
+    oracle = highs(lp)
+    assert oracle.status == 0
+    assert list(oracle.x) == pytest.approx(solution.values, abs=1e-9)
+    assert oracle.fun == pytest.approx(-1.0, abs=1e-9)
+    assert list(oracle.ineqlin.marginals) == pytest.approx(solution.duals, abs=1e-9)
 
 
 def test_redundant_row_dropped_in_phase_one_gets_dual_zero():

@@ -202,6 +202,35 @@ class TestWorkedExample:
         assert 1.0 - 1e-9 <= fx.producers["PP1"] <= 1.3 + 1e-9
         assert check_matching_feasibility(view, cm, fx) == []
 
+    @pytest.mark.parametrize(
+        "cells,fx_values,unlinked,problem",
+        [
+            # AC3's 13.5 kWh move from AP1 to AP2, which already gives AC1 12
+            ({("AC3", "AP1"): 0.0, ("AC3", "AP2"): 13.5}, {}, None, "supply cap of AP2: 25.5 > 12.0"),
+            ({}, {"PP1": 1.5}, None, "fx of PP1 = 1.5 outside [1, 1.3]"),
+            ({("AC3", UTILITY_ID): 1.0}, {}, None, "overserved AC3: 14.5 > 13.5"),
+            ({("AC3", "AP1"): 12.5}, {}, None, "underserved AC3: 12.5 < 13.5"),
+            ({}, {"PC1": 0.5}, None, "fx of PC1 = 0.5 outside [0.8, 1]"),
+            ({(UTILITY_ID, "AP1"): -1.0}, {}, None, "negative commitment cm(U, AP1) = -1.0"),
+            ({}, {}, ("AC3", "AP1"), "commitment on disconnected pair (AC3, AP1)"),
+        ],
+        ids=["supply-cap", "producer-fx", "overserved", "underserved", "consumer-fx", "negative", "disconnected"],
+    )
+    def test_feasibility_check_names_each_broken_rule(self, cells, fx_values, unlinked, problem):
+        # the check is the bench's feasibility gate: each break of the optimum gives exactly its message
+        view = worked_view()
+        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        assert (cm.get("AC1", "AP2"), cm.get("AC3", "AP1")) == (12.0, 13.5)
+        for (row_id, col_id), kwh in cells.items():
+            cm.set(row_id, col_id, kwh)
+        for sub_id, value in fx_values.items():
+            (fx.producers if sub_id in fx.producers else fx.consumers)[sub_id] = value
+        if unlinked is not None:
+            rows = {row_id: dict(cols) for row_id, cols in view.connectivity.rows.items()}
+            rows[unlinked[0]][unlinked[1]] = 0
+            view = replace(view, connectivity=ConnectivityMatrix(rows))
+        assert check_matching_feasibility(view, cm, fx) == [problem]
+
     @pytest.mark.parametrize("demands", [(10.0, 18.0, 17.0), (20.0, 18.0, 7.0)])
     def test_split_of_active_demand_preserves_aggregates(self, demands):
         # the 27 kWh not pinned by the narrative can be split any way
@@ -292,11 +321,17 @@ class TestSolveDistMatching:
         assert scaled_cm == base_cm
         assert scaled_fx == base_fx
 
-    def test_additive_preference_mode_is_inert_but_runs(self):
+    def test_alpha_zero_turns_the_preference_off(self):
+        # every supplier then earns a consumer the same reward, w14 * Pr(i) + w35
         view = worked_view()
-        weights = MatchingWeights(preference_mode="additive")
+        weights = MatchingWeights(alpha=0.0)
+        table = PairTable(view, weights, None)
+        for consumer in view.consumers:
+            rewards = {reward for _, _, reward in table.local[consumer.id]}
+            assert rewards == {weights.w14 * consumer.priority + weights.w35}
         cm, fx, _, _ = solve_dist_matching(view, weights)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
+        assert check_matching_feasibility(view, cm, fx) == []
 
 
 class TestAggregates:
@@ -504,8 +539,8 @@ def layout(lp, info) -> list:
 class TestPairTable:
     @pytest.mark.parametrize(
         "weights",
-        [MatchingWeights(), MatchingWeights(preference_mode="additive"), MatchingWeights(alpha=0.3, beta=4.5)],
-        ids=["coefficient", "additive", "explicit-beta"],
+        [MatchingWeights(), MatchingWeights(alpha=0.0), MatchingWeights(alpha=0.3, beta=4.5)],
+        ids=["default", "no-preference", "explicit-beta"],
     )
     def test_agent_table_builds_the_stateless_program(self, weights):
         scenario = study2_scenario()
@@ -597,7 +632,7 @@ def matching_inputs(draw):
             passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
             supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
         ),
-        MatchingWeights(preference_mode=draw(st.sampled_from(["coefficient", "additive"]))),
+        MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))),
     )
     view = view_for_ssp(scenario, "S01")
     caps = {p: PartnerCapacity(draw(st.sampled_from([0.0, 5.0, 40.0])), draw(st.sampled_from([0.0, 0.1])))
@@ -696,9 +731,10 @@ def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
 @st.composite
 def centralized_scenarios(draw) -> Scenario:
     """2-5 SSPs with passive flexibility, missing inter-SSP links, maybe one SSP
-    without producers, either preference mode, and lines on every pair shape
-    that ``line-decided-flow`` admits: (consumer, U), (consumer, producer of
-    its SSP) and (consumer, other SSP), minimums included."""
+    without producers, alpha 0.1 or 0 (no preference steering), and lines on
+    every pair shape that ``line-decided-flow`` admits: (consumer, U),
+    (consumer, producer of its SSP) and (consumer, other SSP), minimums
+    included."""
     consumers = draw(st.integers(1, 5))
     producers = draw(st.integers(1, 3))
     scenario = generate_scenario(
@@ -708,7 +744,7 @@ def centralized_scenarios(draw) -> Scenario:
             passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
             supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
         ),
-        MatchingWeights(preference_mode=draw(st.sampled_from(["coefficient", "additive"]))),
+        MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))),
     )
     ids = scenario.ssp_ids
     if draw(st.booleans()):

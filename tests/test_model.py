@@ -45,10 +45,24 @@ STORED_AS_READ = [
 ]
 
 
+# a kind that puts AC2 or PP1 on the other side: the loader reads a kind under
+# consumers or producers alike, and only validate_scenario places it
+MISPLACED_KINDS = [
+    pytest.param("consumer-kind", "AP", "AC2: kind-placement (producer listed under consumers)", id="AP-under-consumers"),
+    pytest.param("producer-kind", "PC", "PP1: kind-placement (consumer listed under producers)", id="PC-under-producers"),
+]
+
+
 def stored_as_read(scenario: Scenario, fact: str, value: object) -> Scenario:
-    """The worked example with ``value`` as its (AC2, PP1) rank, its (AC2, PP1) link or its seed."""
+    """The worked example with ``value`` as its (AC2, PP1) rank, its (AC2, PP1)
+    link, its seed, or the kind of AC2 (``consumer-kind``) or PP1 (``producer-kind``)."""
     if fact == "seed":
         return replace(scenario, seed=value)
+    if fact.endswith("-kind"):
+        cfg = scenario.ssps[0]
+        side, sub_id = ("consumers", "AC2") if fact == "consumer-kind" else ("producers", "PP1")
+        subs = tuple(replace(s, kind=SubscriberKind(value)) if s.id == sub_id else s for s in getattr(cfg, side))
+        return replace(scenario, ssps=(replace(cfg, **{side: subs}),))
     if fact == "rank":
         cfg = scenario.ssps[0]
         ranks = {c: dict(cols) for c, cols in cfg.preferences.ranks.items()}
@@ -231,10 +245,19 @@ class TestValidateScenario:
         sc = Scenario((ssp_a, ssp_b), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
         assert any(v.rule == "interssp-symmetric" for v in validate_scenario(sc))
 
-    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ)
+    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ + MISPLACED_KINDS)
     def test_rank_link_or_seed_of_the_wrong_type_is_a_violation(self, worked_scenario, fact, value, violation):
         # violations are data: no value makes the check raise
         assert [str(v) for v in validate_scenario(stored_as_read(worked_scenario, fact, value))] == [violation]
+
+    def test_producer_with_a_priority_is_a_violation(self, worked_scenario):
+        # the file format has no producer priority, so only a scenario built in memory can carry one
+        cfg = worked_scenario.ssps[0]
+        producers = tuple(replace(p, priority=0.5) if p.id == "AP2" else p for p in cfg.producers)
+        scenario = replace(worked_scenario, ssps=(replace(cfg, producers=producers),))
+        assert [str(v) for v in validate_scenario(scenario)] == [
+            "AP2: producer-priority (producers carry no serving priority)"
+        ]
 
     def test_validation_is_idempotent(self):
         sc = scenario_of(small_ssp(priorities=(0.1, 0.2)))

@@ -27,6 +27,7 @@ from sspsim.protocol import (
     CLAIM_KIND,
     IMPROVE_TOL,
     OFFER_KIND,
+    SEND_EXCESS,
     ConvergenceError,
     InvalidScenarioError,
     LogRecord,
@@ -357,6 +358,45 @@ class TestAuditPrivacy:
         report = audit_privacy(forged, pair_scenario, anm, seed=1)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "index,forge,finding",
+        [
+            (0, lambda r: replace(r, kind="gossip"), "message 0 (gossip S2->S1): unknown message kind"),
+            (0, lambda r: replace(r, dst="S2"), "message 0 (offer S2->S2): endpoints must be two distinct SSP ids"),
+            (1, lambda r: replace(r, src="S1.C1"), "message 1 (claim S1.C1->S2): endpoints must be two distinct SSP ids"),
+            (
+                0,
+                lambda r: replace(r, payload={"energy_kwh": 5.0, "token": SEND_EXCESS}),
+                "message 0 (offer S2->S1): payload is missing 'bound'",
+            ),
+            (
+                0,
+                lambda r: replace(r, payload=r.payload | {"token": "SEND_ALL"}),
+                "message 0 (offer S2->S1): bad token 'SEND_ALL'",
+            ),
+            (
+                1,
+                lambda r: replace(r, payload={"amount_kwh": -1.0}),
+                "message 1 (claim S1->S2): payload field 'amount_kwh' is negative",
+            ),
+            (1, None, "log has 1 messages, deterministic replay produced 2"),
+        ],
+        ids=["unknown-kind", "self-addressed", "subscriber-endpoint", "missing-field", "bad-token", "negative", "short-log"],
+    )
+    def test_each_forgery_is_named(self, pair_scenario, index, forge, finding):
+        # the engine's log is an offer S2->S1 of 5 kWh and the claim S1->S2 of 5 kWh
+        anm = meshed_map(pair_scenario.ssp_ids)
+        log = list(run_engine(pair_scenario, anm, seed=1).log)
+        assert [(r.kind, r.src, r.dst) for r in log] == [(OFFER_KIND, "S2", "S1"), (CLAIM_KIND, "S1", "S2")]
+        if forge is None:
+            del log[index:]
+        else:
+            log[index] = forge(log[index])
+        report = audit_privacy(log, pair_scenario, anm, seed=1)
+        assert not report.passed and report.findings[0] == finding
+        # a message that differs from the engine's also fails the replay
+        assert len(report.findings) == (1 if forge is None else 2)
+
 
 @st.composite
 def all_active_specs(draw) -> GeneratorSpec:
@@ -491,7 +531,7 @@ def differential_cases():
     study1 = generate_scenario(STUDY1)
     statuses = {cfg.id: energy_status(cfg) for cfg in study1.ssps}
     floored = floored_study2(0.25)  # every offer from S03 to S01 is solved
-    additive = replace(study1, weights=MatchingWeights(preference_mode="additive"))
+    no_preference = replace(study1, weights=MatchingWeights(alpha=0.0))
     passive = passive_study2()
     study2 = study2_scenario(n_ssps=6)
     # a [0, 1000] kWh (consumer, U) line bounds every purchase column, so no
@@ -506,7 +546,7 @@ def differential_cases():
         "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
         "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
         "study2-line-floor": (floored, meshed_map(floored.ssp_ids)),
-        "study1-additive": (additive, meshed_map(additive.ssp_ids)),
+        "study1-no-preference": (no_preference, meshed_map(no_preference.ssp_ids)),
         "study2-passive-meshed": (passive, meshed_map(passive.ssp_ids)),
         "study2-utility-lines": (utility_lines, meshed_map(utility_lines.ssp_ids)),
     }
@@ -515,7 +555,7 @@ def differential_cases():
 @pytest.mark.parametrize(
     "case",
     [
-        "study1-meshed", "study1-coalition", "study2-line-floor", "study1-additive", "study2-passive-meshed",
+        "study1-meshed", "study1-coalition", "study2-line-floor", "study1-no-preference", "study2-passive-meshed",
         "study2-utility-lines",
     ],
 )

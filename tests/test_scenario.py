@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sspsim.scenario
 from sspsim.model import LineConstraint, LineConstraintSet, SubscriberKind, _fits_float, energy_status, validate_scenario
 from sspsim.scenario import (
+    PREFERENCE_MODE,
     GeneratorSpec,
     GeneratorSpecError,
     ScenarioFormatError,
@@ -247,5 +248,7 @@ def test_schema_matches_what_the_writer_emits(worked_scenario):
     assert consumer["required"] == list(data["ssps"][0]["consumers"][0])
     assert producer["required"] == list(data["ssps"][0]["producers"][0])
     assert schema["properties"]["line_constraints"]["items"]["required"] == list(data["line_constraints"][0])
+    assert schema["properties"]["weights"]["properties"]["preference_mode"]["const"] == PREFERENCE_MODE
+    assert data["weights"]["preference_mode"] == PREFERENCE_MODE == "coefficient"
     assert consumer["properties"]["kind"]["enum"] == [k.value for k in SubscriberKind if not k.is_producer]
     assert producer["properties"]["kind"]["enum"] == [k.value for k in SubscriberKind if k.is_producer]
