@@ -54,12 +54,26 @@ digests check that the pivots stay the same. There is no sparse
 factorisation and no MILP (binary connectivity is data, never a decision
 variable).
 
+A program is stored as arrays, and only as arrays: per column its name, lower
+and upper bound; the objective as (column, cost) pairs in insertion order;
+per row its name, relation and rhs, with the coefficients as compressed
+sparse rows in insertion order. The matching builders append whole arrays
+(``add_columns``, ``add_costs``, ``add_rows``); ``add_variable``,
+``set_cost`` and ``add_constraint`` append one entry. ``validate_program``
+checks whole arrays and walks entries only to name the first offender.
+``_standardise`` reads the arrays directly. ``variables``, ``objective`` and
+``constraints`` are read-only views in the dataclass and dict form, built on
+each read for messages, tests and the benchmark's counters: writing to one
+changes nothing. A solution's ``objective`` sums c_j x_j one term at a time
+in the objective's insertion order, so two programs whose arrays are equal
+report the same float.
+
 A column is known by its position: ``add_variable`` returns it, the objective
 and every row are keyed by it, and a solution lists one value per column in
 column order. Variable and row names are labels, used only in messages.
 
-An optimal solution also carries ``duals``, one per row of ``constraints`` in
-row order: y = c_B B^-1 at the phase-2 optimum, mapped back through the row
+An optimal solution also carries ``duals``, one per row in row order:
+y = c_B B^-1 at the phase-2 optimum, mapped back through the row
 negations and crash scalings of the standard form. They keep the sign
 convention of a minimisation (at most 0 on a ``<=`` row, at least 0 on a
 ``>=`` row), and a row dropped as redundant gets 0. With reduced costs
@@ -74,9 +88,9 @@ Every solution counts its ``pivots``: the basis changes of phase 1 and phase
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -88,6 +102,7 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SLACK_SIGN = {EQUAL: 0.0, LESS_EQUAL: 1.0, GREATER_EQUAL: -1.0}
 
 
 class LpFormatError(ValueError):
@@ -115,24 +130,129 @@ class LpConstraint:
     name: str = ""
 
 
-@dataclass
 class LinearProgram:
-    """Minimise ``objective . x`` subject to bounds and linear constraints."""
+    """Minimise ``objective . x`` subject to bounds and linear constraints, stored as arrays.
 
-    variables: list[LpVariable] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    constraints: list[LpConstraint] = field(default_factory=list)
+    Columns: ``names``, ``lower`` and ``upper``, one entry per column. The
+    objective: ``cost_cols`` and ``cost_vals``, in insertion order, each
+    column at most once. Rows: ``row_names``, ``relations`` and ``rhs``, one
+    entry per row, and their coefficients as compressed sparse rows: row i
+    holds ``entry_vals[row_starts[i]:row_starts[i + 1]]`` in the columns
+    ``entry_cols[...]``, in insertion order.
+
+    ``add_columns``, ``add_costs`` and ``add_rows`` append arrays;
+    ``add_variable``, ``set_cost`` and ``add_constraint`` append one entry.
+    ``variables``, ``objective`` and ``constraints`` are read-only views
+    built on demand.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.cost_cols = np.zeros(0, dtype=np.intp)
+        self.cost_vals = np.zeros(0)
+        self.row_names: list[str] = []
+        self.relations: list[str] = []
+        self.rhs = np.zeros(0)
+        self.row_starts = np.zeros(1, dtype=np.intp)
+        self.entry_cols = np.zeros(0, dtype=np.intp)
+        self.entry_vals = np.zeros(0)
+        # a key handed to a scalar builder that is not an int column position
+        # is stored as -1 and kept here, by ("objective" or "rows", entry), for
+        # the views and for validate_program to name
+        self._odd_keys: dict[tuple[str, int], object] = {}
+
+    def add_columns(self, names: Sequence[str], lower, upper) -> int:
+        """Append columns; returns the position of the first."""
+        start = len(self.names)
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        if not len(names) == lower.size == upper.size:
+            raise LpFormatError(f"{len(names)} names for {lower.size} lower and {upper.size} upper bounds")
+        self.names.extend(names)
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        return start
+
+    def add_costs(self, cols, costs) -> None:
+        """Append objective coefficients, in order, for columns not yet in the objective."""
+        self.cost_cols = np.concatenate([self.cost_cols, _positions(cols)])
+        self.cost_vals = np.concatenate([self.cost_vals, np.asarray(costs, dtype=float)])
+
+    def add_rows(self, names: Sequence[str], relations: Sequence[str], rhs, lengths, cols, vals) -> None:
+        """Append rows; row k takes its ``lengths[k]`` entries in turn from ``cols`` and ``vals``."""
+        ends = np.cumsum(lengths, dtype=np.intp)
+        cols, vals, rhs = _positions(cols), np.asarray(vals, dtype=float), np.asarray(rhs, dtype=float)
+        if not len(names) == len(relations) == rhs.size == ends.size or not cols.size == vals.size == ends[-1:].sum():
+            raise LpFormatError("rows: names, relations, rhs, lengths and entries do not agree in size")
+        self.row_names.extend(names)
+        self.relations.extend(relations)
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.row_starts = np.concatenate([self.row_starts, self.row_starts[-1] + ends])
+        self.entry_cols = np.concatenate([self.entry_cols, cols])
+        self.entry_vals = np.concatenate([self.entry_vals, vals])
 
     def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf, cost: float = 0.0) -> int:
-        """Append a column and return its position."""
-        col = len(self.variables)
-        self.variables.append(LpVariable(name, lower, upper))
+        """Append a column and return its position; a nonzero cost enters the objective."""
+        col = self.add_columns([name], [lower], [upper])
         if cost != 0.0:
-            self.objective[col] = cost
+            self.add_costs([col], [cost])
         return col
 
+    def set_cost(self, col: int, cost: float) -> None:
+        """Set one objective coefficient as ``objective[col] = cost`` would: a column
+        new to the objective goes last, one already in it keeps its place, and a
+        zero is kept."""
+        objective = self.objective
+        objective[col] = cost
+        self._odd_keys = {at: key for at, key in self._odd_keys.items() if at[0] != "objective"}
+        self.cost_cols = self._encode("objective", 0, objective)
+        self.cost_vals = np.array(list(objective.values()), dtype=float)
+
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float, name: str = "") -> None:
-        self.constraints.append(LpConstraint(dict(coeffs), relation, rhs, name))
+        cols = self._encode("rows", self.entry_cols.size, coeffs)
+        self.add_rows([name], [relation], [rhs], [len(coeffs)], cols, list(coeffs.values()))
+
+    def _encode(self, part: str, offset: int, keys) -> np.ndarray:
+        """Scalar builders' keys as column positions; any other key is kept aside and stored as -1."""
+        cols = list(keys)
+        for k, key in enumerate(cols):
+            if type(key) is not int or not 0 <= key < 2**62:
+                self._odd_keys[(part, offset + k)] = key
+                cols[k] = -1
+        return np.array(cols, dtype=np.intp)
+
+    def _keys(self, part: str, cols: np.ndarray) -> list:
+        """The keys the builders were handed for ``cols``, odd ones included."""
+        keys = cols.tolist()
+        for (where, k), key in self._odd_keys.items():
+            if where == part:
+                keys[k] = key
+        return keys
+
+    @property
+    def variables(self) -> list[LpVariable]:
+        return list(map(LpVariable, self.names, self.lower.tolist(), self.upper.tolist()))
+
+    @property
+    def objective(self) -> dict[int, float]:
+        return dict(zip(self._keys("objective", self.cost_cols), self.cost_vals.tolist()))
+
+    @property
+    def constraints(self) -> list[LpConstraint]:
+        keys, vals, starts = self._keys("rows", self.entry_cols), self.entry_vals.tolist(), self.row_starts.tolist()
+        return [
+            LpConstraint(dict(zip(keys[a:b], vals[a:b])), relation, rhs, name)
+            for a, b, relation, rhs, name in zip(starts, starts[1:], self.relations, self.rhs.tolist(), self.row_names)
+        ]
+
+
+def _positions(cols) -> np.ndarray:
+    """An array builder's column positions as intp; any dtype but an integer one is refused."""
+    cols = np.asarray(cols)
+    if cols.size and cols.dtype.kind not in "iu":
+        raise LpFormatError(f"column positions must be integers, got {cols.dtype}")
+    return cols.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -140,45 +260,64 @@ class LpSolution:
     status: LpStatus
     values: list[float]  # one per column, in column order
     objective: float
-    duals: list[float]  # one per row of ``constraints``, in row order; all 0 unless optimal
+    duals: list[float]  # one per row, in row order; all 0 unless optimal
     pivots: int  # simplex pivots of phase 1 and phase 2 together
 
 
 def validate_program(lp: LinearProgram) -> None:
-    """Raise LpFormatError naming the offending variable, row or "objective"."""
-    for var in lp.variables:
-        if -math.inf < var.lower < math.inf and var.lower <= var.upper:
-            continue
-        if math.isnan(var.lower) or math.isnan(var.upper):
-            raise LpFormatError(f"variable {var.name!r} has NaN bound")
-        if not math.isfinite(var.lower):
-            raise LpFormatError(f"variable {var.name!r} has no finite lower bound ({var.lower})")
-        raise LpFormatError(f"variable {var.name!r} has lower {var.lower} > upper {var.upper}")
-    labels = [row.name or f"row {idx}" for idx, row in enumerate(lp.constraints)]
-    for label, row in zip(labels, lp.constraints):
-        if row.relation not in _RELATIONS:
-            raise LpFormatError(f"{label}: unknown relation {row.relation!r}")
-        if not math.isfinite(row.rhs):
-            raise LpFormatError(f"{label}: non-finite rhs {row.rhs}")
+    """Raise LpFormatError naming the offending variable, row or "objective".
+
+    Each check reads whole arrays; only a program that fails one is walked,
+    to name its first offender."""
+    lower, upper = lp.lower, lp.upper
+    bounded = np.isfinite(lower) & (lower <= upper)
+    if not bounded.all():
+        k = int(bounded.argmin())
+        name, low, up = lp.names[k], lower[k].item(), upper[k].item()
+        if math.isnan(low) or math.isnan(up):
+            raise LpFormatError(f"variable {name!r} has NaN bound")
+        if not math.isfinite(low):
+            raise LpFormatError(f"variable {name!r} has no finite lower bound ({low})")
+        raise LpFormatError(f"variable {name!r} has lower {low} > upper {up}")
+    if not (set(lp.relations) <= set(_RELATIONS) and np.isfinite(lp.rhs).all()):
+        for idx, (relation, rhs) in enumerate(zip(lp.relations, lp.rhs.tolist())):
+            if relation not in _RELATIONS:
+                raise LpFormatError(f"{_row_label(lp, idx)}: unknown relation {relation!r}")
+            if not math.isfinite(rhs):
+                raise LpFormatError(f"{_row_label(lp, idx)}: non-finite rhs {rhs}")
     # every key must be an int column position: numpy indexing would truncate
-    # 1.5 to column 1 and wrap -1 to the last column. All keys are checked at
-    # once; only a failing program is walked to name the offender.
-    n_cols = len(lp.variables)
-    keys = list(itertools.chain(lp.objective, *(row.coeffs for row in lp.constraints)))
-    if set(map(type, keys)) <= {int} and (not keys or 0 <= min(keys) and max(keys) < n_cols):
-        return
-    for label, coeffs in [("objective", lp.objective), *zip(labels, (row.coeffs for row in lp.constraints))]:
-        for col in coeffs:
-            if type(col) is not int or not 0 <= col < n_cols:
-                raise LpFormatError(f"{label}: key {col!r} is not a column position in [0, {n_cols})")
+    # 1.5 to column 1 and wrap -1 to the last column
+    n_cols = len(lp.names)
+    if not all(cols.size == 0 or 0 <= cols.min() and cols.max() < n_cols for cols in (lp.cost_cols, lp.entry_cols)):
+        keys = lp._keys("rows", lp.entry_cols)
+        starts = lp.row_starts.tolist()
+        walk = [("objective", lp._keys("objective", lp.cost_cols))]
+        walk += [(_row_label(lp, idx), keys[a:b]) for idx, (a, b) in enumerate(zip(starts, starts[1:]))]
+        for label, row_keys in walk:
+            for col in row_keys:
+                if type(col) is not int or not 0 <= col < n_cols:
+                    raise LpFormatError(f"{label}: key {col!r} is not a column position in [0, {n_cols})")
+    ordered = np.sort(lp.cost_cols)
+    if (ordered[1:] == ordered[:-1]).any():
+        seen: set[int] = set()
+        for col in lp.cost_cols.tolist():
+            if col in seen:
+                raise LpFormatError(f"objective: column {col} appears twice")
+            seen.add(col)
+
+
+def _row_label(lp: LinearProgram, idx: int) -> str:
+    return lp.row_names[idx] or f"row {idx}"
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
-    if not lp.variables:
+    if not lp.names:
         # every row reads 0 <relation> rhs: phase 1 over one unused column judges them
-        padded = LinearProgram([LpVariable("unused")], {}, lp.constraints)
+        padded = LinearProgram()
+        padded.add_variable("unused")
+        padded.add_rows(lp.row_names, lp.relations, lp.rhs, np.diff(lp.row_starts), lp.entry_cols, lp.entry_vals)
         return replace(_Simplex(padded).solve(), values=[])
     return _Simplex(lp).solve()
 
@@ -211,28 +350,25 @@ class _Simplex:
 
     def _standardise(self) -> None:
         lp = self.lp
-        n_vars = len(lp.variables)
-        lower = np.array([v.lower for v in lp.variables], dtype=float)
-        upper = np.array([v.upper for v in lp.variables], dtype=float)
+        n_vars = len(lp.names)
+        lower, upper = lp.lower, lp.upper
         bound_cols = np.flatnonzero(upper != math.inf)  # a finite upper bound adds a <= row
 
         # (row, column, value) triplets: the rows over standard columns, then
         # the bound rows, then one slack per inequality
-        m_rows = len(lp.constraints)
-        lengths = [len(row.coeffs) for row in lp.constraints]
-        var_ix = np.fromiter(itertools.chain(*(row.coeffs for row in lp.constraints)), np.intp, sum(lengths))
-        coef = np.fromiter(itertools.chain(*(row.coeffs.values() for row in lp.constraints)), float, sum(lengths))
-        row_ix = np.repeat(np.arange(m_rows), lengths)
+        m_rows = len(lp.row_names)
+        var_ix, coef = lp.entry_cols, lp.entry_vals
+        row_ix = np.repeat(np.arange(m_rows), np.diff(lp.row_starts))
         # the rhs moves by c * lower, summed in coefficient order per row
         shift = np.zeros(m_rows)
         moves = coef * lower[var_ix]
         if moves.any():
             np.add.at(shift, row_ix, moves)
-        rhs = np.array([row.rhs for row in lp.constraints], dtype=float) - shift
+        rhs = lp.rhs - shift
         b = np.concatenate([rhs, upper[bound_cols] - lower[bound_cols]])
         m = b.size
-        relations = [row.relation for row in lp.constraints] + [LESS_EQUAL] * bound_cols.size
-        slack_sign = np.array([0.0 if rel == EQUAL else 1.0 if rel == LESS_EQUAL else -1.0 for rel in relations])
+        relation_signs = np.fromiter(map(_SLACK_SIGN.__getitem__, lp.relations), float, m_rows)
+        slack_sign = np.concatenate([relation_signs, np.ones(bound_cols.size)])
         slack_rows = np.flatnonzero(slack_sign)
         n_real = n_vars + slack_rows.size
         rows = np.concatenate([row_ix, m_rows + np.arange(bound_cols.size), slack_rows])
@@ -289,8 +425,7 @@ class _Simplex:
         self.n_real = n_real
         self.lower, self.upper = lower, upper
         self.cost = np.zeros(n_cols)
-        obj_ix = np.array(list(lp.objective), dtype=np.intp)
-        self.cost[obj_ix] = 0.0 + np.array(list(lp.objective.values()), dtype=float)
+        self.cost[lp.cost_cols] = 0.0 + lp.cost_vals
 
     def solve(self) -> LpSolution:
         # revised simplex: the column store stays read-only, only the m x m
@@ -314,8 +449,8 @@ class _Simplex:
         return self._extract()
 
     def _failed(self, status: LpStatus, objective: float) -> LpSolution:
-        zeros = [0.0] * len(self.lp.constraints)
-        return LpSolution(status, [0.0] * len(self.lp.variables), objective, zeros, self.pivots)
+        zeros = [0.0] * len(self.lp.row_names)
+        return LpSolution(status, [0.0] * len(self.lp.names), objective, zeros, self.pivots)
 
     def _refactorize(self) -> None:
         """B^-1 and x_B from the basis columns, scattered through their basis slots."""
@@ -401,7 +536,18 @@ class _Simplex:
         raise ArithmeticError("simplex pivot limit exceeded")
 
     def _drive_out_artificials(self) -> None:
+        """Pivot each artificial left in the basis out for a real column; where
+        none can enter, the artificial's own row is redundant and is dropped
+        with the artificial's basis slot.
+
+        Slot i of the basis holds an artificial whose unit entry sits in row
+        r; phase 1 may have moved it, so r need not be i. With
+        y = B^-1[i], y a_j = 0 for every real column j while y_r = 1: row r
+        is a combination of the other rows. Dropping row r and slot i keeps
+        the basis nonsingular, since slot i's column is the unit vector of
+        row r."""
         art = set(self.art_cols.tolist())
+        drop_slots: list[int] = []
         drop_rows: list[int] = []
         priced = self._entries(self.n_real)
         for i in range(self.b.size):
@@ -410,7 +556,8 @@ class _Simplex:
             row = _times_columns(self.binv[i], *priced, self.n_real)
             nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
             if nonzero.size == 0:
-                drop_rows.append(i)  # redundant constraint
+                drop_slots.append(i)
+                drop_rows.append(int(self.row_ix[self.indptr[self.basis[i]]]))
                 continue
             j = int(nonzero[0])
             _pivot_inverse(self.binv, self.binv.dot(self._column(j)), i)
@@ -424,7 +571,7 @@ class _Simplex:
             self.col_ix, self.data = self.col_ix[live], self.data[live]
             self.indptr = _column_starts(self.col_ix, self.cost.size)
             self.b = self.b[keep]
-            self.basis = self.basis[keep]
+            self.basis = np.delete(self.basis, drop_slots)
             self.row_ids = self.row_ids[keep]
             self._refactorize()
 
@@ -435,29 +582,29 @@ class _Simplex:
         within FEAS_TOL; larger drift is a solver fault and raises, naming the
         first such column. (A value is never below its lower bound: basic
         values are clamped at 0 before the lower bound is added.)"""
-        n_vars = len(self.lp.variables)
+        lp = self.lp
+        n_vars = len(lp.names)
         std = np.zeros(self.n_real)
         real = self.basis < self.n_real
         std[self.basis[real]] = np.maximum(self.xb[real], 0.0)
         x = self.lower + std[:n_vars]
         for k in np.flatnonzero(x > self.upper).tolist():
             if x[k] - self.upper[k] > FEAS_TOL:
-                var = self.lp.variables[k]
                 raise ArithmeticError(
-                    f"simplex value {float(x[k])!r} of {var.name!r} lies outside its bounds "
-                    f"[{var.lower}, {var.upper}] by more than {FEAS_TOL}"
+                    f"simplex value {float(x[k])!r} of {lp.names[k]!r} lies outside its bounds "
+                    f"[{self.lower[k].item()}, {self.upper[k].item()}] by more than {FEAS_TOL}"
                 )
             x[k] = self.upper[k]
-        values = x.tolist()
-        objective = sum((c * values[col] for col, c in self.lp.objective.items()), 0.0)
-        return LpSolution(LpStatus.OPTIMAL, values, objective, self._duals(), self.pivots)
+        # the objective sums its terms one at a time, in insertion order
+        objective = sum((lp.cost_vals * x[lp.cost_cols]).tolist(), 0.0)
+        return LpSolution(LpStatus.OPTIMAL, x.tolist(), objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:
         """y = c_B B^-1 per row of ``constraints``, undoing each row's divisor; 0 on a dropped row."""
         y = self.cost[self.basis] @ self.binv
         duals = np.zeros(self.row_divisor.size)
         duals[self.row_ids] = y / self.row_divisor[self.row_ids]
-        return duals[: len(self.lp.constraints)].tolist()
+        return duals[: len(self.lp.row_names)].tolist()
 
 
 def _column_starts(col_ix: np.ndarray, n_cols: int) -> np.ndarray:

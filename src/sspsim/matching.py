@@ -24,11 +24,18 @@ w2 when the Utility serves it). Only a supplier whose reward beats a price can
 improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
 way (the pricing step of column generation) without building the LP.
 
-Both LPs share one layout, built by ``_place``: the cm columns consumer-major,
-then purchases, cuts and stretches, their costs and the demand rows.
-``_build`` and ``_build_centralized`` add only their own columns and rows, and
-``_solve`` maps the solver status to an error for both. A partner's reward
-per kWh comes from ``PairTable.partner_reward`` alone.
+Both LPs are built as arrays and share one layout, built by ``_place``: the
+cm columns consumer-major, then purchases, cuts and stretches, their costs and
+the entries of the supply and demand rows. ``_build`` and
+``_build_centralized`` add only their own columns and rows, and ``_solve``
+maps the solver status to an error for both. Every row but the export
+reservation lists its entries in column order, so each builder sorts its
+(row, column, value) entries once. ``PairTable`` holds what an agent's LP
+keeps across solves (the local columns, the reward of every (consumer,
+partner) pair, and the lines on such pairs) as arrays, built once per agent
+with whole-row operations. Every reward per kWh comes from ``_Rewards.__call__``
+alone, evaluated over arrays in one order of operations. Solutions are read
+back with array masks.
 
 The centralized baseline (``solve_centralized``) is one LP over every
 subscriber of every SSP, in transshipment form (Ahuja, Magnanti & Orlin,
@@ -53,9 +60,9 @@ per-pair form has no column for it, so there the baseline relaxes the runs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,13 +73,13 @@ from .lp import (
     LinearProgram,
     LpSolution,
     LpStatus,
-    LpVariable,
     solve_lp,
 )
 from .model import (
     UTILITY_ID,
     CommitmentMatrix,
     ConnectivityMatrix,
+    LineConstraint,
     LineConstraintSet,
     MatchingWeights,
     PreferenceTable,
@@ -140,136 +147,240 @@ def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
     )
 
 
-# one cm column: (consumer id, supplier id), its variable, its reward per placed kWh
-_Column = tuple[tuple[str, str], LpVariable, float]
-# one equality row: its coefficients by column, its rhs and its name
-_Row = tuple[dict[int, float], float, str]
+@dataclass(frozen=True)
+class _CmColumns:
+    """cm columns as arrays, in column order: column k places the kWh of supplier
+    ``supplier[k]`` with consumer ``consumer[k]`` (indices into the LP's
+    consumer and supplier lists)."""
+
+    consumer: np.ndarray
+    supplier: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    reward: np.ndarray  # per placed kWh
+    names: list[str]
 
 
-@dataclass
-class _BuildInfo:
-    cm_columns: list[_Column]  # the cm columns, which come first: column k is cm_columns[k]
-    purchase_cols: range  # cm(i, U) of each consumer, in consumer order
-    cut_cols: dict[str, int]  # demand reduction kWh; fx(i) = 1 - cut/Dc
-    stretch_cols: dict[str, int]  # local production increase kWh; fx(j) = 1 + stretch/Ep
-    objective_offset: float = 0.0  # minus the reward of the locked imports; set by _build
-    demand_rows: range = range(0)  # the demand row of each consumer, in consumer order; set by _add_demand_rows
-    live_partners: list[str] = field(default_factory=list)  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
-    export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
-
-
-def _line_bounds(lines: LineConstraintSet | None, row_id: str, col_id: str) -> tuple[float, float]:
-    if lines is not None:
-        lc = lines.lookup(row_id, col_id)
-        if lc is not None:
-            return max(0.0, lc.min_kwh), lc.max_kwh
-    return 0.0, math.inf
-
-
-def _flex_variables(
-    consumers: Sequence[Subscriber], producers: Sequence[Subscriber], lines: LineConstraintSet | None
-) -> tuple[list[LpVariable], dict[str, LpVariable], dict[str, LpVariable]]:
-    """The purchase of each consumer, the cut of each passive consumer and the stretch of each passive producer.
+@dataclass(frozen=True)
+class _Flex:
+    """The purchase of each consumer, the cut of each passive consumer and the stretch of each passive producer, as columns.
 
     fx factors are carried as kWh variables: cut = (1-fx(i))*Dc, stretch =
     (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
     """
-    purchases = [LpVariable(f"cm[{c.id}][U]", *_line_bounds(lines, c.id, UTILITY_ID)) for c in consumers]
-    cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in consumers if c.bound > 0.0}
-    stretches = {p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in producers if p.bound > 0.0}
-    return purchases, cuts, stretches
+
+    names: list[str]
+    lower: np.ndarray
+    upper: np.ndarray
+    cut_of: np.ndarray  # the consumer index of each cut
+    stretch_of: np.ndarray  # the producer index of each stretch
+
+
+@dataclass
+class _BuildInfo:
+    """Where a matching LP keeps what its solution is read back into.
+
+    The cm columns come first: column k places the kWh of
+    ``supplier_ids[cm_supplier[k]]`` with ``consumer_ids[cm_consumer[k]]``.
+    Then the purchase of each consumer, the cuts of the consumers ``cut_of``
+    and the stretches of the local producers ``stretch_of``.
+    """
+
+    consumer_ids: list[str]
+    supplier_ids: list[str]  # local producers, then partner SSPs
+    cm_consumer: np.ndarray
+    cm_supplier: np.ndarray
+    cut_of: np.ndarray
+    stretch_of: np.ndarray
+    objective_offset: float = 0.0  # minus the reward of the locked imports; set by _build
+    demand_rows: range = range(0)  # the demand row of each consumer, in consumer order
+    live_partners: list[str] = field(default_factory=list)  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
+    export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
+
+    @property
+    def purchase_cols(self) -> range:
+        start = self.cm_consumer.size
+        return range(start, start + len(self.consumer_ids))
+
+    @property
+    def cut_cols(self) -> range:
+        start = self.purchase_cols.stop
+        return range(start, start + self.cut_of.size)
+
+    @property
+    def stretch_cols(self) -> range:
+        start = self.cut_cols.stop
+        return range(start, start + self.stretch_of.size)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """(consumer id, supplier id) of each cm column."""
+        consumers, suppliers = self.consumer_ids, self.supplier_ids
+        return [(consumers[k], suppliers[j]) for k, j in zip(self.cm_consumer.tolist(), self.cm_supplier.tolist())]
+
+
+def _bounds(line: LineConstraint) -> tuple[float, float]:
+    return max(0.0, line.min_kwh), line.max_kwh
+
+
+def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], lines: LineConstraintSet | None) -> _Flex:
+    purchase_lower, purchase_upper = np.zeros(len(consumers)), np.full(len(consumers), math.inf)
+    for k, consumer in enumerate(consumers):
+        line = lines.lookup(consumer.id, UTILITY_ID) if lines is not None else None
+        if line is not None:
+            purchase_lower[k], purchase_upper[k] = _bounds(line)
+    cut_of = [k for k, c in enumerate(consumers) if c.bound > 0.0]
+    stretch_of = [j for j, p in enumerate(producers) if p.bound > 0.0]
+    names = [f"cm[{c.id}][U]" for c in consumers]
+    names += [f"cut[{consumers[k].id}]" for k in cut_of] + [f"stretch[{producers[j].id}]" for j in stretch_of]
+    flexible = [consumers[k].bound * consumers[k].energy for k in cut_of]
+    flexible += [producers[j].bound * producers[j].energy for j in stretch_of]
+    return _Flex(
+        names,
+        np.concatenate([purchase_lower, np.zeros(len(flexible))]),
+        np.concatenate([purchase_upper, flexible]),
+        np.array(cut_of, dtype=np.intp),
+        np.array(stretch_of, dtype=np.intp),
+    )
+
+
+def _rank_rows(
+    preferences: PreferenceTable, consumer_ids: Sequence[str], suppliers: Sequence[Sequence[str]]
+) -> list[list[int]]:
+    """The rank of each supplier in ``suppliers[k]`` for consumer k, read from the consumer's row."""
+    ranks = preferences.ranks
+    try:
+        return [list(map(ranks[c].__getitem__, row)) if row else [] for c, row in zip(consumer_ids, suppliers)]
+    except KeyError:
+        pass
+    try:  # name the first missing pair
+        return [[preferences.rank(c, s) for s in row] for c, row in zip(consumer_ids, suppliers)]
+    except KeyError as exc:
+        raise MatchingStructureError(str(exc)) from None
 
 
 class _Rewards:
-    """The reward per placed kWh, and the constants that depend on every rank of one LP.
+    """The reward per placed kWh of every (consumer, supplier) pair of one LP, and the constants that depend on all of them.
 
-    ``ranks`` maps each consumer to the supplier ranks of its cm columns.
-    Unless the weights fix it, ``beta`` is the largest rank plus 1, and
-    ``stretch_penalty`` lies 0.01 * w2 above the largest reward.
+    ``priority`` and ``ranks`` hold the consumer's priority and the
+    supplier's rank of each pair. Unless the weights fix it, ``beta`` is the
+    largest rank plus 1; ``of_pairs`` is each pair's reward, and
+    ``stretch_penalty`` lies 0.01 * w2 above the largest of them.
     """
 
-    def __init__(self, weights: MatchingWeights, priority: dict[str, float], ranks: dict[str, list[int]]):
+    def __init__(self, weights: MatchingWeights, priority: np.ndarray, ranks: list[int]):
         self._weights = weights
-        self._priority = priority
-        extremes = [(consumer_id, min(row), max(row)) for consumer_id, row in ranks.items() if row]
-        self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
-        # a reward is monotone in the rank, so the largest of a consumer's
-        # rewards sits at its lowest or its highest rank
-        self.stretch_penalty = max(
-            (self(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
-        ) + 0.01 * weights.w2
+        self.beta = weights.beta if weights.beta is not None else float(max(1, max(ranks, default=1)) + 1)
+        self.of_pairs = self(priority, np.array(ranks, dtype=float))
+        self.stretch_penalty = (float(self.of_pairs.max()) if self.of_pairs.size else 0.0) + 0.01 * weights.w2
 
-    def __call__(self, consumer_id: str, rank: int) -> float:
+    def __call__(self, priority, rank):
+        """w14 * Pr(i) + w35 * (1 + alpha * (beta - rank)), elementwise over arrays."""
         weights = self._weights
-        return weights.w14 * self._priority[consumer_id] + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
+        return weights.w14 * priority + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
+
+
+def _local_ids(links: Mapping[str, int], producer_ids: Sequence[str]) -> list[str]:
+    """The producers a consumer's connectivity row links to (a truthy entry), in producer order."""
+    return list(itertools.compress(producer_ids, map(links.get, producer_ids)))
 
 
 class PairTable:
-    """The part of one view's matching LP that offers do not change.
+    """The part of one view's matching LP that offers do not change, as arrays.
 
     Built once per (subscribers, partner list, weights, lines); an agent keeps
     its own and hands it to every re-solve. It holds the local cm columns
-    (``local``: per consumer, those of its connected local producers in
-    producer order, with rewards and line bounds); the purchase, cut and
-    stretch variables (``flex``; sell-backs have none: they are derived from
-    the solution); and ``rewards``, whose beta and stretch penalty depend on
-    the rank of every partner, live or not. Partner columns are made per
-    solve, for the partners that advertise capacity: kept for every partner,
-    they would cost memory in proportion to consumers x partners.
+    (per consumer, those of its connected local producers in producer order,
+    with their rewards and line bounds); the reward of every (consumer,
+    partner) pair (``partner_rewards``, consumers x sorted partners) and the
+    lines on such pairs (``partner_lines``); the purchase, cut and stretch columns (``flex``; sell-backs
+    have none: they are derived from the solution); and ``rewards``, whose
+    beta and stretch penalty depend on the rank of every partner, live or
+    not. ``columns`` lays out the cm columns of one solve.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
-        self._partners = frozenset(view.partner_capacities)
-        self._preferences = view.preferences
-        self._lines = lines
-        self._consumer_ids = [c.id for c in view.consumers]
-        partner_ids = sorted(self._partners)
-        # stable (consumer, supplier) pairs: connected local producers, then
-        # every partner; zero-capacity partners get no column but shape beta
-        local_ids = [[p.id for p in view.producers if view.connectivity.connected(c.id, p.id)] for c in view.consumers]
-        try:
-            ranks = [
-                [view.preferences.rank(consumer.id, supplier_id) for supplier_id in local + partner_ids]
-                for consumer, local in zip(view.consumers, local_ids)
-            ]
-        except KeyError as exc:
-            raise MatchingStructureError(str(exc)) from None
-        self.rewards = _Rewards(weights, {c.id: c.priority for c in view.consumers}, dict(zip(self._consumer_ids, ranks)))
-        self.local: dict[str, list[_Column]] = {
-            consumer.id: [
-                (
-                    (consumer.id, supplier_id),
-                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *_line_bounds(lines, consumer.id, supplier_id)),
-                    self.rewards(consumer.id, rank),
-                )
-                for supplier_id, rank in zip(local, row)
-            ]
-            for consumer, local, row in zip(view.consumers, local_ids, ranks)
-        }
-        # partners that a line with a positive minimum ties to some consumer
-        consumer_set = set(self._consumer_ids)
-        self.floored = frozenset(
-            lc.col_id
-            for lc in (lines.constraints if lines is not None else ())
-            if lc.row_id in consumer_set and lc.col_id in self._partners
-            and _line_bounds(lines, lc.row_id, lc.col_id)[0] > 0.0
-        )
-        self.flex = _flex_variables(view.consumers, view.producers, lines)
+        consumers = view.consumers
+        self.consumer_ids = [c.id for c in consumers]
+        self.producer_ids = [p.id for p in view.producers]
+        self.partner_ids = sorted(view.partner_capacities)
+        self._consumer_at = {c: k for k, c in enumerate(self.consumer_ids)}
+        self._partner_at = {p: q for q, p in enumerate(self.partner_ids)}
+        producer_at = {p: j for j, p in enumerate(self.producer_ids)}
+        links = view.connectivity.rows
+        local = [_local_ids(links.get(c, {}), self.producer_ids) for c in self.consumer_ids]
+        ranks = _rank_rows(view.preferences, self.consumer_ids, [row + self.partner_ids for row in local])
+        n_cons, n_partners = len(consumers), len(self.partner_ids)
+
+        counts = list(map(len, local))
+        self.local_count = np.array(counts, dtype=np.intp)
+        n_local = sum(counts)
+        starts = np.cumsum(self.local_count) - self.local_count  # each consumer's first local column
+        self.local_consumer = np.repeat(np.arange(n_cons), self.local_count)
+        self.local_offset = np.arange(n_local) - np.repeat(starts, self.local_count)
+        self.local_producer = np.fromiter(map(producer_at.__getitem__, itertools.chain.from_iterable(local)), np.intp, n_local)
+        self.local_names = np.array([f"cm[{c}][{p}]" for c, row in zip(self.consumer_ids, local) for p in row], dtype=object)
+        local_ranks = list(itertools.chain.from_iterable(row[:n] for row, n in zip(ranks, counts)))
+        partner_ranks = list(itertools.chain.from_iterable(row[n:] for row, n in zip(ranks, counts)))
+        priority = np.array([c.priority for c in consumers], dtype=float)
+        pair_priority = np.concatenate([priority[self.local_consumer], np.repeat(priority, n_partners)])
+        self.rewards = _Rewards(weights, pair_priority, local_ranks + partner_ranks)
+        self.local_reward = self.rewards.of_pairs[:n_local]
+        self.partner_rewards = self.rewards.of_pairs[n_local:].reshape(n_cons, n_partners)
+
+        # line bounds, only where a line exists: in the local columns, and by
+        # partner as (consumer index, lower, upper); partners that a line with
+        # a positive minimum ties to some consumer are ``floored``
+        self.local_lower, self.local_upper = np.zeros(n_local), np.full(n_local, math.inf)
+        self.partner_lines: dict[str, list[tuple[int, float, float]]] = {}
+        for k, (consumer_id, row) in enumerate(zip(self.consumer_ids, local)):
+            row_lines = lines.of_row(consumer_id) if lines is not None else {}
+            if not row_lines:
+                continue
+            at = {producer_id: int(starts[k]) + i for i, producer_id in enumerate(row)}
+            for col_id, line in row_lines.items():
+                if col_id in at:
+                    self.local_lower[at[col_id]], self.local_upper[at[col_id]] = _bounds(line)
+                elif col_id in self._partner_at:
+                    self.partner_lines.setdefault(col_id, []).append((k, *_bounds(line)))
+        self.floored = frozenset(p for p, bounded in self.partner_lines.items() if any(low > 0.0 for _, low, _ in bounded))
+        self.flex = _flex(consumers, view.producers, lines)
+        self.supply_names = [f"supply[{p}]" for p in self.producer_ids]
+        self.demand_names = [f"demand[{c}]" for c in self.consumer_ids]
 
     def partner_reward(self, consumer_id: str, partner_id: str) -> float:
         """Reward per kWh a consumer of the view earns from a partner SSP."""
-        return self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
+        return float(self.partner_rewards[self._consumer_at[consumer_id], self._partner_at[partner_id]])
 
-    def partner_columns(self, partner_id: str) -> list[_Column]:
-        """The cm columns of a partner, one per consumer in consumer order."""
-        return [
-            (
-                (consumer_id, partner_id),
-                LpVariable(f"cm[{consumer_id}][{partner_id}]", *_line_bounds(self._lines, consumer_id, partner_id)),
-                self.partner_reward(consumer_id, partner_id),
-            )
-            for consumer_id in self._consumer_ids
-        ]
+    def columns(self, live: list[str]) -> _CmColumns:
+        """The cm columns of a solve with the partners ``live``, consumer-major: a
+        consumer's local columns, then one per live partner. Supplier indices
+        count the local producers, then the live partners."""
+        n_cons, n_live, n_local = len(self.consumer_ids), len(live), self.local_consumer.size
+        q = np.array([self._partner_at[p] for p in live], dtype=np.intp)
+        counts = self.local_count + n_live
+        starts = np.cumsum(counts) - counts
+        at_local = starts[self.local_consumer] + self.local_offset
+        at_partner = (starts + self.local_count)[:, None] + np.arange(n_live)
+
+        def placed(local_part, partner_part, dtype=float) -> np.ndarray:
+            out = np.empty(n_local + n_cons * n_live, dtype=dtype)
+            out[at_local] = local_part
+            out[at_partner] = partner_part
+            return out
+
+        lower, upper = np.zeros((n_cons, n_live)), np.full((n_cons, n_live), math.inf)
+        for at, partner_id in enumerate(live):
+            for k, low, high in self.partner_lines.get(partner_id, ()):
+                lower[k, at], upper[k, at] = low, high
+        partner_names = [[f"cm[{c}][{p}]" for p in live] for c in self.consumer_ids]
+        return _CmColumns(
+            np.repeat(np.arange(n_cons), counts),
+            placed(self.local_producer, len(self.producer_ids) + np.arange(n_live), np.intp),
+            placed(self.local_lower, lower),
+            placed(self.local_upper, upper),
+            placed(self.local_reward, self.partner_rewards[:, q]),
+            placed(self.local_names, np.array(partner_names, dtype=object).reshape(n_cons, n_live), object).tolist(),
+        )
 
     def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
         """Whether an offer can lower the optimum of the LP that ``prices`` come from by more than ``tol``.
@@ -294,65 +405,62 @@ class PairTable:
         partner_id, kwh = offer
         if partner_id in self.floored:
             return True
-        gain = 0.0
-        for consumer_id in self._consumer_ids:
-            gain = max(gain, self.partner_reward(consumer_id, partner_id) - prices[consumer_id])
+        now = np.fromiter(map(prices.__getitem__, self.consumer_ids), float, len(self.consumer_ids))
+        gain = float((self.partner_rewards[:, self._partner_at[partner_id]] - now).max(initial=0.0))
         return gain * kwh > tol
 
 
 def _place(
-    consumers: Sequence[Subscriber],
-    blocks: list[list[_Column]],
-    demand: list[float],
-    flex: tuple[list[LpVariable], dict[str, LpVariable], dict[str, LpVariable]],
+    consumer_ids: list[str],
+    supplier_ids: list[str],
+    cm: _CmColumns,
+    flex: _Flex,
     weights: MatchingWeights,
     rewards: _Rewards,
-) -> tuple[LinearProgram, _BuildInfo, dict[str, dict[int, float]], list[_Row]]:
-    """The columns and costs both matching LPs share, with their demand rows.
+) -> tuple[LinearProgram, _BuildInfo, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The columns and costs both matching LPs share, with the entries of their supply and demand rows.
 
-    Columns: each consumer's block of cm columns, consumer-major, then the
-    ``flex`` purchases, cuts and stretches. Returns the LP without rows, its
-    layout, each supplier's supply-row coefficients (+1 on the cm columns it
-    supplies, -1 on its stretch) and each consumer's demand row (its cm
-    columns, purchase and cut = ``demand``) for ``_add_demand_rows``.
+    Columns: the cm columns, then the ``flex`` purchases, cuts and
+    stretches. The objective lists the purchases (w2), the stretches (the
+    stretch penalty), then each rewarded cm column (minus its reward).
+    Returns the LP without rows, its layout, and (row, column, value)
+    entries: +1 of each cm column in its supplier's row and -1 of each
+    stretch in its producer's row (rows numbered by supplier index), and +1
+    of each cm column, purchase and cut in its consumer's row (rows numbered
+    by consumer index).
     """
-    purchases, cuts, stretches = flex
-    cm_columns = [column for block in blocks for column in block]
-    purchase_cols = range(len(cm_columns), len(cm_columns) + len(consumers))
-    cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
-    stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
-    info = _BuildInfo(cm_columns, purchase_cols, cut_cols, stretch_cols)
-    lp = LinearProgram([var for _, var, _ in cm_columns] + [*purchases, *cuts.values(), *stretches.values()])
+    n_cm, n_cons = cm.consumer.size, len(consumer_ids)
+    lp = LinearProgram()
+    lp.add_columns(cm.names + flex.names, np.concatenate([cm.lower, flex.lower]), np.concatenate([cm.upper, flex.upper]))
+    info = _BuildInfo(consumer_ids, supplier_ids, cm.consumer, cm.supplier, flex.cut_of, flex.stretch_of)
+    purchases, cuts, stretches = (np.arange(c.start, c.stop) for c in (info.purchase_cols, info.cut_cols, info.stretch_cols))
+    cost_cols, cost_vals = [], []
     if weights.w2 != 0.0:
-        lp.objective.update(dict.fromkeys(purchase_cols, weights.w2))
+        cost_cols.append(purchases)
+        cost_vals.append(np.full(n_cons, weights.w2))
     if rewards.stretch_penalty != 0.0:
-        lp.objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
+        cost_cols.append(stretches)
+        cost_vals.append(np.full(stretches.size, rewards.stretch_penalty))
+    rewarded = np.flatnonzero(cm.reward != 0.0)
+    lp.add_costs(np.concatenate([*cost_cols, rewarded]), np.concatenate([*cost_vals, -cm.reward[rewarded]]))
 
-    supplied: dict[str, dict[int, float]] = defaultdict(dict)
-    demand_rows: list[_Row] = []
-    start = 0
-    for consumer, block, rhs, purchase_col in zip(consumers, blocks, demand, purchase_cols):
-        for col, ((_, supplier_id), _, reward) in enumerate(block, start):
-            if reward != 0.0:
-                lp.objective[col] = -reward
-            supplied[supplier_id][col] = 1.0
-        served = dict.fromkeys(range(start, start + len(block)), 1.0)
-        served[purchase_col] = 1.0
-        if consumer.id in cut_cols:
-            served[cut_cols[consumer.id]] = 1.0
-        demand_rows.append((served, rhs, f"demand[{consumer.id}]"))
-        start += len(block)
-    for producer_id, col in stretch_cols.items():
-        supplied[producer_id][col] = -1.0
-    return lp, info, supplied, demand_rows
+    cm_cols = np.arange(n_cm)
+    supplied = (
+        np.concatenate([cm.supplier, flex.stretch_of]),
+        np.concatenate([cm_cols, stretches]),
+        np.concatenate([np.ones(n_cm), np.full(stretches.size, -1.0)]),
+    )
+    served = (np.concatenate([cm.consumer, np.arange(n_cons), flex.cut_of]), np.concatenate([cm_cols, purchases, cuts]))
+    return lp, info, supplied, (*served, np.ones(served[0].size))
 
 
-def _add_demand_rows(lp: LinearProgram, info: _BuildInfo, rows: list[_Row]) -> None:
-    """Add ``_place``'s demand rows as the LP's next rows and record where they went."""
-    start = len(lp.constraints)
-    for served, rhs, name in rows:
-        lp.add_constraint(served, EQUAL, rhs, name=name)
-    info.demand_rows = range(start, len(lp.constraints))
+def _add_rows(
+    lp: LinearProgram, entries: Sequence[tuple[np.ndarray, ...]], names: list[str], relations: list[str], rhs: list[float]
+) -> None:
+    """Add rows from (row, column, value) entries, each row's entries in column order; rows count from 0."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    order = np.argsort(rows * len(lp.names) + cols, kind="stable")
+    lp.add_rows(names, relations, rhs, np.bincount(rows, minlength=len(names)), cols[order], vals[order])
 
 
 def _build(
@@ -379,7 +487,6 @@ def _build(
         table = PairTable(view, weights, lines)
     locked_imports = locked_imports or {}
     live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
-    offered = [table.partner_columns(p) for p in live]
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
@@ -396,28 +503,36 @@ def _build(
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
         demand.append(max(rhs, 0.0))
 
-    blocks = [[*table.local[consumer.id], *(partner[k] for partner in offered)] for k, consumer in enumerate(view.consumers)]
-    lp, info, supplied, demand_rows = _place(view.consumers, blocks, demand, table.flex, weights, table.rewards)
+    lp, info, supplied, served = _place(
+        table.consumer_ids, [*table.producer_ids, *live], table.columns(live), table.flex, weights, table.rewards
+    )
     info.live_partners = live
     info.objective_offset = offset
-    for producer in view.producers:
-        lp.add_constraint(supplied[producer.id], LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
-    for partner_id in live:
-        cap = view.partner_capacities[partner_id]
-        coeffs = supplied[partner_id]
-        if cap.bound > 0.0:
-            coeffs[lp.add_variable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy)] = -1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, cap.energy, name=f"supply[{partner_id}]")
-    _add_demand_rows(lp, info, demand_rows)
+    n_supply = len(view.producers) + len(live)
+    caps = [view.partner_capacities[p] for p in live]
+    stretched = [q for q, cap in enumerate(caps) if cap.bound > 0.0]
+    first = lp.add_columns(
+        [f"stretch[{live[q]}]" for q in stretched], np.zeros(len(stretched)), [caps[q].bound * caps[q].energy for q in stretched]
+    )
+    partner_stretch = (
+        len(view.producers) + np.array(stretched, dtype=np.intp), first + np.arange(len(stretched)), np.full(len(stretched), -1.0)
+    )
+    _add_rows(
+        lp,
+        [supplied, partner_stretch, (n_supply + served[0], *served[1:])],
+        table.supply_names + [f"supply[{p}]" for p in live] + table.demand_names,
+        [LESS_EQUAL] * n_supply + [EQUAL] * len(view.consumers),
+        [p.energy for p in view.producers] + [cap.energy for cap in caps] + demand,
+    )
+    info.demand_rows = range(n_supply, n_supply + len(view.consumers))
 
     if committed_exports > RESIDUAL_TOL:
         # every local supply row at once: exported energy stays deliverable
-        coeffs = {}
         rhs = -committed_exports
-        for supply in lp.constraints[: len(view.producers)]:
-            coeffs.update(supply.coeffs)
-            rhs += supply.rhs
-        lp.add_constraint(coeffs, LESS_EQUAL, rhs, name="export-reservation")
+        for producer in view.producers:
+            rhs += producer.energy
+        end = lp.row_starts[len(view.producers)]
+        lp.add_rows(["export-reservation"], [LESS_EQUAL], [rhs], [end], lp.entry_cols[:end], lp.entry_vals[:end])
 
     return lp, info
 
@@ -430,6 +545,20 @@ def _solve(lp: LinearProgram, label: str) -> LpSolution:
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"{label} reported {solution.status}")
     return solution
+
+
+def _placed_cells(cm: CommitmentMatrix, info: _BuildInfo, x: np.ndarray, values: list[float], columns: np.ndarray) -> None:
+    """Write the cm columns ``columns`` whose value exceeds RESIDUAL_TOL into ``cm``, in column order."""
+    hits = columns[x[columns] > RESIDUAL_TOL]
+    consumers, suppliers = info.consumer_ids, info.supplier_ids
+    for k, j, col in zip(info.cm_consumer[hits].tolist(), info.cm_supplier[hits].tolist(), hits.tolist()):
+        cm.set(consumers[k], suppliers[j], values[col])
+
+
+def _purchases(cm: CommitmentMatrix, info: _BuildInfo, x: np.ndarray, values: list[float]) -> None:
+    purchases = info.purchase_cols
+    for k in np.flatnonzero(x[purchases.start : purchases.stop] > RESIDUAL_TOL).tolist():
+        cm.set(info.consumer_ids[k], UTILITY_ID, values[purchases.start + k])
 
 
 def solve_dist_matching(
@@ -460,45 +589,39 @@ def solve_dist_matching(
         p for p, cells in locked_imports.items() if any(v > RESIDUAL_TOL for v in cells.values())
     ))
     supplier_ids = tuple(p.id for p in view.producers) + tuple(partner_cols)
-    cm = CommitmentMatrix([c.id for c in view.consumers], supplier_ids)
+    cm = CommitmentMatrix(info.consumer_ids, supplier_ids)
 
     values = solution.values
-    for (pair, _, _), value in zip(info.cm_columns, values):
-        if value > RESIDUAL_TOL:
-            cm.set(*pair, value)
+    x = np.array(values)
+    _placed_cells(cm, info, x, values, np.arange(info.cm_consumer.size))
     for partner_id, per_consumer in locked_imports.items():
         for consumer_id, kwh in per_consumer.items():
             if kwh > RESIDUAL_TOL:
                 cm.set(consumer_id, partner_id, cm.get(consumer_id, partner_id) + kwh)
-    for consumer, col in zip(view.consumers, info.purchase_cols):
-        if values[col] > RESIDUAL_TOL:
-            cm.set(consumer.id, UTILITY_ID, values[col])
+    _purchases(cm, info, x, values)
 
     attribute_sell_backs(cm, view.producers, committed_exports)
 
     fx = _flexibility(info, values, view.consumers, view.producers)
-    prices = {c.id: -solution.duals[row] for c, row in zip(view.consumers, info.demand_rows)}
+    prices = {c: -solution.duals[row] for c, row in zip(info.consumer_ids, info.demand_rows)}
     return cm, fx, solution.objective + info.objective_offset, prices
 
 
 def _flexibility(
     info: _BuildInfo, values: list[float], consumers: Sequence[Subscriber], producers: Sequence[Subscriber]
 ) -> FlexibilityAssignment:
-    """The fx factors of a solution: 1 - cut/Dc per consumer, 1 + stretch/Ep per producer."""
+    """The fx factors of a solution: 1 - cut/Dc per consumer, 1 + stretch/Ep per producer (1 at Dc or Ep <= RESIDUAL_TOL)."""
 
-    def consumer_fx(sub: Subscriber) -> float:
-        if sub.id not in info.cut_cols or sub.energy <= RESIDUAL_TOL:
-            return 1.0
-        return 1.0 - values[info.cut_cols[sub.id]] / sub.energy
-
-    def producer_fx(sub: Subscriber) -> float:
-        if sub.id not in info.stretch_cols or sub.energy <= RESIDUAL_TOL:
-            return 1.0
-        return 1.0 + values[info.stretch_cols[sub.id]] / sub.energy
+    def factors(subs: Sequence[Subscriber], of: np.ndarray, cols: range, sign: float) -> dict[str, float]:
+        fx = dict.fromkeys([s.id for s in subs], 1.0)
+        for k, col in zip(of.tolist(), cols):
+            if subs[k].energy > RESIDUAL_TOL:
+                fx[subs[k].id] = 1.0 + sign * (values[col] / subs[k].energy)
+        return fx
 
     return FlexibilityAssignment(
-        consumers={c.id: consumer_fx(c) for c in consumers},
-        producers={p.id: producer_fx(p) for p in producers},
+        consumers=factors(consumers, info.cut_of, info.cut_cols, -1.0),
+        producers=factors(producers, info.stretch_of, info.stretch_cols, 1.0),
     )
 
 
@@ -633,52 +756,74 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     supply per producer, demand per consumer, then one pool row per pooled
     SSP. With a single SSP this is ``_build``'s LP of its view.
     """
-    connectivity = scenario.connectivity
-    lines = scenario.line_constraints
+    connectivity, lines = scenario.connectivity, scenario.line_constraints
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
-    ranks: dict[str, list[int]] = {}
-    suppliers: list[list[tuple[str, int, tuple[float, float]]]] = []  # per consumer: (supplier id, rank, bounds) of each cm column
+    n_prod, n_cons = len(producers), len(consumers)
+    supplier_ids = [p.id for p in producers] + list(scenario.ssp_ids)
+    supplier_at = {supplier_id: j for j, supplier_id in enumerate(supplier_ids)}
+    rows: list[list[str]] = []  # per consumer: the supplier of each cm column
+    n_local: list[int] = []
+    ranks: list[int] = []
     for cfg in scenario.ssps:
-        partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
-        for consumer in cfg.consumers:
-            local = [p for p in cfg.producers if connectivity.connected(consumer.id, p.id)]
-            try:
-                row = [cfg.preferences.rank(consumer.id, supplier.id) for supplier in [*local, *partners]]
-            except KeyError as exc:
-                raise MatchingStructureError(str(exc)) from None
-            ranks[consumer.id] = row
-            # a (consumer, SSP) line bounds no column: an import is unbounded
-            suppliers.append([
-                *((p.id, rank, _line_bounds(lines, consumer.id, p.id)) for p, rank in zip(local, row)),
-                *((t.id, rank, (0.0, math.inf)) for t, rank in zip(partners, row[len(local):])),
-            ])
-    rewards = _Rewards(weights, {c.id: c.priority for c in consumers}, ranks)
-    blocks = [
-        [
-            ((consumer.id, supplier_id), LpVariable(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
-            for supplier_id, rank, bounds in columns
-        ]
-        for consumer, columns in zip(consumers, suppliers)
-    ]
-    flex = _flex_variables(consumers, producers, lines)
-    lp, info, supplied, demand_rows = _place(consumers, blocks, [c.energy for c in consumers], flex, weights, rewards)
+        partner_ids = [t.id for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
+        producer_ids = [p.id for p in cfg.producers]
+        local = [_local_ids(connectivity.rows.get(c.id, {}), producer_ids) for c in cfg.consumers]
+        cfg_rows = [row + partner_ids for row in local]
+        ranks.extend(itertools.chain.from_iterable(_rank_rows(cfg.preferences, [c.id for c in cfg.consumers], cfg_rows)))
+        rows.extend(cfg_rows)
+        n_local.extend(map(len, local))
+    counts = np.array([len(row) for row in rows], dtype=np.intp)
+    consumer_of = np.repeat(np.arange(n_cons), counts)
+    lower, upper = np.zeros(consumer_of.size), np.full(consumer_of.size, math.inf)
+    # a line bounds a local cell; a (consumer, SSP) line bounds no column: an import is unbounded
+    for consumer, row, start, local in zip(consumers, rows, (np.cumsum(counts) - counts).tolist(), n_local):
+        row_lines = lines.of_row(consumer.id) if lines is not None else {}
+        for i, producer_id in enumerate(row[:local]):
+            if producer_id in row_lines:
+                lower[start + i], upper[start + i] = _bounds(row_lines[producer_id])
+    priority = np.array([c.priority for c in consumers], dtype=float)
+    rewards = _Rewards(weights, priority[consumer_of], ranks)
+    cm = _CmColumns(
+        consumer_of,
+        np.array([supplier_at[s] for row in rows for s in row], dtype=np.intp),
+        lower,
+        upper,
+        rewards.of_pairs,
+        [f"cm[{c.id}][{s}]" for c, row in zip(consumers, rows) for s in row],
+    )
+    flex = _flex(consumers, producers, lines)
+    lp, info, supplied, served = _place([c.id for c in consumers], supplier_ids, cm, flex, weights, rewards)
 
-    pooled = [cfg for cfg in scenario.ssps if cfg.id in supplied]
-    info.live_partners = [cfg.id for cfg in pooled]
-    for cfg in pooled:
-        for producer in cfg.producers:
-            info.export_cols[producer.id] = lp.add_variable(f"export[{producer.id}]")
-    for producer in producers:
-        coeffs = supplied[producer.id]
-        if producer.id in info.export_cols:
-            coeffs[info.export_cols[producer.id]] = 1.0
-        lp.add_constraint(coeffs, LESS_EQUAL, producer.energy, name=f"supply[{producer.id}]")
-    _add_demand_rows(lp, info, demand_rows)
-    for cfg in pooled:
-        coeffs = supplied[cfg.id]
-        coeffs.update((info.export_cols[p.id], -1.0) for p in cfg.producers)
-        lp.add_constraint(coeffs, LESS_EQUAL, 0.0, name=f"pool[{cfg.id}]")
+    # a pooled SSP is one some consumer imports from; its producers export to the pool
+    drawn = np.zeros(len(supplier_ids), dtype=bool)
+    drawn[cm.supplier] = True
+    pooled = [(n_prod + s, cfg) for s, cfg in enumerate(scenario.ssps) if drawn[n_prod + s]]
+    info.live_partners = [cfg.id for _, cfg in pooled]
+    row_of = np.concatenate([np.arange(n_prod), np.full(len(scenario.ssps), -1)])  # the row of each supplier
+    exporters, pools = [], []
+    for k, (supplier, cfg) in enumerate(pooled):
+        row_of[supplier] = n_prod + n_cons + k
+        exporters += [supplier_at[p.id] for p in cfg.producers]
+        pools += [row_of[supplier]] * len(cfg.producers)
+    n_exports = len(exporters)
+    first = lp.add_columns([f"export[{producers[j].id}]" for j in exporters], np.zeros(n_exports), np.full(n_exports, math.inf))
+    export_cols = first + np.arange(len(exporters))
+    info.export_cols = dict(zip((producers[j].id for j in exporters), export_cols.tolist()))
+    _add_rows(
+        lp,
+        [
+            (row_of[supplied[0]], *supplied[1:]),
+            (np.array(exporters, dtype=np.intp), export_cols, np.ones(len(exporters))),
+            (np.array(pools, dtype=np.intp), export_cols, np.full(len(exporters), -1.0)),
+            (n_prod + served[0], *served[1:]),
+        ],
+        [f"supply[{p.id}]" for p in producers] + [f"demand[{c.id}]" for c in consumers]
+        + [f"pool[{cfg.id}]" for _, cfg in pooled],
+        [LESS_EQUAL] * n_prod + [EQUAL] * n_cons + [LESS_EQUAL] * len(pooled),
+        [p.energy for p in producers] + [c.energy for c in consumers] + [0.0] * len(pooled),
+    )
+    info.demand_rows = range(n_prod, n_prod + n_cons)
     return lp, info
 
 
@@ -716,19 +861,15 @@ def solve_centralized(
 
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
-    cm = CommitmentMatrix([c.id for c in consumers], [p.id for p in producers])
+    cm = CommitmentMatrix(info.consumer_ids, [p.id for p in producers])
     values = solution.values
-    imports: dict[str, list[tuple[str, float]]] = {ssp_id: [] for ssp_id in info.live_partners}
-    for ((consumer_id, supplier_id), _, _), value in zip(info.cm_columns, values):
-        if supplier_id in imports:
-            imports[supplier_id].append((consumer_id, value))
-        elif value > RESIDUAL_TOL:
-            cm.set(consumer_id, supplier_id, value)
-    for cfg in scenario.ssps:
-        if cfg.id in imports:
-            _split_pool(cm, imports[cfg.id], [(p.id, values[info.export_cols[p.id]]) for p in cfg.producers])
-    for consumer, col in zip(consumers, info.purchase_cols):
-        if values[col] > RESIDUAL_TOL:
-            cm.set(consumer.id, UTILITY_ID, values[col])
+    x = np.array(values)
+    cm_cols = np.arange(info.cm_consumer.size)
+    _placed_cells(cm, info, x, values, cm_cols[info.cm_supplier < len(producers)])
+    for ssp_id in info.live_partners:
+        imports = cm_cols[info.cm_supplier == info.supplier_ids.index(ssp_id)]
+        taken = list(zip([info.consumer_ids[k] for k in info.cm_consumer[imports].tolist()], x[imports].tolist()))
+        _split_pool(cm, taken, [(p.id, values[info.export_cols[p.id]]) for p in scenario.ssp(ssp_id).producers])
+    _purchases(cm, info, x, values)
     attribute_sell_backs(cm, producers, 0.0)
     return cm, _flexibility(info, values, consumers, producers), solution.objective

@@ -119,21 +119,25 @@ class LineConstraint:
 class LineConstraintSet:
     """Per-pair flow bounds gammaMin <= cm(i, j) <= gammaMax (identity loss), at most one per pair.
 
-    The set is indexed by (row, col) once, when it is made. Validation
-    rejects a second line for a pair (``line-unique``); until then the first
-    one in ``constraints`` is the pair's line.
+    The set is indexed by row, then column, once, when it is made.
+    Validation rejects a second line for a pair (``line-unique``); until then
+    the first one in ``constraints`` is the pair's line.
     """
 
     constraints: tuple[LineConstraint, ...]
 
     def __post_init__(self) -> None:
-        by_pair: dict[tuple[str, str], LineConstraint] = {}
+        by_row: dict[str, dict[str, LineConstraint]] = {}
         for c in self.constraints:
-            by_pair.setdefault((c.row_id, c.col_id), c)
-        object.__setattr__(self, "_by_pair", by_pair)
+            by_row.setdefault(c.row_id, {}).setdefault(c.col_id, c)
+        object.__setattr__(self, "_by_row", by_row)
 
     def lookup(self, row_id: str, col_id: str) -> LineConstraint | None:
-        return self._by_pair.get((row_id, col_id))
+        return self.of_row(row_id).get(col_id)
+
+    def of_row(self, row_id: str) -> Mapping[str, LineConstraint]:
+        """The line of each column that has one with row ``row_id``."""
+        return self._by_row.get(row_id, {})
 
 
 @dataclass(frozen=True)

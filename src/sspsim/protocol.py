@@ -73,6 +73,7 @@ priced out (``offers_priced_out``); neither enters an artifact.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass, field, replace
@@ -290,6 +291,20 @@ class _Agent:
             held[consumer_id] = held.get(consumer_id, 0.0) + kwh
 
 
+def _partner_lists(scenario: Scenario, anm: ActualNeighborhoodMap) -> dict[str, list[str]]:
+    """Each SSP's partners, sorted: the SSPs of the scenario that both the map and the connectivity link it to.
+
+    Read from the map's edges, as ``anm.connected`` reads them: an edge counts
+    as the pair (a, b) with a < b."""
+    neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in scenario.ssp_ids}
+    for a, b in anm.edges:
+        if a < b and a in neighbours and b in neighbours:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    connected = scenario.connectivity.connected
+    return {ssp_id: sorted(p for p in neighbours[ssp_id] if connected(ssp_id, p)) for ssp_id in sorted(neighbours)}
+
+
 def run_engine(
     scenario: Scenario,
     anm: ActualNeighborhoodMap,
@@ -307,16 +322,10 @@ def run_engine(
 
     ssp_ids = sorted(scenario.ssp_ids)
     configs = {cfg.id: cfg for cfg in scenario.ssps}
-    agents: dict[str, _Agent] = {}
-    for ssp_id in ssp_ids:
-        partners = [
-            other
-            for other in ssp_ids
-            if other != ssp_id
-            and anm.connected(ssp_id, other)
-            and scenario.connectivity.connected(ssp_id, other)
-        ]
-        agents[ssp_id] = _Agent(configs[ssp_id], scenario, partners, weights)
+    agents = {
+        ssp_id: _Agent(configs[ssp_id], scenario, partners, weights)
+        for ssp_id, partners in _partner_lists(scenario, anm).items()
+    }
 
     per_ssp_initial = {s: abs(energy_status(configs[s])) for s in ssp_ids}
     initial_total = sum(per_ssp_initial.values())
@@ -449,8 +458,8 @@ def audit_privacy(
 
     1. Schema: every record is an ``offer`` or a ``claim`` LogRecord whose
        payload holds exactly the aggregate numeric fields (plus the protocol
-       token); any extra field, container value, or subscriber id in a
-       payload is a finding.
+       token); any extra field, container value, negative or non-finite
+       number, or subscriber id in a payload is a finding.
     2. Aggregation correctness by replay: the engine is re-run under the same
        (scenario, anm, weights, seed) and the audited log must match the
        regenerated one message for message, which pins every offer to the
@@ -482,7 +491,9 @@ def audit_privacy(
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 findings.append(f"{where}: payload field {key!r} must be a plain number, got {type(value).__name__}")
-            elif isinstance(value, float) and value < -1e-9:
+            elif isinstance(value, float) and not math.isfinite(value):
+                findings.append(f"{where}: payload field {key!r} is not finite")
+            elif value < -1e-9:
                 findings.append(f"{where}: payload field {key!r} is negative")
         for value in record.payload.values():
             if isinstance(value, str) and value in subscriber_ids:

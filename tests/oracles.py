@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,11 +18,28 @@ from sspsim.lp import (
     LinearProgram,
     LpSolution,
     LpStatus,
+    LpVariable,
     _Simplex,
+    solve_lp,
     validate_program,
 )
-from sspsim.matching import FlexibilityAssignment, merged_view, solve_dist_matching
-from sspsim.model import UTILITY_ID, CommitmentMatrix, MatchingWeights, Scenario, Violation, _fits_float
+from sspsim.matching import (
+    RESIDUAL_TOL,
+    FlexibilityAssignment,
+    MatchingStructureError,
+    SspView,
+    merged_view,
+    solve_dist_matching,
+)
+from sspsim.model import (
+    UTILITY_ID,
+    CommitmentMatrix,
+    LineConstraintSet,
+    MatchingWeights,
+    Scenario,
+    Violation,
+    _fits_float,
+)
 
 
 class OracleSizeError(ValueError):
@@ -110,7 +128,8 @@ class ReferenceSimplex(_Simplex):
 
     def _standardise(self) -> None:
         lp = self.lp
-        n_std = len(lp.variables)
+        variables = lp.variables  # the views are built on each read
+        n_std = len(variables)
 
         # variable k is standard column k, x = lower + y; a finite upper bound
         # adds a <= row
@@ -120,9 +139,9 @@ class ReferenceSimplex(_Simplex):
             shift = 0.0
             for j, c in row.coeffs.items():
                 coeffs[j] = 0.0 + c
-                shift += c * lp.variables[j].lower
+                shift += c * variables[j].lower
             rows.append((coeffs, row.relation, row.rhs - shift))
-        for j, var in enumerate(lp.variables):
+        for j, var in enumerate(variables):
             if var.upper != math.inf:
                 rows.append(({j: 1.0}, LESS_EQUAL, var.upper - var.lower))
 
@@ -250,6 +269,7 @@ class ReferenceSimplex(_Simplex):
 
     def _drive_out_artificials(self) -> None:
         art = set(self.art_cols.tolist())
+        drop_slots: list[int] = []
         drop_rows: list[int] = []
         for i in range(self.a.shape[0]):
             if self.basis[i] not in art:
@@ -257,7 +277,9 @@ class ReferenceSimplex(_Simplex):
             row = self.binv[i] @ self.a[:, : self.n_real]
             nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
             if nonzero.size == 0:
-                drop_rows.append(i)  # redundant constraint
+                # the artificial's own row, wherever phase 1 left its basis slot, is redundant
+                drop_slots.append(i)
+                drop_rows.append(int(np.flatnonzero(self.a[:, self.basis[i]])[0]))
                 continue
             j = int(nonzero[0])
             direction = self.binv @ self.a[:, j]
@@ -270,7 +292,7 @@ class ReferenceSimplex(_Simplex):
             keep = np.array([i for i in range(self.a.shape[0]) if i not in set(drop_rows)], dtype=int)
             self.a = self.a[keep]
             self.b = self.b[keep]
-            self.basis = self.basis[keep]
+            self.basis = np.array([j for i, j in enumerate(self.basis) if i not in set(drop_slots)], dtype=int)
             self.row_ids = self.row_ids[keep]
             self._refactorize()
 
@@ -288,7 +310,7 @@ class ReferenceSimplex(_Simplex):
         objective = sum(c * values[j] for j, c in self.lp.objective.items())
         # y = c_B B^-1, one row at a time back to its original row and scale
         y = self.cost[self.basis] @ self.binv
-        duals = [0.0] * len(self.lp.constraints)
+        duals = [0.0] * len(self.lp.row_names)
         for pos, row in enumerate(self.row_ids.tolist()):
             if row < len(duals):
                 duals[row] = float(y[pos] / self.row_divisor[row])
@@ -329,6 +351,16 @@ def assert_store_holds(ref: ReferenceSimplex, new: _Simplex) -> None:
     assert not ref.a[off_pattern].any()
 
 
+def assert_standard_forms_alike(lp: LinearProgram) -> tuple[ReferenceSimplex, _Simplex]:
+    """``_Simplex`` and ``ReferenceSimplex`` build the same standard form: rhs, cost,
+    crash basis, artificial columns, row divisors and (``assert_store_holds``)
+    matrix, bit for bit. Returns both, unsolved."""
+    ref, new = ReferenceSimplex(lp), _Simplex(lp)
+    _assert_arrays_alike(ref, new, ("b", "cost", "basis", "art_cols", "row_divisor"))
+    assert_store_holds(ref, new)
+    return ref, new
+
+
 def assert_standardised_alike(lp: LinearProgram) -> None:
     """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and take the same pivots.
 
@@ -340,9 +372,7 @@ def assert_standardised_alike(lp: LinearProgram) -> None:
     its inverse and the basic values, which any step off the reference pivot
     path would change.
     """
-    ref, new = ReferenceSimplex(lp), _Simplex(lp)
-    _assert_arrays_alike(ref, new, ("b", "cost", "basis", "art_cols", "row_divisor"))
-    assert_store_holds(ref, new)
+    ref, new = assert_standard_forms_alike(lp)
     assert _outcome(ref) == _outcome(new)
     _assert_arrays_alike(ref, new, ("basis", "binv", "xb", "row_ids"))
     assert_store_holds(ref, new)
@@ -487,3 +517,301 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
                 if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
+
+
+# --- the dict-based matching LP builders that the array builders replaced -------------------------
+#
+# One LpVariable, one reward and one coefficient dict at a time, as
+# ``matching.PairTable``, ``matching._build`` and ``matching._build_centralized``
+# were first written. The array builders must give the same program, view for
+# view and in order, and the same layout.
+
+_RefColumn = tuple[tuple[str, str], LpVariable, float]  # (consumer id, supplier id), its variable, its reward
+
+
+def _ref_line_bounds(lines: LineConstraintSet | None, row_id: str, col_id: str) -> tuple[float, float]:
+    if lines is not None:
+        lc = lines.lookup(row_id, col_id)
+        if lc is not None:
+            return max(0.0, lc.min_kwh), lc.max_kwh
+    return 0.0, math.inf
+
+
+class ReferenceRewards:
+    """Rewards one pair at a time; beta and the stretch penalty from each consumer's extreme ranks."""
+
+    def __init__(self, weights: MatchingWeights, priority: dict[str, float], ranks: dict[str, list[int]]):
+        self._weights = weights
+        self._priority = priority
+        extremes = [(consumer_id, min(row), max(row)) for consumer_id, row in ranks.items() if row]
+        self.beta = weights.beta if weights.beta is not None else float(max([1, *(top for *_, top in extremes)]) + 1)
+        self.stretch_penalty = max(
+            (self(consumer_id, rank) for consumer_id, *ends in extremes for rank in ends), default=0.0
+        ) + 0.01 * weights.w2
+
+    def __call__(self, consumer_id: str, rank: int) -> float:
+        weights = self._weights
+        return weights.w14 * self._priority[consumer_id] + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
+
+
+def _ref_flex(consumers, producers, lines):
+    purchases = [LpVariable(f"cm[{c.id}][U]", *_ref_line_bounds(lines, c.id, UTILITY_ID)) for c in consumers]
+    cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in consumers if c.bound > 0.0}
+    stretches = {p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in producers if p.bound > 0.0}
+    return purchases, cuts, stretches
+
+
+class ReferencePairTable:
+    """``matching.PairTable`` with one LpVariable per local cm column and rewards read pair by pair."""
+
+    def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
+        self._partners = frozenset(view.partner_capacities)
+        self._preferences = view.preferences
+        self._lines = lines
+        self._consumer_ids = [c.id for c in view.consumers]
+        partner_ids = sorted(self._partners)
+        local_ids = [[p.id for p in view.producers if view.connectivity.connected(c.id, p.id)] for c in view.consumers]
+        try:
+            ranks = [
+                [view.preferences.rank(consumer.id, supplier_id) for supplier_id in local + partner_ids]
+                for consumer, local in zip(view.consumers, local_ids)
+            ]
+        except KeyError as exc:
+            raise MatchingStructureError(str(exc)) from None
+        self.rewards = ReferenceRewards(weights, {c.id: c.priority for c in view.consumers}, dict(zip(self._consumer_ids, ranks)))
+        self.local: dict[str, list[_RefColumn]] = {
+            consumer.id: [
+                (
+                    (consumer.id, supplier_id),
+                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *_ref_line_bounds(lines, consumer.id, supplier_id)),
+                    self.rewards(consumer.id, rank),
+                )
+                for supplier_id, rank in zip(local, row)
+            ]
+            for consumer, local, row in zip(view.consumers, local_ids, ranks)
+        }
+        consumer_set = set(self._consumer_ids)
+        self.floored = frozenset(
+            lc.col_id
+            for lc in (lines.constraints if lines is not None else ())
+            if lc.row_id in consumer_set and lc.col_id in self._partners
+            and _ref_line_bounds(lines, lc.row_id, lc.col_id)[0] > 0.0
+        )
+        self.flex = _ref_flex(view.consumers, view.producers, lines)
+
+    def partner_reward(self, consumer_id: str, partner_id: str) -> float:
+        return self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
+
+    def partner_columns(self, partner_id: str) -> list[_RefColumn]:
+        return [
+            (
+                (consumer_id, partner_id),
+                LpVariable(f"cm[{consumer_id}][{partner_id}]", *_ref_line_bounds(self._lines, consumer_id, partner_id)),
+                self.partner_reward(consumer_id, partner_id),
+            )
+            for consumer_id in self._consumer_ids
+        ]
+
+    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
+        if offer is None:
+            return False
+        partner_id, kwh = offer
+        if partner_id in self.floored:
+            return True
+        gain = 0.0
+        for consumer_id in self._consumer_ids:
+            gain = max(gain, self.partner_reward(consumer_id, partner_id) - prices[consumer_id])
+        return gain * kwh > tol
+
+
+def program_of(variables: list[LpVariable], objective: dict[int, float], rows: list[tuple]) -> LinearProgram:
+    """A program with these variables, objective and (coefficients, relation, rhs, name) rows, made by the builders."""
+    lp = LinearProgram()
+    lp.add_columns([v.name for v in variables], [v.lower for v in variables], [v.upper for v in variables])
+    lp.add_costs(list(objective), list(objective.values()))
+    for coeffs, relation, rhs, name in rows:
+        lp.add_constraint(coeffs, relation, rhs, name=name)
+    return lp
+
+
+def with_variables(lp: LinearProgram, variables: list[LpVariable]) -> LinearProgram:
+    """``lp`` with its variables (names and bounds) replaced, made by the builders."""
+    return program_of(variables, lp.objective, [(row.coeffs, row.relation, row.rhs, row.name) for row in lp.constraints])
+
+
+def _ref_place(consumers, blocks, demand, flex, weights, rewards):
+    """The shared columns and costs, each supplier's supply coefficients and each consumer's demand row."""
+    purchases, cuts, stretches = flex
+    cm_columns = [column for block in blocks for column in block]
+    purchase_cols = range(len(cm_columns), len(cm_columns) + len(consumers))
+    cut_cols = {consumer_id: purchase_cols.stop + k for k, consumer_id in enumerate(cuts)}
+    stretch_cols = {producer_id: purchase_cols.stop + len(cuts) + k for k, producer_id in enumerate(stretches)}
+    info = {
+        "pairs": [pair for pair, _, _ in cm_columns], "purchase_cols": list(purchase_cols),
+        "cut_cols": cut_cols, "stretch_cols": stretch_cols, "objective_offset": 0.0,
+    }
+    variables = [var for _, var, _ in cm_columns] + [*purchases, *cuts.values(), *stretches.values()]
+    objective: dict[int, float] = {}
+    if weights.w2 != 0.0:
+        objective.update(dict.fromkeys(purchase_cols, weights.w2))
+    if rewards.stretch_penalty != 0.0:
+        objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
+    supplied: dict[str, dict[int, float]] = defaultdict(dict)
+    demand_rows = []
+    start = 0
+    for consumer, block, rhs, purchase_col in zip(consumers, blocks, demand, purchase_cols):
+        for col, ((_, supplier_id), _, reward) in enumerate(block, start):
+            if reward != 0.0:
+                objective[col] = -reward
+            supplied[supplier_id][col] = 1.0
+        served = dict.fromkeys(range(start, start + len(block)), 1.0)
+        served[purchase_col] = 1.0
+        if consumer.id in cut_cols:
+            served[cut_cols[consumer.id]] = 1.0
+        demand_rows.append((served, EQUAL, rhs, f"demand[{consumer.id}]"))
+        start += len(block)
+    for producer_id, col in stretch_cols.items():
+        supplied[producer_id][col] = -1.0
+    return variables, objective, info, supplied, demand_rows
+
+
+def reference_build(view, weights, lines, locked_imports, committed_exports) -> tuple[LinearProgram, dict]:
+    """``matching._build``'s program, built one column and one row at a time, and its layout."""
+    table = ReferencePairTable(view, weights, lines)
+    locked_imports = locked_imports or {}
+    live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
+    offered = [table.partner_columns(p) for p in live]
+    locked_in: dict[str, float] = {c.id: 0.0 for c in view.consumers}
+    offset = 0.0
+    for partner_id, per_consumer in sorted(locked_imports.items()):
+        for consumer_id, kwh in sorted(per_consumer.items()):
+            locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
+            offset -= table.partner_reward(consumer_id, partner_id) * kwh
+    demand = [max(c.energy - locked_in.get(c.id, 0.0), 0.0) for c in view.consumers]
+    blocks = [[*table.local[c.id], *(partner[k] for partner in offered)] for k, c in enumerate(view.consumers)]
+    placed = _ref_place(view.consumers, blocks, demand, table.flex, weights, table.rewards)
+    variables, objective, info, supplied, demand_rows = placed
+    info.update(objective_offset=offset, live_partners=live, export_cols={})
+    rows = [(supplied[p.id], LESS_EQUAL, p.energy, f"supply[{p.id}]") for p in view.producers]
+    for partner_id in live:
+        cap = view.partner_capacities[partner_id]
+        coeffs = supplied[partner_id]
+        if cap.bound > 0.0:
+            coeffs[len(variables)] = -1.0
+            variables.append(LpVariable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy))
+        rows.append((coeffs, LESS_EQUAL, cap.energy, f"supply[{partner_id}]"))
+    info["demand_rows"] = list(range(len(rows), len(rows) + len(demand_rows)))
+    rows += demand_rows
+    if committed_exports > RESIDUAL_TOL:
+        coeffs = {}
+        rhs = -committed_exports
+        for supply, _, energy, _ in rows[: len(view.producers)]:
+            coeffs.update(supply)
+            rhs += energy
+        rows.append((coeffs, LESS_EQUAL, rhs, "export-reservation"))
+    return program_of(variables, objective, rows), info
+
+
+def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, dict]:
+    """``matching._build_centralized``'s program, built one column and one row at a time, and its layout."""
+    connectivity = scenario.connectivity
+    lines = scenario.line_constraints
+    consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
+    producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
+    ranks: dict[str, list[int]] = {}
+    suppliers = []
+    for cfg in scenario.ssps:
+        partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
+        for consumer in cfg.consumers:
+            local = [p for p in cfg.producers if connectivity.connected(consumer.id, p.id)]
+            try:
+                row = [cfg.preferences.rank(consumer.id, supplier.id) for supplier in [*local, *partners]]
+            except KeyError as exc:
+                raise MatchingStructureError(str(exc)) from None
+            ranks[consumer.id] = row
+            suppliers.append([
+                *((p.id, rank, _ref_line_bounds(lines, consumer.id, p.id)) for p, rank in zip(local, row)),
+                *((t.id, rank, (0.0, math.inf)) for t, rank in zip(partners, row[len(local):])),
+            ])
+    rewards = ReferenceRewards(weights, {c.id: c.priority for c in consumers}, ranks)
+    blocks = [
+        [
+            ((consumer.id, supplier_id), LpVariable(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
+            for supplier_id, rank, bounds in columns
+        ]
+        for consumer, columns in zip(consumers, suppliers)
+    ]
+    flex = _ref_flex(consumers, producers, lines)
+    placed = _ref_place(consumers, blocks, [c.energy for c in consumers], flex, weights, rewards)
+    variables, objective, info, supplied, demand_rows = placed
+    pooled = [cfg for cfg in scenario.ssps if cfg.id in supplied]
+    export_cols = {}
+    for cfg in pooled:
+        for producer in cfg.producers:
+            export_cols[producer.id] = len(variables)
+            variables.append(LpVariable(f"export[{producer.id}]"))
+    info.update(live_partners=[cfg.id for cfg in pooled], export_cols=export_cols)
+    rows = []
+    for producer in producers:
+        coeffs = supplied[producer.id]
+        if producer.id in export_cols:
+            coeffs[export_cols[producer.id]] = 1.0
+        rows.append((coeffs, LESS_EQUAL, producer.energy, f"supply[{producer.id}]"))
+    info["demand_rows"] = list(range(len(rows), len(rows) + len(demand_rows)))
+    rows += demand_rows
+    for cfg in pooled:
+        coeffs = supplied[cfg.id]
+        coeffs.update((export_cols[p.id], -1.0) for p in cfg.producers)
+        rows.append((coeffs, LESS_EQUAL, 0.0, f"pool[{cfg.id}]"))
+    return program_of(variables, objective, rows), info
+
+
+def layout_of(info) -> dict:
+    """A ``matching._BuildInfo`` in the form of the reference builders' layout."""
+    return {
+        "pairs": info.pairs(),
+        "purchase_cols": list(info.purchase_cols),
+        "cut_cols": dict(zip((info.consumer_ids[k] for k in info.cut_of.tolist()), info.cut_cols)),
+        "stretch_cols": dict(zip((info.supplier_ids[j] for j in info.stretch_of.tolist()), info.stretch_cols)),
+        "objective_offset": info.objective_offset,
+        "live_partners": info.live_partners,
+        "export_cols": info.export_cols,
+        "demand_rows": list(info.demand_rows),
+    }
+
+
+def bits(value):
+    """``value`` with every float spelled out bit for bit, so -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(bits, value))
+    if isinstance(value, dict):
+        return tuple((bits(k), bits(v)) for k, v in value.items())
+    return (type(value).__name__, value)
+
+
+def views(lp: LinearProgram) -> list:
+    """Every view of a program, in order: dict equality alone ignores key order."""
+    return [
+        [(v.name, v.lower, v.upper) for v in lp.variables],
+        list(lp.objective.items()),
+        [(row.name, list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
+    ]
+
+
+def assert_builds_alike(got: tuple[LinearProgram, object], want: tuple[LinearProgram, dict]) -> None:
+    """An array-built program and its layout equal the reference's, bit for bit, and solve alike.
+
+    The standard form must be the reference's; the pivots are compared
+    between the two programs, not against ``ReferenceSimplex``: with an
+    export reservation a reduced cost may differ from the dense one in the
+    last bit (see the ``lp`` docstring), and on a tie the two loops can
+    enter different columns."""
+    (lp, info), (ref_lp, ref_info) = got, want
+    assert bits(views(lp)) == bits(views(ref_lp))
+    assert bits(layout_of(info)) == bits(ref_info)
+    assert_standard_forms_alike(lp)
+    solution, reference = solve_lp(lp), solve_lp(ref_lp)
+    assert solution == reference and bits(solution.values) == bits(reference.values)
+    assert bits([solution.objective, solution.duals]) == bits([reference.objective, reference.duals])

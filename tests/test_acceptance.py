@@ -44,7 +44,7 @@ from sspsim.model import (
 )
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
-from tests.oracles import brute_force_verify, constraint_residuals
+from tests.oracles import brute_force_verify, constraint_residuals, with_variables
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -162,7 +162,7 @@ def test_c02_lp_oracle_equivalence():
             points *= int(upper / 0.5) + 1
         if points > 1_000_000:
             continue
-        lp.variables = capped
+        lp = with_variables(lp, capped)
 
         solution = solve_lp(lp)
         oracle = brute_force_verify(lp, 0.5)

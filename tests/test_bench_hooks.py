@@ -15,10 +15,14 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import sspsim.cli
 from sspsim.cli import EXIT_OK, main
 from sspsim.coalition import ActualNeighborhoodMap
-from sspsim.scenario import save_scenario
+from sspsim.lp import solve_lp
+from sspsim.matching import _build, _build_centralized, view_for_ssp
+from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +39,44 @@ def workloads():
     finally:
         sys.path.remove(str(PERFBENCH))
     return module
+
+
+@pytest.fixture(scope="module")
+def spans(workloads):
+    """``perfbench/spans.py``, as ``workloads`` imported it."""
+    return sys.modules["spans"]
+
+
+@pytest.mark.parametrize("which", ["matching", "centralized"])
+def test_the_lp_counters_read_a_real_program(spans, worked_scenario, which):
+    # the counters read the program's views: both LPs have bounded cut and
+    # stretch columns, the baseline also imports and pools
+    if which == "matching":
+        lp, _ = _build(view_for_ssp(worked_scenario, "S1"), worked_scenario.weights, None, None, 4.0)
+    else:
+        scenario = generate_scenario(GeneratorSpec(
+            n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, passive_consumers=2, passive_consumer_bound=0.15,
+            passive_producers=1, passive_producer_bound=0.1, seed=1,
+        ))
+        lp, _ = _build_centralized(scenario, scenario.weights)
+        assert any(name.startswith("pool[") for name in lp.row_names)
+    tracer = spans.Tracer()
+    spans.count_lp(tracer, lp)
+    with tracer.span("lp"):
+        solution = solve_lp(lp)
+    spans.count_lp_result(tracer, solution)
+    n_cols, n_rows = len(lp.names), len(lp.row_names)
+    bound_rows = int(np.isfinite(lp.upper).sum())
+    slacks = sum(relation != "=" for relation in lp.relations) + bound_rows
+    assert tracer.counters == {
+        "lp.calls": 1,
+        "lp.vars": n_cols,
+        "lp.rows": n_rows,
+        "lp.nnz": lp.entry_cols.size,
+        "lp.dense_bytes": 8 * (n_rows + bound_rows) * (n_cols + slacks),
+    }
+    assert bound_rows > 0 and lp.entry_cols.size > n_rows
+    assert len(tracer.lp_call_s) == 1 and "lp.nonoptimal" not in tracer.counters
 
 
 @pytest.mark.parametrize("patches", ["engine_patches", "centralized_patches"])

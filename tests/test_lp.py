@@ -188,6 +188,26 @@ def test_a_row_dropped_in_phase_one_is_cut_out_of_the_column_store():
     assert_standardised_alike(lp)
 
 
+def test_a_redundant_row_is_dropped_where_its_artificial_started():
+    # z is fixed twice, by -0.5 z = 1.5 (row 0) and by 0.1 z = -0.3 (row 2),
+    # both at its lower bound -3. Phase 1 ends with row 2's artificial in
+    # basis slot 1. Its own row, row 2, is the redundant one; dropping row 1,
+    # the row of its slot, instead left a singular basis
+    lp = LinearProgram()
+    x, y, z = (lp.add_variable(name, -3.0, -2.0) for name in ("x", "y", "z"))
+    lp.add_constraint({z: -0.5}, "=", 1.5)
+    lp.add_constraint({x: 1.0, z: -1.0}, "<=", 0.0)
+    lp.add_constraint({z: 0.1}, "=", -0.30000000000000004)
+    lp.add_constraint({x: 1.0, y: 0.1}, "=", -3.3)
+    simplex = _Simplex(lp)
+    solution = simplex.solve()
+    assert simplex.row_ids.tolist() == [0, 1, 3, 4, 5, 6]
+    assert solution == LpSolution(LpStatus.OPTIMAL, [-3.0, -3.0, -3.0], 0.0, [0.0] * 4, 4)
+    assert max(constraint_residuals(lp, solution.values).values()) < 1e-9
+    assert_standardised_alike(lp)
+    assert_dual_certificate(lp, solution)
+
+
 def test_ftran_follows_the_dense_reference_on_a_column_of_inexact_entries():
     # phase 1 pivots x0 and x1 in through columns with entries 0.1 and 1:
     # B^-1 times only a column's entries rounds B^-1[2, 4] one bit away from
@@ -317,12 +337,72 @@ def test_validate_program_rejects_a_key_that_is_not_a_column(key, where):
     x = lp.add_variable("x")
     y = lp.add_variable("y")
     lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0, name="ok")
-    target = lp.objective if where == "objective" else {}
-    target.update({x: 1.0, key: 1.0})
-    if where == "cap":
-        lp.add_constraint(target, "<=", 1.0, name="cap")
+    if where == "objective":
+        lp.set_cost(x, 1.0)
+        lp.set_cost(key, 1.0)
+    else:
+        lp.add_constraint({x: 1.0, key: 1.0}, "<=", 1.0, name="cap")
     with pytest.raises(LpFormatError, match=rf"^{where}: key {key!r} is not a column"):
         validate_program(lp)
+    assert list(lp.objective if where == "objective" else lp.constraints[1].coeffs) == [x, key]
+
+
+def program_with_offenders(kind: str) -> LinearProgram:
+    """A program with two offenders of one kind, or of two kinds in two rows."""
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 1.0)
+    if kind == "nan-bound":
+        lp.add_variable("a", 0.0, math.nan)
+        lp.add_variable("b", math.nan, 1.0)
+    elif kind == "no-lower":
+        lp.add_variable("a", -math.inf, 1.0)
+        lp.add_variable("b", -math.inf)
+    elif kind == "crossed":
+        lp.add_variable("a", 2.0, 1.0)
+        lp.add_variable("b", 3.0, -math.inf)
+    lp.add_constraint({x: 1.0}, "<=", 1.0)
+    if kind == "relation":
+        lp.add_constraint({x: 1.0}, "=<", 1.0)
+        lp.add_constraint({x: 1.0}, "<=", math.nan, name="cap")
+    elif kind == "rhs":
+        lp.add_constraint({x: 1.0}, "<=", math.inf, name="cap")
+        lp.add_constraint({x: 1.0}, "!!", 1.0)
+    elif kind.startswith("key"):
+        key = {"key-float": 1.5, "key-negative": -1, "key-bool": True}[kind]
+        lp.add_constraint({x: 1.0, key: 1.0}, ">=", 0.0, name="cap")
+        lp.add_constraint({7: 1.0}, ">=", 0.0)
+    return lp
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("nan-bound", "variable 'a' has NaN bound"),
+        ("no-lower", "variable 'a' has no finite lower bound (-inf)"),
+        ("crossed", "variable 'a' has lower 2.0 > upper 1.0"),
+        ("relation", "row 1: unknown relation '=<'"),
+        ("rhs", "cap: non-finite rhs inf"),
+        ("key-float", "cap: key 1.5 is not a column position in [0, 1)"),
+        ("key-negative", "cap: key -1 is not a column position in [0, 1)"),
+        ("key-bool", "cap: key True is not a column position in [0, 1)"),
+    ],
+)
+def test_solve_lp_names_the_first_offender(kind, message):
+    # the array checks find that a program is malformed; the walk names its
+    # first offender, in column, then row, then entry order
+    with pytest.raises(LpFormatError) as raised:
+        solve_lp(program_with_offenders(kind))
+    assert str(raised.value) == message
+
+
+def test_the_objective_takes_each_column_once():
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 1.0, cost=1.0)
+    lp.add_costs([x], [2.0])
+    with pytest.raises(LpFormatError, match=r"^objective: column 0 appears twice$"):
+        solve_lp(lp)
+    with pytest.raises(LpFormatError, match="integers"):
+        lp.add_costs([0.5], [1.0])
 
 
 def test_repeated_solves_are_bit_identical():
@@ -428,7 +508,7 @@ def standard_form_programs(draw):
         upper = lower + draw(st.sampled_from([0.0, 1.0, 2.5, math.inf]))
         col = lp.add_variable(f"x{k}", lower, upper)
         if draw(st.booleans()):
-            lp.objective[col] = draw(COEFFICIENTS)  # signed zeros too, which add_variable drops
+            lp.set_cost(col, draw(COEFFICIENTS))  # signed zeros too, which add_variable drops
     for _ in range(draw(st.integers(0, 5))):
         row = draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=n_vars, unique=True))
         relation = draw(st.sampled_from(["<=", "=", ">="]))
@@ -466,15 +546,16 @@ def wide_programs(draw):
     for k in range(n_vars):
         lower = draw(FINITE)
         col = lp.add_variable(f"x{k}", lower, lower + draw(st.sampled_from([1.0, 2.5, 4.0, math.inf])))
-        lp.objective[col] = draw(COEFFICIENTS)
+        lp.set_cost(col, draw(COEFFICIENTS))
         for row in draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=3, unique=True)):
             coeffs[row][col] = draw(COEFFICIENTS)
     feasible = draw(st.integers(0, 3)) > 0
+    variables = lp.variables
     for row in coeffs:
         relation = draw(st.sampled_from(["<=", "=", ">="]))
         rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
         if feasible:
-            at_lower = sum(c * lp.variables[col].lower for col, c in row.items())
+            at_lower = sum(c * variables[col].lower for col, c in row.items())
             offset = 0.0 * rhs if relation == "=" else abs(rhs) if relation == "<=" else -abs(rhs)
             rhs = offset if at_lower == 0.0 else at_lower + offset
         lp.add_constraint(dict(sorted(row.items())), relation, rhs)

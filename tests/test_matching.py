@@ -46,11 +46,19 @@ from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.oracles import (
+    ReferencePairTable,
+    assert_builds_alike,
     assert_dual_certificate,
     assert_standardised_alike,
+    bits,
     brute_force_verify,
     constraint_residuals,
+    layout_of,
+    reference_build,
+    reference_build_centralized,
     reference_solve_centralized,
+    views,
+    with_variables,
 )
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -163,10 +171,9 @@ class TestBuildMatchingLp:
         assert {(names[k], v) for c in lp.constraints for k, v in c.coeffs.items() if v != 1.0} == {
             ("stretch[p2]", -1.0), ("stretch[s3]", -1.0),
         }
-        assert [pair for pair, _, _ in info.cm_columns] == [
-            ("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3"),
-        ]
-        assert (list(info.purchase_cols), info.cut_cols, info.stretch_cols) == ([5, 6], {"c2": 7}, {"p2": 8})
+        assert info.pairs() == [("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3")]
+        placed = layout_of(info)
+        assert (placed["purchase_cols"], placed["cut_cols"], placed["stretch_cols"]) == ([5, 6], {"c2": 7}, {"p2": 8})
         assert [lp.constraints[row].name for row in info.demand_rows] == ["demand[c1]", "demand[c2]"]
 
     def test_line_cap_splits_flow(self):
@@ -272,7 +279,8 @@ class TestSolveDistMatching:
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
         *_, prices = solve_dist_matching(view, weights, table=table)
-        assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(table.local["c2"][0][2])}
+        [reward] = table.local_reward.tolist()  # c2's from p1, the view's only local pair
+        assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(reward)}
 
     def test_partner_covers_deficit(self):
         consumers = (
@@ -305,9 +313,7 @@ class TestSolveDistMatching:
             partner_capacities={"s2": PartnerCapacity(5.0, 0.0)},
         )
         lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
-        for var in list(lp.variables):
-            if math.isinf(var.upper):
-                lp.variables[lp.variables.index(var)] = replace(var, upper=5.0)
+        lp = with_variables(lp, [replace(var, upper=5.0) if math.isinf(var.upper) else var for var in lp.variables])
         solution = solve_lp(lp)
         oracle = brute_force_verify(lp, 1.0)
         assert solution.objective <= oracle + 1e-6
@@ -326,8 +332,8 @@ class TestSolveDistMatching:
         view = worked_view()
         weights = MatchingWeights(alpha=0.0)
         table = PairTable(view, weights, None)
-        for consumer in view.consumers:
-            rewards = {reward for _, _, reward in table.local[consumer.id]}
+        for k, consumer in enumerate(view.consumers):
+            rewards = set(table.local_reward[table.local_consumer == k].tolist())
             assert rewards == {weights.w14 * consumer.priority + weights.w35}
         cm, fx, _, _ = solve_dist_matching(view, weights)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
@@ -526,14 +532,9 @@ def study2_scenario(seed: int = 7, n_ssps: int = 4, supply_mean_kwh: float = 24.
     return replace(scenario, line_constraints=lines)
 
 
-def layout(lp, info) -> list:
-    """Everything _build returns, in order: dict equality alone ignores key order."""
-    return [
-        list(lp.variables),
-        list(lp.objective.items()),
-        [(row.name, list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
-        info,
-    ]
+def layout(lp, info) -> tuple:
+    """Everything _build returns, in order and bit for bit: dict equality alone ignores key order."""
+    return bits([views(lp), layout_of(info)])
 
 
 class TestPairTable:
@@ -556,6 +557,7 @@ class TestPairTable:
             expected = _build(view, weights, scenario.line_constraints, imports, exports)
             got = _build(view, weights, scenario.line_constraints, imports, exports, table)
             assert layout(*got) == layout(*expected)
+            assert_builds_alike(got, reference_build(view, weights, scenario.line_constraints, imports, exports))
 
     def test_real_matching_programs_standardise_alike(self, monkeypatch):
         scenario = study2_scenario()
@@ -620,8 +622,12 @@ def engine_programs(monkeypatch, scenario: Scenario) -> list:
 
 
 @st.composite
-def matching_inputs(draw):
-    """A generated SSP's view with partner offers, locked imports and exports, and its weights."""
+def matching_inputs(draw, with_lines: bool = False):
+    """A generated SSP's view with partner offers, locked imports and exports, its weights and its lines.
+
+    Lines are drawn only ``with_lines``: on (consumer, U), (consumer, local
+    producer) and (consumer, partner) pairs, minimums included, which can make
+    the LP infeasible."""
     n_partners = draw(st.integers(0, 5))
     consumers = draw(st.integers(4, 14))
     producers = draw(st.integers(2, 8))
@@ -641,13 +647,22 @@ def matching_inputs(draw):
     first = view.consumers[0]
     locked = {p: {first.id: first.energy / (2 * len(caps))} for p in caps if draw(st.booleans())}
     exports = draw(st.sampled_from([0.0, 0.25, 0.5])) * sum(p.energy for p in view.producers)
-    return view, scenario.weights, locked, exports
+    lines = None
+    if with_lines:
+        suppliers = (UTILITY_ID, *(p.id for p in view.producers), *caps)
+        pairs = draw(st.lists(st.sampled_from([(c.id, s) for c in view.consumers for s in suppliers]), max_size=8, unique=True))
+        lines = []
+        for row_id, col_id in pairs:
+            low = draw(st.sampled_from([0.0, 0.0, 0.5, 3.0]))
+            lines.append(LineConstraint(row_id, col_id, low, low + draw(st.sampled_from([0.0, 2.0, 50.0]))))
+        lines = LineConstraintSet(tuple(lines))
+    return view, scenario.weights, locked, exports, lines
 
 
 @st.composite
 def matching_programs(draw):
     """A generated SSP's matching LP with live partners, locked imports and exports."""
-    view, weights, locked, exports = draw(matching_inputs())
+    view, weights, locked, exports, _ = draw(matching_inputs())
     lp, _ = _build(view, weights, None, locked, exports)
     return lp
 
@@ -663,7 +678,7 @@ def test_matching_duals_certify_the_optimum(lp):
 def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
     # an offer that lowers the optimum by d is never priced out at a
     # tolerance below d: the pricing is a lower bound, never a guess
-    view, weights, locked, exports = inputs
+    view, weights, locked, exports, _ = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
     table = PairTable(idle, weights, None)
     kwargs = dict(locked_imports=locked, committed_exports=exports, table=table)
@@ -674,6 +689,28 @@ def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
         drop = best - objective
         if drop > 1e-7:
             assert table.offer_can_improve(prices, (partner_id, cap.energy * (1.0 + cap.bound)), drop - 1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_inputs(with_lines=True), st.booleans())
+def test_the_array_builder_gives_the_dict_reference_program(inputs, agent_table):
+    # the same program view for view and in order (objective insertion order
+    # included), the same layout, standard form, pivots and solution
+    view, weights, locked, exports, lines = inputs
+    idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
+    table = PairTable(idle if agent_table else view, weights, lines)
+    got = _build(view, weights, lines, locked, exports, table)
+    assert_builds_alike(got, reference_build(view, weights, lines, locked, exports))
+    # the offer pricing reads the same rewards
+    reference = ReferencePairTable(view, weights, lines)
+    assert table.floored == reference.floored
+    prices = {c.id: 0.5 * k for k, c in enumerate(view.consumers)}
+    for partner_id in view.partner_capacities:
+        for consumer in view.consumers:
+            assert table.partner_reward(consumer.id, partner_id) == reference.partner_reward(consumer.id, partner_id)
+        for kwh in (0.0, 1.0, 40.0):
+            offer = (partner_id, kwh)
+            assert table.offer_can_improve(prices, offer, 1e-9) == reference.offer_can_improve(prices, offer, 1e-9)
 
 
 def highs(lp):
@@ -776,6 +813,13 @@ def centralized_scenarios(draw) -> Scenario:
     )
     assert validate_scenario(scenario) == []
     return scenario
+
+
+@settings(max_examples=60, deadline=None)
+@given(centralized_scenarios())
+def test_the_centralized_array_builder_gives_the_dict_reference_program(scenario):
+    weights = scenario.weights
+    assert_builds_alike(_build_centralized(scenario, weights), reference_build_centralized(scenario, weights))
 
 
 def centralized_outcome(solve, scenario):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sspsim.protocol
-from sspsim.coalition import empty_map, form_coalitions, map_from_coalitions, meshed_map
+from sspsim.coalition import ActualNeighborhoodMap, anm_from_csv, empty_map, form_coalitions, map_from_coalitions, meshed_map
 from sspsim.matching import MatchingInfeasibleError, PairTable, solve_centralized, solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
@@ -33,6 +34,7 @@ from sspsim.protocol import (
     LogRecord,
     ProtocolViolationError,
     _Agent,
+    _partner_lists,
     audit_privacy,
     run_engine,
     shuffle_partners,
@@ -73,6 +75,40 @@ def triangle_scenario() -> Scenario:
         "S3": {"S1": 1, "S2": 1},
     }
     return Scenario((s1, s2, s3), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
+
+
+class TestPartnerLists:
+    @staticmethod
+    def scenario() -> Scenario:
+        """Six SSPs with the links S01-S02 and S03-S05, which the coalition map has, cut from the connectivity."""
+        scenario = generate_scenario(GeneratorSpec(n_ssps=6, consumers_per_ssp=2, producers_per_ssp=1, supply_mean_kwh=24.0, seed=3))
+        rows = {row_id: dict(cols) for row_id, cols in scenario.connectivity.rows.items()}
+        for a, b in (("S01", "S02"), ("S03", "S05")):
+            rows[a][b] = rows[b][a] = 0
+        return replace(scenario, connectivity=ConnectivityMatrix(rows))
+
+    @pytest.mark.parametrize("kind", ["meshed", "coalition", "file", "foreign-and-reversed-edges"])
+    def test_the_edge_index_gives_the_pairwise_lists(self, kind):
+        # one index over the map's edges, against a connected() call per pair
+        scenario = self.scenario()
+        ids = scenario.ssp_ids
+        if kind == "meshed":
+            anm = meshed_map(ids)
+        elif kind == "coalition":
+            statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+            anm = map_from_coalitions(form_coalitions(statuses, max_group_size=3))
+        elif kind == "file":
+            anm = anm_from_csv("ssp_a,ssp_b,present\nS01,S02,1\nS01,S03,1\nS04,S03,1\nS05,S06,0\nS03,S05,1\n")
+        else:
+            # an SSP the scenario lacks, and a pair written high id first, which connected() does not read
+            anm = ActualNeighborhoodMap(("S01", "S02", "S04", "S09"), frozenset({("S01", "S09"), ("S04", "S01"), ("S02", "S04")}))
+        expected = {
+            a: [b for b in sorted(ids) if b != a and anm.connected(a, b) and scenario.connectivity.connected(a, b)]
+            for a in sorted(ids)
+        }
+        got = _partner_lists(scenario, anm)
+        assert list(got.items()) == list(expected.items())
+        assert any(got.values()) or kind == "foreign-and-reversed-edges"
 
 
 class TestRunEngine:
@@ -379,9 +415,27 @@ class TestAuditPrivacy:
                 lambda r: replace(r, payload={"amount_kwh": -1.0}),
                 "message 1 (claim S1->S2): payload field 'amount_kwh' is negative",
             ),
+            (
+                1,
+                lambda r: replace(r, payload={"amount_kwh": -1}),
+                "message 1 (claim S1->S2): payload field 'amount_kwh' is negative",
+            ),
+            (
+                0,
+                lambda r: replace(r, payload=r.payload | {"bound": math.nan}),
+                "message 0 (offer S2->S1): payload field 'bound' is not finite",
+            ),
+            (
+                1,
+                lambda r: replace(r, payload={"amount_kwh": math.inf}),
+                "message 1 (claim S1->S2): payload field 'amount_kwh' is not finite",
+            ),
             (1, None, "log has 1 messages, deterministic replay produced 2"),
         ],
-        ids=["unknown-kind", "self-addressed", "subscriber-endpoint", "missing-field", "bad-token", "negative", "short-log"],
+        ids=[
+            "unknown-kind", "self-addressed", "subscriber-endpoint", "missing-field", "bad-token", "negative",
+            "negative-int", "nan", "inf", "short-log",
+        ],
     )
     def test_each_forgery_is_named(self, pair_scenario, index, forge, finding):
         # the engine's log is an offer S2->S1 of 5 kWh and the claim S1->S2 of 5 kWh
