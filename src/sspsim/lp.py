@@ -57,20 +57,21 @@ variable).
 A program is stored as arrays, and only as arrays: per column its name, lower
 and upper bound; the objective as (column, cost) pairs in insertion order;
 per row its name, relation and rhs, with the coefficients as compressed
-sparse rows in insertion order. The matching builders append whole arrays
-(``add_columns``, ``add_costs``, ``add_rows``); ``add_variable``,
-``set_cost`` and ``add_constraint`` append one entry. ``validate_program``
-checks whole arrays and walks entries only to name the first offender.
-``_standardise`` reads the arrays directly. ``variables``, ``objective`` and
-``constraints`` are read-only views in the dataclass and dict form, built on
-each read for messages, tests and the benchmark's counters: writing to one
-changes nothing. A solution's ``objective`` sums c_j x_j one term at a time
-in the objective's insertion order, so two programs whose arrays are equal
-report the same float.
+sparse rows in insertion order. It is built only by appending whole arrays
+(``add_columns``, ``add_costs``, ``add_rows``), and a column position handed
+to them must be an integer. ``validate_program`` checks whole arrays and
+walks entries only to name the first offender. ``_standardise`` reads the
+arrays directly. ``variables``, ``objective`` and ``constraints`` are
+read-only views in the dataclass and dict form, built on each read for
+messages, tests and the benchmark's counters: writing to one changes
+nothing. A solution's ``objective`` sums c_j x_j one term at a time in the
+objective's insertion order, so two programs whose arrays are equal report
+the same float.
 
-A column is known by its position: ``add_variable`` returns it, the objective
-and every row are keyed by it, and a solution lists one value per column in
-column order. Variable and row names are labels, used only in messages.
+A column is known by its position: ``add_columns`` returns the first it
+appends, the objective and every row refer to columns by position, and a
+solution lists one value per column in column order. Variable and row names
+are labels, used only in messages.
 
 An optimal solution also carries ``duals``, one per row in row order:
 y = c_B B^-1 at the phase-2 optimum, mapped back through the row
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,7 +107,7 @@ _SLACK_SIGN = {EQUAL: 0.0, LESS_EQUAL: 1.0, GREATER_EQUAL: -1.0}
 
 
 class LpFormatError(ValueError):
-    """Structurally malformed program (bad bounds, a key that is not a column, ...)."""
+    """Structurally malformed program (bad bounds, a position that is not a column, ...)."""
 
 
 class LpStatus(Enum):
@@ -140,10 +141,9 @@ class LinearProgram:
     holds ``entry_vals[row_starts[i]:row_starts[i + 1]]`` in the columns
     ``entry_cols[...]``, in insertion order.
 
-    ``add_columns``, ``add_costs`` and ``add_rows`` append arrays;
-    ``add_variable``, ``set_cost`` and ``add_constraint`` append one entry.
-    ``variables``, ``objective`` and ``constraints`` are read-only views
-    built on demand.
+    ``add_columns``, ``add_costs`` and ``add_rows`` append arrays, and are
+    the only builders. ``variables``, ``objective`` and ``constraints`` are
+    read-only views built on demand.
     """
 
     def __init__(self) -> None:
@@ -158,10 +158,6 @@ class LinearProgram:
         self.row_starts = np.zeros(1, dtype=np.intp)
         self.entry_cols = np.zeros(0, dtype=np.intp)
         self.entry_vals = np.zeros(0)
-        # a key handed to a scalar builder that is not an int column position
-        # is stored as -1 and kept here, by ("objective" or "rows", entry), for
-        # the views and for validate_program to name
-        self._odd_keys: dict[tuple[str, int], object] = {}
 
     def add_columns(self, names: Sequence[str], lower, upper) -> int:
         """Append columns; returns the position of the first."""
@@ -192,55 +188,17 @@ class LinearProgram:
         self.entry_cols = np.concatenate([self.entry_cols, cols])
         self.entry_vals = np.concatenate([self.entry_vals, vals])
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf, cost: float = 0.0) -> int:
-        """Append a column and return its position; a nonzero cost enters the objective."""
-        col = self.add_columns([name], [lower], [upper])
-        if cost != 0.0:
-            self.add_costs([col], [cost])
-        return col
-
-    def set_cost(self, col: int, cost: float) -> None:
-        """Set one objective coefficient as ``objective[col] = cost`` would: a column
-        new to the objective goes last, one already in it keeps its place, and a
-        zero is kept."""
-        objective = self.objective
-        objective[col] = cost
-        self._odd_keys = {at: key for at, key in self._odd_keys.items() if at[0] != "objective"}
-        self.cost_cols = self._encode("objective", 0, objective)
-        self.cost_vals = np.array(list(objective.values()), dtype=float)
-
-    def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float, name: str = "") -> None:
-        cols = self._encode("rows", self.entry_cols.size, coeffs)
-        self.add_rows([name], [relation], [rhs], [len(coeffs)], cols, list(coeffs.values()))
-
-    def _encode(self, part: str, offset: int, keys) -> np.ndarray:
-        """Scalar builders' keys as column positions; any other key is kept aside and stored as -1."""
-        cols = list(keys)
-        for k, key in enumerate(cols):
-            if type(key) is not int or not 0 <= key < 2**62:
-                self._odd_keys[(part, offset + k)] = key
-                cols[k] = -1
-        return np.array(cols, dtype=np.intp)
-
-    def _keys(self, part: str, cols: np.ndarray) -> list:
-        """The keys the builders were handed for ``cols``, odd ones included."""
-        keys = cols.tolist()
-        for (where, k), key in self._odd_keys.items():
-            if where == part:
-                keys[k] = key
-        return keys
-
     @property
     def variables(self) -> list[LpVariable]:
         return list(map(LpVariable, self.names, self.lower.tolist(), self.upper.tolist()))
 
     @property
     def objective(self) -> dict[int, float]:
-        return dict(zip(self._keys("objective", self.cost_cols), self.cost_vals.tolist()))
+        return dict(zip(self.cost_cols.tolist(), self.cost_vals.tolist()))
 
     @property
     def constraints(self) -> list[LpConstraint]:
-        keys, vals, starts = self._keys("rows", self.entry_cols), self.entry_vals.tolist(), self.row_starts.tolist()
+        keys, vals, starts = self.entry_cols.tolist(), self.entry_vals.tolist(), self.row_starts.tolist()
         return [
             LpConstraint(dict(zip(keys[a:b], vals[a:b])), relation, rhs, name)
             for a, b, relation, rhs, name in zip(starts, starts[1:], self.relations, self.rhs.tolist(), self.row_names)
@@ -248,7 +206,7 @@ class LinearProgram:
 
 
 def _positions(cols) -> np.ndarray:
-    """An array builder's column positions as intp; any dtype but an integer one is refused."""
+    """A builder's column positions as intp; any dtype but an integer one is refused."""
     cols = np.asarray(cols)
     if cols.size and cols.dtype.kind not in "iu":
         raise LpFormatError(f"column positions must be integers, got {cols.dtype}")
@@ -285,18 +243,15 @@ def validate_program(lp: LinearProgram) -> None:
                 raise LpFormatError(f"{_row_label(lp, idx)}: unknown relation {relation!r}")
             if not math.isfinite(rhs):
                 raise LpFormatError(f"{_row_label(lp, idx)}: non-finite rhs {rhs}")
-    # every key must be an int column position: numpy indexing would truncate
-    # 1.5 to column 1 and wrap -1 to the last column
+    # every position must lie in [0, n): numpy indexing would wrap -1 to the
+    # last column; the builders already refused any position but an integer
     n_cols = len(lp.names)
-    if not all(cols.size == 0 or 0 <= cols.min() and cols.max() < n_cols for cols in (lp.cost_cols, lp.entry_cols)):
-        keys = lp._keys("rows", lp.entry_cols)
-        starts = lp.row_starts.tolist()
-        walk = [("objective", lp._keys("objective", lp.cost_cols))]
-        walk += [(_row_label(lp, idx), keys[a:b]) for idx, (a, b) in enumerate(zip(starts, starts[1:]))]
-        for label, row_keys in walk:
-            for col in row_keys:
-                if type(col) is not int or not 0 <= col < n_cols:
-                    raise LpFormatError(f"{label}: key {col!r} is not a column position in [0, {n_cols})")
+    for part, cols in (("objective", lp.cost_cols), ("rows", lp.entry_cols)):
+        outside = (cols < 0) | (cols >= n_cols)
+        if outside.any():
+            k = int(outside.argmax())
+            label = part if part == "objective" else _row_label(lp, int(lp.row_starts.searchsorted(k, "right")) - 1)
+            raise LpFormatError(f"{label}: key {cols[k].item()} is not a column position in [0, {n_cols})")
     ordered = np.sort(lp.cost_cols)
     if (ordered[1:] == ordered[:-1]).any():
         seen: set[int] = set()
@@ -313,12 +268,6 @@ def _row_label(lp: LinearProgram, idx: int) -> str:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Deterministic two-phase simplex; returns a vertex solution or Infeasible/Unbounded."""
     validate_program(lp)
-    if not lp.names:
-        # every row reads 0 <relation> rhs: phase 1 over one unused column judges them
-        padded = LinearProgram()
-        padded.add_variable("unused")
-        padded.add_rows(lp.row_names, lp.relations, lp.rhs, np.diff(lp.row_starts), lp.entry_cols, lp.entry_vals)
-        return replace(_Simplex(padded).solve(), values=[])
     return _Simplex(lp).solve()
 
 
@@ -491,6 +440,10 @@ class _Simplex:
         basis, binv, xb = self.basis, self.binv, self.xb
         cb = cost[basis]  # kept in step with the basis
         objective = float(cb @ xb)
+        if allowed == 0:
+            # only a program of equality rows and no columns has no real
+            # column: every row reads 0 = rhs, and phase 1 has judged them
+            return LpStatus.OPTIMAL, objective
         while pivots < max_pivots:
             reduced = c - _times_columns(cb.dot(binv), *priced, allowed)
             if bland:

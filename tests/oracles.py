@@ -112,6 +112,34 @@ def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, fl
     return out
 
 
+def highs(lp):
+    """``scipy.optimize.linprog(method="highs")`` on a LinearProgram, as an independent oracle."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n_cols = len(lp.variables)
+    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: >= rows are negated
+    signed = {"<=": [], "=": []}
+    for row in lp.constraints:
+        sign = -1.0 if row.relation == ">=" else 1.0
+        signed["=" if row.relation == "=" else "<="].append((row, sign))
+
+    def matrix(rows):
+        out = np.zeros((len(rows), n_cols))
+        for i, (row, sign) in enumerate(rows):
+            for col, c in row.coeffs.items():
+                out[i, col] = sign * c
+        return out if rows else None
+
+    return optimize.linprog(
+        [lp.objective.get(col, 0.0) for col in range(n_cols)],
+        A_ub=matrix(signed["<="]),
+        b_ub=[sign * row.rhs for row, sign in signed["<="]] or None,
+        A_eq=matrix(signed["="]),
+        b_eq=[row.rhs for row, _ in signed["="]] or None,
+        bounds=[(v.lower, None if math.isinf(v.upper) else v.upper) for v in lp.variables],
+        method="highs",
+    )
+
+
 class ReferenceSimplex(_Simplex):
     """The simplex with its standardisation and decoding written as plain loops.
 
@@ -624,13 +652,24 @@ class ReferencePairTable:
         return gain * kwh > tol
 
 
-def program_of(variables: list[LpVariable], objective: dict[int, float], rows: list[tuple]) -> LinearProgram:
-    """A program with these variables, objective and (coefficients, relation, rhs, name) rows, made by the builders."""
+def program_of(variables: list[LpVariable], objective: dict[int, float], rows: list[tuple] = ()) -> LinearProgram:
+    """A program with these variables, objective and rows, made by one call of each array builder.
+
+    A row is (coefficients, relation, rhs) or (coefficients, relation, rhs,
+    name), its coefficients keyed by column position; a row without a name
+    gets "".
+    """
     lp = LinearProgram()
     lp.add_columns([v.name for v in variables], [v.lower for v in variables], [v.upper for v in variables])
     lp.add_costs(list(objective), list(objective.values()))
-    for coeffs, relation, rhs, name in rows:
-        lp.add_constraint(coeffs, relation, rhs, name=name)
+    lp.add_rows(
+        [row[3] if len(row) > 3 else "" for row in rows],
+        [row[1] for row in rows],
+        [row[2] for row in rows],
+        [len(row[0]) for row in rows],
+        [col for row in rows for col in row[0]],
+        [c for row in rows for c in row[0].values()],
+    )
     return lp
 
 

@@ -14,6 +14,7 @@ from sspsim.lp import (
     LpFormatError,
     LpSolution,
     LpStatus,
+    LpVariable,
     solve_lp,
     validate_program,
     _Simplex,
@@ -26,16 +27,15 @@ from tests.oracles import (
     assert_standardised_alike,
     brute_force_verify,
     constraint_residuals,
+    highs,
+    program_of,
 )
-from tests.test_matching import highs
 
 
 def test_single_variable_minimum():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 3.0, 10.0, cost=1.0)
-    solution = solve_lp(lp)
+    solution = solve_lp(program_of([LpVariable("x", 3.0, 10.0)], {0: 1.0}))
     assert solution.status is LpStatus.OPTIMAL
-    assert solution.values[x] == pytest.approx(3.0, abs=1e-9)
+    assert solution.values[0] == pytest.approx(3.0, abs=1e-9)
     assert solution.objective == pytest.approx(3.0, abs=1e-9)
 
 
@@ -52,50 +52,52 @@ OPT, INF = LpStatus.OPTIMAL, LpStatus.INFEASIBLE
         ([("=", -1.0)], INF),
         ([("<=", 1.0), (">=", -1.0), ("=", 0.0), ("<=", 0.0), (">=", 0.0)], OPT),
         ([("<=", 2.0), (">=", 0.5)], INF),
+        ([("=", 0.0)], OPT),
+        ([("=", -0.0)], OPT),
+        ([("=", 0.0), ("=", 0.0)], OPT),
+        ([("=", 0.0), ("<=", 3.0)], OPT),
     ],
 )
 def test_a_program_without_columns_is_judged_like_one_with_an_unused_column(rows, status):
-    # every row reads 0 <relation> rhs: it holds at 0 or the program is infeasible
-    bare, padded = LinearProgram(), LinearProgram()
-    padded.add_variable("unused")
-    for lp in (bare, padded):
-        for relation, rhs in rows:
-            lp.add_constraint({}, relation, rhs)
+    # every row reads 0 <relation> rhs: it holds at 0 or the program is
+    # infeasible. Rows of "= 0" alone leave phase 2 without any column: phase
+    # 1 drops each as redundant
+    rows = [({}, relation, rhs) for relation, rhs in rows]
+    bare, padded = program_of([], {}, rows), program_of([LpVariable("unused")], {}, rows)
     got, want = solve_lp(bare), solve_lp(padded)
     assert (got.status, want.status) == (status, status)
     assert (got.values, got.objective, got.duals, got.pivots) == ([], want.objective, want.duals, want.pivots)
 
 
 def test_symmetric_vertex_resolved_by_index():
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=-1.0)
-    y = lp.add_variable("y", cost=-1.0)
-    assert (x, y) == (0, 1)
-    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
+    lp = program_of([LpVariable("x"), LpVariable("y")], {0: -1.0, 1: -1.0}, [({0: 1.0, 1: 1.0}, "<=", 1.0)])
     solution = solve_lp(lp)
     assert solution.objective == pytest.approx(-1.0, abs=1e-9)
     assert solution.values == [1.0, 0.0]
 
 
 def test_infeasible_program_detected_by_both_routes():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 5.0)
-    lp.add_constraint({x: 1.0}, ">=", 7.0)
+    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: 1.0}, ">=", 7.0)])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
     assert brute_force_verify(lp, 0.5) == math.inf
 
 
+def textbook(relation: str = "<=", upper: float = math.inf) -> LinearProgram:
+    """min -2x - 3y over 2x + y <= 10, x + 3y <= 15, the first row written with ``relation``."""
+    sign = 1.0 if relation == "<=" else -1.0
+    return program_of(
+        [LpVariable("x", 0.0, upper), LpVariable("y", 0.0, upper)],
+        {0: -2.0, 1: -3.0},
+        [({0: 2.0 * sign, 1: 1.0 * sign}, relation, 10.0 * sign), ({0: 1.0, 1: 3.0}, "<=", 15.0)],
+    )
+
+
 @pytest.mark.parametrize("relation", ["<=", ">="])
 def test_duals_of_a_textbook_program(relation):
-    # min -2x - 3y over 2x + y <= 10, x + 3y <= 15: optimum (3, 4) at -18,
-    # duals (-3/5, -4/5); written as -2x - y >= -10 (a negated row in the
-    # standard form), the first dual flips sign
+    # optimum (3, 4) at -18, duals (-3/5, -4/5); written as -2x - y >= -10
+    # (a negated row in the standard form), the first dual flips sign
     sign = 1.0 if relation == "<=" else -1.0
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=-2.0)
-    y = lp.add_variable("y", cost=-3.0)
-    lp.add_constraint({x: 2.0 * sign, y: 1.0 * sign}, relation, 10.0 * sign)
-    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
+    lp = textbook(relation)
     solution = solve_lp(lp)
     assert solution.values == pytest.approx([3.0, 4.0])
     assert solution.duals == pytest.approx([-0.6 * sign, -0.8])
@@ -105,34 +107,28 @@ def test_duals_of_a_textbook_program(relation):
 def test_pivots_count_phase_one_and_phase_two():
     # the textbook program starts at its all-slack crash basis: y enters,
     # then x, and the vertex (3, 4) is optimal
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=-2.0)
-    y = lp.add_variable("y", cost=-3.0)
-    lp.add_constraint({x: 2.0, y: 1.0}, "<=", 10.0)
-    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
-    assert solve_lp(lp).pivots == 2
+    assert solve_lp(textbook()).pivots == 2
     # x >= 7 has no crash column: one phase-1 pivot seats x, and phase 2
     # has nothing to improve; with x <= 5 phase 1 stops infeasible after it
     for upper, status in ((9.0, LpStatus.OPTIMAL), (5.0, LpStatus.INFEASIBLE)):
-        lp = LinearProgram()
-        x = lp.add_variable("x", 0.0, upper, cost=1.0)
-        lp.add_constraint({x: 1.0}, ">=", 7.0)
+        lp = program_of([LpVariable("x", 0.0, upper)], {0: 1.0}, [({0: 1.0}, ">=", 7.0)])
         assert (solve_lp(lp).status, solve_lp(lp).pivots) == (status, 1)
     # the crash basis seats x at its bound 5, which is optimal: no pivot
-    lp = LinearProgram()
-    lp.add_variable("x", 0.0, 5.0, cost=-1.0)
-    assert solve_lp(lp).pivots == 0
+    assert solve_lp(program_of([LpVariable("x", 0.0, 5.0)], {0: -1.0})).pivots == 0
     assert solve_lp(LinearProgram()).pivots == 0
 
 
 def test_a_degenerate_cycle_switches_to_blands_rule(monkeypatch):
     # Chvatal's cycling example (*Linear Programming*, ch. 3), x1 <= 1 as a row
-    lp = LinearProgram()
-    for cost in (-10.0, 57.0, 9.0, 24.0):
-        lp.add_variable(f"x{len(lp.variables) + 1}", cost=cost)
-    lp.add_constraint({0: 0.5, 1: -5.5, 2: -2.5, 3: 9.0}, "<=", 0.0)
-    lp.add_constraint({0: 0.5, 1: -1.5, 2: -0.5, 3: 1.0}, "<=", 0.0)
-    lp.add_constraint({0: 1.0}, "<=", 1.0)
+    lp = program_of(
+        [LpVariable(f"x{k}") for k in range(1, 5)],
+        {0: -10.0, 1: 57.0, 2: 9.0, 3: 24.0},
+        [
+            ({0: 0.5, 1: -5.5, 2: -2.5, 3: 9.0}, "<=", 0.0),
+            ({0: 0.5, 1: -1.5, 2: -0.5, 3: 1.0}, "<=", 0.0),
+            ({0: 1.0}, "<=", 1.0),
+        ],
+    )
     entered: list[int] = []
     with monkeypatch.context() as spy:
         column = _Simplex._column  # called once per pivot, on the entering column
@@ -155,11 +151,8 @@ def test_a_degenerate_cycle_switches_to_blands_rule(monkeypatch):
 
 
 def test_redundant_row_dropped_in_phase_one_gets_dual_zero():
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=1.0)
-    y = lp.add_variable("y", cost=2.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    row = ({0: 1.0, 1: 1.0}, "=", 2.0)
+    lp = program_of([LpVariable("x"), LpVariable("y")], {0: 1.0, 1: 2.0}, [row, row])
     simplex = _Simplex(lp)
     solution = simplex.solve()
     assert len(simplex.row_ids) == 1  # one copy is redundant
@@ -171,13 +164,12 @@ def test_a_row_dropped_in_phase_one_is_cut_out_of_the_column_store():
     # x + y = 2 twice: phase 1 seats x in row 0 and drops row 1 as redundant;
     # phase 2 pivots y in for x, then z (not a crash column: z <= 10 is the
     # bound row 3) for the slack of row 2, now row 1 of the store
-    lp = LinearProgram()
-    x = lp.add_variable("x")
-    y = lp.add_variable("y", cost=-1.0)
-    z = lp.add_variable("z", 0.0, 10.0, cost=-1.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
-    lp.add_constraint({y: 1.0, z: 1.0}, "<=", 3.0)
+    x, y, z = 0, 1, 2
+    lp = program_of(
+        [LpVariable("x"), LpVariable("y"), LpVariable("z", 0.0, 10.0)],
+        {y: -1.0, z: -1.0},
+        [({x: 1.0, y: 1.0}, "=", 2.0), ({x: 1.0, y: 1.0}, "=", 2.0), ({y: 1.0, z: 1.0}, "<=", 3.0)],
+    )
     simplex = _Simplex(lp)
     solution = simplex.solve()
     assert simplex.row_ids.tolist() == [0, 2, 3]
@@ -193,12 +185,17 @@ def test_a_redundant_row_is_dropped_where_its_artificial_started():
     # both at its lower bound -3. Phase 1 ends with row 2's artificial in
     # basis slot 1. Its own row, row 2, is the redundant one; dropping row 1,
     # the row of its slot, instead left a singular basis
-    lp = LinearProgram()
-    x, y, z = (lp.add_variable(name, -3.0, -2.0) for name in ("x", "y", "z"))
-    lp.add_constraint({z: -0.5}, "=", 1.5)
-    lp.add_constraint({x: 1.0, z: -1.0}, "<=", 0.0)
-    lp.add_constraint({z: 0.1}, "=", -0.30000000000000004)
-    lp.add_constraint({x: 1.0, y: 0.1}, "=", -3.3)
+    x, y, z = 0, 1, 2
+    lp = program_of(
+        [LpVariable(name, -3.0, -2.0) for name in ("x", "y", "z")],
+        {},
+        [
+            ({z: -0.5}, "=", 1.5),
+            ({x: 1.0, z: -1.0}, "<=", 0.0),
+            ({z: 0.1}, "=", -0.30000000000000004),
+            ({x: 1.0, y: 0.1}, "=", -3.3),
+        ],
+    )
     simplex = _Simplex(lp)
     solution = simplex.solve()
     assert simplex.row_ids.tolist() == [0, 1, 3, 4, 5, 6]
@@ -212,13 +209,16 @@ def test_ftran_follows_the_dense_reference_on_a_column_of_inexact_entries():
     # phase 1 pivots x0 and x1 in through columns with entries 0.1 and 1:
     # B^-1 times only a column's entries rounds B^-1[2, 4] one bit away from
     # the dense product, so FTRAN multiplies the column as a dense vector
-    lp = LinearProgram()
-    x0 = lp.add_variable("x0", -3.0, -0.5)
-    x1, x2 = (lp.add_variable(name, -3.0, -3.0) for name in ("x1", "x2"))
-    lp.add_variable("x3", -3.0, -3.0)
-    lp.add_constraint({x0: 0.0}, "<=", -4.0)
-    lp.add_constraint({x0: 1.0, x2: 1.0, x1: 0.1}, "<=", -4.0)
-    lp.add_constraint({x2: 0.0, x0: 0.1, x1: 0.1}, "=", -0.0)
+    x0, x1, x2 = 0, 1, 2
+    lp = program_of(
+        [LpVariable("x0", -3.0, -0.5)] + [LpVariable(name, -3.0, -3.0) for name in ("x1", "x2", "x3")],
+        {},
+        [
+            ({x0: 0.0}, "<=", -4.0),
+            ({x0: 1.0, x2: 1.0, x1: 0.1}, "<=", -4.0),
+            ({x2: 0.0, x0: 0.1, x1: 0.1}, "=", -0.0),
+        ],
+    )
     assert_standardised_alike(lp)
 
 
@@ -243,46 +243,37 @@ def test_the_study2_baseline_is_standardised_without_a_dense_matrix():
 
 
 def test_non_optimal_solutions_carry_zero_duals():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 5.0)
-    lp.add_constraint({x: 1.0}, ">=", 7.0)
-    lp.add_constraint({x: 1.0}, "<=", 9.0)
+    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: 1.0}, ">=", 7.0), ({0: 1.0}, "<=", 9.0)])
     assert solve_lp(lp).duals == [0.0, 0.0]
 
 
 def test_unbounded_objective_is_reported_not_clipped():
-    lp = LinearProgram()
-    lp.add_variable("x", cost=-1.0)
-    assert solve_lp(lp).status is LpStatus.UNBOUNDED
+    assert solve_lp(program_of([LpVariable("x")], {0: -1.0})).status is LpStatus.UNBOUNDED
 
 
 @pytest.mark.parametrize("upper", [math.inf, 4.0], ids=["free", "upper-only"])
 def test_variable_without_finite_lower_bound_is_rejected(upper):
-    lp = LinearProgram()
-    y = lp.add_variable("y", 0.0, 4.0)
-    x = lp.add_variable("x", -math.inf, upper, cost=1.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, "=", 2.0)
+    y, x = 0, 1
+    variables = [LpVariable("y", 0.0, 4.0), LpVariable("x", -math.inf, upper)]
+    lp = program_of(variables, {x: 1.0}, [({x: 1.0, y: 1.0}, "=", 2.0)])
     with pytest.raises(LpFormatError, match="'x'.*lower bound"):
         solve_lp(lp)
 
 
 def test_transport_toy_matches_oracle():
     # one supply of 5 split across demands of 2 and 3, served kWh rewarded
-    lp = LinearProgram()
-    x1 = lp.add_variable("x1", 0.0, 5.0, cost=-1.0)
-    x2 = lp.add_variable("x2", 0.0, 5.0, cost=-1.0)
-    lp.add_constraint({x1: 1.0, x2: 1.0}, "<=", 5.0)
-    lp.add_constraint({x1: 1.0}, "<=", 2.0)
-    lp.add_constraint({x2: 1.0}, "<=", 3.0)
+    lp = program_of(
+        [LpVariable("x1", 0.0, 5.0), LpVariable("x2", 0.0, 5.0)],
+        {0: -1.0, 1: -1.0},
+        [({0: 1.0, 1: 1.0}, "<=", 5.0), ({0: 1.0}, "<=", 2.0), ({1: 1.0}, "<=", 3.0)],
+    )
     solution = solve_lp(lp)
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective == pytest.approx(oracle, abs=1e-6)
 
 
 def test_oracle_never_beats_solver_on_coarse_grid():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 2.0, cost=1.0)
-    lp.add_constraint({x: 1.0}, ">=", 0.3)
+    lp = program_of([LpVariable("x", 0.0, 2.0)], {0: 1.0}, [({0: 1.0}, ">=", 0.3)])
     solution = solve_lp(lp)
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective <= oracle + 1e-6
@@ -290,58 +281,55 @@ def test_oracle_never_beats_solver_on_coarse_grid():
 
 
 def test_oracle_refuses_oversized_grids():
-    lp = LinearProgram()
-    for k in range(8):
-        lp.add_variable(f"x{k}", 0.0, 10.0)
     with pytest.raises(OracleSizeError):
-        brute_force_verify(lp, 0.1)
-    lp2 = LinearProgram()
-    lp2.add_variable("x")
+        brute_force_verify(program_of([LpVariable(f"x{k}", 0.0, 10.0) for k in range(8)], {}), 0.1)
     with pytest.raises(OracleSizeError):
-        brute_force_verify(lp2, 0.5)
+        brute_force_verify(program_of([LpVariable("x")], {}), 0.5)
 
 
 def test_validate_program_names_offenders():
-    lp2 = LinearProgram()
-    lp2.add_variable("a", 2.0, 1.0)
     with pytest.raises(LpFormatError, match="'a'"):
-        validate_program(lp2)
-
-    lp3 = LinearProgram()
-    lp3.add_variable("a")
-    lp3.add_constraint({3: 1.0}, "<=", 1.0, name="cap")
+        validate_program(program_of([LpVariable("a", 2.0, 1.0)], {}))
     with pytest.raises(LpFormatError, match="cap"):
-        validate_program(lp3)
-
-    lp4 = LinearProgram()
-    a = lp4.add_variable("a")
-    lp4.add_constraint({a: 1.0}, "!!", 1.0)
+        validate_program(program_of([LpVariable("a")], {}, [({3: 1.0}, "<=", 1.0, "cap")]))
     with pytest.raises(LpFormatError, match="relation"):
-        validate_program(lp4)
+        validate_program(program_of([LpVariable("a")], {}, [({0: 1.0}, "!!", 1.0)]))
 
 
 def test_names_are_labels_not_identities():
-    # two columns may share a label; each is its own column
+    # two columns may share a label; each is its own column, known by the
+    # position add_columns returns
     lp = LinearProgram()
-    first = lp.add_variable("x", 0.0, 1.0, cost=-1.0)
-    second = lp.add_variable("x", 0.0, 2.0, cost=-1.0)
+    assert lp.add_columns(["x"], [0.0], [1.0]) == 0
+    assert lp.add_columns(["x"], [0.0], [2.0]) == 1
+    lp.add_costs([0, 1], [-1.0, -1.0])
     assert solve_lp(lp).values == [1.0, 2.0]
-    assert (first, second) == (0, 1)
 
 
-@pytest.mark.parametrize("key", [1.5, -1, 2, "y", True], ids=["float", "negative", "len-variables", "name", "bool"])
+@pytest.mark.parametrize("key", [1.5, True, "y"], ids=["float", "bool", "name"])
+@pytest.mark.parametrize("where", ["objective", "row"])
+def test_the_builders_refuse_a_position_that_is_not_an_integer(key, where):
+    # numpy indexing would truncate 1.5 to column 1 and read True as 1; a
+    # refused call appends nothing
+    lp = program_of([LpVariable("x"), LpVariable("y")], {0: 1.0}, [({0: 1.0, 1: 1.0}, "<=", 1.0, "ok")])
+    with pytest.raises(LpFormatError, match="integers"):
+        if where == "objective":
+            lp.add_costs([key], [1.0])
+        else:
+            lp.add_rows(["cap"], ["<="], [1.0], [1], [key], [1.0])
+    assert (lp.objective, len(lp.constraints), lp.entry_cols.tolist()) == ({0: 1.0}, 1, [0, 1])
+
+
+@pytest.mark.parametrize("key", [-1, 2], ids=["negative", "len-variables"])
 @pytest.mark.parametrize("where", ["objective", "cap"])
 def test_validate_program_rejects_a_key_that_is_not_a_column(key, where):
-    # numpy indexing would truncate 1.5 to column 1 and wrap -1 to the last column
-    lp = LinearProgram()
-    x = lp.add_variable("x")
-    y = lp.add_variable("y")
-    lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0, name="ok")
-    if where == "objective":
-        lp.set_cost(x, 1.0)
-        lp.set_cost(key, 1.0)
-    else:
-        lp.add_constraint({x: 1.0, key: 1.0}, "<=", 1.0, name="cap")
+    # numpy indexing would wrap -1 to the last column
+    x, y = 0, 1
+    objective = {x: 1.0, key: 1.0} if where == "objective" else {}
+    rows = [({x: 1.0, y: 1.0}, "<=", 1.0, "ok")]
+    if where == "cap":
+        rows.append(({x: 1.0, key: 1.0}, "<=", 1.0, "cap"))
+    lp = program_of([LpVariable("x"), LpVariable("y")], objective, rows)
     with pytest.raises(LpFormatError, match=rf"^{where}: key {key!r} is not a column"):
         validate_program(lp)
     assert list(lp.objective if where == "objective" else lp.constraints[1].coeffs) == [x, key]
@@ -349,29 +337,25 @@ def test_validate_program_rejects_a_key_that_is_not_a_column(key, where):
 
 def program_with_offenders(kind: str) -> LinearProgram:
     """A program with two offenders of one kind, or of two kinds in two rows."""
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 1.0)
+    variables = [LpVariable("x", 0.0, 1.0)]
     if kind == "nan-bound":
-        lp.add_variable("a", 0.0, math.nan)
-        lp.add_variable("b", math.nan, 1.0)
+        variables += [LpVariable("a", 0.0, math.nan), LpVariable("b", math.nan, 1.0)]
     elif kind == "no-lower":
-        lp.add_variable("a", -math.inf, 1.0)
-        lp.add_variable("b", -math.inf)
+        variables += [LpVariable("a", -math.inf, 1.0), LpVariable("b", -math.inf)]
     elif kind == "crossed":
-        lp.add_variable("a", 2.0, 1.0)
-        lp.add_variable("b", 3.0, -math.inf)
-    lp.add_constraint({x: 1.0}, "<=", 1.0)
+        variables += [LpVariable("a", 2.0, 1.0), LpVariable("b", 3.0, -math.inf)]
+    objective = {0: 1.0, 2: 1.0} if kind == "key-objective" else {}
+    rows = [({0: 1.0}, "<=", 1.0)]
     if kind == "relation":
-        lp.add_constraint({x: 1.0}, "=<", 1.0)
-        lp.add_constraint({x: 1.0}, "<=", math.nan, name="cap")
+        rows += [({0: 1.0}, "=<", 1.0), ({0: 1.0}, "<=", math.nan, "cap")]
     elif kind == "rhs":
-        lp.add_constraint({x: 1.0}, "<=", math.inf, name="cap")
-        lp.add_constraint({x: 1.0}, "!!", 1.0)
-    elif kind.startswith("key"):
-        key = {"key-float": 1.5, "key-negative": -1, "key-bool": True}[kind]
-        lp.add_constraint({x: 1.0, key: 1.0}, ">=", 0.0, name="cap")
-        lp.add_constraint({7: 1.0}, ">=", 0.0)
-    return lp
+        rows += [({0: 1.0}, "<=", math.inf, "cap"), ({0: 1.0}, "!!", 1.0)]
+    elif kind == "key-negative":
+        rows += [({0: 1.0, -1: 1.0}, ">=", 0.0, "cap"), ({7: 1.0}, ">=", 0.0)]
+    elif kind in ("key-past-the-end", "key-objective"):
+        # an empty row before the offender's: its row is found from row_starts
+        rows += [({}, ">=", 0.0, "empty"), ({0: 1.0, 1: 1.0}, ">=", 0.0, "late"), ({7: 1.0}, ">=", 0.0)]
+    return program_of(variables, objective, rows)
 
 
 @pytest.mark.parametrize(
@@ -382,46 +366,40 @@ def program_with_offenders(kind: str) -> LinearProgram:
         ("crossed", "variable 'a' has lower 2.0 > upper 1.0"),
         ("relation", "row 1: unknown relation '=<'"),
         ("rhs", "cap: non-finite rhs inf"),
-        ("key-float", "cap: key 1.5 is not a column position in [0, 1)"),
         ("key-negative", "cap: key -1 is not a column position in [0, 1)"),
-        ("key-bool", "cap: key True is not a column position in [0, 1)"),
+        ("key-past-the-end", "late: key 1 is not a column position in [0, 1)"),
+        ("key-objective", "objective: key 2 is not a column position in [0, 1)"),
     ],
 )
 def test_solve_lp_names_the_first_offender(kind, message):
-    # the array checks find that a program is malformed; the walk names its
-    # first offender, in column, then row, then entry order
+    # the array checks find that a program is malformed; the search names its
+    # first offender: bounds in column order, then relations and rhs in row
+    # order, then positions, the objective's before the rows'
     with pytest.raises(LpFormatError) as raised:
         solve_lp(program_with_offenders(kind))
     assert str(raised.value) == message
 
 
 def test_the_objective_takes_each_column_once():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 1.0, cost=1.0)
-    lp.add_costs([x], [2.0])
+    lp = program_of([LpVariable("x", 0.0, 1.0)], {0: 1.0})
+    lp.add_costs([0], [2.0])
     with pytest.raises(LpFormatError, match=r"^objective: column 0 appears twice$"):
         solve_lp(lp)
-    with pytest.raises(LpFormatError, match="integers"):
-        lp.add_costs([0.5], [1.0])
 
 
 def test_repeated_solves_are_bit_identical():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 9.0, cost=-2.0)
-    y = lp.add_variable("y", 0.0, 9.0, cost=-3.0)
-    lp.add_constraint({x: 2.0, y: 1.0}, "<=", 10.0)
-    lp.add_constraint({x: 1.0, y: 3.0}, "<=", 15.0)
+    lp = textbook(upper=9.0)
     first = solve_lp(lp)
     second = solve_lp(lp)
     assert first == second
 
 
 def test_optimal_solutions_pass_independent_residual_check():
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 9.0, cost=1.0)
-    y = lp.add_variable("y", -3.0, 9.0, cost=1.0)
-    lp.add_constraint({x: 1.0, y: 2.0}, ">=", 4.0, name="floor")
-    lp.add_constraint({x: 1.0, y: -1.0}, "<=", 6.0)
+    lp = program_of(
+        [LpVariable("x", 0.0, 9.0), LpVariable("y", -3.0, 9.0)],
+        {0: 1.0, 1: 1.0},
+        [({0: 1.0, 1: 2.0}, ">=", 4.0, "floor"), ({0: 1.0, 1: -1.0}, "<=", 6.0)],
+    )
     solution = solve_lp(lp)
     residuals = constraint_residuals(lp, solution.values)
     assert max(residuals.values()) < 1e-6
@@ -431,15 +409,19 @@ def test_optimal_solutions_pass_independent_residual_check():
 @st.composite
 def tiny_programs(draw):
     n_vars = draw(st.integers(2, 4))
-    lp = LinearProgram()
+    variables, objective = [], {}
     for k in range(n_vars):
-        lp.add_variable(f"v{k}", 0.0, 2.0, cost=float(draw(st.integers(-3, 3))))
+        variables.append(LpVariable(f"v{k}", 0.0, 2.0))
+        cost = float(draw(st.integers(-3, 3)))
+        if cost != 0.0:
+            objective[k] = cost
+    rows = []
     for _ in range(draw(st.integers(1, 3))):
         coeffs = {k: float(draw(st.integers(-2, 2))) for k in range(n_vars)}
         relation = draw(st.sampled_from(["<=", ">=", "="]))
         rhs = float(draw(st.integers(0, 4)))
-        lp.add_constraint(coeffs, relation, rhs)
-    return lp
+        rows.append((coeffs, relation, rhs))
+    return program_of(variables, objective, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,11 +439,9 @@ def test_solver_feasibility_and_oracle_dominance(lp):
 
 def bounded_at_optimum() -> tuple[_Simplex, int]:
     """A solved simplex whose x sits at its upper bound 2, and x's basis row."""
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 2.0, cost=-1.0)
-    simplex = _Simplex(lp)
-    assert simplex.solve().values[x] == 2.0
-    row = int(np.flatnonzero(simplex.basis == x)[0])  # column k is standard column k
+    simplex = _Simplex(program_of([LpVariable("x", 0.0, 2.0)], {0: -1.0}))
+    assert simplex.solve().values == [2.0]
+    row = int(np.flatnonzero(simplex.basis == 0)[0])  # column k is standard column k
     return simplex, row
 
 
@@ -481,9 +461,8 @@ def test_extract_refuses_drift_beyond_tolerance():
 def test_extract_names_the_first_column_drifted_beyond_tolerance():
     # x drifts within tolerance and is clamped; y and z drift beyond it, and
     # y, the first in column order, is named with its value as a plain float
-    lp = LinearProgram()
-    for name, upper in (("x", 2.0), ("y", 3.0), ("z", 4.0)):
-        lp.add_variable(name, 0.0, upper, cost=-1.0)
+    variables = [LpVariable(name, 0.0, upper) for name, upper in (("x", 2.0), ("y", 3.0), ("z", 4.0))]
+    lp = program_of(variables, dict.fromkeys(range(3), -1.0))
     simplex = _Simplex(lp)
     assert simplex.solve().values == [2.0, 3.0, 4.0]
     rows = [int(np.flatnonzero(simplex.basis == k)[0]) for k in range(3)]
@@ -502,19 +481,20 @@ def standard_form_programs(draw):
     without an upper bound; rows of every relation with negative, signed-zero
     and positive rhs and zero coefficients."""
     n_vars = draw(st.integers(1, 6))
-    lp = LinearProgram()
+    variables, objective = [], {}
     for k in range(n_vars):
         lower = draw(FINITE)
         upper = lower + draw(st.sampled_from([0.0, 1.0, 2.5, math.inf]))
-        col = lp.add_variable(f"x{k}", lower, upper)
+        variables.append(LpVariable(f"x{k}", lower, upper))
         if draw(st.booleans()):
-            lp.set_cost(col, draw(COEFFICIENTS))  # signed zeros too, which add_variable drops
+            objective[k] = draw(COEFFICIENTS)  # signed zeros too
+    rows = []
     for _ in range(draw(st.integers(0, 5))):
         row = draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=n_vars, unique=True))
         relation = draw(st.sampled_from(["<=", "=", ">="]))
         rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
-        lp.add_constraint({col: draw(COEFFICIENTS) for col in row}, relation, rhs)
-    return lp
+        rows.append(({col: draw(COEFFICIENTS) for col in row}, relation, rhs))
+    return program_of(variables, objective, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -541,16 +521,16 @@ def wide_programs(draw):
     and an equality row at 0 keeps the sign of the drawn zero."""
     n_rows = draw(st.integers(20, 60))
     n_vars = draw(st.integers(n_rows // 2, n_rows + 10))
-    lp = LinearProgram()
+    variables, objective = [], {}
     coeffs: list[dict[int, float]] = [{} for _ in range(n_rows)]
-    for k in range(n_vars):
+    for col in range(n_vars):
         lower = draw(FINITE)
-        col = lp.add_variable(f"x{k}", lower, lower + draw(st.sampled_from([1.0, 2.5, 4.0, math.inf])))
-        lp.set_cost(col, draw(COEFFICIENTS))
+        variables.append(LpVariable(f"x{col}", lower, lower + draw(st.sampled_from([1.0, 2.5, 4.0, math.inf]))))
+        objective[col] = draw(COEFFICIENTS)
         for row in draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=3, unique=True)):
             coeffs[row][col] = draw(COEFFICIENTS)
     feasible = draw(st.integers(0, 3)) > 0
-    variables = lp.variables
+    rows = []
     for row in coeffs:
         relation = draw(st.sampled_from(["<=", "=", ">="]))
         rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
@@ -558,8 +538,8 @@ def wide_programs(draw):
             at_lower = sum(c * variables[col].lower for col, c in row.items())
             offset = 0.0 * rhs if relation == "=" else abs(rhs) if relation == "<=" else -abs(rhs)
             rhs = offset if at_lower == 0.0 else at_lower + offset
-        lp.add_constraint(dict(sorted(row.items())), relation, rhs)
-    return lp
+        rows.append((dict(sorted(row.items())), relation, rhs))
+    return program_of(variables, objective, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -620,9 +600,7 @@ def test_a_solve_inverts_a_basis_only_to_refactorize(monkeypatch):
         return inverse(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
-    lp = LinearProgram()
-    x = lp.add_variable("x", 0.0, 9.0, cost=1.0)
-    lp.add_constraint({x: 1.0}, ">=", 7.0)
+    lp = program_of([LpVariable("x", 0.0, 9.0)], {0: 1.0}, [({0: 1.0}, ">=", 7.0)])
     for program in (lp, study1_centralized_lp(3)):
         solution = solve_lp(program)
         assert 0 < solution.pivots < 150

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +52,7 @@ from tests.oracles import (
     bits,
     brute_force_verify,
     constraint_residuals,
+    highs,
     layout_of,
     reference_build,
     reference_build_centralized,
@@ -711,34 +711,6 @@ def test_the_array_builder_gives_the_dict_reference_program(inputs, agent_table)
         for kwh in (0.0, 1.0, 40.0):
             offer = (partner_id, kwh)
             assert table.offer_can_improve(prices, offer, 1e-9) == reference.offer_can_improve(prices, offer, 1e-9)
-
-
-def highs(lp):
-    """``scipy.optimize.linprog(method="highs")`` on a LinearProgram, as an independent oracle."""
-    optimize = pytest.importorskip("scipy.optimize")
-    n_cols = len(lp.variables)
-    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: >= rows are negated
-    signed = {"<=": [], "=": []}
-    for row in lp.constraints:
-        sign = -1.0 if row.relation == ">=" else 1.0
-        signed["=" if row.relation == "=" else "<="].append((row, sign))
-
-    def matrix(rows):
-        out = np.zeros((len(rows), n_cols))
-        for i, (row, sign) in enumerate(rows):
-            for col, c in row.coeffs.items():
-                out[i, col] = sign * c
-        return out if rows else None
-
-    return optimize.linprog(
-        [lp.objective.get(col, 0.0) for col in range(n_cols)],
-        A_ub=matrix(signed["<="]),
-        b_ub=[sign * row.rhs for row, sign in signed["<="]] or None,
-        A_eq=matrix(signed["="]),
-        b_eq=[row.rhs for row, _ in signed["="]] or None,
-        bounds=[(v.lower, None if math.isinf(v.upper) else v.upper) for v in lp.variables],
-        method="highs",
-    )
 
 
 @settings(max_examples=60, deadline=None)
