@@ -206,7 +206,10 @@ class LinearProgram:
 
 
 def _positions(cols) -> np.ndarray:
-    """A builder's column positions as intp; any dtype but an integer one is refused."""
+    """A builder's column positions as intp; a float, bool or str position is refused."""
+    # np.asarray([0, True]) is an integer array, so a list's items are checked first
+    if not isinstance(cols, np.ndarray) and any(isinstance(c, (bool, np.bool_)) for c in cols):
+        raise LpFormatError("column positions must be integers, got a bool")
     cols = np.asarray(cols)
     if cols.size and cols.dtype.kind not in "iu":
         raise LpFormatError(f"column positions must be integers, got {cols.dtype}")

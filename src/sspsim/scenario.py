@@ -246,7 +246,7 @@ def _objects(items: object, where: str) -> list[dict]:
     return items
 
 
-def _require_fields(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
+def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ScenarioFormatError(f"{where}: unknown field {unknown[0]!r}")
@@ -267,7 +267,7 @@ def _number(value: object, where: str) -> float:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioFormatError("top level must be an object")
-    _require_fields(
+    _require_keys(
         data,
         ("schema_version", "generator", "seed", "weights", "ssps", "connectivity", "line_constraints"),
         "scenario",
@@ -278,7 +278,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioFormatError(f"unsupported generator {data['generator']!r}")
 
     w = _object(data["weights"], "weights")
-    _require_fields(w, _WEIGHT_FIELDS, "weights")
+    _require_keys(w, _WEIGHT_FIELDS, "weights")
     if w["preference_mode"] != PREFERENCE_MODE:
         raise ScenarioFormatError(
             f"weights.preference_mode: unsupported value {w['preference_mode']!r}, expected {PREFERENCE_MODE!r};"
@@ -295,7 +295,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     ssps: list[SSPConfig] = []
     for k, entry in enumerate(_objects(data["ssps"], "ssps")):
-        _require_fields(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
+        _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
         consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
         producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
         prefs = {
@@ -314,7 +314,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         constraints = []
         for k, lc in enumerate(_objects(data["line_constraints"], "line_constraints")):
             where = f"line_constraints[{k}]"
-            _require_fields(lc, ("row", "col", "min_kwh", "max_kwh"), where)
+            _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), where)
             bounds = [_number(lc[name], f"{where}.{name}") for name in ("min_kwh", "max_kwh")]
             constraints.append(LineConstraint(str(lc["row"]), str(lc["col"]), *bounds))
         lines = LineConstraintSet(tuple(constraints))
@@ -326,7 +326,7 @@ def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) 
     """The consumers or producers of one SSP entry; the ``fields`` after id and kind are numbers."""
     subscribers = []
     for sub in _objects(items, where):
-        _require_fields(sub, fields, f"{role} {sub.get('id')!r}")
+        _require_keys(sub, fields, f"{role} {sub.get('id')!r}")
         kind = _kind(sub["kind"], sub["id"])
         numbers = [_number(sub[name], f"{role} {sub['id']}.{name}") for name in fields[2:]]
         subscribers.append(Subscriber(str(sub["id"]), kind, *numbers))

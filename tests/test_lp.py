@@ -307,16 +307,18 @@ def test_names_are_labels_not_identities():
 
 
 @pytest.mark.parametrize("key", [1.5, True, "y"], ids=["float", "bool", "name"])
+@pytest.mark.parametrize("shape", ["mixed-list", "array"])
 @pytest.mark.parametrize("where", ["objective", "row"])
-def test_the_builders_refuse_a_position_that_is_not_an_integer(key, where):
-    # numpy indexing would truncate 1.5 to column 1 and read True as 1; a
-    # refused call appends nothing
+def test_the_builders_refuse_a_position_that_is_not_an_integer(key, shape, where):
+    # numpy indexing would truncate 1.5 to column 1 and read True as 1, and a
+    # list [0, True] converts to an integer array; a refused call appends nothing
     lp = program_of([LpVariable("x"), LpVariable("y")], {0: 1.0}, [({0: 1.0, 1: 1.0}, "<=", 1.0, "ok")])
+    cols = [0, key] if shape == "mixed-list" else np.array([key, key])
     with pytest.raises(LpFormatError, match="integers"):
         if where == "objective":
-            lp.add_costs([key], [1.0])
+            lp.add_costs(cols, [1.0, 1.0])
         else:
-            lp.add_rows(["cap"], ["<="], [1.0], [1], [key], [1.0])
+            lp.add_rows(["cap"], ["<="], [1.0], [2], cols, [1.0, 1.0])
     assert (lp.objective, len(lp.constraints), lp.entry_cols.tolist()) == ({0: 1.0}, 1, [0, 1])
 
 
