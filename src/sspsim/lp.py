@@ -2,10 +2,11 @@
 two-phase revised simplex.
 
 A program minimises a linear cost over variables that each have a finite
-lower bound (the upper bound may be +inf), subject to ``<=``, ``=`` and
-``>=`` rows. Every quantity the matching LP decides is non-negative, so a
-variable without a finite lower bound is rejected, and each variable is one
-standard column shifted by its lower bound.
+lower bound (the upper bound may be +inf), subject to ``<=`` and ``=`` rows;
+a ``>=`` row is written as its negated ``<=`` row. Every quantity the
+matching LP decides is non-negative, so a variable without a finite lower
+bound is rejected, and each variable is one standard column shifted by its
+lower bound.
 
 The solver is a pure function of its input. Identical programs yield
 bit-identical solutions: entering columns follow Dantzig's rule with
@@ -19,8 +20,8 @@ baseline (1,220 rows x 22,020 columns) it is 99.8% zeros. The basis inverse
 is a dense m x m array, updated per pivot and refactorised from the basis
 columns every 150 pivots (the revised simplex of Chvatal, *Linear
 Programming*, ch. 7). A solve starts from B^-1 = I and x_B = b: the crash
-basis is exactly I (each crash column is scaled to 1, each artificial is a
-unit column), so no inverse is taken until the first refactorization.
+basis is exactly I (each crash column is a unit column, and so is each
+artificial), so no inverse is taken until the first refactorization.
 
 A pivot changes only the rows of B^-1 where the FTRAN column ``direction``
 is nonzero, and on the matching LPs that is a few rows (a median of 2 of
@@ -39,18 +40,11 @@ one.
 
 FTRAN multiplies B^-1 by the entering column scattered into a dense
 vector: that is the product the dense reference in ``tests/oracles.py``
-computes, so B^-1 and x_B follow it bit for bit. (A
-product over the column's entries alone sums in another order, and on
-columns with inexact entries it differs in the last bit.) Pricing sums each
-column's terms y_r a_rj in row order, where the dense product y A leaves
-the order to BLAS. Most columns of the matching LPs have one or two
-entries, each +-1: every product is then exact, and a sum of at most two
-exact terms is the same float in any order, fused multiply-add included. A
-local producer's column also has an entry in the export-reservation row;
-there, and on a general program, a reduced cost may differ from the dense
-one in the last bit, which changes the entering column only where two
-reduced costs tie to the last bit. The reference tests and the benchmark's
-digests check that the pivots stay the same. There is no sparse
+computes, so B^-1 and x_B follow it bit for bit. (A product over the
+column's entries alone sums in another order, and on columns with inexact
+entries it differs in the last bit.) Pricing sums each column's terms
+y_r a_rj in row order, and so does the reference, so both price every
+column to the same float and take the same pivots. There is no sparse
 factorisation and no MILP (binary connectivity is data, never a decision
 variable).
 
@@ -75,10 +69,10 @@ are labels, used only in messages.
 
 An optimal solution also carries ``duals``, one per row in row order:
 y = c_B B^-1 at the phase-2 optimum, mapped back through the row
-negations and crash scalings of the standard form. They keep the sign
-convention of a minimisation (at most 0 on a ``<=`` row, at least 0 on a
-``>=`` row), and a row dropped as redundant gets 0. With reduced costs
-rc_j = c_j - sum_r y_r a_rj over these rows alone, the objective equals
+negations of the standard form. They keep the sign convention of a
+minimisation (at most 0 on a ``<=`` row), and a row dropped as redundant
+gets 0. With reduced costs rc_j = c_j - sum_r y_r a_rj over these rows
+alone, the objective equals
 sum_r y_r b_r + sum_j (l_j max(rc_j, 0) + u_j min(rc_j, 0)); an upper bound
 acts as the bound-row dual min(rc_j, 0), so a column with u_j = +inf has
 rc_j >= 0.
@@ -101,9 +95,8 @@ FEAS_TOL = 1e-6
 
 LESS_EQUAL = "<="
 EQUAL = "="
-GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
-_SLACK_SIGN = {EQUAL: 0.0, LESS_EQUAL: 1.0, GREATER_EQUAL: -1.0}
+_RELATIONS = (LESS_EQUAL, EQUAL)
+_SLACK_SIGN = {EQUAL: 0.0, LESS_EQUAL: 1.0}
 
 
 class LpFormatError(ValueError):
@@ -279,13 +272,14 @@ class _Simplex:
 
     Standardisation: column k becomes standard column k, y = x - lower >= 0;
     finite upper bounds become extra <= rows, and all constraints become
-    equalities with slack columns. A crash pass seats any positive singleton
-    column as a row's starting basis; only rows left without one get an
-    artificial column minimised in phase 1.
+    equalities with slack columns. A row with a negative rhs is negated. A
+    crash pass starts each row on its first unit column (one entry, +1 in
+    the standardised row); only rows without one get an artificial column
+    minimised in phase 1.
 
     Standard row i is original row i (constraints, then bound rows) divided
-    by ``row_divisor[i]``; ``row_ids`` names the original row of each row
-    still in the store, as phase 1 may drop redundant ones.
+    by its sign ``row_divisor[i]``, -1 or 1; ``row_ids`` names the original
+    row of each row still in the store, as phase 1 may drop redundant ones.
 
     The standard form is a column store: column j holds the entries
     ``data[indptr[j]:indptr[j + 1]]`` in rows ``row_ix[...]``, in row order,
@@ -331,43 +325,26 @@ class _Simplex:
         row_sign = np.where(b < 0, -1.0, 1.0)
         b *= row_sign
 
-        # crash basis: any positive singleton column serves as a row's start
-        # (its own slack, or e.g. an unbounded purchase variable), which often
-        # removes phase 1 entirely; the first such column by index wins, and a
-        # zero-rhs row with only negative singletons is negated to use one
+        # crash basis: a row starts on its first unit column, one whose only
+        # entry is +1 once the row's sign is applied (its own slack, or e.g.
+        # an unbounded purchase variable), which often removes phase 1
+        # entirely; a row without one gets an artificial
         nonzero = vals != 0.0
-        single = nonzero & (np.bincount(cols[nonzero], minlength=n_real)[cols] == 1)
-        s_rows, s_cols, s_vals = rows[single], cols[single], vals[single] * row_sign[rows[single]]
+        unit = (vals * row_sign[rows] == 1.0) & (np.bincount(cols[nonzero], minlength=n_real)[cols] == 1)
         pick = np.full(m, n_real)
-        np.minimum.at(pick, s_rows[s_vals > 0.0], s_cols[s_vals > 0.0])
-        has_single = np.zeros(m, dtype=bool)
-        has_single[s_rows] = True
-        flip = (pick == n_real) & (b == 0.0) & has_single
-        if flip.any():
-            row_sign[flip] *= -1.0
-            first_neg = np.full(m, n_real)
-            np.minimum.at(first_neg, s_rows[s_vals < 0.0], s_cols[s_vals < 0.0])
-            pick[flip] = first_neg[flip]
-        picked = pick < n_real
-        value_at = np.zeros(n_real + 1)
-        value_at[s_cols] = s_vals
-        scale = np.where(flip, -1.0, 1.0) * value_at[pick]
-        scaled = picked & (scale != 1.0)
-        b[scaled] /= scale[scaled]
-
-        art_rows = np.flatnonzero(~picked)
+        np.minimum.at(pick, rows[unit], cols[unit])
+        art_rows = np.flatnonzero(pick == n_real)
         self.basis = pick
         self.basis[art_rows] = n_real + np.arange(art_rows.size)
         self.art_cols = self.basis[art_rows].astype(int)
-        divisor = np.where(scaled, row_sign * scale, row_sign)
-        self.row_divisor = divisor
+        self.row_divisor = row_sign
 
-        # the column store: each real entry divided by its row's divisor, the
+        # the column store: each real entry divided by its row's sign, the
         # artificials' unit entries appended; within a column the triplets
         # are already in row order, so a stable sort by column is enough
         rows = np.concatenate([rows, art_rows])
         cols = np.concatenate([cols, self.art_cols])
-        vals = np.concatenate([vals / divisor[rows[: vals.size]], np.ones(art_rows.size)])
+        vals = np.concatenate([vals / row_sign[rows[: vals.size]], np.ones(art_rows.size)])
         order = np.argsort(cols, kind="stable")
         self.row_ix, self.col_ix, self.data = rows[order], cols[order], vals[order]
         n_cols = n_real + art_rows.size
@@ -556,7 +533,7 @@ class _Simplex:
         return LpSolution(LpStatus.OPTIMAL, x.tolist(), objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:
-        """y = c_B B^-1 per row of ``constraints``, undoing each row's divisor; 0 on a dropped row."""
+        """y = c_B B^-1 per row of ``constraints``, undoing each row's sign; 0 on a dropped row."""
         y = self.cost[self.basis] @ self.binv
         duals = np.zeros(self.row_divisor.size)
         duals[self.row_ids] = y / self.row_divisor[self.row_ids]

@@ -212,11 +212,6 @@ class _BuildInfo:
         start = self.cut_cols.stop
         return range(start, start + self.stretch_of.size)
 
-    def pairs(self) -> list[tuple[str, str]]:
-        """(consumer id, supplier id) of each cm column."""
-        consumers, suppliers = self.consumer_ids, self.supplier_ids
-        return [(consumers[k], suppliers[j]) for k, j in zip(self.cm_consumer.tolist(), self.cm_supplier.tolist())]
-
 
 def _bounds(line: LineConstraint) -> tuple[float, float]:
     return max(0.0, line.min_kwh), line.max_kwh

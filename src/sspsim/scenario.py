@@ -255,6 +255,12 @@ def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ScenarioFormatError(f"{where}: missing field {missing[0]!r}")
 
 
+def _string(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioFormatError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
@@ -302,7 +308,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             str(consumer_id): dict(_object(cols, f"preferences[{consumer_id}]"))
             for consumer_id, cols in _object(entry["preferences"], f"ssps[{k}].preferences").items()
         }
-        ssps.append(SSPConfig(str(entry["id"]), consumers, producers, PreferenceTable(prefs)))
+        ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, PreferenceTable(prefs)))
 
     rows = {
         str(row_id): dict(_object(cols, f"connectivity[{row_id}]"))
@@ -315,8 +321,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         for k, lc in enumerate(_objects(data["line_constraints"], "line_constraints")):
             where = f"line_constraints[{k}]"
             _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), where)
+            ends = [_string(lc[name], f"{where}.{name}") for name in ("row", "col")]
             bounds = [_number(lc[name], f"{where}.{name}") for name in ("min_kwh", "max_kwh")]
-            constraints.append(LineConstraint(str(lc["row"]), str(lc["col"]), *bounds))
+            constraints.append(LineConstraint(*ends, *bounds))
         lines = LineConstraintSet(tuple(constraints))
 
     return Scenario(tuple(ssps), ConnectivityMatrix(rows), weights, lines, data["seed"])
@@ -325,11 +332,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) -> tuple[Subscriber, ...]:
     """The consumers or producers of one SSP entry; the ``fields`` after id and kind are numbers."""
     subscribers = []
-    for sub in _objects(items, where):
+    for k, sub in enumerate(_objects(items, where)):
         _require_keys(sub, fields, f"{role} {sub.get('id')!r}")
-        kind = _kind(sub["kind"], sub["id"])
-        numbers = [_number(sub[name], f"{role} {sub['id']}.{name}") for name in fields[2:]]
-        subscribers.append(Subscriber(str(sub["id"]), kind, *numbers))
+        sub_id = _string(sub["id"], f"{where}[{k}].id")
+        kind = _kind(sub["kind"], sub_id)
+        numbers = [_number(sub[name], f"{role} {sub_id}.{name}") for name in fields[2:]]
+        subscribers.append(Subscriber(sub_id, kind, *numbers))
     return tuple(subscribers)
 
 

@@ -12,7 +12,6 @@ from sspsim.coalition import CoalitionSet
 from sspsim.lp import (
     EQUAL,
     FEAS_TOL,
-    GREATER_EQUAL,
     LESS_EQUAL,
     PIVOT_TOL,
     LinearProgram,
@@ -76,8 +75,6 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
             lhs += c * points[col]
         if row.relation == LESS_EQUAL:
             feasible &= lhs <= row.rhs + FEAS_TOL
-        elif row.relation == GREATER_EQUAL:
-            feasible &= lhs >= row.rhs - FEAS_TOL
         else:
             feasible &= np.abs(lhs - row.rhs) <= FEAS_TOL
     if not feasible.any():
@@ -104,8 +101,6 @@ def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, fl
         lhs = sum(c * values[col] for col, c in row.coeffs.items())
         if row.relation == LESS_EQUAL:
             violation = lhs - row.rhs
-        elif row.relation == GREATER_EQUAL:
-            violation = row.rhs - lhs
         else:
             violation = abs(lhs - row.rhs)
         out[row.name or f"row {idx}"] = max(violation, 0.0)
@@ -116,25 +111,24 @@ def highs(lp):
     """``scipy.optimize.linprog(method="highs")`` on a LinearProgram, as an independent oracle."""
     optimize = pytest.importorskip("scipy.optimize")
     n_cols = len(lp.variables)
-    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: >= rows are negated
-    signed = {"<=": [], "=": []}
+    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq
+    by_relation = {LESS_EQUAL: [], EQUAL: []}
     for row in lp.constraints:
-        sign = -1.0 if row.relation == ">=" else 1.0
-        signed["=" if row.relation == "=" else "<="].append((row, sign))
+        by_relation[row.relation].append(row)
 
     def matrix(rows):
         out = np.zeros((len(rows), n_cols))
-        for i, (row, sign) in enumerate(rows):
+        for i, row in enumerate(rows):
             for col, c in row.coeffs.items():
-                out[i, col] = sign * c
+                out[i, col] = c
         return out if rows else None
 
     return optimize.linprog(
         [lp.objective.get(col, 0.0) for col in range(n_cols)],
-        A_ub=matrix(signed["<="]),
-        b_ub=[sign * row.rhs for row, sign in signed["<="]] or None,
-        A_eq=matrix(signed["="]),
-        b_eq=[row.rhs for row, _ in signed["="]] or None,
+        A_ub=matrix(by_relation[LESS_EQUAL]),
+        b_ub=[row.rhs for row in by_relation[LESS_EQUAL]] or None,
+        A_eq=matrix(by_relation[EQUAL]),
+        b_eq=[row.rhs for row in by_relation[EQUAL]] or None,
         bounds=[(v.lower, None if math.isinf(v.upper) else v.upper) for v in lp.variables],
         method="highs",
     )
@@ -146,12 +140,13 @@ class ReferenceSimplex(_Simplex):
     One variable, one row and one crash row at a time: the straightforward
     reading of the standard form that ``_Simplex`` builds with array
     operations. Both must give the same matrix, rhs, cost, crash basis,
-    artificial columns and row divisors, hence the same pivots, solution and
+    artificial columns and row signs, hence the same pivots, solution and
     duals. The standard form is the dense matrix ``a`` that ``_Simplex``
     keeps as a column store, and the basis matrix, FTRAN and the drive-out
-    of artificials read it whole. The pivot loop is the plain one that
-    ``_Simplex._iterate`` was tuned from. Values are clamped into their
-    bounds without a drift check.
+    of artificials read it whole; y A sums each column in row order
+    (``_row_order_product``), as ``_Simplex`` prices. The pivot loop is the
+    plain one that ``_Simplex._iterate`` was tuned from. Values are clamped
+    into their bounds without a drift check.
     """
 
     def _standardise(self) -> None:
@@ -185,36 +180,21 @@ class ReferenceSimplex(_Simplex):
             if rel == LESS_EQUAL:
                 a[i, slack_col] = 1.0
                 slack_col += 1
-            elif rel == GREATER_EQUAL:
-                a[i, slack_col] = -1.0
-                slack_col += 1
         neg = b < 0
         a[neg] *= -1.0
         b[neg] *= -1.0
-        # what each row ends up divided by, for the duals
+        # the sign each row ends up divided by, for the duals
         self.row_divisor = np.where(neg, -1.0, 1.0)
 
-        # crash basis: any positive singleton column serves as a row's start
-        # (its own slack, or e.g. an unbounded purchase variable), which often
-        # removes phase 1 entirely
+        # crash basis: a row starts on its first unit column, one whose only
+        # entry is this row's +1 (its own slack, or e.g. an unbounded
+        # purchase variable); a row without one gets an artificial
         self.basis = np.full(m, -1, dtype=int)
         col_counts = (a != 0.0).sum(axis=0)
         for i in range(m):
-            row_nonzero = np.flatnonzero(a[i])
-            singles = row_nonzero[col_counts[row_nonzero] == 1]
-            pick = singles[a[i, singles] > 0.0]
-            if pick.size == 0 and b[i] == 0.0 and singles.size:
-                a[i] *= -1.0
-                self.row_divisor[i] *= -1.0
-                pick = singles[a[i, singles] > 0.0]
-            if pick.size:
-                j = int(pick[0])
-                scale = a[i, j]
-                if scale != 1.0:
-                    a[i] /= scale
-                    b[i] /= scale
-                    self.row_divisor[i] *= scale
-                self.basis[i] = j
+            units = np.flatnonzero((a[i] == 1.0) & (col_counts == 1))
+            if units.size:
+                self.basis[i] = int(units[0])
         n_art = int(np.sum(self.basis < 0))
         art_cols: list[int] = []
         full = np.zeros((m, a.shape[1] + n_art))
@@ -247,7 +227,7 @@ class ReferenceSimplex(_Simplex):
         pivots = 0
         objective = float(cost[self.basis] @ self.xb)
         while pivots < max_pivots:
-            reduced = cost[:allowed] - (cost[self.basis] @ self.binv) @ self.a[:, :allowed]
+            reduced = cost[:allowed] - _row_order_product(cost[self.basis] @ self.binv, self.a[:, :allowed])
             if bland:
                 candidates = np.flatnonzero(reduced < -PIVOT_TOL)
                 if candidates.size == 0:
@@ -302,7 +282,7 @@ class ReferenceSimplex(_Simplex):
         for i in range(self.a.shape[0]):
             if self.basis[i] not in art:
                 continue
-            row = self.binv[i] @ self.a[:, : self.n_real]
+            row = _row_order_product(self.binv[i], self.a[:, : self.n_real])
             nonzero = np.flatnonzero(np.abs(row) > PIVOT_TOL)
             if nonzero.size == 0:
                 # the artificial's own row, wherever phase 1 left its basis slot, is redundant
@@ -345,6 +325,14 @@ class ReferenceSimplex(_Simplex):
         return LpSolution(LpStatus.OPTIMAL, values, objective, duals, self.pivots)
 
 
+def _row_order_product(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """y A, each column's terms added to 0.0 in row order, as ``_Simplex`` prices its column store."""
+    total = np.zeros(a.shape[1])
+    for term in y[:, None] * a:
+        total += term
+    return total
+
+
 def _outcome(simplex: _Simplex) -> LpSolution | type[Exception]:
     try:
         return simplex.solve()
@@ -379,28 +367,21 @@ def assert_store_holds(ref: ReferenceSimplex, new: _Simplex) -> None:
     assert not ref.a[off_pattern].any()
 
 
-def assert_standard_forms_alike(lp: LinearProgram) -> tuple[ReferenceSimplex, _Simplex]:
-    """``_Simplex`` and ``ReferenceSimplex`` build the same standard form: rhs, cost,
-    crash basis, artificial columns, row divisors and (``assert_store_holds``)
-    matrix, bit for bit. Returns both, unsolved."""
-    ref, new = ReferenceSimplex(lp), _Simplex(lp)
-    _assert_arrays_alike(ref, new, ("b", "cost", "basis", "art_cols", "row_divisor"))
-    assert_store_holds(ref, new)
-    return ref, new
-
-
 def assert_standardised_alike(lp: LinearProgram) -> None:
     """``_Simplex`` and ``ReferenceSimplex`` build the same standard form and take the same pivots.
 
-    Arrays must agree in shape, dtype and bytes, so a zero that changed sign
-    counts as a difference; the column store must hold the reference's dense
-    matrix (``assert_store_holds``), before the solve and after it, when
-    phase 1 may have dropped rows. The solutions (or the error raised) must
-    be equal, duals and pivot counts included, and so must the final basis,
-    its inverse and the basic values, which any step off the reference pivot
+    The rhs, cost, crash basis, artificial columns and row signs must agree
+    in shape, dtype and bytes, so a zero that changed sign counts as a
+    difference; the column store must hold the reference's dense matrix
+    (``assert_store_holds``), before the solve and after it, when phase 1
+    may have dropped rows. The solutions (or the error raised) must be
+    equal, duals and pivot counts included, and so must the final basis, its
+    inverse and the basic values, which any step off the reference pivot
     path would change.
     """
-    ref, new = assert_standard_forms_alike(lp)
+    ref, new = ReferenceSimplex(lp), _Simplex(lp)
+    _assert_arrays_alike(ref, new, ("b", "cost", "basis", "art_cols", "row_divisor"))
+    assert_store_holds(ref, new)
     assert _outcome(ref) == _outcome(new)
     _assert_arrays_alike(ref, new, ("basis", "binv", "xb", "row_ids"))
     assert_store_holds(ref, new)
@@ -410,7 +391,7 @@ def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float 
     """The duals of an optimal solution have the right signs and prove its objective.
 
     Recomputed from the raw program, never from solver internals: y_r <= 0 on
-    a ``<=`` row and y_r >= 0 on a ``>=`` row; with reduced costs
+    a ``<=`` row; with reduced costs
     rc_j = c_j - sum_r y_r a_rj, a column without an upper bound has
     rc_j >= 0; and strong duality in bounded form,
     sum_r y_r b_r + sum_j (l_j max(rc_j, 0) + u_j min(rc_j, 0)) = objective.
@@ -423,8 +404,6 @@ def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float 
     for row, y in zip(lp.constraints, duals):
         if row.relation == LESS_EQUAL:
             assert y <= tol * scale, (row.name, y)
-        elif row.relation == GREATER_EQUAL:
-            assert y >= -tol * scale, (row.name, y)
     reduced = [lp.objective.get(col, 0.0) for col in range(len(lp.variables))]
     terms = []
     for row, y in zip(lp.constraints, duals):
@@ -807,8 +786,9 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
 
 def layout_of(info) -> dict:
     """A ``matching._BuildInfo`` in the form of the reference builders' layout."""
+    consumers, suppliers = info.consumer_ids, info.supplier_ids
     return {
-        "pairs": info.pairs(),
+        "pairs": [(consumers[k], suppliers[j]) for k, j in zip(info.cm_consumer.tolist(), info.cm_supplier.tolist())],
         "purchase_cols": list(info.purchase_cols),
         "cut_cols": dict(zip((info.consumer_ids[k] for k in info.cut_of.tolist()), info.cut_cols)),
         "stretch_cols": dict(zip((info.supplier_ids[j] for j in info.stretch_of.tolist()), info.stretch_cols)),
@@ -842,15 +822,12 @@ def views(lp: LinearProgram) -> list:
 def assert_builds_alike(got: tuple[LinearProgram, object], want: tuple[LinearProgram, dict]) -> None:
     """An array-built program and its layout equal the reference's, bit for bit, and solve alike.
 
-    The standard form must be the reference's; the pivots are compared
-    between the two programs, not against ``ReferenceSimplex``: with an
-    export reservation a reduced cost may differ from the dense one in the
-    last bit (see the ``lp`` docstring), and on a tie the two loops can
-    enter different columns."""
+    The program follows ``ReferenceSimplex`` (``assert_standardised_alike``),
+    and its solution is the reference program's, bit for bit."""
     (lp, info), (ref_lp, ref_info) = got, want
     assert bits(views(lp)) == bits(views(ref_lp))
     assert bits(layout_of(info)) == bits(ref_info)
-    assert_standard_forms_alike(lp)
+    assert_standardised_alike(lp)
     solution, reference = solve_lp(lp), solve_lp(ref_lp)
     assert solution == reference and bits(solution.values) == bits(reference.values)
     assert bits([solution.objective, solution.duals]) == bits([reference.objective, reference.duals])

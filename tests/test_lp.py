@@ -46,12 +46,12 @@ OPT, INF = LpStatus.OPTIMAL, LpStatus.INFEASIBLE
     "rows, status",
     [
         ([], OPT),
-        ([(">=", 1.0)], INF),
+        ([("<=", -0.0)], OPT),
         ([("<=", -1.0)], INF),
         ([("=", 1.0)], INF),
         ([("=", -1.0)], INF),
-        ([("<=", 1.0), (">=", -1.0), ("=", 0.0), ("<=", 0.0), (">=", 0.0)], OPT),
-        ([("<=", 2.0), (">=", 0.5)], INF),
+        ([("<=", 1.0), ("<=", 1.0), ("=", 0.0), ("<=", 0.0), ("<=", -0.0)], OPT),
+        ([("<=", 2.0), ("<=", -0.5)], INF),
         ([("=", 0.0)], OPT),
         ([("=", -0.0)], OPT),
         ([("=", 0.0), ("=", 0.0)], OPT),
@@ -77,14 +77,14 @@ def test_symmetric_vertex_resolved_by_index():
 
 
 def test_infeasible_program_detected_by_both_routes():
-    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: 1.0}, ">=", 7.0)])
+    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: -1.0}, "<=", -7.0)])  # x >= 7
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
     assert brute_force_verify(lp, 0.5) == math.inf
 
 
-def textbook(relation: str = "<=", upper: float = math.inf) -> LinearProgram:
-    """min -2x - 3y over 2x + y <= 10, x + 3y <= 15, the first row written with ``relation``."""
-    sign = 1.0 if relation == "<=" else -1.0
+def textbook(relation: str = "<=", upper: float = math.inf, sign: float = 1.0) -> LinearProgram:
+    """min -2x - 3y over 2x + y <= 10, x + 3y <= 15, the first row written
+    with ``relation`` and multiplied by ``sign``."""
     return program_of(
         [LpVariable("x", 0.0, upper), LpVariable("y", 0.0, upper)],
         {0: -2.0, 1: -3.0},
@@ -92,12 +92,12 @@ def textbook(relation: str = "<=", upper: float = math.inf) -> LinearProgram:
     )
 
 
-@pytest.mark.parametrize("relation", ["<=", ">="])
-def test_duals_of_a_textbook_program(relation):
-    # optimum (3, 4) at -18, duals (-3/5, -4/5); written as -2x - y >= -10
-    # (a negated row in the standard form), the first dual flips sign
-    sign = 1.0 if relation == "<=" else -1.0
-    lp = textbook(relation)
+@pytest.mark.parametrize("relation, sign", [("<=", 1.0), ("=", 1.0), ("=", -1.0)], ids=["<=", "=", "=-negated"])
+def test_duals_of_a_textbook_program(relation, sign):
+    # optimum (3, 4) at -18, duals (-3/5, -4/5). The first row binds, so as
+    # an equality it has the same optimum and duals; written as
+    # -2x - y = -10 (a negated row in the standard form), its dual flips sign
+    lp = textbook(relation, sign=sign)
     solution = solve_lp(lp)
     assert solution.values == pytest.approx([3.0, 4.0])
     assert solution.duals == pytest.approx([-0.6 * sign, -0.8])
@@ -108,10 +108,11 @@ def test_pivots_count_phase_one_and_phase_two():
     # the textbook program starts at its all-slack crash basis: y enters,
     # then x, and the vertex (3, 4) is optimal
     assert solve_lp(textbook()).pivots == 2
-    # x >= 7 has no crash column: one phase-1 pivot seats x, and phase 2
-    # has nothing to improve; with x <= 5 phase 1 stops infeasible after it
+    # x >= 7, written -x <= -7, has no crash column: one phase-1 pivot seats
+    # x, and phase 2 has nothing to improve; with x <= 5 phase 1 stops
+    # infeasible after it
     for upper, status in ((9.0, LpStatus.OPTIMAL), (5.0, LpStatus.INFEASIBLE)):
-        lp = program_of([LpVariable("x", 0.0, upper)], {0: 1.0}, [({0: 1.0}, ">=", 7.0)])
+        lp = program_of([LpVariable("x", 0.0, upper)], {0: 1.0}, [({0: -1.0}, "<=", -7.0)])
         assert (solve_lp(lp).status, solve_lp(lp).pivots) == (status, 1)
     # the crash basis seats x at its bound 5, which is optimal: no pivot
     assert solve_lp(program_of([LpVariable("x", 0.0, 5.0)], {0: -1.0})).pivots == 0
@@ -243,7 +244,7 @@ def test_the_study2_baseline_is_standardised_without_a_dense_matrix():
 
 
 def test_non_optimal_solutions_carry_zero_duals():
-    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: 1.0}, ">=", 7.0), ({0: 1.0}, "<=", 9.0)])
+    lp = program_of([LpVariable("x", 0.0, 5.0)], {}, [({0: -1.0}, "<=", -7.0), ({0: 1.0}, "<=", 9.0)])
     assert solve_lp(lp).duals == [0.0, 0.0]
 
 
@@ -273,7 +274,7 @@ def test_transport_toy_matches_oracle():
 
 
 def test_oracle_never_beats_solver_on_coarse_grid():
-    lp = program_of([LpVariable("x", 0.0, 2.0)], {0: 1.0}, [({0: 1.0}, ">=", 0.3)])
+    lp = program_of([LpVariable("x", 0.0, 2.0)], {0: 1.0}, [({0: -1.0}, "<=", -0.3)])  # x >= 0.3
     solution = solve_lp(lp)
     oracle = brute_force_verify(lp, 0.5)
     assert solution.objective <= oracle + 1e-6
@@ -353,10 +354,10 @@ def program_with_offenders(kind: str) -> LinearProgram:
     elif kind == "rhs":
         rows += [({0: 1.0}, "<=", math.inf, "cap"), ({0: 1.0}, "!!", 1.0)]
     elif kind == "key-negative":
-        rows += [({0: 1.0, -1: 1.0}, ">=", 0.0, "cap"), ({7: 1.0}, ">=", 0.0)]
+        rows += [({0: 1.0, -1: 1.0}, "<=", 0.0, "cap"), ({7: 1.0}, "<=", 0.0)]
     elif kind in ("key-past-the-end", "key-objective"):
         # an empty row before the offender's: its row is found from row_starts
-        rows += [({}, ">=", 0.0, "empty"), ({0: 1.0, 1: 1.0}, ">=", 0.0, "late"), ({7: 1.0}, ">=", 0.0)]
+        rows += [({}, "<=", 0.0, "empty"), ({0: 1.0, 1: 1.0}, "<=", 0.0, "late"), ({7: 1.0}, "<=", 0.0)]
     return program_of(variables, objective, rows)
 
 
@@ -382,6 +383,13 @@ def test_solve_lp_names_the_first_offender(kind, message):
     assert str(raised.value) == message
 
 
+def test_solve_lp_refuses_a_greater_equal_row_naming_it():
+    # a >= row is written as its negated <= row
+    lp = program_of([LpVariable("x", 0.0, 9.0)], {0: 1.0}, [({0: 1.0}, "<=", 9.0), ({0: 1.0}, ">=", 7.0, "floor")])
+    with pytest.raises(LpFormatError, match=r"^floor: unknown relation '>='$"):
+        solve_lp(lp)
+
+
 def test_the_objective_takes_each_column_once():
     lp = program_of([LpVariable("x", 0.0, 1.0)], {0: 1.0})
     lp.add_costs([0], [2.0])
@@ -400,12 +408,18 @@ def test_optimal_solutions_pass_independent_residual_check():
     lp = program_of(
         [LpVariable("x", 0.0, 9.0), LpVariable("y", -3.0, 9.0)],
         {0: 1.0, 1: 1.0},
-        [({0: 1.0, 1: 2.0}, ">=", 4.0, "floor"), ({0: 1.0, 1: -1.0}, "<=", 6.0)],
+        [({0: -1.0, 1: -2.0}, "<=", -4.0, "floor"), ({0: 1.0, 1: -1.0}, "<=", 6.0)],  # floor: x + 2y >= 4
     )
     solution = solve_lp(lp)
     residuals = constraint_residuals(lp, solution.values)
     assert max(residuals.values()) < 1e-6
     assert residuals["bounds"] < 1e-9
+
+
+# a relation and the sign its row is multiplied by: a >= row is drawn as its
+# negated <= row, so the strategies cover the polytopes of all three relations
+LE, EQ, GE_AS_LE = ("<=", 1.0), ("=", 1.0), ("<=", -1.0)
+RELATIONS = st.sampled_from([LE, EQ, GE_AS_LE])
 
 
 @st.composite
@@ -420,9 +434,9 @@ def tiny_programs(draw):
     rows = []
     for _ in range(draw(st.integers(1, 3))):
         coeffs = {k: float(draw(st.integers(-2, 2))) for k in range(n_vars)}
-        relation = draw(st.sampled_from(["<=", ">=", "="]))
+        relation, sign = draw(st.sampled_from([LE, GE_AS_LE, EQ]))
         rhs = float(draw(st.integers(0, 4)))
-        rows.append((coeffs, relation, rhs))
+        rows.append(({k: sign * c for k, c in coeffs.items()}, relation, sign * rhs))
     return program_of(variables, objective, rows)
 
 
@@ -480,8 +494,8 @@ COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 0.1, 3.0])
 @st.composite
 def standard_form_programs(draw):
     """Variables with a negative, zero or positive lower bound, with and
-    without an upper bound; rows of every relation with negative, signed-zero
-    and positive rhs and zero coefficients."""
+    without an upper bound; rows of both relations, as drawn or negated, with
+    negative, signed-zero and positive rhs and zero coefficients."""
     n_vars = draw(st.integers(1, 6))
     variables, objective = [], {}
     for k in range(n_vars):
@@ -493,9 +507,9 @@ def standard_form_programs(draw):
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         row = draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=n_vars, unique=True))
-        relation = draw(st.sampled_from(["<=", "=", ">="]))
+        relation, sign = draw(RELATIONS)
         rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
-        rows.append(({col: draw(COEFFICIENTS) for col in row}, relation, rhs))
+        rows.append(({col: sign * draw(COEFFICIENTS) for col in row}, relation, sign * rhs))
     return program_of(variables, objective, rows)
 
 
@@ -534,13 +548,14 @@ def wide_programs(draw):
     feasible = draw(st.integers(0, 3)) > 0
     rows = []
     for row in coeffs:
-        relation = draw(st.sampled_from(["<=", "=", ">="]))
-        rhs = draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
+        relation, sign = draw(RELATIONS)
+        row = {col: sign * c for col, c in sorted(row.items())}
+        rhs = sign * draw(st.sampled_from([-4.0, -0.0, 0.0, 2.0, 5.5]))
         if feasible:
             at_lower = sum(c * variables[col].lower for col, c in row.items())
-            offset = 0.0 * rhs if relation == "=" else abs(rhs) if relation == "<=" else -abs(rhs)
+            offset = 0.0 * rhs if relation == "=" else abs(rhs)
             rhs = offset if at_lower == 0.0 else at_lower + offset
-        rows.append((dict(sorted(row.items())), relation, rhs))
+        rows.append((row, relation, rhs))
     return program_of(variables, objective, rows)
 
 
@@ -555,11 +570,13 @@ def negative_zeros(a: np.ndarray) -> int:
 
 
 def assert_identity_start_and_positive_zeros(lp: LinearProgram) -> None:
-    """The crash basis is I, so ``solve`` starts from B^-1 = I and x_B = b + 0.0
-    without an inverse; B^-1 holds no -0.0 after a solve, nor after a
-    refactorization (the restricted update skips the rows where a dense one
-    could flip a -0.0)."""
+    """The crash basis is I and scales no row (each row is divided by its
+    sign), so ``solve`` starts from B^-1 = I and x_B = b + 0.0 without an
+    inverse; B^-1 holds no -0.0 after a solve, nor after a refactorization
+    (the restricted update skips the rows where a dense one could flip a
+    -0.0)."""
     simplex = _Simplex(lp)
+    assert set(simplex.row_divisor.tolist()) <= {-1.0, 1.0}
     simplex._refactorize()
     assert simplex.binv.tobytes() == np.eye(simplex.b.size).tobytes()
     assert simplex.xb.tobytes() == (simplex.b + 0.0).tobytes()
@@ -602,7 +619,7 @@ def test_a_solve_inverts_a_basis_only_to_refactorize(monkeypatch):
         return inverse(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
-    lp = program_of([LpVariable("x", 0.0, 9.0)], {0: 1.0}, [({0: 1.0}, ">=", 7.0)])
+    lp = program_of([LpVariable("x", 0.0, 9.0)], {0: 1.0}, [({0: -1.0}, "<=", -7.0)])
     for program in (lp, study1_centralized_lp(3)):
         solution = solve_lp(program)
         assert 0 < solution.pivots < 150

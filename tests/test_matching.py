@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import sspsim.matching
 from sspsim.coalition import meshed_map
-from sspsim.lp import LpStatus, solve_lp
+from sspsim.lp import EQUAL, LESS_EQUAL, LinearProgram, LpStatus, solve_lp
 from sspsim.matching import (
     MatchingInfeasibleError,
     MatchingStructureError,
@@ -44,6 +44,7 @@ from sspsim.model import (
 from sspsim.protocol import calibrate_weights, run_engine
 from tests.conftest import worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
     ReferencePairTable,
     assert_builds_alike,
@@ -171,8 +172,8 @@ class TestBuildMatchingLp:
         assert {(names[k], v) for c in lp.constraints for k, v in c.coeffs.items() if v != 1.0} == {
             ("stretch[p2]", -1.0), ("stretch[s3]", -1.0),
         }
-        assert info.pairs() == [("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3")]
         placed = layout_of(info)
+        assert placed["pairs"] == [("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3")]
         assert (placed["purchase_cols"], placed["cut_cols"], placed["stretch_cols"]) == ([5, 6], {"c2": 7}, {"p2": 8})
         assert [lp.constraints[row].name for row in info.demand_rows] == ["demand[c1]", "demand[c2]"]
 
@@ -689,6 +690,31 @@ def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
         drop = best - objective
         if drop > 1e-7:
             assert table.offer_can_improve(prices, (partner_id, cap.energy * (1.0 + cap.bound)), drop - 1e-7)
+
+
+def assert_signed_unit_rows(lp: LinearProgram) -> None:
+    """Only ``<=`` and ``=`` rows, each coefficient +1 or -1: then every
+    singleton column with a positive entry in its standardised row is a unit
+    column, and the crash starts the row on it rather than on an artificial."""
+    assert set(lp.relations) <= {LESS_EQUAL, EQUAL}
+    assert set(lp.entry_vals.tolist()) <= {1.0, -1.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(matching_inputs(with_lines=True))
+def test_matching_programs_have_signed_unit_rows_and_follow_the_reference_pivots(inputs):
+    view, weights, locked, exports, lines = inputs
+    lp, _ = _build(view, weights, lines, locked, exports)
+    assert_signed_unit_rows(lp)
+    assert_standardised_alike(lp)
+
+
+def test_engine_and_centralized_programs_have_signed_unit_rows(monkeypatch, worked_scenario, pair_scenario):
+    for lp in engine_programs(monkeypatch, study2_scenario()):
+        assert_signed_unit_rows(lp)
+    # the scenarios of the c10 acceptance suite
+    for scenario in (worked_scenario, pair_scenario, generate_scenario(STUDY1_SPEC), generate_scenario(study2_spec(10, 5, 0))):
+        assert_signed_unit_rows(_build_centralized(scenario, scenario.weights)[0])
 
 
 @settings(max_examples=60, deadline=None)

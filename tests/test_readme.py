@@ -29,5 +29,5 @@ def test_every_python_block_of_the_readme_runs(source):
 def test_the_lp_example_prints_its_comment():
     (source,) = [block for block in BLOCKS if "sspsim.lp" in block]
     comments = [line.split("#", 1)[1].strip() for line in source.splitlines() if line.startswith("print(")]
-    assert comments == ["3.0 [-1.0]"]
+    assert comments == ["1.0 [0.0, -1.0]"]
     assert printed_by(source).splitlines() == comments
