@@ -399,17 +399,17 @@ class TestRun:
 
     @pytest.mark.parametrize("value", [None, 1, ["AC1"]], ids=["null", "number", "list"])
     @pytest.mark.parametrize(
-        "path",
+        "path, field",
         [
-            ("ssps", 0, "id"),
-            ("ssps", 0, "consumers", 0, "id"),
-            ("ssps", 0, "producers", 1, "id"),
-            ("line_constraints", 0, "row"),
-            ("line_constraints", 0, "col"),
+            (("ssps", 0, "id"), "ssps[0].id"),
+            (("ssps", 0, "consumers", 0, "id"), "ssps[0].consumers[0].id"),
+            (("ssps", 0, "producers", 1, "id"), "ssps[0].producers[1].id"),
+            (("line_constraints", 0, "row"), "line_constraints[0].row"),
+            (("line_constraints", 0, "col"), "line_constraints[0].col"),
         ],
         ids=["ssp", "consumer", "producer", "line-row", "line-col"],
     )
-    def test_an_id_that_is_not_a_string_exits_2_naming_the_field(self, tmp_path, worked_file, capsys, path, value):
+    def test_an_id_that_is_not_a_string_exits_2_naming_the_field(self, tmp_path, worked_file, capsys, path, field, value):
         # str() would load null as the id "None", and validation would then
         # name a rule, not the field
         with open(worked_file, encoding="utf-8") as fh:
@@ -424,8 +424,7 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(out)) == EXIT_CONFIG
         err = capsys.readouterr().err
-        where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
-        assert f"{where}: expected a string, got {value!r}" in err
+        assert f"{field}: expected a string, got {value!r}" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_integer_with_more_digits_than_int_reads_exits_2(self, tmp_path, worked_file, capsys):
