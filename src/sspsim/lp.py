@@ -533,10 +533,12 @@ class _Simplex:
         return LpSolution(LpStatus.OPTIMAL, x.tolist(), objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:
-        """y = c_B B^-1 per row of ``constraints``, undoing each row's sign; 0 on a dropped row."""
+        """y = c_B B^-1 per row of ``constraints``, undoing each row's sign; 0 on a dropped row.
+
+        Adding 0.0 turns the -0.0 that a negated row's zero dual becomes into 0.0."""
         y = self.cost[self.basis] @ self.binv
         duals = np.zeros(self.row_divisor.size)
-        duals[self.row_ids] = y / self.row_divisor[self.row_ids]
+        duals[self.row_ids] = y / self.row_divisor[self.row_ids] + 0.0
         return duals[: len(self.lp.row_names)].tolist()
 
 

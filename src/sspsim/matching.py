@@ -239,18 +239,28 @@ def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], line
 
 
 def _rank_rows(
-    preferences: PreferenceTable, consumer_ids: Sequence[str], suppliers: Sequence[Sequence[str]]
+    preferences: PreferenceTable, consumer_ids: Sequence[str], local: Sequence[Sequence[str]], partner_ids: Sequence[str]
 ) -> list[list[int]]:
-    """The rank of each supplier in ``suppliers[k]`` for consumer k, read from the consumer's row."""
-    ranks = preferences.ranks
-    try:
-        return [list(map(ranks[c].__getitem__, row)) if row else [] for c, row in zip(consumer_ids, suppliers)]
-    except KeyError:
-        pass
-    try:  # name the first missing pair
-        return [[preferences.rank(c, s) for s in row] for c, row in zip(consumer_ids, suppliers)]
-    except KeyError as exc:
-        raise MatchingStructureError(str(exc)) from None
+    """The ranks of consumer k's local suppliers ``local[k]``, then of ``partner_ids``, read by header position."""
+    index, rows = preferences.index, preferences.ranks
+    positions: dict[tuple[str, ...], list[int | None]] = {}  # of each distinct local list, then the partners
+    out = []
+    for consumer_id, local_ids in zip(consumer_ids, local):
+        key = tuple(local_ids)
+        at = positions.get(key)
+        if at is None:
+            at = positions[key] = [index.get(s) for s in (*local_ids, *partner_ids)]
+        row = rows.get(consumer_id, ())
+        try:
+            ranks = [row[k] for k in at]
+        except (TypeError, IndexError):  # a supplier off the header, or a short row
+            ranks = [None]
+        # a rank is truthy; only a row with a falsy value may hold a None
+        if not all(ranks) and None in ranks:  # name the first missing pair
+            missing = next(s for s in [*local_ids, *partner_ids] if not preferences.has(consumer_id, s))
+            raise MatchingStructureError(f"no preference rank for ({consumer_id}, {missing})")
+        out.append(ranks)
+    return out
 
 
 class _Rewards:
@@ -303,7 +313,7 @@ class PairTable:
         producer_at = {p: j for j, p in enumerate(self.producer_ids)}
         links = view.connectivity.rows
         local = [_local_ids(links.get(c, {}), self.producer_ids) for c in self.consumer_ids]
-        ranks = _rank_rows(view.preferences, self.consumer_ids, [row + self.partner_ids for row in local])
+        ranks = _rank_rows(view.preferences, self.consumer_ids, local, self.partner_ids)
         n_cons, n_partners = len(consumers), len(self.partner_ids)
 
         counts = list(map(len, local))
@@ -708,35 +718,33 @@ def merged_view(scenario: Scenario) -> SspView:
     ``solve_centralized`` does not build its LP from it, which would take one
     column per (consumer, remote producer) pair.
     """
-    consumers: list[Subscriber] = []
-    producers: list[Subscriber] = []
-    ranks: dict[str, dict[str, int]] = {}
+    consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
+    producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
+    at = {p.id: j for j, p in enumerate(producers)}
+    ranks: dict[str, list[int | None]] = {}
     rows: dict[str, dict[str, int]] = {}
     for cfg in scenario.ssps:
-        consumers.extend(cfg.consumers)
-        producers.extend(cfg.producers)
-    for cfg in scenario.ssps:
         for consumer in cfg.consumers:
-            consumer_ranks: dict[str, int] = {}
+            consumer_ranks: list[int | None] = [None] * len(at)
             row: dict[str, int] = {UTILITY_ID: 1}
             for producer in cfg.producers:
                 if scenario.connectivity.connected(consumer.id, producer.id):
-                    consumer_ranks[producer.id] = cfg.preferences.rank(consumer.id, producer.id)
+                    consumer_ranks[at[producer.id]] = cfg.preferences.rank(consumer.id, producer.id)
                     row[producer.id] = 1
             for other in scenario.ssps:
                 if other.id == cfg.id or not scenario.connectivity.connected(cfg.id, other.id):
                     continue
                 partner_rank = cfg.preferences.rank(consumer.id, other.id)
                 for producer in other.producers:
-                    consumer_ranks[producer.id] = partner_rank
+                    consumer_ranks[at[producer.id]] = partner_rank
                     row[producer.id] = 1
             ranks[consumer.id] = consumer_ranks
             rows[consumer.id] = row
     return SspView(
         ssp_id="centralized",
-        consumers=tuple(consumers),
-        producers=tuple(producers),
-        preferences=PreferenceTable(ranks),
+        consumers=consumers,
+        producers=producers,
+        preferences=PreferenceTable(tuple(at), ranks),
         connectivity=ConnectivityMatrix(rows),
     )
 
@@ -764,9 +772,8 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
         partner_ids = [t.id for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
         producer_ids = [p.id for p in cfg.producers]
         local = [_local_ids(connectivity.rows.get(c.id, {}), producer_ids) for c in cfg.consumers]
-        cfg_rows = [row + partner_ids for row in local]
-        ranks.extend(itertools.chain.from_iterable(_rank_rows(cfg.preferences, [c.id for c in cfg.consumers], cfg_rows)))
-        rows.extend(cfg_rows)
+        ranks.extend(itertools.chain.from_iterable(_rank_rows(cfg.preferences, [c.id for c in cfg.consumers], local, partner_ids)))
+        rows.extend(row + partner_ids for row in local)
         n_local.extend(map(len, local))
     counts = np.array([len(row) for row in rows], dtype=np.intp)
     consumer_of = np.repeat(np.arange(n_cons), counts)

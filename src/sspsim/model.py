@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import contains
-from typing import Iterable, Mapping
+from types import NoneType
+from typing import Iterable, Mapping, Sequence
 
 UTILITY_ID = "U"
 
@@ -75,20 +76,38 @@ class Subscriber:
 class PreferenceTable:
     """Rank of each supplier (local producer or partner SSP) per consumer.
 
-    Lower rank = more preferred; ranks are positive integers and ties are
-    allowed. Every pair allowed by connectivity must have a rank.
+    ``suppliers`` is the header: the supplier ids the table ranks, once each.
+    ``ranks`` maps a consumer id to its row, one value per header position;
+    ``None`` there means no rank. Rows hold their values as given (a file's
+    as read, in a tuple), and ``validate_scenario`` judges them: a rank is a
+    positive integer, lower = more preferred, ties allowed, and every pair
+    allowed by connectivity must have one. ``index`` maps each supplier id
+    to its header position; it is built once, when the table is made, and
+    with a supplier listed twice (a violation) it points at the first.
     """
 
-    ranks: Mapping[str, Mapping[str, int]]
+    suppliers: tuple[str, ...]
+    ranks: Mapping[str, Sequence[int | None]]
+    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # built from the back, so a supplier listed twice keeps its first position
+        n = len(self.suppliers)
+        object.__setattr__(self, "index", dict(zip(reversed(self.suppliers), range(n - 1, -1, -1))))
 
     def rank(self, consumer_id: str, supplier_id: str) -> int:
-        try:
-            return self.ranks[consumer_id][supplier_id]
-        except KeyError:
-            raise KeyError(f"no preference rank for ({consumer_id}, {supplier_id})") from None
+        value = self._value(consumer_id, supplier_id)
+        if value is None:
+            raise KeyError(f"no preference rank for ({consumer_id}, {supplier_id})")
+        return value
 
     def has(self, consumer_id: str, supplier_id: str) -> bool:
-        return supplier_id in self.ranks.get(consumer_id, {})
+        return self._value(consumer_id, supplier_id) is not None
+
+    def _value(self, consumer_id: str, supplier_id: str) -> int | None:
+        row = self.ranks.get(consumer_id)
+        k = self.index.get(supplier_id)
+        return None if row is None or k is None or k >= len(row) else row[k]
 
 
 @dataclass(frozen=True)
@@ -351,8 +370,12 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
 
 
 def _validate_preferences(scenario: Scenario) -> list[Violation]:
-    # Row-level fast checks as in _validate_connectivity; a failing row falls
-    # back to the per-entry loop.
+    # Each SSP is checked once: its header as a set, and the values of all
+    # its rows chained together, first for their types, then, when every
+    # value is an int or None, as the set of its ranks. Only an SSP that
+    # fails is walked entry by entry, so violations keep their text and
+    # order. An entry is a non-null value under a header position; a value
+    # past the header is no entry.
     out: list[Violation] = []
     n = scenario.connectivity
     ssp_ids = scenario.ssp_ids
@@ -361,36 +384,48 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
     for cfg in scenario.ssps:
+        prefs = cfg.preferences
+        header, at, rows = prefs.suppliers, prefs.index, prefs.ranks
         consumer_ids = {c.id for c in cfg.consumers}
         partner_set = _linked(n.rows.get(cfg.id, {}), known_ssps) - {cfg.id}
-        ranked_by_all = partner_set.union(p.id for p in cfg.producers)
-        # consumers whose rank row lists exactly ranked_by_all, all of them known suppliers
-        exact_rows: set[str] = set()
-        partner_ids = None
-        for consumer in cfg.consumers:
-            cols = cfg.preferences.ranks.get(consumer.id, {})
-            if cols.keys() >= ranked_by_all:
-                if len(cols) == len(ranked_by_all):
-                    exact_rows.add(consumer.id)
-                continue
-            if partner_ids is None:
-                partner_ids = [other for other in ssp_ids if other in partner_set]
-            for producer in cfg.producers:
-                if n.connected(consumer.id, producer.id) and not cfg.preferences.has(consumer.id, producer.id):
-                    out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
-            for partner in partner_ids:
-                if not cfg.preferences.has(consumer.id, partner):
-                    out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for consumer_id, cols in cfg.preferences.ranks.items():
+        types = set(map(type, chain.from_iterable(rows.values())))
+        values_ok = types <= {int, NoneType}
+        if values_ok:
+            # ints are hashable, and every rank fits a float iff the largest does
+            ranks = set(chain.from_iterable(rows.values()))
+            ranks.discard(None)
+            values_ok = min(ranks, default=1) >= 1 and _fits_float(max(ranks, default=1))
+        header_ok = len(at) == len(header) and at.keys() <= known_suppliers
+        # every consumer has a full row of ints over a header that lists every producer and partner
+        covered = (
+            NoneType not in types
+            and rows.keys() >= consumer_ids
+            and at.keys() >= partner_set.union(p.id for p in cfg.producers)
+            and set(map(len, rows.values())) <= {len(header)}
+        )
+        if values_ok and header_ok and covered and rows.keys() <= consumer_ids:
+            continue
+        if len(at) != len(header):
+            for k, supplier_id in enumerate(header):
+                if at[supplier_id] != k:
+                    out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
+        if not covered:
+            partner_ids = [other for other in ssp_ids if other in partner_set]
+            for consumer in cfg.consumers:
+                for producer in cfg.producers:
+                    if n.connected(consumer.id, producer.id) and not prefs.has(consumer.id, producer.id):
+                        out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
+                for partner in partner_ids:
+                    if not prefs.has(consumer.id, partner):
+                        out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
+        for consumer_id, row in rows.items():
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
-            ranks = cols.values()
-            resolved = consumer_id in exact_rows or cols.keys() <= known_suppliers
-            positive = set(map(type, ranks)) <= {int} and min(ranks, default=1) >= 1
-            # the sum of positive ranks bounds each of them
-            if resolved and positive and _fits_float(sum(ranks)):
+            if values_ok and header_ok:
                 continue
-            for supplier_id, rank in cols.items():
+            for supplier_id, rank in zip(header, row):
+                if rank is None:
+                    continue
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
                 if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):

@@ -335,8 +335,12 @@ def run_engine(
     rounds = 0
     pending = {s: True for s in ssp_ids}
 
-    def accumulated_utility() -> float:
-        return sum(agents[s].utility_kwh() for s in ssp_ids)
+    # each agent's Utility interaction in ssp_ids order, refreshed only for
+    # the agents whose matrix changed since the last record, and summed in
+    # that order
+    position = {s: k for k, s in enumerate(ssp_ids)}
+    utilities = [agents[s].utility_kwh() for s in ssp_ids]
+    changed: set[str] = set()
 
     def record_iteration() -> None:
         nonlocal iterations
@@ -345,7 +349,10 @@ def run_engine(
             raise ConvergenceError(
                 f"no quiescence within {iteration_cap} iterations", trace, log
             )
-        trace.append(ConvergencePoint(iterations, accumulated_utility()))
+        for ssp_id in changed:
+            utilities[position[ssp_id]] = agents[ssp_id].utility_kwh()
+        changed.clear()
+        trace.append(ConvergencePoint(iterations, sum(utilities)))
 
     def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
         """Synchronous exchange: install capacity at the receiver, re-solve,
@@ -355,6 +362,7 @@ def run_engine(
         improved = receiver.solve_and_accept(transient=(src, base, bound))
         claimed = 0.0
         if improved:
+            changed.add(dst)
             cells = receiver.claim_against(src)
             claimed = sum(cells.values())
             if claimed > offered + 1e-6:
@@ -362,6 +370,7 @@ def run_engine(
             receiver.lock_imports(src, cells)
             if claimed > 0.0:
                 agents[src].register_export(dst, claimed)
+                changed.add(src)
             record_iteration()
             pending[dst] = True
         log.append(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
@@ -390,6 +399,7 @@ def run_engine(
             # deliver accepted one since the agent last offered and this
             # call returns False without a solve
             if agents[ssp_id].solve_and_accept():
+                changed.add(ssp_id)
                 record_iteration()
             emit_offers(ssp_id, rounds)
 

@@ -7,23 +7,33 @@ generator identity is recorded in it, and reproducing a scenario from the seed
 is only guaranteed within this implementation; other implementations should
 consume the file.
 
-Each consumer's rank row takes two ``rng.permutation`` draws, its SSP's
-producers first and the partner SSPs second, and each draw becomes ranks with
-one array op and one ``tolist()``. These are the same PCG64 calls, in the same
-order, as in earlier versions of this module, so a spec still gives the same
-file byte for byte. With N SSPs of C consumers and P producers, a file holds
-C × (P + N − 1) ranks per SSP: 4.9 MB at 200 SSPs of the study-1 shape
-(C = 10, P = 5). The writer orders each rank and connectivity row by sorting
-its keys.
+Each SSP's ranks are stored once against a supplier header (file format
+version 2): ``"preferences": {"suppliers": [ids], "ranks": {consumer id:
+[rank or null, ...]}}``, one row per consumer, aligned with the header, where
+null means no rank. The generator's header lists the SSP's producers, then
+the partner SSPs; each consumer's row takes two ``rng.permutation`` draws,
+the producers' first and the partners' second, and each draw becomes ranks
+with one array op and one ``tolist()``. These are the same PCG64 calls, in
+the same order, as in earlier versions of this module, so a spec gives the
+same ranks as before. With N SSPs of C consumers and P producers, a file
+holds C × (P + N − 1) ranks per SSP: 2.5 MB at 200 SSPs of the study-1 shape
+(C = 10, P = 5), against 4.9 MB as one object per consumer in version 1. The
+writer keeps each table's header and row order, and orders each connectivity
+row by sorting its keys. The loader refuses every other ``schema_version``,
+version 1 included, and names that field.
 
 The JSON schema is strict: unknown fields are rejected by name, canonical
 field order is documented in ``scenario.schema.json`` shipped next to this
 module.
 
-The loader checks only what it needs to build a ``Scenario``: the JSON shape,
-numbers it converts to ``float`` (naming the field), kinds and ids. It stores
-ranks, connectivity entries and the seed as read, one ``dict`` copy per row,
-and ``model.validate_scenario`` alone judges them, as every other value.
+The loader checks only what it needs to build a ``Scenario``: the JSON shape
+(a rank row is a list as long as its header), numbers it converts to
+``float`` (naming the field), kinds and ids, a header's supplier ids
+included. It stores rank values, connectivity entries and the seed as read,
+one tuple or ``dict`` copy per row, and ``model.validate_scenario`` alone
+judges them, as every other value. A tuple of ints is a container the
+garbage collector stops tracking, as is a ``dict`` of strings and ints, so
+the rank rows of a loaded scenario cost no collection afterwards.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +60,7 @@ from .model import (
     validate_scenario,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 GENERATOR_NAME = "numpy-pcg64"
 #: the one preference form: the factor 1 + alpha*(beta - rank) scales w35 in each cm coefficient
 PREFERENCE_MODE = "coefficient"
@@ -144,17 +155,16 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
         partner_ids = [other for other in ssp_ids if other != ssp_id]
         producer_ids = [p.id for p in producers]
         local_cols = producer_ids + [UTILITY_ID]
-        ranks: dict[str, dict[str, int]] = {}
+        ranks: dict[str, tuple[int, ...]] = {}
         for consumer in consumers:
             # local producers rank 1..P and partner SSPs P+1..P+N-1, each block shuffled
             local_order = rng.permutation(len(producer_ids))
             partner_order = rng.permutation(len(partner_ids))
-            consumer_ranks = dict(zip(producer_ids, (local_order + 1).tolist()))
-            consumer_ranks.update(zip(partner_ids, (partner_order + (len(producer_ids) + 1)).tolist()))
-            ranks[consumer.id] = consumer_ranks
+            ranks[consumer.id] = tuple((local_order + 1).tolist() + (partner_order + (len(producer_ids) + 1)).tolist())
             rows[consumer.id] = dict.fromkeys(local_cols, 1)
         rows[ssp_id] = dict.fromkeys(partner_ids, 1)
-        ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), PreferenceTable(ranks)))
+        preferences = PreferenceTable(tuple(producer_ids + partner_ids), ranks)
+        ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), preferences))
 
     scenario = Scenario(
         ssps=tuple(ssps),
@@ -207,8 +217,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                     for s in cfg.producers
                 ],
                 "preferences": {
-                    consumer_id: _sorted_row(cfg.preferences.ranks[consumer_id])
-                    for consumer_id in sorted(cfg.preferences.ranks)
+                    "suppliers": list(cfg.preferences.suppliers),
+                    "ranks": {consumer_id: list(row) for consumer_id, row in cfg.preferences.ranks.items()},
                 },
             }
             for cfg in scenario.ssps
@@ -247,6 +257,8 @@ def _objects(items: object, where: str) -> list[dict]:
 
 
 def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
+    if mapping.keys() == set(allowed):
+        return
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ScenarioFormatError(f"{where}: unknown field {unknown[0]!r}")
@@ -279,7 +291,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         "scenario",
     )
     if data["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioFormatError(f"unsupported schema_version {data['schema_version']!r}")
+        raise ScenarioFormatError(f"schema_version: unsupported value {data['schema_version']!r}, expected {SCHEMA_VERSION}")
     if data["generator"] != GENERATOR_NAME:
         raise ScenarioFormatError(f"unsupported generator {data['generator']!r}")
 
@@ -304,11 +316,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
         consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
         producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
-        prefs = {
-            str(consumer_id): dict(_object(cols, f"preferences[{consumer_id}]"))
-            for consumer_id, cols in _object(entry["preferences"], f"ssps[{k}].preferences").items()
-        }
-        ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, PreferenceTable(prefs)))
+        prefs = _preferences(entry["preferences"], f"ssps[{k}].preferences")
+        ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, prefs))
 
     rows = {
         str(row_id): dict(_object(cols, f"connectivity[{row_id}]"))
@@ -329,6 +338,26 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(tuple(ssps), ConnectivityMatrix(rows), weights, lines, data["seed"])
 
 
+def _preferences(value: object, where: str) -> PreferenceTable:
+    """One SSP's header and rows; each row a list as long as the header, kept as a tuple of its values as read."""
+    prefs = _object(value, where)
+    _require_keys(prefs, ("suppliers", "ranks"), where)
+    suppliers = prefs["suppliers"]
+    if not isinstance(suppliers, list):
+        raise ScenarioFormatError(f"{where}.suppliers: expected a list, got {type(suppliers).__name__}")
+    if not all(map(isinstance, suppliers, repeat(str))):
+        for j, supplier_id in enumerate(suppliers):
+            _string(supplier_id, f"{where}.suppliers[{j}]")
+    ranks: dict[str, tuple] = {}
+    for consumer_id, row in _object(prefs["ranks"], f"{where}.ranks").items():
+        if not isinstance(row, list):
+            raise ScenarioFormatError(f"{where}.ranks[{consumer_id}]: expected a list, got {type(row).__name__}")
+        if len(row) != len(suppliers):
+            raise ScenarioFormatError(f"{where}.ranks[{consumer_id}]: {len(row)} values for {len(suppliers)} suppliers")
+        ranks[str(consumer_id)] = tuple(row)
+    return PreferenceTable(tuple(suppliers), ranks)
+
+
 def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) -> tuple[Subscriber, ...]:
     """The consumers or producers of one SSP entry; the ``fields`` after id and kind are numbers."""
     subscribers = []
@@ -336,16 +365,21 @@ def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) 
         _require_keys(sub, fields, f"{role} {sub.get('id')!r}")
         sub_id = _string(sub["id"], f"{where}[{k}].id")
         kind = _kind(sub["kind"], sub_id)
-        numbers = [_number(sub[name], f"{role} {sub_id}.{name}") for name in fields[2:]]
+        numbers = [sub[name] for name in fields[2:]]
+        if not set(map(type, numbers)) <= {float}:  # convert or refuse each, naming it
+            numbers = [_number(sub[name], f"{role} {sub_id}.{name}") for name in fields[2:]]
         subscribers.append(Subscriber(sub_id, kind, *numbers))
     return tuple(subscribers)
 
 
+_KINDS = {kind.value: kind for kind in SubscriberKind}
+
+
 def _kind(value: object, entity: object) -> SubscriberKind:
-    try:
-        return SubscriberKind(str(value))
-    except ValueError:
-        raise ScenarioFormatError(f"subscriber {entity!r}: unknown kind {value!r}") from None
+    kind = _KINDS.get(value) if isinstance(value, str) else None
+    if kind is None:
+        raise ScenarioFormatError(f"subscriber {entity!r}: unknown kind {value!r}")
+    return kind
 
 
 def scenario_to_json(scenario: Scenario) -> str:

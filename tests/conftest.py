@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 
 from sspsim.model import (
@@ -11,6 +13,14 @@ from sspsim.model import (
     Subscriber,
     SubscriberKind,
 )
+
+
+def preference_table(ranks: Mapping[str, Mapping[str, object]]) -> PreferenceTable:
+    """The table of ``{consumer id: {supplier id: rank}}``: its header lists each
+    supplier once, in order of first appearance, and a row holds None where
+    its consumer ranks no supplier."""
+    suppliers = tuple(dict.fromkeys(s for row in ranks.values() for s in row))
+    return PreferenceTable(suppliers, {c: [row.get(s) for s in suppliers] for c, row in ranks.items()})
 
 
 def worked_example_subscribers():
@@ -33,7 +43,7 @@ def worked_scenario() -> Scenario:
     """Worked single-SSP example: 57 kWh demand (12 of it cuttable by 20%)
     against 52 kWh supply (10 of it stretchable by 30%)."""
     consumers, producers = worked_example_subscribers()
-    prefs = PreferenceTable({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
+    prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, "U": 1} for c in consumers}
     ssp = SSPConfig("S1", consumers, producers, prefs)
     return Scenario((ssp,), ConnectivityMatrix(rows), MatchingWeights(), None, 3)
@@ -46,13 +56,13 @@ def pair_scenario() -> Scenario:
         "S1",
         (Subscriber("S1.C1", SubscriberKind.ACTIVE_CONSUMER, 10.0, priority=1.0),),
         (Subscriber("S1.P1", SubscriberKind.ACTIVE_PRODUCER, 5.0),),
-        PreferenceTable({"S1.C1": {"S1.P1": 1, "S2": 2}}),
+        preference_table({"S1.C1": {"S1.P1": 1, "S2": 2}}),
     )
     s2 = SSPConfig(
         "S2",
         (Subscriber("S2.C1", SubscriberKind.ACTIVE_CONSUMER, 5.0, priority=1.0),),
         (Subscriber("S2.P1", SubscriberKind.ACTIVE_PRODUCER, 10.0),),
-        PreferenceTable({"S2.C1": {"S2.P1": 1, "S1": 2}}),
+        preference_table({"S2.C1": {"S2.P1": 1, "S1": 2}}),
     )
     rows = {
         "S1.C1": {"S1.P1": 1, "U": 1},

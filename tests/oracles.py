@@ -321,7 +321,7 @@ class ReferenceSimplex(_Simplex):
         duals = [0.0] * len(self.lp.row_names)
         for pos, row in enumerate(self.row_ids.tolist()):
             if row < len(duals):
-                duals[row] = float(y[pos] / self.row_divisor[row])
+                duals[row] = float(y[pos] / self.row_divisor[row]) + 0.0
         return LpSolution(LpStatus.OPTIMAL, values, objective, duals, self.pivots)
 
 
@@ -499,26 +499,35 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
 
 
 def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
-    """The per-entry loop of ``model._validate_preferences``; its violations are the reference."""
+    """The per-entry loop of ``model._validate_preferences``; its violations are the reference.
+
+    An entry is a value other than None under a header position."""
     out: list[Violation] = []
     n = scenario.connectivity
     known_suppliers = set(scenario.ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
     for cfg in scenario.ssps:
+        prefs = cfg.preferences
+        header = prefs.suppliers
+        for k, supplier_id in enumerate(header):
+            if supplier_id in header[:k]:
+                out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
         consumer_ids = {c.id for c in cfg.consumers}
         partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and n.connected(cfg.id, other)]
         for consumer in cfg.consumers:
             for producer in cfg.producers:
-                if n.connected(consumer.id, producer.id) and not cfg.preferences.has(consumer.id, producer.id):
+                if n.connected(consumer.id, producer.id) and not prefs.has(consumer.id, producer.id):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
             for partner in partner_ids:
-                if not cfg.preferences.has(consumer.id, partner):
+                if not prefs.has(consumer.id, partner):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for consumer_id, cols in cfg.preferences.ranks.items():
+        for consumer_id, row in prefs.ranks.items():
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
-            for supplier_id, rank in cols.items():
+            for supplier_id, rank in zip(header, row):
+                if rank is None:
+                    continue
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
                 if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):

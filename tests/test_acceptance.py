@@ -35,7 +35,6 @@ from sspsim.model import (
     CommitmentMatrix,
     ConnectivityMatrix,
     MatchingWeights,
-    PreferenceTable,
     SSPConfig,
     Subscriber,
     SubscriberKind,
@@ -44,6 +43,7 @@ from sspsim.model import (
 )
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
+from tests.conftest import preference_table
 from tests.oracles import brute_force_verify, constraint_residuals, with_variables
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -141,7 +141,7 @@ def test_c02_lp_oracle_equivalence():
                     rank_row[p.id] = rank
             rows[c.id] = cols
             ranks[c.id] = rank_row
-        view = SspView("s", consumers, producers, PreferenceTable(ranks), ConnectivityMatrix(rows))
+        view = SspView("s", consumers, producers, preference_table(ranks), ConnectivityMatrix(rows))
         lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
 
         demand = {c.id: c.energy for c in consumers}
@@ -257,13 +257,13 @@ def test_c08_aggregate_bound_examples():
         Subscriber("p1", SubscriberKind.ACTIVE_PRODUCER, 10.0, bound=0.3),
         Subscriber("p2", SubscriberKind.ACTIVE_PRODUCER, 10.0),
     )
-    ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+    ssp = SSPConfig("s", (), producers, preference_table({}))
     cm = CommitmentMatrix(["c"], ["p1", "p2"])
     cm.set("c", "p2", 5.0)
     assert surplus_bound(*aggregate_surplus(ssp, cm)) == (13.0 + 5.0) / (10.0 + 5.0) - 1.0
 
     all_active = SSPConfig(
-        "s", (), (Subscriber("q1", AP, 7.0), Subscriber("q2", AP, 3.0)), PreferenceTable({})
+        "s", (), (Subscriber("q1", AP, 7.0), Subscriber("q2", AP, 3.0)), preference_table({})
     )
     assert surplus_bound(*aggregate_surplus(all_active, CommitmentMatrix(["c"], ["q1", "q2"]))) == 0.0
 
@@ -274,7 +274,7 @@ def test_c08_aggregate_bound_examples():
             Subscriber("r1", SubscriberKind.PASSIVE_PRODUCER, 10.0, bound=0.3),
             Subscriber("r2", AP, 5.0),
         ),
-        PreferenceTable({}),
+        preference_table({}),
     )
     fully_committed = CommitmentMatrix(["c"], ["r1", "r2"])
     fully_committed.set("c", "r2", 5.0)

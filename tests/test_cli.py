@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import itertools
 import json
 import math
@@ -136,7 +137,37 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of each artifact of `sspsim run --seed 1` on the scenario of
+# `sspsim gen --ssps 6 --consumers 5 --producers 3 --supply-mean 18 --seed 7`,
+# first taken when scenario files were at schema version 1: a run reads the
+# scenario, not its file encoding, so they hold across file formats
+PINNED_RUNS = {
+    "meshed": {
+        "commitments.csv": "48688725f457a64870b77f5bb3e9a0fa81f8302d4989e912ec407b67fb6f2e42",
+        "convergence.csv": "dd4553cca0c8ca22df201903c23f334cf61e8eb68a66c7c421984d3fde4980cd",
+        "messages.csv": "e8d075757cb211a06bebf377050411dc561b5d3f0dbebbcfabde5dc6e1d9c2b7",
+        "summary.json": "f5d1e83a0343c3c158ea7ea5593428b56b6ef417da49602c2240e2a9b6c97d6f",
+    },
+    "coalition": {
+        "commitments.csv": "9d93fd9b727d8e6597cba3a80161ca55e85d74a52f10e68dfde31c8d6c188a23",
+        "convergence.csv": "b70a461801f169ec61049e6b2c7a3272e0a7d89a8c956350557770f3051c3aa0",
+        "messages.csv": "ff8c4f68f882bbfa870f0dbb3cbef4f357469cae98da6485db6c4acd76770f72",
+        "summary.json": "0d8f6fa62606d0840d754196ef29081858dcfcd1758faf13f773b2c5e8c64802",
+    },
+}
+
+
 class TestRun:
+    @pytest.mark.parametrize("anm", sorted(PINNED_RUNS))
+    def test_run_artifacts_are_pinned_across_versions(self, tmp_path, anm):
+        scenario = str(tmp_path / "scenario.json")
+        gen = ("--ssps", "6", "--consumers", "5", "--producers", "3", "--supply-mean", "18", "--seed", "7")
+        assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
+        out = tmp_path / anm
+        assert run_cli("run", "--scenario", scenario, "--anm", anm, "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert sorted(os.listdir(out)) == list(RESULT_FILES)
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RESULT_FILES} == PINNED_RUNS[anm]
+
     def test_worked_example_meshed_zeroes_the_utility(self, tmp_path, worked_file):
         out = tmp_path / "results"
         code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(out), "--seed", "1")
@@ -345,7 +376,17 @@ class TestRun:
             (("weights",), [1.0, 10.0], "weights: expected an object"),
             (("connectivity",), [], "connectivity: expected an object"),
             (("connectivity", "AC1"), ["AP1", "U"], "connectivity[AC1]: expected an object"),
-            (("ssps", 0, "preferences", "AC1"), ["AP1"], "preferences[AC1]: expected an object"),
+            (("ssps", 0, "preferences"), {"AC1": {"AP1": 1}}, "ssps[0].preferences: unknown field 'AC1'"),
+            (("ssps", 0, "preferences", "suppliers"), {"AP1": 0}, "ssps[0].preferences.suppliers: expected a list, got dict"),
+            (("ssps", 0, "preferences", "ranks"), [[1, 2, 3]], "ssps[0].preferences.ranks: expected an object, got list"),
+            (("ssps", 0, "preferences", "ranks", "AC1"), {"AP1": 1}, "ssps[0].preferences.ranks[AC1]: expected a list, got dict"),
+            (("ssps", 0, "preferences", "ranks", "AC1"), [1, 2], "ssps[0].preferences.ranks[AC1]: 2 values for 3 suppliers"),
+            (("ssps", 0, "preferences", "ranks", "AC1"), [1, 2, 3, 4], "ssps[0].preferences.ranks[AC1]: 4 values for 3 suppliers"),
+            (
+                ("ssps", 0, "preferences", "suppliers"),
+                ["AP1", "AP2", "AP1"],
+                "S1: preference-header-unique (supplier AP1 listed more than once)",
+            ),
             (("ssps", 0, "consumers", 1, "bound"), "0", "consumer AC2.bound: expected a number, got '0'"),
             (("ssps", 0, "producers", 2, "bound"), None, "producer PP1.bound: expected a number, got None"),
             (
@@ -364,7 +405,7 @@ class TestRun:
                 [{"row": "AC1", "col": "AP1", "min_kwh": 0.0, "max_kwh": True}],
                 "line_constraints[0].max_kwh: expected a number, got True",
             ),
-            (("ssps", 0, "preferences", "AC1", "AP2"), 10**400, f"AC1: rank-positive-int (rank {10**400} for AP2)"),
+            (("ssps", 0, "preferences", "ranks", "AC1", 1), 10**400, f"AC1: rank-positive-int (rank {10**400} for AP2)"),
         ],
         ids=[
             "ssps",
@@ -374,7 +415,13 @@ class TestRun:
             "weights",
             "connectivity",
             "connectivity-row",
+            "preferences-v1",
+            "preference-header",
+            "preference-rows",
             "preference-row",
+            "preference-row-short",
+            "preference-row-long",
+            "preference-header-duplicate",
             "consumer-bound",
             "producer-bound",
             "energy-too-large",
@@ -397,6 +444,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert detail in err and "Traceback" not in err
 
+    def test_a_version_1_file_exits_2_naming_schema_version(self, tmp_path, worked_file, capsys):
+        # version 1 held one {supplier id: rank} object per consumer
+        with open(worked_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["schema_version"] = 1
+        for entry in data["ssps"]:
+            header, rows = entry["preferences"]["suppliers"], entry["preferences"]["ranks"]
+            entry["preferences"] = {c: dict(zip(header, row)) for c, row in rows.items()}
+        scenario = tmp_path / "v1.json"
+        scenario.write_text(json.dumps(data))
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "schema_version: unsupported value 1, expected 2" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", [None, 1, ["AC1"]], ids=["null", "number", "list"])
     @pytest.mark.parametrize(
         "path, field",
@@ -404,10 +465,11 @@ class TestRun:
             (("ssps", 0, "id"), "ssps[0].id"),
             (("ssps", 0, "consumers", 0, "id"), "ssps[0].consumers[0].id"),
             (("ssps", 0, "producers", 1, "id"), "ssps[0].producers[1].id"),
+            (("ssps", 0, "preferences", "suppliers", 1), "ssps[0].preferences.suppliers[1]"),
             (("line_constraints", 0, "row"), "line_constraints[0].row"),
             (("line_constraints", 0, "col"), "line_constraints[0].col"),
         ],
-        ids=["ssp", "consumer", "producer", "line-row", "line-col"],
+        ids=["ssp", "consumer", "producer", "supplier", "line-row", "line-col"],
     )
     def test_an_id_that_is_not_a_string_exits_2_naming_the_field(self, tmp_path, worked_file, capsys, path, field, value):
         # str() would load null as the id "None", and validation would then

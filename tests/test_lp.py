@@ -23,6 +23,7 @@ from sspsim.matching import _build_centralized
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.oracles import (
     OracleSizeError,
+    ReferenceSimplex,
     assert_dual_certificate,
     assert_standardised_alike,
     brute_force_verify,
@@ -102,6 +103,17 @@ def test_duals_of_a_textbook_program(relation, sign):
     assert solution.values == pytest.approx([3.0, 4.0])
     assert solution.duals == pytest.approx([-0.6 * sign, -0.8])
     assert_dual_certificate(lp, solution)
+
+
+def test_a_negated_row_that_does_not_bind_has_dual_plus_zero():
+    # min -x over the cap x <= 3 and the floor x >= 1 written -x <= -1: the
+    # cap binds with dual -1; the floor's dual is 0, and dividing it back by
+    # its row's sign -1 must not leave -0.0
+    lp = program_of([LpVariable("x")], {0: -1.0}, [({0: 1.0}, "<=", 3.0), ({0: -1.0}, "<=", -1.0)])
+    for solution in (solve_lp(lp), ReferenceSimplex(lp).solve()):
+        assert solution.values == [3.0]
+        assert solution.duals == [-1.0, 0.0]
+        assert math.copysign(1.0, solution.duals[1]) == 1.0
 
 
 def test_pivots_count_phase_one_and_phase_two():

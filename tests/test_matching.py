@@ -33,7 +33,6 @@ from sspsim.model import (
     LineConstraint,
     LineConstraintSet,
     MatchingWeights,
-    PreferenceTable,
     Scenario,
     SSPConfig,
     Subscriber,
@@ -42,7 +41,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.protocol import calibrate_weights, run_engine
-from tests.conftest import worked_example_subscribers
+from tests.conftest import preference_table, worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
@@ -75,7 +74,7 @@ def simple_view(demand=5.0, supply=5.0) -> SspView:
         "s1",
         consumers,
         producers,
-        PreferenceTable({"c1": {"p1": 1}}),
+        preference_table({"c1": {"p1": 1}}),
         ConnectivityMatrix({"c1": {"p1": 1, UTILITY_ID: 1}}),
     )
 
@@ -85,7 +84,7 @@ def worked_view(demands=(13.5, 18.0, 13.5)) -> SspView:
     consumers = tuple(
         replace(c, energy=demands[k]) if k < 3 else c for k, c in enumerate(consumers)
     )
-    prefs = PreferenceTable({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
+    prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, UTILITY_ID: 1} for c in consumers}
     return SspView("s1", consumers, producers, prefs, ConnectivityMatrix(rows))
 
@@ -99,7 +98,7 @@ class TestBuildMatchingLp:
     def test_consumer_only_view_buys_everything(self):
         consumers = (Subscriber("c1", AC, 4.0, priority=1.0),)
         view = SspView(
-            "s1", consumers, (), PreferenceTable({}), ConnectivityMatrix({"c1": {UTILITY_ID: 1}})
+            "s1", consumers, (), preference_table({}), ConnectivityMatrix({"c1": {UTILITY_ID: 1}})
         )
         cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert cm.get("c1", UTILITY_ID) == pytest.approx(4.0, abs=1e-9)
@@ -107,7 +106,7 @@ class TestBuildMatchingLp:
 
     def test_missing_preference_rank_is_structural(self):
         view = simple_view()
-        broken = replace(view, preferences=PreferenceTable({"c1": {}}))
+        broken = replace(view, preferences=preference_table({"c1": {}}))
         with pytest.raises(MatchingStructureError, match="c1"):
             _build(broken, MatchingWeights(), None, None, 0.0)
 
@@ -136,7 +135,7 @@ class TestBuildMatchingLp:
             "s1",
             consumers,
             producers,
-            PreferenceTable({"c1": ranks, "c2": ranks}),
+            preference_table({"c1": ranks, "c2": ranks}),
             ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
             partner_capacities={"s3": PartnerCapacity(4.0, 0.1), "s2": PartnerCapacity(0.0, 0.0)},
         )
@@ -184,7 +183,7 @@ class TestBuildMatchingLp:
             "s1",
             consumers,
             producers,
-            PreferenceTable({"c1": {"p1": 1, "p2": 2}}),
+            preference_table({"c1": {"p1": 1, "p2": 2}}),
             ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
         )
         lines = LineConstraintSet((LineConstraint("c1", "p1", 0.0, 3.0),))
@@ -259,7 +258,7 @@ class TestWorkedExample:
 class TestSolveDistMatching:
     def test_surplus_only_ssp_sells_back(self):
         producers = (Subscriber("p1", AP, 10.0),)
-        view = SspView("s1", (), producers, PreferenceTable({}), ConnectivityMatrix({}))
+        view = SspView("s1", (), producers, preference_table({}), ConnectivityMatrix({}))
         cm, fx, objective, _ = solve_dist_matching(view, MatchingWeights())
         assert 0.0 <= cm.get(UTILITY_ID, "p1") <= 10.0 + 1e-9
         assert aggregate_surplus(view, cm) == (10.0, 10.0)
@@ -274,7 +273,7 @@ class TestSolveDistMatching:
             "s1",
             consumers,
             (Subscriber("p1", AP, 3.0),),
-            PreferenceTable({"c2": {"p1": 1}}),
+            preference_table({"c2": {"p1": 1}}),
             ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
         )
         weights = MatchingWeights()
@@ -292,7 +291,7 @@ class TestSolveDistMatching:
             "s1",
             consumers,
             (),
-            PreferenceTable({"c1": {"s2": 1}, "c2": {"s2": 1}}),
+            preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
             ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
             partner_capacities={"s2": PartnerCapacity(51.0, 0.0)},
         )
@@ -309,7 +308,7 @@ class TestSolveDistMatching:
             "s1",
             consumers,
             (),
-            PreferenceTable({"c1": {"s2": 1}, "c2": {"s2": 1}}),
+            preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
             ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
             partner_capacities={"s2": PartnerCapacity(5.0, 0.0)},
         )
@@ -347,7 +346,7 @@ class TestAggregates:
             Subscriber("p1", AP, 10.0, bound=0.3),
             Subscriber("p2", AP, 10.0),
         )
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         cm = CommitmentMatrix(["c"], ["p1", "p2"])
         cm.set("c", "p2", 5.0)
         return ssp, cm
@@ -358,7 +357,7 @@ class TestAggregates:
 
     def test_all_zero_bounds_yield_zero(self):
         producers = (Subscriber("p1", AP, 10.0), Subscriber("p2", AP, 4.0))
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         cm = CommitmentMatrix([], ["p1", "p2"])
         assert surplus_bound(*aggregate_surplus(ssp, cm)) == 0.0
 
@@ -367,7 +366,7 @@ class TestAggregates:
             Subscriber("p1", PP, 10.0, bound=0.3),
             Subscriber("p2", AP, 5.0),
         )
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         cm = CommitmentMatrix(["c"], ["p1", "p2"])
         cm.set("c", "p2", 5.0)  # p2 fully committed
         assert surplus_bound(*aggregate_surplus(ssp, cm)) == pytest.approx(0.3)
@@ -380,7 +379,7 @@ class TestAggregates:
 
     def test_no_residual_capacity(self):
         producers = (Subscriber("p1", AP, 4.0),)
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         cm = CommitmentMatrix(["c"], ["p1"])
         cm.set("c", "p1", 4.0)
         assert aggregate_surplus(ssp, cm) == (0.0, 0.0)
@@ -388,7 +387,7 @@ class TestAggregates:
 
     def test_single_ap_partial_commitment(self):
         producers = (Subscriber("p1", AP, 10.0),)
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         cm = CommitmentMatrix(["c"], ["p1"])
         cm.set("c", "p1", 4.0)
         assert aggregate_surplus(ssp, cm) == (6.0, 6.0)
@@ -402,7 +401,7 @@ class TestAggregates:
             Subscriber("p2", PP, 2.0, bound=0.05),
             Subscriber("p3", AP, 1.0),
         )
-        ssp = SSPConfig("s", (), producers, PreferenceTable({}))
+        ssp = SSPConfig("s", (), producers, preference_table({}))
         empty = CommitmentMatrix(["c"], ["p1", "p2", "p3"])
         assert 0.0 <= surplus_bound(*aggregate_surplus(ssp, empty)) <= 0.25 + 1e-12
         for committed in (1.0, 7.9):
@@ -470,7 +469,7 @@ class TestCalibration:
             Subscriber("c1", AC, 1.0, priority=1.0),
         )
         producers = (Subscriber("p0", AP, 5.0),)
-        prefs = PreferenceTable({"c0": {"p0": 15}, "c1": {}})
+        prefs = preference_table({"c0": {"p0": 15}, "c1": {}})
         rows = {"c0": {"p0": 1, UTILITY_ID: 1}, "c1": {UTILITY_ID: 1}}
         ssp = SSPConfig("s1", consumers, producers, prefs)
         return Scenario((ssp,), ConnectivityMatrix(rows), weights, None, 5)
@@ -755,9 +754,13 @@ def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
     cfg = scenario.ssp(ssp_id)
     gone = {p.id for p in cfg.producers}
     rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in scenario.connectivity.rows.items()}
-    ranks = {c: {s: r for s, r in row.items() if s not in gone} for c, row in cfg.preferences.ranks.items()}
+    header = cfg.preferences.suppliers
+    ranks = {
+        c: {s: r for s, r in zip(header, row) if r is not None and s not in gone}
+        for c, row in cfg.preferences.ranks.items()
+    }
     ssps = tuple(
-        replace(other, producers=(), preferences=PreferenceTable(ranks)) if other.id == ssp_id else other
+        replace(other, producers=(), preferences=preference_table(ranks)) if other.id == ssp_id else other
         for other in scenario.ssps
     )
     return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))

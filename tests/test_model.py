@@ -23,6 +23,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.conftest import preference_table
 from tests.oracles import reference_validate_connectivity, reference_validate_preferences
 
 
@@ -34,7 +35,8 @@ STORED_AS_READ = [
         ("rank", True, "AC2: rank-positive-int (rank True for PP1)"),
         ("rank", 1.5, "AC2: rank-positive-int (rank 1.5 for PP1)"),
         ("rank", "2", "AC2: rank-positive-int (rank '2' for PP1)"),
-        ("rank", None, "AC2: rank-positive-int (rank None for PP1)"),
+        # a null rank is no rank, and AC2 is linked to PP1
+        ("rank", None, "AC2: preference-covered (no rank for local producer PP1)"),
         ("link", 2, "AC2: connectivity-binary (N(AC2, PP1) = 2)"),
         ("link", True, "AC2: connectivity-binary (N(AC2, PP1) = True)"),
         ("link", 0.5, "AC2: connectivity-binary (N(AC2, PP1) = 0.5)"),
@@ -65,9 +67,10 @@ def stored_as_read(scenario: Scenario, fact: str, value: object) -> Scenario:
         return replace(scenario, ssps=(replace(cfg, **{side: subs}),))
     if fact == "rank":
         cfg = scenario.ssps[0]
-        ranks = {c: dict(cols) for c, cols in cfg.preferences.ranks.items()}
-        ranks["AC2"]["PP1"] = value
-        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable(ranks)),))
+        prefs = cfg.preferences
+        ranks = {c: list(row) for c, row in prefs.ranks.items()}
+        ranks["AC2"][prefs.index["PP1"]] = value
+        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable(prefs.suppliers, ranks)),))
     rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
     rows["AC2"]["PP1"] = value
     return replace(scenario, connectivity=ConnectivityMatrix(rows))
@@ -79,7 +82,7 @@ def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
         Subscriber("c2", SubscriberKind.ACTIVE_CONSUMER, 6.0, bound=bounds[1], priority=priorities[1]),
     )
     producers = (Subscriber("p1", SubscriberKind.ACTIVE_PRODUCER, 8.0),)
-    prefs = PreferenceTable({"c1": {"p1": 1}, "c2": {"p1": 1}})
+    prefs = preference_table({"c1": {"p1": 1}, "c2": {"p1": 1}})
     return SSPConfig("s1", consumers, producers, prefs)
 
 
@@ -202,7 +205,7 @@ class TestValidateScenario:
     def test_duplicate_and_reserved_ids(self):
         consumers = (Subscriber("x", SubscriberKind.ACTIVE_CONSUMER, 1.0, priority=1.0),)
         producers = (Subscriber("x", SubscriberKind.ACTIVE_PRODUCER, 1.0),)
-        ssp = SSPConfig(UTILITY_ID, consumers, producers, PreferenceTable({"x": {"x": 1}}))
+        ssp = SSPConfig(UTILITY_ID, consumers, producers, preference_table({"x": {"x": 1}}))
         rows = {"x": {"x": 1, UTILITY_ID: 1}}
         rules = {v.rule for v in validate_scenario(Scenario((ssp,), ConnectivityMatrix(rows), MatchingWeights(), None, 0))}
         assert "unique-ids" in rules and "reserved-id" in rules
@@ -220,21 +223,21 @@ class TestValidateScenario:
     def test_missing_preference_rank_is_flagged(self):
         consumers = (Subscriber("c1", SubscriberKind.ACTIVE_CONSUMER, 4.0, priority=1.0),)
         producers = (Subscriber("p1", SubscriberKind.ACTIVE_PRODUCER, 8.0),)
-        ssp = SSPConfig("s1", consumers, producers, PreferenceTable({}))
+        ssp = SSPConfig("s1", consumers, producers, preference_table({}))
         violations = validate_scenario(scenario_of(ssp, {"c1": {"p1": 1, UTILITY_ID: 1}}))
         assert any(v.rule == "preference-covered" for v in violations)
 
     def test_unresolvable_preference_index_is_flagged(self):
         consumers = (Subscriber("c1", SubscriberKind.ACTIVE_CONSUMER, 4.0, priority=1.0),)
         producers = (Subscriber("p1", SubscriberKind.ACTIVE_PRODUCER, 8.0),)
-        ssp = SSPConfig("s1", consumers, producers, PreferenceTable({"c1": {"p1": 1, "ghost": 2}}))
+        ssp = SSPConfig("s1", consumers, producers, preference_table({"c1": {"p1": 1, "ghost": 2}}))
         rules = {v.rule for v in validate_scenario(scenario_of(ssp, {"c1": {"p1": 1, UTILITY_ID: 1}}))}
         assert "preference-col-resolves" in rules
 
     def test_asymmetric_interssp_block_is_flagged(self):
         ssp_a = small_ssp()
         consumers = (Subscriber("c3", SubscriberKind.ACTIVE_CONSUMER, 1.0, priority=1.0),)
-        ssp_b = SSPConfig("s2", consumers, (), PreferenceTable({"c3": {"s1": 1}}))
+        ssp_b = SSPConfig("s2", consumers, (), preference_table({"c3": {"s1": 1}}))
         rows = {
             "c1": {"p1": 1, UTILITY_ID: 1},
             "c2": {"p1": 1, UTILITY_ID: 1},
@@ -270,23 +273,23 @@ class TestEnergyStatus:
             Subscriber(f"c{i}", SubscriberKind.ACTIVE_CONSUMER, 12.71, priority=0.1) for i in range(10)
         )
         producers = tuple(Subscriber(f"p{i}", SubscriberKind.ACTIVE_PRODUCER, 15.22) for i in range(5))
-        ssp = SSPConfig("s", consumers, producers, PreferenceTable({}))
+        ssp = SSPConfig("s", consumers, producers, preference_table({}))
         assert energy_status(ssp) == pytest.approx(-51.0, abs=1e-6)
 
     def test_empty_ssp_is_zero(self):
-        assert energy_status(SSPConfig("s", (), (), PreferenceTable({}))) == 0.0
+        assert energy_status(SSPConfig("s", (), (), preference_table({}))) == 0.0
 
     def test_five_kwh_gap(self):
         consumers = (Subscriber("c", SubscriberKind.ACTIVE_CONSUMER, 57.0, priority=1.0),)
         producers = (Subscriber("p", SubscriberKind.ACTIVE_PRODUCER, 52.0),)
-        assert energy_status(SSPConfig("s", consumers, producers, PreferenceTable({}))) == pytest.approx(-5.0)
+        assert energy_status(SSPConfig("s", consumers, producers, preference_table({}))) == pytest.approx(-5.0)
 
     @given(scale=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     def test_linearity_under_scaling(self, scale):
         def build(c):
             consumers = (Subscriber("c", SubscriberKind.ACTIVE_CONSUMER, 7.5 * c, priority=1.0),)
             producers = (Subscriber("p", SubscriberKind.ACTIVE_PRODUCER, 3.25 * c),)
-            return SSPConfig("s", consumers, producers, PreferenceTable({}))
+            return SSPConfig("s", consumers, producers, preference_table({}))
 
         assert energy_status(build(scale)) == pytest.approx(scale * energy_status(build(1.0)), abs=1e-9)
 
@@ -362,9 +365,13 @@ def test_line_lookup_equals_the_linear_scan(lines, row_id, col_id):
 MUTATIONS = (
     "drop-local-rank",
     "drop-partner-rank",
+    "drop-column",
     "bad-rank",
     "unknown-supplier",
+    "duplicate-supplier",
     "stray-rank-row",
+    "missing-rank-row",
+    "short-rank-row",
     "non-binary",
     "asymmetric",
     "self-link",
@@ -384,26 +391,50 @@ def mutated_scenarios(draw) -> Scenario:
         seed=draw(st.integers(0, 2**16)),
     )
     scenario = generate_scenario(spec)
-    ranks = {cfg.id: {c: dict(cols) for c, cols in cfg.preferences.ranks.items()} for cfg in scenario.ssps}
+    # each SSP's header and rows, edited in place
+    headers = {cfg.id: list(cfg.preferences.suppliers) for cfg in scenario.ssps}
+    ranks = {cfg.id: {c: list(row) for c, row in cfg.preferences.ranks.items()} for cfg in scenario.ssps}
     rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
         cfg = draw(st.sampled_from(scenario.ssps))
+        header, table = headers[cfg.id], ranks[cfg.id]
         consumer = draw(st.sampled_from(cfg.consumers)).id
-        row = ranks[cfg.id][consumer]
+        row = table.get(consumer)
         others = [s for s in scenario.ssp_ids if s != cfg.id]
         other = draw(st.sampled_from(others))
-        if kind == "drop-local-rank" and cfg.producers:
-            row.pop(draw(st.sampled_from(cfg.producers)).id, None)
-        elif kind == "drop-partner-rank":
-            for partner in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
-                row.pop(partner, None)
+        if kind in ("drop-local-rank", "drop-partner-rank") and row is not None:
+            # a header position may be gone already (drop-column), or past a short row
+            local = [p.id for p in cfg.producers]
+            if kind == "drop-local-rank":
+                dropped = [draw(st.sampled_from(local))] if local else []
+            else:
+                dropped = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+            for supplier_id in dropped:
+                if supplier_id in header[: len(row)]:
+                    row[header.index(supplier_id)] = None
+        elif kind == "drop-column" and header:
+            k = draw(st.integers(0, len(header) - 1))
+            del header[k]
+            for values in table.values():
+                del values[k : k + 1]
         elif kind == "bad-rank" and row:
-            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from([True, 0, -1, 1.5, "2", 10**400]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([True, 0, -1, 1.5, "2", 10**400]))
         elif kind == "unknown-supplier":
-            row["X.P99"] = draw(st.integers(1, 3))
+            header.append("X.P99")
+            for c, values in table.items():
+                values.append(draw(st.integers(1, 3)) if c == consumer else None)
+        elif kind == "duplicate-supplier" and header:
+            header.append(draw(st.sampled_from(header)))
+            for values in table.values():
+                values.append(draw(st.sampled_from([1, 2, None])))
         elif kind == "stray-rank-row":
             stranger = draw(st.sampled_from([p.id for p in cfg.producers] + [f"{other}.C01", "X.C99"]))
-            ranks[cfg.id][stranger] = {other: 1}
+            table[stranger] = [1 if s == other else None for s in header]
+        elif kind == "missing-rank-row":
+            table.pop(consumer, None)
+        elif kind == "short-rank-row" and row:
+            # only a table built in memory can hold one: the loader refuses it
+            del row[draw(st.integers(0, len(row) - 1)):]
         elif kind == "non-binary":
             row_id = draw(st.sampled_from(sorted(rows)))
             if rows[row_id]:
@@ -422,7 +453,10 @@ def mutated_scenarios(draw) -> Scenario:
         elif kind == "unknown-row":
             rows["X.C99"] = {other: 1}
     # SSP order sets the order of the partner checks, so it is drawn too
-    ssps = tuple(replace(cfg, preferences=PreferenceTable(ranks[cfg.id])) for cfg in draw(st.permutations(scenario.ssps)))
+    ssps = tuple(
+        replace(cfg, preferences=PreferenceTable(tuple(headers[cfg.id]), ranks[cfg.id]))
+        for cfg in draw(st.permutations(scenario.ssps))
+    )
     return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))
 
 

@@ -16,7 +16,6 @@ from sspsim.model import (
     LineConstraint,
     LineConstraintSet,
     MatchingWeights,
-    PreferenceTable,
     Scenario,
     SSPConfig,
     Subscriber,
@@ -40,6 +39,7 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
+from tests.conftest import preference_table
 from tests.test_matching import study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -53,19 +53,19 @@ STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, dem
 def triangle_scenario() -> Scenario:
     """S1 has 18 kWh spare; S2 needs 10, S3 needs 8."""
     s1 = SSPConfig(
-        "S1", (), (Subscriber("S1.P1", AP, 18.0),), PreferenceTable({})
+        "S1", (), (Subscriber("S1.P1", AP, 18.0),), preference_table({})
     )
     s2 = SSPConfig(
         "S2",
         (Subscriber("S2.C1", AC, 10.0, priority=1.0),),
         (),
-        PreferenceTable({"S2.C1": {"S1": 1, "S3": 2}}),
+        preference_table({"S2.C1": {"S1": 1, "S3": 2}}),
     )
     s3 = SSPConfig(
         "S3",
         (Subscriber("S3.C1", AC, 8.0, priority=1.0),),
         (),
-        PreferenceTable({"S3.C1": {"S1": 1, "S2": 2}}),
+        preference_table({"S3.C1": {"S1": 1, "S2": 2}}),
     )
     rows = {
         "S2.C1": {UTILITY_ID: 1},
@@ -137,9 +137,9 @@ class TestRunEngine:
             "S2",
             (Subscriber("S2.C1", AC, 51.0, priority=1.0),),
             (),
-            PreferenceTable({"S2.C1": {"S1": 1}}),
+            preference_table({"S2.C1": {"S1": 1}}),
         )
-        surplus = SSPConfig("S1", (), (Subscriber("S1.P1", AP, 51.0),), PreferenceTable({}))
+        surplus = SSPConfig("S1", (), (Subscriber("S1.P1", AP, 51.0),), preference_table({}))
         rows = {"S2.C1": {UTILITY_ID: 1}, "S1": {"S2": 1}, "S2": {"S1": 1}}
         scenario = Scenario((surplus, deficit), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
         result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=0)
@@ -254,7 +254,7 @@ class TestRunEngine:
             "S1",
             (Subscriber("S1.C1", AC, 4.0, priority=1.0),),
             (Subscriber("S1.P1", AP, 10.0),),
-            PreferenceTable({"S1.C1": {"S1.P1": 1}}),
+            preference_table({"S1.C1": {"S1.P1": 1}}),
         )
         rows = {"S1.C1": {"S1.P1": 1, UTILITY_ID: 1}}
         lines = LineConstraintSet((LineConstraint(UTILITY_ID, "S1.P1", 0.0, 2.0),))
@@ -270,14 +270,14 @@ class TestRunEngine:
             "S1",
             (Subscriber("S1.C1", AC, 5.0, priority=1.0),),
             (Subscriber("S1.P1", AP, 10.0),),
-            PreferenceTable({"S1.C1": {"S2": 1, "S3": 2}}),
+            preference_table({"S1.C1": {"S2": 1, "S3": 2}}),
         )
-        s2 = SSPConfig("S2", (), (Subscriber("S2.P1", AP, 5.0),), PreferenceTable({}))
+        s2 = SSPConfig("S2", (), (Subscriber("S2.P1", AP, 5.0),), preference_table({}))
         s3 = SSPConfig(
             "S3",
             (Subscriber("S3.C1", AC, 6.0, priority=1.0),),
             (),
-            PreferenceTable({"S3.C1": {"S1": 1, "S2": 2}}),
+            preference_table({"S3.C1": {"S1": 1, "S2": 2}}),
         )
         rows = {
             "S1.C1": {"S1.P1": 0, UTILITY_ID: 1},

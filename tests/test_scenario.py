@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sspsim.scenario
-from sspsim.model import LineConstraint, LineConstraintSet, SubscriberKind, _fits_float, energy_status, validate_scenario
+from sspsim.model import LineConstraint, LineConstraintSet, PreferenceTable, SubscriberKind, _fits_float, energy_status, validate_scenario
 from sspsim.scenario import (
     PREFERENCE_MODE,
     GeneratorSpec,
@@ -117,13 +117,13 @@ class TestPersistence:
         [
             pytest.param(
                 GeneratorSpec(n_ssps=50, **STUDY1_SHAPE, seed=101),
-                "bb02a13f7e92293aee384f90b9c748237bef2149f64e262f77592dea998192aa", 378_493,
+                "083974f4899c825efb9552803b915eb069d0906f321c9f28df998a9d1de642ea", 224_893,
                 id="meshed-50",
             ),
             pytest.param(
                 # its SSP ids cross the S99/S100 sort boundary
                 GeneratorSpec(n_ssps=200, **STUDY1_SHAPE, seed=101),
-                "3477e2c8146f6a1dbf486ff08cbc3c5ff4899e23cbb76398baf583f5d4462d8e", 4_898_224,
+                "c3f20ed044c0b52cce7ed701cdac8c8d5481492b2ff8dfbf49c78ccbeda52b97", 2_478_388,
                 id="coalition-200",
             ),
             pytest.param(
@@ -133,12 +133,12 @@ class TestPersistence:
                     passive_producers=5, passive_producer_bound=0.10,
                     demand_mean_kwh=12.0, supply_mean_kwh=42.0, noise_std_kwh=3.0, seed=7,
                 ),
-                "d0d83861ac85c2e076551e3a7691a0f553c78dfff2cadfe04869db556582cfd0", 401_045,
+                "97d17a9ba2af2516592fefcc4ae14eaf9f6d55959e303b1c9282acf644db0e57", 256_005,
                 id="study2-balanced",
             ),
             pytest.param(
                 GeneratorSpec(n_ssps=10, **STUDY1_SHAPE, seed=101),
-                "b46c4a49730539a1b5361cea472bf838fcc03795d5d6493878359f27ad764a2b", 36_669,
+                "ff476cd81e49d77ba9c344cfccc47ec831fdbefbd757bded596cb51f6a541b4e", 27_549,
                 id="centralized-10",
             ),
         ],
@@ -190,15 +190,21 @@ class TestPersistence:
 
     def test_non_string_keys_are_named_by_validation(self, worked_scenario):
         # a dict built in Python, not parsed from JSON, may carry other keys;
-        # the rows are copied as they are, and validation names the key
+        # the connectivity rows are copied as they are, and validation names the key
         data = scenario_to_dict(worked_scenario)
-        data["ssps"][0]["preferences"]["AC1"] = {"AP1": 1, "AP2": 2, "PP1": 3, 7: 2}
         data["connectivity"]["AC1"] = {"AP1": 1, "AP2": 1, "PP1": 1, 7: 0, "U": 1}
         violations = validate_scenario(scenario_from_dict(data))
-        assert [str(v) for v in violations] == [
-            "7: connectivity-col-resolves (unknown column id in row AC1)",
-            "AC1: preference-col-resolves (unknown supplier 7)",
-        ]
+        assert [str(v) for v in violations] == ["7: connectivity-col-resolves (unknown column id in row AC1)"]
+
+    def test_a_supplier_id_that_is_not_a_string_is_named_by_the_loader(self, worked_scenario):
+        # a preference header lists supplier ids, and the loader refuses one
+        # that is not a string, as every other id
+        data = scenario_to_dict(worked_scenario)
+        data["ssps"][0]["preferences"]["suppliers"].append(7)
+        for row in data["ssps"][0]["preferences"]["ranks"].values():
+            row.append(2)
+        with pytest.raises(ScenarioFormatError, match=r"^ssps\[0\]\.preferences\.suppliers\[3\]: expected a string, got 7$"):
+            scenario_from_dict(data)
 
 
 # what JSON (or a dict built in Python) may hold where a rank, a link or the seed belongs
@@ -217,8 +223,9 @@ SCALARS = st.one_of(
 def test_any_rank_link_or_seed_loads_as_read_and_validation_judges_it(worked_scenario, fact, value):
     # the fixture is only read, so one instance can serve every example
     loaded = scenario_from_dict(scenario_to_dict(stored_as_read(worked_scenario, fact, value)))
+    prefs = loaded.ssps[0].preferences
     stored = {
-        "rank": loaded.ssps[0].preferences.ranks["AC2"]["PP1"],
+        "rank": prefs.ranks["AC2"][prefs.index["PP1"]],
         "link": loaded.connectivity.rows["AC2"]["PP1"],
         "seed": loaded.seed,
     }[fact]
@@ -229,8 +236,34 @@ def test_any_rank_link_or_seed_loads_as_read_and_validation_judges_it(worked_sce
         "link": not isinstance(value, bool) and value in (0, 1),
         "seed": integer and -(2**63) <= value < 2**63,
     }[fact]
-    rule = {"rank": ("AC2", "rank-positive-int"), "link": ("AC2", "connectivity-binary"), "seed": ("seed", "seed-64bit")}
+    # a null rank is no rank
+    rank_rule = "preference-covered" if value is None else "rank-positive-int"
+    rule = {"rank": ("AC2", rank_rule), "link": ("AC2", "connectivity-binary"), "seed": ("seed", "seed-64bit")}
     assert [(v.entity, v.rule) for v in validate_scenario(loaded)] == ([] if valid else [rule[fact]])
+
+
+# what a row may hold: a rank, a value validation refuses, or null for no rank
+ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=2))
+
+
+@st.composite
+def preference_tables(draw) -> PreferenceTable:
+    """A header of any ids, duplicates included, and rows as long as it."""
+    suppliers = draw(st.lists(st.text(max_size=3), max_size=5))
+    row = st.tuples(*[ROW_VALUES] * len(suppliers))
+    return PreferenceTable(tuple(suppliers), draw(st.dictionaries(st.text(max_size=3), row, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=preference_tables())
+def test_a_header_and_its_rows_load_as_written(worked_scenario, table):
+    scenario = replace(worked_scenario, ssps=(replace(worked_scenario.ssps[0], preferences=table),))
+    loaded = scenario_from_json(scenario_to_json(scenario)).ssps[0].preferences
+    assert loaded == table
+    # 1 == True, so the types are compared too
+    assert {c: list(map(type, row)) for c, row in loaded.ranks.items()} == {
+        c: list(map(type, row)) for c, row in table.ranks.items()
+    }
 
 
 def test_schema_matches_what_the_writer_emits(worked_scenario):
