@@ -38,6 +38,7 @@ from .model import (
     ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     PreferenceTable,
     Scenario,

@@ -60,9 +60,8 @@ per-pair form has no column for it, so there the baseline relaxes the runs.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +80,7 @@ from .model import (
     ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     PreferenceTable,
     Scenario,
@@ -132,11 +132,7 @@ class FlexibilityAssignment:
 def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
     """Local view with every reachable partner advertised at zero capacity."""
     cfg = scenario.ssp(ssp_id)
-    partners = {
-        other: PartnerCapacity(0.0, 0.0)
-        for other in scenario.ssp_ids
-        if other != ssp_id and scenario.connectivity.connected(ssp_id, other)
-    }
+    partners = {other: PartnerCapacity(0.0, 0.0) for other in _linked_ssps(scenario, ssp_id, scenario.ssp_ids)}
     return SspView(
         ssp_id=cfg.id,
         consumers=cfg.consumers,
@@ -238,29 +234,29 @@ def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], line
     )
 
 
-def _rank_rows(
-    preferences: PreferenceTable, consumer_ids: Sequence[str], local: Sequence[Sequence[str]], partner_ids: Sequence[str]
-) -> list[list[int]]:
-    """The ranks of consumer k's local suppliers ``local[k]``, then of ``partner_ids``, read by header position."""
-    index, rows = preferences.index, preferences.ranks
-    positions: dict[tuple[str, ...], list[int | None]] = {}  # of each distinct local list, then the partners
-    out = []
-    for consumer_id, local_ids in zip(consumer_ids, local):
-        key = tuple(local_ids)
-        at = positions.get(key)
-        if at is None:
-            at = positions[key] = [index.get(s) for s in (*local_ids, *partner_ids)]
-        row = rows.get(consumer_id, ())
-        try:
-            ranks = [row[k] for k in at]
-        except (TypeError, IndexError):  # a supplier off the header, or a short row
-            ranks = [None]
-        # a rank is truthy; only a row with a falsy value may hold a None
-        if not all(ranks) and None in ranks:  # name the first missing pair
-            missing = next(s for s in [*local_ids, *partner_ids] if not preferences.has(consumer_id, s))
-            raise MatchingStructureError(f"no preference rank for ({consumer_id}, {missing})")
-        out.append(ranks)
-    return out
+def _linked_ssps(scenario: Scenario, ssp_id: str, candidates: Sequence[str]) -> list[str]:
+    """The SSPs of ``candidates`` other than ``ssp_id`` that N(ssp_id, .) links it to, in order."""
+    links = scenario.connectivity.values([ssp_id], candidates)[0].tolist()
+    return [other for other, linked in zip(candidates, links) if linked and other != ssp_id]
+
+
+def _ranked_pairs(local: np.ndarray, n_partners: int) -> np.ndarray:
+    """The (consumer, supplier) pairs that need a rank: ``local``'s linked producers, then every one of ``n_partners`` partners."""
+    pairs = np.ones((local.shape[0], local.shape[1] + n_partners), dtype=bool)
+    pairs[:, : local.shape[1]] = local
+    return pairs
+
+
+def _rank_block(
+    preferences: PreferenceTable, consumer_ids: Sequence[str], supplier_ids: Sequence[str], needed: np.ndarray
+) -> np.ndarray:
+    """The ranks of every (consumer, supplier) pair, consumers x suppliers; every ``needed`` pair must have one."""
+    ranks, ranked = preferences.gather(consumer_ids, supplier_ids)
+    missing = needed & ~ranked
+    if missing.any():  # name the first missing pair
+        k, j = np.argwhere(missing)[0]
+        raise MatchingStructureError(f"no preference rank for ({consumer_ids[k]}, {supplier_ids[j]})")
+    return ranks
 
 
 class _Rewards:
@@ -272,21 +268,16 @@ class _Rewards:
     ``stretch_penalty`` lies 0.01 * w2 above the largest of them.
     """
 
-    def __init__(self, weights: MatchingWeights, priority: np.ndarray, ranks: list[int]):
+    def __init__(self, weights: MatchingWeights, priority: np.ndarray, ranks: np.ndarray):
         self._weights = weights
-        self.beta = weights.beta if weights.beta is not None else float(max(1, max(ranks, default=1)) + 1)
-        self.of_pairs = self(priority, np.array(ranks, dtype=float))
+        self.beta = weights.beta if weights.beta is not None else float(max(1, int(ranks.max(initial=1))) + 1)
+        self.of_pairs = self(priority, ranks.astype(float))
         self.stretch_penalty = (float(self.of_pairs.max()) if self.of_pairs.size else 0.0) + 0.01 * weights.w2
 
     def __call__(self, priority, rank):
         """w14 * Pr(i) + w35 * (1 + alpha * (beta - rank)), elementwise over arrays."""
         weights = self._weights
         return weights.w14 * priority + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
-
-
-def _local_ids(links: Mapping[str, int], producer_ids: Sequence[str]) -> list[str]:
-    """The producers a consumer's connectivity row links to (a truthy entry), in producer order."""
-    return list(itertools.compress(producer_ids, map(links.get, producer_ids)))
 
 
 class PairTable:
@@ -310,25 +301,21 @@ class PairTable:
         self.partner_ids = sorted(view.partner_capacities)
         self._consumer_at = {c: k for k, c in enumerate(self.consumer_ids)}
         self._partner_at = {p: q for q, p in enumerate(self.partner_ids)}
-        producer_at = {p: j for j, p in enumerate(self.producer_ids)}
-        links = view.connectivity.rows
-        local = [_local_ids(links.get(c, {}), self.producer_ids) for c in self.consumer_ids]
-        ranks = _rank_rows(view.preferences, self.consumer_ids, local, self.partner_ids)
-        n_cons, n_partners = len(consumers), len(self.partner_ids)
+        links = view.connectivity.values(self.consumer_ids, self.producer_ids) != 0
+        needed = _ranked_pairs(links, len(self.partner_ids))
+        ranks = _rank_block(view.preferences, self.consumer_ids, self.producer_ids + self.partner_ids, needed)
+        n_cons, n_partners, n_prod = len(consumers), len(self.partner_ids), len(self.producer_ids)
 
-        counts = list(map(len, local))
-        self.local_count = np.array(counts, dtype=np.intp)
-        n_local = sum(counts)
+        self.local_count = links.sum(axis=1)
+        n_local = int(self.local_count.sum())
         starts = np.cumsum(self.local_count) - self.local_count  # each consumer's first local column
-        self.local_consumer = np.repeat(np.arange(n_cons), self.local_count)
-        self.local_offset = np.arange(n_local) - np.repeat(starts, self.local_count)
-        self.local_producer = np.fromiter(map(producer_at.__getitem__, itertools.chain.from_iterable(local)), np.intp, n_local)
-        self.local_names = np.array([f"cm[{c}][{p}]" for c, row in zip(self.consumer_ids, local) for p in row], dtype=object)
-        local_ranks = list(itertools.chain.from_iterable(row[:n] for row, n in zip(ranks, counts)))
-        partner_ranks = list(itertools.chain.from_iterable(row[n:] for row, n in zip(ranks, counts)))
+        self.local_consumer, self.local_producer = np.nonzero(links)
+        self.local_offset = np.arange(n_local) - starts[self.local_consumer]
+        pairs = zip(self.local_consumer.tolist(), self.local_producer.tolist())
+        self.local_names = np.array([f"cm[{self.consumer_ids[k]}][{self.producer_ids[j]}]" for k, j in pairs], dtype=object)
         priority = np.array([c.priority for c in consumers], dtype=float)
         pair_priority = np.concatenate([priority[self.local_consumer], np.repeat(priority, n_partners)])
-        self.rewards = _Rewards(weights, pair_priority, local_ranks + partner_ranks)
+        self.rewards = _Rewards(weights, pair_priority, np.concatenate([ranks[:, :n_prod][links], ranks[:, n_prod:].ravel()]))
         self.local_reward = self.rewards.of_pairs[:n_local]
         self.partner_rewards = self.rewards.of_pairs[n_local:].reshape(n_cons, n_partners)
 
@@ -337,10 +324,11 @@ class PairTable:
         # a positive minimum ties to some consumer are ``floored``
         self.local_lower, self.local_upper = np.zeros(n_local), np.full(n_local, math.inf)
         self.partner_lines: dict[str, list[tuple[int, float, float]]] = {}
-        for k, (consumer_id, row) in enumerate(zip(self.consumer_ids, local)):
+        for k, consumer_id in enumerate(self.consumer_ids):
             row_lines = lines.of_row(consumer_id) if lines is not None else {}
             if not row_lines:
                 continue
+            row = [self.producer_ids[j] for j in np.flatnonzero(links[k]).tolist()]
             at = {producer_id: int(starts[k]) + i for i, producer_id in enumerate(row)}
             for col_id, line in row_lines.items():
                 if col_id in at:
@@ -720,32 +708,33 @@ def merged_view(scenario: Scenario) -> SspView:
     """
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
-    at = {p.id: j for j, p in enumerate(producers)}
-    ranks: dict[str, list[int | None]] = {}
-    rows: dict[str, dict[str, int]] = {}
+    ssp_at = {ssp_id: t for t, ssp_id in enumerate(scenario.ssp_ids)}
+    owner = np.repeat(np.arange(len(scenario.ssps)), [len(cfg.producers) for cfg in scenario.ssps])  # each producer's SSP
+    ranks, ranked = [np.zeros((0, owner.size), dtype=np.int64)], [np.zeros((0, owner.size), dtype=bool)]
     for cfg in scenario.ssps:
-        for consumer in cfg.consumers:
-            consumer_ranks: list[int | None] = [None] * len(at)
-            row: dict[str, int] = {UTILITY_ID: 1}
-            for producer in cfg.producers:
-                if scenario.connectivity.connected(consumer.id, producer.id):
-                    consumer_ranks[at[producer.id]] = cfg.preferences.rank(consumer.id, producer.id)
-                    row[producer.id] = 1
-            for other in scenario.ssps:
-                if other.id == cfg.id or not scenario.connectivity.connected(cfg.id, other.id):
-                    continue
-                partner_rank = cfg.preferences.rank(consumer.id, other.id)
-                for producer in other.producers:
-                    consumer_ranks[at[producer.id]] = partner_rank
-                    row[producer.id] = 1
-            ranks[consumer.id] = consumer_ranks
-            rows[consumer.id] = row
+        consumer_ids, producer_ids = [c.id for c in cfg.consumers], [p.id for p in cfg.producers]
+        partner_ids = _linked_ssps(scenario, cfg.id, scenario.ssp_ids)
+        local = scenario.connectivity.values(consumer_ids, producer_ids) != 0
+        needed = _ranked_pairs(local, len(partner_ids))
+        found = _rank_block(cfg.preferences, consumer_ids, producer_ids + partner_ids, needed)
+        # each producer's column of ``found``: its own, its SSP's if a linked partner, else -1, a last column of no link
+        column = np.full(len(scenario.ssps), -1)
+        column[[ssp_at[t] for t in partner_ids]] = len(producer_ids) + np.arange(len(partner_ids))
+        column = column[owner]
+        column[owner == ssp_at[cfg.id]] = np.arange(len(producer_ids))
+        linked = np.hstack([needed, np.zeros((len(consumer_ids), 1), dtype=bool)])[:, column]
+        ranked.append(linked)
+        ranks.append(np.where(linked, np.hstack([found, np.zeros((len(consumer_ids), 1), dtype=np.int64)])[:, column], 0))
+    ranks, ranked = np.vstack(ranks), np.vstack(ranked)
+    consumer_ids = tuple(c.id for c in consumers)
+    producer_ids = tuple(p.id for p in producers)
+    links = np.hstack([ranked, np.ones((len(consumers), 1), dtype=bool)]).astype(np.int64)
     return SspView(
         ssp_id="centralized",
         consumers=consumers,
         producers=producers,
-        preferences=PreferenceTable(tuple(at), ranks),
-        connectivity=ConnectivityMatrix(rows),
+        preferences=PreferenceTable(producer_ids, consumer_ids, ranks, ranked),
+        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), links)}),
     )
 
 
@@ -765,34 +754,39 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     n_prod, n_cons = len(producers), len(consumers)
     supplier_ids = [p.id for p in producers] + list(scenario.ssp_ids)
     supplier_at = {supplier_id: j for j, supplier_id in enumerate(supplier_ids)}
-    rows: list[list[str]] = []  # per consumer: the supplier of each cm column
-    n_local: list[int] = []
-    ranks: list[int] = []
-    for cfg in scenario.ssps:
-        partner_ids = [t.id for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
-        producer_ids = [p.id for p in cfg.producers]
-        local = [_local_ids(connectivity.rows.get(c.id, {}), producer_ids) for c in cfg.consumers]
-        ranks.extend(itertools.chain.from_iterable(_rank_rows(cfg.preferences, [c.id for c in cfg.consumers], local, partner_ids)))
-        rows.extend(row + partner_ids for row in local)
-        n_local.extend(map(len, local))
-    counts = np.array([len(row) for row in rows], dtype=np.intp)
+    pooled_ids = [t.id for t in scenario.ssps if t.producers]
+    ranks, suppliers, counts, n_local = [], [], [], []  # per SSP: each cm column's rank and supplier, consumer-major
+    for cfg, links in zip(scenario.ssps, connectivity.values(scenario.ssp_ids, pooled_ids).tolist()):
+        consumer_ids = [c.id for c in cfg.consumers]
+        partner_ids = [t for t, linked in zip(pooled_ids, links) if linked and t != cfg.id]
+        here = [p.id for p in cfg.producers] + partner_ids
+        local = connectivity.values(consumer_ids, here[: len(cfg.producers)]) != 0
+        # a consumer's columns: its linked local producers, then every partner
+        columns = _ranked_pairs(local, len(partner_ids))
+        ranks.append(_rank_block(cfg.preferences, consumer_ids, here, columns)[columns])
+        suppliers.append(np.array([supplier_at[s] for s in here], dtype=np.intp)[np.nonzero(columns)[1]])
+        linked_local = local.sum(axis=1)
+        counts.append(linked_local + len(partner_ids))
+        n_local.extend(linked_local.tolist())
+    cm_supplier = np.concatenate([np.zeros(0, dtype=np.intp), *suppliers])
+    counts = np.concatenate([np.zeros(0, dtype=np.intp), *counts])
     consumer_of = np.repeat(np.arange(n_cons), counts)
     lower, upper = np.zeros(consumer_of.size), np.full(consumer_of.size, math.inf)
     # a line bounds a local cell; a (consumer, SSP) line bounds no column: an import is unbounded
-    for consumer, row, start, local in zip(consumers, rows, (np.cumsum(counts) - counts).tolist(), n_local):
+    for consumer, start, local in zip(consumers, (np.cumsum(counts) - counts).tolist(), n_local):
         row_lines = lines.of_row(consumer.id) if lines is not None else {}
-        for i, producer_id in enumerate(row[:local]):
-            if producer_id in row_lines:
-                lower[start + i], upper[start + i] = _bounds(row_lines[producer_id])
+        for i, j in enumerate(cm_supplier[start : start + local].tolist() if row_lines else ()):
+            if supplier_ids[j] in row_lines:
+                lower[start + i], upper[start + i] = _bounds(row_lines[supplier_ids[j]])
     priority = np.array([c.priority for c in consumers], dtype=float)
-    rewards = _Rewards(weights, priority[consumer_of], ranks)
+    rewards = _Rewards(weights, priority[consumer_of], np.concatenate([np.zeros(0, dtype=np.int64), *ranks]))
     cm = _CmColumns(
         consumer_of,
-        np.array([supplier_at[s] for row in rows for s in row], dtype=np.intp),
+        cm_supplier,
         lower,
         upper,
         rewards.of_pairs,
-        [f"cm[{c.id}][{s}]" for c, row in zip(consumers, rows) for s in row],
+        [f"cm[{consumers[k].id}][{supplier_ids[j]}]" for k, j in zip(consumer_of.tolist(), cm_supplier.tolist())],
     )
     flex = _flex(consumers, producers, lines)
     lp, info, supplied, served = _place([c.id for c in consumers], supplier_ids, cm, flex, weights, rewards)

@@ -18,6 +18,16 @@ tolerances: ``matching.RESIDUAL_TOL`` (1e-9 kWh), at or below which an amount
 reads as 0; ``protocol.IMPROVE_TOL`` (1e-9), the margin a re-solve must beat;
 ``lp.FEAS_TOL`` (1e-6), the solver drift past a bound that is clamped; and
 ``KWH_TOL`` (1e-6), the slack of the priority-sum check.
+
+The fleet tables, ranks and links, grow as N² with N SSPs (408,000 ranks and
+51,800 links at 200 SSPs of 10 consumers and 5 producers; 2.1 MB of scenario
+file), so they are held as int64 arrays against a header: a
+``PreferenceTable`` per SSP, and a ``ConnectivityMatrix`` of ``LinkBlock``s.
+Each value rule lives in one place. A value's type is judged where its
+table is built: ``from_rows`` refuses what no int64 holds (a bool, a float
+other than a link's 0.0 or 1.0, a str, a larger integer). Every other rule
+is ``validate_scenario``'s, checked over a whole table or block with set and
+array operations, and walked entry by entry only to name a violation.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
-from operator import contains
-from types import NoneType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 UTILITY_ID = "U"
 
@@ -72,58 +82,263 @@ class Subscriber:
     priority: float = 0.0
 
 
-@dataclass(frozen=True)
+class TableValueError(ValueError):
+    """A row or value that a rank or link table cannot hold.
+
+    ``where`` names it as ``[row id]`` or ``[row id][header position]``;
+    ``reason`` says what was expected.
+    """
+
+    def __init__(self, where: str, reason: str):
+        super().__init__(f"{where}: {reason}")
+        self.where = where
+        self.reason = reason
+
+
+def _positions(ids: Sequence[str]) -> dict[str, int]:
+    """The first position of each id in ``ids``."""
+    # built from the back, so an id listed twice keeps its first position
+    return dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+
+
+def _frozen(values: np.ndarray, dtype: type, shape: tuple[int, int], what: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype != dtype or values.shape != shape:
+        raise ValueError(f"{what}: expected a {dtype.__name__} array of shape {shape}, got {values.dtype} {values.shape}")
+    values.flags.writeable = False
+    return values
+
+
+def _int_matrix(
+    rows: Mapping[str, object], width: int, noun: str, accept: Callable[[object], int | None], expected: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``rows`` (row id -> a list of ``width`` values) as an int64 matrix and a
+    mask of its entries, None when every value is one.
+
+    ``accept`` maps a value to the int it stores, or to None for no entry,
+    and raises ``TypeError`` for a value the table cannot hold. A table of
+    Python ints alone, the common case, is judged with one type check and
+    converted with one ``np.fromiter``; any other table value by value.
+    """
+    values = list(rows.values())
+    if not all(map(isinstance, values, repeat(list))) or set(map(len, values)) - {width}:
+        for row_id, row in rows.items():
+            if not isinstance(row, list):
+                raise TableValueError(f"[{row_id}]", f"expected a list, got {type(row).__name__}")
+            if len(row) != width:
+                raise TableValueError(f"[{row_id}]", f"{len(row)} values for {width} {noun}")
+    shape = (len(values), width)
+    if set(map(type, chain.from_iterable(values))) <= {int}:
+        try:
+            return np.fromiter(chain.from_iterable(values), np.int64, shape[0] * width).reshape(shape), None
+        except OverflowError:
+            pass
+    stored, mask = [], []
+    for row_id, row in rows.items():
+        for k, value in enumerate(row):
+            try:
+                kept = accept(value)
+            except TypeError:
+                raise TableValueError(f"[{row_id}][{k}]", f"expected {expected}, got {value!r}") from None
+            stored.append(0 if kept is None else kept)
+            mask.append(kept is not None)
+    return np.array(stored, dtype=np.int64).reshape(shape), None if all(mask) else np.array(mask).reshape(shape)
+
+
+def _int64(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) <= value < 2**63:
+        raise TypeError
+    return value
+
+
+def _rank_value(value: object) -> int | None:
+    return None if value is None else _int64(value)
+
+
+def _link_value(value: object) -> int:
+    # a writer may emit a link as 0.0 or 1.0; it counts as 0 or 1
+    if type(value) is float and value in (0.0, 1.0):
+        return int(value)
+    return _int64(value)
+
+
+@dataclass(frozen=True, eq=False)
 class PreferenceTable:
-    """Rank of each supplier (local producer or partner SSP) per consumer.
+    """Rank of each supplier (local producer or partner SSP) per consumer, as arrays.
 
     ``suppliers`` is the header: the supplier ids the table ranks, once each.
-    ``ranks`` maps a consumer id to its row, one value per header position;
-    ``None`` there means no rank. Rows hold their values as given (a file's
-    as read, in a tuple), and ``validate_scenario`` judges them: a rank is a
+    ``consumers`` lists the row ids. ``ranks`` is a consumers x suppliers
+    int64 matrix, and ``ranked`` marks the entries that hold a rank (the
+    others read 0). ``validate_scenario`` judges the ranks: a rank is a
     positive integer, lower = more preferred, ties allowed, and every pair
-    allowed by connectivity must have one. ``index`` maps each supplier id
-    to its header position; it is built once, when the table is made, and
-    with a supplier listed twice (a violation) it points at the first.
+    allowed by connectivity must have one. ``index`` maps each supplier id to
+    its header position and ``row_of`` each consumer id to its row; both are
+    built once, when the table is made, and with a supplier listed twice (a
+    violation) ``index`` points at the first. ``from_rows`` builds a table
+    from lists and refuses a value no int64 rank can hold.
     """
 
     suppliers: tuple[str, ...]
-    ranks: Mapping[str, Sequence[int | None]]
-    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    consumers: tuple[str, ...]
+    ranks: np.ndarray
+    ranked: np.ndarray
+    index: Mapping[str, int] = field(init=False, repr=False)
+    row_of: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # built from the back, so a supplier listed twice keeps its first position
-        n = len(self.suppliers)
-        object.__setattr__(self, "index", dict(zip(reversed(self.suppliers), range(n - 1, -1, -1))))
+        shape = (len(self.consumers), len(self.suppliers))
+        object.__setattr__(self, "ranks", _frozen(self.ranks, np.int64, shape, "ranks"))
+        object.__setattr__(self, "ranked", _frozen(self.ranked, np.bool_, shape, "ranked"))
+        object.__setattr__(self, "index", _positions(self.suppliers))
+        object.__setattr__(self, "row_of", _positions(self.consumers))
+        if len(self.row_of) != len(self.consumers):
+            raise ValueError("a consumer has more than one row")
+
+    @classmethod
+    def from_rows(cls, suppliers: Sequence[str], rows: Mapping[str, list]) -> PreferenceTable:
+        """The table of ``rows`` (consumer id -> one value per header position, None for no rank).
+
+        Raises ``TableValueError`` naming a row that is not a list as long as
+        the header, or a value that is not an int64 or None: a bool, a float,
+        a str or a larger integer.
+        """
+        suppliers = tuple(suppliers)
+        ranks, ranked = _int_matrix(rows, len(suppliers), "suppliers", _rank_value, "a 64-bit integer rank or null")
+        return cls(suppliers, tuple(rows), ranks, np.ones(ranks.shape, dtype=bool) if ranked is None else ranked)
 
     def rank(self, consumer_id: str, supplier_id: str) -> int:
-        value = self._value(consumer_id, supplier_id)
-        if value is None:
+        r, k = self.row_of.get(consumer_id), self.index.get(supplier_id)
+        if r is None or k is None or not self.ranked[r, k]:
             raise KeyError(f"no preference rank for ({consumer_id}, {supplier_id})")
-        return value
+        return int(self.ranks[r, k])
 
     def has(self, consumer_id: str, supplier_id: str) -> bool:
-        return self._value(consumer_id, supplier_id) is not None
+        r, k = self.row_of.get(consumer_id), self.index.get(supplier_id)
+        return r is not None and k is not None and bool(self.ranked[r, k])
 
-    def _value(self, consumer_id: str, supplier_id: str) -> int | None:
-        row = self.ranks.get(consumer_id)
-        k = self.index.get(supplier_id)
-        return None if row is None or k is None or k >= len(row) else row[k]
+    def gather(self, consumer_ids: Sequence[str], supplier_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(ranks, ranked) of every (consumer, supplier) pair, consumers x suppliers; a pair off the table has no rank."""
+        rows = list(map(self.row_of.get, consumer_ids, repeat(-1)))
+        cols = list(map(self.index.get, supplier_ids, repeat(-1)))
+        return _take(self.ranks, rows, cols, 0), _take(self.ranked, rows, cols, False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PreferenceTable):
+            return NotImplemented
+        return (
+            (self.suppliers, self.consumers) == (other.suppliers, other.consumers)
+            and np.array_equal(self.ranks, other.ranks)
+            and np.array_equal(self.ranked, other.ranked)
+        )
 
 
-@dataclass(frozen=True)
-class ConnectivityMatrix:
-    """Binary reachability N(i, j).
+def _take(matrix: np.ndarray, rows: list[int], cols: list[int], fill: object) -> np.ndarray:
+    """The entries of ``matrix`` at every row position in ``rows`` and column position in ``cols``; ``fill`` at a position of -1."""
+    if -1 not in rows and -1 not in cols:
+        # the (read-only) matrix itself where every row and column is taken in order
+        if rows != list(range(matrix.shape[0])):
+            matrix = matrix[rows]
+        return matrix if cols == list(range(matrix.shape[1])) else matrix[:, cols]
+    if not matrix.size:
+        return np.full((len(rows), len(cols)), fill, dtype=matrix.dtype)
+    out = matrix[rows][:, cols]
+    out[np.less(rows, 0)] = fill
+    out[:, np.less(cols, 0)] = fill
+    return out
 
-    Rows are consumer ids or SSP ids; columns are producer ids, SSP ids, or
-    ``UTILITY_ID``. A missing entry means 0 (not connected). Every consumer
-    must have N(i, U) = 1, and the inter-SSP block must be symmetric with a
-    zero diagonal.
+
+@dataclass(frozen=True, eq=False)
+class LinkBlock:
+    """Links N(i, j) of some rows against a header of columns, as an int64 matrix.
+
+    ``cols`` is the header and ``rows`` the row ids; ``links`` is a rows x
+    cols matrix, whose every entry ``validate_scenario`` wants 0 or 1.
+    ``row_at`` and ``col_at`` map an id to its first position. ``from_rows``
+    builds a block from lists and refuses a value no int64 link can hold.
     """
 
-    rows: Mapping[str, Mapping[str, int]]
+    rows: tuple[str, ...]
+    cols: tuple[str, ...]
+    links: np.ndarray
+    row_at: Mapping[str, int] = field(init=False, repr=False)
+    col_at: Mapping[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "links", _frozen(self.links, np.int64, (len(self.rows), len(self.cols)), "links"))
+        object.__setattr__(self, "row_at", _positions(self.rows))
+        object.__setattr__(self, "col_at", _positions(self.cols))
+        if len(self.row_at) != len(self.rows):
+            raise ValueError("a row is listed more than once in a link block")
+
+    @classmethod
+    def from_rows(cls, cols: Sequence[str], rows: Mapping[str, list]) -> LinkBlock:
+        """The block of ``rows`` (row id -> one link per header position).
+
+        Raises ``TableValueError`` naming a row that is not a list as long as
+        the header, or a value that is neither an int64 nor the float 0.0 or
+        1.0: a bool, another float, a str, null or a larger integer.
+        """
+        cols = tuple(cols)
+        links, _ = _int_matrix(rows, len(cols), "columns", _link_value, "a 64-bit integer link")
+        return cls(tuple(rows), cols, links)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinkBlock):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(self.links, other.links)
+
+
+@dataclass(frozen=True, eq=False)
+class ConnectivityMatrix:
+    """Binary reachability N(i, j), as link blocks.
+
+    ``ssps`` holds the rows of the SSPs, and ``consumers`` one block per SSP
+    id for that SSP's consumers. Columns are producer ids, SSP ids, or
+    ``UTILITY_ID``. A missing row or column means 0 (not connected). Every
+    consumer must have N(i, U) = 1, and the inter-SSP block must be
+    symmetric with a zero diagonal. A row id is found in the first block
+    that lists it, the SSP block first; ``validate_scenario`` names a row
+    outside its own block.
+    """
+
+    ssps: LinkBlock = field(default_factory=lambda: LinkBlock.from_rows((), {}))
+    consumers: Mapping[str, LinkBlock] = field(default_factory=dict)
+    _where: Mapping[str, tuple[LinkBlock, int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        where: dict[str, tuple[LinkBlock, int]] = {}
+        for block in (*reversed(self.consumers.values()), self.ssps):
+            where.update(zip(block.rows, zip(repeat(block), range(len(block.rows)))))
+        object.__setattr__(self, "_where", where)
+
+    def blocks(self) -> list[tuple[str | None, LinkBlock]]:
+        """(SSP id, block) of each block: the SSP block (id None) first, then the consumer blocks."""
+        return [(None, self.ssps), *self.consumers.items()]
 
     def connected(self, row_id: str, col_id: str) -> bool:
-        return bool(self.rows.get(row_id, {}).get(col_id, 0))
+        found = self._where.get(row_id)
+        if found is None:
+            return False
+        block, r = found
+        c = block.col_at.get(col_id)
+        return c is not None and bool(block.links[r, c])
+
+    def values(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> np.ndarray:
+        """N(i, j) of every row id i and column id j, rows x columns, read by block; 0 where either is absent."""
+        found = list(map(self._where.get, row_ids))
+        out = np.zeros((len(found), len(col_ids)), dtype=np.int64)
+        for block in {id(f[0]): f[0] for f in found if f is not None}.values():
+            at = [k for k, f in enumerate(found) if f is not None and f[0] is block]
+            taken = _take(block.links, [found[k][1] for k in at], list(map(block.col_at.get, col_ids, repeat(-1))), 0)
+            if len(at) == len(found):
+                return taken
+            out[at] = taken
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConnectivityMatrix):
+            return NotImplemented
+        return self.ssps == other.ssps and dict(self.consumers) == dict(other.consumers)
 
 
 @dataclass(frozen=True)
@@ -240,18 +455,19 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         claim_id(cfg.id, "SSP")
         for sub in cfg.consumers + cfg.producers:
             claim_id(sub.id, "subscriber")
-            for name in ("energy", "bound", "priority"):
-                value = getattr(sub, name)
-                if not math.isfinite(value):
-                    out.append(Violation(sub.id, "finite", f"{name} {value}"))
-            if sub.energy < 0:
-                out.append(Violation(sub.id, "energy-nonnegative", f"energy {sub.energy}"))
-            if not 0.0 <= sub.bound <= 1.0:
-                out.append(Violation(sub.id, "bound-range", f"bound {sub.bound} outside [0, 1]"))
-            if sub.kind.is_active and sub.bound != 0.0:
-                out.append(Violation(sub.id, "active-bound-zero", f"active subscriber with bound {sub.bound}"))
-            if not 0.0 <= sub.priority <= 1.0:
-                out.append(Violation(sub.id, "priority-range", f"priority {sub.priority} outside [0, 1]"))
+            energy, bound, priority = sub.energy, sub.bound, sub.priority
+            if not (math.isfinite(energy) and math.isfinite(bound) and math.isfinite(priority)):
+                for name, value in (("energy", energy), ("bound", bound), ("priority", priority)):
+                    if not math.isfinite(value):
+                        out.append(Violation(sub.id, "finite", f"{name} {value}"))
+            if energy < 0:
+                out.append(Violation(sub.id, "energy-nonnegative", f"energy {energy}"))
+            if not 0.0 <= bound <= 1.0:
+                out.append(Violation(sub.id, "bound-range", f"bound {bound} outside [0, 1]"))
+            if bound != 0.0 and sub.kind.is_active:
+                out.append(Violation(sub.id, "active-bound-zero", f"active subscriber with bound {bound}"))
+            if not 0.0 <= priority <= 1.0:
+                out.append(Violation(sub.id, "priority-range", f"priority {priority} outside [0, 1]"))
         for sub in cfg.consumers:
             if sub.kind.is_producer:
                 out.append(Violation(sub.id, "kind-placement", "producer listed under consumers"))
@@ -325,89 +541,116 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 
 def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
-    # Each check runs first over a whole row with set and dict-view operations;
-    # only a row that fails it is walked entry by entry, so violations keep
-    # their text and order.
+    # Each rule runs first over whole blocks, as set and array operations;
+    # only a block that fails it is walked entry by entry, so violations
+    # name their entries in block, row and header order.
     out: list[Violation] = []
     n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
     known_rows = set(ssp_ids)
+    home_rows: dict[str | None, set[str]] = {None: set(ssp_ids)}
     for cfg in scenario.ssps:
-        known_rows.update(s.id for s in cfg.consumers)
+        home_rows[cfg.id] = {s.id for s in cfg.consumers}
+        known_rows.update(home_rows[cfg.id])
         known_cols.update(s.id for s in cfg.producers)
-    for row_id, cols in n.rows.items():
-        if row_id not in known_rows:
-            out.append(Violation(row_id, "connectivity-row-resolves", "unknown row id"))
-        values = list(cols.values())
-        binary = values.count(0) + values.count(1) == len(values) and bool not in set(map(type, values))
-        if binary and cols.keys() <= known_cols:
+    blocks = n.blocks()
+    every_link = np.concatenate([block.links.ravel() for _, block in blocks])
+    all_binary = every_link.size == 0 or (int(every_link.min()) >= 0 and int(every_link.max()) <= 1)
+    for ssp_id, block in blocks:
+        home = home_rows.get(ssp_id, set())
+        if len(block.col_at) != len(block.cols):
+            for k, col_id in enumerate(block.cols):
+                if block.col_at[col_id] != k:
+                    where = "connectivity" if ssp_id is None else ssp_id
+                    out.append(Violation(where, "connectivity-header-unique", f"column {col_id} listed more than once"))
+        links = block.links
+        binary = all_binary or links.size == 0 or (int(links.min()) >= 0 and int(links.max()) <= 1)
+        cols_ok = known_cols.issuperset(block.col_at)
+        if binary and cols_ok and home.issuperset(block.row_at):
             continue
-        for col_id, value in cols.items():
-            if col_id not in known_cols:
-                out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-            if isinstance(value, bool) or value not in (0, 1):
-                out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
+        for row_id, values in zip(block.rows, links.tolist()):
+            if row_id not in home:
+                block_name = "SSP block" if ssp_id is None else f"block of SSP {ssp_id}"
+                detail = "unknown row id" if row_id not in known_rows else f"not a row of the {block_name}"
+                out.append(Violation(row_id, "connectivity-row-resolves", detail))
+            if binary and cols_ok:
+                continue
+            for col_id, value in zip(block.cols, values):
+                if col_id not in known_cols:
+                    out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
+                if value not in (0, 1):
+                    out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
+    # N(i, U) of every consumer at once where its SSP's block lists the SSP's consumers in order
+    to_utility, walked = [], []
     for cfg in scenario.ssps:
+        block = n.consumers.get(cfg.id)
+        u = None if block is None else block.col_at.get(UTILITY_ID)
+        if u is not None and block.rows == tuple(s.id for s in cfg.consumers):
+            to_utility.append(block.links[:, u])
+        else:
+            walked.append(cfg)
+    if to_utility and not np.concatenate(to_utility).all():
+        walked = list(scenario.ssps)
+    for cfg in walked:
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
                 out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
-    ssp_set = set(ssp_ids)
-    partners = {a: _linked(n.rows.get(a, {}), ssp_set) for a in ssp_set}
-    # the block is symmetric with a zero diagonal iff no SSP lists itself and
-    # every partner an SSP lists lists it back
-    clean = all(
-        a not in linked and all(map(contains, map(partners.__getitem__, linked), repeat(a)))
-        for a, linked in partners.items()
-    )
-    if not clean:
-        for a in ssp_ids:
-            if n.connected(a, a):
+    linked = n.values(ssp_ids, ssp_ids) != 0
+    # the block is symmetric with a zero diagonal iff it equals its transpose and no SSP lists itself
+    if linked.diagonal().any() or (linked != linked.T).any():
+        for i, a in enumerate(ssp_ids):
+            if linked[i, i]:
                 out.append(Violation(a, "interssp-zero-diagonal", "SSP connected to itself"))
-            for b in ssp_ids:
-                if a < b and n.connected(a, b) != n.connected(b, a):
+            for j, b in enumerate(ssp_ids):
+                if a < b and linked[i, j] != linked[j, i]:
                     out.append(Violation(f"({a}, {b})", "interssp-symmetric", "asymmetric inter-SSP entry"))
     return out
 
 
 def _validate_preferences(scenario: Scenario) -> list[Violation]:
-    # Each SSP is checked once: its header as a set, and the values of all
-    # its rows chained together, first for their types, then, when every
-    # value is an int or None, as the set of its ranks. Only an SSP that
-    # fails is walked entry by entry, so violations keep their text and
-    # order. An entry is a non-null value under a header position; a value
-    # past the header is no entry.
+    # Each SSP's table is checked once: its ranks as one array, its header
+    # and rows as tuples where they have the generator's layout (the SSP's
+    # producers, then every other SSP in scenario order; a row per consumer
+    # in order), else as sets. Only an SSP that fails is walked entry by
+    # entry, so violations keep their text and order. An entry is a ranked
+    # position of a row.
     out: list[Violation] = []
     n = scenario.connectivity
     ssp_ids = scenario.ssp_ids
-    known_ssps = set(ssp_ids)
     known_suppliers = set(ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
-    for cfg in scenario.ssps:
+    linked = n.values(ssp_ids, ssp_ids) != 0
+    for k, cfg in enumerate(scenario.ssps):
         prefs = cfg.preferences
-        header, at, rows = prefs.suppliers, prefs.index, prefs.ranks
-        consumer_ids = {c.id for c in cfg.consumers}
-        partner_set = _linked(n.rows.get(cfg.id, {}), known_ssps) - {cfg.id}
-        types = set(map(type, chain.from_iterable(rows.values())))
-        values_ok = types <= {int, NoneType}
-        if values_ok:
-            # ints are hashable, and every rank fits a float iff the largest does
-            ranks = set(chain.from_iterable(rows.values()))
-            ranks.discard(None)
-            values_ok = min(ranks, default=1) >= 1 and _fits_float(max(ranks, default=1))
-        header_ok = len(at) == len(header) and at.keys() <= known_suppliers
-        # every consumer has a full row of ints over a header that lists every producer and partner
-        covered = (
-            NoneType not in types
-            and rows.keys() >= consumer_ids
-            and at.keys() >= partner_set.union(p.id for p in cfg.producers)
-            and set(map(len, rows.values())) <= {len(header)}
-        )
-        if values_ok and header_ok and covered and rows.keys() <= consumer_ids:
+        header, at = prefs.suppliers, prefs.index
+        consumer_ids = tuple(c.id for c in cfg.consumers)
+        producer_ids = tuple(p.id for p in cfg.producers)
+        complete = bool(prefs.ranked.all())
+        ranks = prefs.ranks if complete else prefs.ranks[prefs.ranked]
+        ranks_ok = ranks.size == 0 or int(ranks.min()) >= 1
+        unique = len(at) == len(header)
+        if (
+            complete
+            and ranks_ok
+            and unique
+            and prefs.consumers == consumer_ids
+            and header == producer_ids + ssp_ids[:k] + ssp_ids[k + 1 :]
+        ):
             continue
-        if len(at) != len(header):
-            for k, supplier_id in enumerate(header):
-                if at[supplier_id] != k:
+        partner_set = set(compress(ssp_ids, linked[k].tolist())) - {cfg.id}
+        header_ok = unique and known_suppliers.issuperset(at)
+        # every consumer has a full row over a header that lists every producer and partner
+        covered = (
+            complete
+            and set(consumer_ids).issubset(prefs.row_of)
+            and at.keys() >= partner_set.union(producer_ids)
+        )
+        if ranks_ok and header_ok and covered and set(consumer_ids).issuperset(prefs.row_of):
+            continue
+        if not unique:
+            for j, supplier_id in enumerate(header):
+                if at[supplier_id] != j:
                     out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
         if not covered:
             partner_ids = [other for other in ssp_ids if other in partner_set]
@@ -418,33 +661,17 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
                 for partner in partner_ids:
                     if not prefs.has(consumer.id, partner):
                         out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for consumer_id, row in rows.items():
+        for consumer_id, row, ranked in zip(prefs.consumers, prefs.ranks.tolist(), prefs.ranked.tolist()):
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
-            if values_ok and header_ok:
+            if ranks_ok and header_ok:
                 continue
-            for supplier_id, rank in zip(header, row):
-                if rank is None:
-                    continue
+            for supplier_id, rank in compress(zip(header, row), ranked):
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):
+                if rank < 1:
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
-
-
-def _fits_float(value: int) -> bool:
-    """Whether ``float(value)`` holds ``value``; a rank becomes a float in the preference factor."""
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def _linked(cols: Mapping[str, int], ids: set[str]) -> set[str]:
-    """The ids in ``ids`` that a connectivity row marks connected (a truthy entry)."""
-    return ids.intersection(compress(cols.keys(), cols.values()))
 
 
 def energy_status(ssp: SSPConfig) -> float:
@@ -463,15 +690,16 @@ class CommitmentMatrix:
     def __init__(self, consumer_ids: Iterable[str], supplier_ids: Iterable[str]):
         self.consumer_ids = tuple(consumer_ids)
         self.supplier_ids = tuple(supplier_ids)
-        self._cells: dict[tuple[str, str], float] = {}
+        self._rows: dict[str, dict[str, float]] = {}  # row id -> column id -> kWh
 
     def set(self, row_id: str, col_id: str, kwh: float) -> None:
         if row_id == UTILITY_ID and col_id == UTILITY_ID:
             raise ValueError("cm(U, U) must stay zero")
-        self._cells[(row_id, col_id)] = kwh
+        self._rows.setdefault(row_id, {})[col_id] = kwh
 
     def get(self, row_id: str, col_id: str) -> float:
-        return self._cells.get((row_id, col_id), 0.0)
+        row = self._rows.get(row_id)
+        return 0.0 if row is None else row.get(col_id, 0.0)
 
     def row_ids(self) -> tuple[str, ...]:
         return self.consumer_ids + (UTILITY_ID,)
@@ -480,19 +708,16 @@ class CommitmentMatrix:
         return self.supplier_ids + (UTILITY_ID,)
 
     def committed_by_column(self) -> dict[str, float]:
-        """The kWh each column with a consumer cell delivers to consumers, in one pass over the cells.
+        """The kWh each column with a consumer cell delivers to consumers, row by row.
 
         Each column is summed in consumer order, so every total is the same
         float; a column without a consumer cell is absent and reads as 0.
         """
-        order = {row_id: k for k, row_id in enumerate(self.consumer_ids)}
-        consumer_cells = sorted(
-            ((order[row_id], col_id, kwh) for (row_id, col_id), kwh in self._cells.items() if row_id in order),
-            key=lambda cell: cell[0],
-        )
         totals: dict[str, float] = {}
-        for _, col_id, kwh in consumer_cells:
-            totals[col_id] = totals.get(col_id, 0.0) + kwh
+        rows = self._rows
+        for row_id in self.consumer_ids:
+            for col_id, kwh in rows.get(row_id, {}).items():
+                totals[col_id] = totals.get(col_id, 0.0) + kwh
         return totals
 
     def purchases(self) -> float:
@@ -502,7 +727,8 @@ class CommitmentMatrix:
         return sum(self.get(UTILITY_ID, j) for j in self.supplier_ids)
 
     def cells(self) -> dict[tuple[str, str], float]:
-        return dict(self._cells)
+        """Every set cell, row by row in the order rows were first set, each row's cells in the order they were first set."""
+        return {(row_id, col_id): kwh for row_id, row in self._rows.items() for col_id, kwh in row.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommitmentMatrix):
@@ -510,7 +736,7 @@ class CommitmentMatrix:
         return (
             self.consumer_ids == other.consumer_ids
             and self.supplier_ids == other.supplier_ids
-            and self._cells == other._cells
+            and self._rows == other._rows
         )
 
 

@@ -295,14 +295,18 @@ def _partner_lists(scenario: Scenario, anm: ActualNeighborhoodMap) -> dict[str, 
     """Each SSP's partners, sorted: the SSPs of the scenario that both the map and the connectivity link it to.
 
     Read from the map's edges, as ``anm.connected`` reads them: an edge counts
-    as the pair (a, b) with a < b."""
+    as the pair (a, b) with a < b; and from the SSP link block, one entry per edge."""
     neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in scenario.ssp_ids}
     for a, b in anm.edges:
         if a < b and a in neighbours and b in neighbours:
             neighbours[a].append(b)
             neighbours[b].append(a)
-    connected = scenario.connectivity.connected
-    return {ssp_id: sorted(p for p in neighbours[ssp_id] if connected(ssp_id, p)) for ssp_id in sorted(neighbours)}
+    ids = sorted(neighbours)
+    at = {ssp_id: k for k, ssp_id in enumerate(ids)}
+    rows = [k for k, ssp_id in enumerate(ids) for _ in neighbours[ssp_id]]
+    cols = [at[p] for ssp_id in ids for p in neighbours[ssp_id]]
+    linked = iter(scenario.connectivity.values(ids, ids)[rows, cols].tolist())  # one entry per map edge, in order
+    return {ssp_id: sorted(p for p, link in zip(neighbours[ssp_id], linked) if link) for ssp_id in ids}
 
 
 def run_engine(

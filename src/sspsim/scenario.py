@@ -8,32 +8,38 @@ is only guaranteed within this implementation; other implementations should
 consume the file.
 
 Each SSP's ranks are stored once against a supplier header (file format
-version 2): ``"preferences": {"suppliers": [ids], "ranks": {consumer id:
+version 3): ``"preferences": {"suppliers": [ids], "ranks": {consumer id:
 [rank or null, ...]}}``, one row per consumer, aligned with the header, where
-null means no rank. The generator's header lists the SSP's producers, then
-the partner SSPs; each consumer's row takes two ``rng.permutation`` draws,
-the producers' first and the partners' second, and each draw becomes ranks
-with one array op and one ``tolist()``. These are the same PCG64 calls, in
-the same order, as in earlier versions of this module, so a spec gives the
-same ranks as before. With N SSPs of C consumers and P producers, a file
-holds C × (P + N − 1) ranks per SSP: 2.5 MB at 200 SSPs of the study-1 shape
-(C = 10, P = 5), against 4.9 MB as one object per consumer in version 1. The
-writer keeps each table's header and row order, and orders each connectivity
-row by sorting its keys. The loader refuses every other ``schema_version``,
-version 1 included, and names that field.
+null means no rank. Connectivity is stored the same way, as link blocks:
+``"connectivity": {"ssps": block, "consumers": {SSP id: block}}``, where a
+block is ``{"cols": [ids], "rows": {row id: [0 or 1, ...]}}``, one for the
+SSP rows and one per SSP for its consumers. The generator's rank header
+lists the SSP's producers, then the partner SSPs; each consumer's row takes
+two ``rng.permutation`` draws, the producers' first and the partners'
+second, written straight into the SSP's rank matrix. These are the same
+PCG64 calls, in the same order, as in earlier versions of this module, so a
+spec gives the same ranks as before. With N SSPs of C consumers and P
+producers, a file holds C × (P + N − 1) ranks per SSP, N² SSP links and
+C × (P + 1) consumer links per SSP: 2.1 MB at 200 SSPs of the study-1 shape
+(C = 10, P = 5), against 2.5 MB with one object per connectivity row in
+version 2 and 4.9 MB with one object per consumer's ranks as well in version
+1. The writer keeps each table's header and row order and emits each matrix
+with one ``tolist()``. The loader refuses every other ``schema_version``,
+versions 1 and 2 included, and names that field.
 
 The JSON schema is strict: unknown fields are rejected by name, canonical
 field order is documented in ``scenario.schema.json`` shipped next to this
 module.
 
-The loader checks only what it needs to build a ``Scenario``: the JSON shape
-(a rank row is a list as long as its header), numbers it converts to
-``float`` (naming the field), kinds and ids, a header's supplier ids
-included. It stores rank values, connectivity entries and the seed as read,
-one tuple or ``dict`` copy per row, and ``model.validate_scenario`` alone
-judges them, as every other value. A tuple of ints is a container the
-garbage collector stops tracking, as is a ``dict`` of strings and ints, so
-the rank rows of a loaded scenario cost no collection afterwards.
+The loader checks what it needs to build a ``Scenario``: the JSON shape (a
+row is a list as long as its header), numbers it converts to ``float``
+(naming the field), kinds and ids, every header's ids included. Each rank
+table and link block is built by ``PreferenceTable.from_rows`` or
+``LinkBlock.from_rows``, which judge the type of every value once (one type
+check and one ``np.fromiter`` per table when every value is an int) and refuse
+a value no int64 array can hold; the loader names that entry. The seed is
+stored as read, and ``model.validate_scenario`` judges it with every value
+the tables hold: a rank of at least 1, a link of 0 or 1, and the rest.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -51,19 +57,23 @@ from .model import (
     ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     PreferenceTable,
     Scenario,
     SSPConfig,
     Subscriber,
     SubscriberKind,
+    TableValueError,
     validate_scenario,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 GENERATOR_NAME = "numpy-pcg64"
 #: the one preference form: the factor 1 + alpha*(beta - rank) scales w35 in each cm coefficient
 PREFERENCE_MODE = "coefficient"
+
+Table = TypeVar("Table", PreferenceTable, LinkBlock)
 
 
 class ScenarioFormatError(ValueError):
@@ -122,7 +132,7 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     ssp_ids = [f"S{k:02d}" for k in range(1, spec.n_ssps + 1)]
     ssps: list[SSPConfig] = []
-    rows: dict[str, dict[str, int]] = {}
+    blocks: dict[str, LinkBlock] = {}
 
     for ssp_id in ssp_ids:
         consumers: list[Subscriber] = []
@@ -154,21 +164,22 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
             )
         partner_ids = [other for other in ssp_ids if other != ssp_id]
         producer_ids = [p.id for p in producers]
-        local_cols = producer_ids + [UTILITY_ID]
-        ranks: dict[str, tuple[int, ...]] = {}
-        for consumer in consumers:
-            # local producers rank 1..P and partner SSPs P+1..P+N-1, each block shuffled
-            local_order = rng.permutation(len(producer_ids))
-            partner_order = rng.permutation(len(partner_ids))
-            ranks[consumer.id] = tuple((local_order + 1).tolist() + (partner_order + (len(producer_ids) + 1)).tolist())
-            rows[consumer.id] = dict.fromkeys(local_cols, 1)
-        rows[ssp_id] = dict.fromkeys(partner_ids, 1)
-        preferences = PreferenceTable(tuple(producer_ids + partner_ids), ranks)
+        n_local = len(producer_ids)
+        # local producers rank 1..P and partner SSPs P+1..P+N-1, each block shuffled
+        ranks = np.empty((n_cons, n_local + len(partner_ids)), dtype=np.int64)
+        for m in range(n_cons):
+            ranks[m, :n_local] = rng.permutation(n_local) + 1
+            ranks[m, n_local:] = rng.permutation(len(partner_ids)) + (n_local + 1)
+        consumer_ids = tuple(c.id for c in consumers)
+        preferences = PreferenceTable(tuple(producer_ids + partner_ids), consumer_ids, ranks, np.ones(ranks.shape, dtype=bool))
         ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), preferences))
+        blocks[ssp_id] = LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), np.ones((n_cons, n_local + 1), dtype=np.int64))
 
     scenario = Scenario(
         ssps=tuple(ssps),
-        connectivity=ConnectivityMatrix(rows),
+        connectivity=ConnectivityMatrix(
+            LinkBlock(tuple(ssp_ids), tuple(ssp_ids), 1 - np.eye(len(ssp_ids), dtype=np.int64)), blocks
+        ),
         weights=weights or MatchingWeights(),
         line_constraints=None,
         seed=spec.seed,
@@ -218,13 +229,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 ],
                 "preferences": {
                     "suppliers": list(cfg.preferences.suppliers),
-                    "ranks": {consumer_id: list(row) for consumer_id, row in cfg.preferences.ranks.items()},
+                    "ranks": _rank_lists(cfg.preferences),
                 },
             }
             for cfg in scenario.ssps
         ],
         "connectivity": {
-            row_id: _sorted_row(scenario.connectivity.rows[row_id]) for row_id in sorted(scenario.connectivity.rows)
+            "ssps": _block_dict(scenario.connectivity.ssps),
+            "consumers": {ssp_id: _block_dict(block) for ssp_id, block in scenario.connectivity.consumers.items()},
         },
         "line_constraints": None
         if scenario.line_constraints is None
@@ -235,9 +247,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _sorted_row(cols: Mapping[str, int]) -> dict[str, int]:
-    """``cols`` in key order; sorting the keys alone is faster than sorting the items."""
-    return {key: cols[key] for key in sorted(cols)}
+def _rank_lists(table: PreferenceTable) -> dict[str, list]:
+    """Each consumer's row of ranks, null where it has none."""
+    ranks = table.ranks if table.ranked.all() else np.where(table.ranked, table.ranks, None)
+    return dict(zip(table.consumers, ranks.tolist()))
+
+
+def _block_dict(block: LinkBlock) -> dict:
+    return {"cols": list(block.cols), "rows": dict(zip(block.rows, block.links.tolist()))}
 
 
 def _object(value: object, where: str) -> dict:
@@ -316,13 +333,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
         consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
         producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
-        prefs = _preferences(entry["preferences"], f"ssps[{k}].preferences")
+        prefs = _table(entry["preferences"], f"ssps[{k}].preferences", "suppliers", "ranks", PreferenceTable.from_rows)
         ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, prefs))
 
-    rows = {
-        str(row_id): dict(_object(cols, f"connectivity[{row_id}]"))
-        for row_id, cols in _object(data["connectivity"], "connectivity").items()
-    }
+    links = _object(data["connectivity"], "connectivity")
+    _require_keys(links, ("ssps", "consumers"), "connectivity")
+    connectivity = ConnectivityMatrix(
+        _table(links["ssps"], "connectivity.ssps", "cols", "rows", LinkBlock.from_rows),
+        {
+            str(ssp_id): _table(block, f"connectivity.consumers[{ssp_id}]", "cols", "rows", LinkBlock.from_rows)
+            for ssp_id, block in _object(links["consumers"], "connectivity.consumers").items()
+        },
+    )
 
     lines = None
     if data["line_constraints"] is not None:
@@ -335,27 +357,32 @@ def scenario_from_dict(data: dict) -> Scenario:
             constraints.append(LineConstraint(*ends, *bounds))
         lines = LineConstraintSet(tuple(constraints))
 
-    return Scenario(tuple(ssps), ConnectivityMatrix(rows), weights, lines, data["seed"])
+    return Scenario(tuple(ssps), connectivity, weights, lines, data["seed"])
 
 
-def _preferences(value: object, where: str) -> PreferenceTable:
-    """One SSP's header and rows; each row a list as long as the header, kept as a tuple of its values as read."""
-    prefs = _object(value, where)
-    _require_keys(prefs, ("suppliers", "ranks"), where)
-    suppliers = prefs["suppliers"]
-    if not isinstance(suppliers, list):
-        raise ScenarioFormatError(f"{where}.suppliers: expected a list, got {type(suppliers).__name__}")
-    if not all(map(isinstance, suppliers, repeat(str))):
-        for j, supplier_id in enumerate(suppliers):
-            _string(supplier_id, f"{where}.suppliers[{j}]")
-    ranks: dict[str, tuple] = {}
-    for consumer_id, row in _object(prefs["ranks"], f"{where}.ranks").items():
-        if not isinstance(row, list):
-            raise ScenarioFormatError(f"{where}.ranks[{consumer_id}]: expected a list, got {type(row).__name__}")
-        if len(row) != len(suppliers):
-            raise ScenarioFormatError(f"{where}.ranks[{consumer_id}]: {len(row)} values for {len(suppliers)} suppliers")
-        ranks[str(consumer_id)] = tuple(row)
-    return PreferenceTable(tuple(suppliers), ranks)
+def _table(value: object, where: str, header: str, rows: str, build: Callable[[list[str], dict], Table]) -> Table:
+    """One rank table or link block: a list of string ids under ``header``, and
+    under ``rows`` one row per row id, as long as the header; ``build`` judges the values."""
+    table = _object(value, where)
+    _require_keys(table, (header, rows), where)
+    ids = table[header]
+    if not isinstance(ids, list):
+        raise ScenarioFormatError(f"{where}.{header}: expected a list, got {type(ids).__name__}")
+    if not all(map(isinstance, ids, repeat(str))):
+        for j, item in enumerate(ids):
+            _string(item, f"{where}.{header}[{j}]")
+    try:
+        return build(ids, _keyed_rows(table[rows], f"{where}.{rows}"))
+    except TableValueError as exc:
+        raise ScenarioFormatError(f"{where}.{rows}{exc}") from None
+
+
+def _keyed_rows(value: object, where: str) -> dict:
+    """A table's rows, keyed by row id; a key that is not a string (only a dict built in Python has one) becomes its str."""
+    rows = _object(value, where)
+    if all(map(isinstance, rows, repeat(str))):
+        return rows
+    return {str(key): row for key, row in rows.items()}
 
 
 def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) -> tuple[Subscriber, ...]:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import pytest
 
 from sspsim.model import (
     ConnectivityMatrix,
+    LinkBlock,
     MatchingWeights,
     PreferenceTable,
     Scenario,
@@ -20,7 +21,34 @@ def preference_table(ranks: Mapping[str, Mapping[str, object]]) -> PreferenceTab
     supplier once, in order of first appearance, and a row holds None where
     its consumer ranks no supplier."""
     suppliers = tuple(dict.fromkeys(s for row in ranks.values() for s in row))
-    return PreferenceTable(suppliers, {c: [row.get(s) for s in suppliers] for c, row in ranks.items()})
+    return PreferenceTable.from_rows(suppliers, {c: [row.get(s) for s in suppliers] for c, row in ranks.items()})
+
+
+def connectivity(rows: Mapping[str, Mapping[str, object]], ssps: Sequence[SSPConfig] = ()) -> ConnectivityMatrix:
+    """The matrix of ``{row id: {column id: link}}``: the row of each consumer of
+    ``ssps`` in its SSP's block, every other row in the SSP block. A block's
+    header lists each column once, in order of first appearance, and a row
+    holds 0 where it lists no column."""
+    home = {c.id: cfg.id for cfg in ssps for c in cfg.consumers}
+    grouped: dict[str | None, dict] = {None: {}, **{cfg.id: {} for cfg in ssps}}
+    for row_id, cols in rows.items():
+        grouped[home.get(row_id)][row_id] = cols
+
+    def block(block_rows: Mapping[str, Mapping[str, object]]) -> LinkBlock:
+        header = tuple(dict.fromkeys(c for cols in block_rows.values() for c in cols))
+        return LinkBlock.from_rows(header, {r: [cols.get(c, 0) for c in header] for r, cols in block_rows.items()})
+
+    return ConnectivityMatrix(block(grouped.pop(None)), {ssp_id: block(r) for ssp_id, r in grouped.items() if r})
+
+
+def link_rows(n: ConnectivityMatrix) -> dict[str, dict[str, int]]:
+    """``n`` as ``{row id: {column id: link}}``, every block's rows in block order."""
+    return {row_id: dict(zip(block.cols, values)) for _, block in n.blocks() for row_id, values in zip(block.rows, block.links.tolist())}
+
+
+def rank_rows(table: PreferenceTable) -> dict[str, list]:
+    """``table``'s rows as lists over its header, None where a consumer has no rank."""
+    return {c: [r if k else None for r, k in zip(row, ranked)] for c, row, ranked in zip(table.consumers, table.ranks.tolist(), table.ranked.tolist())}
 
 
 def worked_example_subscribers():
@@ -46,7 +74,7 @@ def worked_scenario() -> Scenario:
     prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, "U": 1} for c in consumers}
     ssp = SSPConfig("S1", consumers, producers, prefs)
-    return Scenario((ssp,), ConnectivityMatrix(rows), MatchingWeights(), None, 3)
+    return Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 3)
 
 
 @pytest.fixture
@@ -70,7 +98,7 @@ def pair_scenario() -> Scenario:
         "S1": {"S2": 1},
         "S2": {"S1": 1},
     }
-    return Scenario((s1, s2), ConnectivityMatrix(rows), MatchingWeights(), None, 7)
+    return Scenario((s1, s2), connectivity(rows, (s1, s2)), MatchingWeights(), None, 7)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -37,7 +37,6 @@ from sspsim.model import (
     MatchingWeights,
     Scenario,
     Violation,
-    _fits_float,
 )
 
 
@@ -469,7 +468,7 @@ def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -
 
 
 def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
-    """The per-entry loop of ``model._validate_connectivity``; its violations are the reference."""
+    """The per-entry loop of ``model._validate_connectivity``, block by block; its violations are the reference."""
     out: list[Violation] = []
     n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
@@ -477,14 +476,26 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
     for cfg in scenario.ssps:
         known_rows.update(s.id for s in cfg.consumers)
         known_cols.update(s.id for s in cfg.producers)
-    for row_id, cols in n.rows.items():
-        if row_id not in known_rows:
-            out.append(Violation(row_id, "connectivity-row-resolves", "unknown row id"))
-        for col_id, value in cols.items():
-            if col_id not in known_cols:
-                out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-            if isinstance(value, bool) or value not in (0, 1):
-                out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
+    for ssp_id, block in n.blocks():
+        if ssp_id is None:
+            home, name = set(ssp_ids), "SSP block"
+        else:
+            home = {c.id for cfg in scenario.ssps if cfg.id == ssp_id for c in cfg.consumers}
+            name = f"block of SSP {ssp_id}"
+        for k, col_id in enumerate(block.cols):
+            if col_id in block.cols[:k]:
+                where = "connectivity" if ssp_id is None else ssp_id
+                out.append(Violation(where, "connectivity-header-unique", f"column {col_id} listed more than once"))
+        for r, row_id in enumerate(block.rows):
+            if row_id not in home:
+                detail = f"not a row of the {name}" if row_id in known_rows else "unknown row id"
+                out.append(Violation(row_id, "connectivity-row-resolves", detail))
+            for c, col_id in enumerate(block.cols):
+                value = int(block.links[r, c])
+                if col_id not in known_cols:
+                    out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
+                if value not in (0, 1):
+                    out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
@@ -501,7 +512,7 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
 def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
     """The per-entry loop of ``model._validate_preferences``; its violations are the reference.
 
-    An entry is a value other than None under a header position."""
+    An entry is a ranked position of a row."""
     out: list[Violation] = []
     n = scenario.connectivity
     known_suppliers = set(scenario.ssp_ids)
@@ -522,15 +533,16 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
             for partner in partner_ids:
                 if not prefs.has(consumer.id, partner):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for consumer_id, row in prefs.ranks.items():
+        for r, consumer_id in enumerate(prefs.consumers):
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
-            for supplier_id, rank in zip(header, row):
-                if rank is None:
+            for k, supplier_id in enumerate(header):
+                if not prefs.ranked[r, k]:
                     continue
+                rank = int(prefs.ranks[r, k])
                 if supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1 or not _fits_float(rank):
+                if rank < 1:
                     out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
 

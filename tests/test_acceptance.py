@@ -33,7 +33,6 @@ from sspsim.matching import (
 from sspsim.model import (
     UTILITY_ID,
     CommitmentMatrix,
-    ConnectivityMatrix,
     MatchingWeights,
     SSPConfig,
     Subscriber,
@@ -43,7 +42,7 @@ from sspsim.model import (
 )
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
-from tests.conftest import preference_table
+from tests.conftest import connectivity, preference_table
 from tests.oracles import brute_force_verify, constraint_residuals, with_variables
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -141,7 +140,7 @@ def test_c02_lp_oracle_equivalence():
                     rank_row[p.id] = rank
             rows[c.id] = cols
             ranks[c.id] = rank_row
-        view = SspView("s", consumers, producers, preference_table(ranks), ConnectivityMatrix(rows))
+        view = SspView("s", consumers, producers, preference_table(ranks), connectivity(rows))
         lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
 
         demand = {c.id: c.energy for c in consumers}

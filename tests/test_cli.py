@@ -16,7 +16,7 @@ from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
 from sspsim.model import LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
-from tests.test_model import MISPLACED_KINDS, STORED_AS_READ, stored_as_read
+from tests.test_model import JUDGED_BY_VALIDATION, MISPLACED_KINDS, REFUSED_BY_THE_TABLE, stored_as_read, with_entry
 from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -375,7 +375,28 @@ class TestRun:
             (("line_constraints",), [["AC1", "AP1", 0.0, 1.0]], "line_constraints[0]: expected an object"),
             (("weights",), [1.0, 10.0], "weights: expected an object"),
             (("connectivity",), [], "connectivity: expected an object"),
-            (("connectivity", "AC1"), ["AP1", "U"], "connectivity[AC1]: expected an object"),
+            (("connectivity", "AC1"), {"AP1": 1, "U": 1}, "connectivity: unknown field 'AC1'"),
+            (("connectivity", "ssps"), None, "connectivity.ssps: expected an object, got NoneType"),
+            (("connectivity", "consumers"), [], "connectivity.consumers: expected an object, got list"),
+            (("connectivity", "consumers", "S1"), ["AP1", "U"], "connectivity.consumers[S1]: expected an object, got list"),
+            (("connectivity", "consumers", "S1", "cols"), {"AP1": 0}, "connectivity.consumers[S1].cols: expected a list, got dict"),
+            (("connectivity", "consumers", "S1", "rows"), [[1, 1, 1, 1]], "connectivity.consumers[S1].rows: expected an object, got list"),
+            (
+                ("connectivity", "consumers", "S1", "rows", "AC1"),
+                {"AP1": 1},
+                "connectivity.consumers[S1].rows[AC1]: expected a list, got dict",
+            ),
+            (("connectivity", "consumers", "S1", "rows", "AC1"), [1, 1], "connectivity.consumers[S1].rows[AC1]: 2 values for 4 columns"),
+            (
+                ("connectivity", "consumers", "S1", "cols"),
+                ["AP1", "AP2", "AP1", "U"],
+                "S1: connectivity-header-unique (column AP1 listed more than once)",
+            ),
+            (
+                ("connectivity", "consumers", "S1", "rows", "S1"),
+                [0, 0, 0, 0],
+                "S1: connectivity-row-resolves (not a row of the block of SSP S1)",
+            ),
             (("ssps", 0, "preferences"), {"AC1": {"AP1": 1}}, "ssps[0].preferences: unknown field 'AC1'"),
             (("ssps", 0, "preferences", "suppliers"), {"AP1": 0}, "ssps[0].preferences.suppliers: expected a list, got dict"),
             (("ssps", 0, "preferences", "ranks"), [[1, 2, 3]], "ssps[0].preferences.ranks: expected an object, got list"),
@@ -405,7 +426,11 @@ class TestRun:
                 [{"row": "AC1", "col": "AP1", "min_kwh": 0.0, "max_kwh": True}],
                 "line_constraints[0].max_kwh: expected a number, got True",
             ),
-            (("ssps", 0, "preferences", "ranks", "AC1", 1), 10**400, f"AC1: rank-positive-int (rank {10**400} for AP2)"),
+            (
+                ("ssps", 0, "preferences", "ranks", "AC1", 1),
+                10**400,
+                f"ssps[0].preferences.ranks[AC1][1]: expected a 64-bit integer rank or null, got {10**400}",
+            ),
         ],
         ids=[
             "ssps",
@@ -414,7 +439,16 @@ class TestRun:
             "line-entry",
             "weights",
             "connectivity",
-            "connectivity-row",
+            "connectivity-v2-row",
+            "link-ssp-block",
+            "link-consumer-blocks",
+            "link-block",
+            "link-header",
+            "link-rows",
+            "link-row",
+            "link-row-short",
+            "link-header-duplicate",
+            "link-row-misplaced",
             "preferences-v1",
             "preference-header",
             "preference-rows",
@@ -456,7 +490,20 @@ class TestRun:
         scenario.write_text(json.dumps(data))
         assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "schema_version: unsupported value 1, expected 2" in err and "Traceback" not in err
+        assert "schema_version: unsupported value 1, expected 3" in err and "Traceback" not in err
+
+    def test_a_version_2_file_exits_2_naming_schema_version(self, tmp_path, worked_file, capsys):
+        # version 2 held one {column id: link} object per connectivity row
+        with open(worked_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["schema_version"] = 2
+        blocks = [data["connectivity"]["ssps"], *data["connectivity"]["consumers"].values()]
+        data["connectivity"] = {r: dict(zip(b["cols"], row)) for b in blocks for r, row in b["rows"].items()}
+        scenario = tmp_path / "v2.json"
+        scenario.write_text(json.dumps(data))
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "schema_version: unsupported value 2, expected 3" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", [None, 1, ["AC1"]], ids=["null", "number", "list"])
     @pytest.mark.parametrize(
@@ -498,15 +545,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cannot load scenario" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ + MISPLACED_KINDS)
+    @pytest.mark.parametrize("fact,value,violation", JUDGED_BY_VALIDATION + MISPLACED_KINDS)
     @pytest.mark.parametrize("command", ["run", "calibrate"])
     def test_rank_link_or_seed_of_the_wrong_type_exits_2_naming_the_entry(
         self, tmp_path, worked_scenario, capsys, command, fact, value, violation
     ):
-        # the file holds JSON true, 1.5, "2", null and so on where the value
+        # the file holds a rank of 0, a link of 2, null and so on where the value
         # belongs, or a producer's kind under consumers and the other way round
         scenario = tmp_path / "stored.json"
         save_scenario(stored_as_read(worked_scenario, fact, value), str(scenario))
+        out = tmp_path / "o"
+        options = ("--anm", "meshed", "--out", str(out)) if command == "run" else ("--iterations", "1")
+        assert run_cli(command, "--scenario", str(scenario), *options) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert violation in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fact,value,detail", REFUSED_BY_THE_TABLE)
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_rank_or_link_no_table_holds_exits_2_naming_the_entry(
+        self, tmp_path, worked_file, capsys, command, fact, value, detail
+    ):
+        # the file holds JSON true, 1.5, "2", null or 2**63 where the value belongs
+        with open(worked_file, encoding="utf-8") as fh:
+            data = with_entry(json.load(fh), fact, value)
+        scenario = tmp_path / "refused.json"
+        scenario.write_text(json.dumps(data))
+        violation = f"cannot load scenario: {detail}"
         out = tmp_path / "o"
         options = ("--anm", "meshed", "--out", str(out)) if command == "run" else ("--iterations", "1")
         assert run_cli(command, "--scenario", str(scenario), *options) == EXIT_CONFIG
@@ -530,11 +595,13 @@ class TestRun:
         assert f"weights.preference_mode: unsupported value {mode!r}" in err and "alpha: 0" in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_integral_float_link_gives_the_same_artifacts(self, tmp_path, worked_file, worked_scenario):
-        # 1.0 is in the schema's enum [0, 1]; it is read as it is and works as 1
+    def test_integral_float_link_gives_the_same_artifacts(self, tmp_path, worked_file):
+        # a writer may emit a link as 1.0; it is read as 1
+        with open(worked_file, encoding="utf-8") as fh:
+            data = with_entry(json.load(fh), "link", 1.0)
         linked = tmp_path / "float-link.json"
-        save_scenario(stored_as_read(worked_scenario, "link", 1.0), str(linked))
-        assert '"PP1":1.0' in linked.read_text()
+        linked.write_text(json.dumps(data))
+        assert '"AC2": [1, 1, 1.0, 1]' in linked.read_text()
         for name, scenario in (("a", worked_file), ("b", str(linked))):
             assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / name)) == EXIT_OK
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", RESULT_FILES, shallow=False)

@@ -29,7 +29,6 @@ from sspsim.matching import (
 from sspsim.model import (
     UTILITY_ID,
     CommitmentMatrix,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     MatchingWeights,
@@ -41,7 +40,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.protocol import calibrate_weights, run_engine
-from tests.conftest import preference_table, worked_example_subscribers
+from tests.conftest import connectivity, link_rows, preference_table, rank_rows, worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
@@ -75,7 +74,7 @@ def simple_view(demand=5.0, supply=5.0) -> SspView:
         consumers,
         producers,
         preference_table({"c1": {"p1": 1}}),
-        ConnectivityMatrix({"c1": {"p1": 1, UTILITY_ID: 1}}),
+        connectivity({"c1": {"p1": 1, UTILITY_ID: 1}}),
     )
 
 
@@ -86,7 +85,7 @@ def worked_view(demands=(13.5, 18.0, 13.5)) -> SspView:
     )
     prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, UTILITY_ID: 1} for c in consumers}
-    return SspView("s1", consumers, producers, prefs, ConnectivityMatrix(rows))
+    return SspView("s1", consumers, producers, prefs, connectivity(rows))
 
 
 class TestBuildMatchingLp:
@@ -98,7 +97,7 @@ class TestBuildMatchingLp:
     def test_consumer_only_view_buys_everything(self):
         consumers = (Subscriber("c1", AC, 4.0, priority=1.0),)
         view = SspView(
-            "s1", consumers, (), preference_table({}), ConnectivityMatrix({"c1": {UTILITY_ID: 1}})
+            "s1", consumers, (), preference_table({}), connectivity({"c1": {UTILITY_ID: 1}})
         )
         cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert cm.get("c1", UTILITY_ID) == pytest.approx(4.0, abs=1e-9)
@@ -136,7 +135,7 @@ class TestBuildMatchingLp:
             consumers,
             producers,
             preference_table({"c1": ranks, "c2": ranks}),
-            ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
+            connectivity({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
             partner_capacities={"s3": PartnerCapacity(4.0, 0.1), "s2": PartnerCapacity(0.0, 0.0)},
         )
         # a Utility column with a positive minimum, a locked import from s3
@@ -184,7 +183,7 @@ class TestBuildMatchingLp:
             consumers,
             producers,
             preference_table({"c1": {"p1": 1, "p2": 2}}),
-            ConnectivityMatrix({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
+            connectivity({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
         )
         lines = LineConstraintSet((LineConstraint("c1", "p1", 0.0, 3.0),))
         cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
@@ -233,9 +232,9 @@ class TestWorkedExample:
         for sub_id, value in fx_values.items():
             (fx.producers if sub_id in fx.producers else fx.consumers)[sub_id] = value
         if unlinked is not None:
-            rows = {row_id: dict(cols) for row_id, cols in view.connectivity.rows.items()}
+            rows = link_rows(view.connectivity)
             rows[unlinked[0]][unlinked[1]] = 0
-            view = replace(view, connectivity=ConnectivityMatrix(rows))
+            view = replace(view, connectivity=connectivity(rows))
         assert check_matching_feasibility(view, cm, fx) == [problem]
 
     @pytest.mark.parametrize("demands", [(10.0, 18.0, 17.0), (20.0, 18.0, 7.0)])
@@ -258,7 +257,7 @@ class TestWorkedExample:
 class TestSolveDistMatching:
     def test_surplus_only_ssp_sells_back(self):
         producers = (Subscriber("p1", AP, 10.0),)
-        view = SspView("s1", (), producers, preference_table({}), ConnectivityMatrix({}))
+        view = SspView("s1", (), producers, preference_table({}), connectivity({}))
         cm, fx, objective, _ = solve_dist_matching(view, MatchingWeights())
         assert 0.0 <= cm.get(UTILITY_ID, "p1") <= 10.0 + 1e-9
         assert aggregate_surplus(view, cm) == (10.0, 10.0)
@@ -274,7 +273,7 @@ class TestSolveDistMatching:
             consumers,
             (Subscriber("p1", AP, 3.0),),
             preference_table({"c2": {"p1": 1}}),
-            ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
+            connectivity({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
         )
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
@@ -292,7 +291,7 @@ class TestSolveDistMatching:
             consumers,
             (),
             preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
-            ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
+            connectivity({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
             partner_capacities={"s2": PartnerCapacity(51.0, 0.0)},
         )
         cm, _, _, _ = solve_dist_matching(view, MatchingWeights())
@@ -309,7 +308,7 @@ class TestSolveDistMatching:
             consumers,
             (),
             preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
-            ConnectivityMatrix({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
+            connectivity({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
             partner_capacities={"s2": PartnerCapacity(5.0, 0.0)},
         )
         lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
@@ -472,7 +471,7 @@ class TestCalibration:
         prefs = preference_table({"c0": {"p0": 15}, "c1": {}})
         rows = {"c0": {"p0": 1, UTILITY_ID: 1}, "c1": {UTILITY_ID: 1}}
         ssp = SSPConfig("s1", consumers, producers, prefs)
-        return Scenario((ssp,), ConnectivityMatrix(rows), weights, None, 5)
+        return Scenario((ssp,), connectivity(rows, (ssp,)), weights, None, 5)
 
     def test_already_optimal_defaults_are_kept(self, worked_scenario):
         calibrated = calibrate_weights(worked_scenario, iterations=2, seed=1)
@@ -753,17 +752,17 @@ def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
     """The scenario with every producer of one SSP removed, from the connectivity and ranks too."""
     cfg = scenario.ssp(ssp_id)
     gone = {p.id for p in cfg.producers}
-    rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in scenario.connectivity.rows.items()}
+    rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in link_rows(scenario.connectivity).items()}
     header = cfg.preferences.suppliers
     ranks = {
         c: {s: r for s, r in zip(header, row) if r is not None and s not in gone}
-        for c, row in cfg.preferences.ranks.items()
+        for c, row in rank_rows(cfg.preferences).items()
     }
     ssps = tuple(
         replace(other, producers=(), preferences=preference_table(ranks)) if other.id == ssp_id else other
         for other in scenario.ssps
     )
-    return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))
+    return replace(scenario, ssps=ssps, connectivity=connectivity(rows, ssps))
 
 
 @st.composite
@@ -787,7 +786,7 @@ def centralized_scenarios(draw) -> Scenario:
     ids = scenario.ssp_ids
     if draw(st.booleans()):
         scenario = without_producers(scenario, draw(st.sampled_from(ids)))
-    rows = {row_id: dict(cols) for row_id, cols in scenario.connectivity.rows.items()}
+    rows = link_rows(scenario.connectivity)
     for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)):
         if a != b:
             rows[a][b] = rows[b][a] = 0
@@ -810,7 +809,7 @@ def centralized_scenarios(draw) -> Scenario:
         low = draw(st.sampled_from([0.0, 0.0, 1.0, 6.0, 40.0]))
         lines.append(LineConstraint(row_id, col_id, low, draw(st.sampled_from([2.0, 8.0, 50.0]).filter(lambda high: high >= low))))
     scenario = replace(
-        scenario, connectivity=ConnectivityMatrix(rows), line_constraints=LineConstraintSet(tuple(lines)) if lines else None
+        scenario, connectivity=connectivity(rows, scenario.ssps), line_constraints=LineConstraintSet(tuple(lines)) if lines else None
     )
     assert validate_scenario(scenario) == []
     return scenario

@@ -12,38 +12,48 @@ from sspsim.model import (
     ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     PreferenceTable,
     Scenario,
     SSPConfig,
     Subscriber,
     SubscriberKind,
+    TableValueError,
     energy_status,
     utility_interaction,
     validate_scenario,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import preference_table
+from tests.conftest import connectivity, link_rows, preference_table, rank_rows
 from tests.oracles import reference_validate_connectivity, reference_validate_preferences
 
 
-# what a scenario file may hold where a rank, a link or the seed belongs, and
-# the one violation validate_scenario gives for it on the worked example
-STORED_AS_READ = [
+# what a scenario may hold where a rank, a link or the seed belongs, and the
+# one violation validate_scenario gives for it on the worked example
+JUDGED_BY_VALIDATION = [
     pytest.param(fact, value, violation, id=f"{fact}-{value!r}")
     for fact, value, violation in [
-        ("rank", True, "AC2: rank-positive-int (rank True for PP1)"),
-        ("rank", 1.5, "AC2: rank-positive-int (rank 1.5 for PP1)"),
-        ("rank", "2", "AC2: rank-positive-int (rank '2' for PP1)"),
+        ("rank", 0, "AC2: rank-positive-int (rank 0 for PP1)"),
+        ("rank", -1, "AC2: rank-positive-int (rank -1 for PP1)"),
         # a null rank is no rank, and AC2 is linked to PP1
         ("rank", None, "AC2: preference-covered (no rank for local producer PP1)"),
         ("link", 2, "AC2: connectivity-binary (N(AC2, PP1) = 2)"),
-        ("link", True, "AC2: connectivity-binary (N(AC2, PP1) = True)"),
-        ("link", 0.5, "AC2: connectivity-binary (N(AC2, PP1) = 0.5)"),
-        ("link", "1", "AC2: connectivity-binary (N(AC2, PP1) = 1)"),
+        ("link", -1, "AC2: connectivity-binary (N(AC2, PP1) = -1)"),
         ("seed", "1", "seed: seed-64bit (seed '1' outside 64-bit range)"),
         ("seed", True, "seed: seed-64bit (seed True outside 64-bit range)"),
     ]
+]
+
+# what a rank or link table cannot hold: building the table refuses it, and
+# the loader names the entry of the worked example's file
+REFUSED_BY_THE_TABLE = [
+    pytest.param(fact, value, f"{where}: expected a 64-bit integer {fact}{' or null' if fact == 'rank' else ''}, got {value!r}", id=f"{fact}-{value!r}")
+    for fact, where, values in [
+        ("rank", "ssps[0].preferences.ranks[AC2][2]", [True, False, 1.5, 2.0, "2", 2**63, -(2**63) - 1]),
+        ("link", "connectivity.consumers[S1].rows[AC2][2]", [True, 2.5, 2.0, "1", None, 2**63]),
+    ]
+    for value in values
 ]
 
 
@@ -60,20 +70,30 @@ def stored_as_read(scenario: Scenario, fact: str, value: object) -> Scenario:
     link, its seed, or the kind of AC2 (``consumer-kind``) or PP1 (``producer-kind``)."""
     if fact == "seed":
         return replace(scenario, seed=value)
+    cfg = scenario.ssps[0]
     if fact.endswith("-kind"):
-        cfg = scenario.ssps[0]
         side, sub_id = ("consumers", "AC2") if fact == "consumer-kind" else ("producers", "PP1")
         subs = tuple(replace(s, kind=SubscriberKind(value)) if s.id == sub_id else s for s in getattr(cfg, side))
         return replace(scenario, ssps=(replace(cfg, **{side: subs}),))
     if fact == "rank":
-        cfg = scenario.ssps[0]
         prefs = cfg.preferences
-        ranks = {c: list(row) for c, row in prefs.ranks.items()}
+        ranks = rank_rows(prefs)
         ranks["AC2"][prefs.index["PP1"]] = value
-        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable(prefs.suppliers, ranks)),))
-    rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
+        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable.from_rows(prefs.suppliers, ranks)),))
+    rows = link_rows(scenario.connectivity)
     rows["AC2"]["PP1"] = value
-    return replace(scenario, connectivity=ConnectivityMatrix(rows))
+    return replace(scenario, connectivity=connectivity(rows, scenario.ssps))
+
+
+def with_entry(data: dict, fact: str, value: object) -> dict:
+    """The worked example's file with ``value`` as its (AC2, PP1) rank or link, or as its seed."""
+    if fact == "rank":
+        data["ssps"][0]["preferences"]["ranks"]["AC2"][2] = value
+    elif fact == "link":
+        data["connectivity"]["consumers"]["S1"]["rows"]["AC2"][2] = value
+    else:
+        data["seed"] = value
+    return data
 
 
 def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
@@ -89,7 +109,7 @@ def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
 def scenario_of(ssp: SSPConfig, rows=None) -> Scenario:
     if rows is None:
         rows = {c.id: {"p1": 1, UTILITY_ID: 1} for c in ssp.consumers}
-    return Scenario((ssp,), ConnectivityMatrix(rows), MatchingWeights(), None, 1)
+    return Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 1)
 
 
 class TestValidateScenario:
@@ -183,12 +203,12 @@ class TestValidateScenario:
         # the engine offers across SSPs only where N(home SSP, SSP) is set, so
         # a consumer's own row entry for S2 decides nothing: it is set here
         # exactly when the SSPs are unlinked
-        rows = {row: dict(cols) for row, cols in pair_scenario.connectivity.rows.items()}
+        rows = link_rows(pair_scenario.connectivity)
         if not linked:
             rows["S1.C1"]["S2"] = 1
             del rows["S1"], rows["S2"]
         lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 3.0, 9.0),))
-        scenario = replace(pair_scenario, connectivity=ConnectivityMatrix(rows), line_constraints=lines)
+        scenario = replace(pair_scenario, connectivity=connectivity(rows, pair_scenario.ssps), line_constraints=lines)
         named = [] if linked else [("(S1.C1, S2)", "line-bounds-allow-unused")]
         assert [(v.entity, v.rule) for v in validate_scenario(scenario)] == named
 
@@ -207,13 +227,13 @@ class TestValidateScenario:
         producers = (Subscriber("x", SubscriberKind.ACTIVE_PRODUCER, 1.0),)
         ssp = SSPConfig(UTILITY_ID, consumers, producers, preference_table({"x": {"x": 1}}))
         rows = {"x": {"x": 1, UTILITY_ID: 1}}
-        rules = {v.rule for v in validate_scenario(Scenario((ssp,), ConnectivityMatrix(rows), MatchingWeights(), None, 0))}
+        rules = {v.rule for v in validate_scenario(Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 0))}
         assert "unique-ids" in rules and "reserved-id" in rules
 
     def test_nonpositive_w2_is_flagged(self):
         bad = Scenario(
             (small_ssp(),),
-            ConnectivityMatrix({c: {"p1": 1, UTILITY_ID: 1} for c in ("c1", "c2")}),
+            connectivity({c: {"p1": 1, UTILITY_ID: 1} for c in ("c1", "c2")}, (small_ssp(),)),
             MatchingWeights(w2=0.0),
             None,
             0,
@@ -245,13 +265,51 @@ class TestValidateScenario:
             "s1": {"s2": 1},
             "s2": {},
         }
-        sc = Scenario((ssp_a, ssp_b), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
+        sc = Scenario((ssp_a, ssp_b), connectivity(rows, (ssp_a, ssp_b)), MatchingWeights(), None, 0)
         assert any(v.rule == "interssp-symmetric" for v in validate_scenario(sc))
 
-    @pytest.mark.parametrize("fact,value,violation", STORED_AS_READ + MISPLACED_KINDS)
+    @pytest.mark.parametrize("fact,value,violation", JUDGED_BY_VALIDATION + MISPLACED_KINDS)
     def test_rank_link_or_seed_of_the_wrong_type_is_a_violation(self, worked_scenario, fact, value, violation):
         # violations are data: no value makes the check raise
         assert [str(v) for v in validate_scenario(stored_as_read(worked_scenario, fact, value))] == [violation]
+
+    @pytest.mark.parametrize("fact,value,detail", REFUSED_BY_THE_TABLE)
+    def test_a_value_no_table_holds_is_refused_where_the_table_is_built(self, worked_scenario, fact, value, detail):
+        entry = detail.split(": ", 1)[1]
+        with pytest.raises(TableValueError) as refused:
+            stored_as_read(worked_scenario, fact, value)
+        assert (refused.value.where, refused.value.reason) == ("[AC2][2]", entry)
+
+    def test_a_link_block_header_listing_a_column_twice_is_named(self, worked_scenario):
+        rows = {"AC1": [1, 1, 1, 1, 0], "AC2": [1, 1, 1, 1, 0], "AC3": [1, 1, 1, 1, 0], "PC1": [1, 1, 1, 1, 0]}
+        block = LinkBlock.from_rows(("AP1", "AP2", "PP1", UTILITY_ID, "AP2"), rows)
+        scenario = replace(worked_scenario, connectivity=ConnectivityMatrix(consumers={"S1": block}))
+        assert [str(v) for v in validate_scenario(scenario)] == [
+            "S1: connectivity-header-unique (column AP2 listed more than once)"
+        ]
+        # the first AP2 column is the one read
+        assert scenario.connectivity.connected("AC1", "AP2")
+
+    @pytest.mark.parametrize(
+        "case,row_id,detail",
+        [
+            ("ssp-in-a-consumer-block", "S1", "not a row of the block of SSP S1"),
+            ("consumer-in-the-ssp-block", "AC1", "not a row of the SSP block"),
+            ("unknown-row-in-an-unknown-block", "X", "unknown row id"),
+        ],
+    )
+    def test_a_row_outside_its_block_is_named(self, worked_scenario, case, row_id, detail):
+        # a row goes in the SSP block, or in the block of its own SSP's consumers
+        home = worked_scenario.connectivity.consumers["S1"]
+        rows, width = dict(zip(home.rows, home.links.tolist())), len(home.cols)
+        n = {
+            "ssp-in-a-consumer-block": lambda: ConnectivityMatrix(consumers={"S1": LinkBlock.from_rows(home.cols, {**rows, "S1": [0] * width})}),
+            "consumer-in-the-ssp-block": lambda: ConnectivityMatrix(LinkBlock.from_rows(home.cols, {"AC1": [1] * width}), {"S1": home}),
+            "unknown-row-in-an-unknown-block": lambda: ConnectivityMatrix(consumers={"S1": home, "S9": LinkBlock.from_rows(home.cols, {"X": [1] * width})}),
+        }[case]()
+        assert [str(v) for v in validate_scenario(replace(worked_scenario, connectivity=n))] == [
+            f"{row_id}: connectivity-row-resolves ({detail})"
+        ]
 
     def test_producer_with_a_priority_is_a_violation(self, worked_scenario):
         # the file format has no producer priority, so only a scenario built in memory can carry one
@@ -346,6 +404,22 @@ def test_column_totals_in_one_pass_equal_the_per_column_sums(cells):
     assert set(totals) == {col for (row, col) in cm.cells() if row != UTILITY_ID}
 
 
+def test_column_totals_of_cells_set_out_of_consumer_order_equal_the_sorted_sum():
+    # 1e16 + 1 + 1 is 1e16 in floats, and 1 + 1 + 1e16 is 1e16 + 2: the
+    # total of a column depends on the order it is added in
+    cm = CommitmentMatrix(["c1", "c2", "c3"], ["p1", "p2"])
+    for row_id, col_id, kwh in [("c3", "p1", 1e16), ("c2", "p1", 1.0), (UTILITY_ID, "p1", 5.0), ("c1", "p1", 1.0), ("c3", "p2", 0.1), ("c1", "p2", 0.2)]:
+        cm.set(row_id, col_id, kwh)
+    order = {c: k for k, c in enumerate(cm.consumer_ids)}
+    by_consumer = sorted((order[r], c, kwh) for (r, c), kwh in cm.cells().items() if r in order)
+    expected: dict[str, float] = {}
+    for _, col_id, kwh in by_consumer:
+        expected[col_id] = expected.get(col_id, 0.0) + kwh
+    totals = cm.committed_by_column()
+    assert {c: kwh.hex() for c, kwh in totals.items()} == {c: kwh.hex() for c, kwh in expected.items()}
+    assert totals["p1"] == 1.0 + 1.0 + 1e16 != 1e16 + 1.0 + 1.0
+
+
 IDS = st.sampled_from(["c1", "c2", "p1", "S2", UTILITY_ID])
 
 
@@ -371,7 +445,6 @@ MUTATIONS = (
     "duplicate-supplier",
     "stray-rank-row",
     "missing-rank-row",
-    "short-rank-row",
     "non-binary",
     "asymmetric",
     "self-link",
@@ -393,8 +466,8 @@ def mutated_scenarios(draw) -> Scenario:
     scenario = generate_scenario(spec)
     # each SSP's header and rows, edited in place
     headers = {cfg.id: list(cfg.preferences.suppliers) for cfg in scenario.ssps}
-    ranks = {cfg.id: {c: list(row) for c, row in cfg.preferences.ranks.items()} for cfg in scenario.ssps}
-    rows = {r: dict(cols) for r, cols in scenario.connectivity.rows.items()}
+    ranks = {cfg.id: rank_rows(cfg.preferences) for cfg in scenario.ssps}
+    rows = link_rows(scenario.connectivity)
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
         cfg = draw(st.sampled_from(scenario.ssps))
         header, table = headers[cfg.id], ranks[cfg.id]
@@ -403,22 +476,22 @@ def mutated_scenarios(draw) -> Scenario:
         others = [s for s in scenario.ssp_ids if s != cfg.id]
         other = draw(st.sampled_from(others))
         if kind in ("drop-local-rank", "drop-partner-rank") and row is not None:
-            # a header position may be gone already (drop-column), or past a short row
+            # a header position may be gone already (drop-column)
             local = [p.id for p in cfg.producers]
             if kind == "drop-local-rank":
                 dropped = [draw(st.sampled_from(local))] if local else []
             else:
                 dropped = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
             for supplier_id in dropped:
-                if supplier_id in header[: len(row)]:
+                if supplier_id in header:
                     row[header.index(supplier_id)] = None
         elif kind == "drop-column" and header:
             k = draw(st.integers(0, len(header) - 1))
             del header[k]
             for values in table.values():
-                del values[k : k + 1]
+                del values[k]
         elif kind == "bad-rank" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([True, 0, -1, 1.5, "2", 10**400]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([0, -1, -(2**63)]))
         elif kind == "unknown-supplier":
             header.append("X.P99")
             for c, values in table.items():
@@ -432,13 +505,10 @@ def mutated_scenarios(draw) -> Scenario:
             table[stranger] = [1 if s == other else None for s in header]
         elif kind == "missing-rank-row":
             table.pop(consumer, None)
-        elif kind == "short-rank-row" and row:
-            # only a table built in memory can hold one: the loader refuses it
-            del row[draw(st.integers(0, len(row) - 1)):]
         elif kind == "non-binary":
             row_id = draw(st.sampled_from(sorted(rows)))
             if rows[row_id]:
-                rows[row_id][draw(st.sampled_from(sorted(rows[row_id])))] = draw(st.sampled_from([2, True, None, "1"]))
+                rows[row_id][draw(st.sampled_from(sorted(rows[row_id])))] = draw(st.sampled_from([2, -1, 2**62]))
         elif kind == "asymmetric":
             if draw(st.booleans()):
                 rows[cfg.id].pop(other, None)
@@ -454,10 +524,10 @@ def mutated_scenarios(draw) -> Scenario:
             rows["X.C99"] = {other: 1}
     # SSP order sets the order of the partner checks, so it is drawn too
     ssps = tuple(
-        replace(cfg, preferences=PreferenceTable(tuple(headers[cfg.id]), ranks[cfg.id]))
+        replace(cfg, preferences=PreferenceTable.from_rows(headers[cfg.id], ranks[cfg.id]))
         for cfg in draw(st.permutations(scenario.ssps))
     )
-    return replace(scenario, ssps=ssps, connectivity=ConnectivityMatrix(rows))
+    return replace(scenario, ssps=ssps, connectivity=connectivity(rows, ssps))
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,6 @@ from sspsim.coalition import ActualNeighborhoodMap, anm_from_csv, empty_map, for
 from sspsim.matching import MatchingInfeasibleError, PairTable, solve_centralized, solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     MatchingWeights,
@@ -39,7 +38,7 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import preference_table
+from tests.conftest import connectivity, link_rows, preference_table
 from tests.test_matching import study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -74,7 +73,7 @@ def triangle_scenario() -> Scenario:
         "S2": {"S1": 1, "S3": 1},
         "S3": {"S1": 1, "S2": 1},
     }
-    return Scenario((s1, s2, s3), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
+    return Scenario((s1, s2, s3), connectivity(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
 
 
 class TestPartnerLists:
@@ -82,10 +81,10 @@ class TestPartnerLists:
     def scenario() -> Scenario:
         """Six SSPs with the links S01-S02 and S03-S05, which the coalition map has, cut from the connectivity."""
         scenario = generate_scenario(GeneratorSpec(n_ssps=6, consumers_per_ssp=2, producers_per_ssp=1, supply_mean_kwh=24.0, seed=3))
-        rows = {row_id: dict(cols) for row_id, cols in scenario.connectivity.rows.items()}
+        rows = link_rows(scenario.connectivity)
         for a, b in (("S01", "S02"), ("S03", "S05")):
             rows[a][b] = rows[b][a] = 0
-        return replace(scenario, connectivity=ConnectivityMatrix(rows))
+        return replace(scenario, connectivity=connectivity(rows, scenario.ssps))
 
     @pytest.mark.parametrize("kind", ["meshed", "coalition", "file", "foreign-and-reversed-edges"])
     def test_the_edge_index_gives_the_pairwise_lists(self, kind):
@@ -141,7 +140,7 @@ class TestRunEngine:
         )
         surplus = SSPConfig("S1", (), (Subscriber("S1.P1", AP, 51.0),), preference_table({}))
         rows = {"S2.C1": {UTILITY_ID: 1}, "S1": {"S2": 1}, "S2": {"S1": 1}}
-        scenario = Scenario((surplus, deficit), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
+        scenario = Scenario((surplus, deficit), connectivity(rows, (surplus, deficit)), MatchingWeights(), None, 0)
         result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=0)
         claims = [r for r in result.log if r.kind == CLAIM_KIND]
         assert len(claims) == 1
@@ -219,7 +218,7 @@ class TestRunEngine:
     def test_invalid_scenario_rejected(self, pair_scenario):
         broken = Scenario(
             pair_scenario.ssps,
-            ConnectivityMatrix({"S1.C1": {"S1.P1": 1, UTILITY_ID: 0}}),
+            connectivity({"S1.C1": {"S1.P1": 1, UTILITY_ID: 0}}, pair_scenario.ssps),
             pair_scenario.weights,
             None,
             0,
@@ -258,7 +257,7 @@ class TestRunEngine:
         )
         rows = {"S1.C1": {"S1.P1": 1, UTILITY_ID: 1}}
         lines = LineConstraintSet((LineConstraint(UTILITY_ID, "S1.P1", 0.0, 2.0),))
-        broken = Scenario((s1,), ConnectivityMatrix(rows), MatchingWeights(), lines, 0)
+        broken = Scenario((s1,), connectivity(rows, (s1,)), MatchingWeights(), lines, 0)
         with pytest.raises(InvalidScenarioError, match=r"\(U, S1.P1\): line-not-sell-back"):
             run_engine(broken, meshed_map(broken.ssp_ids))
 
@@ -286,7 +285,7 @@ class TestRunEngine:
             "S2": {"S1": 1, "S3": 1},
             "S3": {"S1": 1, "S2": 1},
         }
-        scenario = Scenario((s1, s2, s3), ConnectivityMatrix(rows), MatchingWeights(), None, 0)
+        scenario = Scenario((s1, s2, s3), connectivity(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
         for seed in range(4):
             result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=seed)
             # supply 15 vs demand 11: exactly 4 kWh must face the Utility
@@ -523,11 +522,11 @@ def floored_study2(min_kwh: float) -> Scenario:
     """Six study-2 SSPs where S01.C02 is linked to S03 with a line floor; S03's
     offers to S01 are priced out without it."""
     study2 = study2_scenario(n_ssps=6)
-    rows = {row_id: dict(cols) for row_id, cols in study2.connectivity.rows.items()}
+    rows = link_rows(study2.connectivity)
     rows["S01.C02"]["S03"] = 1
     return replace(
         study2,
-        connectivity=ConnectivityMatrix(rows),
+        connectivity=connectivity(rows, study2.ssps),
         line_constraints=LineConstraintSet(
             (*study2.line_constraints.constraints, LineConstraint("S01.C02", "S03", min_kwh, 50.0))
         ),

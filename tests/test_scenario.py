@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sspsim.scenario
-from sspsim.model import LineConstraint, LineConstraintSet, PreferenceTable, SubscriberKind, _fits_float, energy_status, validate_scenario
+from sspsim.model import UTILITY_ID, LineConstraint, LineConstraintSet, PreferenceTable, SubscriberKind, energy_status, validate_scenario
 from sspsim.scenario import (
     PREFERENCE_MODE,
     GeneratorSpec,
@@ -25,7 +27,7 @@ from sspsim.scenario import (
     scenario_to_dict,
     scenario_to_json,
 )
-from tests.test_model import stored_as_read
+from tests.test_model import with_entry
 
 STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, seed=7)
 # the study-1 shape of the benchmark workloads
@@ -117,13 +119,13 @@ class TestPersistence:
         [
             pytest.param(
                 GeneratorSpec(n_ssps=50, **STUDY1_SHAPE, seed=101),
-                "083974f4899c825efb9552803b915eb069d0906f321c9f28df998a9d1de642ea", 224_893,
+                "fc8c85995b36889e265c048f0c2b8d04a921accb2b71673a8fca24ca2ceea898", 187_634,
                 id="meshed-50",
             ),
             pytest.param(
                 # its SSP ids cross the S99/S100 sort boundary
                 GeneratorSpec(n_ssps=200, **STUDY1_SHAPE, seed=101),
-                "c3f20ed044c0b52cce7ed701cdac8c8d5481492b2ff8dfbf49c78ccbeda52b97", 2_478_388,
+                "0cfb5ece491e8b23b0e2e64281cd850dc6c343781976e6bcfcde8046cf7beddd", 2_124_787,
                 id="coalition-200",
             ),
             pytest.param(
@@ -133,12 +135,12 @@ class TestPersistence:
                     passive_producers=5, passive_producer_bound=0.10,
                     demand_mean_kwh=12.0, supply_mean_kwh=42.0, noise_std_kwh=3.0, seed=7,
                 ),
-                "97d17a9ba2af2516592fefcc4ae14eaf9f6d55959e303b1c9282acf644db0e57", 256_005,
+                "714b5066eb6a15d0c42f395d6a7fa175a827906f4b37b269dcc6e5e526fa9f25", 183_726,
                 id="study2-balanced",
             ),
             pytest.param(
                 GeneratorSpec(n_ssps=10, **STUDY1_SHAPE, seed=101),
-                "ff476cd81e49d77ba9c344cfccc47ec831fdbefbd757bded596cb51f6a541b4e", 27_549,
+                "943f84dec728ce478b00623977845bcf2e37314d18b91a98217f56f0106adb38", 22_530,
                 id="centralized-10",
             ),
         ],
@@ -188,13 +190,30 @@ class TestPersistence:
         with pytest.raises(ScenarioFormatError, match="kind"):
             scenario_from_json(json.dumps(data))
 
-    def test_non_string_keys_are_named_by_validation(self, worked_scenario):
-        # a dict built in Python, not parsed from JSON, may carry other keys;
-        # the connectivity rows are copied as they are, and validation names the key
+    def test_a_link_column_that_is_not_a_string_is_named_by_the_loader(self, worked_scenario):
+        # a link block's header lists column ids, and the loader refuses one
+        # that is not a string, as every other id
         data = scenario_to_dict(worked_scenario)
-        data["connectivity"]["AC1"] = {"AP1": 1, "AP2": 1, "PP1": 1, 7: 0, "U": 1}
+        block = data["connectivity"]["consumers"]["S1"]
+        block["cols"].append(7)
+        for row in block["rows"].values():
+            row.append(0)
+        with pytest.raises(ScenarioFormatError, match=r"^connectivity\.consumers\[S1\]\.cols\[4\]: expected a string, got 7$"):
+            scenario_from_dict(data)
+
+    def test_a_row_key_that_is_not_a_string_is_named_by_validation(self, worked_scenario):
+        # a dict built in Python, not parsed from JSON, may carry other keys;
+        # a row key is read as its str, and validation names the row
+        data = scenario_to_dict(worked_scenario)
+        data["connectivity"]["consumers"]["S1"]["rows"][7] = [0, 0, 0, 0]
         violations = validate_scenario(scenario_from_dict(data))
-        assert [str(v) for v in violations] == ["7: connectivity-col-resolves (unknown column id in row AC1)"]
+        assert [str(v) for v in violations] == ["7: connectivity-row-resolves (unknown row id)"]
+
+    def test_a_version_2_file_is_refused_naming_schema_version(self, worked_scenario):
+        data = scenario_to_dict(worked_scenario)
+        data["schema_version"] = 2
+        with pytest.raises(ScenarioFormatError, match=r"^schema_version: unsupported value 2, expected 3$"):
+            scenario_from_dict(data)
 
     def test_a_supplier_id_that_is_not_a_string_is_named_by_the_loader(self, worked_scenario):
         # a preference header lists supplier ids, and the loader refuses one
@@ -212,46 +231,61 @@ SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
+    st.integers(min_value=2**62, max_value=2**64),
     st.integers(min_value=2**1023, max_value=2**1100),
     st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
     st.text(max_size=2),
 )
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fact=st.sampled_from(["rank", "link", "seed"]), value=SCALARS)
-def test_any_rank_link_or_seed_loads_as_read_and_validation_judges_it(worked_scenario, fact, value):
+def test_a_table_holds_what_it_can_and_validation_judges_it(worked_scenario, fact, value):
     # the fixture is only read, so one instance can serve every example
-    loaded = scenario_from_dict(scenario_to_dict(stored_as_read(worked_scenario, fact, value)))
+    data = with_entry(scenario_to_dict(worked_scenario), fact, value)
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    held = {
+        "rank": value is None or (integer and -(2**63) <= value < 2**63),
+        "link": (integer and -(2**63) <= value < 2**63) or (type(value) is float and value in (0.0, 1.0)),
+        "seed": True,
+    }[fact]
+    if not held:
+        where = {"rank": "ssps[0].preferences.ranks[AC2][2]", "link": "connectivity.consumers[S1].rows[AC2][2]"}[fact]
+        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(where)}: expected a 64-bit integer {fact}"):
+            scenario_from_dict(data)
+        return
+    loaded = scenario_from_dict(data)
     prefs = loaded.ssps[0].preferences
     stored = {
-        "rank": prefs.ranks["AC2"][prefs.index["PP1"]],
-        "link": loaded.connectivity.rows["AC2"]["PP1"],
+        "rank": prefs.rank("AC2", "PP1") if prefs.has("AC2", "PP1") else None,
+        "link": int(loaded.connectivity.consumers["S1"].links[1, 2]),
         "seed": loaded.seed,
     }[fact]
-    assert stored is value
-    integer = isinstance(value, int) and not isinstance(value, bool)
+    # the seed is stored as read, NaN included
+    assert stored is value if fact == "seed" else stored == value
     valid = {
-        "rank": integer and value >= 1 and _fits_float(value),
-        "link": not isinstance(value, bool) and value in (0, 1),
+        "rank": integer and value >= 1,
+        "link": value in (0, 1),
         "seed": integer and -(2**63) <= value < 2**63,
     }[fact]
     # a null rank is no rank
     rank_rule = "preference-covered" if value is None else "rank-positive-int"
     rule = {"rank": ("AC2", rank_rule), "link": ("AC2", "connectivity-binary"), "seed": ("seed", "seed-64bit")}
+    # a link of 0 leaves AC2 without PP1, which then needs no rank
     assert [(v.entity, v.rule) for v in validate_scenario(loaded)] == ([] if valid else [rule[fact]])
 
 
-# what a row may hold: a rank, a value validation refuses, or null for no rank
-ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=2))
+# what a row may hold: an int64 rank, valid or not, or null for no rank
+ROW_VALUES = st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1))
 
 
 @st.composite
 def preference_tables(draw) -> PreferenceTable:
     """A header of any ids, duplicates included, and rows as long as it."""
     suppliers = draw(st.lists(st.text(max_size=3), max_size=5))
-    row = st.tuples(*[ROW_VALUES] * len(suppliers))
-    return PreferenceTable(tuple(suppliers), draw(st.dictionaries(st.text(max_size=3), row, max_size=4)))
+    row = st.lists(ROW_VALUES, min_size=len(suppliers), max_size=len(suppliers))
+    return PreferenceTable.from_rows(suppliers, draw(st.dictionaries(st.text(max_size=3), row, max_size=4)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -260,10 +294,44 @@ def test_a_header_and_its_rows_load_as_written(worked_scenario, table):
     scenario = replace(worked_scenario, ssps=(replace(worked_scenario.ssps[0], preferences=table),))
     loaded = scenario_from_json(scenario_to_json(scenario)).ssps[0].preferences
     assert loaded == table
-    # 1 == True, so the types are compared too
-    assert {c: list(map(type, row)) for c, row in loaded.ranks.items()} == {
-        c: list(map(type, row)) for c, row in table.ranks.items()
-    }
+    assert loaded.ranks.dtype == table.ranks.dtype and loaded.ranked.dtype == table.ranked.dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.builds(
+        GeneratorSpec,
+        n_ssps=st.integers(1, 5),
+        consumers_per_ssp=st.integers(0, 3),
+        producers_per_ssp=st.integers(0, 3),
+        seed=st.integers(0, 2**63 - 1),
+    )
+)
+def test_a_generated_scenario_loads_as_it_was_generated(tmp_path_factory, spec):
+    scenario = generate_scenario(spec)
+    path = tmp_path_factory.mktemp("round-trip") / "scenario.json"
+    save_scenario(scenario, str(path))
+    loaded = load_scenario(str(path))
+    for got, want in zip(loaded.ssps, scenario.ssps):
+        for attr in ("suppliers", "consumers"):
+            assert getattr(got.preferences, attr) == getattr(want.preferences, attr)
+        assert np.array_equal(got.preferences.ranks, want.preferences.ranks)
+        assert np.array_equal(got.preferences.ranked, want.preferences.ranked)
+    got_blocks, want_blocks = loaded.connectivity.blocks(), scenario.connectivity.blocks()
+    assert [(k, b.rows, b.cols) for k, b in got_blocks] == [(k, b.rows, b.cols) for k, b in want_blocks]
+    assert all(np.array_equal(got.links, want.links) for (_, got), (_, want) in zip(got_blocks, want_blocks))
+    row_ids = [*scenario.ssp_ids, *(c.id for cfg in scenario.ssps for c in cfg.consumers), "X"]
+    col_ids = [*scenario.ssp_ids, *(p.id for cfg in scenario.ssps for p in cfg.producers), UTILITY_ID, "X"]
+    for got, want in zip(loaded.ssps, scenario.ssps):
+        for row_id in row_ids:
+            for col_id in col_ids:
+                assert got.preferences.has(row_id, col_id) == want.preferences.has(row_id, col_id)
+                if want.preferences.has(row_id, col_id):
+                    assert got.preferences.rank(row_id, col_id) == want.preferences.rank(row_id, col_id)
+    for row_id in row_ids:
+        for col_id in col_ids:
+            assert loaded.connectivity.connected(row_id, col_id) == scenario.connectivity.connected(row_id, col_id)
+    assert loaded == scenario
 
 
 def test_schema_matches_what_the_writer_emits(worked_scenario):
@@ -281,6 +349,11 @@ def test_schema_matches_what_the_writer_emits(worked_scenario):
     assert consumer["required"] == list(data["ssps"][0]["consumers"][0])
     assert producer["required"] == list(data["ssps"][0]["producers"][0])
     assert schema["properties"]["line_constraints"]["items"]["required"] == list(data["line_constraints"][0])
+    links = schema["properties"]["connectivity"]
+    assert links["required"] == list(data["connectivity"])
+    assert links["properties"]["ssps"]["required"] == list(data["connectivity"]["ssps"])
+    assert links["properties"]["consumers"]["additionalProperties"]["required"] == list(data["connectivity"]["consumers"]["S1"])
+    assert schema["properties"]["schema_version"]["const"] == data["schema_version"] == 3
     assert schema["properties"]["weights"]["properties"]["preference_mode"]["const"] == PREFERENCE_MODE
     assert data["weights"]["preference_mode"] == PREFERENCE_MODE == "coefficient"
     assert consumer["properties"]["kind"]["enum"] == [k.value for k in SubscriberKind if not k.is_producer]
