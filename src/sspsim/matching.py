@@ -708,33 +708,32 @@ def merged_view(scenario: Scenario) -> SspView:
     """
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
-    ssp_at = {ssp_id: t for t, ssp_id in enumerate(scenario.ssp_ids)}
-    owner = np.repeat(np.arange(len(scenario.ssps)), [len(cfg.producers) for cfg in scenario.ssps])  # each producer's SSP
-    ranks, ranked = [np.zeros((0, owner.size), dtype=np.int64)], [np.zeros((0, owner.size), dtype=bool)]
+    at = {p.id: j for j, p in enumerate(producers)}
+    ranks: dict[str, list[int | None]] = {}
+    rows: dict[str, list[int]] = {}
     for cfg in scenario.ssps:
-        consumer_ids, producer_ids = [c.id for c in cfg.consumers], [p.id for p in cfg.producers]
-        partner_ids = _linked_ssps(scenario, cfg.id, scenario.ssp_ids)
-        local = scenario.connectivity.values(consumer_ids, producer_ids) != 0
-        needed = _ranked_pairs(local, len(partner_ids))
-        found = _rank_block(cfg.preferences, consumer_ids, producer_ids + partner_ids, needed)
-        # each producer's column of ``found``: its own, its SSP's if a linked partner, else -1, a last column of no link
-        column = np.full(len(scenario.ssps), -1)
-        column[[ssp_at[t] for t in partner_ids]] = len(producer_ids) + np.arange(len(partner_ids))
-        column = column[owner]
-        column[owner == ssp_at[cfg.id]] = np.arange(len(producer_ids))
-        linked = np.hstack([needed, np.zeros((len(consumer_ids), 1), dtype=bool)])[:, column]
-        ranked.append(linked)
-        ranks.append(np.where(linked, np.hstack([found, np.zeros((len(consumer_ids), 1), dtype=np.int64)])[:, column], 0))
-    ranks, ranked = np.vstack(ranks), np.vstack(ranked)
-    consumer_ids = tuple(c.id for c in consumers)
-    producer_ids = tuple(p.id for p in producers)
-    links = np.hstack([ranked, np.ones((len(consumers), 1), dtype=bool)]).astype(np.int64)
+        for consumer in cfg.consumers:
+            consumer_ranks: list[int | None] = [None] * len(at)
+            row = [0] * len(at) + [1]  # the last column is the Utility's
+            for producer in cfg.producers:
+                if scenario.connectivity.connected(consumer.id, producer.id):
+                    consumer_ranks[at[producer.id]] = cfg.preferences.rank(consumer.id, producer.id)
+                    row[at[producer.id]] = 1
+            for other in scenario.ssps:
+                if other.id == cfg.id or not scenario.connectivity.connected(cfg.id, other.id):
+                    continue
+                partner_rank = cfg.preferences.rank(consumer.id, other.id)
+                for producer in other.producers:
+                    consumer_ranks[at[producer.id]] = partner_rank
+                    row[at[producer.id]] = 1
+            ranks[consumer.id] = consumer_ranks
+            rows[consumer.id] = row
     return SspView(
         ssp_id="centralized",
         consumers=consumers,
         producers=producers,
-        preferences=PreferenceTable(producer_ids, consumer_ids, ranks, ranked),
-        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), links)}),
+        preferences=PreferenceTable.from_rows(tuple(at), ranks),
+        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock.from_rows((*at, UTILITY_ID), rows)}),
     )
 
 

@@ -27,7 +27,8 @@ Each value rule lives in one place. A value's type is judged where its
 table is built: ``from_rows`` refuses what no int64 holds (a bool, a float
 other than a link's 0.0 or 1.0, a str, a larger integer). Every other rule
 is ``validate_scenario``'s, checked over a whole table or block with set and
-array operations, and walked entry by entry only to name a violation.
+array operations, and walked entry by entry only to name a violation; N(i, U)
+is read per consumer, through ``ConnectivityMatrix.connected``.
 """
 
 from __future__ import annotations
@@ -455,19 +456,18 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         claim_id(cfg.id, "SSP")
         for sub in cfg.consumers + cfg.producers:
             claim_id(sub.id, "subscriber")
-            energy, bound, priority = sub.energy, sub.bound, sub.priority
-            if not (math.isfinite(energy) and math.isfinite(bound) and math.isfinite(priority)):
-                for name, value in (("energy", energy), ("bound", bound), ("priority", priority)):
-                    if not math.isfinite(value):
-                        out.append(Violation(sub.id, "finite", f"{name} {value}"))
-            if energy < 0:
-                out.append(Violation(sub.id, "energy-nonnegative", f"energy {energy}"))
-            if not 0.0 <= bound <= 1.0:
-                out.append(Violation(sub.id, "bound-range", f"bound {bound} outside [0, 1]"))
-            if bound != 0.0 and sub.kind.is_active:
-                out.append(Violation(sub.id, "active-bound-zero", f"active subscriber with bound {bound}"))
-            if not 0.0 <= priority <= 1.0:
-                out.append(Violation(sub.id, "priority-range", f"priority {priority} outside [0, 1]"))
+            for name in ("energy", "bound", "priority"):
+                value = getattr(sub, name)
+                if not math.isfinite(value):
+                    out.append(Violation(sub.id, "finite", f"{name} {value}"))
+            if sub.energy < 0:
+                out.append(Violation(sub.id, "energy-nonnegative", f"energy {sub.energy}"))
+            if not 0.0 <= sub.bound <= 1.0:
+                out.append(Violation(sub.id, "bound-range", f"bound {sub.bound} outside [0, 1]"))
+            if sub.kind.is_active and sub.bound != 0.0:
+                out.append(Violation(sub.id, "active-bound-zero", f"active subscriber with bound {sub.bound}"))
+            if not 0.0 <= sub.priority <= 1.0:
+                out.append(Violation(sub.id, "priority-range", f"priority {sub.priority} outside [0, 1]"))
         for sub in cfg.consumers:
             if sub.kind.is_producer:
                 out.append(Violation(sub.id, "kind-placement", "producer listed under consumers"))
@@ -543,7 +543,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
     # Each rule runs first over whole blocks, as set and array operations;
     # only a block that fails it is walked entry by entry, so violations
-    # name their entries in block, row and header order.
+    # name their entries in block, row and header order. N(i, U) is read
+    # per consumer where connected() reads it: a row listed in two blocks
+    # is read from the first.
     out: list[Violation] = []
     n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
@@ -580,18 +582,7 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
                     out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
                 if value not in (0, 1):
                     out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
-    # N(i, U) of every consumer at once where its SSP's block lists the SSP's consumers in order
-    to_utility, walked = [], []
     for cfg in scenario.ssps:
-        block = n.consumers.get(cfg.id)
-        u = None if block is None else block.col_at.get(UTILITY_ID)
-        if u is not None and block.rows == tuple(s.id for s in cfg.consumers):
-            to_utility.append(block.links[:, u])
-        else:
-            walked.append(cfg)
-    if to_utility and not np.concatenate(to_utility).all():
-        walked = list(scenario.ssps)
-    for cfg in walked:
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
                 out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
@@ -609,51 +600,38 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
 
 def _validate_preferences(scenario: Scenario) -> list[Violation]:
     # Each SSP's table is checked once: its ranks as one array, its header
-    # and rows as tuples where they have the generator's layout (the SSP's
-    # producers, then every other SSP in scenario order; a row per consumer
-    # in order), else as sets. Only an SSP that fails is walked entry by
-    # entry, so violations keep their text and order. An entry is a ranked
-    # position of a row.
+    # and rows as sets. Only an SSP that fails is walked entry by entry, so
+    # violations keep their text and order. An entry is a ranked position
+    # of a row.
     out: list[Violation] = []
     n = scenario.connectivity
     ssp_ids = scenario.ssp_ids
     known_suppliers = set(ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
-    linked = n.values(ssp_ids, ssp_ids) != 0
+    linked = (n.values(ssp_ids, ssp_ids) != 0).tolist()
     for k, cfg in enumerate(scenario.ssps):
         prefs = cfg.preferences
         header, at = prefs.suppliers, prefs.index
-        consumer_ids = tuple(c.id for c in cfg.consumers)
-        producer_ids = tuple(p.id for p in cfg.producers)
+        consumer_ids = {c.id for c in cfg.consumers}
         complete = bool(prefs.ranked.all())
         ranks = prefs.ranks if complete else prefs.ranks[prefs.ranked]
         ranks_ok = ranks.size == 0 or int(ranks.min()) >= 1
         unique = len(at) == len(header)
-        if (
-            complete
-            and ranks_ok
-            and unique
-            and prefs.consumers == consumer_ids
-            and header == producer_ids + ssp_ids[:k] + ssp_ids[k + 1 :]
-        ):
-            continue
-        partner_set = set(compress(ssp_ids, linked[k].tolist())) - {cfg.id}
         header_ok = unique and known_suppliers.issuperset(at)
-        # every consumer has a full row over a header that lists every producer and partner
-        covered = (
-            complete
-            and set(consumer_ids).issubset(prefs.row_of)
-            and at.keys() >= partner_set.union(producer_ids)
-        )
-        if ranks_ok and header_ok and covered and set(consumer_ids).issuperset(prefs.row_of):
+        rows_resolve = prefs.row_of.keys() == consumer_ids
+        # every consumer has a full row over a header that lists every producer and
+        # linked SSP; a self-link, a violation of its own, sends the table to the walk
+        listed = chain((p.id for p in cfg.producers), compress(ssp_ids, linked[k]))
+        covered = complete and prefs.row_of.keys() >= consumer_ids and all(map(at.__contains__, listed))
+        if ranks_ok and header_ok and covered and rows_resolve:
             continue
         if not unique:
             for j, supplier_id in enumerate(header):
                 if at[supplier_id] != j:
                     out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
         if not covered:
-            partner_ids = [other for other in ssp_ids if other in partner_set]
+            partner_ids = [other for other, link in zip(ssp_ids, linked[k]) if link and other != cfg.id]
             for consumer in cfg.consumers:
                 for producer in cfg.producers:
                     if n.connected(consumer.id, producer.id) and not prefs.has(consumer.id, producer.id):

@@ -291,25 +291,35 @@ class TestValidateScenario:
         assert scenario.connectivity.connected("AC1", "AP2")
 
     @pytest.mark.parametrize(
-        "case,row_id,detail",
+        "case,expected",
         [
-            ("ssp-in-a-consumer-block", "S1", "not a row of the block of SSP S1"),
-            ("consumer-in-the-ssp-block", "AC1", "not a row of the SSP block"),
-            ("unknown-row-in-an-unknown-block", "X", "unknown row id"),
+            ("ssp-in-a-consumer-block", ["S1: connectivity-row-resolves (not a row of the block of SSP S1)"]),
+            ("consumer-in-the-ssp-block", ["AC1: connectivity-row-resolves (not a row of the SSP block)"]),
+            ("unknown-row-in-an-unknown-block", ["X: connectivity-row-resolves (unknown row id)"]),
+            # the SSP block is searched first, so its copy of AC1, with N(AC1, U) = 0, is the one read
+            (
+                "consumer-in-both-blocks",
+                [
+                    "AC1: connectivity-row-resolves (not a row of the SSP block)",
+                    "AC1: utility-reachable (consumer must have N(i, U) = 1)",
+                ],
+            ),
         ],
     )
-    def test_a_row_outside_its_block_is_named(self, worked_scenario, case, row_id, detail):
+    def test_a_row_outside_its_block_is_named(self, worked_scenario, case, expected):
         # a row goes in the SSP block, or in the block of its own SSP's consumers
         home = worked_scenario.connectivity.consumers["S1"]
         rows, width = dict(zip(home.rows, home.links.tolist())), len(home.cols)
+        no_utility = [int(col_id != UTILITY_ID) for col_id in home.cols]
         n = {
             "ssp-in-a-consumer-block": lambda: ConnectivityMatrix(consumers={"S1": LinkBlock.from_rows(home.cols, {**rows, "S1": [0] * width})}),
             "consumer-in-the-ssp-block": lambda: ConnectivityMatrix(LinkBlock.from_rows(home.cols, {"AC1": [1] * width}), {"S1": home}),
             "unknown-row-in-an-unknown-block": lambda: ConnectivityMatrix(consumers={"S1": home, "S9": LinkBlock.from_rows(home.cols, {"X": [1] * width})}),
+            "consumer-in-both-blocks": lambda: ConnectivityMatrix(LinkBlock.from_rows(home.cols, {"AC1": no_utility}), {"S1": home}),
         }[case]()
-        assert [str(v) for v in validate_scenario(replace(worked_scenario, connectivity=n))] == [
-            f"{row_id}: connectivity-row-resolves ({detail})"
-        ]
+        scenario = replace(worked_scenario, connectivity=n)
+        assert [str(v) for v in validate_scenario(scenario)] == expected
+        assert validate_scenario(scenario) == reference_validate_connectivity(scenario, ["S1"])
 
     def test_producer_with_a_priority_is_a_violation(self, worked_scenario):
         # the file format has no producer priority, so only a scenario built in memory can carry one
