@@ -251,8 +251,8 @@ def _rank_block(
     preferences: PreferenceTable, consumer_ids: Sequence[str], supplier_ids: Sequence[str], needed: np.ndarray
 ) -> np.ndarray:
     """The ranks of every (consumer, supplier) pair, consumers x suppliers; every ``needed`` pair must have one."""
-    ranks, ranked = preferences.gather(consumer_ids, supplier_ids)
-    missing = needed & ~ranked
+    ranks = preferences.take(consumer_ids, supplier_ids)
+    missing = needed & (ranks == 0)
     if missing.any():  # name the first missing pair
         k, j = np.argwhere(missing)[0]
         raise MatchingStructureError(f"no preference rank for ({consumer_ids[k]}, {supplier_ids[j]})")
@@ -709,31 +709,34 @@ def merged_view(scenario: Scenario) -> SspView:
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
     at = {p.id: j for j, p in enumerate(producers)}
-    ranks: dict[str, list[int | None]] = {}
-    rows: dict[str, list[int]] = {}
+    ranks: list[list[int]] = []
+    links: list[list[int]] = []
     for cfg in scenario.ssps:
         for consumer in cfg.consumers:
-            consumer_ranks: list[int | None] = [None] * len(at)
+            consumer_ranks = [0] * len(at)
             row = [0] * len(at) + [1]  # the last column is the Utility's
             for producer in cfg.producers:
                 if scenario.connectivity.connected(consumer.id, producer.id):
-                    consumer_ranks[at[producer.id]] = cfg.preferences.rank(consumer.id, producer.id)
+                    consumer_ranks[at[producer.id]] = cfg.preferences.get(consumer.id, producer.id)
                     row[at[producer.id]] = 1
             for other in scenario.ssps:
                 if other.id == cfg.id or not scenario.connectivity.connected(cfg.id, other.id):
                     continue
-                partner_rank = cfg.preferences.rank(consumer.id, other.id)
+                partner_rank = cfg.preferences.get(consumer.id, other.id)
                 for producer in other.producers:
                     consumer_ranks[at[producer.id]] = partner_rank
                     row[at[producer.id]] = 1
-            ranks[consumer.id] = consumer_ranks
-            rows[consumer.id] = row
+            ranks.append(consumer_ranks)
+            links.append(row)
+    consumer_ids = tuple(c.id for c in consumers)
+    ranks_of = np.array(ranks, dtype=np.int64).reshape(len(consumers), len(at))
+    links_of = np.array(links, dtype=np.int64).reshape(len(consumers), len(at) + 1)
     return SspView(
         ssp_id="centralized",
         consumers=consumers,
         producers=producers,
-        preferences=PreferenceTable.from_rows(tuple(at), ranks),
-        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock.from_rows((*at, UTILITY_ID), rows)}),
+        preferences=PreferenceTable(consumer_ids, tuple(at), ranks_of),
+        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock(consumer_ids, (*at, UTILITY_ID), links_of)}),
     )
 
 

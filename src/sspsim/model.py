@@ -23,12 +23,16 @@ The fleet tables, ranks and links, grow as N² with N SSPs (408,000 ranks and
 51,800 links at 200 SSPs of 10 consumers and 5 producers; 2.1 MB of scenario
 file), so they are held as int64 arrays against a header: a
 ``PreferenceTable`` per SSP, and a ``ConnectivityMatrix`` of ``LinkBlock``s.
-Each value rule lives in one place. A value's type is judged where its
-table is built: ``from_rows`` refuses what no int64 holds (a bool, a float
-other than a link's 0.0 or 1.0, a str, a larger integer). Every other rule
-is ``validate_scenario``'s, checked over a whole table or block with set and
-array operations, and walked entry by entry only to name a violation; N(i, U)
-is read per consumer, through ``ConnectivityMatrix.connected``.
+Both kinds are one table type, in which 0 means no entry: a rank is at least
+1, and a link is 1. Each value rule lives in one place. What a value may be
+is the kind's, judged where its table is built: the array constructor
+refuses a negative rank or a link other than 0 and 1, and ``from_rows``
+refuses a file value its kind cannot hold (a rank below 1, a link other than
+0, 1, 0.0 or 1.0, a bool, a str, an integer beyond int64), naming the entry.
+Every rule between entries, ids and SSPs is ``validate_scenario``'s, checked
+over a whole table or block with set and array operations, and walked entry
+by entry only to name a violation; N(i, U) is read per consumer, through
+``ConnectivityMatrix.connected``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -83,210 +87,162 @@ class Subscriber:
     priority: float = 0.0
 
 
-class TableValueError(ValueError):
-    """A row or value that a rank or link table cannot hold.
-
-    ``where`` names it as ``[row id]`` or ``[row id][header position]``;
-    ``reason`` says what was expected.
-    """
-
-    def __init__(self, where: str, reason: str):
-        super().__init__(f"{where}: {reason}")
-        self.where = where
-        self.reason = reason
-
-
 def _positions(ids: Sequence[str]) -> dict[str, int]:
     """The first position of each id in ``ids``."""
     # built from the back, so an id listed twice keeps its first position
     return dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
 
 
-def _frozen(values: np.ndarray, dtype: type, shape: tuple[int, int], what: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.dtype != dtype or values.shape != shape:
-        raise ValueError(f"{what}: expected a {dtype.__name__} array of shape {shape}, got {values.dtype} {values.shape}")
-    values.flags.writeable = False
-    return values
-
-
-def _int_matrix(
-    rows: Mapping[str, object], width: int, noun: str, accept: Callable[[object], int | None], expected: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``rows`` (row id -> a list of ``width`` values) as an int64 matrix and a
-    mask of its entries, None when every value is one.
-
-    ``accept`` maps a value to the int it stores, or to None for no entry,
-    and raises ``TypeError`` for a value the table cannot hold. A table of
-    Python ints alone, the common case, is judged with one type check and
-    converted with one ``np.fromiter``; any other table value by value.
-    """
-    values = list(rows.values())
-    if not all(map(isinstance, values, repeat(list))) or set(map(len, values)) - {width}:
-        for row_id, row in rows.items():
-            if not isinstance(row, list):
-                raise TableValueError(f"[{row_id}]", f"expected a list, got {type(row).__name__}")
-            if len(row) != width:
-                raise TableValueError(f"[{row_id}]", f"{len(row)} values for {width} {noun}")
-    shape = (len(values), width)
-    if set(map(type, chain.from_iterable(values))) <= {int}:
-        try:
-            return np.fromiter(chain.from_iterable(values), np.int64, shape[0] * width).reshape(shape), None
-        except OverflowError:
-            pass
-    stored, mask = [], []
-    for row_id, row in rows.items():
-        for k, value in enumerate(row):
-            try:
-                kept = accept(value)
-            except TypeError:
-                raise TableValueError(f"[{row_id}][{k}]", f"expected {expected}, got {value!r}") from None
-            stored.append(0 if kept is None else kept)
-            mask.append(kept is not None)
-    return np.array(stored, dtype=np.int64).reshape(shape), None if all(mask) else np.array(mask).reshape(shape)
-
-
-def _int64(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not -(2**63) <= value < 2**63:
-        raise TypeError
-    return value
-
-
-def _rank_value(value: object) -> int | None:
-    return None if value is None else _int64(value)
-
-
-def _link_value(value: object) -> int:
-    # a writer may emit a link as 0.0 or 1.0; it counts as 0 or 1
-    if type(value) is float and value in (0.0, 1.0):
-        return int(value)
-    return _int64(value)
+_T = TypeVar("_T", bound="_Table")
 
 
 @dataclass(frozen=True, eq=False)
-class PreferenceTable:
-    """Rank of each supplier (local producer or partner SSP) per consumer, as arrays.
+class _Table:
+    """Integer values of some rows against a header of columns, as an int64 matrix; 0 means no entry.
 
-    ``suppliers`` is the header: the supplier ids the table ranks, once each.
-    ``consumers`` lists the row ids. ``ranks`` is a consumers x suppliers
-    int64 matrix, and ``ranked`` marks the entries that hold a rank (the
-    others read 0). ``validate_scenario`` judges the ranks: a rank is a
-    positive integer, lower = more preferred, ties allowed, and every pair
-    allowed by connectivity must have one. ``index`` maps each supplier id to
-    its header position and ``row_of`` each consumer id to its row; both are
-    built once, when the table is made, and with a supplier listed twice (a
-    violation) ``index`` points at the first. ``from_rows`` builds a table
-    from lists and refuses a value no int64 rank can hold.
-    """
-
-    suppliers: tuple[str, ...]
-    consumers: tuple[str, ...]
-    ranks: np.ndarray
-    ranked: np.ndarray
-    index: Mapping[str, int] = field(init=False, repr=False)
-    row_of: Mapping[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        shape = (len(self.consumers), len(self.suppliers))
-        object.__setattr__(self, "ranks", _frozen(self.ranks, np.int64, shape, "ranks"))
-        object.__setattr__(self, "ranked", _frozen(self.ranked, np.bool_, shape, "ranked"))
-        object.__setattr__(self, "index", _positions(self.suppliers))
-        object.__setattr__(self, "row_of", _positions(self.consumers))
-        if len(self.row_of) != len(self.consumers):
-            raise ValueError("a consumer has more than one row")
-
-    @classmethod
-    def from_rows(cls, suppliers: Sequence[str], rows: Mapping[str, list]) -> PreferenceTable:
-        """The table of ``rows`` (consumer id -> one value per header position, None for no rank).
-
-        Raises ``TableValueError`` naming a row that is not a list as long as
-        the header, or a value that is not an int64 or None: a bool, a float,
-        a str or a larger integer.
-        """
-        suppliers = tuple(suppliers)
-        ranks, ranked = _int_matrix(rows, len(suppliers), "suppliers", _rank_value, "a 64-bit integer rank or null")
-        return cls(suppliers, tuple(rows), ranks, np.ones(ranks.shape, dtype=bool) if ranked is None else ranked)
-
-    def rank(self, consumer_id: str, supplier_id: str) -> int:
-        r, k = self.row_of.get(consumer_id), self.index.get(supplier_id)
-        if r is None or k is None or not self.ranked[r, k]:
-            raise KeyError(f"no preference rank for ({consumer_id}, {supplier_id})")
-        return int(self.ranks[r, k])
-
-    def has(self, consumer_id: str, supplier_id: str) -> bool:
-        r, k = self.row_of.get(consumer_id), self.index.get(supplier_id)
-        return r is not None and k is not None and bool(self.ranked[r, k])
-
-    def gather(self, consumer_ids: Sequence[str], supplier_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(ranks, ranked) of every (consumer, supplier) pair, consumers x suppliers; a pair off the table has no rank."""
-        rows = list(map(self.row_of.get, consumer_ids, repeat(-1)))
-        cols = list(map(self.index.get, supplier_ids, repeat(-1)))
-        return _take(self.ranks, rows, cols, 0), _take(self.ranked, rows, cols, False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PreferenceTable):
-            return NotImplemented
-        return (
-            (self.suppliers, self.consumers) == (other.suppliers, other.consumers)
-            and np.array_equal(self.ranks, other.ranks)
-            and np.array_equal(self.ranked, other.ranked)
-        )
-
-
-def _take(matrix: np.ndarray, rows: list[int], cols: list[int], fill: object) -> np.ndarray:
-    """The entries of ``matrix`` at every row position in ``rows`` and column position in ``cols``; ``fill`` at a position of -1."""
-    if -1 not in rows and -1 not in cols:
-        # the (read-only) matrix itself where every row and column is taken in order
-        if rows != list(range(matrix.shape[0])):
-            matrix = matrix[rows]
-        return matrix if cols == list(range(matrix.shape[1])) else matrix[:, cols]
-    if not matrix.size:
-        return np.full((len(rows), len(cols)), fill, dtype=matrix.dtype)
-    out = matrix[rows][:, cols]
-    out[np.less(rows, 0)] = fill
-    out[:, np.less(cols, 0)] = fill
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LinkBlock:
-    """Links N(i, j) of some rows against a header of columns, as an int64 matrix.
-
-    ``cols`` is the header and ``rows`` the row ids; ``links`` is a rows x
-    cols matrix, whose every entry ``validate_scenario`` wants 0 or 1.
-    ``row_at`` and ``col_at`` map an id to its first position. ``from_rows``
-    builds a block from lists and refuses a value no int64 link can hold.
+    ``rows`` are the row ids and ``cols`` the header; ``values`` is a
+    read-only rows x cols matrix. ``row_at`` and ``col_at`` map an id to its
+    first position, built once; a row id listed twice is refused. Each kind
+    fixes what its values may be, and the table refuses the rest where it is
+    built: the array constructor a value outside 0..``TOP``, ``from_rows`` a
+    file value its kind's ``_read`` does not take.
     """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    links: np.ndarray
+    values: np.ndarray
     row_at: Mapping[str, int] = field(init=False, repr=False)
     col_at: Mapping[str, int] = field(init=False, repr=False)
 
+    #: the largest value; the least is 0, no entry
+    TOP: ClassVar[int]
+    #: the least value a file writes as an integer
+    LEAST: ClassVar[int]
+    #: what a file writes for no entry
+    NO_ENTRY: ClassVar[object]
+    #: what the header lists, and what a file value may be, for the messages of ``from_rows``
+    NOUN: ClassVar[str]
+    EXPECTED: ClassVar[str]
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "links", _frozen(self.links, np.int64, (len(self.rows), len(self.cols)), "links"))
+        values = np.asarray(self.values)
+        shape = (len(self.rows), len(self.cols))
+        if values.dtype != np.int64 or values.shape != shape:
+            raise ValueError(f"expected an int64 array of shape {shape}, got {values.dtype} {values.shape}")
+        if values.size and (values.min() < 0 or values.max() > self.TOP):
+            raise ValueError(f"a {type(self).__name__} holds values from 0 to {self.TOP}, got {values.min()} to {values.max()}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_at", _positions(self.rows))
         object.__setattr__(self, "col_at", _positions(self.cols))
         if len(self.row_at) != len(self.rows):
-            raise ValueError("a row is listed more than once in a link block")
+            raise ValueError(f"a row is listed more than once in a {type(self).__name__}")
+
+    @staticmethod
+    def _read(value: object) -> int | None:
+        """The value a file value stands for, or None for one the kind cannot hold."""
+        raise NotImplementedError
 
     @classmethod
-    def from_rows(cls, cols: Sequence[str], rows: Mapping[str, list]) -> LinkBlock:
-        """The block of ``rows`` (row id -> one link per header position).
+    def from_rows(cls: type[_T], cols: Sequence[str], rows: Mapping[str, list]) -> _T:
+        """The table of ``rows`` (row id -> one file value per header position).
 
-        Raises ``TableValueError`` naming a row that is not a list as long as
-        the header, or a value that is neither an int64 nor the float 0.0 or
-        1.0: a bool, another float, a str, null or a larger integer.
+        Raises ``ValueError`` naming, as ``[row id]`` or ``[row id][position]``,
+        the first row that is not a list as long as the header, or the first
+        value in row-major order that ``_read`` does not take. A table of
+        Python ints alone, the common case, is judged with one type check, one
+        ``np.fromiter`` and one range check; any other table value by value.
         """
         cols = tuple(cols)
-        links, _ = _int_matrix(rows, len(cols), "columns", _link_value, "a 64-bit integer link")
-        return cls(tuple(rows), cols, links)
+        lists = list(rows.values())
+        if not all(map(isinstance, lists, repeat(list))) or set(map(len, lists)) - {len(cols)}:
+            for row_id, row in rows.items():
+                if not isinstance(row, list):
+                    raise ValueError(f"[{row_id}]: expected a list, got {type(row).__name__}")
+                if len(row) != len(cols):
+                    raise ValueError(f"[{row_id}]: {len(row)} values for {len(cols)} {cls.NOUN}")
+        shape = (len(lists), len(cols))
+        values = None
+        if set(map(type, chain.from_iterable(lists))) <= {int}:
+            try:
+                values = np.fromiter(chain.from_iterable(lists), np.int64, shape[0] * shape[1]).reshape(shape)
+            except OverflowError:
+                pass
+        if values is None or (values.size and (values.min() < cls.LEAST or values.max() > cls.TOP)):
+            stored = []
+            for row_id, row in rows.items():
+                for k, value in enumerate(row):
+                    kept = cls._read(value)
+                    if kept is None:
+                        raise ValueError(f"[{row_id}][{k}]: expected {cls.EXPECTED}, got {value!r}")
+                    stored.append(kept)
+            values = np.array(stored, dtype=np.int64).reshape(shape)
+        return cls(tuple(rows), cols, values)
+
+    def to_rows(self) -> dict[str, list]:
+        """Each row as a list over the header, ``NO_ENTRY`` for 0: what ``from_rows`` reads back."""
+        values = self.values
+        if self.NO_ENTRY != 0 and not values.all():
+            values = np.where(values == 0, self.NO_ENTRY, values)
+        return dict(zip(self.rows, values.tolist()))
+
+    def get(self, row_id: str, col_id: str) -> int:
+        """The value of (row id, column id); 0 where either is absent."""
+        r, c = self.row_at.get(row_id), self.col_at.get(col_id)
+        return 0 if r is None or c is None else int(self.values[r, c])
+
+    def take(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> np.ndarray:
+        """The values of every (row id, column id) pair, rows x columns; 0 where either is absent."""
+        # an absent id takes position -1: the zero row or column appended here
+        padded = np.zeros((len(self.rows) + 1, len(self.cols) + 1), dtype=np.int64)
+        padded[:-1, :-1] = self.values
+        rows = list(map(self.row_at.get, row_ids, repeat(-1)))
+        cols = list(map(self.col_at.get, col_ids, repeat(-1)))
+        return padded[rows][:, cols]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinkBlock):
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(self.links, other.links)
+        return (self.rows, self.cols) == (other.rows, other.cols) and np.array_equal(self.values, other.values)
+
+
+class PreferenceTable(_Table):
+    """Rank of each supplier (local producer or partner SSP) per consumer.
+
+    ``cols`` lists the supplier ids and ``rows`` the consumer ids. A rank is
+    at least 1, lower = more preferred, ties allowed; 0 means no rank, and a
+    file writes it as null. ``validate_scenario`` wants a rank for every pair
+    connectivity allows.
+    """
+
+    TOP = 2**63 - 1
+    LEAST = 1
+    NO_ENTRY = None
+    NOUN = "suppliers"
+    EXPECTED = "a 64-bit integer rank of at least 1, or null"
+
+    @staticmethod
+    def _read(value: object) -> int | None:
+        if value is None:
+            return 0
+        return value if type(value) is int and 1 <= value < 2**63 else None
+
+
+class LinkBlock(_Table):
+    """Links N(i, j) of some rows against a header of columns: 1 where i reaches j, 0 where it does not.
+
+    A file writes a link as 0 or 1; a writer may emit 0.0 or 1.0, which count as 0 or 1.
+    """
+
+    TOP = 1
+    LEAST = 0
+    NO_ENTRY = 0
+    NOUN = "columns"
+    EXPECTED = "a link of 0 or 1"
+
+    @staticmethod
+    def _read(value: object) -> int | None:
+        return int(value) if type(value) in (int, float) and value in (0, 1) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,12 +260,12 @@ class ConnectivityMatrix:
 
     ssps: LinkBlock = field(default_factory=lambda: LinkBlock.from_rows((), {}))
     consumers: Mapping[str, LinkBlock] = field(default_factory=dict)
-    _where: Mapping[str, tuple[LinkBlock, int]] = field(init=False, repr=False)
+    _where: Mapping[str, LinkBlock] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        where: dict[str, tuple[LinkBlock, int]] = {}
+        where: dict[str, LinkBlock] = {}
         for block in (*reversed(self.consumers.values()), self.ssps):
-            where.update(zip(block.rows, zip(repeat(block), range(len(block.rows)))))
+            where.update(dict.fromkeys(block.rows, block))
         object.__setattr__(self, "_where", where)
 
     def blocks(self) -> list[tuple[str | None, LinkBlock]]:
@@ -317,23 +273,16 @@ class ConnectivityMatrix:
         return [(None, self.ssps), *self.consumers.items()]
 
     def connected(self, row_id: str, col_id: str) -> bool:
-        found = self._where.get(row_id)
-        if found is None:
-            return False
-        block, r = found
-        c = block.col_at.get(col_id)
-        return c is not None and bool(block.links[r, c])
+        block = self._where.get(row_id)
+        return block is not None and block.get(row_id, col_id) != 0
 
     def values(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> np.ndarray:
         """N(i, j) of every row id i and column id j, rows x columns, read by block; 0 where either is absent."""
         found = list(map(self._where.get, row_ids))
         out = np.zeros((len(found), len(col_ids)), dtype=np.int64)
-        for block in {id(f[0]): f[0] for f in found if f is not None}.values():
-            at = [k for k, f in enumerate(found) if f is not None and f[0] is block]
-            taken = _take(block.links, [found[k][1] for k in at], list(map(block.col_at.get, col_ids, repeat(-1))), 0)
-            if len(at) == len(found):
-                return taken
-            out[at] = taken
+        for block in {id(b): b for b in found if b is not None}.values():
+            at = [k for k, b in enumerate(found) if b is block]
+            out[at] = block.take([row_ids[k] for k in at], col_ids)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -542,10 +491,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
     # Each rule runs first over whole blocks, as set and array operations;
-    # only a block that fails it is walked entry by entry, so violations
-    # name their entries in block, row and header order. N(i, U) is read
-    # per consumer where connected() reads it: a row listed in two blocks
-    # is read from the first.
+    # only a block that fails it is walked row by row, so violations name
+    # their entries in block, row and header order. N(i, U) is read per
+    # consumer where connected() reads it: a row listed in two blocks is
+    # read from the first.
     out: list[Violation] = []
     n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
@@ -555,33 +504,23 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
         home_rows[cfg.id] = {s.id for s in cfg.consumers}
         known_rows.update(home_rows[cfg.id])
         known_cols.update(s.id for s in cfg.producers)
-    blocks = n.blocks()
-    every_link = np.concatenate([block.links.ravel() for _, block in blocks])
-    all_binary = every_link.size == 0 or (int(every_link.min()) >= 0 and int(every_link.max()) <= 1)
-    for ssp_id, block in blocks:
+    for ssp_id, block in n.blocks():
         home = home_rows.get(ssp_id, set())
         if len(block.col_at) != len(block.cols):
             for k, col_id in enumerate(block.cols):
                 if block.col_at[col_id] != k:
                     where = "connectivity" if ssp_id is None else ssp_id
                     out.append(Violation(where, "connectivity-header-unique", f"column {col_id} listed more than once"))
-        links = block.links
-        binary = all_binary or links.size == 0 or (int(links.min()) >= 0 and int(links.max()) <= 1)
-        cols_ok = known_cols.issuperset(block.col_at)
-        if binary and cols_ok and home.issuperset(block.row_at):
+        unknown_cols = [col_id for col_id in block.cols if col_id not in known_cols]
+        if not unknown_cols and home.issuperset(block.row_at):
             continue
-        for row_id, values in zip(block.rows, links.tolist()):
+        for row_id in block.rows:
             if row_id not in home:
                 block_name = "SSP block" if ssp_id is None else f"block of SSP {ssp_id}"
                 detail = "unknown row id" if row_id not in known_rows else f"not a row of the {block_name}"
                 out.append(Violation(row_id, "connectivity-row-resolves", detail))
-            if binary and cols_ok:
-                continue
-            for col_id, value in zip(block.cols, values):
-                if col_id not in known_cols:
-                    out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-                if value not in (0, 1):
-                    out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
+            for col_id in unknown_cols:
+                out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
@@ -599,10 +538,10 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
 
 
 def _validate_preferences(scenario: Scenario) -> list[Violation]:
-    # Each SSP's table is checked once: its ranks as one array, its header
+    # Each SSP's table is checked once: its values as one array, its header
     # and rows as sets. Only an SSP that fails is walked entry by entry, so
-    # violations keep their text and order. An entry is a ranked position
-    # of a row.
+    # violations keep their text and order. An entry is a nonzero value of
+    # a row.
     out: list[Violation] = []
     n = scenario.connectivity
     ssp_ids = scenario.ssp_ids
@@ -612,19 +551,16 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
     linked = (n.values(ssp_ids, ssp_ids) != 0).tolist()
     for k, cfg in enumerate(scenario.ssps):
         prefs = cfg.preferences
-        header, at = prefs.suppliers, prefs.index
+        header, at = prefs.cols, prefs.col_at
         consumer_ids = {c.id for c in cfg.consumers}
-        complete = bool(prefs.ranked.all())
-        ranks = prefs.ranks if complete else prefs.ranks[prefs.ranked]
-        ranks_ok = ranks.size == 0 or int(ranks.min()) >= 1
         unique = len(at) == len(header)
         header_ok = unique and known_suppliers.issuperset(at)
-        rows_resolve = prefs.row_of.keys() == consumer_ids
+        rows_resolve = prefs.row_at.keys() == consumer_ids
         # every consumer has a full row over a header that lists every producer and
         # linked SSP; a self-link, a violation of its own, sends the table to the walk
         listed = chain((p.id for p in cfg.producers), compress(ssp_ids, linked[k]))
-        covered = complete and prefs.row_of.keys() >= consumer_ids and all(map(at.__contains__, listed))
-        if ranks_ok and header_ok and covered and rows_resolve:
+        covered = bool(prefs.values.all()) and prefs.row_at.keys() >= consumer_ids and all(map(at.__contains__, listed))
+        if header_ok and covered and rows_resolve:
             continue
         if not unique:
             for j, supplier_id in enumerate(header):
@@ -634,21 +570,19 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
             partner_ids = [other for other, link in zip(ssp_ids, linked[k]) if link and other != cfg.id]
             for consumer in cfg.consumers:
                 for producer in cfg.producers:
-                    if n.connected(consumer.id, producer.id) and not prefs.has(consumer.id, producer.id):
+                    if n.connected(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
                         out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
                 for partner in partner_ids:
-                    if not prefs.has(consumer.id, partner):
+                    if not prefs.get(consumer.id, partner):
                         out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for consumer_id, row, ranked in zip(prefs.consumers, prefs.ranks.tolist(), prefs.ranked.tolist()):
+        for consumer_id, row in zip(prefs.rows, prefs.values.tolist()):
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
-            if ranks_ok and header_ok:
+            if header_ok:
                 continue
-            for supplier_id, rank in compress(zip(header, row), ranked):
-                if supplier_id not in known_suppliers:
+            for supplier_id, rank in zip(header, row):
+                if rank and supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if rank < 1:
-                    out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
 
 

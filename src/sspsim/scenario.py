@@ -35,11 +35,12 @@ The loader checks what it needs to build a ``Scenario``: the JSON shape (a
 row is a list as long as its header), numbers it converts to ``float``
 (naming the field), kinds and ids, every header's ids included. Each rank
 table and link block is built by ``PreferenceTable.from_rows`` or
-``LinkBlock.from_rows``, which judge the type of every value once (one type
-check and one ``np.fromiter`` per table when every value is an int) and refuse
-a value no int64 array can hold; the loader names that entry. The seed is
-stored as read, and ``model.validate_scenario`` judges it with every value
-the tables hold: a rank of at least 1, a link of 0 or 1, and the rest.
+``LinkBlock.from_rows``, which hold each value to its kind's rule (a rank of
+at least 1 or null, a link of 0 or 1) with one type check, one
+``np.fromiter`` and one range check per table when every value is an int,
+and refuse any other value; the loader names that entry. The seed is stored
+as read, and ``model.validate_scenario`` judges it with how the entries, ids
+and SSPs fit together.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .model import (
     SSPConfig,
     Subscriber,
     SubscriberKind,
-    TableValueError,
     validate_scenario,
 )
 
@@ -171,7 +171,7 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
             ranks[m, :n_local] = rng.permutation(n_local) + 1
             ranks[m, n_local:] = rng.permutation(len(partner_ids)) + (n_local + 1)
         consumer_ids = tuple(c.id for c in consumers)
-        preferences = PreferenceTable(tuple(producer_ids + partner_ids), consumer_ids, ranks, np.ones(ranks.shape, dtype=bool))
+        preferences = PreferenceTable(consumer_ids, tuple(producer_ids + partner_ids), ranks)
         ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), preferences))
         blocks[ssp_id] = LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), np.ones((n_cons, n_local + 1), dtype=np.int64))
 
@@ -192,7 +192,13 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
 
 # --- strict JSON persistence -------------------------------------------------
 
-_WEIGHT_FIELDS = ("w14", "w2", "w35", "alpha", "beta", "preference_mode")
+# the fields of each object, each set built once
+_SCENARIO_FIELDS = frozenset(("schema_version", "generator", "seed", "weights", "ssps", "connectivity", "line_constraints"))
+_WEIGHT_FIELDS = frozenset(("w14", "w2", "w35", "alpha", "beta", "preference_mode"))
+_SSP_FIELDS = frozenset(("id", "consumers", "producers", "preferences"))
+_CONNECTIVITY_FIELDS = frozenset(("ssps", "consumers"))
+_LINE_FIELDS = frozenset(("row", "col", "min_kwh", "max_kwh"))
+#: a subscriber's fields; those after id and kind are numbers
 _CONSUMER_FIELDS = ("id", "kind", "energy_kwh", "bound", "priority")
 _PRODUCER_FIELDS = ("id", "kind", "energy_kwh", "bound")
 
@@ -227,10 +233,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                     {"id": s.id, "kind": s.kind.value, "energy_kwh": s.energy, "bound": s.bound}
                     for s in cfg.producers
                 ],
-                "preferences": {
-                    "suppliers": list(cfg.preferences.suppliers),
-                    "ranks": _rank_lists(cfg.preferences),
-                },
+                "preferences": {"suppliers": list(cfg.preferences.cols), "ranks": cfg.preferences.to_rows()},
             }
             for cfg in scenario.ssps
         ],
@@ -247,14 +250,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _rank_lists(table: PreferenceTable) -> dict[str, list]:
-    """Each consumer's row of ranks, null where it has none."""
-    ranks = table.ranks if table.ranked.all() else np.where(table.ranked, table.ranks, None)
-    return dict(zip(table.consumers, ranks.tolist()))
-
-
 def _block_dict(block: LinkBlock) -> dict:
-    return {"cols": list(block.cols), "rows": dict(zip(block.rows, block.links.tolist()))}
+    return {"cols": list(block.cols), "rows": block.to_rows()}
 
 
 def _object(value: object, where: str) -> dict:
@@ -273,13 +270,13 @@ def _objects(items: object, where: str) -> list[dict]:
     return items
 
 
-def _require_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
-    if mapping.keys() == set(allowed):
+def _require_keys(mapping: dict, allowed: frozenset[str], where: str) -> None:
+    if mapping.keys() == allowed:
         return
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(mapping.keys() - allowed)
     if unknown:
         raise ScenarioFormatError(f"{where}: unknown field {unknown[0]!r}")
-    missing = sorted(set(allowed) - set(mapping))
+    missing = sorted(allowed - mapping.keys())
     if missing:
         raise ScenarioFormatError(f"{where}: missing field {missing[0]!r}")
 
@@ -302,11 +299,7 @@ def _number(value: object, where: str) -> float:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioFormatError("top level must be an object")
-    _require_keys(
-        data,
-        ("schema_version", "generator", "seed", "weights", "ssps", "connectivity", "line_constraints"),
-        "scenario",
-    )
+    _require_keys(data, _SCENARIO_FIELDS, "scenario")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ScenarioFormatError(f"schema_version: unsupported value {data['schema_version']!r}, expected {SCHEMA_VERSION}")
     if data["generator"] != GENERATOR_NAME:
@@ -330,14 +323,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     ssps: list[SSPConfig] = []
     for k, entry in enumerate(_objects(data["ssps"], "ssps")):
-        _require_keys(entry, ("id", "consumers", "producers", "preferences"), f"ssp {entry.get('id')!r}")
+        _require_keys(entry, _SSP_FIELDS, f"ssp {entry.get('id')!r}")
         consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
         producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
         prefs = _table(entry["preferences"], f"ssps[{k}].preferences", "suppliers", "ranks", PreferenceTable.from_rows)
         ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, prefs))
 
     links = _object(data["connectivity"], "connectivity")
-    _require_keys(links, ("ssps", "consumers"), "connectivity")
+    _require_keys(links, _CONNECTIVITY_FIELDS, "connectivity")
     connectivity = ConnectivityMatrix(
         _table(links["ssps"], "connectivity.ssps", "cols", "rows", LinkBlock.from_rows),
         {
@@ -351,7 +344,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         constraints = []
         for k, lc in enumerate(_objects(data["line_constraints"], "line_constraints")):
             where = f"line_constraints[{k}]"
-            _require_keys(lc, ("row", "col", "min_kwh", "max_kwh"), where)
+            _require_keys(lc, _LINE_FIELDS, where)
             ends = [_string(lc[name], f"{where}.{name}") for name in ("row", "col")]
             bounds = [_number(lc[name], f"{where}.{name}") for name in ("min_kwh", "max_kwh")]
             constraints.append(LineConstraint(*ends, *bounds))
@@ -364,7 +357,7 @@ def _table(value: object, where: str, header: str, rows: str, build: Callable[[l
     """One rank table or link block: a list of string ids under ``header``, and
     under ``rows`` one row per row id, as long as the header; ``build`` judges the values."""
     table = _object(value, where)
-    _require_keys(table, (header, rows), where)
+    _require_keys(table, frozenset((header, rows)), where)
     ids = table[header]
     if not isinstance(ids, list):
         raise ScenarioFormatError(f"{where}.{header}: expected a list, got {type(ids).__name__}")
@@ -373,7 +366,7 @@ def _table(value: object, where: str, header: str, rows: str, build: Callable[[l
             _string(item, f"{where}.{header}[{j}]")
     try:
         return build(ids, _keyed_rows(table[rows], f"{where}.{rows}"))
-    except TableValueError as exc:
+    except ValueError as exc:  # the table names the row or entry
         raise ScenarioFormatError(f"{where}.{rows}{exc}") from None
 
 
@@ -388,9 +381,12 @@ def _keyed_rows(value: object, where: str) -> dict:
 def _subscribers(items: object, role: str, fields: tuple[str, ...], where: str) -> tuple[Subscriber, ...]:
     """The consumers or producers of one SSP entry; the ``fields`` after id and kind are numbers."""
     subscribers = []
+    allowed = frozenset(fields)
     for k, sub in enumerate(_objects(items, where)):
-        _require_keys(sub, fields, f"{role} {sub.get('id')!r}")
-        sub_id = _string(sub["id"], f"{where}[{k}].id")
+        # each check formats the text that names the subscriber only once it fails
+        if sub.keys() != allowed:
+            _require_keys(sub, allowed, f"{role} {sub.get('id')!r}")
+        sub_id = sub["id"] if type(sub["id"]) is str else _string(sub["id"], f"{where}[{k}].id")
         kind = _kind(sub["kind"], sub_id)
         numbers = [sub[name] for name in fields[2:]]
         if not set(map(type, numbers)) <= {float}:  # convert or refuse each, naming it

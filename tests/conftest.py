@@ -43,12 +43,7 @@ def connectivity(rows: Mapping[str, Mapping[str, object]], ssps: Sequence[SSPCon
 
 def link_rows(n: ConnectivityMatrix) -> dict[str, dict[str, int]]:
     """``n`` as ``{row id: {column id: link}}``, every block's rows in block order."""
-    return {row_id: dict(zip(block.cols, values)) for _, block in n.blocks() for row_id, values in zip(block.rows, block.links.tolist())}
-
-
-def rank_rows(table: PreferenceTable) -> dict[str, list]:
-    """``table``'s rows as lists over its header, None where a consumer has no rank."""
-    return {c: [r if k else None for r, k in zip(row, ranked)] for c, row, ranked in zip(table.consumers, table.ranks.tolist(), table.ranked.tolist())}
+    return {row_id: dict(zip(block.cols, values)) for _, block in n.blocks() for row_id, values in block.to_rows().items()}
 
 
 def worked_example_subscribers():

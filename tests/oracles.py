@@ -35,6 +35,7 @@ from sspsim.model import (
     CommitmentMatrix,
     LineConstraintSet,
     MatchingWeights,
+    PreferenceTable,
     Scenario,
     Violation,
 )
@@ -486,16 +487,13 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
             if col_id in block.cols[:k]:
                 where = "connectivity" if ssp_id is None else ssp_id
                 out.append(Violation(where, "connectivity-header-unique", f"column {col_id} listed more than once"))
-        for r, row_id in enumerate(block.rows):
+        for row_id in block.rows:
             if row_id not in home:
                 detail = f"not a row of the {name}" if row_id in known_rows else "unknown row id"
                 out.append(Violation(row_id, "connectivity-row-resolves", detail))
-            for c, col_id in enumerate(block.cols):
-                value = int(block.links[r, c])
+            for col_id in block.cols:
                 if col_id not in known_cols:
                     out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
-                if value not in (0, 1):
-                    out.append(Violation(row_id, "connectivity-binary", f"N({row_id}, {col_id}) = {value}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
             if not n.connected(sub.id, UTILITY_ID):
@@ -512,7 +510,7 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
 def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
     """The per-entry loop of ``model._validate_preferences``; its violations are the reference.
 
-    An entry is a ranked position of a row."""
+    An entry is a nonzero value of a row."""
     out: list[Violation] = []
     n = scenario.connectivity
     known_suppliers = set(scenario.ssp_ids)
@@ -520,7 +518,7 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
         known_suppliers.update(p.id for p in cfg.producers)
     for cfg in scenario.ssps:
         prefs = cfg.preferences
-        header = prefs.suppliers
+        header = prefs.cols
         for k, supplier_id in enumerate(header):
             if supplier_id in header[:k]:
                 out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
@@ -528,22 +526,17 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
         partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and n.connected(cfg.id, other)]
         for consumer in cfg.consumers:
             for producer in cfg.producers:
-                if n.connected(consumer.id, producer.id) and not prefs.has(consumer.id, producer.id):
+                if n.connected(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
             for partner in partner_ids:
-                if not prefs.has(consumer.id, partner):
+                if not prefs.get(consumer.id, partner):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for partner SSP {partner}"))
-        for r, consumer_id in enumerate(prefs.consumers):
+        for r, consumer_id in enumerate(prefs.rows):
             if consumer_id not in consumer_ids:
                 out.append(Violation(consumer_id, "preference-row-resolves", f"not a consumer of SSP {cfg.id}"))
             for k, supplier_id in enumerate(header):
-                if not prefs.ranked[r, k]:
-                    continue
-                rank = int(prefs.ranks[r, k])
-                if supplier_id not in known_suppliers:
+                if prefs.values[r, k] and supplier_id not in known_suppliers:
                     out.append(Violation(consumer_id, "preference-col-resolves", f"unknown supplier {supplier_id}"))
-                if rank < 1:
-                    out.append(Violation(consumer_id, "rank-positive-int", f"rank {rank!r} for {supplier_id}"))
     return out
 
 
@@ -555,6 +548,13 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
 # view and in order, and the same layout.
 
 _RefColumn = tuple[tuple[str, str], LpVariable, float]  # (consumer id, supplier id), its variable, its reward
+
+
+def _ref_rank(preferences: PreferenceTable, consumer_id: str, supplier_id: str) -> int:
+    rank = preferences.get(consumer_id, supplier_id)
+    if not rank:
+        raise MatchingStructureError(f"no preference rank for ({consumer_id}, {supplier_id})")
+    return rank
 
 
 def _ref_line_bounds(lines: LineConstraintSet | None, row_id: str, col_id: str) -> tuple[float, float]:
@@ -599,13 +599,10 @@ class ReferencePairTable:
         self._consumer_ids = [c.id for c in view.consumers]
         partner_ids = sorted(self._partners)
         local_ids = [[p.id for p in view.producers if view.connectivity.connected(c.id, p.id)] for c in view.consumers]
-        try:
-            ranks = [
-                [view.preferences.rank(consumer.id, supplier_id) for supplier_id in local + partner_ids]
-                for consumer, local in zip(view.consumers, local_ids)
-            ]
-        except KeyError as exc:
-            raise MatchingStructureError(str(exc)) from None
+        ranks = [
+            [_ref_rank(view.preferences, consumer.id, supplier_id) for supplier_id in local + partner_ids]
+            for consumer, local in zip(view.consumers, local_ids)
+        ]
         self.rewards = ReferenceRewards(weights, {c.id: c.priority for c in view.consumers}, dict(zip(self._consumer_ids, ranks)))
         self.local: dict[str, list[_RefColumn]] = {
             consumer.id: [
@@ -628,7 +625,7 @@ class ReferencePairTable:
         self.flex = _ref_flex(view.consumers, view.producers, lines)
 
     def partner_reward(self, consumer_id: str, partner_id: str) -> float:
-        return self.rewards(consumer_id, self._preferences.rank(consumer_id, partner_id))
+        return self.rewards(consumer_id, _ref_rank(self._preferences, consumer_id, partner_id))
 
     def partner_columns(self, partner_id: str) -> list[_RefColumn]:
         return [
@@ -763,10 +760,7 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
         partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
         for consumer in cfg.consumers:
             local = [p for p in cfg.producers if connectivity.connected(consumer.id, p.id)]
-            try:
-                row = [cfg.preferences.rank(consumer.id, supplier.id) for supplier in [*local, *partners]]
-            except KeyError as exc:
-                raise MatchingStructureError(str(exc)) from None
+            row = [_ref_rank(cfg.preferences, consumer.id, supplier.id) for supplier in [*local, *partners]]
             ranks[consumer.id] = row
             suppliers.append([
                 *((p.id, rank, _ref_line_bounds(lines, consumer.id, p.id)) for p, rank in zip(local, row)),

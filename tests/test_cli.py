@@ -429,7 +429,7 @@ class TestRun:
             (
                 ("ssps", 0, "preferences", "ranks", "AC1", 1),
                 10**400,
-                f"ssps[0].preferences.ranks[AC1][1]: expected a 64-bit integer rank or null, got {10**400}",
+                f"ssps[0].preferences.ranks[AC1][1]: expected a 64-bit integer rank of at least 1, or null, got {10**400}",
             ),
         ],
         ids=[
@@ -550,7 +550,7 @@ class TestRun:
     def test_rank_link_or_seed_of_the_wrong_type_exits_2_naming_the_entry(
         self, tmp_path, worked_scenario, capsys, command, fact, value, violation
     ):
-        # the file holds a rank of 0, a link of 2, null and so on where the value
+        # the file holds a null rank or a seed out of range where the value
         # belongs, or a producer's kind under consumers and the other way round
         scenario = tmp_path / "stored.json"
         save_scenario(stored_as_read(worked_scenario, fact, value), str(scenario))
@@ -566,7 +566,7 @@ class TestRun:
     def test_rank_or_link_no_table_holds_exits_2_naming_the_entry(
         self, tmp_path, worked_file, capsys, command, fact, value, detail
     ):
-        # the file holds JSON true, 1.5, "2", null or 2**63 where the value belongs
+        # the file holds a rank of 0, a link of 2, JSON true, 1.5, "2", null or 2**63 where the value belongs
         with open(worked_file, encoding="utf-8") as fh:
             data = with_entry(json.load(fh), fact, value)
         scenario = tmp_path / "refused.json"

@@ -40,7 +40,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.protocol import calibrate_weights, run_engine
-from tests.conftest import connectivity, link_rows, preference_table, rank_rows, worked_example_subscribers
+from tests.conftest import connectivity, link_rows, preference_table, worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
@@ -458,7 +458,7 @@ class TestCentralized:
     def test_merged_view_respects_interssp_connectivity(self, pair_scenario):
         view = merged_view(pair_scenario)
         assert view.connectivity.connected("S1.C1", "S2.P1")
-        assert view.preferences.rank("S1.C1", "S2.P1") == 2
+        assert view.preferences.get("S1.C1", "S2.P1") == 2
 
 
 class TestCalibration:
@@ -753,10 +753,10 @@ def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
     cfg = scenario.ssp(ssp_id)
     gone = {p.id for p in cfg.producers}
     rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in link_rows(scenario.connectivity).items()}
-    header = cfg.preferences.suppliers
+    header = cfg.preferences.cols
     ranks = {
         c: {s: r for s, r in zip(header, row) if r is not None and s not in gone}
-        for c, row in rank_rows(cfg.preferences).items()
+        for c, row in cfg.preferences.to_rows().items()
     }
     ssps = tuple(
         replace(other, producers=(), preferences=preference_table(ranks)) if other.id == ssp_id else other

@@ -82,9 +82,9 @@ class TestGenerate:
         scenario = generate_scenario(GeneratorSpec(n_ssps=3, consumers_per_ssp=2, producers_per_ssp=2, seed=5))
         cfg = scenario.ssps[0]
         for consumer in cfg.consumers:
-            local = [cfg.preferences.rank(consumer.id, p.id) for p in cfg.producers]
-            partners = [cfg.preferences.rank(consumer.id, other.id) for other in scenario.ssps if other.id != cfg.id]
-            assert max(local) < min(partners)
+            local = [cfg.preferences.get(consumer.id, p.id) for p in cfg.producers]
+            partners = [cfg.preferences.get(consumer.id, other.id) for other in scenario.ssps if other.id != cfg.id]
+            assert 0 < max(local) < min(partners)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(GeneratorSpecError):
@@ -246,38 +246,35 @@ def test_a_table_holds_what_it_can_and_validation_judges_it(worked_scenario, fac
     data = with_entry(scenario_to_dict(worked_scenario), fact, value)
     integer = isinstance(value, int) and not isinstance(value, bool)
     held = {
-        "rank": value is None or (integer and -(2**63) <= value < 2**63),
-        "link": (integer and -(2**63) <= value < 2**63) or (type(value) is float and value in (0.0, 1.0)),
+        "rank": value is None or (integer and 1 <= value < 2**63),
+        "link": type(value) in (int, float) and value in (0, 1),
         "seed": True,
     }[fact]
     if not held:
         where = {"rank": "ssps[0].preferences.ranks[AC2][2]", "link": "connectivity.consumers[S1].rows[AC2][2]"}[fact]
-        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(where)}: expected a 64-bit integer {fact}"):
+        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(where)}: expected .*, got {re.escape(repr(value))}$"):
             scenario_from_dict(data)
         return
     loaded = scenario_from_dict(data)
-    prefs = loaded.ssps[0].preferences
     stored = {
-        "rank": prefs.rank("AC2", "PP1") if prefs.has("AC2", "PP1") else None,
-        "link": int(loaded.connectivity.consumers["S1"].links[1, 2]),
+        "rank": loaded.ssps[0].preferences.get("AC2", "PP1") or None,
+        "link": loaded.connectivity.consumers["S1"].get("AC2", "PP1"),
         "seed": loaded.seed,
     }[fact]
     # the seed is stored as read, NaN included
     assert stored is value if fact == "seed" else stored == value
-    valid = {
-        "rank": integer and value >= 1,
-        "link": value in (0, 1),
-        "seed": integer and -(2**63) <= value < 2**63,
+    # a null rank is no rank, which AC2's link to PP1 needs; a link of 0
+    # leaves AC2 without PP1, which then needs no rank
+    violation = {
+        "rank": ("AC2", "preference-covered") if value is None else None,
+        "link": None,
+        "seed": None if integer and -(2**63) <= value < 2**63 else ("seed", "seed-64bit"),
     }[fact]
-    # a null rank is no rank
-    rank_rule = "preference-covered" if value is None else "rank-positive-int"
-    rule = {"rank": ("AC2", rank_rule), "link": ("AC2", "connectivity-binary"), "seed": ("seed", "seed-64bit")}
-    # a link of 0 leaves AC2 without PP1, which then needs no rank
-    assert [(v.entity, v.rule) for v in validate_scenario(loaded)] == ([] if valid else [rule[fact]])
+    assert [(v.entity, v.rule) for v in validate_scenario(loaded)] == ([] if violation is None else [violation])
 
 
-# what a row may hold: an int64 rank, valid or not, or null for no rank
-ROW_VALUES = st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1))
+# what a row may hold: a rank of at least 1, or null for no rank
+ROW_VALUES = st.one_of(st.none(), st.integers(1, 2**63 - 1))
 
 
 @st.composite
@@ -294,7 +291,7 @@ def test_a_header_and_its_rows_load_as_written(worked_scenario, table):
     scenario = replace(worked_scenario, ssps=(replace(worked_scenario.ssps[0], preferences=table),))
     loaded = scenario_from_json(scenario_to_json(scenario)).ssps[0].preferences
     assert loaded == table
-    assert loaded.ranks.dtype == table.ranks.dtype and loaded.ranked.dtype == table.ranked.dtype
+    assert loaded.values.dtype == table.values.dtype
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,21 +310,17 @@ def test_a_generated_scenario_loads_as_it_was_generated(tmp_path_factory, spec):
     save_scenario(scenario, str(path))
     loaded = load_scenario(str(path))
     for got, want in zip(loaded.ssps, scenario.ssps):
-        for attr in ("suppliers", "consumers"):
-            assert getattr(got.preferences, attr) == getattr(want.preferences, attr)
-        assert np.array_equal(got.preferences.ranks, want.preferences.ranks)
-        assert np.array_equal(got.preferences.ranked, want.preferences.ranked)
+        assert (got.preferences.rows, got.preferences.cols) == (want.preferences.rows, want.preferences.cols)
+        assert np.array_equal(got.preferences.values, want.preferences.values)
     got_blocks, want_blocks = loaded.connectivity.blocks(), scenario.connectivity.blocks()
     assert [(k, b.rows, b.cols) for k, b in got_blocks] == [(k, b.rows, b.cols) for k, b in want_blocks]
-    assert all(np.array_equal(got.links, want.links) for (_, got), (_, want) in zip(got_blocks, want_blocks))
+    assert all(np.array_equal(got.values, want.values) for (_, got), (_, want) in zip(got_blocks, want_blocks))
     row_ids = [*scenario.ssp_ids, *(c.id for cfg in scenario.ssps for c in cfg.consumers), "X"]
     col_ids = [*scenario.ssp_ids, *(p.id for cfg in scenario.ssps for p in cfg.producers), UTILITY_ID, "X"]
     for got, want in zip(loaded.ssps, scenario.ssps):
         for row_id in row_ids:
             for col_id in col_ids:
-                assert got.preferences.has(row_id, col_id) == want.preferences.has(row_id, col_id)
-                if want.preferences.has(row_id, col_id):
-                    assert got.preferences.rank(row_id, col_id) == want.preferences.rank(row_id, col_id)
+                assert got.preferences.get(row_id, col_id) == want.preferences.get(row_id, col_id)
     for row_id in row_ids:
         for col_id in col_ids:
             assert loaded.connectivity.connected(row_id, col_id) == scenario.connectivity.connected(row_id, col_id)
