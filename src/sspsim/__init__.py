@@ -35,7 +35,6 @@ from .matching import (
 from .model import (
     UTILITY_ID,
     CommitmentMatrix,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     LinkBlock,

@@ -77,7 +77,6 @@ from .lp import (
 from .model import (
     UTILITY_ID,
     CommitmentMatrix,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     LinkBlock,
@@ -107,17 +106,19 @@ class PartnerCapacity:
 
 @dataclass(frozen=True)
 class SspView:
-    """One SSP's local knowledge: its subscribers plus advertised partner capacity.
+    """One SSP's local knowledge: its subscribers, their ranks and links, plus advertised partner capacity.
 
+    ``links`` is the SSP's own block: its consumers against its producers
+    and the Utility; the view holds no other SSP's links.
     ``partner_capacities`` holds only partners reachable per the inter-SSP
-    connectivity; capacities are zero until offers arrive.
+    links; capacities are zero until offers arrive.
     """
 
     ssp_id: str
     consumers: tuple[Subscriber, ...]
     producers: tuple[Subscriber, ...]
     preferences: PreferenceTable
-    connectivity: ConnectivityMatrix
+    links: LinkBlock
     partner_capacities: dict[str, PartnerCapacity] = field(default_factory=dict)
 
 
@@ -138,7 +139,7 @@ def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
         consumers=cfg.consumers,
         producers=cfg.producers,
         preferences=cfg.preferences,
-        connectivity=scenario.connectivity,
+        links=cfg.links,
         partner_capacities=partners,
     )
 
@@ -236,7 +237,7 @@ def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], line
 
 def _linked_ssps(scenario: Scenario, ssp_id: str, candidates: Sequence[str]) -> list[str]:
     """The SSPs of ``candidates`` other than ``ssp_id`` that N(ssp_id, .) links it to, in order."""
-    links = scenario.connectivity.values([ssp_id], candidates)[0].tolist()
+    links = scenario.ssp_links.take([ssp_id], candidates)[0].tolist()
     return [other for other, linked in zip(candidates, links) if linked and other != ssp_id]
 
 
@@ -301,7 +302,7 @@ class PairTable:
         self.partner_ids = sorted(view.partner_capacities)
         self._consumer_at = {c: k for k, c in enumerate(self.consumer_ids)}
         self._partner_at = {p: q for q, p in enumerate(self.partner_ids)}
-        links = view.connectivity.values(self.consumer_ids, self.producer_ids) != 0
+        links = view.links.take(self.consumer_ids, self.producer_ids) != 0
         needed = _ranked_pairs(links, len(self.partner_ids))
         ranks = _rank_block(view.preferences, self.consumer_ids, self.producer_ids + self.partner_ids, needed)
         n_cons, n_partners, n_prod = len(consumers), len(self.partner_ids), len(self.producer_ids)
@@ -668,7 +669,7 @@ def check_matching_feasibility(
         if value < -tol:
             problems.append(f"negative commitment cm({row_id}, {col_id}) = {value}")
         if row_id != UTILITY_ID and col_id != UTILITY_ID and col_id not in view.partner_capacities:
-            if not view.connectivity.connected(row_id, col_id) and value > tol:
+            if not view.links.get(row_id, col_id) and value > tol:
                 problems.append(f"commitment on disconnected pair ({row_id}, {col_id})")
     return problems
 
@@ -716,11 +717,11 @@ def merged_view(scenario: Scenario) -> SspView:
             consumer_ranks = [0] * len(at)
             row = [0] * len(at) + [1]  # the last column is the Utility's
             for producer in cfg.producers:
-                if scenario.connectivity.connected(consumer.id, producer.id):
+                if cfg.links.get(consumer.id, producer.id):
                     consumer_ranks[at[producer.id]] = cfg.preferences.get(consumer.id, producer.id)
                     row[at[producer.id]] = 1
             for other in scenario.ssps:
-                if other.id == cfg.id or not scenario.connectivity.connected(cfg.id, other.id):
+                if other.id == cfg.id or not scenario.ssp_links.get(cfg.id, other.id):
                     continue
                 partner_rank = cfg.preferences.get(consumer.id, other.id)
                 for producer in other.producers:
@@ -736,7 +737,7 @@ def merged_view(scenario: Scenario) -> SspView:
         consumers=consumers,
         producers=producers,
         preferences=PreferenceTable(consumer_ids, tuple(at), ranks_of),
-        connectivity=ConnectivityMatrix(consumers={"centralized": LinkBlock(consumer_ids, (*at, UTILITY_ID), links_of)}),
+        links=LinkBlock(consumer_ids, (*at, UTILITY_ID), links_of),
     )
 
 
@@ -750,7 +751,7 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     supply per producer, demand per consumer, then one pool row per pooled
     SSP. With a single SSP this is ``_build``'s LP of its view.
     """
-    connectivity, lines = scenario.connectivity, scenario.line_constraints
+    lines = scenario.line_constraints
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
     n_prod, n_cons = len(producers), len(consumers)
@@ -758,11 +759,11 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     supplier_at = {supplier_id: j for j, supplier_id in enumerate(supplier_ids)}
     pooled_ids = [t.id for t in scenario.ssps if t.producers]
     ranks, suppliers, counts, n_local = [], [], [], []  # per SSP: each cm column's rank and supplier, consumer-major
-    for cfg, links in zip(scenario.ssps, connectivity.values(scenario.ssp_ids, pooled_ids).tolist()):
+    for cfg, links in zip(scenario.ssps, scenario.ssp_links.take(scenario.ssp_ids, pooled_ids).tolist()):
         consumer_ids = [c.id for c in cfg.consumers]
         partner_ids = [t for t, linked in zip(pooled_ids, links) if linked and t != cfg.id]
         here = [p.id for p in cfg.producers] + partner_ids
-        local = connectivity.values(consumer_ids, here[: len(cfg.producers)]) != 0
+        local = cfg.links.take(consumer_ids, here[: len(cfg.producers)]) != 0
         # a consumer's columns: its linked local producers, then every partner
         columns = _ranked_pairs(local, len(partner_ids))
         ranks.append(_rank_block(cfg.preferences, consumer_ids, here, columns)[columns])

@@ -21,18 +21,20 @@ reads as 0; ``protocol.IMPROVE_TOL`` (1e-9), the margin a re-solve must beat;
 
 The fleet tables, ranks and links, grow as N² with N SSPs (408,000 ranks and
 51,800 links at 200 SSPs of 10 consumers and 5 producers; 2.1 MB of scenario
-file), so they are held as int64 arrays against a header: a
-``PreferenceTable`` per SSP, and a ``ConnectivityMatrix`` of ``LinkBlock``s.
-Both kinds are one table type, in which 0 means no entry: a rank is at least
-1, and a link is 1. Each value rule lives in one place. What a value may be
-is the kind's, judged where its table is built: the array constructor
-refuses a negative rank or a link other than 0 and 1, and ``from_rows``
-refuses a file value its kind cannot hold (a rank below 1, a link other than
-0, 1, 0.0 or 1.0, a bool, a str, an integer beyond int64), naming the entry.
-Every rule between entries, ids and SSPs is ``validate_scenario``'s, checked
-over a whole table or block with set and array operations, and walked entry
-by entry only to name a violation; N(i, U) is read per consumer, through
-``ConnectivityMatrix.connected``.
+file), so they are held as int64 arrays against a header. Each table lives
+with what owns it: an SSP holds its ``PreferenceTable`` and the ``LinkBlock``
+of its consumers (``SSPConfig.links``, against its producers and U), and the
+scenario holds the ``LinkBlock`` of the SSP rows (``Scenario.ssp_links``).
+Every reader reads the block that owns the row, so an SSP needs no other
+SSP's links. Both kinds are one table type, in which 0 means no entry: a
+rank is at least 1, and a link is 1. Each value rule lives in one place.
+What a value may be is the kind's, judged where its table is built: the
+array constructor refuses a negative rank or a link other than 0 and 1, and
+``from_rows`` refuses a file value its kind cannot hold (a rank below 1, a
+link other than 0, 1, 0.0 or 1.0, a bool, a str, an integer beyond int64),
+naming the entry. Every rule between entries, ids and SSPs is
+``validate_scenario``'s, checked over a whole table or block with set and
+array operations, and walked entry by entry only to name a violation.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ class PreferenceTable(_Table):
     ``cols`` lists the supplier ids and ``rows`` the consumer ids. A rank is
     at least 1, lower = more preferred, ties allowed; 0 means no rank, and a
     file writes it as null. ``validate_scenario`` wants a rank for every pair
-    connectivity allows.
+    a link allows.
     """
 
     TOP = 2**63 - 1
@@ -243,52 +245,6 @@ class LinkBlock(_Table):
     @staticmethod
     def _read(value: object) -> int | None:
         return int(value) if type(value) in (int, float) and value in (0, 1) else None
-
-
-@dataclass(frozen=True, eq=False)
-class ConnectivityMatrix:
-    """Binary reachability N(i, j), as link blocks.
-
-    ``ssps`` holds the rows of the SSPs, and ``consumers`` one block per SSP
-    id for that SSP's consumers. Columns are producer ids, SSP ids, or
-    ``UTILITY_ID``. A missing row or column means 0 (not connected). Every
-    consumer must have N(i, U) = 1, and the inter-SSP block must be
-    symmetric with a zero diagonal. A row id is found in the first block
-    that lists it, the SSP block first; ``validate_scenario`` names a row
-    outside its own block.
-    """
-
-    ssps: LinkBlock = field(default_factory=lambda: LinkBlock.from_rows((), {}))
-    consumers: Mapping[str, LinkBlock] = field(default_factory=dict)
-    _where: Mapping[str, LinkBlock] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        where: dict[str, LinkBlock] = {}
-        for block in (*reversed(self.consumers.values()), self.ssps):
-            where.update(dict.fromkeys(block.rows, block))
-        object.__setattr__(self, "_where", where)
-
-    def blocks(self) -> list[tuple[str | None, LinkBlock]]:
-        """(SSP id, block) of each block: the SSP block (id None) first, then the consumer blocks."""
-        return [(None, self.ssps), *self.consumers.items()]
-
-    def connected(self, row_id: str, col_id: str) -> bool:
-        block = self._where.get(row_id)
-        return block is not None and block.get(row_id, col_id) != 0
-
-    def values(self, row_ids: Sequence[str], col_ids: Sequence[str]) -> np.ndarray:
-        """N(i, j) of every row id i and column id j, rows x columns, read by block; 0 where either is absent."""
-        found = list(map(self._where.get, row_ids))
-        out = np.zeros((len(found), len(col_ids)), dtype=np.int64)
-        for block in {id(b): b for b in found if b is not None}.values():
-            at = [k for k, b in enumerate(found) if b is block]
-            out[at] = block.take([row_ids[k] for k in at], col_ids)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConnectivityMatrix):
-            return NotImplemented
-        return self.ssps == other.ssps and dict(self.consumers) == dict(other.consumers)
 
 
 @dataclass(frozen=True)
@@ -345,18 +301,21 @@ class MatchingWeights:
 
 @dataclass(frozen=True)
 class SSPConfig:
-    """One SSP: its consumers, producers and local preference table."""
+    """One SSP: its consumers, producers, local preference table and the links of its consumers (none by default)."""
 
     id: str
     consumers: tuple[Subscriber, ...]
     producers: tuple[Subscriber, ...]
     preferences: PreferenceTable
+    links: LinkBlock = field(default_factory=lambda: LinkBlock.from_rows((), {}))
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """SSPs and the links between them: ``ssp_links`` has the SSP rows, symmetric with a zero diagonal."""
+
     ssps: tuple[SSPConfig, ...]
-    connectivity: ConnectivityMatrix
+    ssp_links: LinkBlock
     weights: MatchingWeights = field(default_factory=MatchingWeights)
     line_constraints: LineConstraintSet | None = None
     seed: int = 0
@@ -430,8 +389,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             if abs(total - 1.0) > KWH_TOL:
                 out.append(Violation(cfg.id, "priority-sum", f"consumer priorities sum to {total}, expected 1"))
 
-    out.extend(_validate_connectivity(scenario, ssp_ids))
-    out.extend(_validate_preferences(scenario))
+    # the SSP block is read once, for the connectivity and the preference rules
+    linked = scenario.ssp_links.take(ssp_ids, ssp_ids) != 0
+    out.extend(_validate_connectivity(scenario, ssp_ids, linked))
+    out.extend(_validate_preferences(scenario, ssp_ids, linked))
 
     for w_name in ("w14", "w2", "w35", "alpha", "beta"):
         value = getattr(scenario.weights, w_name)
@@ -446,16 +407,13 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if scenario.line_constraints is not None:
         # a run decides a consumer's flows from the Utility, from the producers
         # of its SSP and from other SSPs, and no other flow
-        consumer_ssp = {c.id: cfg.id for cfg in scenario.ssps for c in cfg.consumers}
+        home_of = {c.id: cfg for cfg in scenario.ssps for c in cfg.consumers}
         producer_ssp = {p.id: cfg.id for cfg in scenario.ssps for p in cfg.producers}
         ssp_set = set(ssp_ids)
         bounded: set[tuple[str, str]] = set()
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
-            home = consumer_ssp.get(lc.row_id)
-            # a consumer reaches another SSP by its own SSP's link, N(home, SSP),
-            # the entry the engine reads; its own entry N(consumer, SSP) carries nothing
-            link_row = home if lc.col_id in ssp_set else lc.row_id
+            home = home_of.get(lc.row_id)
             if (lc.row_id, lc.col_id) in bounded:
                 # LineConstraintSet.lookup would silently apply only the first
                 out.append(Violation(pair, "line-unique", "more than one line constraint for the pair"))
@@ -471,7 +429,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 # a sell-back is the production nobody takes, not a decision
                 out.append(Violation(pair, "line-not-sell-back", "sell-backs cm(U, j) are derived and take no bound"))
             elif home is None or not (
-                lc.col_id == UTILITY_ID or producer_ssp.get(lc.col_id) == home or (lc.col_id in ssp_set and lc.col_id != home)
+                lc.col_id == UTILITY_ID or producer_ssp.get(lc.col_id) == home.id or (lc.col_id in ssp_set and lc.col_id != home.id)
             ):
                 out.append(Violation(pair, "line-decided-flow", "not a consumer's flow from U, its SSP's producer or another SSP"))
             elif undefined:
@@ -480,7 +438,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 out.append(Violation(pair, "line-bounds-ordered", f"min {lc.min_kwh} > max {lc.max_kwh}"))
             elif lc.max_kwh < 0.0:
                 out.append(Violation(pair, "line-max-nonnegative", f"max {lc.max_kwh} < 0; flows are non-negative"))
-            elif not scenario.connectivity.connected(link_row, lc.col_id) and not (lc.min_kwh <= 0.0 <= lc.max_kwh):
+            elif not (lc.min_kwh <= 0.0 <= lc.max_kwh) and not (
+                # a consumer reaches another SSP by its own SSP's link, N(home, SSP), the
+                # entry the engine reads; an entry N(consumer, SSP) in its block carries nothing
+                scenario.ssp_links.get(home.id, lc.col_id) if lc.col_id in ssp_set else home.links.get(lc.row_id, lc.col_id)
+            ):
                 out.append(Violation(pair, "line-bounds-allow-unused", "disconnected pair must admit zero flow"))
 
     seed = scenario.seed
@@ -489,23 +451,21 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     return out
 
 
-def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
+def _validate_connectivity(scenario: Scenario, ssp_ids: list[str], linked: np.ndarray) -> list[Violation]:
     # Each rule runs first over whole blocks, as set and array operations;
     # only a block that fails it is walked row by row, so violations name
-    # their entries in block, row and header order. N(i, U) is read per
-    # consumer where connected() reads it: a row listed in two blocks is
-    # read from the first.
+    # their entries in block, row and header order: the SSP block, then each
+    # SSP's block in SSP order. ``linked`` is the SSP block over ``ssp_ids``.
     out: list[Violation] = []
-    n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
     known_rows = set(ssp_ids)
-    home_rows: dict[str | None, set[str]] = {None: set(ssp_ids)}
+    blocks = [(None, scenario.ssp_links, set(ssp_ids))]
     for cfg in scenario.ssps:
-        home_rows[cfg.id] = {s.id for s in cfg.consumers}
-        known_rows.update(home_rows[cfg.id])
+        consumer_ids = {s.id for s in cfg.consumers}
+        blocks.append((cfg.id, cfg.links, consumer_ids))
+        known_rows.update(consumer_ids)
         known_cols.update(s.id for s in cfg.producers)
-    for ssp_id, block in n.blocks():
-        home = home_rows.get(ssp_id, set())
+    for ssp_id, block, home in blocks:
         if len(block.col_at) != len(block.cols):
             for k, col_id in enumerate(block.cols):
                 if block.col_at[col_id] != k:
@@ -523,9 +483,8 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
                 out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
-            if not n.connected(sub.id, UTILITY_ID):
+            if not cfg.links.get(sub.id, UTILITY_ID):
                 out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
-    linked = n.values(ssp_ids, ssp_ids) != 0
     # the block is symmetric with a zero diagonal iff it equals its transpose and no SSP lists itself
     if linked.diagonal().any() or (linked != linked.T).any():
         for i, a in enumerate(ssp_ids):
@@ -537,18 +496,16 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Viola
     return out
 
 
-def _validate_preferences(scenario: Scenario) -> list[Violation]:
+def _validate_preferences(scenario: Scenario, ssp_ids: list[str], linked: np.ndarray) -> list[Violation]:
     # Each SSP's table is checked once: its values as one array, its header
     # and rows as sets. Only an SSP that fails is walked entry by entry, so
     # violations keep their text and order. An entry is a nonzero value of
-    # a row.
+    # a row. ``linked`` is the SSP block over ``ssp_ids``.
     out: list[Violation] = []
-    n = scenario.connectivity
-    ssp_ids = scenario.ssp_ids
     known_suppliers = set(ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
-    linked = (n.values(ssp_ids, ssp_ids) != 0).tolist()
+    linked = linked.tolist()
     for k, cfg in enumerate(scenario.ssps):
         prefs = cfg.preferences
         header, at = prefs.cols, prefs.col_at
@@ -570,7 +527,7 @@ def _validate_preferences(scenario: Scenario) -> list[Violation]:
             partner_ids = [other for other, link in zip(ssp_ids, linked[k]) if link and other != cfg.id]
             for consumer in cfg.consumers:
                 for producer in cfg.producers:
-                    if n.connected(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
+                    if cfg.links.get(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
                         out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
                 for partner in partner_ids:
                     if not prefs.get(consumer.id, partner):

@@ -187,9 +187,7 @@ class _Agent:
     The agent owns its view, with every partner at zero capacity (an offer's
     solve replaces only the capacities), the PairTable of its local LP, built
     once over its whole partner list, its pricing certificate (``floor``,
-    ``prices``; see the module docstring), and the Utility interaction of
-    its accepted matrix, kept until the matrix changes (an accepted solve or
-    a registered export).
+    ``prices``; see the module docstring).
     """
 
     def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
@@ -206,10 +204,7 @@ class _Agent:
         self.offers_priced_out = 0
         self.locked: dict[str, dict[str, float]] = {}
         self.exports: dict[str, float] = {}
-        self._utility: float | None = None
-        self.view = SspView(
-            cfg.id, cfg.consumers, cfg.producers, cfg.preferences, scenario.connectivity, dict.fromkeys(partners, _NO_CAPACITY)
-        )
+        self.view = SspView(cfg.id, cfg.consumers, cfg.producers, cfg.preferences, cfg.links, dict.fromkeys(partners, _NO_CAPACITY))
         self.table = PairTable(self.view, weights, scenario.line_constraints)
 
     def total_exports(self) -> float:
@@ -248,7 +243,6 @@ class _Agent:
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = self.floor = objective
             self.cm, self.fx, self.prices = cm, fx, prices
-            self._utility = None
             return True
         # a certificate, unless a line floor keeps the offer's columns off 0
         floored = transient is not None and transient[0] in self.table.floored
@@ -260,7 +254,6 @@ class _Agent:
         assert self.cm is not None
         self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
         attribute_sell_backs(self.cm, self.cfg.producers, self.total_exports())
-        self._utility = None
 
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
@@ -270,9 +263,7 @@ class _Agent:
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
-        if self._utility is None:
-            self._utility = abs(energy_status(self.cfg)) if self.cm is None else utility_interaction(self.cm)
-        return self._utility
+        return abs(energy_status(self.cfg)) if self.cm is None else utility_interaction(self.cm)
 
     def claim_against(self, src: str) -> dict[str, float]:
         """New per-consumer commitments against ``src`` beyond the existing locks."""
@@ -292,7 +283,7 @@ class _Agent:
 
 
 def _partner_lists(scenario: Scenario, anm: ActualNeighborhoodMap) -> dict[str, list[str]]:
-    """Each SSP's partners, sorted: the SSPs of the scenario that both the map and the connectivity link it to.
+    """Each SSP's partners, sorted: the SSPs of the scenario that both the map and the SSP links link it to.
 
     Read from the map's edges, as ``anm.connected`` reads them: an edge counts
     as the pair (a, b) with a < b; and from the SSP link block, one entry per edge."""
@@ -305,7 +296,7 @@ def _partner_lists(scenario: Scenario, anm: ActualNeighborhoodMap) -> dict[str, 
     at = {ssp_id: k for k, ssp_id in enumerate(ids)}
     rows = [k for k, ssp_id in enumerate(ids) for _ in neighbours[ssp_id]]
     cols = [at[p] for ssp_id in ids for p in neighbours[ssp_id]]
-    linked = iter(scenario.connectivity.values(ids, ids)[rows, cols].tolist())  # one entry per map edge, in order
+    linked = iter(scenario.ssp_links.take(ids, ids)[rows, cols].tolist())  # one entry per map edge, in order
     return {ssp_id: sorted(p for p, link in zip(neighbours[ssp_id], linked) if link) for ssp_id in ids}
 
 

@@ -13,7 +13,11 @@ version 3): ``"preferences": {"suppliers": [ids], "ranks": {consumer id:
 null means no rank. Connectivity is stored the same way, as link blocks:
 ``"connectivity": {"ssps": block, "consumers": {SSP id: block}}``, where a
 block is ``{"cols": [ids], "rows": {row id: [0 or 1, ...]}}``, one for the
-SSP rows and one per SSP for its consumers. The generator's rank header
+SSP rows (``Scenario.ssp_links``) and one per SSP for its consumers
+(``SSPConfig.links``). The writer emits one consumer block per SSP, in SSP
+order; the loader attaches each to its SSP, gives an SSP without one no
+links, and refuses a block keyed by an id that is no SSP of the file,
+naming ``connectivity.consumers[<id>]``. The generator's rank header
 lists the SSP's producers, then the partner SSPs; each consumer's row takes
 two ``rng.permutation`` draws, the producers' first and the partners'
 second, written straight into the SSP's rank matrix. These are the same
@@ -55,7 +59,6 @@ import numpy as np
 
 from .model import (
     UTILITY_ID,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     LinkBlock,
@@ -132,7 +135,6 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     ssp_ids = [f"S{k:02d}" for k in range(1, spec.n_ssps + 1)]
     ssps: list[SSPConfig] = []
-    blocks: dict[str, LinkBlock] = {}
 
     for ssp_id in ssp_ids:
         consumers: list[Subscriber] = []
@@ -172,14 +174,12 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
             ranks[m, n_local:] = rng.permutation(len(partner_ids)) + (n_local + 1)
         consumer_ids = tuple(c.id for c in consumers)
         preferences = PreferenceTable(consumer_ids, tuple(producer_ids + partner_ids), ranks)
-        ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), preferences))
-        blocks[ssp_id] = LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), np.ones((n_cons, n_local + 1), dtype=np.int64))
+        links = LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), np.ones((n_cons, n_local + 1), dtype=np.int64))
+        ssps.append(SSPConfig(ssp_id, tuple(consumers), tuple(producers), preferences, links))
 
     scenario = Scenario(
         ssps=tuple(ssps),
-        connectivity=ConnectivityMatrix(
-            LinkBlock(tuple(ssp_ids), tuple(ssp_ids), 1 - np.eye(len(ssp_ids), dtype=np.int64)), blocks
-        ),
+        ssp_links=LinkBlock(tuple(ssp_ids), tuple(ssp_ids), 1 - np.eye(len(ssp_ids), dtype=np.int64)),
         weights=weights or MatchingWeights(),
         line_constraints=None,
         seed=spec.seed,
@@ -238,8 +238,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for cfg in scenario.ssps
         ],
         "connectivity": {
-            "ssps": _block_dict(scenario.connectivity.ssps),
-            "consumers": {ssp_id: _block_dict(block) for ssp_id, block in scenario.connectivity.consumers.items()},
+            "ssps": _block_dict(scenario.ssp_links),
+            "consumers": {cfg.id: _block_dict(cfg.links) for cfg in scenario.ssps},
         },
         "line_constraints": None
         if scenario.line_constraints is None
@@ -321,23 +321,25 @@ def scenario_from_dict(data: dict) -> Scenario:
         beta=None if beta is None else _number(beta, "weights.beta"),
     )
 
-    ssps: list[SSPConfig] = []
+    entries = []  # each SSP's id, consumers, producers and ranks
     for k, entry in enumerate(_objects(data["ssps"], "ssps")):
         _require_keys(entry, _SSP_FIELDS, f"ssp {entry.get('id')!r}")
         consumers = _subscribers(entry["consumers"], "consumer", _CONSUMER_FIELDS, f"ssps[{k}].consumers")
         producers = _subscribers(entry["producers"], "producer", _PRODUCER_FIELDS, f"ssps[{k}].producers")
         prefs = _table(entry["preferences"], f"ssps[{k}].preferences", "suppliers", "ranks", PreferenceTable.from_rows)
-        ssps.append(SSPConfig(_string(entry["id"], f"ssps[{k}].id"), consumers, producers, prefs))
+        entries.append((_string(entry["id"], f"ssps[{k}].id"), consumers, producers, prefs))
 
     links = _object(data["connectivity"], "connectivity")
     _require_keys(links, _CONNECTIVITY_FIELDS, "connectivity")
-    connectivity = ConnectivityMatrix(
-        _table(links["ssps"], "connectivity.ssps", "cols", "rows", LinkBlock.from_rows),
-        {
-            str(ssp_id): _table(block, f"connectivity.consumers[{ssp_id}]", "cols", "rows", LinkBlock.from_rows)
-            for ssp_id, block in _object(links["consumers"], "connectivity.consumers").items()
-        },
-    )
+    ssp_links = _table(links["ssps"], "connectivity.ssps", "cols", "rows", LinkBlock.from_rows)
+    # each block goes to its SSP; an SSP without one has no links
+    blocks = dict.fromkeys((ssp_id for ssp_id, *_ in entries), LinkBlock.from_rows((), {}))
+    for ssp_id, block in _object(links["consumers"], "connectivity.consumers").items():
+        where = f"connectivity.consumers[{ssp_id}]"
+        if ssp_id not in blocks:
+            raise ScenarioFormatError(f"{where}: not an SSP of the file")
+        blocks[ssp_id] = _table(block, where, "cols", "rows", LinkBlock.from_rows)
+    ssps = tuple(SSPConfig(*entry, blocks[entry[0]]) for entry in entries)
 
     lines = None
     if data["line_constraints"] is not None:
@@ -350,7 +352,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             constraints.append(LineConstraint(*ends, *bounds))
         lines = LineConstraintSet(tuple(constraints))
 
-    return Scenario(tuple(ssps), connectivity, weights, lines, data["seed"])
+    return Scenario(ssps, ssp_links, weights, lines, data["seed"])
 
 
 def _table(value: object, where: str, header: str, rows: str, build: Callable[[list[str], dict], Table]) -> Table:

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from dataclasses import replace
 
 import pytest
 
 from sspsim.model import (
-    ConnectivityMatrix,
     LinkBlock,
     MatchingWeights,
     PreferenceTable,
@@ -24,26 +24,29 @@ def preference_table(ranks: Mapping[str, Mapping[str, object]]) -> PreferenceTab
     return PreferenceTable.from_rows(suppliers, {c: [row.get(s) for s in suppliers] for c, row in ranks.items()})
 
 
-def connectivity(rows: Mapping[str, Mapping[str, object]], ssps: Sequence[SSPConfig] = ()) -> ConnectivityMatrix:
-    """The matrix of ``{row id: {column id: link}}``: the row of each consumer of
-    ``ssps`` in its SSP's block, every other row in the SSP block. A block's
-    header lists each column once, in order of first appearance, and a row
-    holds 0 where it lists no column."""
+def link_block(rows: Mapping[str, Mapping[str, object]]) -> LinkBlock:
+    """The block of ``{row id: {column id: link}}``: its header lists each
+    column once, in order of first appearance, and a row holds 0 where it
+    lists no column."""
+    header = tuple(dict.fromkeys(c for cols in rows.values() for c in cols))
+    return LinkBlock.from_rows(header, {r: [cols.get(c, 0) for c in header] for r, cols in rows.items()})
+
+
+def linked(rows: Mapping[str, Mapping[str, object]], ssps: Sequence[SSPConfig]) -> tuple[tuple[SSPConfig, ...], LinkBlock]:
+    """``ssps`` each with the block of its consumers' rows of ``{row id: {column
+    id: link}}`` attached, and the SSP block of every other row, in the order
+    ``Scenario`` takes them; an SSP without a row has an empty block."""
     home = {c.id: cfg.id for cfg in ssps for c in cfg.consumers}
     grouped: dict[str | None, dict] = {None: {}, **{cfg.id: {} for cfg in ssps}}
     for row_id, cols in rows.items():
         grouped[home.get(row_id)][row_id] = cols
-
-    def block(block_rows: Mapping[str, Mapping[str, object]]) -> LinkBlock:
-        header = tuple(dict.fromkeys(c for cols in block_rows.values() for c in cols))
-        return LinkBlock.from_rows(header, {r: [cols.get(c, 0) for c in header] for r, cols in block_rows.items()})
-
-    return ConnectivityMatrix(block(grouped.pop(None)), {ssp_id: block(r) for ssp_id, r in grouped.items() if r})
+    return tuple(replace(cfg, links=link_block(grouped[cfg.id])) for cfg in ssps), link_block(grouped[None])
 
 
-def link_rows(n: ConnectivityMatrix) -> dict[str, dict[str, int]]:
-    """``n`` as ``{row id: {column id: link}}``, every block's rows in block order."""
-    return {row_id: dict(zip(block.cols, values)) for _, block in n.blocks() for row_id, values in block.to_rows().items()}
+def link_rows(scenario: Scenario) -> dict[str, dict[str, int]]:
+    """The links of ``scenario`` as ``{row id: {column id: link}}``: the SSP block's rows, then each SSP's."""
+    blocks = (scenario.ssp_links, *(cfg.links for cfg in scenario.ssps))
+    return {row_id: dict(zip(block.cols, values)) for block in blocks for row_id, values in block.to_rows().items()}
 
 
 def worked_example_subscribers():
@@ -68,8 +71,7 @@ def worked_scenario() -> Scenario:
     consumers, producers = worked_example_subscribers()
     prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, "U": 1} for c in consumers}
-    ssp = SSPConfig("S1", consumers, producers, prefs)
-    return Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 3)
+    return Scenario(*linked(rows, (SSPConfig("S1", consumers, producers, prefs),)), MatchingWeights(), None, 3)
 
 
 @pytest.fixture
@@ -93,7 +95,7 @@ def pair_scenario() -> Scenario:
         "S1": {"S2": 1},
         "S2": {"S1": 1},
     }
-    return Scenario((s1, s2), connectivity(rows, (s1, s2)), MatchingWeights(), None, 7)
+    return Scenario(*linked(rows, (s1, s2)), MatchingWeights(), None, 7)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

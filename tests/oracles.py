@@ -471,18 +471,14 @@ def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -
 def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> list[Violation]:
     """The per-entry loop of ``model._validate_connectivity``, block by block; its violations are the reference."""
     out: list[Violation] = []
-    n = scenario.connectivity
     known_cols = set(ssp_ids) | {UTILITY_ID}
     known_rows = set(ssp_ids)
     for cfg in scenario.ssps:
         known_rows.update(s.id for s in cfg.consumers)
         known_cols.update(s.id for s in cfg.producers)
-    for ssp_id, block in n.blocks():
-        if ssp_id is None:
-            home, name = set(ssp_ids), "SSP block"
-        else:
-            home = {c.id for cfg in scenario.ssps if cfg.id == ssp_id for c in cfg.consumers}
-            name = f"block of SSP {ssp_id}"
+    blocks = [(None, scenario.ssp_links, set(ssp_ids), "SSP block")]
+    blocks += [(cfg.id, cfg.links, {c.id for c in cfg.consumers}, f"block of SSP {cfg.id}") for cfg in scenario.ssps]
+    for ssp_id, block, home, name in blocks:
         for k, col_id in enumerate(block.cols):
             if col_id in block.cols[:k]:
                 where = "connectivity" if ssp_id is None else ssp_id
@@ -496,13 +492,14 @@ def reference_validate_connectivity(scenario: Scenario, ssp_ids: list[str]) -> l
                     out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
     for cfg in scenario.ssps:
         for sub in cfg.consumers:
-            if not n.connected(sub.id, UTILITY_ID):
+            if not cfg.links.get(sub.id, UTILITY_ID):
                 out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
+    n = scenario.ssp_links
     for a in ssp_ids:
-        if n.connected(a, a):
+        if n.get(a, a):
             out.append(Violation(a, "interssp-zero-diagonal", "SSP connected to itself"))
         for b in ssp_ids:
-            if a < b and n.connected(a, b) != n.connected(b, a):
+            if a < b and n.get(a, b) != n.get(b, a):
                 out.append(Violation(f"({a}, {b})", "interssp-symmetric", "asymmetric inter-SSP entry"))
     return out
 
@@ -512,7 +509,6 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
 
     An entry is a nonzero value of a row."""
     out: list[Violation] = []
-    n = scenario.connectivity
     known_suppliers = set(scenario.ssp_ids)
     for cfg in scenario.ssps:
         known_suppliers.update(p.id for p in cfg.producers)
@@ -523,10 +519,10 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
             if supplier_id in header[:k]:
                 out.append(Violation(cfg.id, "preference-header-unique", f"supplier {supplier_id} listed more than once"))
         consumer_ids = {c.id for c in cfg.consumers}
-        partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and n.connected(cfg.id, other)]
+        partner_ids = [other for other in scenario.ssp_ids if other != cfg.id and scenario.ssp_links.get(cfg.id, other)]
         for consumer in cfg.consumers:
             for producer in cfg.producers:
-                if n.connected(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
+                if cfg.links.get(consumer.id, producer.id) and not prefs.get(consumer.id, producer.id):
                     out.append(Violation(consumer.id, "preference-covered", f"no rank for local producer {producer.id}"))
             for partner in partner_ids:
                 if not prefs.get(consumer.id, partner):
@@ -598,7 +594,7 @@ class ReferencePairTable:
         self._lines = lines
         self._consumer_ids = [c.id for c in view.consumers]
         partner_ids = sorted(self._partners)
-        local_ids = [[p.id for p in view.producers if view.connectivity.connected(c.id, p.id)] for c in view.consumers]
+        local_ids = [[p.id for p in view.producers if view.links.get(c.id, p.id)] for c in view.consumers]
         ranks = [
             [_ref_rank(view.preferences, consumer.id, supplier_id) for supplier_id in local + partner_ids]
             for consumer, local in zip(view.consumers, local_ids)
@@ -750,16 +746,15 @@ def reference_build(view, weights, lines, locked_imports, committed_exports) -> 
 
 def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, dict]:
     """``matching._build_centralized``'s program, built one column and one row at a time, and its layout."""
-    connectivity = scenario.connectivity
     lines = scenario.line_constraints
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
     ranks: dict[str, list[int]] = {}
     suppliers = []
     for cfg in scenario.ssps:
-        partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and connectivity.connected(cfg.id, t.id)]
+        partners = [t for t in scenario.ssps if t.id != cfg.id and t.producers and scenario.ssp_links.get(cfg.id, t.id)]
         for consumer in cfg.consumers:
-            local = [p for p in cfg.producers if connectivity.connected(consumer.id, p.id)]
+            local = [p for p in cfg.producers if cfg.links.get(consumer.id, p.id)]
             row = [_ref_rank(cfg.preferences, consumer.id, supplier.id) for supplier in [*local, *partners]]
             ranks[consumer.id] = row
             suppliers.append([

@@ -397,6 +397,11 @@ class TestRun:
                 [0, 0, 0, 0],
                 "S1: connectivity-row-resolves (not a row of the block of SSP S1)",
             ),
+            (
+                ("connectivity", "consumers", "S9"),
+                {"cols": ["AP1", "AP2", "PP1", "U"], "rows": {"X": [1, 1, 1, 1]}},
+                "connectivity.consumers[S9]: not an SSP of the file",
+            ),
             (("ssps", 0, "preferences"), {"AC1": {"AP1": 1}}, "ssps[0].preferences: unknown field 'AC1'"),
             (("ssps", 0, "preferences", "suppliers"), {"AP1": 0}, "ssps[0].preferences.suppliers: expected a list, got dict"),
             (("ssps", 0, "preferences", "ranks"), [[1, 2, 3]], "ssps[0].preferences.ranks: expected an object, got list"),
@@ -449,6 +454,7 @@ class TestRun:
             "link-row-short",
             "link-header-duplicate",
             "link-row-misplaced",
+            "link-block-of-an-unknown-ssp",
             "preferences-v1",
             "preference-header",
             "preference-rows",

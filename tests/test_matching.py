@@ -31,6 +31,7 @@ from sspsim.model import (
     CommitmentMatrix,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     Scenario,
     SSPConfig,
@@ -40,7 +41,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.protocol import calibrate_weights, run_engine
-from tests.conftest import connectivity, link_rows, preference_table, worked_example_subscribers
+from tests.conftest import link_block, link_rows, linked, preference_table, worked_example_subscribers
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
@@ -74,7 +75,7 @@ def simple_view(demand=5.0, supply=5.0) -> SspView:
         consumers,
         producers,
         preference_table({"c1": {"p1": 1}}),
-        connectivity({"c1": {"p1": 1, UTILITY_ID: 1}}),
+        link_block({"c1": {"p1": 1, UTILITY_ID: 1}}),
     )
 
 
@@ -85,7 +86,7 @@ def worked_view(demands=(13.5, 18.0, 13.5)) -> SspView:
     )
     prefs = preference_table({c.id: {"AP1": 1, "AP2": 2, "PP1": 3} for c in consumers})
     rows = {c.id: {"AP1": 1, "AP2": 1, "PP1": 1, UTILITY_ID: 1} for c in consumers}
-    return SspView("s1", consumers, producers, prefs, connectivity(rows))
+    return SspView("s1", consumers, producers, prefs, link_block(rows))
 
 
 class TestBuildMatchingLp:
@@ -97,7 +98,7 @@ class TestBuildMatchingLp:
     def test_consumer_only_view_buys_everything(self):
         consumers = (Subscriber("c1", AC, 4.0, priority=1.0),)
         view = SspView(
-            "s1", consumers, (), preference_table({}), connectivity({"c1": {UTILITY_ID: 1}})
+            "s1", consumers, (), preference_table({}), link_block({"c1": {UTILITY_ID: 1}})
         )
         cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
         assert cm.get("c1", UTILITY_ID) == pytest.approx(4.0, abs=1e-9)
@@ -135,7 +136,7 @@ class TestBuildMatchingLp:
             consumers,
             producers,
             preference_table({"c1": ranks, "c2": ranks}),
-            connectivity({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
+            link_block({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}, "c2": {"p2": 1, UTILITY_ID: 1}}),
             partner_capacities={"s3": PartnerCapacity(4.0, 0.1), "s2": PartnerCapacity(0.0, 0.0)},
         )
         # a Utility column with a positive minimum, a locked import from s3
@@ -183,7 +184,7 @@ class TestBuildMatchingLp:
             consumers,
             producers,
             preference_table({"c1": {"p1": 1, "p2": 2}}),
-            connectivity({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
+            link_block({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
         )
         lines = LineConstraintSet((LineConstraint("c1", "p1", 0.0, 3.0),))
         cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
@@ -232,9 +233,9 @@ class TestWorkedExample:
         for sub_id, value in fx_values.items():
             (fx.producers if sub_id in fx.producers else fx.consumers)[sub_id] = value
         if unlinked is not None:
-            rows = link_rows(view.connectivity)
-            rows[unlinked[0]][unlinked[1]] = 0
-            view = replace(view, connectivity=connectivity(rows))
+            rows = view.links.to_rows()
+            rows[unlinked[0]][view.links.col_at[unlinked[1]]] = 0
+            view = replace(view, links=LinkBlock.from_rows(view.links.cols, rows))
         assert check_matching_feasibility(view, cm, fx) == [problem]
 
     @pytest.mark.parametrize("demands", [(10.0, 18.0, 17.0), (20.0, 18.0, 7.0)])
@@ -257,7 +258,7 @@ class TestWorkedExample:
 class TestSolveDistMatching:
     def test_surplus_only_ssp_sells_back(self):
         producers = (Subscriber("p1", AP, 10.0),)
-        view = SspView("s1", (), producers, preference_table({}), connectivity({}))
+        view = SspView("s1", (), producers, preference_table({}), link_block({}))
         cm, fx, objective, _ = solve_dist_matching(view, MatchingWeights())
         assert 0.0 <= cm.get(UTILITY_ID, "p1") <= 10.0 + 1e-9
         assert aggregate_surplus(view, cm) == (10.0, 10.0)
@@ -273,7 +274,7 @@ class TestSolveDistMatching:
             consumers,
             (Subscriber("p1", AP, 3.0),),
             preference_table({"c2": {"p1": 1}}),
-            connectivity({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
+            link_block({"c1": {UTILITY_ID: 1}, "c2": {"p1": 1, UTILITY_ID: 1}}),
         )
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
@@ -291,7 +292,7 @@ class TestSolveDistMatching:
             consumers,
             (),
             preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
-            connectivity({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
+            link_block({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}}),
             partner_capacities={"s2": PartnerCapacity(51.0, 0.0)},
         )
         cm, _, _, _ = solve_dist_matching(view, MatchingWeights())
@@ -308,7 +309,7 @@ class TestSolveDistMatching:
             consumers,
             (),
             preference_table({"c1": {"s2": 1}, "c2": {"s2": 1}}),
-            connectivity({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}, "s1": {"s2": 1}}),
+            link_block({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}}),
             partner_capacities={"s2": PartnerCapacity(5.0, 0.0)},
         )
         lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
@@ -457,7 +458,7 @@ class TestCentralized:
 
     def test_merged_view_respects_interssp_connectivity(self, pair_scenario):
         view = merged_view(pair_scenario)
-        assert view.connectivity.connected("S1.C1", "S2.P1")
+        assert view.links.get("S1.C1", "S2.P1")
         assert view.preferences.get("S1.C1", "S2.P1") == 2
 
 
@@ -471,7 +472,7 @@ class TestCalibration:
         prefs = preference_table({"c0": {"p0": 15}, "c1": {}})
         rows = {"c0": {"p0": 1, UTILITY_ID: 1}, "c1": {UTILITY_ID: 1}}
         ssp = SSPConfig("s1", consumers, producers, prefs)
-        return Scenario((ssp,), connectivity(rows, (ssp,)), weights, None, 5)
+        return Scenario(*linked(rows, (ssp,)), weights, None, 5)
 
     def test_already_optimal_defaults_are_kept(self, worked_scenario):
         calibrated = calibrate_weights(worked_scenario, iterations=2, seed=1)
@@ -749,10 +750,10 @@ def test_solve_lp_agrees_with_highs(lp):
 
 
 def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
-    """The scenario with every producer of one SSP removed, from the connectivity and ranks too."""
+    """The scenario with every producer of one SSP removed, from the links and ranks too."""
     cfg = scenario.ssp(ssp_id)
     gone = {p.id for p in cfg.producers}
-    rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in link_rows(scenario.connectivity).items()}
+    rows = {row_id: {col: v for col, v in cols.items() if col not in gone} for row_id, cols in link_rows(scenario).items()}
     header = cfg.preferences.cols
     ranks = {
         c: {s: r for s, r in zip(header, row) if r is not None and s not in gone}
@@ -762,7 +763,8 @@ def without_producers(scenario: Scenario, ssp_id: str) -> Scenario:
         replace(other, producers=(), preferences=preference_table(ranks)) if other.id == ssp_id else other
         for other in scenario.ssps
     )
-    return replace(scenario, ssps=ssps, connectivity=connectivity(rows, ssps))
+    ssps, ssp_links = linked(rows, ssps)
+    return replace(scenario, ssps=ssps, ssp_links=ssp_links)
 
 
 @st.composite
@@ -786,7 +788,7 @@ def centralized_scenarios(draw) -> Scenario:
     ids = scenario.ssp_ids
     if draw(st.booleans()):
         scenario = without_producers(scenario, draw(st.sampled_from(ids)))
-    rows = link_rows(scenario.connectivity)
+    rows = link_rows(scenario)
     for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)):
         if a != b:
             rows[a][b] = rows[b][a] = 0
@@ -808,9 +810,8 @@ def centralized_scenarios(draw) -> Scenario:
             rows[row_id][col_id] = 1
         low = draw(st.sampled_from([0.0, 0.0, 1.0, 6.0, 40.0]))
         lines.append(LineConstraint(row_id, col_id, low, draw(st.sampled_from([2.0, 8.0, 50.0]).filter(lambda high: high >= low))))
-    scenario = replace(
-        scenario, connectivity=connectivity(rows, scenario.ssps), line_constraints=LineConstraintSet(tuple(lines)) if lines else None
-    )
+    ssps, ssp_links = linked(rows, scenario.ssps)
+    scenario = replace(scenario, ssps=ssps, ssp_links=ssp_links, line_constraints=LineConstraintSet(tuple(lines)) if lines else None)
     assert validate_scenario(scenario) == []
     return scenario
 
@@ -847,5 +848,5 @@ def test_centralized_equals_the_per_pair_expansion(scenario):
     assert check_matching_feasibility(view, cm, fx) == []
     # lines on the pairs the merged view has hold for every cell
     for lc in scenario.line_constraints.constraints if scenario.line_constraints else ():
-        if lc.col_id == UTILITY_ID or view.connectivity.connected(lc.row_id, lc.col_id):
+        if lc.col_id == UTILITY_ID or view.links.get(lc.row_id, lc.col_id):
             assert lc.min_kwh - 1e-6 <= cm.get(lc.row_id, lc.col_id) <= lc.max_kwh + 1e-6, lc

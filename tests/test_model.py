@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from sspsim.model import (
     UTILITY_ID,
     CommitmentMatrix,
-    ConnectivityMatrix,
     LineConstraint,
     LineConstraintSet,
     LinkBlock,
@@ -26,7 +25,7 @@ from sspsim.model import (
     validate_scenario,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import connectivity, link_rows, preference_table
+from tests.conftest import link_rows, linked, preference_table
 from tests.oracles import reference_validate_connectivity, reference_validate_preferences
 
 
@@ -77,14 +76,11 @@ def stored_as_read(scenario: Scenario, fact: str, value: object) -> Scenario:
         side, sub_id = ("consumers", "AC2") if fact == "consumer-kind" else ("producers", "PP1")
         subs = tuple(replace(s, kind=SubscriberKind(value)) if s.id == sub_id else s for s in getattr(cfg, side))
         return replace(scenario, ssps=(replace(cfg, **{side: subs}),))
-    if fact == "rank":
-        prefs = cfg.preferences
-        ranks = prefs.to_rows()
-        ranks["AC2"][prefs.col_at["PP1"]] = value
-        return replace(scenario, ssps=(replace(cfg, preferences=PreferenceTable.from_rows(prefs.cols, ranks)),))
-    rows = link_rows(scenario.connectivity)
-    rows["AC2"]["PP1"] = value
-    return replace(scenario, connectivity=connectivity(rows, scenario.ssps))
+    kind, name = (PreferenceTable, "preferences") if fact == "rank" else (LinkBlock, "links")
+    table = getattr(cfg, name)
+    rows = table.to_rows()
+    rows["AC2"][table.col_at["PP1"]] = value
+    return replace(scenario, ssps=(replace(cfg, **{name: kind.from_rows(table.cols, rows)}),))
 
 
 def with_entry(data: dict, fact: str, value: object) -> dict:
@@ -111,7 +107,7 @@ def small_ssp(priorities=(0.5, 0.5), bounds=(0.0, 0.0)) -> SSPConfig:
 def scenario_of(ssp: SSPConfig, rows=None) -> Scenario:
     if rows is None:
         rows = {c.id: {"p1": 1, UTILITY_ID: 1} for c in ssp.consumers}
-    return Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 1)
+    return Scenario(*linked(rows, (ssp,)), MatchingWeights(), None, 1)
 
 
 class TestValidateScenario:
@@ -200,18 +196,19 @@ class TestValidateScenario:
         lines = LineConstraintSet((LineConstraint("S1.C1", col_id, 0.0, 2.0),))
         assert validate_scenario(replace(pair_scenario, line_constraints=lines)) == []
 
-    @pytest.mark.parametrize("linked", [False, True], ids=["ssps-unlinked", "ssps-linked"])
-    def test_line_to_another_ssp_reads_the_link_between_the_ssps(self, pair_scenario, linked):
+    @pytest.mark.parametrize("ssps_linked", [False, True], ids=["ssps-unlinked", "ssps-linked"])
+    def test_line_to_another_ssp_reads_the_link_between_the_ssps(self, pair_scenario, ssps_linked):
         # the engine offers across SSPs only where N(home SSP, SSP) is set, so
         # a consumer's own row entry for S2 decides nothing: it is set here
         # exactly when the SSPs are unlinked
-        rows = link_rows(pair_scenario.connectivity)
-        if not linked:
+        rows = link_rows(pair_scenario)
+        if not ssps_linked:
             rows["S1.C1"]["S2"] = 1
             del rows["S1"], rows["S2"]
+        ssps, ssp_links = linked(rows, pair_scenario.ssps)
         lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 3.0, 9.0),))
-        scenario = replace(pair_scenario, connectivity=connectivity(rows, pair_scenario.ssps), line_constraints=lines)
-        named = [] if linked else [("(S1.C1, S2)", "line-bounds-allow-unused")]
+        scenario = replace(pair_scenario, ssps=ssps, ssp_links=ssp_links, line_constraints=lines)
+        named = [] if ssps_linked else [("(S1.C1, S2)", "line-bounds-allow-unused")]
         assert [(v.entity, v.rule) for v in validate_scenario(scenario)] == named
 
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
@@ -229,17 +226,11 @@ class TestValidateScenario:
         producers = (Subscriber("x", SubscriberKind.ACTIVE_PRODUCER, 1.0),)
         ssp = SSPConfig(UTILITY_ID, consumers, producers, preference_table({"x": {"x": 1}}))
         rows = {"x": {"x": 1, UTILITY_ID: 1}}
-        rules = {v.rule for v in validate_scenario(Scenario((ssp,), connectivity(rows, (ssp,)), MatchingWeights(), None, 0))}
+        rules = {v.rule for v in validate_scenario(Scenario(*linked(rows, (ssp,)), MatchingWeights(), None, 0))}
         assert "unique-ids" in rules and "reserved-id" in rules
 
     def test_nonpositive_w2_is_flagged(self):
-        bad = Scenario(
-            (small_ssp(),),
-            connectivity({c: {"p1": 1, UTILITY_ID: 1} for c in ("c1", "c2")}, (small_ssp(),)),
-            MatchingWeights(w2=0.0),
-            None,
-            0,
-        )
+        bad = replace(scenario_of(small_ssp()), weights=MatchingWeights(w2=0.0))
         assert any(v.rule == "w2-positive" for v in validate_scenario(bad))
 
     def test_missing_preference_rank_is_flagged(self):
@@ -267,7 +258,7 @@ class TestValidateScenario:
             "s1": {"s2": 1},
             "s2": {},
         }
-        sc = Scenario((ssp_a, ssp_b), connectivity(rows, (ssp_a, ssp_b)), MatchingWeights(), None, 0)
+        sc = Scenario(*linked(rows, (ssp_a, ssp_b)), MatchingWeights(), None, 0)
         assert any(v.rule == "interssp-symmetric" for v in validate_scenario(sc))
 
     @pytest.mark.parametrize("fact,value,violation", JUDGED_BY_VALIDATION + MISPLACED_KINDS)
@@ -285,41 +276,34 @@ class TestValidateScenario:
     def test_a_link_block_header_listing_a_column_twice_is_named(self, worked_scenario):
         rows = {"AC1": [1, 1, 1, 1, 0], "AC2": [1, 1, 1, 1, 0], "AC3": [1, 1, 1, 1, 0], "PC1": [1, 1, 1, 1, 0]}
         block = LinkBlock.from_rows(("AP1", "AP2", "PP1", UTILITY_ID, "AP2"), rows)
-        scenario = replace(worked_scenario, connectivity=ConnectivityMatrix(consumers={"S1": block}))
+        scenario = replace(worked_scenario, ssps=(replace(worked_scenario.ssps[0], links=block),))
         assert [str(v) for v in validate_scenario(scenario)] == [
             "S1: connectivity-header-unique (column AP2 listed more than once)"
         ]
         # the first AP2 column is the one read
-        assert scenario.connectivity.connected("AC1", "AP2")
+        assert block.get("AC1", "AP2")
 
     @pytest.mark.parametrize(
         "case,expected",
         [
             ("ssp-in-a-consumer-block", ["S1: connectivity-row-resolves (not a row of the block of SSP S1)"]),
             ("consumer-in-the-ssp-block", ["AC1: connectivity-row-resolves (not a row of the SSP block)"]),
-            ("unknown-row-in-an-unknown-block", ["X: connectivity-row-resolves (unknown row id)"]),
-            # the SSP block is searched first, so its copy of AC1, with N(AC1, U) = 0, is the one read
-            (
-                "consumer-in-both-blocks",
-                [
-                    "AC1: connectivity-row-resolves (not a row of the SSP block)",
-                    "AC1: utility-reachable (consumer must have N(i, U) = 1)",
-                ],
-            ),
+            # N(AC1, U) is read from AC1's own block, so the SSP block's copy without it decides nothing
+            ("consumer-in-both-blocks", ["AC1: connectivity-row-resolves (not a row of the SSP block)"]),
         ],
     )
     def test_a_row_outside_its_block_is_named(self, worked_scenario, case, expected):
         # a row goes in the SSP block, or in the block of its own SSP's consumers
-        home = worked_scenario.connectivity.consumers["S1"]
+        cfg = worked_scenario.ssps[0]
+        home = cfg.links
         rows, width = home.to_rows(), len(home.cols)
         no_utility = [int(col_id != UTILITY_ID) for col_id in home.cols]
-        n = {
-            "ssp-in-a-consumer-block": lambda: ConnectivityMatrix(consumers={"S1": LinkBlock.from_rows(home.cols, {**rows, "S1": [0] * width})}),
-            "consumer-in-the-ssp-block": lambda: ConnectivityMatrix(LinkBlock.from_rows(home.cols, {"AC1": [1] * width}), {"S1": home}),
-            "unknown-row-in-an-unknown-block": lambda: ConnectivityMatrix(consumers={"S1": home, "S9": LinkBlock.from_rows(home.cols, {"X": [1] * width})}),
-            "consumer-in-both-blocks": lambda: ConnectivityMatrix(LinkBlock.from_rows(home.cols, {"AC1": no_utility}), {"S1": home}),
+        ssp_links, links = {
+            "ssp-in-a-consumer-block": lambda: (worked_scenario.ssp_links, LinkBlock.from_rows(home.cols, {**rows, "S1": [0] * width})),
+            "consumer-in-the-ssp-block": lambda: (LinkBlock.from_rows(home.cols, {"AC1": [1] * width}), home),
+            "consumer-in-both-blocks": lambda: (LinkBlock.from_rows(home.cols, {"AC1": no_utility}), home),
         }[case]()
-        scenario = replace(worked_scenario, connectivity=n)
+        scenario = replace(worked_scenario, ssps=(replace(cfg, links=links),), ssp_links=ssp_links)
         assert [str(v) for v in validate_scenario(scenario)] == expected
         assert validate_scenario(scenario) == reference_validate_connectivity(scenario, ["S1"])
 
@@ -517,7 +501,7 @@ def mutated_scenarios(draw) -> Scenario:
     # each SSP's header and rows, edited in place
     headers = {cfg.id: list(cfg.preferences.cols) for cfg in scenario.ssps}
     ranks = {cfg.id: cfg.preferences.to_rows() for cfg in scenario.ssps}
-    rows = link_rows(scenario.connectivity)
+    rows = link_rows(scenario)
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
         cfg = draw(st.sampled_from(scenario.ssps))
         header, table = headers[cfg.id], ranks[cfg.id]
@@ -571,7 +555,8 @@ def mutated_scenarios(draw) -> Scenario:
         replace(cfg, preferences=PreferenceTable.from_rows(headers[cfg.id], ranks[cfg.id]))
         for cfg in draw(st.permutations(scenario.ssps))
     )
-    return replace(scenario, ssps=ssps, connectivity=connectivity(rows, ssps))
+    ssps, ssp_links = linked(rows, ssps)
+    return replace(scenario, ssps=ssps, ssp_links=ssp_links)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ from sspsim.model import (
     UTILITY_ID,
     LineConstraint,
     LineConstraintSet,
+    LinkBlock,
     MatchingWeights,
     Scenario,
     SSPConfig,
@@ -38,7 +39,7 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import connectivity, link_rows, preference_table
+from tests.conftest import link_rows, linked, preference_table
 from tests.test_matching import study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -73,22 +74,23 @@ def triangle_scenario() -> Scenario:
         "S2": {"S1": 1, "S3": 1},
         "S3": {"S1": 1, "S2": 1},
     }
-    return Scenario((s1, s2, s3), connectivity(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
+    return Scenario(*linked(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
 
 
 class TestPartnerLists:
     @staticmethod
     def scenario() -> Scenario:
-        """Six SSPs with the links S01-S02 and S03-S05, which the coalition map has, cut from the connectivity."""
+        """Six SSPs with the links S01-S02 and S03-S05, which the coalition map has, cut from the SSP links."""
         scenario = generate_scenario(GeneratorSpec(n_ssps=6, consumers_per_ssp=2, producers_per_ssp=1, supply_mean_kwh=24.0, seed=3))
-        rows = link_rows(scenario.connectivity)
+        n = scenario.ssp_links
+        values = n.values.copy()
         for a, b in (("S01", "S02"), ("S03", "S05")):
-            rows[a][b] = rows[b][a] = 0
-        return replace(scenario, connectivity=connectivity(rows, scenario.ssps))
+            values[n.row_at[a], n.col_at[b]] = values[n.row_at[b], n.col_at[a]] = 0
+        return replace(scenario, ssp_links=LinkBlock(n.rows, n.cols, values))
 
     @pytest.mark.parametrize("kind", ["meshed", "coalition", "file", "foreign-and-reversed-edges"])
     def test_the_edge_index_gives_the_pairwise_lists(self, kind):
-        # one index over the map's edges, against a connected() call per pair
+        # one index over the map's edges, against a connected() and an SSP link read per pair
         scenario = self.scenario()
         ids = scenario.ssp_ids
         if kind == "meshed":
@@ -102,12 +104,23 @@ class TestPartnerLists:
             # an SSP the scenario lacks, and a pair written high id first, which connected() does not read
             anm = ActualNeighborhoodMap(("S01", "S02", "S04", "S09"), frozenset({("S01", "S09"), ("S04", "S01"), ("S02", "S04")}))
         expected = {
-            a: [b for b in sorted(ids) if b != a and anm.connected(a, b) and scenario.connectivity.connected(a, b)]
+            a: [b for b in sorted(ids) if b != a and anm.connected(a, b) and scenario.ssp_links.get(a, b)]
             for a in sorted(ids)
         }
         got = _partner_lists(scenario, anm)
         assert list(got.items()) == list(expected.items())
         assert any(got.values()) or kind == "foreign-and-reversed-edges"
+
+
+def test_a_view_holds_its_own_ssps_links_and_no_other():
+    # each SSP matches inside its own domain: the view of an SSP, and the view
+    # each engine agent keeps, hold that SSP's block and no other SSP's
+    scenario = generate_scenario(GeneratorSpec(n_ssps=4, consumers_per_ssp=2, producers_per_ssp=2, seed=3))
+    for ssp_id, partners in _partner_lists(scenario, meshed_map(scenario.ssp_ids)).items():
+        cfg = scenario.ssp(ssp_id)
+        assert view_for_ssp(scenario, ssp_id).links is cfg.links
+        assert _Agent(cfg, scenario, partners, scenario.weights).view.links is cfg.links
+        assert cfg.links.rows == tuple(c.id for c in cfg.consumers)
 
 
 class TestRunEngine:
@@ -140,7 +153,7 @@ class TestRunEngine:
         )
         surplus = SSPConfig("S1", (), (Subscriber("S1.P1", AP, 51.0),), preference_table({}))
         rows = {"S2.C1": {UTILITY_ID: 1}, "S1": {"S2": 1}, "S2": {"S1": 1}}
-        scenario = Scenario((surplus, deficit), connectivity(rows, (surplus, deficit)), MatchingWeights(), None, 0)
+        scenario = Scenario(*linked(rows, (surplus, deficit)), MatchingWeights(), None, 0)
         result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=0)
         claims = [r for r in result.log if r.kind == CLAIM_KIND]
         assert len(claims) == 1
@@ -217,8 +230,7 @@ class TestRunEngine:
 
     def test_invalid_scenario_rejected(self, pair_scenario):
         broken = Scenario(
-            pair_scenario.ssps,
-            connectivity({"S1.C1": {"S1.P1": 1, UTILITY_ID: 0}}, pair_scenario.ssps),
+            *linked({"S1.C1": {"S1.P1": 1, UTILITY_ID: 0}}, pair_scenario.ssps),
             pair_scenario.weights,
             None,
             0,
@@ -257,7 +269,7 @@ class TestRunEngine:
         )
         rows = {"S1.C1": {"S1.P1": 1, UTILITY_ID: 1}}
         lines = LineConstraintSet((LineConstraint(UTILITY_ID, "S1.P1", 0.0, 2.0),))
-        broken = Scenario((s1,), connectivity(rows, (s1,)), MatchingWeights(), lines, 0)
+        broken = Scenario(*linked(rows, (s1,)), MatchingWeights(), lines, 0)
         with pytest.raises(InvalidScenarioError, match=r"\(U, S1.P1\): line-not-sell-back"):
             run_engine(broken, meshed_map(broken.ssp_ids))
 
@@ -285,7 +297,7 @@ class TestRunEngine:
             "S2": {"S1": 1, "S3": 1},
             "S3": {"S1": 1, "S2": 1},
         }
-        scenario = Scenario((s1, s2, s3), connectivity(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
+        scenario = Scenario(*linked(rows, (s1, s2, s3)), MatchingWeights(), None, 0)
         for seed in range(4):
             result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=seed)
             # supply 15 vs demand 11: exactly 4 kWh must face the Utility
@@ -522,11 +534,13 @@ def floored_study2(min_kwh: float) -> Scenario:
     """Six study-2 SSPs where S01.C02 is linked to S03 with a line floor; S03's
     offers to S01 are priced out without it."""
     study2 = study2_scenario(n_ssps=6)
-    rows = link_rows(study2.connectivity)
+    rows = link_rows(study2)
     rows["S01.C02"]["S03"] = 1
+    ssps, ssp_links = linked(rows, study2.ssps)
     return replace(
         study2,
-        connectivity=connectivity(rows, study2.ssps),
+        ssps=ssps,
+        ssp_links=ssp_links,
         line_constraints=LineConstraintSet(
             (*study2.line_constraints.constraints, LineConstraint("S01.C02", "S03", min_kwh, 50.0))
         ),

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sspsim.scenario
-from sspsim.model import UTILITY_ID, LineConstraint, LineConstraintSet, PreferenceTable, SubscriberKind, energy_status, validate_scenario
+from sspsim.model import UTILITY_ID, LineConstraint, LineConstraintSet, LinkBlock, PreferenceTable, SubscriberKind, energy_status, validate_scenario
 from sspsim.scenario import (
     PREFERENCE_MODE,
     GeneratorSpec,
@@ -201,6 +201,20 @@ class TestPersistence:
         with pytest.raises(ScenarioFormatError, match=r"^connectivity\.consumers\[S1\]\.cols\[4\]: expected a string, got 7$"):
             scenario_from_dict(data)
 
+    def test_each_link_block_goes_to_its_ssp_and_an_ssp_without_one_has_no_links(self):
+        scenario = generate_scenario(GeneratorSpec(n_ssps=3, consumers_per_ssp=2, producers_per_ssp=1, seed=2))
+        data = scenario_to_dict(scenario)
+        blocks = data["connectivity"]["consumers"]
+        # the writer emits one block per SSP, in SSP order; the loader reads them in any order
+        assert list(blocks) == ["S01", "S02", "S03"]
+        data["connectivity"]["consumers"] = {"S03": blocks["S03"], "S01": blocks["S01"]}
+        loaded = scenario_from_dict(data)
+        no_links = LinkBlock.from_rows((), {})
+        assert [cfg.links for cfg in loaded.ssps] == [scenario.ssps[0].links, no_links, scenario.ssps[2].links]
+        assert [str(v) for v in validate_scenario(loaded)] == [
+            f"S02.C0{k}: utility-reachable (consumer must have N(i, U) = 1)" for k in (1, 2)
+        ]
+
     def test_a_row_key_that_is_not_a_string_is_named_by_validation(self, worked_scenario):
         # a dict built in Python, not parsed from JSON, may carry other keys;
         # a row key is read as its str, and validation names the row
@@ -258,7 +272,7 @@ def test_a_table_holds_what_it_can_and_validation_judges_it(worked_scenario, fac
     loaded = scenario_from_dict(data)
     stored = {
         "rank": loaded.ssps[0].preferences.get("AC2", "PP1") or None,
-        "link": loaded.connectivity.consumers["S1"].get("AC2", "PP1"),
+        "link": loaded.ssps[0].links.get("AC2", "PP1"),
         "seed": loaded.seed,
     }[fact]
     # the seed is stored as read, NaN included
@@ -309,21 +323,16 @@ def test_a_generated_scenario_loads_as_it_was_generated(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("round-trip") / "scenario.json"
     save_scenario(scenario, str(path))
     loaded = load_scenario(str(path))
-    for got, want in zip(loaded.ssps, scenario.ssps):
-        assert (got.preferences.rows, got.preferences.cols) == (want.preferences.rows, want.preferences.cols)
-        assert np.array_equal(got.preferences.values, want.preferences.values)
-    got_blocks, want_blocks = loaded.connectivity.blocks(), scenario.connectivity.blocks()
-    assert [(k, b.rows, b.cols) for k, b in got_blocks] == [(k, b.rows, b.cols) for k, b in want_blocks]
-    assert all(np.array_equal(got.values, want.values) for (_, got), (_, want) in zip(got_blocks, want_blocks))
+    tables = [(loaded.ssp_links, scenario.ssp_links)]
+    tables += [(table(got), table(want)) for got, want in zip(loaded.ssps, scenario.ssps) for table in (lambda cfg: cfg.preferences, lambda cfg: cfg.links)]
     row_ids = [*scenario.ssp_ids, *(c.id for cfg in scenario.ssps for c in cfg.consumers), "X"]
     col_ids = [*scenario.ssp_ids, *(p.id for cfg in scenario.ssps for p in cfg.producers), UTILITY_ID, "X"]
-    for got, want in zip(loaded.ssps, scenario.ssps):
+    for got, want in tables:
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert np.array_equal(got.values, want.values)
         for row_id in row_ids:
             for col_id in col_ids:
-                assert got.preferences.get(row_id, col_id) == want.preferences.get(row_id, col_id)
-    for row_id in row_ids:
-        for col_id in col_ids:
-            assert loaded.connectivity.connected(row_id, col_id) == scenario.connectivity.connected(row_id, col_id)
+                assert got.get(row_id, col_id) == want.get(row_id, col_id)
     assert loaded == scenario
 
 
