@@ -13,10 +13,11 @@ takes, are derived after the solve. Minimised objective, per chosen weights:
   when it avoids Utility interaction, never to overfill flexible demand.
 
 Constraints: per-producer supply caps, the per-consumer demand window
-fx(i)*Dc(i) <= served <= Dc(i), flexibility bounds, optional per-pair line
-bounds and, inside the protocol, a reservation row that keeps already-exported
-energy deliverable. Utility purchase columns are unbounded above, which makes
-every instance feasible.
+fx(i)*Dc(i) <= served <= Dc(i), flexibility bounds, optional line bounds on
+local cells and purchases and, inside the protocol, a reservation row that
+keeps already-exported energy deliverable. Utility purchase columns are
+unbounded above, which makes every instance feasible unless its lines
+conflict.
 
 Besides the matrix, a solve returns the consumers' prices: minus the dual of
 each demand row, i.e. the reward the consumer's marginal kWh earns now (minus
@@ -31,11 +32,10 @@ the entries of the supply and demand rows. ``_build`` and
 maps the solver status to an error for both. Every row but the export
 reservation lists its entries in column order, so each builder sorts its
 (row, column, value) entries once. ``PairTable`` holds what an agent's LP
-keeps across solves (the local columns, the reward of every (consumer,
-partner) pair, and the lines on such pairs) as arrays, built once per agent
-with whole-row operations. Every reward per kWh comes from ``_Rewards.__call__``
-alone, evaluated over arrays in one order of operations. Solutions are read
-back with array masks.
+keeps across solves (the local columns and the reward of every (consumer,
+partner) pair) as arrays, built once per agent with whole-row operations.
+Every reward per kWh comes from ``_Rewards.__call__`` alone, evaluated over
+arrays in one order of operations. Solutions are read back with array masks.
 
 The centralized baseline (``solve_centralized``) is one LP over every
 subscriber of every SSP, in transshipment form (Ahuja, Magnanti & Orlin,
@@ -53,9 +53,9 @@ The pool row is ``<=`` rather than ``=`` (production exported to a pool that
 nobody draws on is simply not placed), so its slack starts the simplex and
 the LP needs no phase 1 for it.
 
-A line bounds a local cell or a purchase (``line-decided-flow`` rejects one
-on a remote producer), and an import takes no (consumer, SSP) line: the
-per-pair form has no column for it, so there the baseline relaxes the runs.
+A line bounds a local cell or a purchase, the flows one SSP's LP decides
+alone (``line-decided-flow`` rejects any other); a partner's column, and so an
+import, is never bounded. Both LPs therefore apply every line exactly.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class MatchingStructureError(ValueError):
 
 
 class MatchingInfeasibleError(RuntimeError):
-    """Only possible when line constraints pin flows inconsistently."""
+    """Only possible when one SSP's line constraints pin its flows inconsistently."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _bounds(line: LineConstraint) -> tuple[float, float]:
 def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], lines: LineConstraintSet | None) -> _Flex:
     purchase_lower, purchase_upper = np.zeros(len(consumers)), np.full(len(consumers), math.inf)
     for k, consumer in enumerate(consumers):
-        line = lines.lookup(consumer.id, UTILITY_ID) if lines is not None else None
+        line = lines.of_row(consumer.id).get(UTILITY_ID) if lines is not None else None
         if line is not None:
             purchase_lower[k], purchase_upper[k] = _bounds(line)
     cut_of = [k for k, c in enumerate(consumers) if c.bound > 0.0]
@@ -288,11 +288,11 @@ class PairTable:
     its own and hands it to every re-solve. It holds the local cm columns
     (per consumer, those of its connected local producers in producer order,
     with their rewards and line bounds); the reward of every (consumer,
-    partner) pair (``partner_rewards``, consumers x sorted partners) and the
-    lines on such pairs (``partner_lines``); the purchase, cut and stretch columns (``flex``; sell-backs
-    have none: they are derived from the solution); and ``rewards``, whose
-    beta and stretch penalty depend on the rank of every partner, live or
-    not. ``columns`` lays out the cm columns of one solve.
+    partner) pair (``partner_rewards``, consumers x sorted partners); the
+    purchase, cut and stretch columns (``flex``; sell-backs have none: they
+    are derived from the solution); and ``rewards``, whose beta and stretch
+    penalty depend on the rank of every partner, live or not. ``columns``
+    lays out the cm columns of one solve.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -320,11 +320,8 @@ class PairTable:
         self.local_reward = self.rewards.of_pairs[:n_local]
         self.partner_rewards = self.rewards.of_pairs[n_local:].reshape(n_cons, n_partners)
 
-        # line bounds, only where a line exists: in the local columns, and by
-        # partner as (consumer index, lower, upper); partners that a line with
-        # a positive minimum ties to some consumer are ``floored``
+        # line bounds of the local columns, only where a line exists
         self.local_lower, self.local_upper = np.zeros(n_local), np.full(n_local, math.inf)
-        self.partner_lines: dict[str, list[tuple[int, float, float]]] = {}
         for k, consumer_id in enumerate(self.consumer_ids):
             row_lines = lines.of_row(consumer_id) if lines is not None else {}
             if not row_lines:
@@ -334,9 +331,6 @@ class PairTable:
             for col_id, line in row_lines.items():
                 if col_id in at:
                     self.local_lower[at[col_id]], self.local_upper[at[col_id]] = _bounds(line)
-                elif col_id in self._partner_at:
-                    self.partner_lines.setdefault(col_id, []).append((k, *_bounds(line)))
-        self.floored = frozenset(p for p, bounded in self.partner_lines.items() if any(low > 0.0 for _, low, _ in bounded))
         self.flex = _flex(consumers, view.producers, lines)
         self.supply_names = [f"supply[{p}]" for p in self.producer_ids]
         self.demand_names = [f"demand[{c}]" for c in self.consumer_ids]
@@ -347,8 +341,8 @@ class PairTable:
 
     def columns(self, live: list[str]) -> _CmColumns:
         """The cm columns of a solve with the partners ``live``, consumer-major: a
-        consumer's local columns, then one per live partner. Supplier indices
-        count the local producers, then the live partners."""
+        consumer's local columns, then one per live partner, in [0, inf).
+        Supplier indices count the local producers, then the live partners."""
         n_cons, n_live, n_local = len(self.consumer_ids), len(live), self.local_consumer.size
         q = np.array([self._partner_at[p] for p in live], dtype=np.intp)
         counts = self.local_count + n_live
@@ -362,16 +356,12 @@ class PairTable:
             out[at_partner] = partner_part
             return out
 
-        lower, upper = np.zeros((n_cons, n_live)), np.full((n_cons, n_live), math.inf)
-        for at, partner_id in enumerate(live):
-            for k, low, high in self.partner_lines.get(partner_id, ()):
-                lower[k, at], upper[k, at] = low, high
         partner_names = [[f"cm[{c}][{p}]" for p in live] for c in self.consumer_ids]
         return _CmColumns(
             np.repeat(np.arange(n_cons), counts),
             placed(self.local_producer, len(self.producer_ids) + np.arange(n_live), np.intp),
-            placed(self.local_lower, lower),
-            placed(self.local_upper, upper),
+            placed(self.local_lower, 0.0),
+            placed(self.local_upper, math.inf),
             placed(self.local_reward, self.partner_rewards[:, q]),
             placed(self.local_names, np.array(partner_names, dtype=object).reshape(n_cons, n_live), object).tolist(),
         )
@@ -388,17 +378,11 @@ class PairTable:
         new columns, whose reduced cost is prices[i] - reward(i, q). Weak
         duality then bounds the new optimum below by the old one minus
         max_i (reward(i, q) - prices[i])+ times the offered kWh, as the
-        block's columns carry at most that many kWh. The bound holds for
-        every feasible point, but a line with a positive minimum on a
-        (consumer, partner) pair can make the LP infeasible, which only a
-        solve reports: such an offer (its partner is in ``floored``) always
-        needs one.
+        block's columns carry at most that many kWh.
         """
         if offer is None:
             return False
         partner_id, kwh = offer
-        if partner_id in self.floored:
-            return True
         now = np.fromiter(map(prices.__getitem__, self.consumer_ids), float, len(self.consumer_ids))
         gain = float((self.partner_rewards[:, self._partner_at[partner_id]] - now).max(initial=0.0))
         return gain * kwh > tol
@@ -775,7 +759,7 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     counts = np.concatenate([np.zeros(0, dtype=np.intp), *counts])
     consumer_of = np.repeat(np.arange(n_cons), counts)
     lower, upper = np.zeros(consumer_of.size), np.full(consumer_of.size, math.inf)
-    # a line bounds a local cell; a (consumer, SSP) line bounds no column: an import is unbounded
+    # a line bounds a local cell; an import is unbounded
     for consumer, start, local in zip(consumers, (np.cumsum(counts) - counts).tolist(), n_local):
         row_lines = lines.of_row(consumer.id) if lines is not None else {}
         for i, j in enumerate(cm_supplier[start : start + local].tolist() if row_lines else ()):

@@ -272,9 +272,6 @@ class LineConstraintSet:
             by_row.setdefault(c.row_id, {}).setdefault(c.col_id, c)
         object.__setattr__(self, "_by_row", by_row)
 
-    def lookup(self, row_id: str, col_id: str) -> LineConstraint | None:
-        return self.of_row(row_id).get(col_id)
-
     def of_row(self, row_id: str) -> Mapping[str, LineConstraint]:
         """The line of each column that has one with row ``row_id``."""
         return self._by_row.get(row_id, {})
@@ -405,17 +402,17 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             out.append(Violation("weights", "weight-nonnegative", f"{w_name} < 0"))
 
     if scenario.line_constraints is not None:
-        # a run decides a consumer's flows from the Utility, from the producers
-        # of its SSP and from other SSPs, and no other flow
+        # one SSP's LP alone decides a consumer's flows from the Utility and
+        # from the producers of its SSP; a flow from another SSP also needs
+        # that SSP's offer, so a bound on it could not be kept
         home_of = {c.id: cfg for cfg in scenario.ssps for c in cfg.consumers}
         producer_ssp = {p.id: cfg.id for cfg in scenario.ssps for p in cfg.producers}
-        ssp_set = set(ssp_ids)
         bounded: set[tuple[str, str]] = set()
         for lc in scenario.line_constraints.constraints:
             pair = f"({lc.row_id}, {lc.col_id})"
             home = home_of.get(lc.row_id)
             if (lc.row_id, lc.col_id) in bounded:
-                # LineConstraintSet.lookup would silently apply only the first
+                # LineConstraintSet.of_row would silently apply only the first
                 out.append(Violation(pair, "line-unique", "more than one line constraint for the pair"))
             bounded.add((lc.row_id, lc.col_id))
             # max_kwh = +inf means no upper bound, but no flow can meet a NaN
@@ -428,21 +425,15 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             if lc.row_id == UTILITY_ID:
                 # a sell-back is the production nobody takes, not a decision
                 out.append(Violation(pair, "line-not-sell-back", "sell-backs cm(U, j) are derived and take no bound"))
-            elif home is None or not (
-                lc.col_id == UTILITY_ID or producer_ssp.get(lc.col_id) == home.id or (lc.col_id in ssp_set and lc.col_id != home.id)
-            ):
-                out.append(Violation(pair, "line-decided-flow", "not a consumer's flow from U, its SSP's producer or another SSP"))
+            elif home is None or not (lc.col_id == UTILITY_ID or producer_ssp.get(lc.col_id) == home.id):
+                out.append(Violation(pair, "line-decided-flow", "not a consumer's flow from U or its SSP's producer"))
             elif undefined:
                 out.append(Violation(pair, "line-bound-defined", ", ".join(undefined)))
             elif lc.min_kwh > lc.max_kwh:
                 out.append(Violation(pair, "line-bounds-ordered", f"min {lc.min_kwh} > max {lc.max_kwh}"))
             elif lc.max_kwh < 0.0:
                 out.append(Violation(pair, "line-max-nonnegative", f"max {lc.max_kwh} < 0; flows are non-negative"))
-            elif not (lc.min_kwh <= 0.0 <= lc.max_kwh) and not (
-                # a consumer reaches another SSP by its own SSP's link, N(home, SSP), the
-                # entry the engine reads; an entry N(consumer, SSP) in its block carries nothing
-                scenario.ssp_links.get(home.id, lc.col_id) if lc.col_id in ssp_set else home.links.get(lc.row_id, lc.col_id)
-            ):
+            elif not (lc.min_kwh <= 0.0 <= lc.max_kwh) and not home.links.get(lc.row_id, lc.col_id):
                 out.append(Violation(pair, "line-bounds-allow-unused", "disconnected pair must admit zero flow"))
 
     seed = scenario.seed

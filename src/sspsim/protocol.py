@@ -32,8 +32,6 @@ cases:
    locked at their accepted values and exports only tighten the reservation
    row. Its optimum cannot fall below ``best_solution``.
 2. An offer (q, base, bound) that ``PairTable.offer_can_improve`` prices out:
-   no (consumer, q) line has a positive minimum (such a line can make the LP
-   infeasible, and the solve must report that), and
    floor - max_i (reward(i, q) - prices[i])+ * base * (1 + bound)
    >= best_solution - IMPROVE_TOL / 2.
    The certificate's LP plus q's block has the certificate's duals, with 0
@@ -45,12 +43,12 @@ cases:
    beat ``best_solution`` by IMPROVE_TOL, the acceptance margin; the other
    half of the margin absorbs the solver's rounding.
 
-A solve of an offer from p that is feasible but not accepted hands its
-objective and prices over as the new certificate when its objective is at
-least ``best_solution - IMPROVE_TOL / 2`` (a lower floor could price out
-nothing) and no (consumer, p) line has a positive minimum. The current LP is
-that LP with p's columns (and p's stretch) fixed at 0, which their lower
-bounds of 0 allow; so the current optimum is at least its objective, and the
+A solve of an offer from p that is not accepted hands its objective and
+prices over as the new certificate when its objective is at least
+``best_solution - IMPROVE_TOL / 2`` (a lower floor could price out nothing).
+The current LP is that LP with p's columns (and p's stretch) fixed at 0,
+which their lower bounds of 0 allow (a line never bounds a partner's
+column); so the current optimum is at least its objective, and the
 embedding above carries over. Equivalently, its duals restricted to the
 current LP's rows stay dual feasible, and dropping p's supply row (dual <= 0
 against a non-negative offer) only raises their value. This matters because
@@ -58,12 +56,13 @@ an accepted LP is often primal degenerate: its duals are one of many optimal
 ones, and the prices of a later, non-improving solve can price out offers
 that the accepted ones let through.
 
-An offer can also make the receiver's LP infeasible: a line with a positive
-minimum on a (consumer, sender) pair asks for more than the offer holds. The
-receiver then declines it with a 0 claim, as it declines an offer that does
-not improve its solution; the solve still counts. Without an offer the LP
-always has the all-Utility point unless the lines themselves conflict, and an
-infeasible solve there still raises ``MatchingInfeasibleError``.
+Only an SSP's own lines can make its LP infeasible: minimums above what its
+subscribers hold, or purchase caps that its producers cannot make up. A
+feasible first solve is always accepted, and every later LP stays feasible
+(claims are locked at accepted values, and exports come out of the accepted
+surplus), while an offer only adds columns that may stay at 0. So only an
+SSP's first solve, with or without an offer, can be infeasible; it raises
+``MatchingInfeasibleError`` and ends the run.
 
 ``MatchingResult`` counts the solves made (``lp_solves``) and the offers
 priced out (``offers_priced_out``); neither enters an artifact.
@@ -82,7 +81,6 @@ from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
     RESIDUAL_TOL,
     FlexibilityAssignment,
-    MatchingInfeasibleError,
     PairTable,
     PartnerCapacity,
     SspView,
@@ -213,9 +211,7 @@ class _Agent:
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
         """Re-solve the local LP; adopt the result only on strict improvement.
 
-        A solve that cannot improve is skipped (see the module docstring). An
-        offer that leaves the LP infeasible is declined; without an offer an
-        infeasible LP is a fault and raises ``MatchingInfeasibleError``."""
+        A solve that cannot improve is skipped (see the module docstring)."""
         if self.prices is not None:
             offer = None if transient is None else (transient[0], transient[1] * (1.0 + transient[2]))
             if not self.table.offer_can_improve(self.prices, offer, self.floor - self.best_solution + IMPROVE_TOL / 2):
@@ -227,26 +223,19 @@ class _Agent:
             src, base, bound = transient
             view = replace(view, partner_capacities={**view.partner_capacities, src: PartnerCapacity(base, bound)})
         self.lp_solves += 1
-        try:
-            cm, fx, objective, prices = solve_dist_matching(
-                view,
-                self.weights,
-                self.scenario.line_constraints,
-                locked_imports=self.locked,
-                committed_exports=self.total_exports(),
-                table=self.table,
-            )
-        except MatchingInfeasibleError:
-            if transient is None:
-                raise
-            return False
+        cm, fx, objective, prices = solve_dist_matching(
+            view,
+            self.weights,
+            self.scenario.line_constraints,
+            locked_imports=self.locked,
+            committed_exports=self.total_exports(),
+            table=self.table,
+        )
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = self.floor = objective
             self.cm, self.fx, self.prices = cm, fx, prices
             return True
-        # a certificate, unless a line floor keeps the offer's columns off 0
-        floored = transient is not None and transient[0] in self.table.floored
-        if objective >= self.best_solution - IMPROVE_TOL / 2 and not floored:
+        if objective >= self.best_solution - IMPROVE_TOL / 2:
             self.floor, self.prices = objective, prices
         return False
 

@@ -555,7 +555,7 @@ def _ref_rank(preferences: PreferenceTable, consumer_id: str, supplier_id: str) 
 
 def _ref_line_bounds(lines: LineConstraintSet | None, row_id: str, col_id: str) -> tuple[float, float]:
     if lines is not None:
-        lc = lines.lookup(row_id, col_id)
+        lc = lines.of_row(row_id).get(col_id)
         if lc is not None:
             return max(0.0, lc.min_kwh), lc.max_kwh
     return 0.0, math.inf
@@ -589,11 +589,9 @@ class ReferencePairTable:
     """``matching.PairTable`` with one LpVariable per local cm column and rewards read pair by pair."""
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
-        self._partners = frozenset(view.partner_capacities)
         self._preferences = view.preferences
-        self._lines = lines
         self._consumer_ids = [c.id for c in view.consumers]
-        partner_ids = sorted(self._partners)
+        partner_ids = sorted(view.partner_capacities)
         local_ids = [[p.id for p in view.producers if view.links.get(c.id, p.id)] for c in view.consumers]
         ranks = [
             [_ref_rank(view.preferences, consumer.id, supplier_id) for supplier_id in local + partner_ids]
@@ -611,13 +609,6 @@ class ReferencePairTable:
             ]
             for consumer, local, row in zip(view.consumers, local_ids, ranks)
         }
-        consumer_set = set(self._consumer_ids)
-        self.floored = frozenset(
-            lc.col_id
-            for lc in (lines.constraints if lines is not None else ())
-            if lc.row_id in consumer_set and lc.col_id in self._partners
-            and _ref_line_bounds(lines, lc.row_id, lc.col_id)[0] > 0.0
-        )
         self.flex = _ref_flex(view.consumers, view.producers, lines)
 
     def partner_reward(self, consumer_id: str, partner_id: str) -> float:
@@ -627,7 +618,7 @@ class ReferencePairTable:
         return [
             (
                 (consumer_id, partner_id),
-                LpVariable(f"cm[{consumer_id}][{partner_id}]", *_ref_line_bounds(self._lines, consumer_id, partner_id)),
+                LpVariable(f"cm[{consumer_id}][{partner_id}]"),
                 self.partner_reward(consumer_id, partner_id),
             )
             for consumer_id in self._consumer_ids
@@ -637,8 +628,6 @@ class ReferencePairTable:
         if offer is None:
             return False
         partner_id, kwh = offer
-        if partner_id in self.floored:
-            return True
         gain = 0.0
         for consumer_id in self._consumer_ids:
             gain = max(gain, self.partner_reward(consumer_id, partner_id) - prices[consumer_id])

@@ -14,10 +14,9 @@ import sspsim.cli
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
-from sspsim.model import LineConstraint, LineConstraintSet, energy_status
+from sspsim.model import UTILITY_ID, LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
 from tests.test_model import JUDGED_BY_VALIDATION, MISPLACED_KINDS, REFUSED_BY_THE_TABLE, stored_as_read, with_entry
-from tests.test_protocol import floored_study2
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
 
@@ -689,27 +688,31 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_line_on_a_remote_producer_exits_2(self, tmp_path, capsys):
-        # no run decides a consumer's flow from another SSP's producer: a
-        # baseline that applied these [0, 0] lines needed more Utility than
-        # the meshed runs
+    @pytest.mark.parametrize("remote_producers", [True, False], ids=["remote-producer", "other-ssp"])
+    def test_line_on_a_flow_from_another_ssp_exits_2(self, tmp_path, capsys, remote_producers):
+        # no SSP's LP decides a consumer's flow from another SSP, or from its
+        # producers, alone: whether that SSP offers is not its choice. A
+        # baseline that applied [0, 0] lines on remote producers needed more
+        # Utility than the meshed runs
         scenario = generate_scenario(
             GeneratorSpec(n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, supply_mean_kwh=24.0, noise_std_kwh=8.0, seed=0)
         )
         lines = [
-            LineConstraint(c.id, p.id, 0.0, 0.0)
+            LineConstraint(c.id, col_id, 0.0, 0.0)
             for cfg in scenario.ssps
             for c in cfg.consumers
             for other in scenario.ssps
             if other is not cfg
-            for p in other.producers
+            for col_id in ([p.id for p in other.producers] if remote_producers else [other.id])
         ]
         path = tmp_path / "remote.json"
         save_scenario(replace(scenario, line_constraints=LineConstraintSet(tuple(lines))), str(path))
         code = run_cli("run", "--scenario", str(path), "--anm", "meshed", "--seed", "1", "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "(S01.C01, S02.P01): line-decided-flow" in err and "Traceback" not in err
+        named = "(S01.C01, S02.P01)" if remote_producers else "(S01.C01, S02)"
+        assert f"{named}: line-decided-flow (not a consumer's flow from U or its SSP's producer)" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @UNMEETABLE_MINIMUMS
@@ -722,17 +725,35 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_conflicting_lines_of_several_ssps_exit_2(self, tmp_path, capsys):
+        # in S02 and S04 the first consumer's Utility and local-producer
+        # minimums add up to more than its demand; the run stops at the first
+        # solve of either SSP, with or without an offer, and names that SSP
+        scenario = generate_scenario(
+            GeneratorSpec(n_ssps=4, consumers_per_ssp=3, producers_per_ssp=2, supply_mean_kwh=24.0, seed=3)
+        )
+        lines = []
+        for ssp_id in ("S02", "S04"):
+            cfg = scenario.ssp(ssp_id)
+            consumer = cfg.consumers[0]
+            minimum = 0.6 * consumer.energy
+            lines += [
+                LineConstraint(consumer.id, UTILITY_ID, minimum, 100.0),
+                LineConstraint(consumer.id, cfg.producers[0].id, minimum, 100.0),
+            ]
+        path = tmp_path / "conflicts.json"
+        save_scenario(replace(scenario, line_constraints=LineConstraintSet(tuple(lines))), str(path))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), "--anm", "meshed", "--seed", "1", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line constraints no matching can meet" in err and "Traceback" not in err
+        named = [ssp_id for ssp_id in scenario.ssp_ids if f"'{ssp_id}'" in err]
+        assert len(named) == 1 and named[0] in ("S02", "S04")
+        assert not out.exists()
+
     def test_line_bound_without_upper_limit_runs(self, tmp_path, worked_file):
         scenario = with_line_bounds(tmp_path, worked_file, (-math.inf, math.inf))
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_OK
-
-    def test_offer_below_a_line_floor_is_declined_not_fatal(self, tmp_path):
-        # S01 cannot take S03's offer under its 40 kWh line floor: a 0 claim, not exit 4
-        scenario = tmp_path / "floored.json"
-        save_scenario(floored_study2(40.0), str(scenario))
-        out = tmp_path / "o"
-        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--seed", "1", "--out", str(out)) == EXIT_OK
-        assert "1,claim,S01,S03,0.0,," in (out / "messages.csv").read_text().splitlines()
 
     def test_sell_back_cells_carry_no_float_dust(self, tmp_path):
         # sell-backs re-attributed after an export read as 0 at or below

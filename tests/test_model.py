@@ -182,34 +182,20 @@ class TestValidateScenario:
             ("S1.P1", UTILITY_ID),
             ("S1.C1", "S2.P1"),
             ("S1.C1", "S1"),
+            ("S1.C1", "S2"),
             ("S1.C1", "S2.C1"),
         ],
-        ids=["unknown-row", "unknown-col", "ssp-row", "producer-row", "remote-producer", "own-ssp", "other-consumer"],
+        ids=["unknown-row", "unknown-col", "ssp-row", "producer-row", "remote-producer", "own-ssp", "other-ssp", "other-consumer"],
     )
     def test_line_on_a_flow_no_run_decides_is_named(self, pair_scenario, row_id, col_id):
         lines = LineConstraintSet((LineConstraint(row_id, col_id, 0.0, 0.0),))
         bad = replace(pair_scenario, line_constraints=lines)
         assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [(f"({row_id}, {col_id})", "line-decided-flow")]
 
-    @pytest.mark.parametrize("col_id", [UTILITY_ID, "S1.P1", "S2"], ids=["utility", "own-producer", "other-ssp"])
+    @pytest.mark.parametrize("col_id", [UTILITY_ID, "S1.P1"], ids=["utility", "own-producer"])
     def test_line_on_a_decided_flow_is_valid(self, pair_scenario, col_id):
         lines = LineConstraintSet((LineConstraint("S1.C1", col_id, 0.0, 2.0),))
         assert validate_scenario(replace(pair_scenario, line_constraints=lines)) == []
-
-    @pytest.mark.parametrize("ssps_linked", [False, True], ids=["ssps-unlinked", "ssps-linked"])
-    def test_line_to_another_ssp_reads_the_link_between_the_ssps(self, pair_scenario, ssps_linked):
-        # the engine offers across SSPs only where N(home SSP, SSP) is set, so
-        # a consumer's own row entry for S2 decides nothing: it is set here
-        # exactly when the SSPs are unlinked
-        rows = link_rows(pair_scenario)
-        if not ssps_linked:
-            rows["S1.C1"]["S2"] = 1
-            del rows["S1"], rows["S2"]
-        ssps, ssp_links = linked(rows, pair_scenario.ssps)
-        lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 3.0, 9.0),))
-        scenario = replace(pair_scenario, ssps=ssps, ssp_links=ssp_links, line_constraints=lines)
-        named = [] if ssps_linked else [("(S1.C1, S2)", "line-bounds-allow-unused")]
-        assert [(v.entity, v.rule) for v in validate_scenario(scenario)] == named
 
     @pytest.mark.parametrize("min_kwh,max_kwh", [(float("-inf"), float("inf")), (0.0, float("inf")), (1.0, 1.0)])
     def test_open_or_pinned_line_bound_is_valid(self, min_kwh, max_kwh):
@@ -429,7 +415,7 @@ def test_line_lookup_equals_the_linear_scan(lines, row_id, col_id):
     # duplicated pairs included: until validation rejects them, the first
     # line of a pair is its line
     expected = next((lc for lc in lines if (lc.row_id, lc.col_id) == (row_id, col_id)), None)
-    assert LineConstraintSet(tuple(lines)).lookup(row_id, col_id) is expected
+    assert LineConstraintSet(tuple(lines)).of_row(row_id).get(col_id) is expected
 
 
 # what each kind holds, 0 meaning no entry

@@ -39,8 +39,8 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import link_rows, linked, preference_table
-from tests.test_matching import study2_scenario
+from tests.conftest import linked, preference_table
+from tests.test_matching import assert_lines_hold, centralized_scenarios, study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -256,6 +256,14 @@ class TestRunEngine:
         lines = LineConstraintSet(tuple(LineConstraint("AC1", "AP1", lo, hi) for lo, hi in bounds))
         broken = replace(worked_scenario, line_constraints=lines)
         with pytest.raises(InvalidScenarioError, match=r"\(AC1, AP1\): line-unique"):
+            run_engine(broken, meshed_map(broken.ssp_ids))
+
+    def test_line_to_another_ssp_rejected(self, pair_scenario):
+        # whether S2 ever offers is not S1's choice: S1's LP cannot keep a
+        # bound on S1.C1's flow from S2
+        lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 0.0, 5.0),))
+        broken = replace(pair_scenario, line_constraints=lines)
+        with pytest.raises(InvalidScenarioError, match=r"\(S1.C1, S2\): line-decided-flow"):
             run_engine(broken, meshed_map(broken.ssp_ids))
 
     def test_sell_back_line_bound_rejected(self):
@@ -515,6 +523,33 @@ def test_coalition_all_active_run_ends_at_the_sum_of_group_imbalances(spec, max_
     assert result.final_utility_kwh == pytest.approx(expected, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
 
 
+@settings(max_examples=60, deadline=None)
+@given(centralized_scenarios(), st.integers(1, 4), st.integers(0, 2**16))
+def test_every_line_a_run_accepts_holds_in_its_result(scenario, max_group_size, run_seed):
+    # every line bounds a flow that one SSP's LP decides alone, so the
+    # centralized baseline and the engine, on the mesh and on coalitions,
+    # keep every line of every result they return
+    try:
+        cm, _, _ = solve_centralized(scenario)
+    except MatchingInfeasibleError:
+        cm = None
+    else:
+        assert_lines_hold(scenario, cm.get)
+    statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+    home = {c.id: cfg.id for cfg in scenario.ssps for c in cfg.consumers}
+    for anm in (meshed_map(scenario.ssp_ids), map_from_coalitions(form_coalitions(statuses, max_group_size))):
+        try:
+            result = run_engine(scenario, anm, seed=run_seed)
+        except MatchingInfeasibleError as error:
+            # an offer only adds columns, so the SSP named cannot meet its lines without one
+            named = next(ssp_id for ssp_id in scenario.ssp_ids if repr(ssp_id) in str(error))
+            with pytest.raises(MatchingInfeasibleError):
+                solve_dist_matching(view_for_ssp(scenario, named), scenario.weights, scenario.line_constraints)
+            continue
+        assert cm is not None  # the engine's trades are a plan of the centralized LP
+        assert_lines_hold(scenario, lambda row_id, col_id: result.commitments[home[row_id]].get(row_id, col_id))
+
+
 def test_coalition_maps_send_fewer_messages_than_the_mesh():
     # the paper's trade-off on study-1 at run seed 5: smaller coalitions cost
     # fewer messages and more Utility interaction
@@ -530,57 +565,12 @@ def test_coalition_maps_send_fewer_messages_than_the_mesh():
     assert all(later <= earlier + 1e-6 for earlier, later in zip(finals, finals[1:]))
 
 
-def floored_study2(min_kwh: float) -> Scenario:
-    """Six study-2 SSPs where S01.C02 is linked to S03 with a line floor; S03's
-    offers to S01 are priced out without it."""
-    study2 = study2_scenario(n_ssps=6)
-    rows = link_rows(study2)
-    rows["S01.C02"]["S03"] = 1
-    ssps, ssp_links = linked(rows, study2.ssps)
-    return replace(
-        study2,
-        ssps=ssps,
-        ssp_links=ssp_links,
-        line_constraints=LineConstraintSet(
-            (*study2.line_constraints.constraints, LineConstraint("S01.C02", "S03", min_kwh, 50.0))
-        ),
-    )
-
-
-def test_offer_below_a_line_floor_is_solved_and_declined(monkeypatch):
-    # S03 offers S01 about 17 kWh, below the 40 kWh floor: the LP with the
-    # offer is infeasible, so S01 solves it and declines with a 0 claim
-    infeasible = []
-    solve = sspsim.protocol.solve_dist_matching
-
-    def spy(view, *args, **kwargs):
-        try:
-            return solve(view, *args, **kwargs)
-        except MatchingInfeasibleError:
-            infeasible.append(view.ssp_id)
-            raise
-
-    monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", spy)
-    scenario = floored_study2(40.0)
-    anm = meshed_map(scenario.ssp_ids)
-    result = run_engine(scenario, anm, seed=1)
-    assert infeasible == ["S01"]
-    answers = [
-        (offer.payload["energy_kwh"], claim)
-        for offer, claim in zip(result.log, result.log[1:])
-        if (offer.kind, offer.src, offer.dst) == (OFFER_KIND, "S03", "S01")
-    ]
-    assert [claim for _, claim in answers] == [LogRecord(1, CLAIM_KIND, "S01", "S03", {"amount_kwh": 0.0})]
-    assert answers[0][0] < 40.0
-    assert audit_privacy(result.log, scenario, anm, seed=1).passed
-
-
 def test_infeasible_solve_without_an_offer_still_raises(monkeypatch):
     def infeasible(view, *_, **__):
         raise MatchingInfeasibleError(f"matching LP for {view.ssp_id!r} infeasible")
 
     monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", infeasible)
-    scenario = floored_study2(40.0)
+    scenario = study2_scenario(n_ssps=6)
     with pytest.raises(MatchingInfeasibleError, match="'S01'"):
         run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
 
@@ -597,7 +587,6 @@ def differential_cases():
     """Engine inputs with every kind of offer the pricing has to judge."""
     study1 = generate_scenario(STUDY1)
     statuses = {cfg.id: energy_status(cfg) for cfg in study1.ssps}
-    floored = floored_study2(0.25)  # every offer from S03 to S01 is solved
     no_preference = replace(study1, weights=MatchingWeights(alpha=0.0))
     passive = passive_study2()
     study2 = study2_scenario(n_ssps=6)
@@ -612,7 +601,6 @@ def differential_cases():
     return {
         "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
         "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
-        "study2-line-floor": (floored, meshed_map(floored.ssp_ids)),
         "study1-no-preference": (no_preference, meshed_map(no_preference.ssp_ids)),
         "study2-passive-meshed": (passive, meshed_map(passive.ssp_ids)),
         "study2-utility-lines": (utility_lines, meshed_map(utility_lines.ssp_ids)),
@@ -622,8 +610,7 @@ def differential_cases():
 @pytest.mark.parametrize(
     "case",
     [
-        "study1-meshed", "study1-coalition", "study2-line-floor", "study1-no-preference", "study2-passive-meshed",
-        "study2-utility-lines",
+        "study1-meshed", "study1-coalition", "study1-no-preference", "study2-passive-meshed", "study2-utility-lines",
     ],
 )
 def test_priced_out_solves_change_no_result(case, monkeypatch):
@@ -688,10 +675,10 @@ def test_a_non_improving_solve_prices_out_what_the_accepted_prices_let_through(m
 
 
 def stubbed_agent(monkeypatch, objective_below_best: float) -> tuple[_Agent, tuple]:
-    """S01 of ``floored_study2`` after its first solve, and its certificate;
+    """S01 of six study-2 SSPs after its first solve, and its certificate;
     its later solves are stubbed to return the accepted solution at
     ``best_solution - objective_below_best`` with other prices."""
-    scenario = floored_study2(0.25)
+    scenario = study2_scenario(n_ssps=6)
     partners = [s for s in scenario.ssp_ids if s != "S01"]
     agent = _Agent(scenario.ssp("S01"), scenario, partners, scenario.weights)
     assert agent.solve_and_accept()
@@ -729,12 +716,3 @@ def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
     assert (agent.lp_solves, agent.offers_priced_out) == (solves, 1)
     assert not agent.solve_and_accept(("S04", 0.3 * IMPROVE_TOL / gain, 0.0))
     assert (agent.lp_solves, agent.offers_priced_out) == (solves + 1, 1)
-
-
-def test_a_solve_of_an_offer_under_a_line_floor_leaves_the_certificate(monkeypatch):
-    # S03's columns have a positive minimum in S01's LP, so the LP without
-    # S03's offer does not embed in it: its objective bounds nothing
-    agent, certificate = stubbed_agent(monkeypatch, 0.25 * IMPROVE_TOL)
-    assert agent.table.floored == {"S03"}
-    assert not solve_anyway(agent, ("S03", 5.0, 0.0), monkeypatch)
-    assert agent.prices is certificate[1]
