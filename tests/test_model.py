@@ -192,6 +192,18 @@ class TestValidateScenario:
         bad = replace(pair_scenario, line_constraints=lines)
         assert [(v.entity, v.rule) for v in validate_scenario(bad)] == [(f"({row_id}, {col_id})", "line-decided-flow")]
 
+    @pytest.mark.parametrize("ssps_linked", [False, True], ids=["ssps-unlinked", "ssps-linked"])
+    def test_line_to_another_ssp_is_named_however_the_ssps_are_linked(self, pair_scenario, ssps_linked):
+        # no SSP's LP decides S1.C1's flow from S2, linked or not: the line is
+        # refused as such, and no link rule judges its positive minimum
+        rows = link_rows(pair_scenario)
+        if not ssps_linked:
+            del rows["S1"], rows["S2"]
+        ssps, ssp_links = linked(rows, pair_scenario.ssps)
+        lines = LineConstraintSet((LineConstraint("S1.C1", "S2", 3.0, 9.0),))
+        scenario = replace(pair_scenario, ssps=ssps, ssp_links=ssp_links, line_constraints=lines)
+        assert [(v.entity, v.rule) for v in validate_scenario(scenario)] == [("(S1.C1, S2)", "line-decided-flow")]
+
     @pytest.mark.parametrize("col_id", [UTILITY_ID, "S1.P1"], ids=["utility", "own-producer"])
     def test_line_on_a_decided_flow_is_valid(self, pair_scenario, col_id):
         lines = LineConstraintSet((LineConstraint("S1.C1", col_id, 0.0, 2.0),))

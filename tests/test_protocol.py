@@ -598,12 +598,22 @@ def differential_cases():
             tuple(LineConstraint(c.id, UTILITY_ID, 0.0, 1000.0) for cfg in study2.ssps for c in cfg.consumers)
         ),
     )
+    # a 1 kWh minimum on each SSP's first (consumer, local producer) cell: an
+    # offer only adds partner columns, so the LP without it still embeds in
+    # the LP with it and its objective still bounds what the offer can gain
+    local_floors = replace(
+        study2,
+        line_constraints=LineConstraintSet(
+            tuple(LineConstraint(cfg.consumers[0].id, cfg.producers[0].id, 1.0, 50.0) for cfg in study2.ssps)
+        ),
+    )
     return {
         "study1-meshed": (study1, meshed_map(study1.ssp_ids)),
         "study1-coalition": (study1, map_from_coalitions(form_coalitions(statuses, 4))),
         "study1-no-preference": (no_preference, meshed_map(no_preference.ssp_ids)),
         "study2-passive-meshed": (passive, meshed_map(passive.ssp_ids)),
         "study2-utility-lines": (utility_lines, meshed_map(utility_lines.ssp_ids)),
+        "study2-local-line-floors": (local_floors, meshed_map(local_floors.ssp_ids)),
     }
 
 
@@ -611,6 +621,7 @@ def differential_cases():
     "case",
     [
         "study1-meshed", "study1-coalition", "study1-no-preference", "study2-passive-meshed", "study2-utility-lines",
+        "study2-local-line-floors",
     ],
 )
 def test_priced_out_solves_change_no_result(case, monkeypatch):
