@@ -25,6 +25,12 @@ w2 when the Utility serves it). Only a supplier whose reward beats a price can
 improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
 way (the pricing step of column generation) without building the LP.
 
+One function, ``_pairs``, lays out an SSP's (consumer, supplier) pairs: each
+consumer's linked local producers, then every partner SSP, each pair with its
+rank and line bounds. ``PairTable`` reads it over the agent's partners, and
+``_build_centralized`` and ``merged_view`` read it for every SSP over its
+linked partners with producers (``_scenario_pairs``).
+
 Both LPs are built as arrays and share one layout, built by ``_place``: the
 cm columns consumer-major, then purchases, cuts and stretches, their costs and
 the entries of the supply and demand rows. ``_build`` and
@@ -241,23 +247,52 @@ def _linked_ssps(scenario: Scenario, ssp_id: str, candidates: Sequence[str]) -> 
     return [other for other, linked in zip(candidates, links) if linked and other != ssp_id]
 
 
-def _ranked_pairs(local: np.ndarray, n_partners: int) -> np.ndarray:
-    """The (consumer, supplier) pairs that need a rank: ``local``'s linked producers, then every one of ``n_partners`` partners."""
-    pairs = np.ones((local.shape[0], local.shape[1] + n_partners), dtype=bool)
-    pairs[:, : local.shape[1]] = local
-    return pairs
+def _pairs(ssp: SSPConfig | SspView, partner_ids: Sequence[str], lines: LineConstraintSet | None) -> tuple[np.ndarray, ...]:
+    """The (consumer, supplier) pairs of one SSP's LP, consumer-major: each consumer's linked local producers in producer order, then every partner of ``partner_ids`` in that order.
+
+    Returns, per pair, the consumer's index, the supplier's (a producer's, or
+    the number of producers plus the partner's), the rank and the line
+    bounds; a line bounds only a local pair. Every pair needs a rank: the
+    first one without is named.
+    """
+    consumer_ids = [c.id for c in ssp.consumers]
+    supplier_ids = [p.id for p in ssp.producers] + list(partner_ids)
+    n_prod = len(ssp.producers)
+    paired = np.ones((len(consumer_ids), len(supplier_ids)), dtype=bool)
+    paired[:, :n_prod] = ssp.links.take(consumer_ids, supplier_ids[:n_prod]) != 0
+    consumer, supplier = np.nonzero(paired)
+    rank = ssp.preferences.take(consumer_ids, supplier_ids)[consumer, supplier]
+    if not rank.all():
+        k = int(np.argmin(rank))  # ranks are at least 0: the first 0 is the first missing rank
+        raise MatchingStructureError(f"no preference rank for ({consumer_ids[consumer[k]]}, {supplier_ids[supplier[k]]})")
+    # line bounds, visiting only the local pairs of a consumer with a line
+    lower, upper = np.zeros(rank.size), np.full(rank.size, math.inf)
+    for k, consumer_id in enumerate(consumer_ids if lines is not None else ()):
+        row_lines = lines.of_row(consumer_id)
+        for i in np.flatnonzero((consumer == k) & (supplier < n_prod)).tolist() if row_lines else ():
+            line = row_lines.get(supplier_ids[supplier[i]])
+            if line is not None:
+                lower[i], upper[i] = _bounds(line)
+    return consumer, supplier, rank, lower, upper
 
 
-def _rank_block(
-    preferences: PreferenceTable, consumer_ids: Sequence[str], supplier_ids: Sequence[str], needed: np.ndarray
-) -> np.ndarray:
-    """The ranks of every (consumer, supplier) pair, consumers x suppliers; every ``needed`` pair must have one."""
-    ranks = preferences.take(consumer_ids, supplier_ids)
-    missing = needed & (ranks == 0)
-    if missing.any():  # name the first missing pair
-        k, j = np.argwhere(missing)[0]
-        raise MatchingStructureError(f"no preference rank for ({consumer_ids[k]}, {supplier_ids[j]})")
-    return ranks
+def _scenario_pairs(scenario: Scenario, lines: LineConstraintSet | None) -> tuple[np.ndarray, ...]:
+    """``_pairs`` of every SSP in scenario order, each over its linked partners with producers.
+
+    Consumer indices count every SSP's consumers; supplier indices count
+    every producer, then every SSP.
+    """
+    pooled = [t.id for t in scenario.ssps if t.producers]
+    n_prod = sum(len(cfg.producers) for cfg in scenario.ssps)
+    ssp_at = {ssp_id: n_prod + s for s, ssp_id in enumerate(scenario.ssp_ids)}
+    parts, n_cons, first = [], 0, 0
+    for cfg in scenario.ssps:
+        partner_ids = _linked_ssps(scenario, cfg.id, pooled)
+        consumer, supplier, *rest = _pairs(cfg, partner_ids, lines)
+        supplier_at = np.array([*range(first, first + len(cfg.producers)), *map(ssp_at.get, partner_ids)], dtype=np.intp)
+        parts.append((n_cons + consumer, supplier_at[supplier], *rest))
+        n_cons, first = n_cons + len(cfg.consumers), first + len(cfg.producers)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 class _Rewards:
@@ -302,35 +337,19 @@ class PairTable:
         self.partner_ids = sorted(view.partner_capacities)
         self._consumer_at = {c: k for k, c in enumerate(self.consumer_ids)}
         self._partner_at = {p: q for q, p in enumerate(self.partner_ids)}
-        links = view.links.take(self.consumer_ids, self.producer_ids) != 0
-        needed = _ranked_pairs(links, len(self.partner_ids))
-        ranks = _rank_block(view.preferences, self.consumer_ids, self.producer_ids + self.partner_ids, needed)
-        n_cons, n_partners, n_prod = len(consumers), len(self.partner_ids), len(self.producer_ids)
-
-        self.local_count = links.sum(axis=1)
-        n_local = int(self.local_count.sum())
+        consumer, supplier, ranks, lower, upper = _pairs(view, self.partner_ids, lines)
+        n_cons = len(consumers)
+        priority = np.array([c.priority for c in consumers], dtype=float)
+        self.rewards = _Rewards(weights, priority[consumer], ranks)
+        local = supplier < len(self.producer_ids)
+        self.local_consumer, self.local_producer = consumer[local], supplier[local]
+        self.local_count = np.bincount(self.local_consumer, minlength=n_cons)
         starts = np.cumsum(self.local_count) - self.local_count  # each consumer's first local column
-        self.local_consumer, self.local_producer = np.nonzero(links)
-        self.local_offset = np.arange(n_local) - starts[self.local_consumer]
+        self.local_offset = np.arange(self.local_consumer.size) - starts[self.local_consumer]
         pairs = zip(self.local_consumer.tolist(), self.local_producer.tolist())
         self.local_names = np.array([f"cm[{self.consumer_ids[k]}][{self.producer_ids[j]}]" for k, j in pairs], dtype=object)
-        priority = np.array([c.priority for c in consumers], dtype=float)
-        pair_priority = np.concatenate([priority[self.local_consumer], np.repeat(priority, n_partners)])
-        self.rewards = _Rewards(weights, pair_priority, np.concatenate([ranks[:, :n_prod][links], ranks[:, n_prod:].ravel()]))
-        self.local_reward = self.rewards.of_pairs[:n_local]
-        self.partner_rewards = self.rewards.of_pairs[n_local:].reshape(n_cons, n_partners)
-
-        # line bounds of the local columns, only where a line exists
-        self.local_lower, self.local_upper = np.zeros(n_local), np.full(n_local, math.inf)
-        for k, consumer_id in enumerate(self.consumer_ids):
-            row_lines = lines.of_row(consumer_id) if lines is not None else {}
-            if not row_lines:
-                continue
-            row = [self.producer_ids[j] for j in np.flatnonzero(links[k]).tolist()]
-            at = {producer_id: int(starts[k]) + i for i, producer_id in enumerate(row)}
-            for col_id, line in row_lines.items():
-                if col_id in at:
-                    self.local_lower[at[col_id]], self.local_upper[at[col_id]] = _bounds(line)
+        self.local_lower, self.local_upper, self.local_reward = lower[local], upper[local], self.rewards.of_pairs[local]
+        self.partner_rewards = self.rewards.of_pairs[~local].reshape(n_cons, len(self.partner_ids))
         self.flex = _flex(consumers, view.producers, lines)
         self.supply_names = [f"supply[{p}]" for p in self.producer_ids]
         self.demand_names = [f"demand[{c}]" for c in self.consumer_ids]
@@ -366,22 +385,19 @@ class PairTable:
             placed(self.local_names, np.array(partner_names, dtype=object).reshape(n_cons, n_live), object).tolist(),
         )
 
-    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
+    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float], tol: float) -> bool:
         """Whether an offer can lower the optimum of the LP that ``prices`` come from by more than ``tol``.
 
         ``prices`` come from an optimal solve of this view's LP, with or
-        without another partner's offer installed; ``offer`` is
-        (partner id, offered kWh including its flexibility), or None for no
-        new capacity, which cannot lower it. Adding the partner's block (its
-        cm columns, each in its consumer's demand row, and a supply row whose
-        dual is taken as 0) keeps the solve's duals feasible except for the
-        new columns, whose reduced cost is prices[i] - reward(i, q). Weak
+        without another partner's offer installed; ``offer`` is (partner id,
+        offered kWh including its flexibility). Adding the partner's block
+        (its cm columns, each in its consumer's demand row, and a supply row
+        whose dual is taken as 0) keeps the solve's duals feasible except for
+        the new columns, whose reduced cost is prices[i] - reward(i, q). Weak
         duality then bounds the new optimum below by the old one minus
         max_i (reward(i, q) - prices[i])+ times the offered kWh, as the
         block's columns carry at most that many kWh.
         """
-        if offer is None:
-            return False
         partner_id, kwh = offer
         now = np.fromiter(map(prices.__getitem__, self.consumer_ids), float, len(self.consumer_ids))
         gain = float((self.partner_rewards[:, self._partner_at[partner_id]] - now).max(initial=0.0))
@@ -693,35 +709,28 @@ def merged_view(scenario: Scenario) -> SspView:
     """
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)
     producers = tuple(p for cfg in scenario.ssps for p in cfg.producers)
-    at = {p.id: j for j, p in enumerate(producers)}
-    ranks: list[list[int]] = []
-    links: list[list[int]] = []
-    for cfg in scenario.ssps:
-        for consumer in cfg.consumers:
-            consumer_ranks = [0] * len(at)
-            row = [0] * len(at) + [1]  # the last column is the Utility's
-            for producer in cfg.producers:
-                if cfg.links.get(consumer.id, producer.id):
-                    consumer_ranks[at[producer.id]] = cfg.preferences.get(consumer.id, producer.id)
-                    row[at[producer.id]] = 1
-            for other in scenario.ssps:
-                if other.id == cfg.id or not scenario.ssp_links.get(cfg.id, other.id):
-                    continue
-                partner_rank = cfg.preferences.get(consumer.id, other.id)
-                for producer in other.producers:
-                    consumer_ranks[at[producer.id]] = partner_rank
-                    row[at[producer.id]] = 1
-            ranks.append(consumer_ranks)
-            links.append(row)
+    n_prod = len(producers)
+    consumer, supplier, rank, _, _ = _scenario_pairs(scenario, None)
+    # supplier s covers the producers from start[s]: itself, or each producer
+    # of a partner SSP; each pair spreads over ``width`` producers
+    counts = np.array([len(cfg.producers) for cfg in scenario.ssps], dtype=np.intp)
+    start = np.concatenate([np.arange(n_prod), np.cumsum(counts) - counts])
+    width = np.concatenate([np.ones(n_prod, dtype=np.intp), counts])[supplier]
+    rows = np.repeat(consumer, width)
+    cols = np.repeat(start[supplier] - (np.cumsum(width) - width), width) + np.arange(rows.size)
+    ranks = np.zeros((len(consumers), n_prod), dtype=np.int64)
+    ranks[rows, cols] = np.repeat(rank, width)
+    links = np.zeros((len(consumers), n_prod + 1), dtype=np.int64)
+    links[rows, cols] = 1
+    links[:, n_prod] = 1  # the Utility's column
     consumer_ids = tuple(c.id for c in consumers)
-    ranks_of = np.array(ranks, dtype=np.int64).reshape(len(consumers), len(at))
-    links_of = np.array(links, dtype=np.int64).reshape(len(consumers), len(at) + 1)
+    producer_ids = tuple(p.id for p in producers)
     return SspView(
         ssp_id="centralized",
         consumers=consumers,
         producers=producers,
-        preferences=PreferenceTable(consumer_ids, tuple(at), ranks_of),
-        links=LinkBlock(consumer_ids, (*at, UTILITY_ID), links_of),
+        preferences=PreferenceTable(consumer_ids, producer_ids, ranks),
+        links=LinkBlock(consumer_ids, (*producer_ids, UTILITY_ID), links),
     )
 
 
@@ -741,32 +750,9 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     n_prod, n_cons = len(producers), len(consumers)
     supplier_ids = [p.id for p in producers] + list(scenario.ssp_ids)
     supplier_at = {supplier_id: j for j, supplier_id in enumerate(supplier_ids)}
-    pooled_ids = [t.id for t in scenario.ssps if t.producers]
-    ranks, suppliers, counts, n_local = [], [], [], []  # per SSP: each cm column's rank and supplier, consumer-major
-    for cfg, links in zip(scenario.ssps, scenario.ssp_links.take(scenario.ssp_ids, pooled_ids).tolist()):
-        consumer_ids = [c.id for c in cfg.consumers]
-        partner_ids = [t for t, linked in zip(pooled_ids, links) if linked and t != cfg.id]
-        here = [p.id for p in cfg.producers] + partner_ids
-        local = cfg.links.take(consumer_ids, here[: len(cfg.producers)]) != 0
-        # a consumer's columns: its linked local producers, then every partner
-        columns = _ranked_pairs(local, len(partner_ids))
-        ranks.append(_rank_block(cfg.preferences, consumer_ids, here, columns)[columns])
-        suppliers.append(np.array([supplier_at[s] for s in here], dtype=np.intp)[np.nonzero(columns)[1]])
-        linked_local = local.sum(axis=1)
-        counts.append(linked_local + len(partner_ids))
-        n_local.extend(linked_local.tolist())
-    cm_supplier = np.concatenate([np.zeros(0, dtype=np.intp), *suppliers])
-    counts = np.concatenate([np.zeros(0, dtype=np.intp), *counts])
-    consumer_of = np.repeat(np.arange(n_cons), counts)
-    lower, upper = np.zeros(consumer_of.size), np.full(consumer_of.size, math.inf)
-    # a line bounds a local cell; an import is unbounded
-    for consumer, start, local in zip(consumers, (np.cumsum(counts) - counts).tolist(), n_local):
-        row_lines = lines.of_row(consumer.id) if lines is not None else {}
-        for i, j in enumerate(cm_supplier[start : start + local].tolist() if row_lines else ()):
-            if supplier_ids[j] in row_lines:
-                lower[start + i], upper[start + i] = _bounds(row_lines[supplier_ids[j]])
+    consumer_of, cm_supplier, ranks, lower, upper = _scenario_pairs(scenario, lines)
     priority = np.array([c.priority for c in consumers], dtype=float)
-    rewards = _Rewards(weights, priority[consumer_of], np.concatenate([np.zeros(0, dtype=np.int64), *ranks]))
+    rewards = _Rewards(weights, priority[consumer_of], ranks)
     cm = _CmColumns(
         consumer_of,
         cm_supplier,

@@ -473,9 +473,13 @@ def _validate_connectivity(scenario: Scenario, ssp_ids: list[str], linked: np.nd
             for col_id in unknown_cols:
                 out.append(Violation(col_id, "connectivity-col-resolves", f"unknown column id in row {row_id}"))
     for cfg in scenario.ssps:
-        for sub in cfg.consumers:
-            if not cfg.links.get(sub.id, UTILITY_ID):
-                out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
+        # the rows of the SSP's block with N(i, U) = 1, read from its U column once
+        u = cfg.links.col_at.get(UTILITY_ID)
+        reaching = set() if u is None else set(compress(cfg.links.rows, cfg.links.values[:, u].tolist()))
+        if not reaching.issuperset([c.id for c in cfg.consumers]):
+            for sub in cfg.consumers:
+                if sub.id not in reaching:
+                    out.append(Violation(sub.id, "utility-reachable", "consumer must have N(i, U) = 1"))
     # the block is symmetric with a zero diagonal iff it equals its transpose and no SSP lists itself
     if linked.diagonal().any() or (linked != linked.T).any():
         for i, a in enumerate(ssp_ids):

@@ -20,28 +20,30 @@ Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
-had been made. An agent holds one pricing certificate (floor, prices): a
-lower bound ``floor`` on the optimum of its current LP, and consumer prices
-(minus the demand-row duals) of a solve whose optimum was ``floor``. An
-accepted solve sets both (floor = its objective = ``best_solution``).
-``_Agent.solve_and_accept`` returns False without building an LP in two
-cases:
+had been made. An agent solves without an offer only while it holds no
+solution, in its first turn. Since an acceptance, its LP has only lost
+feasible points (the claimed cells are locked at their accepted values and
+exports only tighten the reservation row); without new capacity its optimum
+cannot fall below ``best_solution``.
 
-1. No offer, and the agent already holds an accepted solution. Since that
-   acceptance its LP has only lost feasible points: the claimed cells are
-   locked at their accepted values and exports only tighten the reservation
-   row. Its optimum cannot fall below ``best_solution``.
-2. An offer (q, base, bound) that ``PairTable.offer_can_improve`` prices out:
-   floor - max_i (reward(i, q) - prices[i])+ * base * (1 + bound)
-   >= best_solution - IMPROVE_TOL / 2.
-   The certificate's LP plus q's block has the certificate's duals, with 0
-   on q's supply row, as a dual solution that is feasible except for q's
-   columns, whose reduced costs are prices[i] - reward(i, q); so its optimum
-   is at least ``floor`` minus that product. The current LP embeds in it
-   (locked cells sit in the columns they were claimed from, and a tighter or
-   new reservation row only removes points), so its exact optimum cannot
-   beat ``best_solution`` by IMPROVE_TOL, the acceptance margin; the other
-   half of the margin absorbs the solver's rounding.
+An agent holds one pricing certificate (floor, prices): a lower bound
+``floor`` on the optimum of its current LP, and consumer prices (minus the
+demand-row duals) of a solve whose optimum was ``floor``. An accepted solve
+sets both (floor = its objective = ``best_solution``).
+``_Agent.solve_and_accept`` returns False without building an LP for an
+offer (q, base, bound) that ``PairTable.offer_can_improve`` prices out::
+
+    floor - max_i (reward(i, q) - prices[i])+ * base * (1 + bound)
+        >= best_solution - IMPROVE_TOL / 2
+
+The certificate's LP plus q's block has the certificate's duals, with 0 on
+q's supply row, as a dual solution that is feasible except for q's columns,
+whose reduced costs are prices[i] - reward(i, q); so its optimum is at least
+``floor`` minus that product. The current LP embeds in it (locked cells sit
+in the columns they were claimed from, and a tighter or new reservation row
+only removes points), so its exact optimum cannot beat ``best_solution`` by
+IMPROVE_TOL, the acceptance margin; the other half of the margin absorbs the
+solver's rounding.
 
 A solve of an offer from p that is not accepted hands its objective and
 prices over as the new certificate when its objective is at least
@@ -60,9 +62,12 @@ Only an SSP's own lines can make its LP infeasible: minimums above what its
 subscribers hold, or purchase caps that its producers cannot make up. A
 feasible first solve is always accepted, and every later LP stays feasible
 (claims are locked at accepted values, and exports come out of the accepted
-surplus), while an offer only adds columns that may stay at 0. So only an
-SSP's first solve, with or without an offer, can be infeasible; it raises
-``MatchingInfeasibleError`` and ends the run.
+surplus), while an offer only adds columns that may stay at 0. So only the
+solves of an SSP that holds no solution yet can be infeasible. Such an SSP
+offers nothing and waits for offers, as a partner's kWh can make up for a
+purchase cap, so a first solve that comes before any offer does not end the
+run. A run that reaches quiescence with an SSP still unsolved raises
+``MatchingInfeasibleError``, naming the first such SSP in id order.
 
 ``MatchingResult`` counts the solves made (``lp_solves``) and the offers
 priced out (``offers_priced_out``); neither enters an artifact.
@@ -81,6 +86,7 @@ from .coalition import ActualNeighborhoodMap, meshed_map
 from .matching import (
     RESIDUAL_TOL,
     FlexibilityAssignment,
+    MatchingInfeasibleError,
     PairTable,
     PartnerCapacity,
     SspView,
@@ -209,28 +215,32 @@ class _Agent:
         return sum(self.exports.values())
 
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
-        """Re-solve the local LP; adopt the result only on strict improvement.
+        """Solve the local LP with the offer ``transient`` installed, or with none; adopt the result only on strict improvement.
 
-        A solve that cannot improve is skipped (see the module docstring)."""
-        if self.prices is not None:
-            offer = None if transient is None else (transient[0], transient[1] * (1.0 + transient[2]))
-            if not self.table.offer_can_improve(self.prices, offer, self.floor - self.best_solution + IMPROVE_TOL / 2):
-                if transient is not None:
-                    self.offers_priced_out += 1
-                return False
+        A solve that cannot improve is skipped, and an infeasible one is
+        declined while the agent holds no solution (see the module docstring)."""
         view = self.view
         if transient is not None:
             src, base, bound = transient
+            tol = self.floor - self.best_solution + IMPROVE_TOL / 2
+            if self.prices is not None and not self.table.offer_can_improve(self.prices, (src, base * (1.0 + bound)), tol):
+                self.offers_priced_out += 1
+                return False
             view = replace(view, partner_capacities={**view.partner_capacities, src: PartnerCapacity(base, bound)})
         self.lp_solves += 1
-        cm, fx, objective, prices = solve_dist_matching(
-            view,
-            self.weights,
-            self.scenario.line_constraints,
-            locked_imports=self.locked,
-            committed_exports=self.total_exports(),
-            table=self.table,
-        )
+        try:
+            cm, fx, objective, prices = solve_dist_matching(
+                view,
+                self.weights,
+                self.scenario.line_constraints,
+                locked_imports=self.locked,
+                committed_exports=self.total_exports(),
+                table=self.table,
+            )
+        except MatchingInfeasibleError:
+            if self.cm is not None:
+                raise
+            return False
         if objective < self.best_solution - IMPROVE_TOL:
             self.best_solution = self.floor = objective
             self.cm, self.fx, self.prices = cm, fx, prices
@@ -362,6 +372,8 @@ def run_engine(
 
     def emit_offers(ssp_id: str, round_index: int) -> None:
         agent = agents[ssp_id]
+        if agent.cm is None:  # unsolved: it waits for offers
+            return
         offerable, bound = agent.surplus_offer_terms()
         if offerable <= RESIDUAL_TOL:
             return
@@ -378,14 +390,16 @@ def run_engine(
             if not pending[ssp_id]:
                 continue
             pending[ssp_id] = False
-            # a pending agent has a newly accepted solution to offer from:
-            # this solve is its first (best_solution starts at +inf), or
-            # deliver accepted one since the agent last offered and this
-            # call returns False without a solve
-            if agents[ssp_id].solve_and_accept():
+            # a pending agent is in its first turn, or deliver accepted a
+            # solution since it last offered
+            if agents[ssp_id].cm is None and agents[ssp_id].solve_and_accept():
                 changed.add(ssp_id)
                 record_iteration()
             emit_offers(ssp_id, rounds)
+
+    for ssp_id in ssp_ids:
+        if agents[ssp_id].cm is None:  # infeasible alone and with every offer it was sent
+            raise MatchingInfeasibleError(f"matching LP for {ssp_id!r} infeasible without an offer and with each offer it got")
 
     per_ssp_final = {s: agents[s].utility_kwh() for s in ssp_ids}
     return MatchingResult(

@@ -624,9 +624,7 @@ class ReferencePairTable:
             for consumer_id in self._consumer_ids
         ]
 
-    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float] | None, tol: float) -> bool:
-        if offer is None:
-            return False
+    def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float], tol: float) -> bool:
         partner_id, kwh = offer
         gain = 0.0
         for consumer_id in self._consumer_ids:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import replace
@@ -587,7 +588,6 @@ class TestPairTable:
         *_, prices = solve_dist_matching(short, weights, table=table)
         assert table.offer_can_improve(prices, ("S2", 5.0), 1e-9)
         assert not table.offer_can_improve(prices, ("S2", 0.0), 1e-9)
-        assert not table.offer_can_improve(prices, None, 1e-9)
         # S2's consumer is served by its first-ranked producer, which has
         # supply to spare: an offer from S1, ranked second, cannot beat it
         spare = view_for_ssp(pair_scenario, "S2")
@@ -835,6 +835,43 @@ def test_centralized_equals_the_per_pair_expansion(scenario):
     view = merged_view(scenario)
     assert check_matching_feasibility(view, cm, fx) == []
     assert_lines_hold(scenario, cm.get)
+
+
+@settings(max_examples=60, deadline=None)
+@given(centralized_scenarios())
+def test_merged_view_pairs_each_consumer_with_every_producer_its_ssp_reaches(scenario):
+    # a consumer c of SSP s and a producer p of SSP t are linked when t = s
+    # and N(c, p), or when t != s and N(s, t); the pair carries rank(c, p)
+    # in the first case and rank(c, t) in the second; every consumer reaches U
+    view = merged_view(scenario)
+    producers = [(t, p) for t in scenario.ssps for p in t.producers]
+    consumer_ids = [c.id for cfg in scenario.ssps for c in cfg.consumers]
+    assert list(view.links.rows) == list(view.preferences.rows) == consumer_ids
+    assert list(view.links.cols) == [p.id for _, p in producers] + [UTILITY_ID]
+    assert list(view.preferences.cols) == [p.id for _, p in producers]
+    for cfg in scenario.ssps:
+        for c in cfg.consumers:
+            for t, p in producers:
+                link = cfg.links.get(c.id, p.id) if t is cfg else scenario.ssp_links.get(cfg.id, t.id)
+                rank = cfg.preferences.get(c.id, p.id if t is cfg else t.id)
+                assert (view.links.get(c.id, p.id), view.preferences.get(c.id, p.id)) == (link, rank if link else 0)
+    assert (view.links.take(consumer_ids, [UTILITY_ID]) == 1).all()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (replace(STUDY1_SPEC, n_ssps=10), "b23c127ef4bd0168646b0a167764ed911dd7950faa59fb47c76023ac39483fe4"),
+        (study2_spec(10, 5, 0), "fdf1cfc541f53a7cb4e51ac0e199f10bab737587003f8f145ea2bd7bd3e09924"),
+    ],
+    ids=["study1-10-ssps", "study2-10-5"],
+)
+def test_centralized_commitments_are_pinned(spec, digest):
+    # the sha256 of the benchmark's canonical dump of the matrix: one
+    # "row,col,kWh" line per cell, sorted, with every kWh in repr
+    cm, _, _ = solve_centralized(generate_scenario(spec))
+    dump = "".join(f"{row},{col},{kwh!r}\n" for (row, col), kwh in sorted(cm.cells().items()))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def assert_lines_hold(scenario: Scenario, cell: Callable[[str, str], float]) -> None:
