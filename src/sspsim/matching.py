@@ -25,9 +25,15 @@ w2 when the Utility serves it). Only a supplier whose reward beats a price can
 improve the LP; ``PairTable.offer_can_improve`` prices a partner's offer that
 way (the pricing step of column generation) without building the LP.
 
+An ``SspView`` is an SSP's ``SSPConfig`` plus the capacity each partner
+advertises. ``view_for_ssp`` builds it from the config and the candidate SSPs
+(every SSP by default, an agent's map neighbours in the engine) that the SSP
+links reach, each at zero capacity; only ``merged_view`` builds one from many
+SSPs.
+
 One function, ``_pairs``, lays out an SSP's (consumer, supplier) pairs: each
 consumer's linked local producers, then every partner SSP, each pair with its
-rank and line bounds. ``PairTable`` reads it over the agent's partners, and
+rank and line bounds. ``PairTable`` reads it over a view's partners, and
 ``_build_centralized`` and ``merged_view`` read it for every SSP over its
 linked partners with producers (``_scenario_pairs``).
 
@@ -95,6 +101,9 @@ from .model import (
 
 RESIDUAL_TOL = 1e-9
 
+#: the slack of every comparison in ``check_matching_feasibility``
+CHECK_TOL = 1e-6
+
 
 class MatchingStructureError(ValueError):
     """View is structurally unusable (e.g. missing preference rank)."""
@@ -111,20 +120,15 @@ class PartnerCapacity:
 
 
 @dataclass(frozen=True)
-class SspView:
-    """One SSP's local knowledge: its subscribers, their ranks and links, plus advertised partner capacity.
+class SspView(SSPConfig):
+    """One SSP's local knowledge: its config, plus the capacity its partners advertise.
 
-    ``links`` is the SSP's own block: its consumers against its producers
-    and the Utility; the view holds no other SSP's links.
+    The config's ``links`` is the SSP's own block: its consumers against its
+    producers and the Utility; the view holds no other SSP's links.
     ``partner_capacities`` holds only partners reachable per the inter-SSP
     links; capacities are zero until offers arrive.
     """
 
-    ssp_id: str
-    consumers: tuple[Subscriber, ...]
-    producers: tuple[Subscriber, ...]
-    preferences: PreferenceTable
-    links: LinkBlock
     partner_capacities: dict[str, PartnerCapacity] = field(default_factory=dict)
 
 
@@ -136,17 +140,13 @@ class FlexibilityAssignment:
     producers: dict[str, float]
 
 
-def view_for_ssp(scenario: Scenario, ssp_id: str) -> SspView:
-    """Local view with every reachable partner advertised at zero capacity."""
+def view_for_ssp(scenario: Scenario, ssp_id: str, candidates: Sequence[str] | None = None) -> SspView:
+    """The SSP's view over its config, with each SSP of ``candidates`` (every SSP by default) that the SSP links reach advertised at zero capacity."""
     cfg = scenario.ssp(ssp_id)
-    partners = {other: PartnerCapacity(0.0, 0.0) for other in _linked_ssps(scenario, ssp_id, scenario.ssp_ids)}
+    partners = _linked_ssps(scenario, ssp_id, scenario.ssp_ids if candidates is None else candidates)
     return SspView(
-        ssp_id=cfg.id,
-        consumers=cfg.consumers,
-        producers=cfg.producers,
-        preferences=cfg.preferences,
-        links=cfg.links,
-        partner_capacities=partners,
+        cfg.id, cfg.consumers, cfg.producers, cfg.preferences, cfg.links,
+        partner_capacities=dict.fromkeys(partners, PartnerCapacity(0.0, 0.0)),
     )
 
 
@@ -242,12 +242,15 @@ def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], line
 
 
 def _linked_ssps(scenario: Scenario, ssp_id: str, candidates: Sequence[str]) -> list[str]:
-    """The SSPs of ``candidates`` other than ``ssp_id`` that N(ssp_id, .) links it to, in order."""
-    links = scenario.ssp_links.take([ssp_id], candidates)[0].tolist()
-    return [other for other, linked in zip(candidates, links) if linked and other != ssp_id]
+    """The SSPs of ``candidates`` other than ``ssp_id`` that N(ssp_id, .) links it to, in order, read from ``ssp_id``'s row alone."""
+    links = scenario.ssp_links
+    if ssp_id not in links.row_at:
+        return []
+    row = [*links.values[links.row_at[ssp_id]].tolist(), 0]  # an absent column reads the 0 appended
+    return [other for other in candidates if other != ssp_id and row[links.col_at.get(other, -1)]]
 
 
-def _pairs(ssp: SSPConfig | SspView, partner_ids: Sequence[str], lines: LineConstraintSet | None) -> tuple[np.ndarray, ...]:
+def _pairs(ssp: SSPConfig, partner_ids: Sequence[str], lines: LineConstraintSet | None) -> tuple[np.ndarray, ...]:
     """The (consumer, supplier) pairs of one SSP's LP, consumer-major: each consumer's linked local producers in producer order, then every partner of ``partner_ids`` in that order.
 
     Returns, per pair, the consumer's index, the supplier's (a producer's, or
@@ -576,7 +579,7 @@ def solve_dist_matching(
     PairTable when the caller keeps one across re-solves (see ``_build``).
     """
     lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
-    solution = _solve(lp, f"matching LP for {view.ssp_id!r}")
+    solution = _solve(lp, f"matching LP for {view.id!r}")
 
     locked_imports = locked_imports or {}
     partner_cols = sorted(set(info.live_partners).union(
@@ -637,13 +640,8 @@ def attribute_sell_backs(cm: CommitmentMatrix, producers: tuple[Subscriber, ...]
             cm.set(UTILITY_ID, producer.id, kwh)
 
 
-def check_matching_feasibility(
-    view: SspView,
-    cm: CommitmentMatrix,
-    fx: FlexibilityAssignment,
-    tol: float = 1e-6,
-) -> list[str]:
-    """Independent residual check of the supply caps, demand windows and fx bounds.
+def check_matching_feasibility(view: SspView, cm: CommitmentMatrix, fx: FlexibilityAssignment) -> list[str]:
+    """Independent residual check of the supply caps, demand windows and fx bounds, each with ``CHECK_TOL`` slack.
 
     Recomputed from the domain data, not from the LP or the solver, so it can
     catch builder and solver defects alike. Returns human-readable violations.
@@ -652,29 +650,29 @@ def check_matching_feasibility(
     for producer in view.producers:
         fx_j = fx.producers.get(producer.id, 1.0)
         total = sum(cm.get(row_id, producer.id) for row_id in cm.row_ids())
-        if total > fx_j * producer.energy + tol:
+        if total > fx_j * producer.energy + CHECK_TOL:
             problems.append(f"supply cap of {producer.id}: {total} > {fx_j * producer.energy}")
-        if not 1.0 - tol <= fx_j <= 1.0 + producer.bound + tol:
+        if not 1.0 - CHECK_TOL <= fx_j <= 1.0 + producer.bound + CHECK_TOL:
             problems.append(f"fx of {producer.id} = {fx_j} outside [1, {1.0 + producer.bound}]")
     for consumer in view.consumers:
         fx_i = fx.consumers.get(consumer.id, 1.0)
         served = sum(cm.get(consumer.id, col) for col in cm.col_ids())
-        if served > consumer.energy + tol:
+        if served > consumer.energy + CHECK_TOL:
             problems.append(f"overserved {consumer.id}: {served} > {consumer.energy}")
-        if served < fx_i * consumer.energy - tol:
+        if served < fx_i * consumer.energy - CHECK_TOL:
             problems.append(f"underserved {consumer.id}: {served} < {fx_i * consumer.energy}")
-        if not 1.0 - consumer.bound - tol <= fx_i <= 1.0 + tol:
+        if not 1.0 - consumer.bound - CHECK_TOL <= fx_i <= 1.0 + CHECK_TOL:
             problems.append(f"fx of {consumer.id} = {fx_i} outside [{1.0 - consumer.bound}, 1]")
     for (row_id, col_id), value in cm.cells().items():
-        if value < -tol:
+        if value < -CHECK_TOL:
             problems.append(f"negative commitment cm({row_id}, {col_id}) = {value}")
         if row_id != UTILITY_ID and col_id != UTILITY_ID and col_id not in view.partner_capacities:
-            if not view.links.get(row_id, col_id) and value > tol:
+            if not view.links.get(row_id, col_id) and value > CHECK_TOL:
                 problems.append(f"commitment on disconnected pair ({row_id}, {col_id})")
     return problems
 
 
-def aggregate_surplus(ssp: SSPConfig | SspView, cm: CommitmentMatrix) -> tuple[float, float]:
+def aggregate_surplus(ssp: SSPConfig, cm: CommitmentMatrix) -> tuple[float, float]:
     """(flex-inclusive surplus, base surplus) over producers that can still supply.
 
     A producer counts while its base residual Ep - cm(., j) is positive; the
@@ -726,7 +724,7 @@ def merged_view(scenario: Scenario) -> SspView:
     consumer_ids = tuple(c.id for c in consumers)
     producer_ids = tuple(p.id for p in producers)
     return SspView(
-        ssp_id="centralized",
+        id="centralized",
         consumers=consumers,
         producers=producers,
         preferences=PreferenceTable(consumer_ids, producer_ids, ranks),
@@ -815,17 +813,14 @@ def _split_pool(cm: CommitmentMatrix, imports: list[tuple[str, float]], exports:
         cm.set(consumer_ids[k], producer_ids[j], float(overlap[k, j]))
 
 
-def solve_centralized(
-    scenario: Scenario, weights: MatchingWeights | None = None
-) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
-    """Optimality baseline: one global LP over every subscriber of every SSP.
+def solve_centralized(scenario: Scenario) -> tuple[CommitmentMatrix, FlexibilityAssignment, float]:
+    """Optimality baseline: one global LP over every subscriber of every SSP, under the scenario's weights.
 
     Solved in transshipment form and decomposed into per-producer cells (see
     the module docstring); the matrix has one column per producer and is
     feasible against ``merged_view``.
     """
-    weights = weights or scenario.weights
-    lp, info = _build_centralized(scenario, weights)
+    lp, info = _build_centralized(scenario, scenario.weights)
     solution = _solve(lp, "centralized matching LP")
 
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)

@@ -13,10 +13,11 @@ Vocabulary used throughout the package:
   SSP, or Utility) to consumer i; the extra row ``U`` holds sell-backs.
 
 All quantities are kWh per scheduling slot. Slot duration is metadata only and
-never enters a formula. Values are python floats, compared with four named
+never enters a formula. Values are python floats, compared with five named
 tolerances: ``matching.RESIDUAL_TOL`` (1e-9 kWh), at or below which an amount
 reads as 0; ``protocol.IMPROVE_TOL`` (1e-9), the margin a re-solve must beat;
-``lp.FEAS_TOL`` (1e-6), the solver drift past a bound that is clamped; and
+``lp.FEAS_TOL`` (1e-6), the solver drift past a bound that is clamped;
+``matching.CHECK_TOL`` (1e-6), the slack of ``check_matching_feasibility``; and
 ``KWH_TOL`` (1e-6), the slack of the priority-sum check.
 
 The fleet tables, ranks and links, grow as N² with N SSPs (408,000 ranks and

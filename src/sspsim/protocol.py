@@ -1,7 +1,9 @@
 """Synchronous distributed matching engine.
 
-Each SSP runs as an agent around its local matching LP. The engine sweeps the
-agents in id order; an agent that accepts a strictly better solution becomes an
+Each SSP runs as an agent around its local matching LP. An agent is built
+from ``view_for_ssp`` over the SSP's map neighbours, so its partners are the
+neighbours that the SSP links reach. The engine sweeps the agents in id
+order; an agent that accepts a strictly better solution becomes an
 *iteration*, computes its residual aggregate surplus and offers it to its
 connected partners one at a time in a seeded shuffled order. Delivering an
 offer is synchronous: the receiving agent immediately re-solves with the
@@ -94,12 +96,13 @@ from .matching import (
     attribute_sell_backs,
     solve_dist_matching,
     surplus_bound,
+    view_for_ssp,
 )
 from .model import (
     CommitmentMatrix,
+    LineConstraintSet,
     MatchingWeights,
     Scenario,
-    SSPConfig,
     energy_status,
     utility_interaction,
     validate_scenario,
@@ -111,8 +114,6 @@ IMPROVE_TOL = 1e-9
 
 OFFER_KIND = "offer"
 CLAIM_KIND = "claim"
-
-_NO_CAPACITY = PartnerCapacity(0.0, 0.0)
 
 
 class InvalidScenarioError(ValueError):
@@ -190,15 +191,14 @@ class _Agent:
 
     The agent owns its view, with every partner at zero capacity (an offer's
     solve replaces only the capacities), the PairTable of its local LP, built
-    once over its whole partner list, its pricing certificate (``floor``,
-    ``prices``; see the module docstring).
+    once over the view's partners (``table.partner_ids``), and its pricing
+    certificate (``floor``, ``prices``; see the module docstring).
     """
 
-    def __init__(self, cfg: SSPConfig, scenario: Scenario, partners: list[str], weights: MatchingWeights):
-        self.cfg = cfg
-        self.scenario = scenario
-        self.partners = partners
+    def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
+        self.view = view
         self.weights = weights
+        self.lines = lines
         self.best_solution = float("inf")
         self.cm: CommitmentMatrix | None = None
         self.fx: FlexibilityAssignment | None = None
@@ -208,8 +208,7 @@ class _Agent:
         self.offers_priced_out = 0
         self.locked: dict[str, dict[str, float]] = {}
         self.exports: dict[str, float] = {}
-        self.view = SspView(cfg.id, cfg.consumers, cfg.producers, cfg.preferences, cfg.links, dict.fromkeys(partners, _NO_CAPACITY))
-        self.table = PairTable(self.view, weights, scenario.line_constraints)
+        self.table = PairTable(view, weights, lines)
 
     def total_exports(self) -> float:
         return sum(self.exports.values())
@@ -232,7 +231,7 @@ class _Agent:
             cm, fx, objective, prices = solve_dist_matching(
                 view,
                 self.weights,
-                self.scenario.line_constraints,
+                self.lines,
                 locked_imports=self.locked,
                 committed_exports=self.total_exports(),
                 table=self.table,
@@ -252,24 +251,24 @@ class _Agent:
     def register_export(self, partner_id: str, kwh: float) -> None:
         assert self.cm is not None
         self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
-        attribute_sell_backs(self.cm, self.cfg.producers, self.total_exports())
+        attribute_sell_backs(self.cm, self.view.producers, self.total_exports())
 
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
         assert self.cm is not None
-        ex_energy, total_energy = aggregate_surplus(self.cfg, self.cm)
+        ex_energy, total_energy = aggregate_surplus(self.view, self.cm)
         return max(0.0, ex_energy - self.total_exports()), surplus_bound(ex_energy, total_energy)
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
-        return abs(energy_status(self.cfg)) if self.cm is None else utility_interaction(self.cm)
+        return abs(energy_status(self.view)) if self.cm is None else utility_interaction(self.cm)
 
     def claim_against(self, src: str) -> dict[str, float]:
         """New per-consumer commitments against ``src`` beyond the existing locks."""
         assert self.cm is not None
         held = self.locked.get(src, {})
         out: dict[str, float] = {}
-        for consumer in self.cfg.consumers:
+        for consumer in self.view.consumers:
             extra = self.cm.get(consumer.id, src) - held.get(consumer.id, 0.0)
             if extra > RESIDUAL_TOL:
                 out[consumer.id] = extra
@@ -281,22 +280,14 @@ class _Agent:
             held[consumer_id] = held.get(consumer_id, 0.0) + kwh
 
 
-def _partner_lists(scenario: Scenario, anm: ActualNeighborhoodMap) -> dict[str, list[str]]:
-    """Each SSP's partners, sorted: the SSPs of the scenario that both the map and the SSP links link it to.
-
-    Read from the map's edges, as ``anm.connected`` reads them: an edge counts
-    as the pair (a, b) with a < b; and from the SSP link block, one entry per edge."""
-    neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in scenario.ssp_ids}
+def _map_neighbours(ssp_ids: tuple[str, ...], anm: ActualNeighborhoodMap) -> dict[str, list[str]]:
+    """Each SSP's neighbours on the map among ``ssp_ids``, read from its edges as ``anm.connected`` reads them: an edge counts as the pair (a, b) with a < b."""
+    neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in ssp_ids}
     for a, b in anm.edges:
         if a < b and a in neighbours and b in neighbours:
             neighbours[a].append(b)
             neighbours[b].append(a)
-    ids = sorted(neighbours)
-    at = {ssp_id: k for k, ssp_id in enumerate(ids)}
-    rows = [k for k, ssp_id in enumerate(ids) for _ in neighbours[ssp_id]]
-    cols = [at[p] for ssp_id in ids for p in neighbours[ssp_id]]
-    linked = iter(scenario.ssp_links.take(ids, ids)[rows, cols].tolist())  # one entry per map edge, in order
-    return {ssp_id: sorted(p for p, link in zip(neighbours[ssp_id], linked) if link) for ssp_id in ids}
+    return neighbours
 
 
 def run_engine(
@@ -315,13 +306,10 @@ def run_engine(
         raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
 
     ssp_ids = sorted(scenario.ssp_ids)
-    configs = {cfg.id: cfg for cfg in scenario.ssps}
-    agents = {
-        ssp_id: _Agent(configs[ssp_id], scenario, partners, weights)
-        for ssp_id, partners in _partner_lists(scenario, anm).items()
-    }
+    neighbours = _map_neighbours(scenario.ssp_ids, anm)
+    agents = {s: _Agent(view_for_ssp(scenario, s, neighbours[s]), weights, scenario.line_constraints) for s in ssp_ids}
 
-    per_ssp_initial = {s: abs(energy_status(configs[s])) for s in ssp_ids}
+    per_ssp_initial = {s: abs(energy_status(agents[s].view)) for s in ssp_ids}
     initial_total = sum(per_ssp_initial.values())
     trace: list[ConvergencePoint] = []
     log: list[LogRecord] = []
@@ -377,7 +365,7 @@ def run_engine(
         offerable, bound = agent.surplus_offer_terms()
         if offerable <= RESIDUAL_TOL:
             return
-        for partner_id in shuffle_partners(agent.partners, seed, ssp_id, round_index):
+        for partner_id in shuffle_partners(agent.table.partner_ids, seed, ssp_id, round_index):
             if offerable <= RESIDUAL_TOL:
                 break
             payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}

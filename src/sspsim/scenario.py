@@ -25,11 +25,9 @@ PCG64 calls, in the same order, as in earlier versions of this module, so a
 spec gives the same ranks as before. With N SSPs of C consumers and P
 producers, a file holds C × (P + N − 1) ranks per SSP, N² SSP links and
 C × (P + 1) consumer links per SSP: 2.1 MB at 200 SSPs of the study-1 shape
-(C = 10, P = 5), against 2.5 MB with one object per connectivity row in
-version 2 and 4.9 MB with one object per consumer's ranks as well in version
-1. The writer keeps each table's header and row order and emits each matrix
-with one ``tolist()``. The loader refuses every other ``schema_version``,
-versions 1 and 2 included, and names that field.
+(C = 10, P = 5). The writer keeps each table's header and row order and
+emits each matrix with one ``tolist()``. The loader refuses every other
+``schema_version``, versions 1 and 2 included, and names that field.
 
 The JSON schema is strict: unknown fields are rejected by name, canonical
 field order is documented in ``scenario.schema.json`` shipped next to this

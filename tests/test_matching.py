@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +536,17 @@ def study2_scenario(seed: int = 7, n_ssps: int = 4, supply_mean_kwh: float = 24.
 def layout(lp, info) -> tuple:
     """Everything _build returns, in order and bit for bit: dict equality alone ignores key order."""
     return bits([views(lp), layout_of(info)])
+
+
+def test_a_view_is_its_config_plus_partner_capacities():
+    # the view adds the partners' capacities and nothing else: every field of
+    # the SSP's config is the config's own object
+    assert [f.name for f in fields(SspView)] == [f.name for f in fields(SSPConfig)] + ["partner_capacities"]
+    generated = generate_scenario(GeneratorSpec(n_ssps=5, consumers_per_ssp=3, producers_per_ssp=2, seed=3))
+    for scenario in (generated, study2_scenario()):
+        for cfg in scenario.ssps:
+            view = view_for_ssp(scenario, cfg.id)
+            assert all(getattr(view, f.name) is getattr(cfg, f.name) for f in fields(SSPConfig))
 
 
 class TestPairTable:

@@ -33,7 +33,6 @@ from sspsim.protocol import (
     LogRecord,
     ProtocolViolationError,
     _Agent,
-    _partner_lists,
     audit_privacy,
     run_engine,
     shuffle_partners,
@@ -48,6 +47,16 @@ AP = SubscriberKind.ACTIVE_PRODUCER
 # the study-1 population: 20 SSPs x (10 AC + 5 AP)
 STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
                        supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101)
+
+
+def engine_agents(scenario: Scenario, anm: ActualNeighborhoodMap, monkeypatch) -> list[_Agent]:
+    """The agents that ``run_engine`` builds for ``scenario`` on ``anm``, in the order it builds them."""
+    agents = []
+    init = _Agent.__init__
+    with monkeypatch.context() as patched:
+        patched.setattr(_Agent, "__init__", lambda agent, *args: agents.append(agent) or init(agent, *args))
+        run_engine(scenario, anm, seed=1)
+    return agents
 
 
 def triangle_scenario() -> Scenario:
@@ -89,8 +98,9 @@ class TestPartnerLists:
         return replace(scenario, ssp_links=LinkBlock(n.rows, n.cols, values))
 
     @pytest.mark.parametrize("kind", ["meshed", "coalition", "file", "foreign-and-reversed-edges"])
-    def test_the_edge_index_gives_the_pairwise_lists(self, kind):
-        # one index over the map's edges, against a connected() and an SSP link read per pair
+    def test_the_edge_index_gives_the_pairwise_lists(self, kind, monkeypatch):
+        # the map's edges read once, then the SSP links of each agent's
+        # neighbours, against a connected() and an SSP link read per pair
         scenario = self.scenario()
         ids = scenario.ssp_ids
         if kind == "meshed":
@@ -107,19 +117,21 @@ class TestPartnerLists:
             a: [b for b in sorted(ids) if b != a and anm.connected(a, b) and scenario.ssp_links.get(a, b)]
             for a in sorted(ids)
         }
-        got = _partner_lists(scenario, anm)
+        got = {agent.view.id: agent.table.partner_ids for agent in engine_agents(scenario, anm, monkeypatch)}
         assert list(got.items()) == list(expected.items())
         assert any(got.values()) or kind == "foreign-and-reversed-edges"
 
 
-def test_a_view_holds_its_own_ssps_links_and_no_other():
+def test_a_view_holds_its_own_ssps_links_and_no_other(monkeypatch):
     # each SSP matches inside its own domain: the view of an SSP, and the view
     # each engine agent keeps, hold that SSP's block and no other SSP's
     scenario = generate_scenario(GeneratorSpec(n_ssps=4, consumers_per_ssp=2, producers_per_ssp=2, seed=3))
-    for ssp_id, partners in _partner_lists(scenario, meshed_map(scenario.ssp_ids)).items():
-        cfg = scenario.ssp(ssp_id)
-        assert view_for_ssp(scenario, ssp_id).links is cfg.links
-        assert _Agent(cfg, scenario, partners, scenario.weights).view.links is cfg.links
+    agents = engine_agents(scenario, meshed_map(scenario.ssp_ids), monkeypatch)
+    assert [agent.view.id for agent in agents] == sorted(scenario.ssp_ids)
+    for agent in agents:
+        cfg = scenario.ssp(agent.view.id)
+        assert view_for_ssp(scenario, cfg.id).links is cfg.links
+        assert agent.view.links is cfg.links
         assert cfg.links.rows == tuple(c.id for c in cfg.consumers)
 
 
@@ -567,7 +579,7 @@ def test_coalition_maps_send_fewer_messages_than_the_mesh():
 
 def test_infeasible_solve_without_an_offer_still_raises(monkeypatch):
     def infeasible(view, *_, **__):
-        raise MatchingInfeasibleError(f"matching LP for {view.ssp_id!r} infeasible")
+        raise MatchingInfeasibleError(f"matching LP for {view.id!r} infeasible")
 
     monkeypatch.setattr(sspsim.protocol, "solve_dist_matching", infeasible)
     scenario = study2_scenario(n_ssps=6)
@@ -696,12 +708,12 @@ def test_a_non_improving_solve_prices_out_what_the_accepted_prices_let_through(m
         certificate = (agent.floor, agent.prices)
         improved = solve_and_accept(agent, transient)
         if improved:
-            accepted[agent.cfg.id] = agent.prices
-        elif agent.offers_priced_out > priced_out and agent.prices is not accepted[agent.cfg.id]:
+            accepted[agent.view.id] = agent.prices
+        elif agent.offers_priced_out > priced_out and agent.prices is not accepted[agent.view.id]:
             assert (agent.floor, agent.prices) == certificate
             offer = (transient[0], transient[1] * (1.0 + transient[2]))
-            if agent.table.offer_can_improve(accepted[agent.cfg.id], offer, IMPROVE_TOL / 2):
-                saved.append((agent.cfg.id, transient[0]))
+            if agent.table.offer_can_improve(accepted[agent.view.id], offer, IMPROVE_TOL / 2):
+                saved.append((agent.view.id, transient[0]))
         return improved
 
     with monkeypatch.context() as patched:
@@ -719,8 +731,7 @@ def stubbed_agent(monkeypatch, objective_below_best: float) -> tuple[_Agent, tup
     its later solves are stubbed to return the accepted solution at
     ``best_solution - objective_below_best`` with other prices."""
     scenario = study2_scenario(n_ssps=6)
-    partners = [s for s in scenario.ssp_ids if s != "S01"]
-    agent = _Agent(scenario.ssp("S01"), scenario, partners, scenario.weights)
+    agent = _Agent(view_for_ssp(scenario, "S01"), scenario.weights, scenario.line_constraints)
     assert agent.solve_and_accept()
     certificate = (agent.floor, agent.prices)
     assert agent.floor == agent.best_solution
@@ -750,7 +761,7 @@ def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
     # at prices 0 an offer gains up to its best reward per kWh; the floor
     # sits a quarter of the margin below best_solution, so only a gain below
     # a quarter of the margin is priced out
-    gain = max(agent.table.partner_reward(c.id, "S04") for c in agent.cfg.consumers)
+    gain = max(agent.table.partner_reward(c.id, "S04") for c in agent.view.consumers)
     solves = agent.lp_solves
     assert not agent.solve_and_accept(("S04", 0.2 * IMPROVE_TOL / gain, 0.0))
     assert (agent.lp_solves, agent.offers_priced_out) == (solves, 1)
