@@ -9,6 +9,7 @@ exchange offers during a run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +62,26 @@ class ActualNeighborhoodMap:
             return False
         return _pair(a, b) in self.edges
 
+    def neighbours(self, ssp_ids: Sequence[str]) -> dict[str, list[str]]:
+        """Each SSP's neighbours among ``ssp_ids``, read from the edges as ``connected`` reads them: an edge counts as the pair (a, b) with a < b.
+
+        A list follows the iteration order of ``edges``, not id order.
+        """
+        neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in ssp_ids}
+        for a, b in self.edges:
+            if a < b and a in neighbours and b in neighbours:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+        return neighbours
+
     def component_count(self) -> int:
-        neighbours: dict[str, list[str]] = {}
-        for a, b in (*self.edges, *(edge[::-1] for edge in self.edges)):
-            neighbours.setdefault(a, []).append(b)
+        neighbours = self.neighbours(self.ssp_ids)
         unseen, count = set(self.ssp_ids), 0
         while unseen:
             count += 1
             stack = [unseen.pop()]
             while stack:
-                reached = unseen.intersection(neighbours.get(stack.pop(), ()))
+                reached = unseen.intersection(neighbours[stack.pop()])
                 unseen -= reached
                 stack.extend(reached)
         return count

@@ -46,6 +46,9 @@ reservation lists its entries in column order, so each builder sorts its
 (row, column, value) entries once. ``PairTable`` holds what an agent's LP
 keeps across solves (the local columns and the reward of every (consumer,
 partner) pair) as arrays, built once per agent with whole-row operations.
+It is where the weights and lines are read: ``_build`` and
+``solve_dist_matching`` take a view and its table, and the view adds only the
+partners' capacities.
 Every reward per kWh comes from ``_Rewards.__call__`` alone, evaluated over
 arrays in one order of operations. Solutions are read back with array masks.
 
@@ -305,25 +308,27 @@ class _Rewards:
     supplier's rank of each pair. Unless the weights fix it, ``beta`` is the
     largest rank plus 1; ``of_pairs`` is each pair's reward, and
     ``stretch_penalty`` lies 0.01 * w2 above the largest of them.
+    ``_place`` reads the purchase cost w2 from ``weights``.
     """
 
     def __init__(self, weights: MatchingWeights, priority: np.ndarray, ranks: np.ndarray):
-        self._weights = weights
+        self.weights = weights
         self.beta = weights.beta if weights.beta is not None else float(max(1, int(ranks.max(initial=1))) + 1)
         self.of_pairs = self(priority, ranks.astype(float))
         self.stretch_penalty = (float(self.of_pairs.max()) if self.of_pairs.size else 0.0) + 0.01 * weights.w2
 
     def __call__(self, priority, rank):
         """w14 * Pr(i) + w35 * (1 + alpha * (beta - rank)), elementwise over arrays."""
-        weights = self._weights
+        weights = self.weights
         return weights.w14 * priority + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
 
 
 class PairTable:
     """The part of one view's matching LP that offers do not change, as arrays.
 
-    Built once per (subscribers, partner list, weights, lines); an agent keeps
-    its own and hands it to every re-solve. It holds the local cm columns
+    Built once per (subscribers, partner list, weights, lines), the only place
+    an SSP's LP reads weights and lines; an agent keeps its own and hands it
+    to every re-solve. It holds the local cm columns
     (per consumer, those of its connected local producers in producer order,
     with their rewards and line bounds); the reward of every (consumer,
     partner) pair (``partner_rewards``, consumers x sorted partners); the
@@ -412,7 +417,6 @@ def _place(
     supplier_ids: list[str],
     cm: _CmColumns,
     flex: _Flex,
-    weights: MatchingWeights,
     rewards: _Rewards,
 ) -> tuple[LinearProgram, _BuildInfo, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """The columns and costs both matching LPs share, with the entries of their supply and demand rows.
@@ -432,9 +436,9 @@ def _place(
     info = _BuildInfo(consumer_ids, supplier_ids, cm.consumer, cm.supplier, flex.cut_of, flex.stretch_of)
     purchases, cuts, stretches = (np.arange(c.start, c.stop) for c in (info.purchase_cols, info.cut_cols, info.stretch_cols))
     cost_cols, cost_vals = [], []
-    if weights.w2 != 0.0:
+    if rewards.weights.w2 != 0.0:
         cost_cols.append(purchases)
-        cost_vals.append(np.full(n_cons, weights.w2))
+        cost_vals.append(np.full(n_cons, rewards.weights.w2))
     if rewards.stretch_penalty != 0.0:
         cost_cols.append(stretches)
         cost_vals.append(np.full(stretches.size, rewards.stretch_penalty))
@@ -462,11 +466,9 @@ def _add_rows(
 
 def _build(
     view: SspView,
-    weights: MatchingWeights,
-    lines: LineConstraintSet | None,
+    table: PairTable,
     locked_imports: dict[str, dict[str, float]] | None,
     committed_exports: float,
-    table: PairTable | None = None,
 ) -> tuple[LinearProgram, _BuildInfo]:
     """The view's matching LP: ``_place``'s columns, then its rows.
 
@@ -476,12 +478,10 @@ def _build(
     demand per consumer, then the export reservation. Sell-backs get no
     column: ``solve_dist_matching`` derives them from the placements.
 
-    ``table`` must come from a view with the same subscribers and partner list
-    and from the same weights and lines; without one it is computed here. Both
-    ways give an equal LinearProgram.
+    Every cost, reward and line bound comes from ``table``, which must come
+    from a view with the same subscribers and partner list; ``view`` adds only
+    the partners' capacities.
     """
-    if table is None:
-        table = PairTable(view, weights, lines)
     locked_imports = locked_imports or {}
     live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
 
@@ -501,7 +501,7 @@ def _build(
         demand.append(max(rhs, 0.0))
 
     lp, info, supplied, served = _place(
-        table.consumer_ids, [*table.producer_ids, *live], table.columns(live), table.flex, weights, table.rewards
+        table.consumer_ids, [*table.producer_ids, *live], table.columns(live), table.flex, table.rewards
     )
     info.live_partners = live
     info.objective_offset = offset
@@ -560,14 +560,12 @@ def _purchases(cm: CommitmentMatrix, info: _BuildInfo, x: np.ndarray, values: li
 
 def solve_dist_matching(
     view: SspView,
-    weights: MatchingWeights,
-    lines: LineConstraintSet | None = None,
+    table: PairTable,
     *,
     locked_imports: dict[str, dict[str, float]] | None = None,
     committed_exports: float = 0.0,
-    table: PairTable | None = None,
 ) -> tuple[CommitmentMatrix, FlexibilityAssignment, float, dict[str, float]]:
-    """Solve the view's matching LP: (matrix, flexibility, objective, prices).
+    """Solve the view's matching LP through its ``PairTable``: (matrix, flexibility, objective, prices).
 
     The Utility row of the returned matrix is the unplaced base production of
     each local producer, net of ``committed_exports`` attributed greedily in
@@ -575,10 +573,10 @@ def solve_dist_matching(
     back. The reported objective folds in the reward of the locked imports,
     so values stay comparable across re-solves of an evolving view.
     ``prices`` maps each consumer to minus the dual of its demand row: the
-    reward its marginal kWh earns in this solution. ``table`` is the view's
-    PairTable when the caller keeps one across re-solves (see ``_build``).
+    reward its marginal kWh earns in this solution. ``table`` holds the
+    weights and lines (see ``_build``).
     """
-    lp, info = _build(view, weights, lines, locked_imports, committed_exports, table)
+    lp, info = _build(view, table, locked_imports, committed_exports)
     solution = _solve(lp, f"matching LP for {view.id!r}")
 
     locked_imports = locked_imports or {}
@@ -732,8 +730,8 @@ def merged_view(scenario: Scenario) -> SspView:
     )
 
 
-def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, _BuildInfo]:
-    """The centralized LP in transshipment form (see the module docstring).
+def _build_centralized(scenario: Scenario) -> tuple[LinearProgram, _BuildInfo]:
+    """The centralized LP in transshipment form (see the module docstring), under the scenario's weights.
 
     Columns: the cm columns consumer-major (every SSP's consumers in scenario
     order): connected local producers, then one import column from the pool
@@ -750,7 +748,7 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
     supplier_at = {supplier_id: j for j, supplier_id in enumerate(supplier_ids)}
     consumer_of, cm_supplier, ranks, lower, upper = _scenario_pairs(scenario, lines)
     priority = np.array([c.priority for c in consumers], dtype=float)
-    rewards = _Rewards(weights, priority[consumer_of], ranks)
+    rewards = _Rewards(scenario.weights, priority[consumer_of], ranks)
     cm = _CmColumns(
         consumer_of,
         cm_supplier,
@@ -760,7 +758,7 @@ def _build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[Li
         [f"cm[{consumers[k].id}][{supplier_ids[j]}]" for k, j in zip(consumer_of.tolist(), cm_supplier.tolist())],
     )
     flex = _flex(consumers, producers, lines)
-    lp, info, supplied, served = _place([c.id for c in consumers], supplier_ids, cm, flex, weights, rewards)
+    lp, info, supplied, served = _place([c.id for c in consumers], supplier_ids, cm, flex, rewards)
 
     # a pooled SSP is one some consumer imports from; its producers export to the pool
     drawn = np.zeros(len(supplier_ids), dtype=bool)
@@ -820,7 +818,7 @@ def solve_centralized(scenario: Scenario) -> tuple[CommitmentMatrix, Flexibility
     the module docstring); the matrix has one column per producer and is
     feasible against ``merged_view``.
     """
-    lp, info = _build_centralized(scenario, scenario.weights)
+    lp, info = _build_centralized(scenario)
     solution = _solve(lp, "centralized matching LP")
 
     consumers = tuple(c for cfg in scenario.ssps for c in cfg.consumers)

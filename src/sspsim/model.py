@@ -40,6 +40,7 @@ array operations, and walked entry by entry only to name a violation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -318,11 +319,15 @@ class Scenario:
     line_constraints: LineConstraintSet | None = None
     seed: int = 0
 
+    @functools.cached_property
+    def _by_id(self) -> dict[str, SSPConfig]:
+        # read in reverse, a repeated id keeps its first SSP; validation names the rest
+        return {cfg.id: cfg for cfg in reversed(self.ssps)}
+
     def ssp(self, ssp_id: str) -> SSPConfig:
-        for cfg in self.ssps:
-            if cfg.id == ssp_id:
-                return cfg
-        raise KeyError(f"unknown SSP id {ssp_id!r}")
+        if ssp_id not in self._by_id:
+            raise KeyError(f"unknown SSP id {ssp_id!r}")
+        return self._by_id[ssp_id]
 
     @property
     def ssp_ids(self) -> tuple[str, ...]:

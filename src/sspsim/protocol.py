@@ -1,8 +1,10 @@
 """Synchronous distributed matching engine.
 
 Each SSP runs as an agent around its local matching LP. An agent is built
-from ``view_for_ssp`` over the SSP's map neighbours, so its partners are the
-neighbours that the SSP links reach. The engine sweeps the agents in id
+from ``view_for_ssp`` over the SSP's map neighbours
+(``ActualNeighborhoodMap.neighbours``, which reads an edge as
+``ActualNeighborhoodMap.connected`` does), so its partners are the neighbours
+that the SSP links reach. The engine sweeps the agents in id
 order; an agent that accepts a strictly better solution becomes an
 *iteration*, computes its residual aggregate surplus and offers it to its
 connected partners one at a time in a seeded shuffled order. Delivering an
@@ -191,14 +193,13 @@ class _Agent:
 
     The agent owns its view, with every partner at zero capacity (an offer's
     solve replaces only the capacities), the PairTable of its local LP, built
-    once over the view's partners (``table.partner_ids``), and its pricing
-    certificate (``floor``, ``prices``; see the module docstring).
+    once over the view's partners (``table.partner_ids``) from the weights and
+    lines, which it keeps nowhere else, and its pricing certificate
+    (``floor``, ``prices``; see the module docstring).
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
         self.view = view
-        self.weights = weights
-        self.lines = lines
         self.best_solution = float("inf")
         self.cm: CommitmentMatrix | None = None
         self.fx: FlexibilityAssignment | None = None
@@ -229,12 +230,7 @@ class _Agent:
         self.lp_solves += 1
         try:
             cm, fx, objective, prices = solve_dist_matching(
-                view,
-                self.weights,
-                self.lines,
-                locked_imports=self.locked,
-                committed_exports=self.total_exports(),
-                table=self.table,
+                view, self.table, locked_imports=self.locked, committed_exports=self.total_exports()
             )
         except MatchingInfeasibleError:
             if self.cm is not None:
@@ -280,16 +276,6 @@ class _Agent:
             held[consumer_id] = held.get(consumer_id, 0.0) + kwh
 
 
-def _map_neighbours(ssp_ids: tuple[str, ...], anm: ActualNeighborhoodMap) -> dict[str, list[str]]:
-    """Each SSP's neighbours on the map among ``ssp_ids``, read from its edges as ``anm.connected`` reads them: an edge counts as the pair (a, b) with a < b."""
-    neighbours: dict[str, list[str]] = {ssp_id: [] for ssp_id in ssp_ids}
-    for a, b in anm.edges:
-        if a < b and a in neighbours and b in neighbours:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-    return neighbours
-
-
 def run_engine(
     scenario: Scenario,
     anm: ActualNeighborhoodMap,
@@ -306,7 +292,7 @@ def run_engine(
         raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
 
     ssp_ids = sorted(scenario.ssp_ids)
-    neighbours = _map_neighbours(scenario.ssp_ids, anm)
+    neighbours = anm.neighbours(scenario.ssp_ids)
     agents = {s: _Agent(view_for_ssp(scenario, s, neighbours[s]), weights, scenario.line_constraints) for s in ssp_ids}
 
     per_ssp_initial = {s: abs(energy_status(agents[s].view)) for s in ssp_ids}

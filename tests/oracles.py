@@ -26,6 +26,7 @@ from sspsim.matching import (
     RESIDUAL_TOL,
     FlexibilityAssignment,
     MatchingStructureError,
+    PairTable,
     SspView,
     merged_view,
     solve_dist_matching,
@@ -428,9 +429,14 @@ def reference_solve_centralized(
     One column per (consumer, remote producer) pair, each at the partner
     SSP's rank; its optimum is the reference for the transshipment form's.
     """
-    weights = weights or scenario.weights
-    cm, fx, objective, _ = solve_dist_matching(merged_view(scenario), weights, scenario.line_constraints)
+    view = merged_view(scenario)
+    cm, fx, objective, _ = solve_dist_matching(view, pair_table(view, weights or scenario.weights, scenario.line_constraints))
     return cm, fx, objective
+
+
+def pair_table(view: SspView, weights: MatchingWeights | None = None, lines: LineConstraintSet | None = None) -> PairTable:
+    """The ``PairTable`` that ``solve_dist_matching`` and ``_build`` read ``view`` through, under ``weights`` (the defaults when None) and ``lines``."""
+    return PairTable(view, weights or MatchingWeights(), lines)
 
 
 def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:

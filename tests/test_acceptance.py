@@ -43,7 +43,7 @@ from sspsim.model import (
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
 from tests.conftest import link_block, preference_table
-from tests.oracles import brute_force_verify, constraint_residuals, with_variables
+from tests.oracles import brute_force_verify, constraint_residuals, pair_table, with_variables
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -101,7 +101,7 @@ def worked_view(scenario) -> SspView:
 def test_c01_worked_example_zeroes_the_utility(worked_scenario):
     started = time.perf_counter()
     view = worked_view(worked_scenario)
-    cm, fx, _, _ = solve_dist_matching(view, worked_scenario.weights)
+    cm, fx, _, _ = solve_dist_matching(view, pair_table(view, worked_scenario.weights))
     elapsed = time.perf_counter() - started
 
     assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
@@ -141,7 +141,7 @@ def test_c02_lp_oracle_equivalence():
             rows[c.id] = cols
             ranks[c.id] = rank_row
         view = SspView("s", consumers, producers, preference_table(ranks), link_block(rows))
-        lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
+        lp, _ = _build(view, pair_table(view), None, 0.0)
 
         demand = {c.id: c.energy for c in consumers}
         supply = {p.id: p.energy for p in producers}

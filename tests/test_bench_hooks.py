@@ -23,6 +23,7 @@ from sspsim.coalition import ActualNeighborhoodMap
 from sspsim.lp import solve_lp
 from sspsim.matching import _build, _build_centralized, view_for_ssp
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
+from tests.oracles import pair_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,13 +53,14 @@ def test_the_lp_counters_read_a_real_program(spans, worked_scenario, which):
     # the counters read the program's views: both LPs have bounded cut and
     # stretch columns, the baseline also imports and pools
     if which == "matching":
-        lp, _ = _build(view_for_ssp(worked_scenario, "S1"), worked_scenario.weights, None, None, 4.0)
+        view = view_for_ssp(worked_scenario, "S1")
+        lp, _ = _build(view, pair_table(view, worked_scenario.weights), None, 4.0)
     else:
         scenario = generate_scenario(GeneratorSpec(
             n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, passive_consumers=2, passive_consumer_bound=0.15,
             passive_producers=1, passive_producer_bound=0.1, seed=1,
         ))
-        lp, _ = _build_centralized(scenario, scenario.weights)
+        lp, _ = _build_centralized(scenario)
         assert any(name.startswith("pool[") for name in lp.row_names)
     tracer = spans.Tracer()
     spans.count_lp(tracer, lp)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,14 @@ class TestMaps:
         coalitions = form_coalitions(statuses, 4)
         assert map_from_coalitions(coalitions).component_count() == len(coalitions.groups) == 105
 
+    def test_a_pair_written_high_id_first_connects_nothing(self):
+        # connected() and the engine read an edge only as (a, b) with a < b;
+        # the component count reads it the same way
+        anm = ActualNeighborhoodMap(("S01", "S02", "S03"), frozenset({("S02", "S01")}))
+        assert not anm.connected("S01", "S02")
+        assert anm.neighbours(anm.ssp_ids) == {"S01": [], "S02": [], "S03": []}
+        assert anm.component_count() == 3
+
     def test_map_from_coalitions_is_blockwise_mesh(self):
         coalitions = CoalitionSet((frozenset({"a", "b", "c"}), frozenset({"d"})))
         anm = map_from_coalitions(coalitions)
@@ -268,3 +277,23 @@ class TestMaps:
         text = bnm_to_csv(initial_bnm(["a", "b"]))
         assert text.splitlines()[0] == "ssp_a,ssp_b,p"
         assert "a,b,0.5" in text
+
+
+MAP_IDS = ["S01", "S02", "S03", "S04", "S05", "S06"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(MAP_IDS), min_size=1, max_size=6, unique=True),
+    st.frozensets(st.tuples(st.sampled_from([*MAP_IDS, "S99"]), st.sampled_from([*MAP_IDS, "S99"])), max_size=12),
+)
+def test_neighbours_and_component_count_read_the_pairs_connected_reads(ids, edges):
+    # edges written high id first, self-pairs and SSPs outside the map among
+    # the pairs: neither the neighbour lists nor the count may read more than connected()
+    anm = ActualNeighborhoodMap(tuple(sorted(ids)), edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from((a, b) for a, b in itertools.combinations(ids, 2) if anm.connected(a, b))
+    neighbours = anm.neighbours(ids)
+    assert {a: sorted(bs) for a, bs in neighbours.items()} == {a: sorted(graph[a]) for a in ids}
+    assert anm.component_count() == nx.number_connected_components(graph)

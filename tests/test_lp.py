@@ -242,7 +242,7 @@ def test_the_study2_baseline_is_standardised_without_a_dense_matrix():
         passive_consumers=10, passive_consumer_bound=0.15, passive_producers=5, passive_producer_bound=0.10,
         demand_mean_kwh=12.0, supply_mean_kwh=15.0, noise_std_kwh=3.0, seed=0,
     ))
-    lp, _ = _build_centralized(scenario, scenario.weights)
+    lp, _ = _build_centralized(scenario)
     assert (len(lp.variables), len(lp.constraints)) == (21_500, 920)
     tracemalloc.start()
     try:
@@ -613,7 +613,7 @@ def study1_centralized_lp(n_ssps: int) -> LinearProgram:
         n_ssps=n_ssps, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
         supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
     ))
-    return _build_centralized(scenario, scenario.weights)[0]
+    return _build_centralized(scenario)[0]
 
 
 def test_the_centralized_solve_starts_from_the_identity_and_keeps_positive_zeros():

@@ -56,6 +56,7 @@ from tests.oracles import (
     constraint_residuals,
     highs,
     layout_of,
+    pair_table,
     reference_build,
     reference_build_centralized,
     reference_solve_centralized,
@@ -93,7 +94,8 @@ def worked_view(demands=(13.5, 18.0, 13.5)) -> SspView:
 
 class TestBuildMatchingLp:
     def test_exact_supply_demand_match(self):
-        cm, fx, _, _ = solve_dist_matching(simple_view(), MatchingWeights())
+        view = simple_view()
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         assert cm.get("c1", "p1") == pytest.approx(5.0, abs=1e-9)
         assert cm.get("c1", UTILITY_ID) == pytest.approx(0.0, abs=1e-9)
 
@@ -102,7 +104,7 @@ class TestBuildMatchingLp:
         view = SspView(
             "s1", consumers, (), preference_table({}), link_block({"c1": {UTILITY_ID: 1}})
         )
-        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         assert cm.get("c1", UTILITY_ID) == pytest.approx(4.0, abs=1e-9)
         assert fx.consumers["c1"] == 1.0
 
@@ -110,12 +112,12 @@ class TestBuildMatchingLp:
         view = simple_view()
         broken = replace(view, preferences=preference_table({"c1": {}}))
         with pytest.raises(MatchingStructureError, match="c1"):
-            _build(broken, MatchingWeights(), None, None, 0.0)
+            PairTable(broken, MatchingWeights(), None)  # the table reads every rank
 
     def test_all_utility_witness_is_feasible(self):
         # deficit view: serving everything from the Utility always satisfies the LP
         view = worked_view()
-        lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
+        lp, _ = _build(view, pair_table(view), None, 0.0)
         names = [v.name for v in lp.variables]
         witness = [0.0] * len(names)
         for consumer in view.consumers:
@@ -144,7 +146,7 @@ class TestBuildMatchingLp:
         # a Utility column with a positive minimum, a locked import from s3
         # and an exported kWh
         lines = LineConstraintSet((LineConstraint("c1", UTILITY_ID, 0.5, 100.0),))
-        lp, info = _build(view, MatchingWeights(), lines, {"s3": {"c2": 1.5}}, 1.0)
+        lp, info = _build(view, pair_table(view, lines=lines), {"s3": {"c2": 1.5}}, 1.0)
         names = [v.name for v in lp.variables]
         inf = math.inf
         assert [(v.name, v.lower, v.upper) for v in lp.variables] == [
@@ -189,21 +191,21 @@ class TestBuildMatchingLp:
             link_block({"c1": {"p1": 1, "p2": 1, UTILITY_ID: 1}}),
         )
         lines = LineConstraintSet((LineConstraint("c1", "p1", 0.0, 3.0),))
-        cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
+        cm, _, _, _ = solve_dist_matching(view, pair_table(view, lines=lines))
         assert cm.get("c1", "p1") == pytest.approx(3.0, abs=1e-6)
         assert cm.get("c1", "p2") == pytest.approx(2.0, abs=1e-6)
 
     def test_line_floor_forces_flow(self):
         view = simple_view()
         lines = LineConstraintSet((LineConstraint("c1", UTILITY_ID, 2.0, 9.0),))
-        cm, _, _, _ = solve_dist_matching(view, MatchingWeights(), lines)
+        cm, _, _, _ = solve_dist_matching(view, pair_table(view, lines=lines))
         assert cm.get("c1", UTILITY_ID) >= 2.0 - 1e-9
 
 
 class TestWorkedExample:
     def test_zero_utility_and_reduced_demand(self):
         view = worked_view()
-        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
         served = sum(cm.get(c.id, p.id) for c in view.consumers for p in view.producers)
         assert served == pytest.approx(54.6, abs=1e-6)
@@ -228,7 +230,7 @@ class TestWorkedExample:
     def test_feasibility_check_names_each_broken_rule(self, cells, fx_values, unlinked, problem):
         # the check is the bench's feasibility gate: each break of the optimum gives exactly its message
         view = worked_view()
-        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         assert (cm.get("AC1", "AP2"), cm.get("AC3", "AP1")) == (12.0, 13.5)
         for (row_id, col_id), kwh in cells.items():
             cm.set(row_id, col_id, kwh)
@@ -244,14 +246,14 @@ class TestWorkedExample:
     def test_split_of_active_demand_preserves_aggregates(self, demands):
         # the 27 kWh not pinned by the narrative can be split any way
         view = worked_view(demands)
-        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
         served = sum(cm.get(c.id, p.id) for c in view.consumers for p in view.producers)
         assert served == pytest.approx(54.6, abs=1e-6)
 
     def test_commitments_balance_flexed_totals(self):
         view = worked_view()
-        cm, fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, _, _ = solve_dist_matching(view, pair_table(view))
         demand_side = sum(fx.consumers[c.id] * c.energy for c in view.consumers)
         supply_side = sum(fx.producers[p.id] * p.energy for p in view.producers)
         assert demand_side == pytest.approx(supply_side, abs=1e-6)
@@ -261,7 +263,7 @@ class TestSolveDistMatching:
     def test_surplus_only_ssp_sells_back(self):
         producers = (Subscriber("p1", AP, 10.0),)
         view = SspView("s1", (), producers, preference_table({}), link_block({}))
-        cm, fx, objective, _ = solve_dist_matching(view, MatchingWeights())
+        cm, fx, objective, _ = solve_dist_matching(view, pair_table(view))
         assert 0.0 <= cm.get(UTILITY_ID, "p1") <= 10.0 + 1e-9
         assert aggregate_surplus(view, cm) == (10.0, 10.0)
         assert objective == pytest.approx(0.0, abs=1e-9)
@@ -280,7 +282,7 @@ class TestSolveDistMatching:
         )
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
-        *_, prices = solve_dist_matching(view, weights, table=table)
+        *_, prices = solve_dist_matching(view, table)
         [reward] = table.local_reward.tolist()  # c2's from p1, the view's only local pair
         assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(reward)}
 
@@ -297,7 +299,7 @@ class TestSolveDistMatching:
             link_block({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}}),
             partner_capacities={"s2": PartnerCapacity(51.0, 0.0)},
         )
-        cm, _, _, _ = solve_dist_matching(view, MatchingWeights())
+        cm, _, _, _ = solve_dist_matching(view, pair_table(view))
         assert cm.get("c1", "s2") + cm.get("c2", "s2") == pytest.approx(51.0, abs=1e-6)
         assert cm.purchases() == pytest.approx(0.0, abs=1e-6)
 
@@ -314,7 +316,7 @@ class TestSolveDistMatching:
             link_block({"c1": {UTILITY_ID: 1}, "c2": {UTILITY_ID: 1}}),
             partner_capacities={"s2": PartnerCapacity(5.0, 0.0)},
         )
-        lp, _ = _build(view, MatchingWeights(), None, None, 0.0)
+        lp, _ = _build(view, pair_table(view), None, 0.0)
         lp = with_variables(lp, [replace(var, upper=5.0) if math.isinf(var.upper) else var for var in lp.variables])
         solution = solve_lp(lp)
         oracle = brute_force_verify(lp, 1.0)
@@ -322,10 +324,10 @@ class TestSolveDistMatching:
 
     def test_argmin_invariant_under_weight_scaling(self):
         view = worked_view()
-        base_cm, base_fx, _, _ = solve_dist_matching(view, MatchingWeights())
+        base_cm, base_fx, _, _ = solve_dist_matching(view, pair_table(view))
         w = MatchingWeights()
         scaled = replace(w, w14=w.w14 * 4.0, w2=w.w2 * 4.0, w35=w.w35 * 4.0)
-        scaled_cm, scaled_fx, _, _ = solve_dist_matching(view, scaled)
+        scaled_cm, scaled_fx, _, _ = solve_dist_matching(view, pair_table(view, scaled))
         assert scaled_cm == base_cm
         assert scaled_fx == base_fx
 
@@ -337,7 +339,7 @@ class TestSolveDistMatching:
         for k, consumer in enumerate(view.consumers):
             rewards = set(table.local_reward[table.local_consumer == k].tolist())
             assert rewards == {weights.w14 * consumer.priority + weights.w35}
-        cm, fx, _, _ = solve_dist_matching(view, weights)
+        cm, fx, _, _ = solve_dist_matching(view, table)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
         assert check_matching_feasibility(view, cm, fx) == []
 
@@ -414,9 +416,10 @@ class TestAggregates:
 
 class TestCentralized:
     def test_single_ssp_equals_local_solve(self, worked_scenario):
-        view, weights = view_for_ssp(worked_scenario, "S1"), worked_scenario.weights
-        assert layout(*_build_centralized(worked_scenario, weights)) == layout(*_build(view, weights, None, None, 0.0))
-        local = solve_dist_matching(view, weights)
+        view = view_for_ssp(worked_scenario, "S1")
+        table = pair_table(view, worked_scenario.weights)
+        assert layout(*_build_centralized(worked_scenario)) == layout(*_build(view, table, None, 0.0))
+        local = solve_dist_matching(view, table)
         central = solve_centralized(worked_scenario)
         assert central[0] == local[0]
         assert central[1] == local[1]
@@ -430,7 +433,7 @@ class TestCentralized:
             n_ssps=10, consumers_per_ssp=10, producers_per_ssp=5, demand_mean_kwh=12.0,
             supply_mean_kwh=24.0, noise_std_kwh=3.0, seed=101,
         ))
-        lp, _ = _build_centralized(scenario, scenario.weights)
+        lp, _ = _build_centralized(scenario)
         assert solve_lp(lp).pivots > 150
         assert_standardised_alike(lp)
 
@@ -442,7 +445,7 @@ class TestCentralized:
         # per consumer its local producers, then one import per partner SSP;
         # purchases; one export per producer of a pooled SSP; supply rows,
         # demand rows, then one pool row per pooled SSP
-        lp, info = _build_centralized(pair_scenario, pair_scenario.weights)
+        lp, info = _build_centralized(pair_scenario)
         names = [v.name for v in lp.variables]
         assert names == [
             "cm[S1.C1][S1.P1]", "cm[S1.C1][S2]", "cm[S2.C1][S2.P1]", "cm[S2.C1][S1]",
@@ -566,9 +569,7 @@ class TestPairTable:
         locked = {"S01": {"S02.C03": 1.25, "S02.C01": 0.5}, "S04": {"S02.C02": 2.0}}
         table = PairTable(base, weights, scenario.line_constraints)
         for view, imports, exports in [(base, None, 0.0), (offered, locked, 6.0), (base, locked, 2.5)]:
-            expected = _build(view, weights, scenario.line_constraints, imports, exports)
-            got = _build(view, weights, scenario.line_constraints, imports, exports, table)
-            assert layout(*got) == layout(*expected)
+            got = _build(view, table, imports, exports)
             assert_builds_alike(got, reference_build(view, weights, scenario.line_constraints, imports, exports))
 
     def test_real_matching_programs_standardise_alike(self, monkeypatch):
@@ -596,14 +597,14 @@ class TestPairTable:
         # S1 buys its 5 kWh deficit from the Utility: S2's offer can replace it
         short = view_for_ssp(pair_scenario, "S1")
         table = PairTable(short, weights, None)
-        *_, prices = solve_dist_matching(short, weights, table=table)
+        *_, prices = solve_dist_matching(short, table)
         assert table.offer_can_improve(prices, ("S2", 5.0), 1e-9)
         assert not table.offer_can_improve(prices, ("S2", 0.0), 1e-9)
         # S2's consumer is served by its first-ranked producer, which has
         # supply to spare: an offer from S1, ranked second, cannot beat it
         spare = view_for_ssp(pair_scenario, "S2")
         table = PairTable(spare, weights, None)
-        *_, prices = solve_dist_matching(spare, weights, table=table)
+        *_, prices = solve_dist_matching(spare, table)
         assert not table.offer_can_improve(prices, ("S1", 100.0), 1e-9)
 
     def test_no_program_has_a_sell_back_column(self, monkeypatch):
@@ -670,7 +671,7 @@ def matching_inputs(draw, with_lines: bool = False):
 def matching_programs(draw):
     """A generated SSP's matching LP with live partners, locked imports and exports."""
     view, weights, locked, exports, _ = draw(matching_inputs())
-    lp, _ = _build(view, weights, None, locked, exports)
+    lp, _ = _build(view, pair_table(view, weights), locked, exports)
     return lp
 
 
@@ -688,11 +689,11 @@ def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
     view, weights, locked, exports, _ = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
     table = PairTable(idle, weights, None)
-    kwargs = dict(locked_imports=locked, committed_exports=exports, table=table)
-    _, _, best, prices = solve_dist_matching(idle, weights, **kwargs)
+    kwargs = dict(locked_imports=locked, committed_exports=exports)
+    _, _, best, prices = solve_dist_matching(idle, table, **kwargs)
     for partner_id, cap in view.partner_capacities.items():
         offered = replace(idle, partner_capacities={**idle.partner_capacities, partner_id: cap})
-        _, _, objective, _ = solve_dist_matching(offered, weights, **kwargs)
+        _, _, objective, _ = solve_dist_matching(offered, table, **kwargs)
         drop = best - objective
         if drop > 1e-7:
             assert table.offer_can_improve(prices, (partner_id, cap.energy * (1.0 + cap.bound)), drop - 1e-7)
@@ -710,7 +711,7 @@ def assert_signed_unit_rows(lp: LinearProgram) -> None:
 @given(matching_inputs(with_lines=True))
 def test_matching_programs_have_signed_unit_rows_and_follow_the_reference_pivots(inputs):
     view, weights, locked, exports, lines = inputs
-    lp, _ = _build(view, weights, lines, locked, exports)
+    lp, _ = _build(view, pair_table(view, weights, lines), locked, exports)
     assert_signed_unit_rows(lp)
     assert_standardised_alike(lp)
 
@@ -720,7 +721,7 @@ def test_engine_and_centralized_programs_have_signed_unit_rows(monkeypatch, work
         assert_signed_unit_rows(lp)
     # the scenarios of the c10 acceptance suite
     for scenario in (worked_scenario, pair_scenario, generate_scenario(STUDY1_SPEC), generate_scenario(study2_spec(10, 5, 0))):
-        assert_signed_unit_rows(_build_centralized(scenario, scenario.weights)[0])
+        assert_signed_unit_rows(_build_centralized(scenario)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -731,7 +732,7 @@ def test_the_array_builder_gives_the_dict_reference_program(inputs, agent_table)
     view, weights, locked, exports, lines = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
     table = PairTable(idle if agent_table else view, weights, lines)
-    got = _build(view, weights, lines, locked, exports, table)
+    got = _build(view, table, locked, exports)
     assert_builds_alike(got, reference_build(view, weights, lines, locked, exports))
     # the offer pricing reads the same rewards
     reference = ReferencePairTable(view, weights, lines)
@@ -818,8 +819,7 @@ def centralized_scenarios(draw) -> Scenario:
 @settings(max_examples=60, deadline=None)
 @given(centralized_scenarios())
 def test_the_centralized_array_builder_gives_the_dict_reference_program(scenario):
-    weights = scenario.weights
-    assert_builds_alike(_build_centralized(scenario, weights), reference_build_centralized(scenario, weights))
+    assert_builds_alike(_build_centralized(scenario), reference_build_centralized(scenario, scenario.weights))
 
 
 def centralized_outcome(solve, scenario):
@@ -834,7 +834,7 @@ def centralized_outcome(solve, scenario):
 def test_centralized_equals_the_per_pair_expansion(scenario):
     expected = centralized_outcome(reference_solve_centralized, scenario)
     got = centralized_outcome(solve_centralized, scenario)
-    lp, _ = _build_centralized(scenario, scenario.weights)
+    lp, _ = _build_centralized(scenario)
     oracle = highs(lp)
     assert (got is None) == (expected is None) == (oracle.status == 2)
     if got is None:

@@ -319,6 +319,20 @@ class TestValidateScenario:
         assert validate_scenario(sc) == validate_scenario(sc)
 
 
+class TestScenarioLookup:
+    def test_an_id_listed_twice_finds_its_first_ssp_and_validation_names_it(self):
+        first = small_ssp()
+        second = replace(first, consumers=(), producers=())
+        scenario = replace(scenario_of(first), ssps=(first, second))
+        assert scenario.ssp("s1") is first
+        named = [v for v in validate_scenario(scenario) if v.rule == "unique-ids"]
+        assert [(v.entity, v.detail) for v in named] == [("s1", "duplicate SSP id")]
+
+    def test_an_unknown_id_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown SSP id 's2'"):
+            scenario_of(small_ssp()).ssp("s2")
+
+
 class TestEnergyStatus:
     def test_paper_deficit_case(self):
         consumers = tuple(

@@ -39,6 +39,7 @@ from sspsim.protocol import (
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.conftest import linked, preference_table
+from tests.oracles import pair_table
 from tests.test_matching import assert_lines_hold, centralized_scenarios, study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -139,9 +140,8 @@ class TestRunEngine:
     def test_single_ssp_collapses_to_local_solve(self, worked_scenario):
         result = run_engine(worked_scenario, meshed_map(worked_scenario.ssp_ids), seed=1)
         assert result.iterations == 1
-        local_cm, local_fx, _, _ = solve_dist_matching(
-            view_for_ssp(worked_scenario, "S1"), worked_scenario.weights
-        )
+        view = view_for_ssp(worked_scenario, "S1")
+        local_cm, local_fx, _, _ = solve_dist_matching(view, pair_table(view, worked_scenario.weights))
         assert result.commitments["S1"] == local_cm
         assert result.flexibility["S1"] == local_fx
         assert result.log == []
@@ -555,8 +555,9 @@ def test_every_line_a_run_accepts_holds_in_its_result(scenario, max_group_size, 
         except MatchingInfeasibleError as error:
             # an offer only adds columns, so the SSP named cannot meet its lines without one
             named = next(ssp_id for ssp_id in scenario.ssp_ids if repr(ssp_id) in str(error))
+            view = view_for_ssp(scenario, named)
             with pytest.raises(MatchingInfeasibleError):
-                solve_dist_matching(view_for_ssp(scenario, named), scenario.weights, scenario.line_constraints)
+                solve_dist_matching(view, pair_table(view, scenario.weights, scenario.line_constraints))
             continue
         assert cm is not None  # the engine's trades are a plan of the centralized LP
         assert_lines_hold(scenario, lambda row_id, col_id: result.commitments[home[row_id]].get(row_id, col_id))
@@ -609,8 +610,9 @@ def test_a_capped_ssp_waits_for_offers_however_the_ssps_are_named(short, spare):
     # spare SSP offers (named S1) or with its offer (named S2), it is met by
     # the offer and the run ends where the centralized baseline does
     scenario = capped_pair(short, spare)
+    view = view_for_ssp(scenario, short)
     with pytest.raises(MatchingInfeasibleError):
-        solve_dist_matching(view_for_ssp(scenario, short), scenario.weights, scenario.line_constraints)
+        solve_dist_matching(view, pair_table(view, scenario.weights, scenario.line_constraints))
     result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
     assert result.final_utility_kwh == utility_interaction(solve_centralized(scenario)[0]) == 0.0
     assert_lines_hold(scenario, result.commitments[short].get)
