@@ -199,6 +199,7 @@ class _BuildInfo:
     cut_of: np.ndarray
     stretch_of: np.ndarray
     objective_offset: float = 0.0  # minus the reward of the locked imports; set by _build
+    locked_cells: list[tuple[str, str, float]] = field(default_factory=list)  # the locked imports, (partner, consumer, kWh); set by _build
     demand_rows: range = range(0)  # the demand row of each consumer, in consumer order
     live_partners: list[str] = field(default_factory=list)  # partners advertising more than RESIDUAL_TOL, sorted; the pooled SSPs when centralized
     export_cols: dict[str, int] = field(default_factory=dict)  # centralized only: a pooled SSP's producer's export
@@ -465,10 +466,7 @@ def _add_rows(
 
 
 def _build(
-    view: SspView,
-    table: PairTable,
-    locked_imports: dict[str, dict[str, float]] | None,
-    committed_exports: float,
+    view: SspView, table: PairTable, accepted: CommitmentMatrix | None, committed_exports: float
 ) -> tuple[LinearProgram, _BuildInfo]:
     """The view's matching LP: ``_place``'s columns, then its rows.
 
@@ -481,21 +479,29 @@ def _build(
     Every cost, reward and line bound comes from ``table``, which must come
     from a view with the same subscribers and partner list; ``view`` adds only
     the partners' capacities.
+
+    ``accepted`` is the SSP's last accepted matrix, or None: its partner
+    cells are the locked imports, which leave each consumer's demand row and
+    enter the objective offset, summed partner by partner in id order, each
+    partner's cells in consumer id order. ``info.locked_cells`` lists them
+    in that order.
     """
-    locked_imports = locked_imports or {}
-    live = sorted(p for p, cap in view.partner_capacities.items() if cap.energy > RESIDUAL_TOL)
+    partners = view.partner_capacities
+    live = sorted(p for p, cap in partners.items() if cap.energy > RESIDUAL_TOL)
 
     # locked imports are constants: their reward keeps the objective comparable
     # across re-solves as claims accumulate
-    locked_in: dict[str, float] = {c.id: 0.0 for c in view.consumers}
+    locked = []
+    if accepted is not None:
+        locked = sorted((p, c, kwh) for (c, p), kwh in accepted.cells().items() if p in partners)
+    locked_in = dict.fromkeys(table.consumer_ids, 0.0)
     offset = 0.0
-    for partner_id, per_consumer in sorted(locked_imports.items()):
-        for consumer_id, kwh in sorted(per_consumer.items()):
-            locked_in[consumer_id] = locked_in.get(consumer_id, 0.0) + kwh
-            offset -= table.partner_reward(consumer_id, partner_id) * kwh
+    for partner_id, consumer_id, kwh in locked:
+        locked_in[consumer_id] += kwh
+        offset -= table.partner_reward(consumer_id, partner_id) * kwh
     demand = []
     for consumer in view.consumers:
-        rhs = consumer.energy - locked_in.get(consumer.id, 0.0)
+        rhs = consumer.energy - locked_in[consumer.id]
         if rhs < -RESIDUAL_TOL:
             raise MatchingStructureError(f"locked imports exceed demand of {consumer.id}")
         demand.append(max(rhs, 0.0))
@@ -503,8 +509,7 @@ def _build(
     lp, info, supplied, served = _place(
         table.consumer_ids, [*table.producer_ids, *live], table.columns(live), table.flex, table.rewards
     )
-    info.live_partners = live
-    info.objective_offset = offset
+    info.live_partners, info.locked_cells, info.objective_offset = live, locked, offset
     n_supply = len(view.producers) + len(live)
     caps = [view.partner_capacities[p] for p in live]
     stretched = [q for q, cap in enumerate(caps) if cap.bound > 0.0]
@@ -562,12 +567,15 @@ def solve_dist_matching(
     view: SspView,
     table: PairTable,
     *,
-    locked_imports: dict[str, dict[str, float]] | None = None,
+    accepted: CommitmentMatrix | None = None,
     committed_exports: float = 0.0,
 ) -> tuple[CommitmentMatrix, FlexibilityAssignment, float, dict[str, float]]:
     """Solve the view's matching LP through its ``PairTable``: (matrix, flexibility, objective, prices).
 
-    The Utility row of the returned matrix is the unplaced base production of
+    ``accepted`` is the SSP's last accepted matrix: its partner cells are
+    locked imports, constants of this LP that the returned matrix keeps, a
+    live partner's cells adding the new placements to them. The Utility row
+    of the returned matrix is the unplaced base production of
     each local producer, net of ``committed_exports`` attributed greedily in
     producer order: day-ahead, declared production that nobody takes is sold
     back. The reported objective folds in the reward of the locked imports,
@@ -576,23 +584,18 @@ def solve_dist_matching(
     reward its marginal kWh earns in this solution. ``table`` holds the
     weights and lines (see ``_build``).
     """
-    lp, info = _build(view, table, locked_imports, committed_exports)
+    lp, info = _build(view, table, accepted, committed_exports)
     solution = _solve(lp, f"matching LP for {view.id!r}")
 
-    locked_imports = locked_imports or {}
-    partner_cols = sorted(set(info.live_partners).union(
-        p for p, cells in locked_imports.items() if any(v > RESIDUAL_TOL for v in cells.values())
-    ))
+    partner_cols = sorted(set(info.live_partners).union(p for p, _, _ in info.locked_cells))
     supplier_ids = tuple(p.id for p in view.producers) + tuple(partner_cols)
     cm = CommitmentMatrix(info.consumer_ids, supplier_ids)
 
     values = solution.values
     x = np.array(values)
     _placed_cells(cm, info, x, values, np.arange(info.cm_consumer.size))
-    for partner_id, per_consumer in locked_imports.items():
-        for consumer_id, kwh in per_consumer.items():
-            if kwh > RESIDUAL_TOL:
-                cm.set(consumer_id, partner_id, cm.get(consumer_id, partner_id) + kwh)
+    for partner_id, consumer_id, kwh in info.locked_cells:
+        cm.set(consumer_id, partner_id, cm.get(consumer_id, partner_id) + kwh)
     _purchases(cm, info, x, values)
 
     attribute_sell_backs(cm, view.producers, committed_exports)

@@ -11,9 +11,11 @@ connected partners one at a time in a seeded shuffled order. Delivering an
 offer is synchronous: the receiving agent immediately re-solves with the
 offered capacity installed and answers with a claim for what it committed, and
 only then does the sender move to the next partner with the decremented
-residual. A claim is binding: the claimed cells become constants of the
-buyer's future LPs and the seller reserves the exported total, so the pair
-stays conserved across every later re-solve.
+residual. A claim is binding, and each side holds it once: the claimed cells
+are the partner cells of the buyer's accepted matrix, which its later LPs
+take as constants, and the seller adds the claimed kWh to its one exported
+total, which its reservation row keeps deliverable; so the pair stays
+conserved across every later re-solve.
 
 The wire carries aggregates only (surplus kWh, flexibility bound, claim kWh);
 no per-subscriber id or quantity ever leaves an SSP, and ``audit_privacy``
@@ -189,13 +191,17 @@ def shuffle_partners(partners: list[str], seed: int, ssp_id: str, round_index: i
 
 
 class _Agent:
-    """One SSP's state: accepted solution, binding import locks, reserved exports.
+    """One SSP's state: its accepted solution, which holds its imports, and its exported total.
 
     The agent owns its view, with every partner at zero capacity (an offer's
     solve replaces only the capacities), the PairTable of its local LP, built
     once over the view's partners (``table.partner_ids``) from the weights and
     lines, which it keeps nowhere else, and its pricing certificate
-    (``floor``, ``prices``; see the module docstring).
+    (``floor``, ``prices``; see the module docstring). The partner cells of
+    the accepted matrix ``cm`` are the kWh it claimed, which every re-solve
+    keeps as constants (``solve_dist_matching``'s ``accepted``); ``exported``
+    is the sum of the claims its partners made on it, in the order they
+    came, which every re-solve keeps deliverable.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -207,12 +213,8 @@ class _Agent:
         self.prices: dict[str, float] | None = None
         self.lp_solves = 0
         self.offers_priced_out = 0
-        self.locked: dict[str, dict[str, float]] = {}
-        self.exports: dict[str, float] = {}
+        self.exported = 0.0
         self.table = PairTable(view, weights, lines)
-
-    def total_exports(self) -> float:
-        return sum(self.exports.values())
 
     def solve_and_accept(self, transient: tuple[str, float, float] | None = None) -> bool:
         """Solve the local LP with the offer ``transient`` installed, or with none; adopt the result only on strict improvement.
@@ -229,9 +231,7 @@ class _Agent:
             view = replace(view, partner_capacities={**view.partner_capacities, src: PartnerCapacity(base, bound)})
         self.lp_solves += 1
         try:
-            cm, fx, objective, prices = solve_dist_matching(
-                view, self.table, locked_imports=self.locked, committed_exports=self.total_exports()
-            )
+            cm, fx, objective, prices = solve_dist_matching(view, self.table, accepted=self.cm, committed_exports=self.exported)
         except MatchingInfeasibleError:
             if self.cm is not None:
                 raise
@@ -244,36 +244,30 @@ class _Agent:
             self.floor, self.prices = objective, prices
         return False
 
-    def register_export(self, partner_id: str, kwh: float) -> None:
+    def register_export(self, kwh: float) -> None:
+        """Add a claim made on this SSP to its exported total, and sell back only what is left."""
         assert self.cm is not None
-        self.exports[partner_id] = self.exports.get(partner_id, 0.0) + kwh
-        attribute_sell_backs(self.cm, self.view.producers, self.total_exports())
+        self.exported += kwh
+        attribute_sell_backs(self.cm, self.view.producers, self.exported)
 
     def surplus_offer_terms(self) -> tuple[float, float]:
         """(offerable kWh, aggregate bound): residual surplus net of committed exports."""
         assert self.cm is not None
         ex_energy, total_energy = aggregate_surplus(self.view, self.cm)
-        return max(0.0, ex_energy - self.total_exports()), surplus_bound(ex_energy, total_energy)
+        return max(0.0, ex_energy - self.exported), surplus_bound(ex_energy, total_energy)
 
     def utility_kwh(self) -> float:
         """Current Utility interaction; the whole |status| while still unsolved."""
         return abs(energy_status(self.view)) if self.cm is None else utility_interaction(self.cm)
 
-    def claim_against(self, src: str) -> dict[str, float]:
-        """New per-consumer commitments against ``src`` beyond the existing locks."""
-        assert self.cm is not None
-        held = self.locked.get(src, {})
-        out: dict[str, float] = {}
-        for consumer in self.view.consumers:
-            extra = self.cm.get(consumer.id, src) - held.get(consumer.id, 0.0)
-            if extra > RESIDUAL_TOL:
-                out[consumer.id] = extra
-        return out
+    def claim(self, src: str, before: CommitmentMatrix | None) -> float:
+        """The kWh the accepted matrix newly takes from ``src``: the sum, in consumer order, of each consumer's increase of cm(i, src) over ``before``, the matrix held before the solve, where it exceeds RESIDUAL_TOL.
 
-    def lock_imports(self, src: str, cells: dict[str, float]) -> None:
-        held = self.locked.setdefault(src, {})
-        for consumer_id, kwh in cells.items():
-            held[consumer_id] = held.get(consumer_id, 0.0) + kwh
+        With no such increase the sum is the int 0, which the claim's log
+        record carries as written (``0`` rather than ``0.0``)."""
+        assert self.cm is not None
+        extras = [self.cm.get(c, src) - (0.0 if before is None else before.get(c, src)) for c in self.table.consumer_ids]
+        return sum(extra for extra in extras if extra > RESIDUAL_TOL)
 
 
 def run_engine(
@@ -324,20 +318,20 @@ def run_engine(
 
     def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
         """Synchronous exchange: install capacity at the receiver, re-solve,
-        lock the claim on both sides."""
+        and on acceptance claim what the new matrix takes from the sender,
+        which adds it to its exports."""
         receiver = agents[dst]
+        before = receiver.cm
         base = offered / (1.0 + bound)
         improved = receiver.solve_and_accept(transient=(src, base, bound))
         claimed = 0.0
         if improved:
             changed.add(dst)
-            cells = receiver.claim_against(src)
-            claimed = sum(cells.values())
+            claimed = receiver.claim(src, before)
             if claimed > offered + 1e-6:
                 raise ProtocolViolationError(f"{dst} claimed {claimed} kWh from {src}, offered {offered}")
-            receiver.lock_imports(src, cells)
             if claimed > 0.0:
-                agents[src].register_export(dst, claimed)
+                agents[src].register_export(claimed)
                 changed.add(src)
             record_iteration()
             pending[dst] = True

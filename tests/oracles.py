@@ -439,6 +439,20 @@ def pair_table(view: SspView, weights: MatchingWeights | None = None, lines: Lin
     return PairTable(view, weights or MatchingWeights(), lines)
 
 
+def accepted_matrix(view: SspView, locked: dict[str, dict[str, float]] | None) -> CommitmentMatrix | None:
+    """A matrix of ``view`` whose only cells are ``locked`` (partner -> consumer -> kWh), as an agent's accepted matrix holds its imports; None for None.
+
+    ``solve_dist_matching`` and ``_build`` take it as ``accepted``, where
+    ``reference_build`` takes the dict itself."""
+    if locked is None:
+        return None
+    cm = CommitmentMatrix([c.id for c in view.consumers], [*(p.id for p in view.producers), *sorted(locked)])
+    for partner_id, cells in locked.items():
+        for consumer_id, kwh in cells.items():
+            cm.set(consumer_id, partner_id, kwh)
+    return cm
+
+
 def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:
     """The pairwise-rescan loop that ``form_coalitions`` replaces; it must agree exactly."""
     if not statuses:

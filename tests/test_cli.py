@@ -156,6 +156,24 @@ PINNED_RUNS = {
 }
 
 
+# the same runs with each SSP's consumer and producer lists reversed in the
+# scenario file, so that no SSP lists its subscribers in id order
+PINNED_REVERSED_RUNS = {
+    "meshed": {
+        "commitments.csv": "f1f10d9a52285a45891eaf4dd090b33d560bea0ea6b4048980838852c22175ed",
+        "convergence.csv": "4a52a853dfb0c0306fef62a75864f423a6917c75b306986648fe1ca4ec829f07",
+        "messages.csv": "f430b8a64fecfdc2308789e1cd6a4ef15dfcb663b6edfa478dba3179befd955d",
+        "summary.json": "f9bbbe1bd8014176e72fd39bde72f4205232a9476ccf1ac16b84e5fc1e129ea2",
+    },
+    "coalition": {
+        "commitments.csv": "f394ef74a46958fd221e9b2828e2b80afd0afc6099818e774378044c8f924613",
+        "convergence.csv": "c09d262a39250ffba97ea62070272b40ccb57f34d2c84a2b286e6e8712f26e9f",
+        "messages.csv": "02310b045e26e348a77f809114aa14ab9c2d80a2aefa2e36c7e741aa941407b1",
+        "summary.json": "f3a84cbdc6e9132dd68d9b7706fba72ac3559d8aadd2d1d2ee957fdc4a270cca",
+    },
+}
+
+
 class TestRun:
     @pytest.mark.parametrize("anm", sorted(PINNED_RUNS))
     def test_run_artifacts_are_pinned_across_versions(self, tmp_path, anm):
@@ -166,6 +184,21 @@ class TestRun:
         assert run_cli("run", "--scenario", scenario, "--anm", anm, "--seed", "1", "--out", str(out)) == EXIT_OK
         assert sorted(os.listdir(out)) == list(RESULT_FILES)
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RESULT_FILES} == PINNED_RUNS[anm]
+
+    @pytest.mark.parametrize("anm", sorted(PINNED_REVERSED_RUNS))
+    def test_runs_on_reversed_listings_are_pinned(self, tmp_path, anm):
+        scenario = tmp_path / "scenario.json"
+        gen = ("--ssps", "6", "--consumers", "5", "--producers", "3", "--supply-mean", "18", "--seed", "7")
+        assert run_cli("gen", *gen, "--out", str(scenario)) == EXIT_OK
+        data = json.loads(scenario.read_text())
+        for ssp in data["ssps"]:
+            ssp["consumers"].reverse()
+            ssp["producers"].reverse()
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / anm
+        assert run_cli("run", "--scenario", str(scenario), "--anm", anm, "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert sorted(os.listdir(out)) == list(RESULT_FILES)
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RESULT_FILES} == PINNED_REVERSED_RUNS[anm]
 
     def test_worked_example_meshed_zeroes_the_utility(self, tmp_path, worked_file):
         out = tmp_path / "results"

@@ -48,6 +48,7 @@ from sspsim.scenario import GeneratorSpec, generate_scenario
 from tests.test_acceptance import STUDY1_SPEC, study2_spec
 from tests.oracles import (
     ReferencePairTable,
+    accepted_matrix,
     assert_builds_alike,
     assert_dual_certificate,
     assert_standardised_alike,
@@ -146,7 +147,7 @@ class TestBuildMatchingLp:
         # a Utility column with a positive minimum, a locked import from s3
         # and an exported kWh
         lines = LineConstraintSet((LineConstraint("c1", UTILITY_ID, 0.5, 100.0),))
-        lp, info = _build(view, pair_table(view, lines=lines), {"s3": {"c2": 1.5}}, 1.0)
+        lp, info = _build(view, pair_table(view, lines=lines), accepted_matrix(view, {"s3": {"c2": 1.5}}), 1.0)
         names = [v.name for v in lp.variables]
         inf = math.inf
         assert [(v.name, v.lower, v.upper) for v in lp.variables] == [
@@ -569,7 +570,7 @@ class TestPairTable:
         locked = {"S01": {"S02.C03": 1.25, "S02.C01": 0.5}, "S04": {"S02.C02": 2.0}}
         table = PairTable(base, weights, scenario.line_constraints)
         for view, imports, exports in [(base, None, 0.0), (offered, locked, 6.0), (base, locked, 2.5)]:
-            got = _build(view, table, imports, exports)
+            got = _build(view, table, accepted_matrix(view, imports), exports)
             assert_builds_alike(got, reference_build(view, weights, scenario.line_constraints, imports, exports))
 
     def test_real_matching_programs_standardise_alike(self, monkeypatch):
@@ -671,7 +672,7 @@ def matching_inputs(draw, with_lines: bool = False):
 def matching_programs(draw):
     """A generated SSP's matching LP with live partners, locked imports and exports."""
     view, weights, locked, exports, _ = draw(matching_inputs())
-    lp, _ = _build(view, pair_table(view, weights), locked, exports)
+    lp, _ = _build(view, pair_table(view, weights), accepted_matrix(view, locked), exports)
     return lp
 
 
@@ -689,7 +690,7 @@ def test_offer_pricing_bounds_what_an_offer_can_gain(inputs):
     view, weights, locked, exports, _ = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
     table = PairTable(idle, weights, None)
-    kwargs = dict(locked_imports=locked, committed_exports=exports)
+    kwargs = dict(accepted=accepted_matrix(view, locked), committed_exports=exports)
     _, _, best, prices = solve_dist_matching(idle, table, **kwargs)
     for partner_id, cap in view.partner_capacities.items():
         offered = replace(idle, partner_capacities={**idle.partner_capacities, partner_id: cap})
@@ -711,7 +712,7 @@ def assert_signed_unit_rows(lp: LinearProgram) -> None:
 @given(matching_inputs(with_lines=True))
 def test_matching_programs_have_signed_unit_rows_and_follow_the_reference_pivots(inputs):
     view, weights, locked, exports, lines = inputs
-    lp, _ = _build(view, pair_table(view, weights, lines), locked, exports)
+    lp, _ = _build(view, pair_table(view, weights, lines), accepted_matrix(view, locked), exports)
     assert_signed_unit_rows(lp)
     assert_standardised_alike(lp)
 
@@ -732,7 +733,7 @@ def test_the_array_builder_gives_the_dict_reference_program(inputs, agent_table)
     view, weights, locked, exports, lines = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))
     table = PairTable(idle if agent_table else view, weights, lines)
-    got = _build(view, table, locked, exports)
+    got = _build(view, table, accepted_matrix(view, locked), exports)
     assert_builds_alike(got, reference_build(view, weights, lines, locked, exports))
     # the offer pricing reads the same rewards
     reference = ReferencePairTable(view, weights, lines)

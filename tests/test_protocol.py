@@ -341,13 +341,12 @@ class TestRunEngine:
     def test_forged_claim_is_a_protocol_violation(self, pair_scenario, monkeypatch):
         from sspsim import protocol as protocol_module
 
-        real = protocol_module._Agent.claim_against
+        real = protocol_module._Agent.claim
 
-        def inflated(self, src):
-            cells = real(self, src)
-            return {c: kwh * 50.0 for c, kwh in cells.items()} or cells
+        def inflated(self, src, before):
+            return real(self, src, before) * 50.0
 
-        monkeypatch.setattr(protocol_module._Agent, "claim_against", inflated)
+        monkeypatch.setattr(protocol_module._Agent, "claim", inflated)
         with pytest.raises(ProtocolViolationError, match="S1.*S2|S2.*S1"):
             run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), seed=1)
 
@@ -533,6 +532,36 @@ def test_coalition_all_active_run_ends_at_the_sum_of_group_imbalances(spec, max_
     result = run_engine(scenario, map_from_coalitions(coalitions), seed=run_seed)
     expected = sum(abs(sum(statuses[ssp_id] for ssp_id in group)) for group in coalitions.groups)
     assert result.final_utility_kwh == pytest.approx(expected, rel=0, abs=1e-9 * max(1.0, result.initial_abs_status_kwh))
+
+
+@settings(max_examples=100, deadline=None)
+@given(all_active_specs(), st.sampled_from(["meshed", "coalition"]), st.integers(1, 4), st.integers(0, 2**16))
+def test_the_trade_ledger_balances_on_all_active_runs(spec, anm_kind, max_group_size, run_seed):
+    # each side holds a claim once: the buyer in the cells of its matrix, the
+    # seller in its exported total. So a buyer's cells against a seller sum to
+    # the claims it sent that seller, and a seller's production is its local
+    # placements plus its sell-backs plus the claims it received. Only on
+    # all-active runs: an export may draw on a passive producer's stretch,
+    # which no matrix records
+    scenario = generate_scenario(spec)
+    if anm_kind == "meshed":
+        anm = meshed_map(scenario.ssp_ids)
+    else:
+        anm = map_from_coalitions(form_coalitions({cfg.id: energy_status(cfg) for cfg in scenario.ssps}, max_group_size))
+    result = run_engine(scenario, anm, seed=run_seed)
+    sent: dict[tuple[str, str], float] = {}  # (buyer, seller) -> claimed kWh, in log order
+    for record in result.log:
+        if record.kind == CLAIM_KIND:
+            sent[record.src, record.dst] = sent.get((record.src, record.dst), 0.0) + record.payload["amount_kwh"]
+    for cfg in scenario.ssps:
+        cm = result.commitments[cfg.id]
+        for seller in scenario.ssp_ids:
+            imported = sum(cm.get(c.id, seller) for c in cfg.consumers)
+            assert abs(imported - sent.get((cfg.id, seller), 0.0)) <= 1e-9
+        placed = sum(cm.get(c.id, p.id) for c in cfg.consumers for p in cfg.producers)
+        sold_back = sum(cm.get(UTILITY_ID, p.id) for p in cfg.producers)
+        received = sum(kwh for (_, seller), kwh in sent.items() if seller == cfg.id)
+        assert abs(placed + sold_back + received - sum(p.energy for p in cfg.producers)) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
