@@ -75,16 +75,25 @@ class ActualNeighborhoodMap:
         return neighbours
 
     def component_count(self) -> int:
-        neighbours = self.neighbours(self.ssp_ids)
-        unseen, count = set(self.ssp_ids), 0
-        while unseen:
-            count += 1
-            stack = [unseen.pop()]
-            while stack:
-                reached = unseen.intersection(neighbours[stack.pop()])
-                unseen -= reached
-                stack.extend(reached)
-        return count
+        return len(components(self.neighbours(self.ssp_ids)))
+
+
+def components(neighbours: dict[str, list[str]]) -> list[list[str]]:
+    """The connected components of the graph that ``neighbours`` lists, each in id order, ordered by their smallest id."""
+    unseen = set(neighbours)
+    found = []
+    for start in sorted(neighbours):
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        members, stack = [start], [start]
+        while stack:
+            reached = unseen.intersection(neighbours[stack.pop()])
+            unseen -= reached
+            members.extend(reached)
+            stack.extend(reached)
+        found.append(sorted(members))
+    return found
 
 
 def meshed_map(ssp_ids: tuple[str, ...] | list[str]) -> ActualNeighborhoodMap:

@@ -5,7 +5,7 @@ from ``view_for_ssp`` over the SSP's map neighbours
 (``ActualNeighborhoodMap.neighbours``, which reads an edge as
 ``ActualNeighborhoodMap.connected`` does), so its partners are the neighbours
 that the SSP links reach. The engine sweeps the agents in id
-order; an agent that accepts a strictly better solution becomes an
+order, in rounds; an agent that accepts a strictly better solution becomes an
 *iteration*, computes its residual aggregate surplus and offers it to its
 connected partners one at a time in a seeded shuffled order. Delivering an
 offer is synchronous: the receiving agent immediately re-solves with the
@@ -24,6 +24,22 @@ really was the sender's aggregate surplus at emission time.
 
 Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
+
+A run is one sweep per connected component of the map over the scenario's
+SSPs (``coalition.components``). SSPs of different components never exchange
+a message, so each component's sweep is the global sweep restricted to it.
+Each sweep writes its messages and accepted solves as a stream of events
+tagged with their turn, (round, id of the SSP whose turn it is). A turn
+belongs to one component, so merging the streams by turn has no ties, and
+replaying the merge gives the global sweep's trace, log, iteration count,
+``ConvergenceError`` (with the same partial trace and log) and first error
+exactly. A run with one component forks nothing: its sweep writes the trace
+and log directly. With two components or more and two CPUs or more
+(``os.sched_getaffinity``), the components are dealt, largest first, to one
+share per CPU; every share but the last runs in a forked worker, which
+pickles its streams and final agent states through a pipe, and every worker
+is reaped before the run returns or raises. The result is the same bytes for
+any CPU count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -83,12 +99,19 @@ priced out (``offers_priced_out``); neither enters an artifact.
 
 from __future__ import annotations
 
+import heapq
 import math
+import os
+import pickle
 import random
+import traceback
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 
-from .coalition import ActualNeighborhoodMap, meshed_map
+from .coalition import ActualNeighborhoodMap, components, meshed_map
 from .matching import (
     RESIDUAL_TOL,
     FlexibilityAssignment,
@@ -263,11 +286,11 @@ class _Agent:
     def claim(self, src: str, before: CommitmentMatrix | None) -> float:
         """The kWh the accepted matrix newly takes from ``src``: the sum, in consumer order, of each consumer's increase of cm(i, src) over ``before``, the matrix held before the solve, where it exceeds RESIDUAL_TOL.
 
-        With no such increase the sum is the int 0, which the claim's log
-        record carries as written (``0`` rather than ``0.0``)."""
+        The sum starts from 0.0, so a claim of nothing is the float 0.0, as
+        the claim of an offer whose solve was not accepted is."""
         assert self.cm is not None
         extras = [self.cm.get(c, src) - (0.0 if before is None else before.get(c, src)) for c in self.table.consumer_ids]
-        return sum(extra for extra in extras if extra > RESIDUAL_TOL)
+        return sum((extra for extra in extras if extra > RESIDUAL_TOL), 0.0)
 
 
 def run_engine(
@@ -277,7 +300,7 @@ def run_engine(
     seed: int = 0,
     iteration_cap: int = 10000,
 ) -> MatchingResult:
-    """Run every SSP agent to global quiescence under the deterministic schedule."""
+    """Run every SSP agent to global quiescence under the deterministic schedule, one sweep per map component."""
     weights = weights or scenario.weights
     # w2 <= 0 merely degenerates the objective (calibration deliberately starts
     # there); every structural violation is still a hard stop
@@ -287,34 +310,130 @@ def run_engine(
 
     ssp_ids = sorted(scenario.ssp_ids)
     neighbours = anm.neighbours(scenario.ssp_ids)
-    agents = {s: _Agent(view_for_ssp(scenario, s, neighbours[s]), weights, scenario.line_constraints) for s in ssp_ids}
+    groups = components(neighbours)
+    per_ssp_initial = {s: abs(energy_status(scenario.ssp(s))) for s in ssp_ids}
+    ledger = _Ledger(per_ssp_initial, iteration_cap)
+    if len(groups) < 2:
+        agents = {s: _agent(scenario, s, neighbours, weights) for s in ssp_ids}
+        parts = [_part(agents, _sweep(agents, seed, ledger), [])]
+    else:
+        parts = _run_components(scenario, groups, neighbours, weights, seed, iteration_cap)
+        _replay(parts, ledger)
 
-    per_ssp_initial = {s: abs(energy_status(agents[s].view)) for s in ssp_ids}
+    outcomes = {s: outcome for part in parts for s, outcome in part.outcomes.items()}
+    for ssp_id in ssp_ids:
+        if outcomes[ssp_id][0] is None:  # infeasible alone and with every offer it was sent
+            raise MatchingInfeasibleError(f"matching LP for {ssp_id!r} infeasible without an offer and with each offer it got")
+
     initial_total = sum(per_ssp_initial.values())
-    trace: list[ConvergencePoint] = []
-    log: list[LogRecord] = []
-    iterations = 0
-    rounds = 0
-    pending = {s: True for s in ssp_ids}
+    return MatchingResult(
+        commitments={s: outcomes[s][0] for s in ssp_ids},
+        flexibility={s: outcomes[s][1] for s in ssp_ids},
+        trace=ledger.trace,
+        log=ledger.log,
+        iterations=len(ledger.trace),
+        rounds=max(part.rounds for part in parts),
+        initial_abs_status_kwh=initial_total,
+        final_utility_kwh=ledger.trace[-1].accumulated_utility_kwh if ledger.trace else initial_total,
+        per_ssp_initial=per_ssp_initial,
+        per_ssp_final={s: outcomes[s][2] for s in ssp_ids},
+        lp_solves=sum(part.lp_solves for part in parts),
+        offers_priced_out=sum(part.offers_priced_out for part in parts),
+    )
 
-    # each agent's Utility interaction in ssp_ids order, refreshed only for
-    # the agents whose matrix changed since the last record, and summed in
-    # that order
-    position = {s: k for k, s in enumerate(ssp_ids)}
-    utilities = [agents[s].utility_kwh() for s in ssp_ids]
+
+_Turn = tuple[int, str]  # (round, id of the SSP whose turn it is)
+
+
+class _Ledger:
+    """The run's trace and log in the sequential sweep's order.
+
+    A one-component run's sweep writes to it directly; a multi-component
+    run's streams are replayed into it. Each accepted solve traces the sum of
+    every SSP's Utility interaction in id order, as one global sweep would.
+    """
+
+    def __init__(self, per_ssp_initial: dict[str, float], iteration_cap: int):
+        self.position = {s: k for k, s in enumerate(per_ssp_initial)}
+        self.utilities = list(per_ssp_initial.values())
+        self.iteration_cap = iteration_cap
+        self.trace: list[ConvergencePoint] = []
+        self.log: list[LogRecord] = []
+        self.turn: _Turn = (0, "")  # the sweep sets it before each turn; only a _Stream reads it
+
+    def message(self, record: LogRecord) -> None:
+        self.log.append(record)
+
+    def iteration(self, updates: list[tuple[str, float]]) -> None:
+        """Record an accepted solve and the new Utility interaction of each SSP it changed."""
+        if len(self.trace) >= self.iteration_cap:
+            raise ConvergenceError(f"no quiescence within {self.iteration_cap} iterations", self.trace, self.log)
+        for ssp_id, kwh in updates:
+            self.utilities[self.position[ssp_id]] = kwh
+        self.trace.append(ConvergencePoint(len(self.trace) + 1, sum(self.utilities)))
+
+
+class _PastCap(Exception):
+    """A component's own accepted solves passed the iteration cap.
+
+    Its stream ends here unread: the merged run counts at least as many
+    solves, so it passes the cap at this one or before."""
+
+
+class _Stream:
+    """One component's messages and accepted solves, each tagged with the turn it came in."""
+
+    def __init__(self, iteration_cap: int):
+        self.events: list[tuple[_Turn, object]] = []
+        self.turn: _Turn = (0, "")
+        self.iterations = 0
+        self.iteration_cap = iteration_cap
+
+    def message(self, record: LogRecord) -> None:
+        self.events.append((self.turn, record))
+
+    def iteration(self, updates: list[tuple[str, float]]) -> None:
+        self.events.append((self.turn, updates))
+        self.iterations += 1
+        if self.iterations > self.iteration_cap:
+            raise _PastCap
+
+
+@dataclass
+class _Part:
+    """One component's run: its tagged events (none when its sweep wrote the ledger), its rounds and solve counts, and each SSP's (matrix, flexibility, final Utility interaction)."""
+
+    events: list[tuple[_Turn, object]]
+    rounds: int
+    lp_solves: int
+    offers_priced_out: int
+    outcomes: dict[str, tuple[CommitmentMatrix | None, FlexibilityAssignment | None, float]]
+
+
+def _part(agents: dict[str, _Agent], rounds: int, events: list[tuple[_Turn, object]]) -> _Part:
+    return _Part(
+        events,
+        rounds,
+        sum(agent.lp_solves for agent in agents.values()),
+        sum(agent.offers_priced_out for agent in agents.values()),
+        {s: (agent.cm, agent.fx, agent.utility_kwh()) for s, agent in agents.items()},
+    )
+
+
+def _agent(scenario: Scenario, ssp_id: str, neighbours: dict[str, list[str]], weights: MatchingWeights) -> _Agent:
+    return _Agent(view_for_ssp(scenario, ssp_id, neighbours[ssp_id]), weights, scenario.line_constraints)
+
+
+def _sweep(agents: dict[str, _Agent], seed: int, sink: _Ledger | _Stream) -> int:
+    """Run ``agents``, keyed in id order, to quiescence; write every message and accepted solve to ``sink``, and return the rounds swept."""
+    pending = dict.fromkeys(agents, True)
+    # the agents whose matrix changed since the last accepted solve was recorded
     changed: set[str] = set()
+    rounds = 0
 
     def record_iteration() -> None:
-        nonlocal iterations
-        iterations += 1
-        if iterations > iteration_cap:
-            raise ConvergenceError(
-                f"no quiescence within {iteration_cap} iterations", trace, log
-            )
-        for ssp_id in changed:
-            utilities[position[ssp_id]] = agents[ssp_id].utility_kwh()
+        sink.iteration([(ssp_id, agents[ssp_id].utility_kwh()) for ssp_id in changed])
         changed.clear()
-        trace.append(ConvergencePoint(iterations, sum(utilities)))
 
     def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
         """Synchronous exchange: install capacity at the receiver, re-solve,
@@ -335,7 +454,7 @@ def run_engine(
                 changed.add(src)
             record_iteration()
             pending[dst] = True
-        log.append(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
+        sink.message(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
         return claimed
 
     def emit_offers(ssp_id: str, round_index: int) -> None:
@@ -349,41 +468,128 @@ def run_engine(
             if offerable <= RESIDUAL_TOL:
                 break
             payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
-            log.append(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
+            sink.message(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
             offerable -= deliver(ssp_id, partner_id, offerable, bound, round_index)
 
     while any(pending.values()):
         rounds += 1
-        for ssp_id in ssp_ids:
+        for ssp_id, agent in agents.items():
             if not pending[ssp_id]:
                 continue
             pending[ssp_id] = False
+            sink.turn = (rounds, ssp_id)
             # a pending agent is in its first turn, or deliver accepted a
             # solution since it last offered
-            if agents[ssp_id].cm is None and agents[ssp_id].solve_and_accept():
+            if agent.cm is None and agent.solve_and_accept():
                 changed.add(ssp_id)
                 record_iteration()
             emit_offers(ssp_id, rounds)
+    return rounds
 
-    for ssp_id in ssp_ids:
-        if agents[ssp_id].cm is None:  # infeasible alone and with every offer it was sent
-            raise MatchingInfeasibleError(f"matching LP for {ssp_id!r} infeasible without an offer and with each offer it got")
 
-    per_ssp_final = {s: agents[s].utility_kwh() for s in ssp_ids}
-    return MatchingResult(
-        commitments={s: agents[s].cm for s in ssp_ids},
-        flexibility={s: agents[s].fx for s in ssp_ids},
-        trace=trace,
-        log=log,
-        iterations=iterations,
-        rounds=rounds,
-        initial_abs_status_kwh=initial_total,
-        final_utility_kwh=trace[-1].accumulated_utility_kwh if trace else initial_total,
-        per_ssp_initial=per_ssp_initial,
-        per_ssp_final=per_ssp_final,
-        lp_solves=sum(agent.lp_solves for agent in agents.values()),
-        offers_priced_out=sum(agent.offers_priced_out for agent in agents.values()),
-    )
+def _run_part(
+    scenario: Scenario, ssp_ids: list[str], neighbours: dict[str, list[str]], weights: MatchingWeights, seed: int, iteration_cap: int
+) -> _Part:
+    """Sweep one component into its own stream; an exception ends the stream as its last event, tagged with the turn it arose in (an agent that fails to build, with round 0)."""
+    stream = _Stream(iteration_cap)
+    agents: dict[str, _Agent] = {}
+    rounds = 0
+    try:
+        for ssp_id in ssp_ids:
+            stream.turn = (0, ssp_id)
+            agents[ssp_id] = _agent(scenario, ssp_id, neighbours, weights)
+        rounds = _sweep(agents, seed, stream)
+    except Exception as exc:  # raised again where the merged run reaches it
+        stream.events.append((stream.turn, exc))
+    return _part(agents, rounds, stream.events)
+
+
+def _replay(parts: list[_Part], ledger: _Ledger) -> None:
+    """Write the parts' events into ``ledger`` in the order of one global sweep: by turn, as each turn belongs to one component."""
+    for _, event in heapq.merge(*(part.events for part in parts), key=itemgetter(0)):
+        if isinstance(event, LogRecord):
+            ledger.message(event)
+        elif isinstance(event, Exception):
+            raise event
+        else:
+            ledger.iteration(event)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot tell (and may not fork)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _deal(groups: list[list[str]], shares: int) -> list[list[list[str]]]:
+    """Deal the components, largest first, each to the share with the fewest SSPs so far (the first such share)."""
+    dealt: list[list[list[str]]] = [[] for _ in range(min(shares, len(groups)))]
+    loads = [0] * len(dealt)
+    for group in sorted(groups, key=len, reverse=True):
+        k = loads.index(min(loads))
+        dealt[k].append(group)
+        loads[k] += len(group)
+    return dealt
+
+
+def _run_components(
+    scenario: Scenario, groups: list[list[str]], neighbours: dict[str, list[str]], weights: MatchingWeights, seed: int, iteration_cap: int
+) -> list[_Part]:
+    """Each component's part. The components are dealt into one share per CPU; every share but the last runs in a forked worker, and this process runs the last."""
+
+    def run(share: list[list[str]]) -> list[_Part]:
+        return [_run_part(scenario, ssp_ids, neighbours, weights, seed, iteration_cap) for ssp_ids in share]
+
+    *others, own = _deal(groups, _cpu_count())
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in others:
+            workers.append(_fork(partial(run, share)))
+        parts = run(own)
+        for pid, read_fd in workers:
+            parts += _collect(pid, read_fd)
+    finally:
+        # every read end first: a later worker holds copies of the earlier
+        # ones, and a worker still writing exits on EPIPE once none is open
+        for _, read_fd in workers:
+            os.close(read_fd)
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
+    return parts
+
+
+def _fork(work: Callable[[], list[_Part]]) -> tuple[int, int]:
+    """Start a child that pickles ``work()`` into a pipe and exits; return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker leaves by os._exit, never through the caller's frames
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(work(), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        except BrokenPipeError:  # the caller stopped reading: it is raising an error of its own
+            pass
+        except BaseException:  # reported here: it cannot reach the caller
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int) -> list[_Part]:
+    """A worker's parts, read from its pipe to the end; a worker that failed wrote nothing."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        raise RuntimeError(f"engine worker {pid} ended without a result")
+    return pickle.loads(data)
 
 
 def calibrate_weights(scenario: Scenario, iterations: int = 4, seed: int = 0) -> MatchingWeights:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
 
@@ -96,6 +97,12 @@ def pair_scenario() -> Scenario:
         "S2": {"S1": 1},
     }
     return Scenario(*linked(rows, (s1, s2)), MatchingWeights(), None, 7)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

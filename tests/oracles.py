@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sspsim.coalition import CoalitionSet
+from sspsim.coalition import ActualNeighborhoodMap, CoalitionSet
 from sspsim.lp import (
     EQUAL,
     FEAS_TOL,
@@ -25,11 +26,13 @@ from sspsim.lp import (
 from sspsim.matching import (
     RESIDUAL_TOL,
     FlexibilityAssignment,
+    MatchingInfeasibleError,
     MatchingStructureError,
     PairTable,
     SspView,
     merged_view,
     solve_dist_matching,
+    view_for_ssp,
 )
 from sspsim.model import (
     UTILITY_ID,
@@ -39,6 +42,21 @@ from sspsim.model import (
     PreferenceTable,
     Scenario,
     Violation,
+    energy_status,
+    validate_scenario,
+)
+from sspsim.protocol import (
+    CLAIM_KIND,
+    OFFER_KIND,
+    SEND_EXCESS,
+    ConvergenceError,
+    ConvergencePoint,
+    InvalidScenarioError,
+    LogRecord,
+    MatchingResult,
+    ProtocolViolationError,
+    _Agent,
+    shuffle_partners,
 )
 
 
@@ -848,3 +866,119 @@ def assert_builds_alike(got: tuple[LinearProgram, object], want: tuple[LinearPro
     solution, reference = solve_lp(lp), solve_lp(ref_lp)
     assert solution == reference and bits(solution.values) == bits(reference.values)
     assert bits([solution.objective, solution.duals]) == bits([reference.objective, reference.duals])
+
+
+def reference_run_engine(
+    scenario: Scenario,
+    anm: ActualNeighborhoodMap,
+    weights: MatchingWeights | None = None,
+    seed: int = 0,
+    iteration_cap: int = 10000,
+) -> MatchingResult:
+    """The engine as one global sweep over every SSP in id order, whatever the map's components: the reference for ``run_engine``."""
+    weights = weights or scenario.weights
+    # w2 <= 0 merely degenerates the objective (calibration deliberately starts
+    # there); every structural violation is still a hard stop
+    violations = [v for v in validate_scenario(replace(scenario, weights=weights)) if v.rule != "w2-positive"]
+    if violations:
+        raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
+
+    ssp_ids = sorted(scenario.ssp_ids)
+    neighbours = anm.neighbours(scenario.ssp_ids)
+    agents = {s: _Agent(view_for_ssp(scenario, s, neighbours[s]), weights, scenario.line_constraints) for s in ssp_ids}
+
+    per_ssp_initial = {s: abs(energy_status(agents[s].view)) for s in ssp_ids}
+    initial_total = sum(per_ssp_initial.values())
+    trace: list[ConvergencePoint] = []
+    log: list[LogRecord] = []
+    iterations = 0
+    rounds = 0
+    pending = {s: True for s in ssp_ids}
+
+    # each agent's Utility interaction in ssp_ids order, refreshed only for
+    # the agents whose matrix changed since the last record, and summed in
+    # that order
+    position = {s: k for k, s in enumerate(ssp_ids)}
+    utilities = [agents[s].utility_kwh() for s in ssp_ids]
+    changed: set[str] = set()
+
+    def record_iteration() -> None:
+        nonlocal iterations
+        iterations += 1
+        if iterations > iteration_cap:
+            raise ConvergenceError(
+                f"no quiescence within {iteration_cap} iterations", trace, log
+            )
+        for ssp_id in changed:
+            utilities[position[ssp_id]] = agents[ssp_id].utility_kwh()
+        changed.clear()
+        trace.append(ConvergencePoint(iterations, sum(utilities)))
+
+    def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
+        """Synchronous exchange: install capacity at the receiver, re-solve,
+        and on acceptance claim what the new matrix takes from the sender,
+        which adds it to its exports."""
+        receiver = agents[dst]
+        before = receiver.cm
+        base = offered / (1.0 + bound)
+        improved = receiver.solve_and_accept(transient=(src, base, bound))
+        claimed = 0.0
+        if improved:
+            changed.add(dst)
+            claimed = receiver.claim(src, before)
+            if claimed > offered + 1e-6:
+                raise ProtocolViolationError(f"{dst} claimed {claimed} kWh from {src}, offered {offered}")
+            if claimed > 0.0:
+                agents[src].register_export(claimed)
+                changed.add(src)
+            record_iteration()
+            pending[dst] = True
+        log.append(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
+        return claimed
+
+    def emit_offers(ssp_id: str, round_index: int) -> None:
+        agent = agents[ssp_id]
+        if agent.cm is None:  # unsolved: it waits for offers
+            return
+        offerable, bound = agent.surplus_offer_terms()
+        if offerable <= RESIDUAL_TOL:
+            return
+        for partner_id in shuffle_partners(agent.table.partner_ids, seed, ssp_id, round_index):
+            if offerable <= RESIDUAL_TOL:
+                break
+            payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
+            log.append(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
+            offerable -= deliver(ssp_id, partner_id, offerable, bound, round_index)
+
+    while any(pending.values()):
+        rounds += 1
+        for ssp_id in ssp_ids:
+            if not pending[ssp_id]:
+                continue
+            pending[ssp_id] = False
+            # a pending agent is in its first turn, or deliver accepted a
+            # solution since it last offered
+            if agents[ssp_id].cm is None and agents[ssp_id].solve_and_accept():
+                changed.add(ssp_id)
+                record_iteration()
+            emit_offers(ssp_id, rounds)
+
+    for ssp_id in ssp_ids:
+        if agents[ssp_id].cm is None:  # infeasible alone and with every offer it was sent
+            raise MatchingInfeasibleError(f"matching LP for {ssp_id!r} infeasible without an offer and with each offer it got")
+
+    per_ssp_final = {s: agents[s].utility_kwh() for s in ssp_ids}
+    return MatchingResult(
+        commitments={s: agents[s].cm for s in ssp_ids},
+        flexibility={s: agents[s].fx for s in ssp_ids},
+        trace=trace,
+        log=log,
+        iterations=iterations,
+        rounds=rounds,
+        initial_abs_status_kwh=initial_total,
+        final_utility_kwh=trace[-1].accumulated_utility_kwh if trace else initial_total,
+        per_ssp_initial=per_ssp_initial,
+        per_ssp_final=per_ssp_final,
+        lp_solves=sum(agent.lp_solves for agent in agents.values()),
+        offers_priced_out=sum(agent.offers_priced_out for agent in agents.values()),
+    )

@@ -11,11 +11,13 @@ from dataclasses import replace
 import pytest
 
 import sspsim.cli
+import sspsim.protocol
 from sspsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from sspsim.coalition import form_coalitions
 from sspsim.lp import _Simplex
 from sspsim.model import UTILITY_ID, LineConstraint, LineConstraintSet, energy_status
 from sspsim.scenario import GeneratorSpec, generate_scenario, load_scenario, save_scenario
+from tests.conftest import assert_no_child_left
 from tests.test_model import JUDGED_BY_VALIDATION, MISPLACED_KINDS, REFUSED_BY_THE_TABLE, stored_as_read, with_entry
 
 RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.json")
@@ -23,6 +25,17 @@ RESULT_FILES = ("commitments.csv", "convergence.csv", "messages.csv", "summary.j
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def drift_every_solve(monkeypatch) -> None:
+    """Make every simplex solve end with each basic value far past any finite bound."""
+    extract = _Simplex._extract
+
+    def drifted(simplex):
+        simplex.xb = simplex.xb + 1e3
+        return extract(simplex)
+
+    monkeypatch.setattr(_Simplex, "_extract", drifted)
 
 
 @pytest.fixture
@@ -144,7 +157,7 @@ PINNED_RUNS = {
     "meshed": {
         "commitments.csv": "48688725f457a64870b77f5bb3e9a0fa81f8302d4989e912ec407b67fb6f2e42",
         "convergence.csv": "dd4553cca0c8ca22df201903c23f334cf61e8eb68a66c7c421984d3fde4980cd",
-        "messages.csv": "e8d075757cb211a06bebf377050411dc561b5d3f0dbebbcfabde5dc6e1d9c2b7",
+        "messages.csv": "b6b8475c2913bcde4a4e4d9ce493cb3bfebd6392fa0408d632df9367b1a10bb1",
         "summary.json": "f5d1e83a0343c3c158ea7ea5593428b56b6ef417da49602c2240e2a9b6c97d6f",
     },
     "coalition": {
@@ -162,7 +175,7 @@ PINNED_REVERSED_RUNS = {
     "meshed": {
         "commitments.csv": "f1f10d9a52285a45891eaf4dd090b33d560bea0ea6b4048980838852c22175ed",
         "convergence.csv": "4a52a853dfb0c0306fef62a75864f423a6917c75b306986648fe1ca4ec829f07",
-        "messages.csv": "f430b8a64fecfdc2308789e1cd6a4ef15dfcb663b6edfa478dba3179befd955d",
+        "messages.csv": "921ec7dcc9b64c591ac8a8c959acc81be75680da6b76db42b5614f081d82d9d4",
         "summary.json": "f9bbbe1bd8014176e72fd39bde72f4205232a9476ccf1ac16b84e5fc1e129ea2",
     },
     "coalition": {
@@ -381,18 +394,37 @@ class TestRun:
         assert (target / "summary.json").is_file()
 
     def test_solver_drift_beyond_tolerance_exits_4(self, tmp_path, worked_file, monkeypatch, capsys):
-        extract = _Simplex._extract
-
-        def drifted(simplex):
-            simplex.xb = simplex.xb + 1e3  # every basic value far past any finite bound
-            return extract(simplex)
-
-        monkeypatch.setattr(_Simplex, "_extract", drifted)
+        drift_every_solve(monkeypatch)
         code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(tmp_path / "out"))
         assert code == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "outside its bounds" in err
         assert "Traceback" not in err
+
+    def test_solver_drift_in_a_worker_exits_4_as_on_one_cpu(self, tmp_path, monkeypatch, capsys):
+        # passive flexibility bounds columns, so the drift breaks a bound. On two
+        # CPUs the coalition map is dealt as {S02, S06, S08} and {S01, S03} to a
+        # forked worker and {S04, S05, S07} to this process; S01's first solve
+        # ends the run, so the error comes from the worker
+        scenario = str(tmp_path / "scenario.json")
+        gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--passive-consumers", "2", "--pc-bound", "0.15",
+               "--passive-producers", "1", "--pp-bound", "0.1", "--supply-mean", "20", "--seed", "11")
+        assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
+        drift_every_solve(monkeypatch)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        errs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
+            out = str(tmp_path / f"cpus-{cpus}")
+            assert run_cli("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3", "--out", out) == EXIT_INTERNAL
+            errs.append(capsys.readouterr().err)
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+        assert "outside its bounds" in errs[0] and "S01." in errs[0]
+        assert "Traceback" not in errs[1]
+        assert errs[1] == errs[0]
 
     def test_missing_output_dir_exits_2(self, worked_file, monkeypatch, capsys):
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)

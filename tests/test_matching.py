@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sspsim.matching
+import sspsim.protocol
 from sspsim.coalition import meshed_map
 from sspsim.lp import EQUAL, LESS_EQUAL, LinearProgram, LpStatus, solve_lp
 from sspsim.matching import (
@@ -622,9 +623,12 @@ class TestPairTable:
 
 
 def engine_programs(monkeypatch, scenario: Scenario) -> list:
-    """Every matching LP of a meshed engine run at run seed 1, those the engine prices out included."""
+    """Every matching LP of a meshed engine run at run seed 1, those the engine prices out included.
+
+    On one CPU, so that no program is solved in a forked worker, out of sight."""
     programs = []
     solve = sspsim.matching.solve_lp
+    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
     monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
     monkeypatch.setattr(PairTable, "offer_can_improve", lambda *_: True)
     run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)

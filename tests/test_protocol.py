@@ -1,14 +1,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import os
+from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import sspsim.protocol
-from sspsim.coalition import ActualNeighborhoodMap, anm_from_csv, empty_map, form_coalitions, map_from_coalitions, meshed_map
+from sspsim.coalition import (
+    ActualNeighborhoodMap,
+    CoalitionSet,
+    anm_from_csv,
+    components,
+    empty_map,
+    form_coalitions,
+    map_from_coalitions,
+    meshed_map,
+)
 from sspsim.matching import MatchingInfeasibleError, PairTable, solve_centralized, solve_dist_matching, view_for_ssp
 from sspsim.model import (
     UTILITY_ID,
@@ -31,6 +42,7 @@ from sspsim.protocol import (
     ConvergenceError,
     InvalidScenarioError,
     LogRecord,
+    MatchingResult,
     ProtocolViolationError,
     _Agent,
     audit_privacy,
@@ -38,8 +50,8 @@ from sspsim.protocol import (
     shuffle_partners,
 )
 from sspsim.scenario import GeneratorSpec, generate_scenario
-from tests.conftest import linked, preference_table
-from tests.oracles import pair_table
+from tests.conftest import assert_no_child_left, linked, preference_table
+from tests.oracles import pair_table, reference_run_engine
 from tests.test_matching import assert_lines_hold, centralized_scenarios, study2_scenario
 
 AC = SubscriberKind.ACTIVE_CONSUMER
@@ -51,13 +63,17 @@ STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, dem
 
 
 def engine_agents(scenario: Scenario, anm: ActualNeighborhoodMap, monkeypatch) -> list[_Agent]:
-    """The agents that ``run_engine`` builds for ``scenario`` on ``anm``, in the order it builds them."""
+    """The agents that ``run_engine`` builds for ``scenario`` on ``anm``, in id order.
+
+    On one CPU, so that no agent is built in a forked worker, out of sight.
+    The engine builds them component by component, so the list is sorted."""
     agents = []
     init = _Agent.__init__
     with monkeypatch.context() as patched:
+        patched.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
         patched.setattr(_Agent, "__init__", lambda agent, *args: agents.append(agent) or init(agent, *args))
         run_engine(scenario, anm, seed=1)
-    return agents
+    return sorted(agents, key=lambda agent: agent.view.id)
 
 
 def triangle_scenario() -> Scenario:
@@ -349,6 +365,16 @@ class TestRunEngine:
         monkeypatch.setattr(protocol_module._Agent, "claim", inflated)
         with pytest.raises(ProtocolViolationError, match="S1.*S2|S2.*S1"):
             run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), seed=1)
+
+
+    def test_a_claim_of_nothing_is_the_float_zero(self):
+        # in the 6-SSP run of the pinned artifacts, S06's first solve is made
+        # on S02's offer and accepted, yet takes nothing from S02; its claim
+        # is written 0.0, as the claim of a solve that is not accepted is
+        scenario = generate_scenario(GeneratorSpec(n_ssps=6, consumers_per_ssp=5, producers_per_ssp=3, supply_mean_kwh=18.0, seed=7))
+        claims = [r for r in run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1).log if r.kind == CLAIM_KIND]
+        assert [type(r.payload["amount_kwh"]) for r in claims] == [float] * len(claims)
+        assert repr(next(r for r in claims if (r.src, r.dst) == ("S06", "S02")).payload["amount_kwh"]) == "0.0"
 
 
 class TestShufflePartners:
@@ -798,3 +824,167 @@ def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
     assert (agent.lp_solves, agent.offers_priced_out) == (solves, 1)
     assert not agent.solve_and_accept(("S04", 0.3 * IMPROVE_TOL / gain, 0.0))
     assert (agent.lp_solves, agent.offers_priced_out) == (solves + 1, 1)
+
+
+def engine_outcome(run, scenario: Scenario, anm: ActualNeighborhoodMap, seed: int, iteration_cap: int, cpus: int):
+    """How a run on ``cpus`` CPUs ends, in text that tells floats apart bit for bit: ("result", every field of the
+    result, a matrix by its cells in the order they were set), or the error's type name and message, with the
+    partial trace and log of a ConvergenceError."""
+    with mock.patch.object(sspsim.protocol, "_cpu_count", lambda: cpus):
+        try:
+            result = run(scenario, anm, seed=seed, iteration_cap=iteration_cap)
+        except ConvergenceError as error:
+            return "ConvergenceError", str(error), repr((error.trace, error.log))
+        except MatchingInfeasibleError as error:
+            return "MatchingInfeasibleError", str(error)
+    values = {f.name: getattr(result, f.name) for f in fields(MatchingResult)}
+    values["commitments"] = {s: (cm.consumer_ids, cm.supplier_ids, cm.cells()) for s, cm in result.commitments.items()}
+    return "result", {name: repr(value) for name, value in values.items()}
+
+
+@st.composite
+def passive_specs(draw) -> GeneratorSpec:
+    """Up to 8 SSPs with passive flexibility, SSPs without consumers or producers and zero means included."""
+    consumers = draw(st.integers(0, 4))
+    producers = draw(st.integers(0, 3))
+    return GeneratorSpec(
+        n_ssps=draw(st.integers(1, 8)), consumers_per_ssp=consumers, producers_per_ssp=producers,
+        passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
+        passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
+        demand_mean_kwh=draw(st.sampled_from([0.0, 6.0, 12.0])), supply_mean_kwh=draw(st.sampled_from([0.0, 10.0, 24.0])),
+        noise_std_kwh=draw(st.sampled_from([0.0, 3.0])), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def engine_maps(draw, scenario: Scenario) -> ActualNeighborhoodMap:
+    """The mesh, a coalition map with groups of 1 to 4, or a map file that names only some of the SSPs."""
+    ids = sorted(scenario.ssp_ids)
+    kind = draw(st.sampled_from(["meshed", "coalition", "file"]))
+    if kind == "meshed":
+        return meshed_map(ids)
+    if kind == "coalition":
+        statuses = {cfg.id: energy_status(cfg) for cfg in scenario.ssps}
+        return map_from_coalitions(form_coalitions(statuses, draw(st.integers(1, 4))))
+    named = draw(st.lists(st.sampled_from(ids), unique=True))
+    pairs = [(a, b) for k, a in enumerate(named) for b in named[k + 1:]]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return anm_from_csv("ssp_a,ssp_b,present\n" + "".join(f"{a},{b},{int(p)}\n" for (a, b), p in zip(pairs, present)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.one_of(centralized_scenarios(), passive_specs().map(generate_scenario)), st.integers(0, 2**16),
+       st.one_of(st.just(10000), st.integers(1, 12)), st.integers(1, 3))
+def test_the_engine_is_the_one_global_sweep_of_the_reference(data, scenario, run_seed, iteration_cap, cpus):
+    # one sweep per map component, run on 1 to 3 CPUs and merged by turn, is
+    # the global sweep bit for bit: the result, or the same error with the
+    # same partial trace and log (lines with minimums and purchase caps can
+    # leave an SSP unsolved; a cap of 1 to 12 iterations often stops a run)
+    anm = data.draw(engine_maps(scenario))
+    want = engine_outcome(reference_run_engine, scenario, anm, run_seed, iteration_cap, cpus=1)
+    event("several map components" if len(components(anm.neighbours(scenario.ssp_ids))) > 1 else "one map component")
+    event(want[0])
+    assert engine_outcome(run_engine, scenario, anm, run_seed, iteration_cap, cpus) == want
+
+
+def study1_coalitions() -> tuple[Scenario, ActualNeighborhoodMap]:
+    """Study-1 on its coalitions of at most 4 SSPs: 20 SSPs in several map components."""
+    scenario = generate_scenario(STUDY1)
+    anm = map_from_coalitions(form_coalitions({cfg.id: energy_status(cfg) for cfg in scenario.ssps}, 4))
+    assert anm.component_count() > 2
+    return scenario, anm
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("iteration_cap", [1, 7, 26])
+def test_an_iteration_cap_stops_the_merged_run_where_it_stops_the_global_sweep(cpus, iteration_cap):
+    # the run would end after 27 accepted solves
+    scenario, anm = study1_coalitions()
+    want = engine_outcome(reference_run_engine, scenario, anm, 5, iteration_cap, cpus=1)
+    assert want[:2] == ("ConvergenceError", f"no quiescence within {iteration_cap} iterations")
+    assert engine_outcome(run_engine, scenario, anm, 5, iteration_cap, cpus) == want
+
+
+def relay_triples() -> tuple[Scenario, ActualNeighborhoodMap]:
+    """Two map components, (a, b, c) = (S01, S02, S03) and (S04, S05, S06), each a relay.
+
+    a's consumer ranks b above a's own producer, b has 10 kWh spare and c
+    needs 10 kWh. When b offers to a before c, a takes the offer, which
+    frees a's producer, and a offers its 10 kWh to c in round 2."""
+    ssps, rows = [], {}
+    for a, b, c in (("S01", "S02", "S03"), ("S04", "S05", "S06")):
+        ssps += [
+            SSPConfig(a, (Subscriber(f"{a}.C1", AC, 10.0, priority=1.0),), (Subscriber(f"{a}.P1", AP, 10.0),),
+                      preference_table({f"{a}.C1": {b: 1, f"{a}.P1": 2, c: 3}})),
+            SSPConfig(b, (), (Subscriber(f"{b}.P1", AP, 10.0),), preference_table({})),
+            SSPConfig(c, (Subscriber(f"{c}.C1", AC, 10.0, priority=1.0),), (), preference_table({f"{c}.C1": {a: 1, b: 2}})),
+        ]
+        rows |= {f"{a}.C1": {f"{a}.P1": 1, UTILITY_ID: 1}, f"{c}.C1": {UTILITY_ID: 1}, a: {b: 1, c: 1}, b: {a: 1, c: 1}, c: {a: 1, b: 1}}
+    scenario = Scenario(*linked(rows, tuple(ssps)), MatchingWeights(), None, 0)
+    return scenario, map_from_coalitions(CoalitionSet((frozenset({"S01", "S02", "S03"}), frozenset({"S04", "S05", "S06"}))))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("iteration_cap", [10000, 1, 2, 7])
+@pytest.mark.parametrize("seed", [1, 2, 6])
+def test_turns_of_later_rounds_merge_after_every_turn_of_earlier_ones(seed, iteration_cap, cpus):
+    # at run seed 1 both relays offer in round 2, at 2 and 6 only the second;
+    # with a cap of 1 or 2 the first relay passes it before the second solves
+    scenario, anm = relay_triples()
+    want = engine_outcome(reference_run_engine, scenario, anm, seed, iteration_cap, cpus=1)
+    if iteration_cap == 10000:
+        late = {r.src for r in reference_run_engine(scenario, anm, seed=seed).log if r.kind == OFFER_KIND and r.round_index == 2}
+        assert late == ({"S01", "S04"} if seed == 1 else {"S04"})
+    else:
+        assert want[0] == "ConvergenceError"
+    assert engine_outcome(run_engine, scenario, anm, seed, iteration_cap, cpus) == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("short, spare", [("S1", "S2"), ("S2", "S1")], ids=["short-ssp-first", "short-ssp-second"])
+def test_an_ssp_its_purchase_cap_leaves_unsolved_is_named_by_the_merged_run(short, spare, cpus):
+    # with no map edge, each SSP is its own component, and no offer can make
+    # up for the short SSP's capped purchase
+    scenario = capped_pair(short, spare)
+    anm = empty_map(scenario.ssp_ids)
+    want = engine_outcome(reference_run_engine, scenario, anm, 1, 10000, cpus=1)
+    assert want == ("MatchingInfeasibleError", f"matching LP for {short!r} infeasible without an offer and with each offer it got")
+    assert engine_outcome(run_engine, scenario, anm, 1, 10000, cpus) == want
+
+
+@pytest.mark.parametrize("end", ["quiescence", "iteration-cap", "unsolved-ssp", "lost-pipe"])
+def test_no_worker_outlives_a_run(end, monkeypatch):
+    # a pipe lost while this process collects leaves two workers to reap
+    cpus = 3 if end == "lost-pipe" else 2
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    scenario, anm = study1_coalitions()
+    if end == "quiescence":
+        assert run_engine(scenario, anm, seed=5).iterations > 0
+    elif end == "iteration-cap":
+        with pytest.raises(ConvergenceError):
+            run_engine(scenario, anm, seed=5, iteration_cap=7)
+    elif end == "lost-pipe":
+        def lost(pid, read_fd):
+            raise OSError("pipe lost")
+
+        monkeypatch.setattr(sspsim.protocol, "_collect", lost)
+        with pytest.raises(OSError, match="pipe lost"):
+            run_engine(scenario, anm, seed=5)
+    else:
+        scenario = capped_pair("S1", "S2")
+        with pytest.raises(MatchingInfeasibleError):
+            run_engine(scenario, empty_map(scenario.ssp_ids), seed=1)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
+def test_the_engine_and_the_map_count_the_same_components():
+    scenario, anm = study1_coalitions()
+    groups = components(anm.neighbours(scenario.ssp_ids))
+    assert len(groups) == anm.component_count()
+    assert sorted(ssp_id for group in groups for ssp_id in group) == sorted(scenario.ssp_ids)
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+    assert all(group == sorted(group) for group in groups)
