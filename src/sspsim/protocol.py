@@ -33,13 +33,13 @@ tagged with their turn, (round, id of the SSP whose turn it is). A turn
 belongs to one component, so merging the streams by turn has no ties, and
 replaying the merge gives the global sweep's trace, log, iteration count,
 ``ConvergenceError`` (with the same partial trace and log) and first error
-exactly. A run with one component forks nothing: its sweep writes the trace
-and log directly. With two components or more and two CPUs or more
-(``os.sched_getaffinity``), the components are dealt, largest first, to one
-share per CPU; every share but the last runs in a forked worker, which
-pickles its streams and final agent states through a pipe, and every worker
-is reaped before the run returns or raises. The result is the same bytes for
-any CPU count.
+exactly. Every run takes this path, the mesh's single component included.
+The components are dealt, largest first, to one share per CPU
+(``os.sched_getaffinity``), and never to more shares than there are
+components; every share but the last runs in a forked worker, which pickles
+its streams and final agent states through a pipe, and every worker is
+reaped before the run returns or raises. So a run with one component, or on
+one CPU, forks nothing, and the result is the same bytes for any CPU count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -310,15 +310,9 @@ def run_engine(
 
     ssp_ids = sorted(scenario.ssp_ids)
     neighbours = anm.neighbours(scenario.ssp_ids)
-    groups = components(neighbours)
     per_ssp_initial = {s: abs(energy_status(scenario.ssp(s))) for s in ssp_ids}
-    ledger = _Ledger(per_ssp_initial, iteration_cap)
-    if len(groups) < 2:
-        agents = {s: _agent(scenario, s, neighbours, weights) for s in ssp_ids}
-        parts = [_part(agents, _sweep(agents, seed, ledger), [])]
-    else:
-        parts = _run_components(scenario, groups, neighbours, weights, seed, iteration_cap)
-        _replay(parts, ledger)
+    parts = _run_components(scenario, components(neighbours), neighbours, weights, seed, iteration_cap)
+    trace, log = _replay(parts, per_ssp_initial, iteration_cap)
 
     outcomes = {s: outcome for part in parts for s, outcome in part.outcomes.items()}
     for ssp_id in ssp_ids:
@@ -329,12 +323,12 @@ def run_engine(
     return MatchingResult(
         commitments={s: outcomes[s][0] for s in ssp_ids},
         flexibility={s: outcomes[s][1] for s in ssp_ids},
-        trace=ledger.trace,
-        log=ledger.log,
-        iterations=len(ledger.trace),
-        rounds=max(part.rounds for part in parts),
+        trace=trace,
+        log=log,
+        iterations=len(trace),
+        rounds=max((part.rounds for part in parts), default=0),
         initial_abs_status_kwh=initial_total,
-        final_utility_kwh=ledger.trace[-1].accumulated_utility_kwh if ledger.trace else initial_total,
+        final_utility_kwh=trace[-1].accumulated_utility_kwh if trace else initial_total,
         per_ssp_initial=per_ssp_initial,
         per_ssp_final={s: outcomes[s][2] for s in ssp_ids},
         lp_solves=sum(part.lp_solves for part in parts),
@@ -343,34 +337,6 @@ def run_engine(
 
 
 _Turn = tuple[int, str]  # (round, id of the SSP whose turn it is)
-
-
-class _Ledger:
-    """The run's trace and log in the sequential sweep's order.
-
-    A one-component run's sweep writes to it directly; a multi-component
-    run's streams are replayed into it. Each accepted solve traces the sum of
-    every SSP's Utility interaction in id order, as one global sweep would.
-    """
-
-    def __init__(self, per_ssp_initial: dict[str, float], iteration_cap: int):
-        self.position = {s: k for k, s in enumerate(per_ssp_initial)}
-        self.utilities = list(per_ssp_initial.values())
-        self.iteration_cap = iteration_cap
-        self.trace: list[ConvergencePoint] = []
-        self.log: list[LogRecord] = []
-        self.turn: _Turn = (0, "")  # the sweep sets it before each turn; only a _Stream reads it
-
-    def message(self, record: LogRecord) -> None:
-        self.log.append(record)
-
-    def iteration(self, updates: list[tuple[str, float]]) -> None:
-        """Record an accepted solve and the new Utility interaction of each SSP it changed."""
-        if len(self.trace) >= self.iteration_cap:
-            raise ConvergenceError(f"no quiescence within {self.iteration_cap} iterations", self.trace, self.log)
-        for ssp_id, kwh in updates:
-            self.utilities[self.position[ssp_id]] = kwh
-        self.trace.append(ConvergencePoint(len(self.trace) + 1, sum(self.utilities)))
 
 
 class _PastCap(Exception):
@@ -401,7 +367,7 @@ class _Stream:
 
 @dataclass
 class _Part:
-    """One component's run: its tagged events (none when its sweep wrote the ledger), its rounds and solve counts, and each SSP's (matrix, flexibility, final Utility interaction)."""
+    """One component's run: its turn-tagged events, its rounds and solve counts, and each SSP's (matrix, flexibility, final Utility interaction)."""
 
     events: list[tuple[_Turn, object]]
     rounds: int
@@ -410,29 +376,15 @@ class _Part:
     outcomes: dict[str, tuple[CommitmentMatrix | None, FlexibilityAssignment | None, float]]
 
 
-def _part(agents: dict[str, _Agent], rounds: int, events: list[tuple[_Turn, object]]) -> _Part:
-    return _Part(
-        events,
-        rounds,
-        sum(agent.lp_solves for agent in agents.values()),
-        sum(agent.offers_priced_out for agent in agents.values()),
-        {s: (agent.cm, agent.fx, agent.utility_kwh()) for s, agent in agents.items()},
-    )
-
-
-def _agent(scenario: Scenario, ssp_id: str, neighbours: dict[str, list[str]], weights: MatchingWeights) -> _Agent:
-    return _Agent(view_for_ssp(scenario, ssp_id, neighbours[ssp_id]), weights, scenario.line_constraints)
-
-
-def _sweep(agents: dict[str, _Agent], seed: int, sink: _Ledger | _Stream) -> int:
-    """Run ``agents``, keyed in id order, to quiescence; write every message and accepted solve to ``sink``, and return the rounds swept."""
+def _sweep(agents: dict[str, _Agent], seed: int, stream: _Stream) -> int:
+    """Run ``agents``, keyed in id order, to quiescence; write every message and accepted solve to ``stream``, each tagged with its turn, and return the rounds swept."""
     pending = dict.fromkeys(agents, True)
     # the agents whose matrix changed since the last accepted solve was recorded
     changed: set[str] = set()
     rounds = 0
 
     def record_iteration() -> None:
-        sink.iteration([(ssp_id, agents[ssp_id].utility_kwh()) for ssp_id in changed])
+        stream.iteration([(ssp_id, agents[ssp_id].utility_kwh()) for ssp_id in changed])
         changed.clear()
 
     def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
@@ -454,7 +406,7 @@ def _sweep(agents: dict[str, _Agent], seed: int, sink: _Ledger | _Stream) -> int
                 changed.add(src)
             record_iteration()
             pending[dst] = True
-        sink.message(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
+        stream.message(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
         return claimed
 
     def emit_offers(ssp_id: str, round_index: int) -> None:
@@ -468,7 +420,7 @@ def _sweep(agents: dict[str, _Agent], seed: int, sink: _Ledger | _Stream) -> int
             if offerable <= RESIDUAL_TOL:
                 break
             payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
-            sink.message(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
+            stream.message(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
             offerable -= deliver(ssp_id, partner_id, offerable, bound, round_index)
 
     while any(pending.values()):
@@ -477,7 +429,7 @@ def _sweep(agents: dict[str, _Agent], seed: int, sink: _Ledger | _Stream) -> int
             if not pending[ssp_id]:
                 continue
             pending[ssp_id] = False
-            sink.turn = (rounds, ssp_id)
+            stream.turn = (rounds, ssp_id)
             # a pending agent is in its first turn, or deliver accepted a
             # solution since it last offered
             if agent.cm is None and agent.solve_and_accept():
@@ -497,22 +449,42 @@ def _run_part(
     try:
         for ssp_id in ssp_ids:
             stream.turn = (0, ssp_id)
-            agents[ssp_id] = _agent(scenario, ssp_id, neighbours, weights)
+            agents[ssp_id] = _Agent(view_for_ssp(scenario, ssp_id, neighbours[ssp_id]), weights, scenario.line_constraints)
         rounds = _sweep(agents, seed, stream)
     except Exception as exc:  # raised again where the merged run reaches it
         stream.events.append((stream.turn, exc))
-    return _part(agents, rounds, stream.events)
+    return _Part(
+        stream.events,
+        rounds,
+        sum(agent.lp_solves for agent in agents.values()),
+        sum(agent.offers_priced_out for agent in agents.values()),
+        {s: (agent.cm, agent.fx, agent.utility_kwh()) for s, agent in agents.items()},
+    )
 
 
-def _replay(parts: list[_Part], ledger: _Ledger) -> None:
-    """Write the parts' events into ``ledger`` in the order of one global sweep: by turn, as each turn belongs to one component."""
+def _replay(parts: list[_Part], per_ssp_initial: dict[str, float], iteration_cap: int) -> tuple[list[ConvergencePoint], list[LogRecord]]:
+    """The run's trace and log in the order of one global sweep: the parts' events merged by turn, as each turn belongs to one component.
+
+    Each accepted solve traces the sum of every SSP's Utility interaction in
+    id order (``per_ssp_initial``'s), as one global sweep would; the first
+    solve past ``iteration_cap`` raises ``ConvergenceError`` with the trace
+    and log so far, and an exception event is raised where the merge reaches it."""
+    position = {s: k for k, s in enumerate(per_ssp_initial)}
+    utilities = list(per_ssp_initial.values())
+    trace: list[ConvergencePoint] = []
+    log: list[LogRecord] = []
     for _, event in heapq.merge(*(part.events for part in parts), key=itemgetter(0)):
         if isinstance(event, LogRecord):
-            ledger.message(event)
+            log.append(event)
         elif isinstance(event, Exception):
             raise event
+        elif len(trace) >= iteration_cap:
+            raise ConvergenceError(f"no quiescence within {iteration_cap} iterations", trace, log)
         else:
-            ledger.iteration(event)
+            for ssp_id, kwh in event:
+                utilities[position[ssp_id]] = kwh
+            trace.append(ConvergencePoint(len(trace) + 1, sum(utilities)))
+    return trace, log
 
 
 def _cpu_count() -> int:
@@ -521,8 +493,8 @@ def _cpu_count() -> int:
 
 
 def _deal(groups: list[list[str]], shares: int) -> list[list[list[str]]]:
-    """Deal the components, largest first, each to the share with the fewest SSPs so far (the first such share)."""
-    dealt: list[list[list[str]]] = [[] for _ in range(min(shares, len(groups)))]
+    """Deal the components, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, even for no component."""
+    dealt: list[list[list[str]]] = [[] for _ in range(max(1, min(shares, len(groups))))]
     loads = [0] * len(dealt)
     for group in sorted(groups, key=len, reverse=True):
         k = loads.index(min(loads))
@@ -639,8 +611,9 @@ def audit_privacy(
     Two independent checks:
 
     1. Schema: every record is an ``offer`` or a ``claim`` LogRecord whose
-       payload holds exactly the aggregate numeric fields (plus the protocol
-       token); any extra field, container value, negative or non-finite
+       payload is a dict of exactly the aggregate numeric fields (plus the
+       protocol token); an entry that is no LogRecord, a payload that is no
+       dict, and any extra field, container value, negative or non-finite
        number, or subscriber id in a payload is a finding.
     2. Aggregation correctness by replay: the engine is re-run under the same
        (scenario, anm, weights, seed) and the audited log must match the
@@ -648,15 +621,23 @@ def audit_privacy(
        sender's aggregate surplus at emission time.
     """
     findings: list[str] = []
-    ssp_ids = set(scenario.ssp_ids)
+    # kinds and endpoints are looked up in tuples, which compare by == and so
+    # take a record field of any type, an unhashable one included
+    ssp_ids = scenario.ssp_ids
     subscriber_ids = {
         sub.id for cfg in scenario.ssps for sub in cfg.consumers + cfg.producers
     }
     allowed = {OFFER_KIND: {"energy_kwh", "bound", "token"}, CLAIM_KIND: {"amount_kwh"}}
     for k, record in enumerate(log):
+        if not isinstance(record, LogRecord):
+            findings.append(f"message {k}: not a LogRecord, got {type(record).__name__}")
+            continue
         where = f"message {k} ({record.kind} {record.src}->{record.dst})"
-        if record.kind not in allowed:
+        if record.kind not in (OFFER_KIND, CLAIM_KIND):
             findings.append(f"{where}: unknown message kind")
+            continue
+        if not isinstance(record.payload, dict):
+            findings.append(f"{where}: payload must be a dict, got {type(record.payload).__name__}")
             continue
         if record.src not in ssp_ids or record.dst not in ssp_ids or record.src == record.dst:
             findings.append(f"{where}: endpoints must be two distinct SSP ids")
@@ -686,9 +667,8 @@ def audit_privacy(
         findings.append(f"log has {len(log)} messages, deterministic replay produced {len(expected)}")
     for k, (got, want) in enumerate(zip(log, expected)):
         if got != want:
-            findings.append(
-                f"message {k} differs from replay: got {got.kind} {got.payload}, expected {want.kind} {want.payload}"
-            )
+            shown = f"{got.kind} {got.payload}" if isinstance(got, LogRecord) else repr(got)
+            findings.append(f"message {k} differs from replay: got {shown}, expected {want.kind} {want.payload}")
     return AuditReport(passed=not findings, findings=findings)
 
 

@@ -434,6 +434,30 @@ class TestAuditPrivacy:
         assert not report.passed
         assert any("replay" in f for f in report.findings)
 
+    @pytest.mark.parametrize(
+        "forge, finding",
+        [
+            (lambda r: replace(r, payload=[1, 2]), "message 1 (claim S03->S01): payload must be a dict, got list"),
+            (lambda r: replace(r, payload=None), "message 1 (claim S03->S01): payload must be a dict, got NoneType"),
+            (lambda r: "junk", "message 1: not a LogRecord, got str"),
+            (lambda r: replace(r, kind=["claim"]), "message 1 (['claim'] S03->S01): unknown message kind"),
+            (lambda r: replace(r, src=["S03"]), "message 1 (claim ['S03']->S01): endpoints must be two distinct SSP ids"),
+        ],
+        ids=["list-payload", "none-payload", "not-a-record", "list-kind", "list-endpoint"],
+    )
+    def test_a_malformed_log_is_a_finding(self, forge, finding):
+        # the engine's log is an offer S01->S03 and its claim; the replay
+        # comparison still runs after the schema finding
+        scenario = generate_scenario(GeneratorSpec(n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, supply_mean_kwh=18.0, seed=2))
+        anm = meshed_map(scenario.ssp_ids)
+        log = list(run_engine(scenario, anm, seed=1).log)
+        assert [(r.kind, r.src, r.dst) for r in log] == [(OFFER_KIND, "S01", "S03"), (CLAIM_KIND, "S03", "S01")]
+        assert audit_privacy(log, scenario, anm, seed=1).passed
+        log[1] = forge(log[1])
+        report = audit_privacy(log, scenario, anm, seed=1)
+        assert not report.passed and report.findings[0] == finding
+        assert len(report.findings) == 2 and report.findings[1].startswith("message 1 differs from replay: got ")
+
     def test_per_subscriber_quantity_vector_fails(self, pair_scenario):
         anm = meshed_map(pair_scenario.ssp_ids)
         result = run_engine(pair_scenario, anm, seed=1)
@@ -895,11 +919,19 @@ def study1_coalitions() -> tuple[Scenario, ActualNeighborhoodMap]:
     return scenario, anm
 
 
+def study1_mesh() -> tuple[Scenario, ActualNeighborhoodMap]:
+    """Study-1 on the mesh: 20 SSPs in one map component."""
+    scenario = generate_scenario(STUDY1)
+    return scenario, meshed_map(scenario.ssp_ids)
+
+
+@pytest.mark.parametrize("study", [study1_coalitions, study1_mesh], ids=["coalitions", "mesh"])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("iteration_cap", [1, 7, 26])
-def test_an_iteration_cap_stops_the_merged_run_where_it_stops_the_global_sweep(cpus, iteration_cap):
-    # the run would end after 27 accepted solves
-    scenario, anm = study1_coalitions()
+def test_an_iteration_cap_stops_the_merged_run_where_it_stops_the_global_sweep(cpus, iteration_cap, study):
+    # the coalition run would end after 27 accepted solves, the meshed one
+    # after 35; the one component of the mesh passes the cap in its own stream
+    scenario, anm = study()
     want = engine_outcome(reference_run_engine, scenario, anm, 5, iteration_cap, cpus=1)
     assert want[:2] == ("ConvergenceError", f"no quiescence within {iteration_cap} iterations")
     assert engine_outcome(run_engine, scenario, anm, 5, iteration_cap, cpus) == want
@@ -952,10 +984,11 @@ def test_an_ssp_its_purchase_cap_leaves_unsolved_is_named_by_the_merged_run(shor
     assert engine_outcome(run_engine, scenario, anm, 1, 10000, cpus) == want
 
 
-@pytest.mark.parametrize("end", ["quiescence", "iteration-cap", "unsolved-ssp", "lost-pipe"])
+@pytest.mark.parametrize("end", ["quiescence", "iteration-cap", "unsolved-ssp", "lost-pipe", "one-component"])
 def test_no_worker_outlives_a_run(end, monkeypatch):
-    # a pipe lost while this process collects leaves two workers to reap
-    cpus = 3 if end == "lost-pipe" else 2
+    # a pipe lost while this process collects leaves two workers to reap, and
+    # a run with one map component forks none, however many CPUs it may use
+    cpus = 3 if end in ("lost-pipe", "one-component") else 2
     forks = []
     fork = os.fork
     monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
@@ -973,12 +1006,23 @@ def test_no_worker_outlives_a_run(end, monkeypatch):
         monkeypatch.setattr(sspsim.protocol, "_collect", lost)
         with pytest.raises(OSError, match="pipe lost"):
             run_engine(scenario, anm, seed=5)
+    elif end == "one-component":
+        assert run_engine(*study1_mesh(), seed=5).iterations > 0
     else:
         scenario = capped_pair("S1", "S2")
         with pytest.raises(MatchingInfeasibleError):
             run_engine(scenario, empty_map(scenario.ssp_ids), seed=1)
-    assert len(forks) == cpus - 1
+    assert len(forks) == (0 if end == "one-component" else cpus - 1)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_scenario_without_ssps_runs_to_an_empty_result(cpus):
+    # no map component: one share, running nothing
+    scenario = Scenario((), LinkBlock.from_rows((), {}), MatchingWeights(), None, 0)
+    want = engine_outcome(reference_run_engine, scenario, meshed_map(()), 1, 10000, cpus=1)
+    assert want[0] == "result" and want[1]["rounds"] == "0" and want[1]["log"] == "[]"
+    assert engine_outcome(run_engine, scenario, meshed_map(()), 1, 10000, cpus) == want
 
 
 def test_the_engine_and_the_map_count_the_same_components():
