@@ -1,8 +1,15 @@
 """Command-line surface: generate scenarios, run the engine, calibrate, report.
 
 Exit codes: 0 success, 2 usage/config error, 3 non-convergence (iteration cap),
-4 internal invariant breach. Every number the CLI prints is recomputable from
-the CSV artifacts it writes.
+4 internal invariant breach. Each command maps its own load, map-file and
+write errors; the engine's errors are mapped once, in ``main``, for ``run``
+and ``calibrate`` alike.
+
+``run`` loads and validates the scenario, resolves the map and runs the
+engine, and only once the engine has returned creates the results directory
+and writes its four files, whose formats are all defined here. So a run that
+exits non-zero before that point leaves the disk as it was. Every number the
+CLI prints is recomputable from the CSV artifacts it writes.
 """
 
 from __future__ import annotations
@@ -17,13 +24,14 @@ from .coalition import ActualNeighborhoodMap, anm_from_csv, form_coalitions, map
 from .matching import MatchingInfeasibleError
 from .model import UTILITY_ID, energy_status, validate_scenario
 from .protocol import (
+    OFFER_KIND,
     CalibrationError,
     ConvergenceError,
+    ConvergencePoint,
     InvalidScenarioError,
+    LogRecord,
     calibrate_weights,
-    messages_to_csv,
     run_engine,
-    trace_to_csv,
 )
 from .scenario import (
     GeneratorSpec,
@@ -169,26 +177,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot resolve neighborhood map: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    created = _missing_dirs(out_dir)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot write results directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_engine(scenario, anm, weights=weights, seed=args.seed, iteration_cap=args.iteration_cap)
-    except ConvergenceError as exc:
-        _remove_dirs(created)
-        print(f"engine did not converge: {exc}", file=sys.stderr)
-        for point in exc.trace[-5:]:
-            print(f"  iteration {point.iteration}: {point.accumulated_utility_kwh}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except MatchingInfeasibleError as exc:
-        _remove_dirs(created)
-        print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    result = run_engine(scenario, anm, weights=weights, seed=args.seed, iteration_cap=args.iteration_cap)
     summary = {
         "initial_abs_status_kwh": result.initial_abs_status_kwh,
         "final_utility_kwh": result.final_utility_kwh,
@@ -203,6 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     }
     try:
+        os.makedirs(out_dir, exist_ok=True)
         _write(out_dir, "commitments.csv", _commitments_csv(result))
         _write(out_dir, "convergence.csv", trace_to_csv(result.trace))
         _write(out_dir, "messages.csv", messages_to_csv(result.log))
@@ -217,25 +207,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _missing_dirs(path: str) -> list[str]:
-    """The directories ``os.makedirs(path)`` would create, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
-def _remove_dirs(paths: list[str]) -> None:
-    """Remove the directories in ``paths``, deepest first, that are still empty."""
-    for path in paths:
-        try:
-            os.rmdir(path)
-        except OSError:
-            return  # not empty: someone else wrote into it, so its parents stay too
-
-
 def _commitments_csv(result) -> str:
     lines = ["ssp,row_id,col_id,kwh"]
     for ssp_id in sorted(result.commitments):
@@ -245,6 +216,28 @@ def _commitments_csv(result) -> str:
                 if row_id == UTILITY_ID and col_id == UTILITY_ID:
                     continue  # cm(U, U) does not exist
                 lines.append(f"{ssp_id},{row_id},{col_id},{cm.get(row_id, col_id)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def trace_to_csv(trace: list[ConvergencePoint]) -> str:
+    lines = ["iteration,accumulated_utility_kwh"]
+    for point in trace:
+        lines.append(f"{point.iteration},{point.accumulated_utility_kwh!r}")
+    return "\n".join(lines) + "\n"
+
+
+def messages_to_csv(log: list[LogRecord]) -> str:
+    lines = ["round,kind,src,dst,energy_kwh,bound,token"]
+    for record in log:
+        if record.kind == OFFER_KIND:
+            energy = repr(record.payload["energy_kwh"])
+            bound = repr(record.payload["bound"])
+            token = str(record.payload["token"])
+        else:
+            energy = repr(record.payload["amount_kwh"])
+            bound = ""
+            token = ""
+        lines.append(f"{record.round_index},{record.kind},{record.src},{record.dst},{energy},{bound},{token}")
     return "\n".join(lines) + "\n"
 
 
@@ -259,18 +252,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     except (OSError, ScenarioFormatError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        weights = calibrate_weights(scenario, iterations=args.iterations, seed=args.seed)
-    except InvalidScenarioError as exc:
-        # the engine's own check: w2 <= 0 stays allowed, since calibration can raise it
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CalibrationError as exc:
-        print(f"invalid calibration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MatchingInfeasibleError as exc:
-        print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    weights = calibrate_weights(scenario, iterations=args.iterations, seed=args.seed)
     print(
         json.dumps(
             {"w14": weights.w14, "w2": weights.w2, "w35": weights.w35, "alpha": weights.alpha, "beta": weights.beta},
@@ -358,6 +340,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args)
         return _cmd_report(args)
+    # ConvergenceError and MatchingInfeasibleError are RuntimeErrors: mapped before exit 4
+    except ConvergenceError as exc:
+        print(f"engine did not converge: {exc}", file=sys.stderr)
+        for point in exc.trace[-5:]:
+            print(f"  iteration {point.iteration}: {point.accumulated_utility_kwh}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except MatchingInfeasibleError as exc:
+        print(f"line constraints no matching can meet: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvalidScenarioError as exc:
+        # the engine's own check, which lets w2 <= 0 pass, since calibration can raise it
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CalibrationError as exc:
+        print(f"invalid calibration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (AssertionError, ArithmeticError, RuntimeError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

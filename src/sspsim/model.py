@@ -135,6 +135,10 @@ class _Table:
             raise ValueError(f"expected an int64 array of shape {shape}, got {values.dtype} {values.shape}")
         if values.size and (values.min() < 0 or values.max() > self.TOP):
             raise ValueError(f"a {type(self).__name__} holds values from 0 to {self.TOP}, got {values.min()} to {values.max()}")
+        self._hold(values)
+
+    def _hold(self, values: np.ndarray) -> None:
+        """Keep ``values``, an int64 matrix of the table's shape within 0..``TOP``, read-only, and index the ids."""
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_at", _positions(self.rows))
@@ -181,7 +185,12 @@ class _Table:
                         raise ValueError(f"[{row_id}][{k}]: expected {cls.EXPECTED}, got {value!r}")
                     stored.append(kept)
             values = np.array(stored, dtype=np.int64).reshape(shape)
-        return cls(tuple(rows), cols, values)
+        # every value is one its kind holds, so the constructor's range check is left out
+        table = cls.__new__(cls)
+        object.__setattr__(table, "rows", tuple(rows))
+        object.__setattr__(table, "cols", cols)
+        table._hold(values)
+        return table
 
     def to_rows(self) -> dict[str, list]:
         """Each row as a list over the header, ``NO_ENTRY`` for 0: what ``from_rows`` reads back."""

@@ -38,8 +38,10 @@ The components are dealt, largest first, to one share per CPU
 (``os.sched_getaffinity``), and never to more shares than there are
 components; every share but the last runs in a forked worker, which pickles
 its streams and final agent states through a pipe, and every worker is
-reaped before the run returns or raises. So a run with one component, or on
-one CPU, forks nothing, and the result is the same bytes for any CPU count.
+reaped before the run returns or raises. A worker that exits non-zero or
+sends bytes that do not unpickle stops the run with a ``RuntimeError`` naming
+it. So a run with one component, or on one CPU, forks nothing, and the
+result is the same bytes for any CPU count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -104,7 +106,7 @@ import math
 import os
 import pickle
 import random
-import traceback
+import sys
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -517,15 +519,22 @@ def _run_components(
         for share in others:
             workers.append(_fork(partial(run, share)))
         parts = run(own)
-        for pid, read_fd in workers:
-            parts += _collect(pid, read_fd)
+        sent = [_collect(read_fd) for _, read_fd in workers]
     finally:
         # every read end first: a later worker holds copies of the earlier
         # ones, and a worker still writing exits on EPIPE once none is open
         for _, read_fd in workers:
             os.close(read_fd)
-        for pid, _ in workers:
-            os.waitpid(pid, 0)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    # a worker that exited non-zero may have sent part of a pickle, which the
+    # pickler writes frame by frame
+    for (pid, _), status, data in zip(workers, statuses, sent):
+        if status != 0:
+            raise RuntimeError(f"engine worker {pid} failed (exit code {os.waitstatus_to_exitcode(status)})")
+        try:
+            parts += pickle.loads(data)
+        except Exception as exc:
+            raise RuntimeError(f"engine worker {pid} sent a result that does not unpickle: {exc!r}") from exc
     return parts
 
 
@@ -547,21 +556,18 @@ def _fork(work: Callable[[], list[_Part]]) -> tuple[int, int]:
             status = 0
         except BrokenPipeError:  # the caller stopped reading: it is raising an error of its own
             pass
-        except BaseException:  # reported here: it cannot reach the caller
-            traceback.print_exc()
+        except BaseException as exc:  # reported here: it cannot reach the caller
+            print(f"engine worker {os.getpid()}: {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, read_fd
 
 
-def _collect(pid: int, read_fd: int) -> list[_Part]:
-    """A worker's parts, read from its pipe to the end; a worker that failed wrote nothing."""
+def _collect(read_fd: int) -> bytes:
+    """What a worker wrote to its pipe, read to the end."""
     with open(read_fd, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if not data:
-        raise RuntimeError(f"engine worker {pid} ended without a result")
-    return pickle.loads(data)
+        return pipe.read()
 
 
 def calibrate_weights(scenario: Scenario, iterations: int = 4, seed: int = 0) -> MatchingWeights:
@@ -671,24 +677,3 @@ def audit_privacy(
             findings.append(f"message {k} differs from replay: got {shown}, expected {want.kind} {want.payload}")
     return AuditReport(passed=not findings, findings=findings)
 
-
-def messages_to_csv(log: list[LogRecord]) -> str:
-    lines = ["round,kind,src,dst,energy_kwh,bound,token"]
-    for record in log:
-        if record.kind == OFFER_KIND:
-            energy = repr(record.payload["energy_kwh"])
-            bound = repr(record.payload["bound"])
-            token = str(record.payload["token"])
-        else:
-            energy = repr(record.payload["amount_kwh"])
-            bound = ""
-            token = ""
-        lines.append(f"{record.round_index},{record.kind},{record.src},{record.dst},{energy},{bound},{token}")
-    return "\n".join(lines) + "\n"
-
-
-def trace_to_csv(trace: list[ConvergencePoint]) -> str:
-    lines = ["iteration,accumulated_utility_kwh"]
-    for point in trace:
-        lines.append(f"{point.iteration},{point.accumulated_utility_kwh!r}")
-    return "\n".join(lines) + "\n"

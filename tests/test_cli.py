@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -297,7 +299,7 @@ class TestRun:
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failed_run_removes_the_directories_it_created(self, tmp_path, worked_file):
+    def test_failed_run_creates_no_directory(self, tmp_path, worked_file):
         scenario = with_lines(tmp_path, worked_file, ("AC1", "U", 8.0, 20.0), ("AC1", "AP1", 8.0, 20.0))
         out = tmp_path / "new" / "results"
         assert run_cli("run", "--scenario", scenario, "--anm", "meshed", "--out", str(out)) == EXIT_CONFIG
@@ -336,15 +338,19 @@ class TestRun:
         assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("below", ["", "results"], ids=["a-file", "under-a-file"])
-    def test_unusable_output_path_exits_2_before_the_engine_runs(self, tmp_path, worked_file, monkeypatch, capsys, below):
+    def test_unusable_output_path_exits_2_once_the_run_has_finished(self, tmp_path, worked_file, monkeypatch, capsys, below):
+        # the directory is made only for a finished run, so the engine runs first
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
         calls = []
-        monkeypatch.setattr(sspsim.cli, "run_engine", lambda *args, **kwargs: calls.append(args))
+        run_engine = sspsim.cli.run_engine
+        monkeypatch.setattr(sspsim.cli, "run_engine", lambda *args, **kwargs: calls.append(args) or run_engine(*args, **kwargs))
         code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(taken / below))
         assert code == EXIT_CONFIG
-        assert "cannot write results directory" in capsys.readouterr().err
-        assert calls == []
+        err = capsys.readouterr().err
+        assert "cannot write results directory" in err and "Traceback" not in err
+        assert len(calls) == 1
+        assert taken.read_text() == "not a directory\n"
 
     def test_map_file_naming_an_unknown_ssp_exits_2(self, tmp_path, pair_file, capsys):
         anm_file = tmp_path / "anm.csv"
@@ -395,11 +401,12 @@ class TestRun:
 
     def test_solver_drift_beyond_tolerance_exits_4(self, tmp_path, worked_file, monkeypatch, capsys):
         drift_every_solve(monkeypatch)
-        code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(tmp_path / "out"))
+        code = run_cli("run", "--scenario", worked_file, "--anm", "meshed", "--out", str(tmp_path / "new" / "out"))
         assert code == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "outside its bounds" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "new").exists()
 
     def test_solver_drift_in_a_worker_exits_4_as_on_one_cpu(self, tmp_path, monkeypatch, capsys):
         # passive flexibility bounds columns, so the drift breaks a bound. On two
@@ -417,14 +424,42 @@ class TestRun:
         errs = []
         for cpus in (1, 2):
             monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
-            out = str(tmp_path / f"cpus-{cpus}")
+            out = str(tmp_path / f"cpus-{cpus}" / "out")
             assert run_cli("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3", "--out", out) == EXIT_INTERNAL
             errs.append(capsys.readouterr().err)
             assert len(forks) == cpus - 1
             assert_no_child_left()
+            assert not (tmp_path / f"cpus-{cpus}").exists()
         assert "outside its bounds" in errs[0] and "S01." in errs[0]
         assert "Traceback" not in errs[1]
         assert errs[1] == errs[0]
+
+    @pytest.mark.parametrize("after", ["raises", "returns"], ids=["worker-fails", "worker-exits-0"])
+    def test_worker_stream_cut_short_exits_4_naming_the_worker(self, tmp_path, monkeypatch, capfd, after):
+        # the worker writes half its pickle, then fails or exits as if it had
+        # written all of it; on two CPUs the coalition map forks one worker
+        scenario = str(tmp_path / "scenario.json")
+        gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--supply-mean", "20", "--seed", "11")
+        assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
+        capfd.readouterr()
+
+        def half(obj, file, protocol):
+            data = pickle.dumps(obj, protocol)
+            file.write(data[: len(data) // 2])
+            if after == "raises":
+                raise OSError("cut short")
+
+        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(pickle, "dump", half)
+        out = tmp_path / "new" / "out"
+        code = run_cli("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3", "--out", str(out))
+        err = capfd.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert "internal invariant breach: engine worker " in err
+        assert ("OSError: cut short" in err) == (after == "raises")
+        assert "Traceback" not in err
+        assert_no_child_left()
+        assert not (tmp_path / "new").exists()
 
     def test_missing_output_dir_exits_2(self, worked_file, monkeypatch, capsys):
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)
@@ -972,4 +1007,12 @@ class TestCalibrate:
         assert run_cli("calibrate", "--scenario", worked_file, "--iterations", "0") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "iterations must be >= 1" in err
+        assert "Traceback" not in err
+
+    def test_run_past_the_iteration_cap_exits_3(self, pair_file, monkeypatch, capsys):
+        # the calibration's engine runs stop at one accepted solve
+        monkeypatch.setattr(sspsim.protocol, "run_engine", partial(sspsim.protocol.run_engine, iteration_cap=1))
+        assert run_cli("calibrate", "--scenario", pair_file, "--iterations", "1") == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "engine did not converge: no quiescence within 1 iterations" in err
         assert "Traceback" not in err

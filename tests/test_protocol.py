@@ -1000,7 +1000,7 @@ def test_no_worker_outlives_a_run(end, monkeypatch):
         with pytest.raises(ConvergenceError):
             run_engine(scenario, anm, seed=5, iteration_cap=7)
     elif end == "lost-pipe":
-        def lost(pid, read_fd):
+        def lost(read_fd):
             raise OSError("pipe lost")
 
         monkeypatch.setattr(sspsim.protocol, "_collect", lost)
