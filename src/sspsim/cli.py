@@ -290,7 +290,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             with open(summary_path, "r", encoding="utf-8") as fh:
                 summary = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             print(f"unreadable summary.json in {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         problem = _summary_problem(summary)

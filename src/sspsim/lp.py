@@ -48,24 +48,23 @@ column to the same float and take the same pivots. There is no sparse
 factorisation and no MILP (binary connectivity is data, never a decision
 variable).
 
-A program is stored as arrays, and only as arrays: per column its name, lower
-and upper bound; the objective as (column, cost) pairs in insertion order;
-per row its name, relation and rhs, with the coefficients as compressed
-sparse rows in insertion order. It is built only by appending whole arrays
-(``add_columns``, ``add_costs``, ``add_rows``), and a column position handed
-to them must be an integer. ``validate_program`` checks whole arrays and
-walks entries only to name the first offender. ``_standardise`` reads the
-arrays directly. ``variables``, ``objective`` and ``constraints`` are
-read-only views in the dataclass and dict form, built on each read for
-messages, tests and the benchmark's counters: writing to one changes
-nothing. A solution's ``objective`` sums c_j x_j one term at a time in the
-objective's insertion order, so two programs whose arrays are equal report
-the same float.
+A program is stored as arrays, and only as arrays: per column its name,
+lower and upper bound and cost; per row its name, relation and rhs, with the
+coefficients as compressed sparse rows in insertion order. It is built only
+by appending whole arrays (``add_columns``, ``add_rows``), and a column
+position handed to ``add_rows`` must be an integer. ``validate_program``
+checks whole arrays and walks entries only to name the first offender.
+``_standardise`` reads the arrays directly. ``variables`` and
+``constraints`` are read-only views in the dataclass and dict form, built on
+each read for messages, tests and the benchmark's counters: writing to one
+changes nothing. A solution's ``objective`` sums c_j x_j one term at a time
+in column order, so two programs whose arrays are equal report the same
+float.
 
 A column is known by its position: ``add_columns`` returns the first it
-appends, the objective and every row refer to columns by position, and a
-solution lists one value per column in column order. Variable and row names
-are labels, used only in messages.
+appends, every row refers to columns by position, and a solution lists one
+value per column in column order. Variable and row names are labels, used
+only in messages.
 
 An optimal solution also carries ``duals``, one per row in row order:
 y = c_B B^-1 at the phase-2 optimum, mapped back through the row
@@ -125,26 +124,24 @@ class LpConstraint:
 
 
 class LinearProgram:
-    """Minimise ``objective . x`` subject to bounds and linear constraints, stored as arrays.
+    """Minimise ``cost . x`` subject to bounds and linear constraints, stored as arrays.
 
-    Columns: ``names``, ``lower`` and ``upper``, one entry per column. The
-    objective: ``cost_cols`` and ``cost_vals``, in insertion order, each
-    column at most once. Rows: ``row_names``, ``relations`` and ``rhs``, one
-    entry per row, and their coefficients as compressed sparse rows: row i
-    holds ``entry_vals[row_starts[i]:row_starts[i + 1]]`` in the columns
+    Columns: ``names``, ``lower``, ``upper`` and ``cost``, one entry per
+    column. Rows: ``row_names``, ``relations`` and ``rhs``, one entry per
+    row, and their coefficients as compressed sparse rows: row i holds
+    ``entry_vals[row_starts[i]:row_starts[i + 1]]`` in the columns
     ``entry_cols[...]``, in insertion order.
 
-    ``add_columns``, ``add_costs`` and ``add_rows`` append arrays, and are
-    the only builders. ``variables``, ``objective`` and ``constraints`` are
-    read-only views built on demand.
+    ``add_columns`` and ``add_rows`` append arrays, and are the only
+    builders. ``variables`` and ``constraints`` are read-only views built on
+    demand.
     """
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self.lower = np.zeros(0)
         self.upper = np.zeros(0)
-        self.cost_cols = np.zeros(0, dtype=np.intp)
-        self.cost_vals = np.zeros(0)
+        self.cost = np.zeros(0)
         self.row_names: list[str] = []
         self.relations: list[str] = []
         self.rhs = np.zeros(0)
@@ -152,21 +149,17 @@ class LinearProgram:
         self.entry_cols = np.zeros(0, dtype=np.intp)
         self.entry_vals = np.zeros(0)
 
-    def add_columns(self, names: Sequence[str], lower, upper) -> int:
-        """Append columns; returns the position of the first."""
+    def add_columns(self, names: Sequence[str], lower, upper, cost) -> int:
+        """Append columns with their bounds and costs; returns the position of the first."""
         start = len(self.names)
-        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if not len(names) == lower.size == upper.size:
-            raise LpFormatError(f"{len(names)} names for {lower.size} lower and {upper.size} upper bounds")
+        lower, upper, cost = (np.asarray(a, dtype=float) for a in (lower, upper, cost))
+        if not len(names) == lower.size == upper.size == cost.size:
+            raise LpFormatError(f"{len(names)} names for {lower.size} lower, {upper.size} upper bounds and {cost.size} costs")
         self.names.extend(names)
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
+        self.cost = np.concatenate([self.cost, cost])
         return start
-
-    def add_costs(self, cols, costs) -> None:
-        """Append objective coefficients, in order, for columns not yet in the objective."""
-        self.cost_cols = np.concatenate([self.cost_cols, _positions(cols)])
-        self.cost_vals = np.concatenate([self.cost_vals, np.asarray(costs, dtype=float)])
 
     def add_rows(self, names: Sequence[str], relations: Sequence[str], rhs, lengths, cols, vals) -> None:
         """Append rows; row k takes its ``lengths[k]`` entries in turn from ``cols`` and ``vals``."""
@@ -186,10 +179,6 @@ class LinearProgram:
         return list(map(LpVariable, self.names, self.lower.tolist(), self.upper.tolist()))
 
     @property
-    def objective(self) -> dict[int, float]:
-        return dict(zip(self.cost_cols.tolist(), self.cost_vals.tolist()))
-
-    @property
     def constraints(self) -> list[LpConstraint]:
         keys, vals, starts = self.entry_cols.tolist(), self.entry_vals.tolist(), self.row_starts.tolist()
         return [
@@ -199,7 +188,7 @@ class LinearProgram:
 
 
 def _positions(cols) -> np.ndarray:
-    """A builder's column positions as intp; a float, bool or str position is refused."""
+    """``add_rows``' column positions as intp; a float, bool or str position is refused."""
     # np.asarray([0, True]) is an integer array, so a list's items are checked first
     if not isinstance(cols, np.ndarray) and any(isinstance(c, (bool, np.bool_)) for c in cols):
         raise LpFormatError("column positions must be integers, got a bool")
@@ -219,7 +208,7 @@ class LpSolution:
 
 
 def validate_program(lp: LinearProgram) -> None:
-    """Raise LpFormatError naming the offending variable, row or "objective".
+    """Raise LpFormatError naming the offending variable or row.
 
     Each check reads whole arrays; only a program that fails one is walked,
     to name its first offender."""
@@ -233,6 +222,9 @@ def validate_program(lp: LinearProgram) -> None:
         if not math.isfinite(low):
             raise LpFormatError(f"variable {name!r} has no finite lower bound ({low})")
         raise LpFormatError(f"variable {name!r} has lower {low} > upper {up}")
+    if not np.isfinite(lp.cost).all():
+        k = int(np.isfinite(lp.cost).argmin())
+        raise LpFormatError(f"variable {lp.names[k]!r} has non-finite cost {lp.cost[k].item()}")
     if not (set(lp.relations) <= set(_RELATIONS) and np.isfinite(lp.rhs).all()):
         for idx, (relation, rhs) in enumerate(zip(lp.relations, lp.rhs.tolist())):
             if relation not in _RELATIONS:
@@ -240,21 +232,13 @@ def validate_program(lp: LinearProgram) -> None:
             if not math.isfinite(rhs):
                 raise LpFormatError(f"{_row_label(lp, idx)}: non-finite rhs {rhs}")
     # every position must lie in [0, n): numpy indexing would wrap -1 to the
-    # last column; the builders already refused any position but an integer
+    # last column; add_rows already refused any position but an integer
     n_cols = len(lp.names)
-    for part, cols in (("objective", lp.cost_cols), ("rows", lp.entry_cols)):
-        outside = (cols < 0) | (cols >= n_cols)
-        if outside.any():
-            k = int(outside.argmax())
-            label = part if part == "objective" else _row_label(lp, int(lp.row_starts.searchsorted(k, "right")) - 1)
-            raise LpFormatError(f"{label}: key {cols[k].item()} is not a column position in [0, {n_cols})")
-    ordered = np.sort(lp.cost_cols)
-    if (ordered[1:] == ordered[:-1]).any():
-        seen: set[int] = set()
-        for col in lp.cost_cols.tolist():
-            if col in seen:
-                raise LpFormatError(f"objective: column {col} appears twice")
-            seen.add(col)
+    outside = (lp.entry_cols < 0) | (lp.entry_cols >= n_cols)
+    if outside.any():
+        k = int(outside.argmax())
+        label = _row_label(lp, int(lp.row_starts.searchsorted(k, "right")) - 1)
+        raise LpFormatError(f"{label}: key {lp.entry_cols[k].item()} is not a column position in [0, {n_cols})")
 
 
 def _row_label(lp: LinearProgram, idx: int) -> str:
@@ -354,7 +338,7 @@ class _Simplex:
         self.n_real = n_real
         self.lower, self.upper = lower, upper
         self.cost = np.zeros(n_cols)
-        self.cost[lp.cost_cols] = 0.0 + lp.cost_vals
+        self.cost[:n_vars] = lp.cost + 0.0  # minus a zero reward is -0.0
 
     def solve(self) -> LpSolution:
         # revised simplex: the column store stays read-only, only the m x m
@@ -528,8 +512,8 @@ class _Simplex:
                     f"[{self.lower[k].item()}, {self.upper[k].item()}] by more than {FEAS_TOL}"
                 )
             x[k] = self.upper[k]
-        # the objective sums its terms one at a time, in insertion order
-        objective = sum((lp.cost_vals * x[lp.cost_cols]).tolist(), 0.0)
+        # the objective sums its terms one at a time, in column order
+        objective = sum((lp.cost * x).tolist(), 0.0)
         return LpSolution(LpStatus.OPTIMAL, x.tolist(), objective, self._duals(), self.pivots)
 
     def _duals(self) -> list[float]:

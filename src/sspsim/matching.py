@@ -420,12 +420,11 @@ def _place(
     flex: _Flex,
     rewards: _Rewards,
 ) -> tuple[LinearProgram, _BuildInfo, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The columns and costs both matching LPs share, with the entries of their supply and demand rows.
+    """The columns both matching LPs share, with the entries of their supply and demand rows.
 
-    Columns: the cm columns, then the ``flex`` purchases, cuts and
-    stretches. The objective lists the purchases (w2), the stretches (the
-    stretch penalty), then each rewarded cm column (minus its reward).
-    Returns the LP without rows, its layout, and (row, column, value)
+    Columns, with their costs: the cm columns (minus each one's reward),
+    then the ``flex`` purchases (w2), cuts (0) and stretches (the stretch
+    penalty). Returns the LP without rows, its layout, and (row, column, value)
     entries: +1 of each cm column in its supplier's row and -1 of each
     stretch in its producer's row (rows numbered by supplier index), and +1
     of each cm column, purchase and cut in its consumer's row (rows numbered
@@ -433,18 +432,11 @@ def _place(
     """
     n_cm, n_cons = cm.consumer.size, len(consumer_ids)
     lp = LinearProgram()
-    lp.add_columns(cm.names + flex.names, np.concatenate([cm.lower, flex.lower]), np.concatenate([cm.upper, flex.upper]))
+    flex_cost = np.repeat([rewards.weights.w2, 0.0, rewards.stretch_penalty], [n_cons, flex.cut_of.size, flex.stretch_of.size])
+    lower, upper = np.concatenate([cm.lower, flex.lower]), np.concatenate([cm.upper, flex.upper])
+    lp.add_columns(cm.names + flex.names, lower, upper, np.concatenate([-cm.reward, flex_cost]))
     info = _BuildInfo(consumer_ids, supplier_ids, cm.consumer, cm.supplier, flex.cut_of, flex.stretch_of)
     purchases, cuts, stretches = (np.arange(c.start, c.stop) for c in (info.purchase_cols, info.cut_cols, info.stretch_cols))
-    cost_cols, cost_vals = [], []
-    if rewards.weights.w2 != 0.0:
-        cost_cols.append(purchases)
-        cost_vals.append(np.full(n_cons, rewards.weights.w2))
-    if rewards.stretch_penalty != 0.0:
-        cost_cols.append(stretches)
-        cost_vals.append(np.full(stretches.size, rewards.stretch_penalty))
-    rewarded = np.flatnonzero(cm.reward != 0.0)
-    lp.add_costs(np.concatenate([*cost_cols, rewarded]), np.concatenate([*cost_vals, -cm.reward[rewarded]]))
 
     cm_cols = np.arange(n_cm)
     supplied = (
@@ -513,9 +505,8 @@ def _build(
     n_supply = len(view.producers) + len(live)
     caps = [view.partner_capacities[p] for p in live]
     stretched = [q for q, cap in enumerate(caps) if cap.bound > 0.0]
-    first = lp.add_columns(
-        [f"stretch[{live[q]}]" for q in stretched], np.zeros(len(stretched)), [caps[q].bound * caps[q].energy for q in stretched]
-    )
+    zeros = np.zeros(len(stretched))  # the lower bounds and the costs
+    first = lp.add_columns([f"stretch[{live[q]}]" for q in stretched], zeros, [caps[q].bound * caps[q].energy for q in stretched], zeros)
     partner_stretch = (
         len(view.producers) + np.array(stretched, dtype=np.intp), first + np.arange(len(stretched)), np.full(len(stretched), -1.0)
     )
@@ -775,7 +766,8 @@ def _build_centralized(scenario: Scenario) -> tuple[LinearProgram, _BuildInfo]:
         exporters += [supplier_at[p.id] for p in cfg.producers]
         pools += [row_of[supplier]] * len(cfg.producers)
     n_exports = len(exporters)
-    first = lp.add_columns([f"export[{producers[j].id}]" for j in exporters], np.zeros(n_exports), np.full(n_exports, math.inf))
+    zeros = np.zeros(n_exports)  # the lower bounds and the costs
+    first = lp.add_columns([f"export[{producers[j].id}]" for j in exporters], zeros, np.full(n_exports, math.inf), zeros)
     export_cols = first + np.arange(len(exporters))
     info.export_cols = dict(zip((producers[j].id for j in exporters), export_cols.tolist()))
     _add_rows(

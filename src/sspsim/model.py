@@ -372,10 +372,12 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         seen_ids.add(entity_id)
 
     ssp_ids = [cfg.id for cfg in scenario.ssps]
+    total_energy = 0.0
     for cfg in scenario.ssps:
         claim_id(cfg.id, "SSP")
         for sub in cfg.consumers + cfg.producers:
             claim_id(sub.id, "subscriber")
+            total_energy += sub.energy
             for name in ("energy", "bound", "priority"):
                 value = getattr(sub, name)
                 if not math.isfinite(value):
@@ -415,6 +417,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     for w_name in ("w14", "w2", "w35", "alpha"):
         if getattr(scenario.weights, w_name) < 0:
             out.append(Violation("weights", "weight-nonnegative", f"{w_name} < 0"))
+    out.extend(_validate_objective(scenario, total_energy))
 
     if scenario.line_constraints is not None:
         # one SSP's LP alone decides a consumer's flows from the Utility and
@@ -455,6 +458,27 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if isinstance(seed, bool) or not isinstance(seed, int) or not -(2**63) <= seed < 2**63:
         out.append(Violation("seed", "seed-64bit", f"seed {seed!r} outside 64-bit range"))
     return out
+
+
+def _validate_objective(scenario: Scenario, total_energy: float) -> list[Violation]:
+    # Finite weights and energies can still overflow in the matching LPs. A
+    # kWh costs at most the largest of w2, |reward| over priorities 0 to 1
+    # and ranks 1 to R (rewards are affine in both, so the corners bound
+    # them) and the stretch penalty 0.01 * w2 above the largest reward; the
+    # objective is at most that cost times the energy the LP places.
+    weights = scenario.weights
+    top_rank = max([1, *(int(cfg.preferences.values.max(initial=0)) for cfg in scenario.ssps)])
+    beta = weights.beta if weights.beta is not None else top_rank + 1.0
+    rewards = [weights.w14 * p + weights.w35 * (1.0 + weights.alpha * (beta - r)) for p in (0.0, 1.0) for r in (1, top_rank)]
+    cost = float(np.abs([weights.w2, *rewards, max(rewards) + 0.01 * weights.w2]).max())
+    if not math.isfinite(cost):
+        return [Violation("weights", "objective-finite", f"largest cost per kWh {cost}")]
+    if not math.isfinite(total_energy):
+        return [Violation("energy total", "objective-finite", f"{total_energy} kWh")]
+    if not math.isfinite(cost * total_energy):
+        detail = f"largest cost per kWh {cost} times {total_energy} kWh overflows"
+        return [Violation("weights x energy total", "objective-finite", detail)]
+    return []
 
 
 def _validate_connectivity(scenario: Scenario, ssp_ids: list[str], linked: np.ndarray) -> list[Violation]:

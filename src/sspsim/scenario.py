@@ -418,6 +418,8 @@ def scenario_from_json(text: str) -> Scenario:
         raise ScenarioFormatError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from None
     except ValueError as exc:  # an integer with more digits than int() reads
         raise ScenarioFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioFormatError("invalid JSON: nested too deeply") from None
     return scenario_from_dict(data)
 
 

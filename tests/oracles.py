@@ -99,7 +99,7 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
     if not feasible.any():
         return math.inf
     obj = np.zeros(npts)
-    for col, c in lp.objective.items():
+    for col, c in enumerate(lp.cost.tolist()):
         obj += c * points[col]
     return float(obj[feasible].min())
 
@@ -143,7 +143,7 @@ def highs(lp):
         return out if rows else None
 
     return optimize.linprog(
-        [lp.objective.get(col, 0.0) for col in range(n_cols)],
+        lp.cost.tolist(),
         A_ub=matrix(by_relation[LESS_EQUAL]),
         b_ub=[row.rhs for row in by_relation[LESS_EQUAL]] or None,
         A_eq=matrix(by_relation[EQUAL]),
@@ -231,7 +231,7 @@ class ReferenceSimplex(_Simplex):
         self.n_real = a.shape[1]
         self.art_cols = np.array(art_cols, dtype=int)
         self.cost = np.zeros(self.a.shape[1])
-        for j, c in lp.objective.items():
+        for j, c in enumerate(lp.cost.tolist()):
             self.cost[j] += c
 
     def _iterate(self, cost: np.ndarray, allowed: int) -> tuple[LpStatus, float]:
@@ -334,7 +334,7 @@ class ReferenceSimplex(_Simplex):
             if math.isfinite(var.upper):
                 x = min(x, var.upper)
             values.append(float(x))
-        objective = sum(c * values[j] for j, c in self.lp.objective.items())
+        objective = sum(c * values[j] for j, c in enumerate(self.lp.cost.tolist()))
         # y = c_B B^-1, one row at a time back to its original row and scale
         y = self.cost[self.basis] @ self.binv
         duals = [0.0] * len(self.lp.row_names)
@@ -423,7 +423,7 @@ def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float 
     for row, y in zip(lp.constraints, duals):
         if row.relation == LESS_EQUAL:
             assert y <= tol * scale, (row.name, y)
-    reduced = [lp.objective.get(col, 0.0) for col in range(len(lp.variables))]
+    reduced = lp.cost.tolist()
     terms = []
     for row, y in zip(lp.constraints, duals):
         terms.append(y * row.rhs)
@@ -670,16 +670,22 @@ class ReferencePairTable:
         return gain * kwh > tol
 
 
-def program_of(variables: list[LpVariable], objective: dict[int, float], rows: list[tuple] = ()) -> LinearProgram:
-    """A program with these variables, objective and rows, made by one call of each array builder.
+def program_of(variables: list[LpVariable], cost: dict[int, float], rows: list[tuple] = ()) -> LinearProgram:
+    """A program with these variables, costs and rows, made by one call of each array builder.
 
-    A row is (coefficients, relation, rhs) or (coefficients, relation, rhs,
-    name), its coefficients keyed by column position; a row without a name
-    gets "".
+    ``cost`` maps a column position to its cost; a column it leaves out
+    costs 0.0. A row is (coefficients, relation, rhs) or (coefficients,
+    relation, rhs, name), its coefficients keyed by column position; a row
+    without a name gets "".
     """
+    assert set(cost) <= set(range(len(variables))), "a cost for a position that is not a column"
     lp = LinearProgram()
-    lp.add_columns([v.name for v in variables], [v.lower for v in variables], [v.upper for v in variables])
-    lp.add_costs(list(objective), list(objective.values()))
+    lp.add_columns(
+        [v.name for v in variables],
+        [v.lower for v in variables],
+        [v.upper for v in variables],
+        [cost.get(col, 0.0) for col in range(len(variables))],
+    )
     lp.add_rows(
         [row[3] if len(row) > 3 else "" for row in rows],
         [row[1] for row in rows],
@@ -693,7 +699,8 @@ def program_of(variables: list[LpVariable], objective: dict[int, float], rows: l
 
 def with_variables(lp: LinearProgram, variables: list[LpVariable]) -> LinearProgram:
     """``lp`` with its variables (names and bounds) replaced, made by the builders."""
-    return program_of(variables, lp.objective, [(row.coeffs, row.relation, row.rhs, row.name) for row in lp.constraints])
+    cost = dict(enumerate(lp.cost.tolist()))
+    return program_of(variables, cost, [(row.coeffs, row.relation, row.rhs, row.name) for row in lp.constraints])
 
 
 def _ref_place(consumers, blocks, demand, flex, weights, rewards):
@@ -708,18 +715,14 @@ def _ref_place(consumers, blocks, demand, flex, weights, rewards):
         "cut_cols": cut_cols, "stretch_cols": stretch_cols, "objective_offset": 0.0,
     }
     variables = [var for _, var, _ in cm_columns] + [*purchases, *cuts.values(), *stretches.values()]
-    objective: dict[int, float] = {}
-    if weights.w2 != 0.0:
-        objective.update(dict.fromkeys(purchase_cols, weights.w2))
-    if rewards.stretch_penalty != 0.0:
-        objective.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
+    cost: dict[int, float] = dict.fromkeys(purchase_cols, weights.w2)
+    cost.update(dict.fromkeys(stretch_cols.values(), rewards.stretch_penalty))
     supplied: dict[str, dict[int, float]] = defaultdict(dict)
     demand_rows = []
     start = 0
     for consumer, block, rhs, purchase_col in zip(consumers, blocks, demand, purchase_cols):
         for col, ((_, supplier_id), _, reward) in enumerate(block, start):
-            if reward != 0.0:
-                objective[col] = -reward
+            cost[col] = -reward
             supplied[supplier_id][col] = 1.0
         served = dict.fromkeys(range(start, start + len(block)), 1.0)
         served[purchase_col] = 1.0
@@ -729,7 +732,7 @@ def _ref_place(consumers, blocks, demand, flex, weights, rewards):
         start += len(block)
     for producer_id, col in stretch_cols.items():
         supplied[producer_id][col] = -1.0
-    return variables, objective, info, supplied, demand_rows
+    return variables, cost, info, supplied, demand_rows
 
 
 def reference_build(view, weights, lines, locked_imports, committed_exports) -> tuple[LinearProgram, dict]:
@@ -747,7 +750,7 @@ def reference_build(view, weights, lines, locked_imports, committed_exports) -> 
     demand = [max(c.energy - locked_in.get(c.id, 0.0), 0.0) for c in view.consumers]
     blocks = [[*table.local[c.id], *(partner[k] for partner in offered)] for k, c in enumerate(view.consumers)]
     placed = _ref_place(view.consumers, blocks, demand, table.flex, weights, table.rewards)
-    variables, objective, info, supplied, demand_rows = placed
+    variables, cost, info, supplied, demand_rows = placed
     info.update(objective_offset=offset, live_partners=live, export_cols={})
     rows = [(supplied[p.id], LESS_EQUAL, p.energy, f"supply[{p.id}]") for p in view.producers]
     for partner_id in live:
@@ -766,7 +769,7 @@ def reference_build(view, weights, lines, locked_imports, committed_exports) -> 
             coeffs.update(supply)
             rhs += energy
         rows.append((coeffs, LESS_EQUAL, rhs, "export-reservation"))
-    return program_of(variables, objective, rows), info
+    return program_of(variables, cost, rows), info
 
 
 def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, dict]:
@@ -796,7 +799,7 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
     ]
     flex = _ref_flex(consumers, producers, lines)
     placed = _ref_place(consumers, blocks, [c.energy for c in consumers], flex, weights, rewards)
-    variables, objective, info, supplied, demand_rows = placed
+    variables, cost, info, supplied, demand_rows = placed
     pooled = [cfg for cfg in scenario.ssps if cfg.id in supplied]
     export_cols = {}
     for cfg in pooled:
@@ -816,7 +819,7 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
         coeffs = supplied[cfg.id]
         coeffs.update((export_cols[p.id], -1.0) for p in cfg.producers)
         rows.append((coeffs, LESS_EQUAL, 0.0, f"pool[{cfg.id}]"))
-    return program_of(variables, objective, rows), info
+    return program_of(variables, cost, rows), info
 
 
 def layout_of(info) -> dict:
@@ -846,10 +849,10 @@ def bits(value):
 
 
 def views(lp: LinearProgram) -> list:
-    """Every view of a program, in order: dict equality alone ignores key order."""
+    """Every view of a program and its costs, in order: dict equality alone ignores key order."""
     return [
         [(v.name, v.lower, v.upper) for v in lp.variables],
-        list(lp.objective.items()),
+        lp.cost.tolist(),
         [(row.name, list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
     ]
 

@@ -725,6 +725,40 @@ class TestRun:
         bad.write_text("{ not json")
         assert run_cli("run", "--scenario", str(bad), "--anm", "meshed", "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json raises RecursionError, a RuntimeError, on nesting this deep
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000)
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(bad), "--anm", "meshed", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load scenario: invalid JSON: nested too deeply" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("overflow", ["alpha", "one-consumer", "every-producer"])
+    def test_finite_inputs_whose_products_overflow_exit_2_naming_the_rule(self, tmp_path, capsys, overflow):
+        # every weight and energy is finite, but a reward, the cost of the
+        # consumer's kWh or the total energy is not a float
+        path = tmp_path / "scenario.json"
+        gen = ("gen", "--ssps", "2", "--consumers", "2", "--producers", "2", "--seed", "3", "--out", str(path))
+        assert run_cli(*gen) == EXIT_OK
+        data = json.loads(path.read_text())
+        if overflow == "one-consumer":
+            data["ssps"][0]["consumers"][0]["energy_kwh"] = 1e308
+        elif overflow == "every-producer":
+            for ssp in data["ssps"]:
+                for producer in ssp["producers"]:
+                    producer["energy_kwh"] = 1e308
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        extra = ("--alpha", "1e308") if overflow == "alpha" else ()
+        assert run_cli("run", "--scenario", str(path), "--anm", "meshed", "--out", str(out), *extra) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        named = {"alpha": "weights", "one-consumer": "weights x energy total", "every-producer": "energy total"}[overflow]
+        assert f"invalid scenario: {named}: objective-finite" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--w2", "-1"), ("--w14", "-5"), ("--alpha", "nan")])
     def test_invalid_weight_override_exits_2(self, tmp_path, worked_file, capsys, flag, value):
         code = run_cli(
@@ -939,8 +973,13 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "text,detail",
-        [("{ not json", "unreadable summary.json"), ('{"iterations": 3}', "lacks coalitions"), ("[]", "lacks an object")],
-        ids=["not-json", "missing-keys", "not-an-object"],
+        [
+            ("{ not json", "unreadable summary.json"),
+            ("[" * 100_000, "unreadable summary.json"),
+            ('{"iterations": 3}', "lacks coalitions"),
+            ("[]", "lacks an object"),
+        ],
+        ids=["not-json", "nested-too-deeply", "missing-keys", "not-an-object"],
     )
     def test_malformed_summary_exits_2(self, tmp_path, capsys, text, detail):
         bad = tmp_path / "bad"

@@ -313,41 +313,35 @@ def test_names_are_labels_not_identities():
     # two columns may share a label; each is its own column, known by the
     # position add_columns returns
     lp = LinearProgram()
-    assert lp.add_columns(["x"], [0.0], [1.0]) == 0
-    assert lp.add_columns(["x"], [0.0], [2.0]) == 1
-    lp.add_costs([0, 1], [-1.0, -1.0])
+    assert lp.add_columns(["x"], [0.0], [1.0], [-1.0]) == 0
+    assert lp.add_columns(["x"], [0.0], [2.0], [-1.0]) == 1
     assert solve_lp(lp).values == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("key", [1.5, True, "y"], ids=["float", "bool", "name"])
 @pytest.mark.parametrize("shape", ["mixed-list", "array"])
-@pytest.mark.parametrize("where", ["objective", "row"])
-def test_the_builders_refuse_a_position_that_is_not_an_integer(key, shape, where):
+def test_the_builders_refuse_a_position_that_is_not_an_integer(key, shape):
     # numpy indexing would truncate 1.5 to column 1 and read True as 1, and a
     # list [0, True] converts to an integer array; a refused call appends nothing
     lp = program_of([LpVariable("x"), LpVariable("y")], {0: 1.0}, [({0: 1.0, 1: 1.0}, "<=", 1.0, "ok")])
     cols = [0, key] if shape == "mixed-list" else np.array([key, key])
     with pytest.raises(LpFormatError, match="integers"):
-        if where == "objective":
-            lp.add_costs(cols, [1.0, 1.0])
-        else:
-            lp.add_rows(["cap"], ["<="], [1.0], [2], cols, [1.0, 1.0])
-    assert (lp.objective, len(lp.constraints), lp.entry_cols.tolist()) == ({0: 1.0}, 1, [0, 1])
+        lp.add_rows(["cap"], ["<="], [1.0], [2], cols, [1.0, 1.0])
+    assert (len(lp.constraints), lp.entry_cols.tolist()) == (1, [0, 1])
 
 
 @pytest.mark.parametrize("key", [-1, 2], ids=["negative", "len-variables"])
-@pytest.mark.parametrize("where", ["objective", "cap"])
-def test_validate_program_rejects_a_key_that_is_not_a_column(key, where):
+def test_validate_program_rejects_a_key_that_is_not_a_column(key):
     # numpy indexing would wrap -1 to the last column
     x, y = 0, 1
-    objective = {x: 1.0, key: 1.0} if where == "objective" else {}
-    rows = [({x: 1.0, y: 1.0}, "<=", 1.0, "ok")]
-    if where == "cap":
-        rows.append(({x: 1.0, key: 1.0}, "<=", 1.0, "cap"))
-    lp = program_of([LpVariable("x"), LpVariable("y")], objective, rows)
-    with pytest.raises(LpFormatError, match=rf"^{where}: key {key!r} is not a column"):
+    rows = [({x: 1.0, y: 1.0}, "<=", 1.0, "ok"), ({x: 1.0, key: 1.0}, "<=", 1.0, "cap")]
+    lp = program_of([LpVariable("x"), LpVariable("y")], {}, rows)
+    with pytest.raises(LpFormatError, match=rf"^cap: key {key!r} is not a column"):
         validate_program(lp)
-    assert list(lp.objective if where == "objective" else lp.constraints[1].coeffs) == [x, key]
+    assert list(lp.constraints[1].coeffs) == [x, key]
+
+
+NON_FINITE_COSTS = {"nan-cost": math.nan, "inf-cost": math.inf, "minus-inf-cost": -math.inf}
 
 
 def program_with_offenders(kind: str) -> LinearProgram:
@@ -359,7 +353,9 @@ def program_with_offenders(kind: str) -> LinearProgram:
         variables += [LpVariable("a", -math.inf, 1.0), LpVariable("b", -math.inf)]
     elif kind == "crossed":
         variables += [LpVariable("a", 2.0, 1.0), LpVariable("b", 3.0, -math.inf)]
-    objective = {0: 1.0, 2: 1.0} if kind == "key-objective" else {}
+    elif kind in NON_FINITE_COSTS:
+        variables += [LpVariable("a"), LpVariable("b")]
+    cost = {1: NON_FINITE_COSTS[kind], 2: math.nan} if kind in NON_FINITE_COSTS else {}
     rows = [({0: 1.0}, "<=", 1.0)]
     if kind == "relation":
         rows += [({0: 1.0}, "=<", 1.0), ({0: 1.0}, "<=", math.nan, "cap")]
@@ -367,10 +363,10 @@ def program_with_offenders(kind: str) -> LinearProgram:
         rows += [({0: 1.0}, "<=", math.inf, "cap"), ({0: 1.0}, "!!", 1.0)]
     elif kind == "key-negative":
         rows += [({0: 1.0, -1: 1.0}, "<=", 0.0, "cap"), ({7: 1.0}, "<=", 0.0)]
-    elif kind in ("key-past-the-end", "key-objective"):
+    elif kind == "key-past-the-end":
         # an empty row before the offender's: its row is found from row_starts
         rows += [({}, "<=", 0.0, "empty"), ({0: 1.0, 1: 1.0}, "<=", 0.0, "late"), ({7: 1.0}, "<=", 0.0)]
-    return program_of(variables, objective, rows)
+    return program_of(variables, cost, rows)
 
 
 @pytest.mark.parametrize(
@@ -379,17 +375,20 @@ def program_with_offenders(kind: str) -> LinearProgram:
         ("nan-bound", "variable 'a' has NaN bound"),
         ("no-lower", "variable 'a' has no finite lower bound (-inf)"),
         ("crossed", "variable 'a' has lower 2.0 > upper 1.0"),
+        # a NaN cost would pivot to the limit, an infinite one end OPTIMAL with objective nan
+        ("nan-cost", "variable 'a' has non-finite cost nan"),
+        ("inf-cost", "variable 'a' has non-finite cost inf"),
+        ("minus-inf-cost", "variable 'a' has non-finite cost -inf"),
         ("relation", "row 1: unknown relation '=<'"),
         ("rhs", "cap: non-finite rhs inf"),
         ("key-negative", "cap: key -1 is not a column position in [0, 1)"),
         ("key-past-the-end", "late: key 1 is not a column position in [0, 1)"),
-        ("key-objective", "objective: key 2 is not a column position in [0, 1)"),
     ],
 )
 def test_solve_lp_names_the_first_offender(kind, message):
     # the array checks find that a program is malformed; the search names its
-    # first offender: bounds in column order, then relations and rhs in row
-    # order, then positions, the objective's before the rows'
+    # first offender: bounds, then costs, in column order, then relations and
+    # rhs in row order, then positions
     with pytest.raises(LpFormatError) as raised:
         solve_lp(program_with_offenders(kind))
     assert str(raised.value) == message
@@ -399,13 +398,6 @@ def test_solve_lp_refuses_a_greater_equal_row_naming_it():
     # a >= row is written as its negated <= row
     lp = program_of([LpVariable("x", 0.0, 9.0)], {0: 1.0}, [({0: 1.0}, "<=", 9.0), ({0: 1.0}, ">=", 7.0, "floor")])
     with pytest.raises(LpFormatError, match=r"^floor: unknown relation '>='$"):
-        solve_lp(lp)
-
-
-def test_the_objective_takes_each_column_once():
-    lp = program_of([LpVariable("x", 0.0, 1.0)], {0: 1.0})
-    lp.add_costs([0], [2.0])
-    with pytest.raises(LpFormatError, match=r"^objective: column 0 appears twice$"):
         solve_lp(lp)
 
 

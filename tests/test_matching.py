@@ -157,10 +157,10 @@ class TestBuildMatchingLp:
             ("cm[c1][U]", 0.5, 100.0), ("cm[c2][U]", 0.0, inf),
             ("cut[c2]", 0.0, 1.0), ("stretch[p2]", 0.0, 1.0), ("stretch[s3]", 0.0, 0.4),
         ]
-        assert [names[k] for k in lp.objective] == [
-            "cm[c1][U]", "cm[c2][U]", "stretch[p2]",
-            "cm[c1][p1]", "cm[c1][p2]", "cm[c1][s3]", "cm[c2][p2]", "cm[c2][s3]",
-        ]
+        # minus each cm column's reward (w14 * 0.5 + w35 * (1 + alpha * (5 - rank))),
+        # w2 per purchase, 0 per cut, the stretch penalty (1.2 + 0.01 * w2) per
+        # local stretch and 0 per partner stretch
+        assert lp.cost.tolist() == pytest.approx([-1.2, -1.15, -1.05, -1.15, -1.05, 10.0, 10.0, 0.0, 1.3, 0.0], abs=1e-12)
         assert [(c.name, [names[k] for k in c.coeffs], c.relation, c.rhs) for c in lp.constraints] == [
             ("supply[p1]", ["cm[c1][p1]"], "<=", 3.0),
             ("supply[p2]", ["cm[c1][p2]", "cm[c2][p2]", "stretch[p2]"], "<=", 2.0),
@@ -732,7 +732,7 @@ def test_engine_and_centralized_programs_have_signed_unit_rows(monkeypatch, work
 @settings(max_examples=60, deadline=None)
 @given(matching_inputs(with_lines=True), st.booleans())
 def test_the_array_builder_gives_the_dict_reference_program(inputs, agent_table):
-    # the same program view for view and in order (objective insertion order
+    # the same program view for view and in order (every cost bit for bit
     # included), the same layout, standard form, pivots and solution
     view, weights, locked, exports, lines = inputs
     idle = replace(view, partner_capacities=dict.fromkeys(view.partner_capacities, PartnerCapacity(0.0, 0.0)))

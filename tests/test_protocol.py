@@ -272,6 +272,12 @@ class TestRunEngine:
         with pytest.raises(InvalidScenarioError, match=name):
             run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), weights=weights)
 
+    def test_weights_whose_rewards_overflow_rejected(self, pair_scenario):
+        # each weight is finite, but w14 * Pr + w35 * (1 + alpha * (beta - rank)) is not
+        weights = replace(pair_scenario.weights, w14=1e308, w35=1e308)
+        with pytest.raises(InvalidScenarioError, match=r"weights: objective-finite \(largest cost per kWh inf\)"):
+            run_engine(pair_scenario, meshed_map(pair_scenario.ssp_ids), weights=weights)
+
     @pytest.mark.parametrize("min_kwh,max_kwh", [(0.0, float("nan")), (float("nan"), 5.0), (float("inf"), float("inf"))])
     def test_undefined_line_bound_rejected(self, pair_scenario, min_kwh, max_kwh):
         lines = LineConstraintSet((LineConstraint("S1.C1", "S1.P1", min_kwh, max_kwh),))
