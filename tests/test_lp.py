@@ -318,6 +318,15 @@ def test_names_are_labels_not_identities():
     assert solve_lp(lp).values == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("costs", [[], [1.0, 2.0, 3.0]], ids=["too-few", "too-many"])
+def test_add_columns_refuses_costs_of_another_length(costs):
+    # a cost belongs to one column, as its bounds do; a refused call appends nothing
+    lp = program_of([LpVariable("x")], {0: 1.0})
+    with pytest.raises(LpFormatError, match=rf"^2 names for 2 lower, 2 upper bounds and {len(costs)} costs$"):
+        lp.add_columns(["y", "z"], [0.0, 0.0], [1.0, 1.0], costs)
+    assert (lp.names, lp.lower.tolist(), lp.upper.tolist(), lp.cost.tolist()) == (["x"], [0.0], [math.inf], [1.0])
+
+
 @pytest.mark.parametrize("key", [1.5, True, "y"], ids=["float", "bool", "name"])
 @pytest.mark.parametrize("shape", ["mixed-list", "array"])
 def test_the_builders_refuse_a_position_that_is_not_an_integer(key, shape):

@@ -145,6 +145,37 @@ class TestValidateScenario:
         assert [(v.entity, v.detail.split()[0]) for v in finite] == [("weights", name)]
 
     @pytest.mark.parametrize(
+        "weights",
+        [
+            # alpha * (beta - rank) overflows, above or below every rank
+            {"alpha": 10.0, "beta": 1e308},
+            {"alpha": 10.0, "beta": -1e308},
+            # w2 and every reward are finite; the stretch margin above the largest reward is not
+            {"w14": 0.0, "w35": 1.79e308, "alpha": 0.0, "w2": 1.79e308},
+        ],
+        ids=["beta-above-ranks", "beta-below-ranks", "stretch-margin"],
+    )
+    def test_finite_weights_whose_cost_per_kwh_overflows_are_named(self, weights):
+        bad = replace(scenario_of(small_ssp()), weights=replace(MatchingWeights(), **weights))
+        found = [str(v) for v in validate_scenario(bad) if v.rule == "objective-finite"]
+        assert found == ["weights: objective-finite (largest cost per kWh inf)"]
+
+    @pytest.mark.parametrize(
+        "energy,found",
+        [
+            # the largest cost per kWh is w2 = 10, so 10 * (1e307 + 14) kWh is still a float
+            (1e307, []),
+            (1e308, ["weights x energy total: objective-finite (largest cost per kWh 10.0 times 1e+308 kWh overflows)"]),
+        ],
+        ids=["product-finite", "product-overflows"],
+    )
+    def test_objective_bound_fires_only_once_cost_times_energy_overflows(self, energy, found):
+        ssp = small_ssp()
+        c1 = replace(ssp.consumers[0], energy=energy)
+        scenario = scenario_of(replace(ssp, consumers=(c1, ssp.consumers[1])))
+        assert [str(v) for v in validate_scenario(scenario) if v.rule == "objective-finite"] == found
+
+    @pytest.mark.parametrize(
         "min_kwh,max_kwh,rule,detail",
         [
             (0.0, float("nan"), "line-bound-defined", "max_kwh nan"),
