@@ -579,7 +579,7 @@ def _validate_preferences(scenario: Scenario, ssp_ids: list[str], linked: np.nda
 
 def energy_status(ssp: SSPConfig) -> float:
     """Signed kWh position before matching: total production minus total demand."""
-    return sum(p.energy for p in ssp.producers) - sum(c.energy for c in ssp.consumers)
+    return sum((p.energy for p in ssp.producers), 0.0) - sum((c.energy for c in ssp.consumers), 0.0)
 
 
 class CommitmentMatrix:
@@ -624,10 +624,10 @@ class CommitmentMatrix:
         return totals
 
     def purchases(self) -> float:
-        return sum(self.get(i, UTILITY_ID) for i in self.consumer_ids)
+        return sum((self.get(i, UTILITY_ID) for i in self.consumer_ids), 0.0)
 
     def sell_backs(self) -> float:
-        return sum(self.get(UTILITY_ID, j) for j in self.supplier_ids)
+        return sum((self.get(UTILITY_ID, j) for j in self.supplier_ids), 0.0)
 
     def cells(self) -> dict[tuple[str, str], float]:
         """Every set cell, row by row in the order rows were first set, each row's cells in the order they were first set."""

@@ -25,23 +25,21 @@ really was the sender's aggregate surplus at emission time.
 Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
 
-A run is one sweep per connected component of the map over the scenario's
-SSPs (``coalition.components``). SSPs of different components never exchange
-a message, so each component's sweep is the global sweep restricted to it.
-Each sweep writes its messages and accepted solves as a stream of events
-tagged with their turn, (round, id of the SSP whose turn it is). A turn
-belongs to one component, so merging the streams by turn has no ties, and
-replaying the merge gives the global sweep's trace, log, iteration count,
-``ConvergenceError`` (with the same partial trace and log) and first error
-exactly. Every run takes this path, the mesh's single component included.
-The components are dealt, largest first, to one share per CPU
+A run is one sweep per share. The connected components of the map
+(``coalition.components``) are dealt, largest first, to one share per CPU
 (``os.sched_getaffinity``), and never to more shares than there are
-components; every share but the last runs in a forked worker, which pickles
-its streams and final agent states through a pipe, and every worker is
-reaped before the run returns or raises. A worker that exits non-zero or
-sends bytes that do not unpickle stops the run with a ``RuntimeError`` naming
-it. So a run with one component, or on one CPU, forks nothing, and the
-result is the same bytes for any CPU count.
+components. No map edge leaves a share, so a share's sweep is the global
+sweep restricted to its SSPs. Each sweep writes its messages and accepted
+solves as events tagged with their turn, (round, id of the SSP whose turn it
+is). A turn belongs to one share, so merging the shares' events by turn has
+no ties. Replaying the merge gives the global sweep's trace, log, iteration
+count, ``ConvergenceError`` (with the same partial trace and log) and first
+error exactly. Every share but the last runs in a forked worker, which
+pickles its one part through a pipe; a share that cannot be forked runs in
+this process. Every worker is reaped before the run returns or raises. A
+worker that exits non-zero or sends bytes that do not unpickle stops the run
+with a ``RuntimeError`` naming it. So a run with one component, or on one
+CPU, forks nothing, and the result is the same bytes for any CPU count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -302,18 +300,18 @@ def run_engine(
     seed: int = 0,
     iteration_cap: int = 10000,
 ) -> MatchingResult:
-    """Run every SSP agent to global quiescence under the deterministic schedule, one sweep per map component."""
-    weights = weights or scenario.weights
+    """Run every SSP agent to global quiescence under the deterministic schedule, one sweep per share of the map's components."""
+    scenario = replace(scenario, weights=weights or scenario.weights)
     # w2 <= 0 merely degenerates the objective (calibration deliberately starts
     # there); every structural violation is still a hard stop
-    violations = [v for v in validate_scenario(replace(scenario, weights=weights)) if v.rule != "w2-positive"]
+    violations = [v for v in validate_scenario(scenario) if v.rule != "w2-positive"]
     if violations:
         raise InvalidScenarioError("; ".join(str(v) for v in violations[:5]))
 
     ssp_ids = sorted(scenario.ssp_ids)
     neighbours = anm.neighbours(scenario.ssp_ids)
     per_ssp_initial = {s: abs(energy_status(scenario.ssp(s))) for s in ssp_ids}
-    parts = _run_components(scenario, components(neighbours), neighbours, weights, seed, iteration_cap)
+    parts = _run_shares(scenario, _deal(components(neighbours), _cpu_count()), neighbours, seed, iteration_cap)
     trace, log = _replay(parts, per_ssp_initial, iteration_cap)
 
     outcomes = {s: outcome for part in parts for s, outcome in part.outcomes.items()}
@@ -321,7 +319,7 @@ def run_engine(
         if outcomes[ssp_id][0] is None:  # infeasible alone and with every offer it was sent
             raise MatchingInfeasibleError(f"matching LP for {ssp_id!r} infeasible without an offer and with each offer it got")
 
-    initial_total = sum(per_ssp_initial.values())
+    initial_total = sum(per_ssp_initial.values(), 0.0)
     return MatchingResult(
         commitments={s: outcomes[s][0] for s in ssp_ids},
         flexibility={s: outcomes[s][1] for s in ssp_ids},
@@ -342,20 +340,24 @@ _Turn = tuple[int, str]  # (round, id of the SSP whose turn it is)
 
 
 class _PastCap(Exception):
-    """A component's own accepted solves passed the iteration cap.
+    """A share's own accepted solves passed the iteration cap.
 
-    Its stream ends here unread: the merged run counts at least as many
+    Its events end here unread: the merged run counts at least as many
     solves, so it passes the cap at this one or before."""
 
 
-class _Stream:
-    """One component's messages and accepted solves, each tagged with the turn it came in."""
+@dataclass
+class _Part:
+    """One share's run: its messages and accepted solves, each tagged with the turn it came in; the count of those solves, checked against the cap; its rounds and solve counts; and each SSP's (matrix, flexibility, final Utility interaction)."""
 
-    def __init__(self, iteration_cap: int):
-        self.events: list[tuple[_Turn, object]] = []
-        self.turn: _Turn = (0, "")
-        self.iterations = 0
-        self.iteration_cap = iteration_cap
+    iteration_cap: int
+    events: list[tuple[_Turn, object]] = field(default_factory=list)
+    turn: _Turn = (0, "")
+    iterations: int = 0
+    rounds: int = 0
+    lp_solves: int = 0
+    offers_priced_out: int = 0
+    outcomes: dict[str, tuple[CommitmentMatrix | None, FlexibilityAssignment | None, float]] = field(default_factory=dict)
 
     def message(self, record: LogRecord) -> None:
         self.events.append((self.turn, record))
@@ -367,26 +369,14 @@ class _Stream:
             raise _PastCap
 
 
-@dataclass
-class _Part:
-    """One component's run: its turn-tagged events, its rounds and solve counts, and each SSP's (matrix, flexibility, final Utility interaction)."""
-
-    events: list[tuple[_Turn, object]]
-    rounds: int
-    lp_solves: int
-    offers_priced_out: int
-    outcomes: dict[str, tuple[CommitmentMatrix | None, FlexibilityAssignment | None, float]]
-
-
-def _sweep(agents: dict[str, _Agent], seed: int, stream: _Stream) -> int:
-    """Run ``agents``, keyed in id order, to quiescence; write every message and accepted solve to ``stream``, each tagged with its turn, and return the rounds swept."""
+def _sweep(agents: dict[str, _Agent], seed: int, part: _Part) -> None:
+    """Run ``agents``, keyed in id order, to quiescence; write every message and accepted solve to ``part``, each tagged with its turn, and count the rounds swept."""
     pending = dict.fromkeys(agents, True)
     # the agents whose matrix changed since the last accepted solve was recorded
     changed: set[str] = set()
-    rounds = 0
 
     def record_iteration() -> None:
-        stream.iteration([(ssp_id, agents[ssp_id].utility_kwh()) for ssp_id in changed])
+        part.iteration([(ssp_id, agents[ssp_id].utility_kwh()) for ssp_id in changed])
         changed.clear()
 
     def deliver(src: str, dst: str, offered: float, bound: float, round_index: int) -> float:
@@ -408,7 +398,7 @@ def _sweep(agents: dict[str, _Agent], seed: int, stream: _Stream) -> int:
                 changed.add(src)
             record_iteration()
             pending[dst] = True
-        stream.message(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
+        part.message(LogRecord(round_index, CLAIM_KIND, dst, src, {"amount_kwh": claimed}))
         return claimed
 
     def emit_offers(ssp_id: str, round_index: int) -> None:
@@ -422,57 +412,49 @@ def _sweep(agents: dict[str, _Agent], seed: int, stream: _Stream) -> int:
             if offerable <= RESIDUAL_TOL:
                 break
             payload = {"energy_kwh": offerable, "bound": bound, "token": SEND_EXCESS}
-            stream.message(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
+            part.message(LogRecord(round_index, OFFER_KIND, ssp_id, partner_id, payload))
             offerable -= deliver(ssp_id, partner_id, offerable, bound, round_index)
 
     while any(pending.values()):
-        rounds += 1
+        part.rounds += 1
         for ssp_id, agent in agents.items():
             if not pending[ssp_id]:
                 continue
             pending[ssp_id] = False
-            stream.turn = (rounds, ssp_id)
+            part.turn = (part.rounds, ssp_id)
             # a pending agent is in its first turn, or deliver accepted a
             # solution since it last offered
             if agent.cm is None and agent.solve_and_accept():
                 changed.add(ssp_id)
                 record_iteration()
-            emit_offers(ssp_id, rounds)
-    return rounds
+            emit_offers(ssp_id, part.rounds)
 
 
-def _run_part(
-    scenario: Scenario, ssp_ids: list[str], neighbours: dict[str, list[str]], weights: MatchingWeights, seed: int, iteration_cap: int
-) -> _Part:
-    """Sweep one component into its own stream; an exception ends the stream as its last event, tagged with the turn it arose in (an agent that fails to build, with round 0)."""
-    stream = _Stream(iteration_cap)
+def _run_part(scenario: Scenario, ssp_ids: list[str], neighbours: dict[str, list[str]], seed: int, iteration_cap: int) -> _Part:
+    """Sweep one share, its SSPs in id order, into its part; an exception ends the part's events as their last, tagged with the turn it arose in (an agent that fails to build, with round 0)."""
+    part = _Part(iteration_cap)
     agents: dict[str, _Agent] = {}
-    rounds = 0
     try:
         for ssp_id in ssp_ids:
-            stream.turn = (0, ssp_id)
-            agents[ssp_id] = _Agent(view_for_ssp(scenario, ssp_id, neighbours[ssp_id]), weights, scenario.line_constraints)
-        rounds = _sweep(agents, seed, stream)
+            part.turn = (0, ssp_id)
+            agents[ssp_id] = _Agent(view_for_ssp(scenario, ssp_id, neighbours[ssp_id]), scenario.weights, scenario.line_constraints)
+        _sweep(agents, seed, part)
     except Exception as exc:  # raised again where the merged run reaches it
-        stream.events.append((stream.turn, exc))
-    return _Part(
-        stream.events,
-        rounds,
-        sum(agent.lp_solves for agent in agents.values()),
-        sum(agent.offers_priced_out for agent in agents.values()),
-        {s: (agent.cm, agent.fx, agent.utility_kwh()) for s, agent in agents.items()},
-    )
+        part.events.append((part.turn, exc))
+    part.lp_solves = sum(agent.lp_solves for agent in agents.values())
+    part.offers_priced_out = sum(agent.offers_priced_out for agent in agents.values())
+    part.outcomes = {s: (agent.cm, agent.fx, agent.utility_kwh()) for s, agent in agents.items()}
+    return part
 
 
 def _replay(parts: list[_Part], per_ssp_initial: dict[str, float], iteration_cap: int) -> tuple[list[ConvergencePoint], list[LogRecord]]:
-    """The run's trace and log in the order of one global sweep: the parts' events merged by turn, as each turn belongs to one component.
+    """The run's trace and log in the order of one global sweep: the parts' events merged by turn, as each turn belongs to one share.
 
     Each accepted solve traces the sum of every SSP's Utility interaction in
     id order (``per_ssp_initial``'s), as one global sweep would; the first
     solve past ``iteration_cap`` raises ``ConvergenceError`` with the trace
     and log so far, and an exception event is raised where the merge reaches it."""
-    position = {s: k for k, s in enumerate(per_ssp_initial)}
-    utilities = list(per_ssp_initial.values())
+    utilities = dict(per_ssp_initial)
     trace: list[ConvergencePoint] = []
     log: list[LogRecord] = []
     for _, event in heapq.merge(*(part.events for part in parts), key=itemgetter(0)):
@@ -483,9 +465,8 @@ def _replay(parts: list[_Part], per_ssp_initial: dict[str, float], iteration_cap
         elif len(trace) >= iteration_cap:
             raise ConvergenceError(f"no quiescence within {iteration_cap} iterations", trace, log)
         else:
-            for ssp_id, kwh in event:
-                utilities[position[ssp_id]] = kwh
-            trace.append(ConvergencePoint(len(trace) + 1, sum(utilities)))
+            utilities.update(event)
+            trace.append(ConvergencePoint(len(trace) + 1, sum(utilities.values())))
     return trace, log
 
 
@@ -494,31 +475,26 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _deal(groups: list[list[str]], shares: int) -> list[list[list[str]]]:
-    """Deal the components, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, even for no component."""
-    dealt: list[list[list[str]]] = [[] for _ in range(max(1, min(shares, len(groups))))]
-    loads = [0] * len(dealt)
+def _deal(groups: list[list[str]], shares: int) -> list[list[str]]:
+    """Each share's SSP ids in id order: the components are dealt, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, an empty one for no component."""
+    dealt: list[list[str]] = [[] for _ in range(max(1, min(shares, len(groups))))]
     for group in sorted(groups, key=len, reverse=True):
-        k = loads.index(min(loads))
-        dealt[k].append(group)
-        loads[k] += len(group)
-    return dealt
+        min(dealt, key=len).extend(group)
+    return [sorted(share) for share in dealt]
 
 
-def _run_components(
-    scenario: Scenario, groups: list[list[str]], neighbours: dict[str, list[str]], weights: MatchingWeights, seed: int, iteration_cap: int
-) -> list[_Part]:
-    """Each component's part. The components are dealt into one share per CPU; every share but the last runs in a forked worker, and this process runs the last."""
-
-    def run(share: list[list[str]]) -> list[_Part]:
-        return [_run_part(scenario, ssp_ids, neighbours, weights, seed, iteration_cap) for ssp_ids in share]
-
-    *others, own = _deal(groups, _cpu_count())
+def _run_shares(scenario: Scenario, shares: list[list[str]], neighbours: dict[str, list[str]], seed: int, iteration_cap: int) -> list[_Part]:
+    """Each share's part. Every share but the last runs in a forked worker; this process runs the last, and each share it cannot fork."""
+    run = partial(_run_part, scenario, neighbours=neighbours, seed=seed, iteration_cap=iteration_cap)
+    local = shares[-1:]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
-        for share in others:
-            workers.append(_fork(partial(run, share)))
-        parts = run(own)
+        for share in shares[:-1]:
+            try:
+                workers.append(_fork(partial(run, share)))
+            except OSError:  # no pipe or process to spare: a share's part is the same wherever it runs
+                local.append(share)
+        parts = [run(share) for share in local]
         sent = [_collect(read_fd) for _, read_fd in workers]
     finally:
         # every read end first: a later worker holds copies of the earlier
@@ -532,13 +508,13 @@ def _run_components(
         if status != 0:
             raise RuntimeError(f"engine worker {pid} failed (exit code {os.waitstatus_to_exitcode(status)})")
         try:
-            parts += pickle.loads(data)
+            parts.append(pickle.loads(data))
         except Exception as exc:
             raise RuntimeError(f"engine worker {pid} sent a result that does not unpickle: {exc!r}") from exc
     return parts
 
 
-def _fork(work: Callable[[], list[_Part]]) -> tuple[int, int]:
+def _fork(work: Callable[[], _Part]) -> tuple[int, int]:
     """Start a child that pickles ``work()`` into a pipe and exits; return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:

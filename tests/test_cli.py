@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import filecmp
 import hashlib
 import itertools
@@ -410,9 +411,9 @@ class TestRun:
 
     def test_solver_drift_in_a_worker_exits_4_as_on_one_cpu(self, tmp_path, monkeypatch, capsys):
         # passive flexibility bounds columns, so the drift breaks a bound. On two
-        # CPUs the coalition map is dealt as {S02, S06, S08} and {S01, S03} to a
-        # forked worker and {S04, S05, S07} to this process; S01's first solve
-        # ends the run, so the error comes from the worker
+        # CPUs the coalition map is dealt as the share S01, S02, S03, S06, S08
+        # to a forked worker and S04, S05, S07 to this process; S01's first
+        # solve ends the run, so the error comes from the worker
         scenario = str(tmp_path / "scenario.json")
         gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--passive-consumers", "2", "--pc-bound", "0.15",
                "--passive-producers", "1", "--pp-bound", "0.1", "--supply-mean", "20", "--seed", "11")
@@ -460,6 +461,47 @@ class TestRun:
         assert "Traceback" not in err
         assert_no_child_left()
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_a_share_that_cannot_be_forked_runs_in_this_process(self, tmp_path, monkeypatch, call):
+        # at the process limit os.fork fails with EAGAIN. On three CPUs the
+        # coalition map is dealt into three shares, and the two that cannot
+        # be forked run here, so the run writes the one-CPU run's artifacts
+        scenario = str(tmp_path / "scenario.json")
+        gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--supply-mean", "20", "--seed", "11")
+        assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
+        argv = ("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3")
+        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
+        assert run_cli(*argv, "--out", str(tmp_path / "one-cpu")) == EXIT_OK
+
+        def refused():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, call, refused)
+        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 3)
+        assert run_cli(*argv, "--out", str(tmp_path / "refused")) == EXIT_OK
+        assert_no_child_left()
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one-cpu", tmp_path / "refused", RESULT_FILES, shallow=False)
+        assert sorted(match) == sorted(RESULT_FILES)
+
+    @pytest.mark.parametrize("ssps", [2, 0], ids=["no-subscribers", "no-ssps"])
+    def test_kwh_fields_are_floats_without_subscribers(self, tmp_path, capsys, ssps):
+        scenario = tmp_path / "scenario.json"
+        assert run_cli("gen", "--ssps", "2", "--consumers", "0", "--producers", "0", "--seed", "3", "--out", str(scenario)) == EXIT_OK
+        if not ssps:
+            data = json.loads(scenario.read_text())
+            data["ssps"], data["connectivity"] = [], {"ssps": {"cols": [], "rows": {}}, "consumers": {}}
+            scenario.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "results"
+        assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(out)) == EXIT_OK
+        assert f"(final utility 0.0 kWh, {ssps} iterations)" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        kwh = [summary["initial_abs_status_kwh"], summary["final_utility_kwh"], *(v for per in summary["per_ssp"].values() for v in per.values())]
+        assert len(kwh) == 2 + 2 * ssps
+        assert all(type(v) is float and v == 0.0 for v in kwh)
+        rows = (out / "convergence.csv").read_text().splitlines()
+        assert rows == ["iteration,accumulated_utility_kwh", *(f"{k},0.0" for k in range(1, ssps + 1))]
 
     def test_missing_output_dir_exits_2(self, worked_file, monkeypatch, capsys):
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)

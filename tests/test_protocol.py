@@ -45,6 +45,7 @@ from sspsim.protocol import (
     MatchingResult,
     ProtocolViolationError,
     _Agent,
+    _deal,
     audit_privacy,
     run_engine,
     shuffle_partners,
@@ -66,7 +67,7 @@ def engine_agents(scenario: Scenario, anm: ActualNeighborhoodMap, monkeypatch) -
     """The agents that ``run_engine`` builds for ``scenario`` on ``anm``, in id order.
 
     On one CPU, so that no agent is built in a forked worker, out of sight.
-    The engine builds them component by component, so the list is sorted."""
+    The engine builds them share by share, so the list is sorted."""
     agents = []
     init = _Agent.__init__
     with monkeypatch.context() as patched:
@@ -1028,7 +1029,48 @@ def test_a_scenario_without_ssps_runs_to_an_empty_result(cpus):
     scenario = Scenario((), LinkBlock.from_rows((), {}), MatchingWeights(), None, 0)
     want = engine_outcome(reference_run_engine, scenario, meshed_map(()), 1, 10000, cpus=1)
     assert want[0] == "result" and want[1]["rounds"] == "0" and want[1]["log"] == "[]"
+    # the reference sums the empty per-SSP map from the int 0, the engine
+    # from 0.0, so its kWh totals are floats as every other run's are
+    assert want[1]["initial_abs_status_kwh"] == want[1]["final_utility_kwh"] == "0"
+    want[1].update(initial_abs_status_kwh="0.0", final_utility_kwh="0.0")
     assert engine_outcome(run_engine, scenario, meshed_map(()), 1, 10000, cpus) == want
+
+
+GROUPS = [["S01", "S05"], ["S02", "S03", "S04"], ["S06"], ["S07", "S08"], ["S09"]]
+
+
+@pytest.mark.parametrize(
+    "shares, dealt",
+    [
+        (1, [["S01", "S02", "S03", "S04", "S05", "S06", "S07", "S08", "S09"]]),
+        # S06 goes to the share with fewer SSPs, S09 to the first of two with 4
+        (2, [["S02", "S03", "S04", "S06", "S09"], ["S01", "S05", "S07", "S08"]]),
+        (3, [["S02", "S03", "S04"], ["S01", "S05", "S06"], ["S07", "S08", "S09"]]),
+        (5, [["S02", "S03", "S04"], ["S01", "S05"], ["S07", "S08"], ["S06"], ["S09"]]),
+        (8, [["S02", "S03", "S04"], ["S01", "S05"], ["S07", "S08"], ["S06"], ["S09"]]),
+    ],
+)
+def test_deal_gives_each_share_its_ssps_in_id_order(shares, dealt):
+    # components are dealt largest first, each to the share with the fewest
+    # SSPs so far, into min(shares, components) shares
+    assert _deal(GROUPS, shares) == dealt
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+def test_deal_makes_one_empty_share_for_no_component(shares):
+    assert _deal([], shares) == [[]]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_run_merges_one_part_per_share(cpus, monkeypatch):
+    # study-1's coalitions form more components than CPUs; each share is
+    # swept once, so the replay merges one part per CPU
+    merged = []
+    replay = sspsim.protocol._replay
+    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sspsim.protocol, "_replay", lambda parts, *args: merged.append(len(parts)) or replay(parts, *args))
+    assert run_engine(*study1_coalitions(), seed=5).iterations > 0
+    assert merged == [cpus]
 
 
 def test_the_engine_and_the_map_count_the_same_components():
