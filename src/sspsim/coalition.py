@@ -136,14 +136,13 @@ def form_coalitions(statuses: dict[str, float], max_group_size: int) -> Coalitio
     best's, and the threshold moves to its gain. A later pair within 1e-12 of
     that gain would win a tie only with a smaller (smallest id, smallest id)
     key, and in scan order no later pair has one, so the last pair to raise
-    the threshold is merged. The result is deterministic.
+    the threshold is merged. The result is deterministic. Without SSPs there
+    is no coalition.
 
     Cost: the gain matrix is built once, O(N^2); each merge rewrites one row
     and column and scans the row maxima, O(N^2) array work but only O(N)
     Python work, and there are fewer than N merges.
     """
-    if not statuses:
-        raise ValueError("at least one SSP is required")
     if max_group_size < 1:
         raise ValueError("max_group_size must be >= 1")
     ids = sorted(statuses)
@@ -181,7 +180,7 @@ def _last_threshold_raise(gain: np.ndarray) -> tuple[int, int] | None:
     the threshold, so the replay visits just those: the rows whose maximum
     beats every earlier row's, and inside them the running maxima.
     """
-    row_max = gain.max(axis=1)
+    row_max = gain.max(axis=1, initial=-np.inf)
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], row_max)))[:-1]
     threshold, best = 1e-9, None
     for i in np.flatnonzero(row_max > np.maximum(earlier, 1e-9)):

@@ -48,12 +48,12 @@ column to the same float and take the same pivots. There is no sparse
 factorisation and no MILP (binary connectivity is data, never a decision
 variable).
 
-A program is stored as arrays, and only as arrays: per column its name,
-lower and upper bound and cost; per row its name, relation and rhs, with the
-coefficients as compressed sparse rows in insertion order. It is built only
-by appending whole arrays (``add_columns``, ``add_rows``), and a column
-position handed to ``add_rows`` must be an integer. ``validate_program``
-checks whole arrays and walks entries only to name the first offender.
+A program is stored as arrays, and only as arrays: per column its lower and
+upper bound and cost; per row its relation and rhs, with the coefficients as
+compressed sparse rows in insertion order. It is built only by appending
+whole arrays (``add_columns``, ``add_rows``), and a column position handed to
+``add_rows`` must be an integer. ``validate_program`` checks whole arrays and
+walks entries only to find the first offender.
 ``_standardise`` reads the arrays directly. ``variables`` and
 ``constraints`` are read-only views in the dataclass and dict form, built on
 each read for messages, tests and the benchmark's counters: writing to one
@@ -63,8 +63,8 @@ float.
 
 A column is known by its position: ``add_columns`` returns the first it
 appends, every row refers to columns by position, and a solution lists one
-value per column in column order. Variable and row names are labels, used
-only in messages.
+value per column in column order. A row, too, is its position, and an error
+names a column or row by position ("column 3", "row 1").
 
 An optimal solution also carries ``duals``, one per row in row order:
 y = c_B B^-1 at the phase-2 optimum, mapped back through the row
@@ -110,7 +110,6 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class LpVariable:
-    name: str
     lower: float = 0.0
     upper: float = math.inf
 
@@ -120,15 +119,14 @@ class LpConstraint:
     coeffs: dict[int, float]
     relation: str
     rhs: float
-    name: str = ""
 
 
 class LinearProgram:
     """Minimise ``cost . x`` subject to bounds and linear constraints, stored as arrays.
 
-    Columns: ``names``, ``lower``, ``upper`` and ``cost``, one entry per
-    column. Rows: ``row_names``, ``relations`` and ``rhs``, one entry per
-    row, and their coefficients as compressed sparse rows: row i holds
+    Columns: ``lower``, ``upper`` and ``cost``, one entry per column. Rows:
+    ``relations`` and ``rhs``, one entry per row, and their coefficients as
+    compressed sparse rows: row i holds
     ``entry_vals[row_starts[i]:row_starts[i + 1]]`` in the columns
     ``entry_cols[...]``, in insertion order.
 
@@ -138,36 +136,32 @@ class LinearProgram:
     """
 
     def __init__(self) -> None:
-        self.names: list[str] = []
         self.lower = np.zeros(0)
         self.upper = np.zeros(0)
         self.cost = np.zeros(0)
-        self.row_names: list[str] = []
         self.relations: list[str] = []
         self.rhs = np.zeros(0)
         self.row_starts = np.zeros(1, dtype=np.intp)
         self.entry_cols = np.zeros(0, dtype=np.intp)
         self.entry_vals = np.zeros(0)
 
-    def add_columns(self, names: Sequence[str], lower, upper, cost) -> int:
+    def add_columns(self, lower, upper, cost) -> int:
         """Append columns with their bounds and costs; returns the position of the first."""
-        start = len(self.names)
+        start = self.lower.size
         lower, upper, cost = (np.asarray(a, dtype=float) for a in (lower, upper, cost))
-        if not len(names) == lower.size == upper.size == cost.size:
-            raise LpFormatError(f"{len(names)} names for {lower.size} lower, {upper.size} upper bounds and {cost.size} costs")
-        self.names.extend(names)
+        if not lower.size == upper.size == cost.size:
+            raise LpFormatError(f"columns: {lower.size} lower bounds, {upper.size} upper bounds and {cost.size} costs")
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.cost = np.concatenate([self.cost, cost])
         return start
 
-    def add_rows(self, names: Sequence[str], relations: Sequence[str], rhs, lengths, cols, vals) -> None:
+    def add_rows(self, relations: Sequence[str], rhs, lengths, cols, vals) -> None:
         """Append rows; row k takes its ``lengths[k]`` entries in turn from ``cols`` and ``vals``."""
         ends = np.cumsum(lengths, dtype=np.intp)
         cols, vals, rhs = _positions(cols), np.asarray(vals, dtype=float), np.asarray(rhs, dtype=float)
-        if not len(names) == len(relations) == rhs.size == ends.size or not cols.size == vals.size == ends[-1:].sum():
-            raise LpFormatError("rows: names, relations, rhs, lengths and entries do not agree in size")
-        self.row_names.extend(names)
+        if not len(relations) == rhs.size == ends.size or not cols.size == vals.size == ends[-1:].sum():
+            raise LpFormatError("rows: relations, rhs, lengths and entries do not agree in size")
         self.relations.extend(relations)
         self.rhs = np.concatenate([self.rhs, rhs])
         self.row_starts = np.concatenate([self.row_starts, self.row_starts[-1] + ends])
@@ -176,14 +170,14 @@ class LinearProgram:
 
     @property
     def variables(self) -> list[LpVariable]:
-        return list(map(LpVariable, self.names, self.lower.tolist(), self.upper.tolist()))
+        return list(map(LpVariable, self.lower.tolist(), self.upper.tolist()))
 
     @property
     def constraints(self) -> list[LpConstraint]:
         keys, vals, starts = self.entry_cols.tolist(), self.entry_vals.tolist(), self.row_starts.tolist()
         return [
-            LpConstraint(dict(zip(keys[a:b], vals[a:b])), relation, rhs, name)
-            for a, b, relation, rhs, name in zip(starts, starts[1:], self.relations, self.rhs.tolist(), self.row_names)
+            LpConstraint(dict(zip(keys[a:b], vals[a:b])), relation, rhs)
+            for a, b, relation, rhs in zip(starts, starts[1:], self.relations, self.rhs.tolist())
         ]
 
 
@@ -208,7 +202,7 @@ class LpSolution:
 
 
 def validate_program(lp: LinearProgram) -> None:
-    """Raise LpFormatError naming the offending variable or row.
+    """Raise LpFormatError naming the offending column or row by position.
 
     Each check reads whole arrays; only a program that fails one is walked,
     to name its first offender."""
@@ -216,33 +210,29 @@ def validate_program(lp: LinearProgram) -> None:
     bounded = np.isfinite(lower) & (lower <= upper)
     if not bounded.all():
         k = int(bounded.argmin())
-        name, low, up = lp.names[k], lower[k].item(), upper[k].item()
+        low, up = lower[k].item(), upper[k].item()
         if math.isnan(low) or math.isnan(up):
-            raise LpFormatError(f"variable {name!r} has NaN bound")
+            raise LpFormatError(f"column {k} has NaN bound")
         if not math.isfinite(low):
-            raise LpFormatError(f"variable {name!r} has no finite lower bound ({low})")
-        raise LpFormatError(f"variable {name!r} has lower {low} > upper {up}")
+            raise LpFormatError(f"column {k} has no finite lower bound ({low})")
+        raise LpFormatError(f"column {k} has lower {low} > upper {up}")
     if not np.isfinite(lp.cost).all():
         k = int(np.isfinite(lp.cost).argmin())
-        raise LpFormatError(f"variable {lp.names[k]!r} has non-finite cost {lp.cost[k].item()}")
+        raise LpFormatError(f"column {k} has non-finite cost {lp.cost[k].item()}")
     if not (set(lp.relations) <= set(_RELATIONS) and np.isfinite(lp.rhs).all()):
         for idx, (relation, rhs) in enumerate(zip(lp.relations, lp.rhs.tolist())):
             if relation not in _RELATIONS:
-                raise LpFormatError(f"{_row_label(lp, idx)}: unknown relation {relation!r}")
+                raise LpFormatError(f"row {idx}: unknown relation {relation!r}")
             if not math.isfinite(rhs):
-                raise LpFormatError(f"{_row_label(lp, idx)}: non-finite rhs {rhs}")
+                raise LpFormatError(f"row {idx}: non-finite rhs {rhs}")
     # every position must lie in [0, n): numpy indexing would wrap -1 to the
     # last column; add_rows already refused any position but an integer
-    n_cols = len(lp.names)
+    n_cols = lower.size
     outside = (lp.entry_cols < 0) | (lp.entry_cols >= n_cols)
     if outside.any():
         k = int(outside.argmax())
-        label = _row_label(lp, int(lp.row_starts.searchsorted(k, "right")) - 1)
-        raise LpFormatError(f"{label}: key {lp.entry_cols[k].item()} is not a column position in [0, {n_cols})")
-
-
-def _row_label(lp: LinearProgram, idx: int) -> str:
-    return lp.row_names[idx] or f"row {idx}"
+        row = int(lp.row_starts.searchsorted(k, "right")) - 1
+        raise LpFormatError(f"row {row}: key {lp.entry_cols[k].item()} is not a column position in [0, {n_cols})")
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -280,13 +270,13 @@ class _Simplex:
 
     def _standardise(self) -> None:
         lp = self.lp
-        n_vars = len(lp.names)
         lower, upper = lp.lower, lp.upper
+        n_vars = lower.size
         bound_cols = np.flatnonzero(upper != math.inf)  # a finite upper bound adds a <= row
 
         # (row, column, value) triplets: the rows over standard columns, then
         # the bound rows, then one slack per inequality
-        m_rows = len(lp.row_names)
+        m_rows = len(lp.relations)
         var_ix, coef = lp.entry_cols, lp.entry_vals
         row_ix = np.repeat(np.arange(m_rows), np.diff(lp.row_starts))
         # the rhs moves by c * lower, summed in coefficient order per row
@@ -362,8 +352,8 @@ class _Simplex:
         return self._extract()
 
     def _failed(self, status: LpStatus, objective: float) -> LpSolution:
-        zeros = [0.0] * len(self.lp.row_names)
-        return LpSolution(status, [0.0] * len(self.lp.names), objective, zeros, self.pivots)
+        zeros = [0.0] * len(self.lp.relations)
+        return LpSolution(status, [0.0] * self.lp.lower.size, objective, zeros, self.pivots)
 
     def _refactorize(self) -> None:
         """B^-1 and x_B from the basis columns, scattered through their basis slots."""
@@ -500,7 +490,7 @@ class _Simplex:
         first such column. (A value is never below its lower bound: basic
         values are clamped at 0 before the lower bound is added.)"""
         lp = self.lp
-        n_vars = len(lp.names)
+        n_vars = lp.lower.size
         std = np.zeros(self.n_real)
         real = self.basis < self.n_real
         std[self.basis[real]] = np.maximum(self.xb[real], 0.0)
@@ -508,7 +498,7 @@ class _Simplex:
         for k in np.flatnonzero(x > self.upper).tolist():
             if x[k] - self.upper[k] > FEAS_TOL:
                 raise ArithmeticError(
-                    f"simplex value {float(x[k])!r} of {lp.names[k]!r} lies outside its bounds "
+                    f"simplex value {float(x[k])!r} of column {k} lies outside its bounds "
                     f"[{self.lower[k].item()}, {self.upper[k].item()}] by more than {FEAS_TOL}"
                 )
             x[k] = self.upper[k]
@@ -523,7 +513,7 @@ class _Simplex:
         y = self.cost[self.basis] @ self.binv
         duals = np.zeros(self.row_divisor.size)
         duals[self.row_ids] = y / self.row_divisor[self.row_ids] + 0.0
-        return duals[: len(self.lp.row_names)].tolist()
+        return duals[: len(self.lp.relations)].tolist()
 
 
 def _column_starts(col_ix: np.ndarray, n_cols: int) -> np.ndarray:

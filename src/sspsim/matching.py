@@ -33,24 +33,27 @@ SSPs.
 
 One function, ``_pairs``, lays out an SSP's (consumer, supplier) pairs: each
 consumer's linked local producers, then every partner SSP, each pair with its
-rank and line bounds. ``PairTable`` reads it over a view's partners, and
-``_build_centralized`` and ``merged_view`` read it for every SSP over its
-linked partners with producers (``_scenario_pairs``).
+rank and line bounds. ``PairTable`` keeps that one layout over a view's
+partners, with each pair's reward, and ``_build_centralized`` and
+``merged_view`` read it for every SSP over its linked partners with producers
+(``_scenario_pairs``).
 
 Both LPs are built as arrays and share one layout, built by ``_place``: the
 cm columns consumer-major, then purchases, cuts and stretches, their costs and
-the entries of the supply and demand rows. ``_build`` and
+the entries of the supply and demand rows. A column and a row are known by
+their position alone; ``_BuildInfo`` says which is which. ``_build`` and
 ``_build_centralized`` add only their own columns and rows, and ``_solve``
 maps the solver status to an error for both. Every row but the export
 reservation lists its entries in column order, so each builder sorts its
 (row, column, value) entries once. ``PairTable`` holds what an agent's LP
-keeps across solves (the local columns and the reward of every (consumer,
-partner) pair) as arrays, built once per agent with whole-row operations.
+keeps across solves, built once per agent with whole-row operations; the cm
+columns of one solve are a selection of its pairs (``PairTable.columns``).
 It is where the weights and lines are read: ``_build`` and
 ``solve_dist_matching`` take a view and its table, and the view adds only the
 partners' capacities.
-Every reward per kWh comes from ``_Rewards.__call__`` alone, evaluated over
-arrays in one order of operations. Solutions are read back with array masks.
+Every reward per kWh comes from ``MatchingWeights.reward`` alone, evaluated
+over arrays in one order of operations. Solutions are read back with array
+masks.
 
 The centralized baseline (``solve_centralized``) is one LP over every
 subscriber of every SSP, in transshipment form (Ahuja, Magnanti & Orlin,
@@ -164,7 +167,6 @@ class _CmColumns:
     lower: np.ndarray
     upper: np.ndarray
     reward: np.ndarray  # per placed kWh
-    names: list[str]
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,6 @@ class _Flex:
     (fx(j)-1)*Ep. Same polytope, and the all-Utility start vertex stays basic.
     """
 
-    names: list[str]
     lower: np.ndarray
     upper: np.ndarray
     cut_of: np.ndarray  # the consumer index of each cut
@@ -232,12 +233,9 @@ def _flex(consumers: Sequence[Subscriber], producers: Sequence[Subscriber], line
             purchase_lower[k], purchase_upper[k] = _bounds(line)
     cut_of = [k for k, c in enumerate(consumers) if c.bound > 0.0]
     stretch_of = [j for j, p in enumerate(producers) if p.bound > 0.0]
-    names = [f"cm[{c.id}][U]" for c in consumers]
-    names += [f"cut[{consumers[k].id}]" for k in cut_of] + [f"stretch[{producers[j].id}]" for j in stretch_of]
     flexible = [consumers[k].bound * consumers[k].energy for k in cut_of]
     flexible += [producers[j].bound * producers[j].energy for j in stretch_of]
     return _Flex(
-        names,
         np.concatenate([purchase_lower, np.zeros(len(flexible))]),
         np.concatenate([purchase_upper, flexible]),
         np.array(cut_of, dtype=np.intp),
@@ -307,21 +305,17 @@ class _Rewards:
 
     ``priority`` and ``ranks`` hold the consumer's priority and the
     supplier's rank of each pair. Unless the weights fix it, ``beta`` is the
-    largest rank plus 1; ``of_pairs`` is each pair's reward, and
-    ``stretch_penalty`` lies 0.01 * w2 above the largest of them.
-    ``_place`` reads the purchase cost w2 from ``weights``.
+    largest rank plus 1; ``of_pairs`` is each pair's reward
+    (``MatchingWeights.reward``), and ``stretch_penalty`` is the weights'
+    stretch penalty above the largest of them. ``_place`` reads the purchase
+    cost w2 from ``weights``.
     """
 
     def __init__(self, weights: MatchingWeights, priority: np.ndarray, ranks: np.ndarray):
         self.weights = weights
         self.beta = weights.beta if weights.beta is not None else float(max(1, int(ranks.max(initial=1))) + 1)
-        self.of_pairs = self(priority, ranks.astype(float))
-        self.stretch_penalty = (float(self.of_pairs.max()) if self.of_pairs.size else 0.0) + 0.01 * weights.w2
-
-    def __call__(self, priority, rank):
-        """w14 * Pr(i) + w35 * (1 + alpha * (beta - rank)), elementwise over arrays."""
-        weights = self.weights
-        return weights.w14 * priority + weights.w35 * (1.0 + weights.alpha * (self.beta - rank))
+        self.of_pairs = weights.reward(self.beta, priority, ranks.astype(float))
+        self.stretch_penalty = weights.stretch_penalty(float(self.of_pairs.max()) if self.of_pairs.size else 0.0)
 
 
 class PairTable:
@@ -329,14 +323,15 @@ class PairTable:
 
     Built once per (subscribers, partner list, weights, lines), the only place
     an SSP's LP reads weights and lines; an agent keeps its own and hands it
-    to every re-solve. It holds the local cm columns
-    (per consumer, those of its connected local producers in producer order,
-    with their rewards and line bounds); the reward of every (consumer,
-    partner) pair (``partner_rewards``, consumers x sorted partners); the
-    purchase, cut and stretch columns (``flex``; sell-backs have none: they
-    are derived from the solution); and ``rewards``, whose beta and stretch
-    penalty depend on the rank of every partner, live or not. ``columns``
-    lays out the cm columns of one solve.
+    to every re-solve. It holds ``_pairs``' one layout over every partner,
+    live or not: per pair its ``consumer`` and ``supplier`` indices (local
+    producers, then the sorted partners), its line bounds ``lower`` and
+    ``upper``, and its reward in ``rewards.of_pairs``. ``partner_rewards``
+    holds the rewards of the (consumer, partner) pairs again, consumers x
+    sorted partners. ``flex`` holds the purchase, cut and stretch columns
+    (sell-backs have none: they are derived from the solution). The beta and
+    stretch penalty of ``rewards`` depend on the rank of every partner, live
+    or not. ``columns`` selects the cm columns of one solve.
     """
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
@@ -346,53 +341,28 @@ class PairTable:
         self.partner_ids = sorted(view.partner_capacities)
         self._consumer_at = {c: k for k, c in enumerate(self.consumer_ids)}
         self._partner_at = {p: q for q, p in enumerate(self.partner_ids)}
-        consumer, supplier, ranks, lower, upper = _pairs(view, self.partner_ids, lines)
-        n_cons = len(consumers)
+        self.consumer, self.supplier, ranks, self.lower, self.upper = _pairs(view, self.partner_ids, lines)
         priority = np.array([c.priority for c in consumers], dtype=float)
-        self.rewards = _Rewards(weights, priority[consumer], ranks)
-        local = supplier < len(self.producer_ids)
-        self.local_consumer, self.local_producer = consumer[local], supplier[local]
-        self.local_count = np.bincount(self.local_consumer, minlength=n_cons)
-        starts = np.cumsum(self.local_count) - self.local_count  # each consumer's first local column
-        self.local_offset = np.arange(self.local_consumer.size) - starts[self.local_consumer]
-        pairs = zip(self.local_consumer.tolist(), self.local_producer.tolist())
-        self.local_names = np.array([f"cm[{self.consumer_ids[k]}][{self.producer_ids[j]}]" for k, j in pairs], dtype=object)
-        self.local_lower, self.local_upper, self.local_reward = lower[local], upper[local], self.rewards.of_pairs[local]
-        self.partner_rewards = self.rewards.of_pairs[~local].reshape(n_cons, len(self.partner_ids))
+        self.rewards = _Rewards(weights, priority[self.consumer], ranks)
+        partner = self.supplier >= len(self.producer_ids)
+        self.partner_rewards = self.rewards.of_pairs[partner].reshape(len(consumers), len(self.partner_ids))
         self.flex = _flex(consumers, view.producers, lines)
-        self.supply_names = [f"supply[{p}]" for p in self.producer_ids]
-        self.demand_names = [f"demand[{c}]" for c in self.consumer_ids]
 
     def partner_reward(self, consumer_id: str, partner_id: str) -> float:
         """Reward per kWh a consumer of the view earns from a partner SSP."""
         return float(self.partner_rewards[self._consumer_at[consumer_id], self._partner_at[partner_id]])
 
     def columns(self, live: list[str]) -> _CmColumns:
-        """The cm columns of a solve with the partners ``live``, consumer-major: a
-        consumer's local columns, then one per live partner, in [0, inf).
+        """The cm columns of a solve with the sorted partners ``live``: the pairs
+        whose supplier is a local producer or a live partner, in layout order.
         Supplier indices count the local producers, then the live partners."""
-        n_cons, n_live, n_local = len(self.consumer_ids), len(live), self.local_consumer.size
-        q = np.array([self._partner_at[p] for p in live], dtype=np.intp)
-        counts = self.local_count + n_live
-        starts = np.cumsum(counts) - counts
-        at_local = starts[self.local_consumer] + self.local_offset
-        at_partner = (starts + self.local_count)[:, None] + np.arange(n_live)
-
-        def placed(local_part, partner_part, dtype=float) -> np.ndarray:
-            out = np.empty(n_local + n_cons * n_live, dtype=dtype)
-            out[at_local] = local_part
-            out[at_partner] = partner_part
-            return out
-
-        partner_names = [[f"cm[{c}][{p}]" for p in live] for c in self.consumer_ids]
-        return _CmColumns(
-            np.repeat(np.arange(n_cons), counts),
-            placed(self.local_producer, len(self.producer_ids) + np.arange(n_live), np.intp),
-            placed(self.local_lower, 0.0),
-            placed(self.local_upper, math.inf),
-            placed(self.local_reward, self.partner_rewards[:, q]),
-            placed(self.local_names, np.array(partner_names, dtype=object).reshape(n_cons, n_live), object).tolist(),
-        )
+        n_prod = len(self.producer_ids)
+        renumbered = np.full(n_prod + len(self.partner_ids), -1, dtype=np.intp)
+        renumbered[:n_prod] = np.arange(n_prod)
+        renumbered[[n_prod + self._partner_at[p] for p in live]] = n_prod + np.arange(len(live))
+        supplier = renumbered[self.supplier]
+        kept = supplier >= 0
+        return _CmColumns(self.consumer[kept], supplier[kept], self.lower[kept], self.upper[kept], self.rewards.of_pairs[kept])
 
     def offer_can_improve(self, prices: dict[str, float], offer: tuple[str, float], tol: float) -> bool:
         """Whether an offer can lower the optimum of the LP that ``prices`` come from by more than ``tol``.
@@ -434,7 +404,7 @@ def _place(
     lp = LinearProgram()
     flex_cost = np.repeat([rewards.weights.w2, 0.0, rewards.stretch_penalty], [n_cons, flex.cut_of.size, flex.stretch_of.size])
     lower, upper = np.concatenate([cm.lower, flex.lower]), np.concatenate([cm.upper, flex.upper])
-    lp.add_columns(cm.names + flex.names, lower, upper, np.concatenate([-cm.reward, flex_cost]))
+    lp.add_columns(lower, upper, np.concatenate([-cm.reward, flex_cost]))
     info = _BuildInfo(consumer_ids, supplier_ids, cm.consumer, cm.supplier, flex.cut_of, flex.stretch_of)
     purchases, cuts, stretches = (np.arange(c.start, c.stop) for c in (info.purchase_cols, info.cut_cols, info.stretch_cols))
 
@@ -448,13 +418,11 @@ def _place(
     return lp, info, supplied, (*served, np.ones(served[0].size))
 
 
-def _add_rows(
-    lp: LinearProgram, entries: Sequence[tuple[np.ndarray, ...]], names: list[str], relations: list[str], rhs: list[float]
-) -> None:
+def _add_rows(lp: LinearProgram, entries: Sequence[tuple[np.ndarray, ...]], relations: list[str], rhs: list[float]) -> None:
     """Add rows from (row, column, value) entries, each row's entries in column order; rows count from 0."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    order = np.argsort(rows * len(lp.names) + cols, kind="stable")
-    lp.add_rows(names, relations, rhs, np.bincount(rows, minlength=len(names)), cols[order], vals[order])
+    order = np.argsort(rows * lp.lower.size + cols, kind="stable")
+    lp.add_rows(relations, rhs, np.bincount(rows, minlength=len(relations)), cols[order], vals[order])
 
 
 def _build(
@@ -506,14 +474,13 @@ def _build(
     caps = [view.partner_capacities[p] for p in live]
     stretched = [q for q, cap in enumerate(caps) if cap.bound > 0.0]
     zeros = np.zeros(len(stretched))  # the lower bounds and the costs
-    first = lp.add_columns([f"stretch[{live[q]}]" for q in stretched], zeros, [caps[q].bound * caps[q].energy for q in stretched], zeros)
+    first = lp.add_columns(zeros, [caps[q].bound * caps[q].energy for q in stretched], zeros)
     partner_stretch = (
         len(view.producers) + np.array(stretched, dtype=np.intp), first + np.arange(len(stretched)), np.full(len(stretched), -1.0)
     )
     _add_rows(
         lp,
         [supplied, partner_stretch, (n_supply + served[0], *served[1:])],
-        table.supply_names + [f"supply[{p}]" for p in live] + table.demand_names,
         [LESS_EQUAL] * n_supply + [EQUAL] * len(view.consumers),
         [p.energy for p in view.producers] + [cap.energy for cap in caps] + demand,
     )
@@ -525,14 +492,19 @@ def _build(
         for producer in view.producers:
             rhs += producer.energy
         end = lp.row_starts[len(view.producers)]
-        lp.add_rows(["export-reservation"], [LESS_EQUAL], [rhs], [end], lp.entry_cols[:end], lp.entry_vals[:end])
+        lp.add_rows([LESS_EQUAL], [rhs], [end], lp.entry_cols[:end], lp.entry_vals[:end])
 
     return lp, info
 
 
 def _solve(lp: LinearProgram, label: str) -> LpSolution:
-    """Solve a matching LP; only line constraints can make one infeasible."""
-    solution = solve_lp(lp)
+    """Solve a matching LP; only line constraints can make one infeasible. A
+    solver fault is prefixed with ``label``, as the solver names a column only
+    by position."""
+    try:
+        solution = solve_lp(lp)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{label}: {exc}") from exc
     if solution.status is LpStatus.INFEASIBLE:
         raise MatchingInfeasibleError(f"{label} infeasible; only line constraints can cause this")
     if solution.status is not LpStatus.OPTIMAL:
@@ -743,14 +715,7 @@ def _build_centralized(scenario: Scenario) -> tuple[LinearProgram, _BuildInfo]:
     consumer_of, cm_supplier, ranks, lower, upper = _scenario_pairs(scenario, lines)
     priority = np.array([c.priority for c in consumers], dtype=float)
     rewards = _Rewards(scenario.weights, priority[consumer_of], ranks)
-    cm = _CmColumns(
-        consumer_of,
-        cm_supplier,
-        lower,
-        upper,
-        rewards.of_pairs,
-        [f"cm[{consumers[k].id}][{supplier_ids[j]}]" for k, j in zip(consumer_of.tolist(), cm_supplier.tolist())],
-    )
+    cm = _CmColumns(consumer_of, cm_supplier, lower, upper, rewards.of_pairs)
     flex = _flex(consumers, producers, lines)
     lp, info, supplied, served = _place([c.id for c in consumers], supplier_ids, cm, flex, rewards)
 
@@ -767,7 +732,7 @@ def _build_centralized(scenario: Scenario) -> tuple[LinearProgram, _BuildInfo]:
         pools += [row_of[supplier]] * len(cfg.producers)
     n_exports = len(exporters)
     zeros = np.zeros(n_exports)  # the lower bounds and the costs
-    first = lp.add_columns([f"export[{producers[j].id}]" for j in exporters], zeros, np.full(n_exports, math.inf), zeros)
+    first = lp.add_columns(zeros, np.full(n_exports, math.inf), zeros)
     export_cols = first + np.arange(len(exporters))
     info.export_cols = dict(zip((producers[j].id for j in exporters), export_cols.tolist()))
     _add_rows(
@@ -778,8 +743,6 @@ def _build_centralized(scenario: Scenario) -> tuple[LinearProgram, _BuildInfo]:
             (np.array(pools, dtype=np.intp), export_cols, np.full(len(exporters), -1.0)),
             (n_prod + served[0], *served[1:]),
         ],
-        [f"supply[{p.id}]" for p in producers] + [f"demand[{c.id}]" for c in consumers]
-        + [f"pool[{cfg.id}]" for _, cfg in pooled],
         [LESS_EQUAL] * n_prod + [EQUAL] * n_cons + [LESS_EQUAL] * len(pooled),
         [p.energy for p in producers] + [c.energy for c in consumers] + [0.0] * len(pooled),
     )

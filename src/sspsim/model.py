@@ -297,7 +297,9 @@ class MatchingWeights:
     shape the per-pair preference factor 1 + alpha*(beta - rank); ``beta=None``
     resolves to (max rank in view) + 1 at build time so the factor stays >= 1.
     The factor multiplies w35 in each cm coefficient; ``alpha = 0`` turns the
-    preference steering off.
+    preference steering off. ``reward`` and ``stretch_penalty`` are the one
+    statement of a kWh's reward and of a stretch's cost, which the matching
+    LPs and the ``objective-finite`` rule both read.
     """
 
     w14: float = 1.0
@@ -305,6 +307,16 @@ class MatchingWeights:
     w35: float = 0.5
     alpha: float = 0.1
     beta: float | None = None
+
+    def reward(self, beta: float, priority, rank):
+        """The reward per kWh placed with a consumer of priority Pr(i) from a supplier it ranks ``rank``, under the resolved ``beta``.
+
+        w14 * Pr(i) + w35 * (1 + alpha * (beta - rank)), elementwise over arrays."""
+        return self.w14 * priority + self.w35 * (1.0 + self.alpha * (beta - rank))
+
+    def stretch_penalty(self, top_reward: float) -> float:
+        """The cost per stretched kWh: 0.01 * w2 above the largest reward, so a stretch is taken only to spare a Utility purchase."""
+        return top_reward + 0.01 * self.w2
 
 
 @dataclass(frozen=True)
@@ -469,8 +481,8 @@ def _validate_objective(scenario: Scenario, total_energy: float) -> list[Violati
     weights = scenario.weights
     top_rank = max([1, *(int(cfg.preferences.values.max(initial=0)) for cfg in scenario.ssps)])
     beta = weights.beta if weights.beta is not None else top_rank + 1.0
-    rewards = [weights.w14 * p + weights.w35 * (1.0 + weights.alpha * (beta - r)) for p in (0.0, 1.0) for r in (1, top_rank)]
-    cost = float(np.abs([weights.w2, *rewards, max(rewards) + 0.01 * weights.w2]).max())
+    rewards = [weights.reward(beta, p, r) for p in (0.0, 1.0) for r in (1, top_rank)]
+    cost = float(np.abs([weights.w2, *rewards, weights.stretch_penalty(max(rewards))]).max())
     if not math.isfinite(cost):
         return [Violation("weights", "objective-finite", f"largest cost per kWh {cost}")]
     if not math.isfinite(total_energy):

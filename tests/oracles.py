@@ -76,9 +76,9 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
         raise OracleSizeError("grid step must be positive")
     axes = []
     total = 1
-    for var in lp.variables:
+    for col, var in enumerate(lp.variables):
         if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-            raise OracleSizeError(f"variable {var.name!r} lacks finite bounds")
+            raise OracleSizeError(f"column {col} lacks finite bounds")
         count = int(math.floor((var.upper - var.lower) / grid_step + FEAS_TOL)) + 1
         axes.append(var.lower + grid_step * np.arange(count))
         total *= count
@@ -107,7 +107,7 @@ def brute_force_verify(lp: LinearProgram, grid_step: float, max_points: int = 1_
 def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, float]:
     """Independent feasibility check: worst violation per row plus variable bounds.
 
-    Keys are row names (or "row K") and "bounds"; all entries are >= 0 and a
+    Keys are "row K" and "bounds"; all entries are >= 0 and a
     feasible point keeps them below FEAS_TOL. Deliberately recomputed from the
     raw program, never from solver internals.
     """
@@ -122,7 +122,7 @@ def constraint_residuals(lp: LinearProgram, values: list[float]) -> dict[str, fl
             violation = lhs - row.rhs
         else:
             violation = abs(lhs - row.rhs)
-        out[row.name or f"row {idx}"] = max(violation, 0.0)
+        out[f"row {idx}"] = max(violation, 0.0)
     return out
 
 
@@ -337,7 +337,7 @@ class ReferenceSimplex(_Simplex):
         objective = sum(c * values[j] for j, c in enumerate(self.lp.cost.tolist()))
         # y = c_B B^-1, one row at a time back to its original row and scale
         y = self.cost[self.basis] @ self.binv
-        duals = [0.0] * len(self.lp.row_names)
+        duals = [0.0] * len(self.lp.relations)
         for pos, row in enumerate(self.row_ids.tolist()):
             if row < len(duals):
                 duals[row] = float(y[pos] / self.row_divisor[row]) + 0.0
@@ -420,18 +420,18 @@ def assert_dual_certificate(lp: LinearProgram, solution: LpSolution, tol: float 
     duals = solution.duals
     assert len(duals) == len(lp.constraints)
     scale = 1.0 + max((abs(y) for y in duals), default=0.0)
-    for row, y in zip(lp.constraints, duals):
+    for idx, (row, y) in enumerate(zip(lp.constraints, duals)):
         if row.relation == LESS_EQUAL:
-            assert y <= tol * scale, (row.name, y)
+            assert y <= tol * scale, (f"row {idx}", y)
     reduced = lp.cost.tolist()
     terms = []
     for row, y in zip(lp.constraints, duals):
         terms.append(y * row.rhs)
         for col, c in row.coeffs.items():
             reduced[col] -= y * c
-    for var, rc in zip(lp.variables, reduced):
+    for col, (var, rc) in enumerate(zip(lp.variables, reduced)):
         if math.isinf(var.upper):
-            assert rc >= -tol * scale, (var.name, rc)
+            assert rc >= -tol * scale, (f"column {col}", rc)
             terms.append(var.lower * rc)
         else:
             terms.append(var.lower * max(rc, 0.0) + var.upper * min(rc, 0.0))
@@ -473,8 +473,6 @@ def accepted_matrix(view: SspView, locked: dict[str, dict[str, float]] | None) -
 
 def reference_form_coalitions(statuses: dict[str, float], max_group_size: int) -> CoalitionSet:
     """The pairwise-rescan loop that ``form_coalitions`` replaces; it must agree exactly."""
-    if not statuses:
-        raise ValueError("at least one SSP is required")
     if max_group_size < 1:
         raise ValueError("max_group_size must be >= 1")
     groups: list[tuple[frozenset[str], float]] = [
@@ -579,9 +577,16 @@ def reference_validate_preferences(scenario: Scenario) -> list[Violation]:
 # One LpVariable, one reward and one coefficient dict at a time, as
 # ``matching.PairTable``, ``matching._build`` and ``matching._build_centralized``
 # were first written. The array builders must give the same program, view for
-# view and in order, and the same layout.
+# view and in order, and the same layout. Each column and row carries the
+# label the builders once gave it, which ``labels`` reads back from a
+# ``_BuildInfo``.
 
-_RefColumn = tuple[tuple[str, str], LpVariable, float]  # (consumer id, supplier id), its variable, its reward
+_Labelled = tuple[str, LpVariable]  # a column's label and its variable
+_RefColumn = tuple[tuple[str, str], _Labelled, float]  # (consumer id, supplier id), its column, its reward
+
+
+def _labelled(label: str, lower: float = 0.0, upper: float = math.inf) -> _Labelled:
+    return label, LpVariable(lower, upper)
 
 
 def _ref_rank(preferences: PreferenceTable, consumer_id: str, supplier_id: str) -> int:
@@ -617,14 +622,14 @@ class ReferenceRewards:
 
 
 def _ref_flex(consumers, producers, lines):
-    purchases = [LpVariable(f"cm[{c.id}][U]", *_ref_line_bounds(lines, c.id, UTILITY_ID)) for c in consumers]
-    cuts = {c.id: LpVariable(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in consumers if c.bound > 0.0}
-    stretches = {p.id: LpVariable(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in producers if p.bound > 0.0}
+    purchases = [_labelled(f"cm[{c.id}][U]", *_ref_line_bounds(lines, c.id, UTILITY_ID)) for c in consumers]
+    cuts = {c.id: _labelled(f"cut[{c.id}]", 0.0, c.bound * c.energy) for c in consumers if c.bound > 0.0}
+    stretches = {p.id: _labelled(f"stretch[{p.id}]", 0.0, p.bound * p.energy) for p in producers if p.bound > 0.0}
     return purchases, cuts, stretches
 
 
 class ReferencePairTable:
-    """``matching.PairTable`` with one LpVariable per local cm column and rewards read pair by pair."""
+    """``matching.PairTable`` with one labelled LpVariable per local cm column and rewards read pair by pair."""
 
     def __init__(self, view: SspView, weights: MatchingWeights, lines: LineConstraintSet | None):
         self._preferences = view.preferences
@@ -640,7 +645,7 @@ class ReferencePairTable:
             consumer.id: [
                 (
                     (consumer.id, supplier_id),
-                    LpVariable(f"cm[{consumer.id}][{supplier_id}]", *_ref_line_bounds(lines, consumer.id, supplier_id)),
+                    _labelled(f"cm[{consumer.id}][{supplier_id}]", *_ref_line_bounds(lines, consumer.id, supplier_id)),
                     self.rewards(consumer.id, rank),
                 )
                 for supplier_id, rank in zip(local, row)
@@ -656,7 +661,7 @@ class ReferencePairTable:
         return [
             (
                 (consumer_id, partner_id),
-                LpVariable(f"cm[{consumer_id}][{partner_id}]"),
+                _labelled(f"cm[{consumer_id}][{partner_id}]"),
                 self.partner_reward(consumer_id, partner_id),
             )
             for consumer_id in self._consumer_ids
@@ -674,20 +679,17 @@ def program_of(variables: list[LpVariable], cost: dict[int, float], rows: list[t
     """A program with these variables, costs and rows, made by one call of each array builder.
 
     ``cost`` maps a column position to its cost; a column it leaves out
-    costs 0.0. A row is (coefficients, relation, rhs) or (coefficients,
-    relation, rhs, name), its coefficients keyed by column position; a row
-    without a name gets "".
+    costs 0.0. A row is (coefficients, relation, rhs), its coefficients keyed
+    by column position.
     """
     assert set(cost) <= set(range(len(variables))), "a cost for a position that is not a column"
     lp = LinearProgram()
     lp.add_columns(
-        [v.name for v in variables],
         [v.lower for v in variables],
         [v.upper for v in variables],
         [cost.get(col, 0.0) for col in range(len(variables))],
     )
     lp.add_rows(
-        [row[3] if len(row) > 3 else "" for row in rows],
         [row[1] for row in rows],
         [row[2] for row in rows],
         [len(row[0]) for row in rows],
@@ -698,9 +700,15 @@ def program_of(variables: list[LpVariable], cost: dict[int, float], rows: list[t
 
 
 def with_variables(lp: LinearProgram, variables: list[LpVariable]) -> LinearProgram:
-    """``lp`` with its variables (names and bounds) replaced, made by the builders."""
+    """``lp`` with its variables (bounds) replaced, made by the builders."""
     cost = dict(enumerate(lp.cost.tolist()))
-    return program_of(variables, cost, [(row.coeffs, row.relation, row.rhs, row.name) for row in lp.constraints])
+    return program_of(variables, cost, [(row.coeffs, row.relation, row.rhs) for row in lp.constraints])
+
+
+def _labelled_program(variables: list[_Labelled], cost: dict[int, float], rows: list[tuple], info: dict) -> tuple[LinearProgram, dict]:
+    """The program of labelled columns and (coefficients, relation, rhs, label) rows, its layout given every label."""
+    info.update(columns=[label for label, _ in variables], rows=[row[3] for row in rows])
+    return program_of([var for _, var in variables], cost, [row[:3] for row in rows]), info
 
 
 def _ref_place(consumers, blocks, demand, flex, weights, rewards):
@@ -758,7 +766,7 @@ def reference_build(view, weights, lines, locked_imports, committed_exports) -> 
         coeffs = supplied[partner_id]
         if cap.bound > 0.0:
             coeffs[len(variables)] = -1.0
-            variables.append(LpVariable(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy))
+            variables.append(_labelled(f"stretch[{partner_id}]", 0.0, cap.bound * cap.energy))
         rows.append((coeffs, LESS_EQUAL, cap.energy, f"supply[{partner_id}]"))
     info["demand_rows"] = list(range(len(rows), len(rows) + len(demand_rows)))
     rows += demand_rows
@@ -769,7 +777,7 @@ def reference_build(view, weights, lines, locked_imports, committed_exports) -> 
             coeffs.update(supply)
             rhs += energy
         rows.append((coeffs, LESS_EQUAL, rhs, "export-reservation"))
-    return program_of(variables, cost, rows), info
+    return _labelled_program(variables, cost, rows, info)
 
 
 def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) -> tuple[LinearProgram, dict]:
@@ -792,7 +800,7 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
     rewards = ReferenceRewards(weights, {c.id: c.priority for c in consumers}, ranks)
     blocks = [
         [
-            ((consumer.id, supplier_id), LpVariable(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
+            ((consumer.id, supplier_id), _labelled(f"cm[{consumer.id}][{supplier_id}]", *bounds), rewards(consumer.id, rank))
             for supplier_id, rank, bounds in columns
         ]
         for consumer, columns in zip(consumers, suppliers)
@@ -805,7 +813,7 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
     for cfg in pooled:
         for producer in cfg.producers:
             export_cols[producer.id] = len(variables)
-            variables.append(LpVariable(f"export[{producer.id}]"))
+            variables.append(_labelled(f"export[{producer.id}]"))
     info.update(live_partners=[cfg.id for cfg in pooled], export_cols=export_cols)
     rows = []
     for producer in producers:
@@ -819,12 +827,40 @@ def reference_build_centralized(scenario: Scenario, weights: MatchingWeights) ->
         coeffs = supplied[cfg.id]
         coeffs.update((export_cols[p.id], -1.0) for p in cfg.producers)
         rows.append((coeffs, LESS_EQUAL, 0.0, f"pool[{cfg.id}]"))
-    return program_of(variables, cost, rows), info
+    return _labelled_program(variables, cost, rows, info)
 
 
-def layout_of(info) -> dict:
-    """A ``matching._BuildInfo`` in the form of the reference builders' layout."""
+def labels(lp: LinearProgram, info) -> tuple[list[str], list[str]]:
+    """The label of every column and every row of a matching LP, read from its ``_BuildInfo``.
+
+    Columns: cm[consumer][supplier], cm[consumer][U] (a purchase),
+    cut[consumer] and stretch[producer], then a view's partner stretches,
+    each stretch[partner] of the partner whose supply row holds it, or the
+    centralized LP's export[producer] columns. Rows: supply[supplier] up to
+    the demand rows, demand[consumer], then the view's export-reservation or
+    the centralized LP's pool[SSP] rows.
+    """
     consumers, suppliers = info.consumer_ids, info.supplier_ids
+    columns = [f"cm[{consumers[k]}][{suppliers[j]}]" for k, j in zip(info.cm_consumer.tolist(), info.cm_supplier.tolist())]
+    columns += [f"cm[{c}][{UTILITY_ID}]" for c in consumers]
+    columns += [f"cut[{consumers[k]}]" for k in info.cut_of.tolist()]
+    columns += [f"stretch[{suppliers[j]}]" for j in info.stretch_of.tolist()]
+    rows = [f"supply[{s}]" for s in suppliers[: info.demand_rows.start]] + [f"demand[{c}]" for c in consumers]
+    if info.export_cols:
+        exported = {col: producer_id for producer_id, col in info.export_cols.items()}
+        columns += [f"export[{exported[col]}]" for col in range(len(columns), lp.lower.size)]
+        rows += [f"pool[{ssp_id}]" for ssp_id in info.live_partners]
+    else:
+        row_of = np.repeat(np.arange(len(lp.relations)), np.diff(lp.row_starts))
+        columns += [f"stretch[{suppliers[row_of[lp.entry_cols == col][0]]}]" for col in range(len(columns), lp.lower.size)]
+        rows += ["export-reservation"] * (len(lp.relations) - len(rows))
+    return columns, rows
+
+
+def layout_of(lp: LinearProgram, info) -> dict:
+    """A ``matching._BuildInfo`` in the form of the reference builders' layout, with the ``labels`` of ``lp``."""
+    consumers, suppliers = info.consumer_ids, info.supplier_ids
+    columns, rows = labels(lp, info)
     return {
         "pairs": [(consumers[k], suppliers[j]) for k, j in zip(info.cm_consumer.tolist(), info.cm_supplier.tolist())],
         "purchase_cols": list(info.purchase_cols),
@@ -834,6 +870,8 @@ def layout_of(info) -> dict:
         "live_partners": info.live_partners,
         "export_cols": info.export_cols,
         "demand_rows": list(info.demand_rows),
+        "columns": columns,
+        "rows": rows,
     }
 
 
@@ -851,9 +889,9 @@ def bits(value):
 def views(lp: LinearProgram) -> list:
     """Every view of a program and its costs, in order: dict equality alone ignores key order."""
     return [
-        [(v.name, v.lower, v.upper) for v in lp.variables],
+        [(v.lower, v.upper) for v in lp.variables],
         lp.cost.tolist(),
-        [(row.name, list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
+        [(list(row.coeffs.items()), row.relation, row.rhs) for row in lp.constraints],
     ]
 
 
@@ -864,7 +902,7 @@ def assert_builds_alike(got: tuple[LinearProgram, object], want: tuple[LinearPro
     and its solution is the reference program's, bit for bit."""
     (lp, info), (ref_lp, ref_info) = got, want
     assert bits(views(lp)) == bits(views(ref_lp))
-    assert bits(layout_of(info)) == bits(ref_info)
+    assert bits(layout_of(lp, info)) == bits(ref_info)
     assert_standardised_alike(lp)
     solution, reference = solve_lp(lp), solve_lp(ref_lp)
     assert solution == reference and bits(solution.values) == bits(reference.values)
@@ -891,7 +929,7 @@ def reference_run_engine(
     agents = {s: _Agent(view_for_ssp(scenario, s, neighbours[s]), weights, scenario.line_constraints) for s in ssp_ids}
 
     per_ssp_initial = {s: abs(energy_status(agents[s].view)) for s in ssp_ids}
-    initial_total = sum(per_ssp_initial.values())
+    initial_total = sum(per_ssp_initial.values(), 0.0)
     trace: list[ConvergencePoint] = []
     log: list[LogRecord] = []
     iterations = 0

@@ -43,7 +43,7 @@ from sspsim.model import (
 from sspsim.protocol import LogRecord, audit_privacy, run_engine
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
 from tests.conftest import link_block, preference_table
-from tests.oracles import brute_force_verify, constraint_residuals, pair_table, with_variables
+from tests.oracles import brute_force_verify, constraint_residuals, labels, pair_table, with_variables
 
 AC = SubscriberKind.ACTIVE_CONSUMER
 AP = SubscriberKind.ACTIVE_PRODUCER
@@ -141,15 +141,15 @@ def test_c02_lp_oracle_equivalence():
             rows[c.id] = cols
             ranks[c.id] = rank_row
         view = SspView("s", consumers, producers, preference_table(ranks), link_block(rows))
-        lp, _ = _build(view, pair_table(view), None, 0.0)
+        lp, info = _build(view, pair_table(view), None, 0.0)
 
         demand = {c.id: c.energy for c in consumers}
         supply = {p.id: p.energy for p in producers}
         capped = []
         points = 1
-        for var in lp.variables:
-            match = name_pattern.match(var.name)
-            assert match, var.name
+        for name, var in zip(labels(lp, info)[0], lp.variables, strict=True):
+            match = name_pattern.match(name)
+            assert match, name
             row_id, col_id = match.group("row"), match.group("col")
             if row_id == UTILITY_ID:
                 upper = supply[col_id]

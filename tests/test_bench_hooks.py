@@ -23,7 +23,7 @@ from sspsim.coalition import ActualNeighborhoodMap
 from sspsim.lp import solve_lp
 from sspsim.matching import _build, _build_centralized, view_for_ssp
 from sspsim.scenario import GeneratorSpec, generate_scenario, save_scenario
-from tests.oracles import pair_table
+from tests.oracles import labels, pair_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,14 +60,14 @@ def test_the_lp_counters_read_a_real_program(spans, worked_scenario, which):
             n_ssps=3, consumers_per_ssp=4, producers_per_ssp=2, passive_consumers=2, passive_consumer_bound=0.15,
             passive_producers=1, passive_producer_bound=0.1, seed=1,
         ))
-        lp, _ = _build_centralized(scenario)
-        assert any(name.startswith("pool[") for name in lp.row_names)
+        lp, info = _build_centralized(scenario)
+        assert any(name.startswith("pool[") for name in labels(lp, info)[1])
     tracer = spans.Tracer()
     spans.count_lp(tracer, lp)
     with tracer.span("lp"):
         solution = solve_lp(lp)
     spans.count_lp_result(tracer, solution)
-    n_cols, n_rows = len(lp.names), len(lp.row_names)
+    n_cols, n_rows = lp.lower.size, len(lp.relations)
     bound_rows = int(np.isfinite(lp.upper).sum())
     slacks = sum(relation != "=" for relation in lp.relations) + bound_rows
     assert tracer.counters == {

@@ -41,6 +41,13 @@ def drift_every_solve(monkeypatch) -> None:
     monkeypatch.setattr(_Simplex, "_extract", drifted)
 
 
+def drop_every_ssp(scenario) -> None:
+    """Rewrite a scenario file with no SSP, and so no link block."""
+    data = json.loads(scenario.read_text())
+    data["ssps"], data["connectivity"] = [], {"ssps": {"cols": [], "rows": {}}, "consumers": {}}
+    scenario.write_text(json.dumps(data))
+
+
 @pytest.fixture
 def worked_file(tmp_path, worked_scenario) -> str:
     path = tmp_path / "worked.json"
@@ -431,7 +438,7 @@ class TestRun:
             assert len(forks) == cpus - 1
             assert_no_child_left()
             assert not (tmp_path / f"cpus-{cpus}").exists()
-        assert "outside its bounds" in errs[0] and "S01." in errs[0]
+        assert "outside its bounds" in errs[0] and "matching LP for 'S01'" in errs[0]
         assert "Traceback" not in errs[1]
         assert errs[1] == errs[0]
 
@@ -489,9 +496,7 @@ class TestRun:
         scenario = tmp_path / "scenario.json"
         assert run_cli("gen", "--ssps", "2", "--consumers", "0", "--producers", "0", "--seed", "3", "--out", str(scenario)) == EXIT_OK
         if not ssps:
-            data = json.loads(scenario.read_text())
-            data["ssps"], data["connectivity"] = [], {"ssps": {"cols": [], "rows": {}}, "consumers": {}}
-            scenario.write_text(json.dumps(data))
+            drop_every_ssp(scenario)
         capsys.readouterr()
         out = tmp_path / "results"
         assert run_cli("run", "--scenario", str(scenario), "--anm", "meshed", "--out", str(out)) == EXIT_OK
@@ -502,6 +507,22 @@ class TestRun:
         assert all(type(v) is float and v == 0.0 for v in kwh)
         rows = (out / "convergence.csv").read_text().splitlines()
         assert rows == ["iteration,accumulated_utility_kwh", *(f"{k},0.0" for k in range(1, ssps + 1))]
+
+    def test_a_scenario_without_ssps_runs_alike_on_every_map(self, tmp_path):
+        # no SSP forms no coalition, as it has no map edge: every map runs to
+        # the same empty result
+        scenario = tmp_path / "scenario.json"
+        assert run_cli("gen", "--ssps", "2", "--consumers", "0", "--producers", "0", "--seed", "3", "--out", str(scenario)) == EXIT_OK
+        drop_every_ssp(scenario)
+        anm_file = tmp_path / "anm.csv"
+        anm_file.write_text("ssp_a,ssp_b,present\n")
+        for anm, extra in {"meshed": (), "coalition": (), "file": ("--anm-file", str(anm_file))}.items():
+            assert run_cli("run", "--scenario", str(scenario), "--anm", anm, *extra, "--out", str(tmp_path / anm)) == EXIT_OK
+        assert json.loads((tmp_path / "coalition" / "summary.json").read_text())["coalitions"] == 0
+        for anm in ("coalition", "file"):
+            assert sorted(os.listdir(tmp_path / anm)) == sorted(RESULT_FILES)
+            match, _, _ = filecmp.cmpfiles(tmp_path / "meshed", tmp_path / anm, RESULT_FILES, shallow=False)
+            assert sorted(match) == sorted(RESULT_FILES)
 
     def test_missing_output_dir_exits_2(self, worked_file, monkeypatch, capsys):
         monkeypatch.delenv("SSPSIM_OUTPUT_DIR", raising=False)

@@ -66,8 +66,8 @@ class TestFormCoalitions:
         assert all(1 <= len(g) <= 4 for g in first.groups)
 
     def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            form_coalitions({}, max_group_size=2)
+        # no SSP is not degenerate: it forms no coalition, as the reference does
+        assert form_coalitions({}, max_group_size=2) == CoalitionSet(()) == reference_form_coalitions({}, 2)
         with pytest.raises(ValueError):
             form_coalitions({"a": 1.0}, max_group_size=0)
 

@@ -57,6 +57,7 @@ from tests.oracles import (
     brute_force_verify,
     constraint_residuals,
     highs,
+    labels,
     layout_of,
     pair_table,
     reference_build,
@@ -119,18 +120,18 @@ class TestBuildMatchingLp:
     def test_all_utility_witness_is_feasible(self):
         # deficit view: serving everything from the Utility always satisfies the LP
         view = worked_view()
-        lp, _ = _build(view, pair_table(view), None, 0.0)
-        names = [v.name for v in lp.variables]
-        witness = [0.0] * len(names)
-        for consumer in view.consumers:
-            witness[names.index(f"cm[{consumer.id}][U]")] = consumer.energy
+        lp, info = _build(view, pair_table(view), None, 0.0)
+        witness = [0.0] * len(lp.variables)
+        for consumer, col in zip(view.consumers, info.purchase_cols):
+            witness[col] = consumer.energy
         assert max(constraint_residuals(lp, witness).values()) < 1e-9
 
     def test_column_and_row_order_is_stable(self):
         # cm columns consumer-major (local producers, then partners with
         # capacity), then purchases, cuts, stretches; one supply
         # row per producer and live partner, one demand row per consumer, then
-        # the export reservation; shown here with every position read as its label
+        # the export reservation; shown here with every position read as its
+        # label, through the layout the build reports
         consumers = (
             Subscriber("c1", AC, 5.0, priority=0.5),
             Subscriber("c2", PC, 4.0, bound=0.25, priority=0.5),
@@ -149,9 +150,9 @@ class TestBuildMatchingLp:
         # and an exported kWh
         lines = LineConstraintSet((LineConstraint("c1", UTILITY_ID, 0.5, 100.0),))
         lp, info = _build(view, pair_table(view, lines=lines), accepted_matrix(view, {"s3": {"c2": 1.5}}), 1.0)
-        names = [v.name for v in lp.variables]
+        names, row_names = labels(lp, info)
         inf = math.inf
-        assert [(v.name, v.lower, v.upper) for v in lp.variables] == [
+        assert [(name, v.lower, v.upper) for name, v in zip(names, lp.variables, strict=True)] == [
             ("cm[c1][p1]", 0.0, inf), ("cm[c1][p2]", 0.0, inf), ("cm[c1][s3]", 0.0, inf),
             ("cm[c2][p2]", 0.0, inf), ("cm[c2][s3]", 0.0, inf),
             ("cm[c1][U]", 0.5, 100.0), ("cm[c2][U]", 0.0, inf),
@@ -161,7 +162,7 @@ class TestBuildMatchingLp:
         # w2 per purchase, 0 per cut, the stretch penalty (1.2 + 0.01 * w2) per
         # local stretch and 0 per partner stretch
         assert lp.cost.tolist() == pytest.approx([-1.2, -1.15, -1.05, -1.15, -1.05, 10.0, 10.0, 0.0, 1.3, 0.0], abs=1e-12)
-        assert [(c.name, [names[k] for k in c.coeffs], c.relation, c.rhs) for c in lp.constraints] == [
+        assert [(name, [names[k] for k in c.coeffs], c.relation, c.rhs) for name, c in zip(row_names, lp.constraints, strict=True)] == [
             ("supply[p1]", ["cm[c1][p1]"], "<=", 3.0),
             ("supply[p2]", ["cm[c1][p2]", "cm[c2][p2]", "stretch[p2]"], "<=", 2.0),
             ("supply[s3]", ["cm[c1][s3]", "cm[c2][s3]", "stretch[s3]"], "<=", 4.0),
@@ -177,10 +178,10 @@ class TestBuildMatchingLp:
         assert {(names[k], v) for c in lp.constraints for k, v in c.coeffs.items() if v != 1.0} == {
             ("stretch[p2]", -1.0), ("stretch[s3]", -1.0),
         }
-        placed = layout_of(info)
+        placed = layout_of(lp, info)
         assert placed["pairs"] == [("c1", "p1"), ("c1", "p2"), ("c1", "s3"), ("c2", "p2"), ("c2", "s3")]
         assert (placed["purchase_cols"], placed["cut_cols"], placed["stretch_cols"]) == ([5, 6], {"c2": 7}, {"p2": 8})
-        assert [lp.constraints[row].name for row in info.demand_rows] == ["demand[c1]", "demand[c2]"]
+        assert [row_names[row] for row in info.demand_rows] == ["demand[c1]", "demand[c2]"]
 
     def test_line_cap_splits_flow(self):
         consumers = (Subscriber("c1", AC, 5.0, priority=1.0),)
@@ -285,7 +286,7 @@ class TestSolveDistMatching:
         weights = MatchingWeights()
         table = PairTable(view, weights, None)
         *_, prices = solve_dist_matching(view, table)
-        [reward] = table.local_reward.tolist()  # c2's from p1, the view's only local pair
+        [reward] = table.columns([]).reward.tolist()  # c2's from p1, the view's only local pair
         assert prices == {"c1": pytest.approx(-weights.w2), "c2": pytest.approx(reward)}
 
     def test_partner_covers_deficit(self):
@@ -338,8 +339,9 @@ class TestSolveDistMatching:
         view = worked_view()
         weights = MatchingWeights(alpha=0.0)
         table = PairTable(view, weights, None)
+        local = table.columns([])
         for k, consumer in enumerate(view.consumers):
-            rewards = set(table.local_reward[table.local_consumer == k].tolist())
+            rewards = set(local.reward[local.consumer == k].tolist())
             assert rewards == {weights.w14 * consumer.priority + weights.w35}
         cm, fx, _, _ = solve_dist_matching(view, table)
         assert utility_interaction(cm) == pytest.approx(0.0, abs=1e-6)
@@ -448,12 +450,14 @@ class TestCentralized:
         # purchases; one export per producer of a pooled SSP; supply rows,
         # demand rows, then one pool row per pooled SSP
         lp, info = _build_centralized(pair_scenario)
-        names = [v.name for v in lp.variables]
+        names, row_names = labels(lp, info)
         assert names == [
             "cm[S1.C1][S1.P1]", "cm[S1.C1][S2]", "cm[S2.C1][S2.P1]", "cm[S2.C1][S1]",
             "cm[S1.C1][U]", "cm[S2.C1][U]", "export[S1.P1]", "export[S2.P1]",
         ]
-        assert [(c.name, {names[k]: v for k, v in c.coeffs.items()}, c.relation, c.rhs) for c in lp.constraints] == [
+        assert [
+            (name, {names[k]: v for k, v in c.coeffs.items()}, c.relation, c.rhs) for name, c in zip(row_names, lp.constraints, strict=True)
+        ] == [
             ("supply[S1.P1]", {"cm[S1.C1][S1.P1]": 1.0, "export[S1.P1]": 1.0}, "<=", 5.0),
             ("supply[S2.P1]", {"cm[S2.C1][S2.P1]": 1.0, "export[S2.P1]": 1.0}, "<=", 10.0),
             ("demand[S1.C1]", {"cm[S1.C1][S1.P1]": 1.0, "cm[S1.C1][S2]": 1.0, "cm[S1.C1][U]": 1.0}, "=", 10.0),
@@ -540,7 +544,7 @@ def study2_scenario(seed: int = 7, n_ssps: int = 4, supply_mean_kwh: float = 24.
 
 def layout(lp, info) -> tuple:
     """Everything _build returns, in order and bit for bit: dict equality alone ignores key order."""
-    return bits([views(lp), layout_of(info)])
+    return bits([views(lp), layout_of(lp, info)])
 
 
 def test_a_view_is_its_config_plus_partner_capacities():
@@ -568,9 +572,13 @@ class TestPairTable:
         caps["S03"] = PartnerCapacity(1e-12, 0.0)  # below RESIDUAL_TOL: no column
         caps["S04"] = PartnerCapacity(3.0, 0.0)
         offered = replace(base, partner_capacities=caps)
+        # every partner live, every other one with a stretch bound
+        live = {p: PartnerCapacity(2.0 + q, 0.1 * (q % 2)) for q, p in enumerate(sorted(base.partner_capacities))}
+        every = replace(base, partner_capacities=live)
         locked = {"S01": {"S02.C03": 1.25, "S02.C01": 0.5}, "S04": {"S02.C02": 2.0}}
         table = PairTable(base, weights, scenario.line_constraints)
-        for view, imports, exports in [(base, None, 0.0), (offered, locked, 6.0), (base, locked, 2.5)]:
+        inputs = [(base, None, 0.0), (offered, locked, 6.0), (base, locked, 2.5), (every, locked, 1.0)]
+        for view, imports, exports in inputs:
             got = _build(view, table, accepted_matrix(view, imports), exports)
             assert_builds_alike(got, reference_build(view, weights, scenario.line_constraints, imports, exports))
 
@@ -578,20 +586,21 @@ class TestPairTable:
         scenario = study2_scenario()
         programs = engine_programs(monkeypatch, scenario)
         demand = {c.id: c.energy for cfg in scenario.ssps for c in cfg.consumers}
-        rows = [row for lp in programs for row in lp.constraints]
-        names = {v.name for lp in programs for v in lp.variables}
+        labelled = [labels(lp, info) for lp, info in programs]
+        rows = [(name, row) for (lp, _), (_, row_names) in zip(programs, labelled) for name, row in zip(row_names, lp.constraints, strict=True)]
+        names = {name for columns, _ in labelled for name in columns}
         # the programs carry every feature the standard form has to handle
-        assert any(row.name == "export-reservation" for row in rows)
-        assert any(row.name.startswith("demand[") and row.rhs < demand[row.name[7:-1]] - 1e-9 for row in rows)
-        assert any(row.name == "supply[S01]" for row in rows)
+        assert any(name == "export-reservation" for name, _ in rows)
+        assert any(name.startswith("demand[") and row.rhs < demand[name[7:-1]] - 1e-9 for name, row in rows)
+        assert any(name == "supply[S01]" for name, _ in rows)
         assert {"cut[S01.C01]", "stretch[S01.P01]"} <= names
         assert any(name.startswith("stretch[S") and "." not in name for name in names)  # a partner's
-        assert any(v.lower == 0.5 for lp in programs for v in lp.variables)
-        for lp in programs:
+        assert any(v.lower == 0.5 for lp, _ in programs for v in lp.variables)
+        for lp, _ in programs:
             assert_standardised_alike(lp)
 
     def test_real_matching_programs_have_certifying_duals(self, monkeypatch):
-        for lp in engine_programs(monkeypatch, study2_scenario()):
+        for lp, _ in engine_programs(monkeypatch, study2_scenario()):
             assert_dual_certificate(lp, solve_lp(lp))
 
     def test_offer_pricing(self, pair_scenario):
@@ -613,23 +622,26 @@ class TestPairTable:
         # a sell-back is the production nobody takes: derived, never decided
         scenario = study2_scenario()
         programs = []
-        solve = sspsim.matching.solve_lp
-        monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+        for builder in ("_build", "_build_centralized"):
+            build = getattr(sspsim.matching, builder)
+            monkeypatch.setattr(sspsim.matching, builder, lambda *args, build=build: programs.append(build(*args)) or programs[-1])
         result = run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
         solve_centralized(scenario)
         assert len(programs) > len(scenario.ssps)
-        assert not [v.name for lp in programs for v in lp.variables if v.name.startswith(f"cm[{UTILITY_ID}]")]
+        columns = [name for lp, info in programs for name in labels(lp, info)[0]]
+        assert len(columns) == sum(lp.lower.size for lp, _ in programs)
+        assert not [name for name in columns if name.startswith(f"cm[{UTILITY_ID}]")]
         assert sum(cm.sell_backs() for cm in result.commitments.values()) > 0.0
 
 
 def engine_programs(monkeypatch, scenario: Scenario) -> list:
-    """Every matching LP of a meshed engine run at run seed 1, those the engine prices out included.
+    """Every matching LP of a meshed engine run at run seed 1 with its layout, those the engine prices out included.
 
-    On one CPU, so that no program is solved in a forked worker, out of sight."""
+    On one CPU, so that no program is built in a forked worker, out of sight."""
     programs = []
-    solve = sspsim.matching.solve_lp
+    build = sspsim.matching._build
     monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(sspsim.matching, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+    monkeypatch.setattr(sspsim.matching, "_build", lambda *args: programs.append(build(*args)) or programs[-1])
     monkeypatch.setattr(PairTable, "offer_can_improve", lambda *_: True)
     run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
     return programs
@@ -722,7 +734,7 @@ def test_matching_programs_have_signed_unit_rows_and_follow_the_reference_pivots
 
 
 def test_engine_and_centralized_programs_have_signed_unit_rows(monkeypatch, worked_scenario, pair_scenario):
-    for lp in engine_programs(monkeypatch, study2_scenario()):
+    for lp, _ in engine_programs(monkeypatch, study2_scenario()):
         assert_signed_unit_rows(lp)
     # the scenarios of the c10 acceptance suite
     for scenario in (worked_scenario, pair_scenario, generate_scenario(STUDY1_SPEC), generate_scenario(study2_spec(10, 5, 0))):

@@ -1029,10 +1029,8 @@ def test_a_scenario_without_ssps_runs_to_an_empty_result(cpus):
     scenario = Scenario((), LinkBlock.from_rows((), {}), MatchingWeights(), None, 0)
     want = engine_outcome(reference_run_engine, scenario, meshed_map(()), 1, 10000, cpus=1)
     assert want[0] == "result" and want[1]["rounds"] == "0" and want[1]["log"] == "[]"
-    # the reference sums the empty per-SSP map from the int 0, the engine
-    # from 0.0, so its kWh totals are floats as every other run's are
-    assert want[1]["initial_abs_status_kwh"] == want[1]["final_utility_kwh"] == "0"
-    want[1].update(initial_abs_status_kwh="0.0", final_utility_kwh="0.0")
+    # the kWh totals are floats, as every other run's are
+    assert want[1]["initial_abs_status_kwh"] == want[1]["final_utility_kwh"] == "0.0"
     assert engine_outcome(run_engine, scenario, meshed_map(()), 1, 10000, cpus) == want
 
 
