@@ -26,20 +26,22 @@ Quiescence: a full sweep with no accepted improvement and no queued follow-up
 work terminates the run. Everything is deterministic in (scenario, anm, seed).
 
 A run is one sweep per share. The connected components of the map
-(``coalition.components``) are dealt, largest first, to one share per CPU
-(``os.sched_getaffinity``), and never to more shares than there are
-components. No map edge leaves a share, so a share's sweep is the global
-sweep restricted to its SSPs. Each sweep writes its messages and accepted
-solves as events tagged with their turn, (round, id of the SSP whose turn it
-is). A turn belongs to one share, so merging the shares' events by turn has
-no ties. Replaying the merge gives the global sweep's trace, log, iteration
-count, ``ConvergenceError`` (with the same partial trace and log) and first
-error exactly. Every share but the last runs in a forked worker, which
-pickles its one part through a pipe; a share that cannot be forked runs in
-this process. Every worker is reaped before the run returns or raises. A
-worker that exits non-zero or sends bytes that do not unpickle stops the run
-with a ``RuntimeError`` naming it. So a run with one component, or on one
-CPU, forks nothing, and the result is the same bytes for any CPU count.
+(``coalition.components``) are dealt, largest first, to ``_share_count``
+shares: one per CPU (``os.sched_getaffinity``), but no more than give each
+share ``FORK_MIN_SSPS`` SSPs, the size from which a fork was measured to pay,
+and never more than there are components. No map edge leaves a share, so a
+share's sweep is the global sweep restricted to its SSPs. Each sweep writes
+its messages and accepted solves as events tagged with their turn, (round, id
+of the SSP whose turn it is). A turn belongs to one share, so merging the
+shares' events by turn has no ties. Replaying the merge gives the global
+sweep's trace, log, iteration count, ``ConvergenceError`` (with the same
+partial trace and log) and first error exactly. Every share but the last runs
+in a forked worker, which pickles its one part through a pipe; a share that
+cannot be forked runs in this process. Every worker is reaped before the run
+returns or raises. A worker that exits non-zero or sends bytes that do not
+unpickle stops the run with a ``RuntimeError`` naming it. So a run with one
+component, of fewer than ``2 * FORK_MIN_SSPS`` SSPs, or on one CPU, forks
+nothing, and the result is the same bytes for any share count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -311,7 +313,7 @@ def run_engine(
     ssp_ids = sorted(scenario.ssp_ids)
     neighbours = anm.neighbours(scenario.ssp_ids)
     per_ssp_initial = {s: abs(energy_status(scenario.ssp(s))) for s in ssp_ids}
-    parts = _run_shares(scenario, _deal(components(neighbours), _cpu_count()), neighbours, seed, iteration_cap)
+    parts = _run_shares(scenario, _deal(components(neighbours), _share_count(len(ssp_ids))), neighbours, seed, iteration_cap)
     trace, log = _replay(parts, per_ssp_initial, iteration_cap)
 
     outcomes = {s: outcome for part in parts for s, outcome in part.outcomes.items()}
@@ -470,13 +472,26 @@ def _replay(parts: list[_Part], per_ssp_initial: dict[str, float], iteration_cap
     return trace, log
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 where the platform cannot tell (and may not fork)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# The fewest SSPs each share must hold for its fork to pay. On a 2-CPU host
+# (coalition-4 maps, 44 interleaved ``run_engine`` runs per size), forking
+# study-2-shaped maps (35 x 10 subscribers per SSP) won at least 9 runs in 11
+# from 12 SSPs on, and study-1-shaped ones (10 x 5) from 44; below 12 neither
+# shape won that often, and 6-SSP study-1 maps ran 1.05 to 1.9 times slower
+# forked. CHANGES.md has the table.
+FORK_MIN_SSPS = 6
+
+
+def _share_count(n_ssps: int) -> int:
+    """How many shares a run of ``n_ssps`` SSPs is dealt into: one per CPU this process may run on (1 where the platform cannot tell, and may not fork), but no more than give each share ``FORK_MIN_SSPS`` SSPs, and one at least."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, n_ssps // FORK_MIN_SSPS))
 
 
 def _deal(groups: list[list[str]], shares: int) -> list[list[str]]:
-    """Each share's SSP ids in id order: the components are dealt, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, an empty one for no component."""
+    """Each share's SSP ids in id order: the components are dealt, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, an empty one for no component.
+
+    ``shares`` comes from ``_share_count``; no more shares are made than there
+    are components, so a map with one component forks nothing."""
     dealt: list[list[str]] = [[] for _ in range(max(1, min(shares, len(groups))))]
     for group in sorted(groups, key=len, reverse=True):
         min(dealt, key=len).extend(group)

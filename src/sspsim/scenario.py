@@ -125,10 +125,11 @@ def _check_spec(spec: GeneratorSpec) -> None:
         raise GeneratorSpecError(f"seed must be in [0, 2**63), got {spec.seed}")
 
 
-def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = None) -> Scenario:
+def generate_scenario(spec: GeneratorSpec) -> Scenario:
     """Deterministic synthetic scenario: uniform priorities, shuffled preference
-    ranks (local producers first, partner SSPs after), full local connectivity
-    and a full inter-SSP mesh. Always validates clean."""
+    ranks (local producers first, partner SSPs after), full local connectivity,
+    a full inter-SSP mesh and the default ``MatchingWeights``. Always validates
+    clean."""
     _check_spec(spec)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     ssp_ids = [f"S{k:02d}" for k in range(1, spec.n_ssps + 1)]
@@ -178,7 +179,7 @@ def generate_scenario(spec: GeneratorSpec, weights: MatchingWeights | None = Non
     scenario = Scenario(
         ssps=tuple(ssps),
         ssp_links=LinkBlock(tuple(ssp_ids), tuple(ssp_ids), 1 - np.eye(len(ssp_ids), dtype=np.int64)),
-        weights=weights or MatchingWeights(),
+        weights=MatchingWeights(),
         line_constraints=None,
         seed=spec.seed,
     )

@@ -417,8 +417,8 @@ class TestRun:
         assert not (tmp_path / "new").exists()
 
     def test_solver_drift_in_a_worker_exits_4_as_on_one_cpu(self, tmp_path, monkeypatch, capsys):
-        # passive flexibility bounds columns, so the drift breaks a bound. On two
-        # CPUs the coalition map is dealt as the share S01, S02, S03, S06, S08
+        # passive flexibility bounds columns, so the drift breaks a bound. In two
+        # shares the coalition map is dealt as the share S01, S02, S03, S06, S08
         # to a forked worker and S04, S05, S07 to this process; S01's first
         # solve ends the run, so the error comes from the worker
         scenario = str(tmp_path / "scenario.json")
@@ -430,14 +430,14 @@ class TestRun:
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
         errs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
-            out = str(tmp_path / f"cpus-{cpus}" / "out")
+        for shares in (1, 2):
+            monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: shares)
+            out = str(tmp_path / f"shares-{shares}" / "out")
             assert run_cli("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3", "--out", out) == EXIT_INTERNAL
             errs.append(capsys.readouterr().err)
-            assert len(forks) == cpus - 1
+            assert len(forks) == shares - 1
             assert_no_child_left()
-            assert not (tmp_path / f"cpus-{cpus}").exists()
+            assert not (tmp_path / f"shares-{shares}").exists()
         assert "outside its bounds" in errs[0] and "matching LP for 'S01'" in errs[0]
         assert "Traceback" not in errs[1]
         assert errs[1] == errs[0]
@@ -445,7 +445,7 @@ class TestRun:
     @pytest.mark.parametrize("after", ["raises", "returns"], ids=["worker-fails", "worker-exits-0"])
     def test_worker_stream_cut_short_exits_4_naming_the_worker(self, tmp_path, monkeypatch, capfd, after):
         # the worker writes half its pickle, then fails or exits as if it had
-        # written all of it; on two CPUs the coalition map forks one worker
+        # written all of it; in two shares the coalition map forks one worker
         scenario = str(tmp_path / "scenario.json")
         gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--supply-mean", "20", "--seed", "11")
         assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
@@ -457,7 +457,7 @@ class TestRun:
             if after == "raises":
                 raise OSError("cut short")
 
-        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: 2)
         monkeypatch.setattr(pickle, "dump", half)
         out = tmp_path / "new" / "out"
         code = run_cli("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3", "--out", str(out))
@@ -471,24 +471,28 @@ class TestRun:
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
     def test_a_share_that_cannot_be_forked_runs_in_this_process(self, tmp_path, monkeypatch, call):
-        # at the process limit os.fork fails with EAGAIN. On three CPUs the
-        # coalition map is dealt into three shares, and the two that cannot
-        # be forked run here, so the run writes the one-CPU run's artifacts
+        # at the process limit os.fork fails with EAGAIN. The coalition map is
+        # dealt into three shares, and the two that cannot be forked run here,
+        # so the run writes the one-share run's artifacts
         scenario = str(tmp_path / "scenario.json")
         gen = ("--ssps", "8", "--consumers", "5", "--producers", "3", "--supply-mean", "20", "--seed", "11")
         assert run_cli("gen", *gen, "--out", scenario) == EXIT_OK
         argv = ("run", "--scenario", scenario, "--anm", "coalition", "--max-group-size", "3")
-        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
-        assert run_cli(*argv, "--out", str(tmp_path / "one-cpu")) == EXIT_OK
+        monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: 1)
+        assert run_cli(*argv, "--out", str(tmp_path / "one-share")) == EXIT_OK
+
+        refusals = []
 
         def refused():
+            refusals.append(call)
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         monkeypatch.setattr(os, call, refused)
-        monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: 3)
         assert run_cli(*argv, "--out", str(tmp_path / "refused")) == EXIT_OK
+        assert len(refusals) == 2
         assert_no_child_left()
-        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one-cpu", tmp_path / "refused", RESULT_FILES, shallow=False)
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one-share", tmp_path / "refused", RESULT_FILES, shallow=False)
         assert sorted(match) == sorted(RESULT_FILES)
 
     @pytest.mark.parametrize("ssps", [2, 0], ids=["no-subscribers", "no-ssps"])

@@ -503,14 +503,12 @@ class TestCalibration:
     def test_calibration_restores_a_zero_service_reward(self):
         # valid weights that reward no placement: one iteration sets w14 to 1,
         # and the meshed run at seed 1 then needs 18.22 kWh of Utility, not 28.36
-        scenario = generate_scenario(
-            GeneratorSpec(
-                n_ssps=5, consumers_per_ssp=8, producers_per_ssp=4,
-                passive_consumers=4, passive_consumer_bound=0.3, passive_producers=2, passive_producer_bound=0.3,
-                demand_mean_kwh=12.0, supply_mean_kwh=22.0, noise_std_kwh=6.0, seed=1,
-            ),
-            MatchingWeights(w14=0.0, w2=0.05, w35=0.0),
+        spec = GeneratorSpec(
+            n_ssps=5, consumers_per_ssp=8, producers_per_ssp=4,
+            passive_consumers=4, passive_consumer_bound=0.3, passive_producers=2, passive_producer_bound=0.3,
+            demand_mean_kwh=12.0, supply_mean_kwh=22.0, noise_std_kwh=6.0, seed=1,
         )
+        scenario = replace(generate_scenario(spec), weights=MatchingWeights(w14=0.0, w2=0.05, w35=0.0))
         calibrated = calibrate_weights(scenario, iterations=1, seed=1)
         assert calibrated == replace(scenario.weights, w14=1.0)
         anm = meshed_map(scenario.ssp_ids)
@@ -637,10 +635,10 @@ class TestPairTable:
 def engine_programs(monkeypatch, scenario: Scenario) -> list:
     """Every matching LP of a meshed engine run at run seed 1 with its layout, those the engine prices out included.
 
-    On one CPU, so that no program is built in a forked worker, out of sight."""
+    In one share, so that no program is built in a forked worker, out of sight."""
     programs = []
     build = sspsim.matching._build
-    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: 1)
     monkeypatch.setattr(sspsim.matching, "_build", lambda *args: programs.append(build(*args)) or programs[-1])
     monkeypatch.setattr(PairTable, "offer_can_improve", lambda *_: True)
     run_engine(scenario, meshed_map(scenario.ssp_ids), seed=1)
@@ -656,15 +654,13 @@ def matching_inputs(draw, with_lines: bool = False):
     n_partners = draw(st.integers(0, 5))
     consumers = draw(st.integers(4, 14))
     producers = draw(st.integers(2, 8))
-    scenario = generate_scenario(
-        GeneratorSpec(
-            n_ssps=n_partners + 1, consumers_per_ssp=consumers, producers_per_ssp=producers,
-            passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
-            passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
-            supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
-        ),
-        MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))),
+    spec = GeneratorSpec(
+        n_ssps=n_partners + 1, consumers_per_ssp=consumers, producers_per_ssp=producers,
+        passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
+        passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
+        supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
     )
+    scenario = replace(generate_scenario(spec), weights=MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
     view = view_for_ssp(scenario, "S01")
     caps = {p: PartnerCapacity(draw(st.sampled_from([0.0, 5.0, 40.0])), draw(st.sampled_from([0.0, 0.1])))
             for p in view.partner_capacities}
@@ -799,15 +795,13 @@ def centralized_scenarios(draw) -> Scenario:
     (consumer, producer of its SSP), minimums included."""
     consumers = draw(st.integers(1, 5))
     producers = draw(st.integers(1, 3))
-    scenario = generate_scenario(
-        GeneratorSpec(
-            n_ssps=draw(st.integers(2, 5)), consumers_per_ssp=consumers, producers_per_ssp=producers,
-            passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
-            passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
-            supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
-        ),
-        MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))),
+    spec = GeneratorSpec(
+        n_ssps=draw(st.integers(2, 5)), consumers_per_ssp=consumers, producers_per_ssp=producers,
+        passive_consumers=draw(st.integers(0, consumers)), passive_consumer_bound=0.15,
+        passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
+        supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
     )
+    scenario = replace(generate_scenario(spec), weights=MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
     ids = scenario.ssp_ids
     if draw(st.booleans()):
         scenario = without_producers(scenario, draw(st.sampled_from(ids)))
@@ -889,16 +883,18 @@ def test_merged_view_pairs_each_consumer_with_every_producer_its_ssp_reaches(sce
 @pytest.mark.parametrize(
     "spec, digest",
     [
-        (replace(STUDY1_SPEC, n_ssps=10), "b23c127ef4bd0168646b0a167764ed911dd7950faa59fb47c76023ac39483fe4"),
-        (study2_spec(10, 5, 0), "fdf1cfc541f53a7cb4e51ac0e199f10bab737587003f8f145ea2bd7bd3e09924"),
+        (replace(STUDY1_SPEC, n_ssps=10), "db8c8cbef9e4f53816444eadb3d9dafcd03c2efc9ebdb0651d9c3c663b778445"),
+        (study2_spec(10, 5, 0), "1580c12ac9b928c23315b6ddb72da104c6da77d487817d0805d9038162ae7101"),
     ],
     ids=["study1-10-ssps", "study2-10-5"],
 )
 def test_centralized_commitments_are_pinned(spec, digest):
-    # the sha256 of the benchmark's canonical dump of the matrix: one
-    # "row,col,kWh" line per cell, sorted, with every kWh in repr
+    # the sha256 of one "row,col,kWh" line per cell of the matrix, sorted,
+    # with every kWh to 9 decimals: OpenBLAS kernels (Prescott, Nehalem,
+    # Sandybridge, Haswell, ...) reach the same vertex with cells that differ
+    # in their last bits (up to 3.4e-14 kWh), which repr would tell apart
     cm, _, _ = solve_centralized(generate_scenario(spec))
-    dump = "".join(f"{row},{col},{kwh!r}\n" for (row, col), kwh in sorted(cm.cells().items()))
+    dump = "".join(f"{row},{col},{kwh:.9f}\n" for (row, col), kwh in sorted(cm.cells().items()))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 

@@ -36,6 +36,7 @@ from sspsim.model import (
 )
 from sspsim.protocol import (
     CLAIM_KIND,
+    FORK_MIN_SSPS,
     IMPROVE_TOL,
     OFFER_KIND,
     SEND_EXCESS,
@@ -46,6 +47,7 @@ from sspsim.protocol import (
     ProtocolViolationError,
     _Agent,
     _deal,
+    _share_count,
     audit_privacy,
     run_engine,
     shuffle_partners,
@@ -66,12 +68,12 @@ STUDY1 = GeneratorSpec(n_ssps=20, consumers_per_ssp=10, producers_per_ssp=5, dem
 def engine_agents(scenario: Scenario, anm: ActualNeighborhoodMap, monkeypatch) -> list[_Agent]:
     """The agents that ``run_engine`` builds for ``scenario`` on ``anm``, in id order.
 
-    On one CPU, so that no agent is built in a forked worker, out of sight.
+    In one share, so that no agent is built in a forked worker, out of sight.
     The engine builds them share by share, so the list is sorted."""
     agents = []
     init = _Agent.__init__
     with monkeypatch.context() as patched:
-        patched.setattr(sspsim.protocol, "_cpu_count", lambda: 1)
+        patched.setattr(sspsim.protocol, "_share_count", lambda n_ssps: 1)
         patched.setattr(_Agent, "__init__", lambda agent, *args: agents.append(agent) or init(agent, *args))
         run_engine(scenario, anm, seed=1)
     return sorted(agents, key=lambda agent: agent.view.id)
@@ -857,11 +859,11 @@ def test_a_non_improving_solve_hands_its_duals_over(monkeypatch):
     assert (agent.lp_solves, agent.offers_priced_out) == (solves + 1, 1)
 
 
-def engine_outcome(run, scenario: Scenario, anm: ActualNeighborhoodMap, seed: int, iteration_cap: int, cpus: int):
-    """How a run on ``cpus`` CPUs ends, in text that tells floats apart bit for bit: ("result", every field of the
-    result, a matrix by its cells in the order they were set), or the error's type name and message, with the
-    partial trace and log of a ConvergenceError."""
-    with mock.patch.object(sspsim.protocol, "_cpu_count", lambda: cpus):
+def engine_outcome(run, scenario: Scenario, anm: ActualNeighborhoodMap, seed: int, iteration_cap: int, shares: int):
+    """How a run dealt into ``shares`` shares (at most one per map component) ends, in text that tells floats apart
+    bit for bit: ("result", every field of the result, a matrix by its cells in the order they were set), or the
+    error's type name and message, with the partial trace and log of a ConvergenceError."""
+    with mock.patch.object(sspsim.protocol, "_share_count", lambda n_ssps: shares):
         try:
             result = run(scenario, anm, seed=seed, iteration_cap=iteration_cap)
         except ConvergenceError as error:
@@ -906,16 +908,16 @@ def engine_maps(draw, scenario: Scenario) -> ActualNeighborhoodMap:
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.one_of(centralized_scenarios(), passive_specs().map(generate_scenario)), st.integers(0, 2**16),
        st.one_of(st.just(10000), st.integers(1, 12)), st.integers(1, 3))
-def test_the_engine_is_the_one_global_sweep_of_the_reference(data, scenario, run_seed, iteration_cap, cpus):
-    # one sweep per map component, run on 1 to 3 CPUs and merged by turn, is
+def test_the_engine_is_the_one_global_sweep_of_the_reference(data, scenario, run_seed, iteration_cap, shares):
+    # one sweep per map component, dealt into 1 to 3 shares and merged by turn, is
     # the global sweep bit for bit: the result, or the same error with the
     # same partial trace and log (lines with minimums and purchase caps can
     # leave an SSP unsolved; a cap of 1 to 12 iterations often stops a run)
     anm = data.draw(engine_maps(scenario))
-    want = engine_outcome(reference_run_engine, scenario, anm, run_seed, iteration_cap, cpus=1)
+    want = engine_outcome(reference_run_engine, scenario, anm, run_seed, iteration_cap, shares=1)
     event("several map components" if len(components(anm.neighbours(scenario.ssp_ids))) > 1 else "one map component")
     event(want[0])
-    assert engine_outcome(run_engine, scenario, anm, run_seed, iteration_cap, cpus) == want
+    assert engine_outcome(run_engine, scenario, anm, run_seed, iteration_cap, shares) == want
 
 
 def study1_coalitions() -> tuple[Scenario, ActualNeighborhoodMap]:
@@ -933,15 +935,15 @@ def study1_mesh() -> tuple[Scenario, ActualNeighborhoodMap]:
 
 
 @pytest.mark.parametrize("study", [study1_coalitions, study1_mesh], ids=["coalitions", "mesh"])
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("shares", [1, 2, 3])
 @pytest.mark.parametrize("iteration_cap", [1, 7, 26])
-def test_an_iteration_cap_stops_the_merged_run_where_it_stops_the_global_sweep(cpus, iteration_cap, study):
+def test_an_iteration_cap_stops_the_merged_run_where_it_stops_the_global_sweep(shares, iteration_cap, study):
     # the coalition run would end after 27 accepted solves, the meshed one
     # after 35; the one component of the mesh passes the cap in its own stream
     scenario, anm = study()
-    want = engine_outcome(reference_run_engine, scenario, anm, 5, iteration_cap, cpus=1)
+    want = engine_outcome(reference_run_engine, scenario, anm, 5, iteration_cap, shares=1)
     assert want[:2] == ("ConvergenceError", f"no quiescence within {iteration_cap} iterations")
-    assert engine_outcome(run_engine, scenario, anm, 5, iteration_cap, cpus) == want
+    assert engine_outcome(run_engine, scenario, anm, 5, iteration_cap, shares) == want
 
 
 def relay_triples() -> tuple[Scenario, ActualNeighborhoodMap]:
@@ -963,42 +965,42 @@ def relay_triples() -> tuple[Scenario, ActualNeighborhoodMap]:
     return scenario, map_from_coalitions(CoalitionSet((frozenset({"S01", "S02", "S03"}), frozenset({"S04", "S05", "S06"}))))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shares", [1, 2])
 @pytest.mark.parametrize("iteration_cap", [10000, 1, 2, 7])
 @pytest.mark.parametrize("seed", [1, 2, 6])
-def test_turns_of_later_rounds_merge_after_every_turn_of_earlier_ones(seed, iteration_cap, cpus):
+def test_turns_of_later_rounds_merge_after_every_turn_of_earlier_ones(seed, iteration_cap, shares):
     # at run seed 1 both relays offer in round 2, at 2 and 6 only the second;
     # with a cap of 1 or 2 the first relay passes it before the second solves
     scenario, anm = relay_triples()
-    want = engine_outcome(reference_run_engine, scenario, anm, seed, iteration_cap, cpus=1)
+    want = engine_outcome(reference_run_engine, scenario, anm, seed, iteration_cap, shares=1)
     if iteration_cap == 10000:
         late = {r.src for r in reference_run_engine(scenario, anm, seed=seed).log if r.kind == OFFER_KIND and r.round_index == 2}
         assert late == ({"S01", "S04"} if seed == 1 else {"S04"})
     else:
         assert want[0] == "ConvergenceError"
-    assert engine_outcome(run_engine, scenario, anm, seed, iteration_cap, cpus) == want
+    assert engine_outcome(run_engine, scenario, anm, seed, iteration_cap, shares) == want
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shares", [1, 2])
 @pytest.mark.parametrize("short, spare", [("S1", "S2"), ("S2", "S1")], ids=["short-ssp-first", "short-ssp-second"])
-def test_an_ssp_its_purchase_cap_leaves_unsolved_is_named_by_the_merged_run(short, spare, cpus):
+def test_an_ssp_its_purchase_cap_leaves_unsolved_is_named_by_the_merged_run(short, spare, shares):
     # with no map edge, each SSP is its own component, and no offer can make
     # up for the short SSP's capped purchase
     scenario = capped_pair(short, spare)
     anm = empty_map(scenario.ssp_ids)
-    want = engine_outcome(reference_run_engine, scenario, anm, 1, 10000, cpus=1)
+    want = engine_outcome(reference_run_engine, scenario, anm, 1, 10000, shares=1)
     assert want == ("MatchingInfeasibleError", f"matching LP for {short!r} infeasible without an offer and with each offer it got")
-    assert engine_outcome(run_engine, scenario, anm, 1, 10000, cpus) == want
+    assert engine_outcome(run_engine, scenario, anm, 1, 10000, shares) == want
 
 
 @pytest.mark.parametrize("end", ["quiescence", "iteration-cap", "unsolved-ssp", "lost-pipe", "one-component"])
 def test_no_worker_outlives_a_run(end, monkeypatch):
     # a pipe lost while this process collects leaves two workers to reap, and
-    # a run with one map component forks none, however many CPUs it may use
-    cpus = 3 if end in ("lost-pipe", "one-component") else 2
+    # a run with one map component forks none, however many shares it is dealt
+    shares = 3 if end in ("lost-pipe", "one-component") else 2
     forks = []
     fork = os.fork
-    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: shares)
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     scenario, anm = study1_coalitions()
     if end == "quiescence":
@@ -1019,19 +1021,19 @@ def test_no_worker_outlives_a_run(end, monkeypatch):
         scenario = capped_pair("S1", "S2")
         with pytest.raises(MatchingInfeasibleError):
             run_engine(scenario, empty_map(scenario.ssp_ids), seed=1)
-    assert len(forks) == (0 if end == "one-component" else cpus - 1)
+    assert len(forks) == (0 if end == "one-component" else shares - 1)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_a_scenario_without_ssps_runs_to_an_empty_result(cpus):
+@pytest.mark.parametrize("shares", [1, 3])
+def test_a_scenario_without_ssps_runs_to_an_empty_result(shares):
     # no map component: one share, running nothing
     scenario = Scenario((), LinkBlock.from_rows((), {}), MatchingWeights(), None, 0)
-    want = engine_outcome(reference_run_engine, scenario, meshed_map(()), 1, 10000, cpus=1)
+    want = engine_outcome(reference_run_engine, scenario, meshed_map(()), 1, 10000, shares=1)
     assert want[0] == "result" and want[1]["rounds"] == "0" and want[1]["log"] == "[]"
     # the kWh totals are floats, as every other run's are
     assert want[1]["initial_abs_status_kwh"] == want[1]["final_utility_kwh"] == "0.0"
-    assert engine_outcome(run_engine, scenario, meshed_map(()), 1, 10000, cpus) == want
+    assert engine_outcome(run_engine, scenario, meshed_map(()), 1, 10000, shares) == want
 
 
 GROUPS = [["S01", "S05"], ["S02", "S03", "S04"], ["S06"], ["S07", "S08"], ["S09"]]
@@ -1059,16 +1061,52 @@ def test_deal_makes_one_empty_share_for_no_component(shares):
     assert _deal([], shares) == [[]]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_a_run_merges_one_part_per_share(cpus, monkeypatch):
-    # study-1's coalitions form more components than CPUs; each share is
-    # swept once, so the replay merges one part per CPU
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_a_run_merges_one_part_per_share(shares, monkeypatch):
+    # study-1's coalitions form more components than shares; each share is
+    # swept once, so the replay merges one part per share
     merged = []
     replay = sspsim.protocol._replay
-    monkeypatch.setattr(sspsim.protocol, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sspsim.protocol, "_share_count", lambda n_ssps: shares)
     monkeypatch.setattr(sspsim.protocol, "_replay", lambda parts, *args: merged.append(len(parts)) or replay(parts, *args))
     assert run_engine(*study1_coalitions(), seed=5).iterations > 0
-    assert merged == [cpus]
+    assert merged == [shares]
+
+
+def test_a_small_coalition_map_sweeps_in_this_process_on_four_cpus(monkeypatch):
+    # 6 SSPs in coalitions of at most 3 form several components, which the
+    # engine dealt into one share per CPU before it counted the SSPs
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    scenario = generate_scenario(GeneratorSpec(n_ssps=6, consumers_per_ssp=5, producers_per_ssp=3, supply_mean_kwh=18.0, seed=7))
+    anm = map_from_coalitions(form_coalitions({cfg.id: energy_status(cfg) for cfg in scenario.ssps}, 3))
+    assert anm.component_count() > 1
+    assert run_engine(scenario, anm, seed=1).iterations > 0
+    assert forks == []
+
+
+@pytest.mark.parametrize(
+    "cpus, n_ssps, shares",
+    [
+        ({0, 1}, 2 * FORK_MIN_SSPS - 1, 1),
+        ({0, 1}, 2 * FORK_MIN_SSPS, 2),
+        ({0, 1}, 200, 2),
+        ({0}, 2 * FORK_MIN_SSPS, 1),
+        ({0, 1, 2, 3}, 3 * FORK_MIN_SSPS, 3),
+        ({0, 1, 2, 3}, 0, 1),
+        (None, 2 * FORK_MIN_SSPS, 1),
+    ],
+    ids=["two-cpus-below", "two-cpus-at", "two-cpus-200", "one-cpu", "four-cpus-three-shares", "no-ssps", "no-affinity"],
+)
+def test_a_run_gets_one_share_per_cpu_that_fork_min_ssps_fill(cpus, n_ssps, shares, monkeypatch):
+    # where the platform cannot tell its CPUs (and may not fork), one share
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert _share_count(n_ssps) == shares
 
 
 def test_the_engine_and_the_map_count_the_same_components():
