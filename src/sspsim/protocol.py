@@ -28,20 +28,21 @@ work terminates the run. Everything is deterministic in (scenario, anm, seed).
 A run is one sweep per share. The connected components of the map
 (``coalition.components``) are dealt, largest first, to ``_share_count``
 shares: one per CPU (``os.sched_getaffinity``), but no more than give each
-share ``FORK_MIN_SSPS`` SSPs, the size from which a fork was measured to pay,
-and never more than there are components. No map edge leaves a share, so a
-share's sweep is the global sweep restricted to its SSPs. Each sweep writes
-its messages and accepted solves as events tagged with their turn, (round, id
-of the SSP whose turn it is). A turn belongs to one share, so merging the
-shares' events by turn has no ties. Replaying the merge gives the global
-sweep's trace, log, iteration count, ``ConvergenceError`` (with the same
-partial trace and log) and first error exactly. Every share but the last runs
-in a forked worker, which pickles its one part through a pipe; a share that
-cannot be forked runs in this process. Every worker is reaped before the run
-returns or raises. A worker that exits non-zero or sends bytes that do not
-unpickle stops the run with a ``RuntimeError`` naming it. So a run with one
-component, of fewer than ``2 * FORK_MIN_SSPS`` SSPs, or on one CPU, forks
-nothing, and the result is the same bytes for any share count.
+share ``FORK_MIN_SSPS`` SSPs on average (the size from which two shares were
+measured to pay on study-1-shaped maps), and never more than there are
+components. No map edge leaves a share, so a share's sweep is the global sweep
+restricted to its SSPs. Each sweep writes its messages and accepted solves as
+events tagged with their turn, (round, id of the SSP whose turn it is). A turn
+belongs to one share, so merging the shares' events by turn has no ties.
+Replaying the merge gives the global sweep's trace, log, iteration count,
+``ConvergenceError`` (with the same partial trace and log) and first error
+exactly. Every share but the last runs in a forked worker, which pickles its
+one part through a pipe; a share that cannot be forked runs in this process.
+Every worker is reaped before the run returns or raises. A worker that exits
+non-zero or sends bytes that do not unpickle stops the run with a
+``RuntimeError`` naming it. So a run with one component, of fewer than
+``2 * FORK_MIN_SSPS`` SSPs, or on one CPU, forks nothing, and the result is the
+same bytes for any share count.
 
 A re-solve that cannot be accepted is skipped; the run is the same as if it
 had been made. An agent solves without an offer only while it holds no
@@ -472,26 +473,27 @@ def _replay(parts: list[_Part], per_ssp_initial: dict[str, float], iteration_cap
     return trace, log
 
 
-# The fewest SSPs each share must hold for its fork to pay. On a 2-CPU host
-# (coalition-4 maps, 44 interleaved ``run_engine`` runs per size), forking
-# study-2-shaped maps (35 x 10 subscribers per SSP) won at least 9 runs in 11
-# from 12 SSPs on, and study-1-shaped ones (10 x 5) from 44; below 12 neither
-# shape won that often, and 6-SSP study-1 maps ran 1.05 to 1.9 times slower
-# forked. CHANGES.md has the table.
-FORK_MIN_SSPS = 6
+# The fewest SSPs each share must hold for its fork to pay, set on the
+# study-1 shape (10 x 5 subscribers per SSP) that the study's coalition runs
+# use. On a 2-CPU host (coalition-4 maps, 44 to 132 interleaved ``run_engine``
+# runs per size), forking such maps won at least 9 runs in 11 from 42 SSPs on,
+# 80% of them at 40 and 58% at 20. Study-2-shaped coalition maps (35 x 10),
+# which no workload runs, won most runs from 8 SSPs on, so their maps of 8 to
+# 41 SSPs run slower unforked. CHANGES.md has the table.
+FORK_MIN_SSPS = 21
 
 
 def _share_count(n_ssps: int) -> int:
-    """How many shares a run of ``n_ssps`` SSPs is dealt into: one per CPU this process may run on (1 where the platform cannot tell, and may not fork), but no more than give each share ``FORK_MIN_SSPS`` SSPs, and one at least."""
+    """How many shares a run of ``n_ssps`` SSPs is dealt into: one per CPU this process may run on (1 where the platform cannot tell, and may not fork), but no more than give each share ``FORK_MIN_SSPS`` SSPs, and one at least.
+
+    Only two shares were measured. A share holds ``FORK_MIN_SSPS`` SSPs only
+    on average, as ``_deal`` deals whole components."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return max(1, min(cpus, n_ssps // FORK_MIN_SSPS))
 
 
 def _deal(groups: list[list[str]], shares: int) -> list[list[str]]:
-    """Each share's SSP ids in id order: the components are dealt, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, an empty one for no component.
-
-    ``shares`` comes from ``_share_count``; no more shares are made than there
-    are components, so a map with one component forks nothing."""
+    """Each share's SSP ids in id order: the components are dealt, largest first, each to the share with the fewest SSPs so far (the first such share); one share at least, an empty one for no component."""
     dealt: list[list[str]] = [[] for _ in range(max(1, min(shares, len(groups))))]
     for group in sorted(groups, key=len, reverse=True):
         min(dealt, key=len).extend(group)

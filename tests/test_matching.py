@@ -473,6 +473,13 @@ class TestCentralized:
         assert view.preferences.get("S1.C1", "S2.P1") == 2
 
 
+def generated_with(spec: GeneratorSpec, weights: MatchingWeights) -> Scenario:
+    """``generate_scenario(spec)`` carrying ``weights``, validated as the generator validates its own scenario."""
+    scenario = replace(generate_scenario(spec), weights=weights)
+    assert validate_scenario(scenario) == []
+    return scenario
+
+
 class TestCalibration:
     def tiny_scenario(self, weights: MatchingWeights) -> Scenario:
         consumers = (
@@ -508,7 +515,7 @@ class TestCalibration:
             passive_consumers=4, passive_consumer_bound=0.3, passive_producers=2, passive_producer_bound=0.3,
             demand_mean_kwh=12.0, supply_mean_kwh=22.0, noise_std_kwh=6.0, seed=1,
         )
-        scenario = replace(generate_scenario(spec), weights=MatchingWeights(w14=0.0, w2=0.05, w35=0.0))
+        scenario = generated_with(spec, MatchingWeights(w14=0.0, w2=0.05, w35=0.0))
         calibrated = calibrate_weights(scenario, iterations=1, seed=1)
         assert calibrated == replace(scenario.weights, w14=1.0)
         anm = meshed_map(scenario.ssp_ids)
@@ -660,7 +667,7 @@ def matching_inputs(draw, with_lines: bool = False):
         passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
         supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
     )
-    scenario = replace(generate_scenario(spec), weights=MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
+    scenario = generated_with(spec, MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
     view = view_for_ssp(scenario, "S01")
     caps = {p: PartnerCapacity(draw(st.sampled_from([0.0, 5.0, 40.0])), draw(st.sampled_from([0.0, 0.1])))
             for p in view.partner_capacities}
@@ -801,7 +808,7 @@ def centralized_scenarios(draw) -> Scenario:
         passive_producers=draw(st.integers(0, producers)), passive_producer_bound=0.1,
         supply_mean_kwh=draw(st.sampled_from([6.0, 24.0, 42.0])), seed=draw(st.integers(0, 2**16)),
     )
-    scenario = replace(generate_scenario(spec), weights=MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
+    scenario = generated_with(spec, MatchingWeights(alpha=draw(st.sampled_from([0.1, 0.0]))))
     ids = scenario.ssp_ids
     if draw(st.booleans()):
         scenario = without_producers(scenario, draw(st.sampled_from(ids)))

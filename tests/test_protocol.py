@@ -1074,8 +1074,8 @@ def test_a_run_merges_one_part_per_share(shares, monkeypatch):
 
 
 def test_a_small_coalition_map_sweeps_in_this_process_on_four_cpus(monkeypatch):
-    # 6 SSPs in coalitions of at most 3 form several components, which the
-    # engine dealt into one share per CPU before it counted the SSPs
+    # 6 SSPs in coalitions of at most 3 form several components, but too few
+    # SSPs for a second share to pay for its fork, even with four CPUs
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
